@@ -110,10 +110,23 @@ def run_workers(
     return cluster.engine.now - start
 
 
-def fresh_process(num_nodes: int, params: Optional[SimParams] = None):
+#: the paper's rack (§V); app clusters are never smaller
+TESTBED_NODES = 8
+
+
+def fresh_process(
+    num_nodes: int,
+    params: Optional[SimParams] = None,
+    cluster: Optional[DexCluster] = None,
+):
     """(cluster, process, allocator) for one app run.  The cluster always
-    has 8 nodes (the testbed); *num_nodes* only controls placement."""
-    cluster = DexCluster(num_nodes=max(num_nodes, 8), params=params)
+    has at least ``TESTBED_NODES`` nodes; *num_nodes* only controls
+    placement.  A tool that reads the run's tracer/lens/scope afterwards
+    builds the cluster itself (from the same *params*) and passes it in."""
+    if cluster is None:
+        cluster = DexCluster(
+            num_nodes=max(num_nodes, TESTBED_NODES), params=params
+        )
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     return cluster, proc, alloc

@@ -84,13 +84,14 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
 ) -> AppResult:
     """Run KMN; output is the final centroids, checked against the
     reference run with ``np.allclose`` (parallel reduction reorders float
     additions)."""
     check_variant(variant)
     seed = workload_seed(params, 11) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

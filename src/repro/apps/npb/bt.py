@@ -68,12 +68,13 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
 ) -> AppResult:
     """Run BT; output is the final grid (checked against the reference
     Jacobi sweep) and the accumulated residual."""
     check_variant(variant)
     seed = workload_seed(params, 23) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

@@ -78,11 +78,12 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
 ) -> AppResult:
     """Run EP; output is the 10-bin annulus histogram."""
     check_variant(variant)
     seed = workload_seed(params, 19) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

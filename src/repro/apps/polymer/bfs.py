@@ -62,12 +62,13 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
 ) -> AppResult:
     """Run BFS; output is the distance vector, checked against the
     single-threaded reference."""
     check_variant(variant)
     seed = workload_seed(params, 17) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

@@ -84,12 +84,13 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
 ) -> AppResult:
     """Run BP; output is the final belief vector, checked against the
     reference (float64 math on both sides, so allclose is tight)."""
     check_variant(variant)
     seed = workload_seed(params, 31) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

@@ -69,13 +69,14 @@ def run(
     params: Optional[SimParams] = None,
     tracer=None,
     seed: Optional[int] = None,
+    cluster=None,
     plant_every: int = 400,
 ) -> AppResult:
     """Run GRP; returns an :class:`AppResult` whose output is the list of
     per-key occurrence counts (verified against the reference scan)."""
     check_variant(variant)
     seed = workload_seed(params, 7) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
+    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
     if tracer is not None:
         proc.attach_tracer(tracer)
     nodes = plan_nodes(cluster, num_nodes)

@@ -20,7 +20,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         choices=["table1", "table2", "figure2", "figure3", "pagefault",
-                 "ablation", "perf", "all"],
+                 "ablation", "all"],
     )
     parser.add_argument(
         "--apps", nargs="*", default=list(APP_NAMES),
@@ -40,36 +40,7 @@ def main(argv=None) -> int:
         help="coherence-directory backend for figure2 (default: the "
         "paper's origin-resident directory)",
     )
-    perf_group = parser.add_argument_group("perf", "options for 'perf'")
-    perf_group.add_argument(
-        "--quick", action="store_true",
-        help="scaled-down point set (CI): writes BENCH_PR.json and guards "
-        "the wall-clock trend against the committed BENCH_engine.json",
-    )
-    perf_group.add_argument(
-        "--out", default=None,
-        help="output path (default: BENCH_engine.json, or BENCH_PR.json "
-        "with --quick)",
-    )
-    perf_group.add_argument(
-        "--baseline", default=None,
-        help="baseline BENCH json to guard against (default with --quick: "
-        "BENCH_engine.json when present)",
-    )
-    perf_group.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed wall-clock regression before the guard fails "
-        "(default 0.25 = 25%%)",
-    )
-    perf_group.add_argument(
-        "--repeats", type=int, default=None,
-        help="best-of-N repetitions per point (default 3, 2 with --quick)",
-    )
     args = parser.parse_args(argv)
-    if args.experiment == "perf":
-        from repro.bench.perf import perf_main
-
-        return perf_main(args)
     todo = (
         ["table1", "table2", "figure3", "pagefault", "figure2", "ablation"]
         if args.experiment == "all"

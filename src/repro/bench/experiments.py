@@ -146,9 +146,6 @@ class FaultReport:
     contended_mean_us: float
     page_retrieval_us: float  # messaging-layer 4KB fetch (paper: 13.6us)
     lost_updates: int         # must be zero
-    #: engine dispatches of the hammer cluster (perf trajectory input;
-    #: not part of the behavioural digest)
-    events_dispatched: int = 0
 
     @property
     def bimodal_ratio(self) -> float:
@@ -158,10 +155,15 @@ class FaultReport:
 
 
 def pagefault_micro(
-    duration_us: float = 100_000.0, params: Optional[SimParams] = None
+    duration_us: float = 100_000.0,
+    params: Optional[SimParams] = None,
+    cluster: Optional[DexCluster] = None,
 ) -> FaultReport:
-    """Two threads on two nodes ping-ponging one global variable (§V-D)."""
-    cluster = DexCluster(num_nodes=2, params=params)
+    """Two threads on two nodes ping-ponging one global variable (§V-D).
+    A tool that inspects the hammer run afterwards passes its own 2-node
+    *cluster* (built from the same *params*)."""
+    if cluster is None:
+        cluster = DexCluster(num_nodes=2, params=params)
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     var = alloc.alloc_global(8, tag="shared_var")
@@ -218,7 +220,6 @@ def pagefault_micro(
         contended_mean_us=statistics.mean(slow) if slow else 0.0,
         page_retrieval_us=fetch_latency - trap_side,
         lost_updates=sum(counts) - value,
-        events_dispatched=cluster.engine.events_dispatched,
     )
 
 

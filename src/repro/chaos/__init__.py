@@ -21,11 +21,11 @@ bit-identical to a build without the subsystem.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.chaos.controller import ChaosController, ThreadHalt
 from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
+from repro.params import resolve_switch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.params import SimParams
@@ -37,7 +37,6 @@ __all__ = [
     "ChaosRunReport",
     "ChaosScenario",
     "ThreadHalt",
-    "resolve_chaos_mode",
     "resolve_scenario",
     "run_pagefault_micro",
     "run_under_chaos",
@@ -56,26 +55,6 @@ def __getattr__(name: str):
         return getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-_OFF = frozenset({"", "0", "off", "none", "false", "no"})
-_ON = frozenset({"1", "on", "true", "yes"})
-
-
-def resolve_chaos_mode(setting: Optional[str]) -> Optional[str]:
-    """Resolve a chaos setting against the ``DEX_CHAOS`` env var.
-
-    ``None`` defers to the environment.  Off-values return ``None``; an
-    on-value returns the normalized flag; anything else is treated as a
-    path to a scenario JSON file and returned verbatim.
-    """
-    if setting is None:
-        setting = os.environ.get("DEX_CHAOS", "")
-    text = setting.strip()
-    if text.lower() in _OFF:
-        return None
-    if text.lower() in _ON:
-        return "on"
-    return text
-
 
 def resolve_scenario(params: "SimParams") -> Optional[ChaosScenario]:
     """The scenario to run under, or ``None`` when chaos is off.
@@ -92,8 +71,8 @@ def resolve_scenario(params: "SimParams") -> Optional[ChaosScenario]:
                 f"chaos_scenario must be a ChaosScenario, got {type(scenario).__name__}"
             )
         return scenario.validate()
-    mode = resolve_chaos_mode(params.chaos)
-    if mode is None:
+    mode = resolve_switch("chaos", params.chaos)
+    if not mode:
         return None
     if mode == "on":
         return ChaosScenario()

@@ -60,15 +60,19 @@ def run_pagefault_micro(
     seed: Optional[int] = None,
     iters: int = 40,
     params: Optional[SimParams] = None,
+    cluster: Optional[DexCluster] = None,
 ) -> Dict[str, Any]:
     """Two threads hammer one shared counter — one at the origin, one
     migrated to node 1 — then rendezvous on a futex barrier; the remote
     thread also maps/touches/unmaps a scratch region so delegation and the
     eager VMA-shrink broadcast run too.  Returns a result dict with
     ``ok`` (exact-count correctness), the chaos ``report`` (None when the
-    subsystem is off), and the final sim time."""
-    run_params = _chaos_params(params, scenario, directory, sanitize, seed)
-    cluster = DexCluster(num_nodes=2, params=run_params)
+    subsystem is off), and the final sim time.  A caller that inspects the
+    run afterwards (its tracer, say) passes its own 2-node *cluster*, whose
+    params then stand in for every other argument but *iters*."""
+    if cluster is None:
+        run_params = _chaos_params(params, scenario, directory, sanitize, seed)
+        cluster = DexCluster(num_nodes=2, params=run_params)
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     var = alloc.alloc_global(8, tag="chaos_micro")

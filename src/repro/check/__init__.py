@@ -1,6 +1,7 @@
 """DexCheck: correctness tooling for the DeX reproduction.
 
-Three cooperating parts (see DESIGN.md §"Checking"):
+Two cooperating dynamic checkers (see DESIGN.md §"Checking"; the static
+rules live in :mod:`repro.vet`):
 
 * :mod:`repro.check.sanitizer` — a dynamic happens-before **coherence
   sanitizer** built on vector clocks.  Protocol messages (grants,
@@ -11,23 +12,21 @@ Three cooperating parts (see DESIGN.md §"Checking"):
 * :mod:`repro.check.waitfor` — an online **wait-for deadlock detector**
   covering futex waits, work-delegation round-trips, and leader-follower
   fault coalescing.
-* :mod:`repro.check.lint` — a repo-specific AST **lint pass**, runnable
-  as ``python -m repro.check --lint``.
 
-The dynamic checkers are enabled per process by ``SimParams.sanitize``
-or, when that is left at ``None``, by the ``DEX_SANITIZE`` environment
-variable: ``1``/``all`` turns both on, ``race`` and ``deadlock`` select
-one.  When disabled (the default) no checker objects exist and every
-instrumentation site is a single attribute-is-None test.
+They are enabled per process by ``SimParams.sanitize`` or, when that is
+left at ``None``, by the ``DEX_SANITIZE`` environment variable:
+``1``/``all`` turns both on, ``race`` and ``deadlock`` select one.  When
+disabled (the default) no checker objects exist and every instrumentation
+site is a single attribute-is-None test.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.check.sanitizer import CoherenceSanitizer, CoherenceViolation
 from repro.check.waitfor import DeadlockDetector, DeadlockError
+from repro.params import resolve_switch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -38,30 +37,7 @@ __all__ = [
     "DeadlockDetector",
     "DeadlockError",
     "make_sanitizers",
-    "resolve_sanitize_mode",
 ]
-
-_OFF = frozenset({"", "0", "off", "none", "false", "no"})
-_BOTH = frozenset({"1", "all", "on", "true", "yes"})
-
-
-def resolve_sanitize_mode(setting: Optional[str]) -> str:
-    """Normalize a ``SimParams.sanitize`` setting to one of ``""`` (off),
-    ``"race"``, ``"deadlock"``, or ``"all"``.  ``None`` defers to the
-    ``DEX_SANITIZE`` environment variable."""
-    if setting is None:
-        setting = os.environ.get("DEX_SANITIZE", "")
-    mode = str(setting).strip().lower()
-    if mode in _OFF:
-        return ""
-    if mode in _BOTH:
-        return "all"
-    if mode in ("race", "deadlock"):
-        return mode
-    raise ValueError(
-        f"unknown sanitize mode {setting!r}; expected one of "
-        "'', '1'/'all', 'race', 'deadlock'"
-    )
 
 
 def make_sanitizers(
@@ -69,7 +45,7 @@ def make_sanitizers(
 ) -> Tuple[Optional[CoherenceSanitizer], Optional[DeadlockDetector]]:
     """The (race sanitizer, deadlock detector) pair for *proc*, either of
     which is None when its mode is not enabled."""
-    mode = resolve_sanitize_mode(proc.cluster.params.sanitize)
+    mode = resolve_switch("sanitize", proc.cluster.params.sanitize)
     races = CoherenceSanitizer(proc) if mode in ("all", "race") else None
     deadlocks = DeadlockDetector(proc) if mode in ("all", "deadlock") else None
     return races, deadlocks

@@ -26,7 +26,6 @@ from repro.core.errors import DexError, MigrationError, ProtocolError, Segmentat
 from repro.core.fault import FaultHandler, InFlightFault
 from repro.core.futex import FutexTable
 from repro.core.migration import MigrationService
-from repro.core.ownership import OwnershipDirectory
 from repro.core.process import (
     GLOBALS_BASE,
     GLOBALS_SIZE,
@@ -70,7 +69,6 @@ __all__ = [
     "NodeProcessState",
     "OriginDirectory",
     "OwnerHintCache",
-    "OwnershipDirectory",
     "PageEntry",
     "ShardedDirectory",
     "ProtocolError",

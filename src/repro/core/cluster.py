@@ -31,11 +31,10 @@ from repro.core.errors import DexError
 from repro.core.process import DexProcess
 from repro.net.fabric import Network
 from repro.net.messages import Message, MsgType
-from repro.obs import resolve_lens_mode, resolve_scope_mode, resolve_trace_mode
 from repro.obs.lens import DexLens
 from repro.obs.scope import DexScope
 from repro.obs.tracing import Tracer
-from repro.params import SimParams
+from repro.params import SimParams, resolve_switch
 from repro.sim import Engine, FairShareResource, Resource
 
 
@@ -92,10 +91,10 @@ class DexCluster:
         #: the repro.obs span tracer, or None when tracing is off (the
         #: common case — instrumented code then costs one None check).
         #: DexLens rides on span closes, so turning it on implies a tracer
-        lens_on = resolve_lens_mode(self.params.lens)
+        lens_on = resolve_switch("lens", self.params.lens)
         self.tracer: Optional[Tracer] = (
             Tracer(self.engine, max_spans=self.params.trace_max_spans)
-            if resolve_trace_mode(self.params.trace) or lens_on
+            if resolve_switch("trace", self.params.trace) or lens_on
             else None
         )
         #: the fault-injection controller, or None when chaos is off (the
@@ -120,7 +119,7 @@ class DexCluster:
         #: telemetry is off — with it off the engine never fires a sampler
         #: and the fabric's wire path skips its timing reads
         self.scope: Optional[DexScope] = (
-            DexScope(self) if resolve_scope_mode(self.params.scope) else None
+            DexScope(self) if resolve_switch("scope", self.params.scope) else None
         )
         self._register_handlers()
         if self.chaos is not None:

@@ -10,8 +10,8 @@ Allocation discipline
 ---------------------
 :class:`Message` is a ``slots=True`` dataclass, and the hot protocol paths
 recycle message objects through a bounded freelist
-(:func:`obtain_message` / :func:`recycle_message`, knob
-``DEX_MSG_FREELIST``).  Obtaining from the freelist is always safe; the
+(:func:`obtain_message` / :func:`recycle_message`, default
+``FREELIST_DEFAULT``).  Obtaining from the freelist is always safe; the
 *recycling* side is only reachable from well-defined death points:
 
 * a request message dies when its correlated reply arrives at the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -185,15 +184,9 @@ class Message:
 # bounded freelist
 # ----------------------------------------------------------------------
 
-def _env_knob(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-#: process-wide default; Engine/Network tests can override per instance
-FREELIST_DEFAULT = _env_knob("DEX_MSG_FREELIST", True)
+#: process-wide default, snapshotted by each Network at construction; the
+#: determinism differential tests flip it to allocate every message fresh
+FREELIST_DEFAULT = True
 
 #: parked messages never exceed this (a rack sim has bounded in-flight
 #: traffic; anything beyond the cap is left to the garbage collector)

@@ -25,9 +25,6 @@ CLI: ``python -m repro.obs run|report|export|top`` (see ``--help``).
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Span, Tracer, load_spans, maybe_span
 
@@ -41,59 +38,4 @@ __all__ = [
     "Tracer",
     "load_spans",
     "maybe_span",
-    "resolve_lens_mode",
-    "resolve_scope_mode",
-    "resolve_trace_mode",
 ]
-
-_OFF = frozenset({"", "0", "off", "none", "false", "no"})
-_ON = frozenset({"1", "all", "on", "true", "yes", "spans"})
-
-
-def resolve_trace_mode(setting: Optional[str]) -> str:
-    """Normalize a ``SimParams.trace`` setting to ``""`` (off) or ``"spans"``
-    (on).  ``None`` defers to the ``DEX_TRACE`` environment variable — the
-    same deferral scheme as ``SimParams.sanitize``/``DEX_SANITIZE``."""
-    if setting is None:
-        setting = os.environ.get("DEX_TRACE", "")
-    mode = str(setting).strip().lower()
-    if mode in _OFF:
-        return ""
-    if mode in _ON:
-        return "spans"
-    raise ValueError(
-        f"unknown trace mode {setting!r}; expected one of '', '1'/'on'/'spans'"
-    )
-
-
-def resolve_lens_mode(setting: Optional[str]) -> str:
-    """Normalize a ``SimParams.lens`` setting to ``""`` (off) or ``"on"``.
-    ``None`` defers to the ``DEX_LENS`` environment variable — the same
-    deferral scheme as ``trace``/``DEX_TRACE``."""
-    if setting is None:
-        setting = os.environ.get("DEX_LENS", "")
-    mode = str(setting).strip().lower()
-    if mode in _OFF:
-        return ""
-    if mode in _ON - {"spans"}:
-        return "on"
-    raise ValueError(
-        f"unknown lens mode {setting!r}; expected one of '', '1'/'on'"
-    )
-
-
-def resolve_scope_mode(setting: Optional[str]) -> str:
-    """Normalize a ``SimParams.scope`` setting to ``""`` (off) or ``"on"``.
-    ``None`` defers to the ``DEX_SCOPE`` environment variable — the same
-    deferral scheme as ``trace``/``lens``.  Unlike the lens, the scope does
-    not imply a tracer: it samples gauges, not spans."""
-    if setting is None:
-        setting = os.environ.get("DEX_SCOPE", "")
-    mode = str(setting).strip().lower()
-    if mode in _OFF:
-        return ""
-    if mode in _ON - {"spans"}:
-        return "on"
-    raise ValueError(
-        f"unknown scope mode {setting!r}; expected one of '', '1'/'on'"
-    )

@@ -25,8 +25,7 @@ quantiles, critical-path phase totals, downsampled utilization series);
 ``diff`` compares two manifests — ranked per-metric deltas, dominant
 critical-path phase, hottest directory shard — and with ``--check``
 exits nonzero on a thresholded headline regression (the CI trend
-guard).  ``diff --bench BENCH_engine.json`` trend-checks the benchmark
-trajectory instead.
+guard).
 
 ``--app`` takes a Figure 2 short name (KMN, GRP, BT, EP, FT, BLK, BFS,
 BP), a long alias (``kmeans``, ``blackscholes``, ...), or ``pagefault`` —
@@ -38,11 +37,9 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from repro.obs import tracing
 from repro.obs.export import (
     check_all_traces,
     cross_node_traces,
@@ -102,78 +99,53 @@ def _sim_params(ns: argparse.Namespace):
     return SimParams(**kwargs)
 
 
-def _run_pagefault(ns: argparse.Namespace):
-    """The §V-D microbenchmark: two threads on two nodes ping-ponging one
-    atomic counter.  Built here (not via repro.bench.experiments) so the
-    CLI holds the cluster and can read its tracer directly."""
+def _build_cluster(ns: argparse.Namespace):
+    """The cluster this invocation runs on and afterwards reads its
+    instruments from (``.tracer``/``.lens``/``.scope``): two nodes for the
+    §V-D micro, the app testbed otherwise."""
+    from repro.apps.common import TESTBED_NODES
     from repro.core import DexCluster
-    from repro.runtime import MemoryAllocator
 
-    params = _sim_params(ns)
-    cluster = DexCluster(num_nodes=2, params=params)
-    proc = cluster.create_process()
-    alloc = MemoryAllocator(proc)
-    var = alloc.alloc_global(8, tag="shared_var")
-    duration = ns.duration_us
-
-    def hammer(ctx, dest):
-        count = 0
-        if dest is not None:
-            yield from ctx.migrate(dest)
-        while ctx.now < duration:
-            yield from ctx.atomic_add_i64(var, 1, site="hammer")
-            yield from ctx.compute(cpu_us=0.1)
-            count += 1
-        return count
-
-    t1 = proc.spawn_thread(hammer, None)
-    t2 = proc.spawn_thread(hammer, 1)
-
-    def main(ctx):
-        yield from proc.join_all([t1, t2])
-
-    cluster.simulate(main, proc)
-    tracer = cluster.tracer
-    assert tracer is not None
-    return tracer, proc.stats, f"pagefault micro ({duration:.0f}us)"
+    micro = _resolve_app(ns.app) == "PAGEFAULT"
+    return DexCluster(
+        num_nodes=2 if micro else max(ns.nodes, TESTBED_NODES),
+        params=_sim_params(ns),
+    )
 
 
-def _run_app(ns: argparse.Namespace):
-    """One traced application run; recovers the tracer the app's internal
-    DexCluster created."""
+def _run_on(cluster, ns: argparse.Namespace):
+    """Run the selected workload on *cluster*; returns (AppResult or None
+    for the micro, DexStats, label)."""
+    app = _resolve_app(ns.app)
+    if app == "PAGEFAULT":
+        from repro.bench.experiments import pagefault_micro
+
+        pagefault_micro(ns.duration_us, cluster.params, cluster=cluster)
+        (proc,) = cluster.processes.values()
+        return None, proc.stats, f"pagefault micro ({ns.duration_us:.0f}us)"
     from repro.bench.runner import run_point
 
-    app = _resolve_app(ns.app)
-    params = _sim_params(ns)
-    tracing.reset_recent()
     result = run_point(
         app, ns.variant, ns.nodes, ns.scale,
-        params=params, **_overrides(ns.app_arg),
+        params=cluster.params, cluster=cluster, **_overrides(ns.app_arg),
     )
-    tracers = tracing.recent_tracers()
-    if not tracers:
-        raise SystemExit(f"{app}: run produced no tracer (tracing disabled?)")
-    tracer = max(tracers, key=lambda t: len(t.spans))
     label = (
         f"{app} {ns.variant} nodes={ns.nodes} scale={ns.scale}"
         f" elapsed={result.elapsed_us:.0f}us correct={result.correct}"
     )
-    return tracer, result.stats, label
+    return result, result.stats, label
 
 
-def _run_traced(ns: argparse.Namespace):
-    if _resolve_app(ns.app) == "PAGEFAULT":
-        return _run_pagefault(ns)
-    return _run_app(ns)
-
-
-def _load_or_run(ns: argparse.Namespace) -> Tuple[List[Span], int, Any, str]:
-    """(spans, dropped, stats-or-None, label) from --input or a fresh run."""
+def _load_or_run(ns: argparse.Namespace):
+    """(spans, dropped, stats-or-None, label, cluster-or-None) from
+    --input or a fresh run."""
     if ns.input:
         spans, meta = load_spans(ns.input)
-        return spans, int(meta.get("dropped", 0)), None, ns.input
-    tracer, stats, label = _run_traced(ns)
-    return tracer.spans, tracer.dropped, stats, label
+        return spans, int(meta.get("dropped", 0)), None, ns.input, None
+    cluster = _build_cluster(ns)
+    _, stats, label = _run_on(cluster, ns)
+    tracer = cluster.tracer
+    return tracer.spans, tracer.dropped, stats, label, cluster
 
 
 # -- acceptance-style checks printed by report/export --------------------------
@@ -228,7 +200,9 @@ def _summary(spans: Sequence[Span], dropped: int, label: str) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    tracer, stats, label = _run_traced(ns)
+    cluster = _build_cluster(ns)
+    _, _, label = _run_on(cluster, ns)
+    tracer = cluster.tracer
     out = ns.out or "dex-spans.json"
     tracer.save_json(out)
     print(_summary(tracer.spans, tracer.dropped, label))
@@ -237,7 +211,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_report(ns: argparse.Namespace) -> int:
-    spans, dropped, stats, label = _load_or_run(ns)
+    spans, dropped, stats, label, _ = _load_or_run(ns)
     print(_summary(spans, dropped, label))
     print()
     print(render_timeline(spans, limit=ns.limit))
@@ -254,15 +228,11 @@ def cmd_report(ns: argparse.Namespace) -> int:
 
 
 def cmd_export(ns: argparse.Namespace) -> int:
-    from repro.obs import scope as scope_mod
-
-    scope_mod.reset_recent()
-    spans, dropped, stats, label = _load_or_run(ns)
+    spans, dropped, stats, label, cluster = _load_or_run(ns)
     counters = None
-    scopes = scope_mod.recent_scopes()
-    if scopes:
+    if cluster is not None and cluster.scope is not None:
         # --scope run: merge the utilization series as counter tracks
-        counters = max(scopes, key=lambda s: s.samples).counter_events()
+        counters = cluster.scope.counter_events()
     out = ns.out or "dextrace.json"
     count = write_chrome_trace(out, spans, dropped=dropped, counters=counters)
     print(_summary(spans, dropped, label))
@@ -279,31 +249,15 @@ def cmd_export(ns: argparse.Namespace) -> int:
 def cmd_manifest(ns: argparse.Namespace) -> int:
     """One run with DexScope (and by default DexLens) on, captured as the
     versioned ``dex-run-v1`` manifest that ``diff`` compares."""
-    from repro.bench.runner import run_point
-    from repro.obs import lens as lens_mod
-    from repro.obs import scope as scope_mod
     from repro.obs.manifest import build_manifest, write_manifest
 
-    app = _resolve_app(ns.app)
-    if app == "PAGEFAULT":
+    if _resolve_app(ns.app) == "PAGEFAULT":
         raise SystemExit("manifest captures application runs; pick a "
                          "Figure 2 app (KMN, GRP, ...)")
-    params = _sim_params(ns)
-    tracing.reset_recent()
-    lens_mod.reset_recent()
-    scope_mod.reset_recent()
-    result = run_point(
-        app, ns.variant, ns.nodes, ns.scale,
-        params=params, **_overrides(ns.app_arg),
-    )
-    scopes = scope_mod.recent_scopes()
-    if not scopes:
-        raise SystemExit(f"{app}: run produced no scope (DexScope disabled?)")
-    scope = max(scopes, key=lambda s: s.samples)
-    lenses = [l for l in lens_mod.recent_lenses() if l.cluster is scope.cluster]
+    cluster = _build_cluster(ns)
+    result, _, _ = _run_on(cluster, ns)
     doc = build_manifest(
-        result, scope.cluster,
-        scope=scope, lens=lenses[-1] if lenses else None,
+        result, cluster, scope=cluster.scope, lens=cluster.lens,
         label=ns.label,
     )
     out = ns.out or "dex-run.json"
@@ -318,22 +272,14 @@ def cmd_manifest(ns: argparse.Namespace) -> int:
 
 
 def cmd_diff(ns: argparse.Namespace) -> int:
-    """Compare two manifests (or trend-check a bench trajectory)."""
-    from repro.obs.diff import diff_manifests, diff_trajectory, format_report
+    """Compare two run manifests."""
+    from repro.obs.diff import diff_manifests, format_report
     from repro.obs.manifest import load_manifest
 
-    if ns.bench:
-        with open(ns.bench) as fh:
-            doc = json.load(fh)
-        threshold = ns.threshold if ns.threshold is not None else 0.25
-        regressed, msg = diff_trajectory(doc, threshold=threshold)
-        print(msg)
-        return 1 if (regressed and ns.check) else 0
     if not ns.a or not ns.b:
-        raise SystemExit("diff needs two manifest paths (or --bench FILE)")
-    threshold = ns.threshold if ns.threshold is not None else 0.10
+        raise SystemExit("diff needs two manifest paths")
     report = diff_manifests(
-        load_manifest(ns.a), load_manifest(ns.b), threshold=threshold
+        load_manifest(ns.a), load_manifest(ns.b), threshold=ns.threshold
     )
     print(format_report(report, limit=ns.limit))
     return 1 if (ns.check and report.regressed) else 0
@@ -344,28 +290,19 @@ def cmd_top(ns: argparse.Namespace) -> int:
     as *simulated* time crosses each --interval-us boundary (rendered from
     span-close callbacks — nothing is scheduled on the engine), then a
     final end-of-run summary frame."""
-    from repro.obs import lens as lens_mod
+    from repro.obs.lens import TopView
 
-    lens_mod.reset_recent()
-    with lens_mod.live_view(
-        interval_us=ns.interval_us, limit=ns.limit, stream=sys.stdout
-    ):
-        tracer, stats, label = _run_traced(ns)
-    lenses = lens_mod.recent_lenses()
-    if not lenses:
-        raise SystemExit("run produced no lens (lens disabled?)")
-    lens = max(lenses, key=lambda l: l.feed.trees_completed)
+    cluster = _build_cluster(ns)
+    lens, tracer = cluster.lens, cluster.tracer
+    view = TopView(
+        lens.feed, interval_us=ns.interval_us, limit=ns.limit,
+        stream=sys.stdout,
+    )
+    tracer.add_sink(view)
+    _, _, label = _run_on(cluster, ns)
     print()
     print(_summary(tracer.spans, tracer.dropped, label))
-    view = lens.view
-    if view is None:  # pragma: no cover - live_view always attaches one
-        view = lens_mod.TopView(
-            lens.feed, interval_us=ns.interval_us, limit=ns.limit,
-            stream=sys.stdout,
-        )
-        view.render()
-    else:
-        view.render()  # final frame at end-of-run state
+    view.render()  # final frame at end-of-run state
     evicted = {k: v for k, v in lens.feed.evicted.items() if v}
     if evicted:
         print(f"note: memory cap evicted keys: {evicted} (raise lens_max_keys)")
@@ -432,11 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     p_diff.add_argument("a", nargs="?", help="baseline manifest")
     p_diff.add_argument("b", nargs="?", help="candidate manifest")
-    p_diff.add_argument("--bench",
-                        help="trend-check a BENCH_*.json trajectory instead")
-    p_diff.add_argument("--threshold", type=float, default=None,
-                        help="relative regression threshold "
-                        "(default 0.10 for manifests, 0.25 for --bench)")
+    p_diff.add_argument("--threshold", type=float, default=0.10,
+                        help="relative regression threshold (default 0.10)")
     p_diff.add_argument("--limit", type=int, default=20,
                         help="ranked delta rows shown (default 20)")
     p_diff.add_argument("--check", action="store_true",

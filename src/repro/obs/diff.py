@@ -19,10 +19,6 @@ sim time, fault p99) regressed by more than ``--threshold`` (default
 10%), with a one-line attribution like ``p99 fault latency +12%,
 dominated by wire (+9.1 ms, 61% of growth), hottest shard 3``.
 
-``--bench`` compares the trajectory that ``python -m repro.bench perf``
-appends to ``BENCH_engine.json`` instead (wall-clock engine throughput
-over time): the newest trajectory entry against the best earlier one.
-
 Pure manifest arithmetic — no simulation imports, no wall clocks.
 """
 
@@ -34,7 +30,6 @@ __all__ = [
     "DiffReport",
     "MetricDelta",
     "diff_manifests",
-    "diff_trajectory",
     "format_report",
 ]
 
@@ -255,63 +250,3 @@ def format_report(report: DiffReport, *, limit: int = 20) -> str:
         lines.append("  (no metric changed)")
     lines.append(report.attribution())
     return "\n".join(lines)
-
-
-# -- bench trajectory ---------------------------------------------------------
-
-def diff_trajectory(
-    doc: Dict[str, Any], *, threshold: float = 0.25,
-) -> Tuple[bool, str]:
-    """Trend-check the ``trajectory`` list ``repro.bench perf`` appends to
-    its output document: the newest entry's slowest point against the best
-    earlier run of the same mode.  Returns ``(regressed, message)``.
-
-    Wall-clock benchmark numbers are noisy, hence the looser default
-    threshold (matching the bench module's own 25% guard band).
-    """
-    trajectory = doc.get("trajectory", [])
-    if len(trajectory) < 2:
-        return False, (
-            f"trajectory has {len(trajectory)} entries; "
-            "need at least 2 to compare"
-        )
-    latest = trajectory[-1]
-    earlier = [
-        entry for entry in trajectory[:-1]
-        if entry.get("mode") == latest.get("mode")
-    ]
-    if not earlier:
-        return False, "no earlier trajectory entry with a matching mode"
-
-    def _rates(entry: Dict[str, Any]) -> Dict[str, float]:
-        # higher-is-better rate per point: dispatch throughput where the
-        # point records one, else inverse wall time (the app points)
-        out: Dict[str, float] = {}
-        for name, point in entry.get("points", {}).items():
-            rate = point.get(
-                "workload_events_per_sec", point.get("events_per_sec")
-            )
-            if rate is None and point.get("wall_s"):
-                rate = 1.0 / float(point["wall_s"])
-            if rate:
-                out[name] = float(rate)
-        return out
-    latest_rates = _rates(latest)
-    best: Dict[str, float] = {}
-    for entry in earlier:
-        for name, rate in _rates(entry).items():
-            if rate > best.get(name, 0.0):
-                best[name] = rate
-    worst_name, worst_ratio = None, 1.0
-    for name, rate in latest_rates.items():
-        if name in best and best[name] > 0:
-            ratio = rate / best[name]
-            if ratio < worst_ratio:
-                worst_name, worst_ratio = name, ratio
-    if worst_name is None:
-        return False, "no shared benchmark points to compare"
-    msg = (
-        f"bench trend: {worst_name} at {worst_ratio:.0%} of its best "
-        f"recorded rate over {len(earlier) + 1} runs"
-    )
-    return worst_ratio < (1.0 - threshold), msg

@@ -50,9 +50,6 @@ __all__ = [
     "PageHeat",
     "SlidingWindow",
     "TopView",
-    "live_view",
-    "recent_lenses",
-    "reset_recent",
 ]
 
 
@@ -473,51 +470,11 @@ class TopView:
         return frame
 
 
-# -- live-view request (offline CLI bookkeeping, mirrors tracing._RECENT) ----
-
-#: when set (by the `obs top` CLI), every DexLens constructed attaches a
-#: TopView with these settings; never read by sim code
-_LIVE_VIEW: Optional[Dict[str, Any]] = None
-
-
-class live_view:
-    """Context manager the CLI uses to request a live TopView on clusters
-    built inside an app run::
-
-        with live_view(interval_us=10_000.0, stream=sys.stdout):
-            run_point("KMN", ...)
-    """
-
-    def __init__(self, **settings: Any):
-        self.settings = settings
-
-    def __enter__(self):
-        global _LIVE_VIEW
-        _LIVE_VIEW = self.settings
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _LIVE_VIEW
-        _LIVE_VIEW = None
-        return False
-
-
-#: lenses created since reset_recent(), newest last (CLI recovery only)
-_RECENT: List["DexLens"] = []
-
-
-def reset_recent() -> None:
-    _RECENT.clear()
-
-
-def recent_lenses() -> List["DexLens"]:
-    return list(_RECENT)
-
-
 class DexLens:
     """The per-cluster analytics bundle: wires a :class:`LensFeed`, a
-    :class:`~repro.obs.ring.FlightRecorder`, and (when the CLI asked for
-    one) a :class:`TopView` onto the cluster's tracer via the sink hook."""
+    :class:`~repro.obs.ring.FlightRecorder` onto the cluster's tracer via
+    the sink hook.  (``obs top`` adds its :class:`TopView` over ``feed`` to
+    the same tracer.)"""
 
     def __init__(self, cluster, tracer: Tracer):
         params = cluster.params
@@ -538,12 +495,7 @@ class DexLens:
             ring_msgs=params.lens_ring_msgs,
         )
         tracer.add_sink(self.recorder)
-        self.view: Optional[TopView] = None
-        if _LIVE_VIEW is not None:
-            self.view = TopView(self.feed, **_LIVE_VIEW)
-            tracer.add_sink(self.view)
         self.dump_path: Optional[str] = None
-        _RECENT.append(self)
 
     def dump_on_crash(self, err: BaseException) -> Optional[str]:
         """Flight-recorder auto-dump: write the snapshot named by

@@ -14,9 +14,10 @@ byte-identical manifests (CI diffs them against a checked-in baseline).
 
 Build one after a run::
 
-    result = run_point("KMN", "optimized", 4, params=SimParams(scope="1"))
-    scope = recent_scopes()[-1]
-    doc = build_manifest(result, scope.cluster, scope=scope)
+    params = SimParams(scope="1")
+    cluster = DexCluster(params=params)
+    result = run_point("KMN", "optimized", 4, params=params, cluster=cluster)
+    doc = build_manifest(result, cluster, scope=cluster.scope)
     write_manifest("dex-run.json", doc)
 
 or from the CLI: ``python -m repro.obs manifest --app KMN ...``.

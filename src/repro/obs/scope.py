@@ -43,23 +43,10 @@ from typing import Any, Dict, List, Tuple
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import SeriesRing
 
-__all__ = ["DexScope", "recent_scopes", "reset_recent"]
+__all__ = ["DexScope"]
 
 #: synthetic Perfetto process id for series not owned by a single node
 CLUSTER_PID = 9999
-
-#: offline CLI bookkeeping, mirrors tracing._RECENT / lens._RECENT: apps
-#: build their clusters internally, so the CLI recovers the scope here
-_RECENT: List["DexScope"] = []
-
-
-def reset_recent() -> None:
-    _RECENT.clear()
-
-
-def recent_scopes() -> List["DexScope"]:
-    return list(_RECENT)
-
 
 class DexScope:
     """Periodic utilization sampler for one cluster (see module doc)."""
@@ -120,7 +107,6 @@ class DexScope:
 
         cluster.engine.add_sampler(self.on_sample, self.interval_us)
         cluster.net.scope = self
-        _RECENT.append(self)
 
     def attach_serve(self, feed: Any) -> None:
         """Register a DexServe manager: its :meth:`scope_series` is read

@@ -32,7 +32,7 @@ import itertools
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "maybe_span", "NULL_SPAN", "load_spans", "recent_tracers", "reset_recent"]
+__all__ = ["Span", "Tracer", "maybe_span", "NULL_SPAN", "load_spans"]
 
 
 class Span:
@@ -156,20 +156,6 @@ def maybe_span(tracer: Optional["Tracer"], name: str, **attrs: Any):
     return tracer.span(name, **attrs)
 
 
-# Tracers created since the last reset_recent(), newest last.  The obs CLI
-# uses this to recover the tracer out of an app run that builds its own
-# DexCluster internally (offline bookkeeping only — never read by sim code).
-_RECENT: List["Tracer"] = []
-
-
-def reset_recent() -> None:
-    _RECENT.clear()
-
-
-def recent_tracers() -> List["Tracer"]:
-    return list(_RECENT)
-
-
 class Tracer:
     """Per-engine span recorder.
 
@@ -194,7 +180,6 @@ class Tracer:
         self._sink_msg: List[Any] = []
         engine.tracer = self
         engine.add_hook(self)
-        _RECENT.append(self)
 
     # -- sinks ---------------------------------------------------------------
 

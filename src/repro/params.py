@@ -18,8 +18,9 @@ Constants marked *calibrated* were tuned so that the microbenchmarks of
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 KB = 1024
 MB = 1024 * KB
@@ -254,3 +255,67 @@ class SimParams:
 
 
 DEFAULT_PARAMS = SimParams()
+
+
+# ---- instrumentation switches ---------------------------------------------
+# The five ``SimParams`` string switches share one grammar: ``None`` defers
+# to the switch's environment variable (how CI turns a checker on without
+# touching every SimParams construction), an off-spelling resolves to
+# ``""``, an on-spelling to the switch's canonical mode.  This module is
+# the only one in ``repro`` that reads the environment.
+
+_OFF = frozenset({"", "0", "off", "none", "false", "no"})
+_YES = ("1", "on", "true", "yes")
+
+
+class _Switch(NamedTuple):
+    env: str
+    #: accepted on-spelling -> canonical mode
+    modes: Dict[str, str]
+    #: the "expected one of ..." tail of the ValueError for unknown text;
+    #: None = unknown text is a file path, returned verbatim
+    expected: Optional[str]
+
+
+SWITCHES: Dict[str, _Switch] = {
+    "sanitize": _Switch(
+        "DEX_SANITIZE",
+        {**dict.fromkeys(_YES + ("all",), "all"),
+         "race": "race", "deadlock": "deadlock"},
+        "'', '1'/'all', 'race', 'deadlock'",
+    ),
+    "trace": _Switch(
+        "DEX_TRACE",
+        dict.fromkeys(_YES + ("all", "spans"), "spans"),
+        "'', '1'/'on'/'spans'",
+    ),
+    "lens": _Switch(
+        "DEX_LENS", dict.fromkeys(_YES + ("all",), "on"), "'', '1'/'on'"
+    ),
+    "scope": _Switch(
+        "DEX_SCOPE", dict.fromkeys(_YES + ("all",), "on"), "'', '1'/'on'"
+    ),
+    "chaos": _Switch("DEX_CHAOS", dict.fromkeys(_YES, "on"), None),
+}
+
+
+def resolve_switch(name: str, setting: Optional[str]) -> str:
+    """Normalize the ``SimParams`` switch *name* (a key of ``SWITCHES``)
+    from its field value *setting*: ``""`` when off, else the canonical
+    mode (``sanitize``: ``"all"``/``"race"``/``"deadlock"``; ``trace``:
+    ``"spans"``; ``lens``/``scope``: ``"on"``; ``chaos``: ``"on"`` or a
+    scenario-file path)."""
+    switch = SWITCHES[name]
+    if setting is None:
+        setting = os.environ.get(switch.env, "")
+    text = str(setting).strip()
+    mode = text.lower()
+    if mode in _OFF:
+        return ""
+    if mode in switch.modes:
+        return switch.modes[mode]
+    if switch.expected is None:
+        return text
+    raise ValueError(
+        f"unknown {name} mode {setting!r}; expected one of {switch.expected}"
+    )

@@ -33,7 +33,6 @@ pass.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -41,11 +40,10 @@ _UNSET = object()
 _INF = float("inf")
 
 
-def _env_knob(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("", "0", "off", "false", "no")
+#: module defaults for ``Engine(fastlane=None, inline=None)``; the
+#: determinism differential tests flip them to select the reference lanes
+FASTLANE_DEFAULT = True
+INLINE_DEFAULT = True
 
 
 class SimulationError(Exception):
@@ -414,9 +412,9 @@ class Engine:
         assert eng.now == 5.0 and proc.value == "done"
 
     ``fastlane`` and ``inline`` select the same-time FIFO fast lane and
-    the inline-resume optimisation; both default from the environment
-    (``DEX_ENGINE_FASTLANE`` / ``DEX_ENGINE_INLINE``, default on) and both
-    are verified order-preserving by the determinism differential tests.
+    the inline-resume optimisation; both default on (``FASTLANE_DEFAULT``
+    / ``INLINE_DEFAULT``) and both are verified order-preserving by the
+    determinism differential tests.
     """
 
     __slots__ = (
@@ -486,12 +484,8 @@ class Engine:
         #: the repro.obs Tracer attached to this engine, or None (tracing
         #: off); instrumented code guards on this single attribute
         self.tracer: Optional[Any] = None
-        self._fastlane_on = (
-            _env_knob("DEX_ENGINE_FASTLANE", True) if fastlane is None else fastlane
-        )
-        self._inline = (
-            _env_knob("DEX_ENGINE_INLINE", True) if inline is None else inline
-        )
+        self._fastlane_on = FASTLANE_DEFAULT if fastlane is None else fastlane
+        self._inline = INLINE_DEFAULT if inline is None else inline
         #: total dispatches across all run() calls (perf accounting)
         self.events_dispatched = 0
 

@@ -1,11 +1,7 @@
 """The seven per-file lint rules, ported onto the DexVet framework.
 
-These are the PR-2/PR-3/PR-4/PR-6 rules that used to live as a
-standalone pass in ``repro.check.lint``; that module is now a thin shim
-over this one.  Semantics and messages are unchanged — the rules just
-run off the shared :class:`~repro.vet.msggraph.ModuleScan` instead of a
-private scan, so one parse feeds both the legacy rules and the
-whole-program rules.
+The rules run off the shared :class:`~repro.vet.msggraph.ModuleScan`,
+so one parse feeds both these and the whole-program rules.
 
 Rule rationale lives with each check below; the short version:
 

@@ -2,8 +2,8 @@
 
 A rule is a function from the shared :class:`VetContext` (parsed
 modules, call graph, effect table, message graph) to a list of
-:class:`Violation`.  Rules register themselves by name; the CLI and the
-legacy lint shim both select from the same registry.
+:class:`Violation`.  Rules register themselves by name; the CLI selects
+from that registry.
 
 The six whole-program rules — none expressible file-at-a-time:
 

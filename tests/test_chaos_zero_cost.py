@@ -4,7 +4,7 @@ bit-identical run to run; cancellable timeouts never advance the clock."""
 
 import pytest
 
-from repro.chaos import resolve_chaos_mode, run_pagefault_micro
+from repro.chaos import run_pagefault_micro
 from repro.core import DexCluster
 from repro.sim import Engine
 
@@ -18,13 +18,6 @@ def test_cluster_has_no_controller_by_default():
     cluster = DexCluster(num_nodes=2)
     assert cluster.chaos is None
     assert cluster.net.chaos is None
-
-
-def test_resolve_chaos_mode_off_values():
-    for off in ("", "0", "off", "none", "false", "no", "OFF"):
-        assert resolve_chaos_mode(off) is None
-    assert resolve_chaos_mode("1") == "on"
-    assert resolve_chaos_mode("scenario.json") == "scenario.json"
 
 
 def test_chaos_off_sim_time_is_bit_identical():

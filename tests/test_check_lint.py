@@ -1,15 +1,22 @@
-"""The repo-specific lint pass: the repo itself must be clean, and each
-fixture must trip exactly its intended rule (with a location)."""
+"""The seven per-file lint rules (``repro.vet.legacy``): the repo itself
+must be clean, and each fixture must trip exactly its intended rule (with
+a location)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.check.lint import RULES, lint_paths, lint_repo
+from repro.vet import build_context, run_rules
+from repro.vet.legacy import LEGACY_RULES as RULES
+from repro.vet.loader import package_root
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def lint_paths(paths, repo_mode=False):
+    return run_rules(build_context(paths, repo_mode=repo_mode), RULES)
 
 
 def rules_of(violations):
@@ -29,7 +36,7 @@ def test_rule_registry_is_complete():
 
 
 def test_repo_is_lint_clean():
-    violations = lint_repo()
+    violations = lint_paths([package_root()], repo_mode=True)
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
@@ -163,7 +170,8 @@ def _run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.check", "--lint", *args],
+        [sys.executable, "-m", "repro.vet", "check", *args,
+         "--rules", ",".join(RULES)],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
 
@@ -171,7 +179,7 @@ def _run_cli(*args):
 def test_cli_clean_on_repo():
     result = _run_cli()
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "lint: clean" in result.stdout
+    assert "clean" in result.stdout
 
 
 def test_cli_nonzero_on_fixture():
@@ -179,15 +187,10 @@ def test_cli_nonzero_on_fixture():
     assert result.returncode == 1
     assert "[sim-nondeterminism]" in result.stdout
     assert "fixture_nondeterminism.py" in result.stdout
-    assert "violation(s)" in result.stderr
+    assert "violation(s)" in result.stdout
 
 
 def test_cli_list_rules():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.check", "--list-rules"],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
+    result = _run_cli("--list-rules")
     assert result.returncode == 0
-    assert set(result.stdout.split()) == set(RULES)
+    assert set(RULES) <= set(result.stdout.split())

@@ -16,7 +16,6 @@ from repro.core.directory import (
     ShardedDirectory,
     _next_prime,
 )
-from repro.core.ownership import OwnershipDirectory
 from repro.core.stats import DexStats
 from repro.params import SimParams
 from repro.bench.runner import run_point
@@ -69,11 +68,6 @@ def test_explicit_shard_count_and_unknown_backend():
     with pytest.raises(ValueError):
         make_cluster(directory="no_such_backend").create_process()
     assert DIRECTORY_BACKENDS == ("origin", "sharded")
-
-
-def test_ownership_shim_still_points_at_origin_backend():
-    # the pre-refactor import path keeps working
-    assert OwnershipDirectory is OriginDirectory
 
 
 def test_entries_live_at_their_home():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.runner import run_point
 from repro.net import messages
+from repro.sim import engine
 
 #: tiny per-app workloads (the differential needs coverage, not load)
 APP_OVERRIDES = {
@@ -51,17 +52,28 @@ def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
     reference = run_digest(app, backend)
 
     # fast lane and inline resume off (the pre-refactor dispatch shape)
-    monkeypatch.setenv("DEX_ENGINE_FASTLANE", "0")
-    monkeypatch.setenv("DEX_ENGINE_INLINE", "0")
+    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", False)
+    monkeypatch.setattr(engine, "INLINE_DEFAULT", False)
     assert run_digest(app, backend) == reference, \
         f"{app}/{backend}: engine fast paths changed behaviour"
-    monkeypatch.delenv("DEX_ENGINE_FASTLANE")
-    monkeypatch.delenv("DEX_ENGINE_INLINE")
+    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", True)
+    monkeypatch.setattr(engine, "INLINE_DEFAULT", True)
 
     # message freelist off (every message freshly allocated)
     monkeypatch.setattr(messages, "FREELIST_DEFAULT", False)
     assert run_digest(app, backend) == reference, \
         f"{app}/{backend}: message freelist changed behaviour"
+
+
+def test_lane_defaults_reach_engine(monkeypatch):
+    """The differential above only means something if flipping the module
+    defaults really selects the reference lanes."""
+    eng = engine.Engine()
+    assert eng._fastlane_on and eng._inline
+    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", False)
+    monkeypatch.setattr(engine, "INLINE_DEFAULT", False)
+    eng = engine.Engine()
+    assert not eng._fastlane_on and not eng._inline
 
 
 def test_freelist_knob_reaches_network(monkeypatch):

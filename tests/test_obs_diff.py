@@ -9,7 +9,6 @@ from repro.obs.__main__ import main
 from repro.obs.diff import (
     MetricDelta,
     diff_manifests,
-    diff_trajectory,
     format_report,
 )
 from repro.obs.manifest import MANIFEST_FORMAT, write_manifest
@@ -167,62 +166,6 @@ def test_format_report_skips_unchanged():
     assert "same" not in text and "moved" in text
 
 
-# -- diff_trajectory ----------------------------------------------------------
-
-
-def _entry(mode, rate=None, wall=None):
-    point = {}
-    if rate is not None:
-        point["events_per_sec"] = rate
-    if wall is not None:
-        point["wall_s"] = wall
-    return {"mode": mode, "points": {"storm": point}}
-
-
-def test_trajectory_needs_two_entries():
-    regressed, msg = diff_trajectory({"trajectory": [_entry("quick", 100)]})
-    assert not regressed and "need at least 2" in msg
-
-
-def test_trajectory_mode_filtered():
-    doc = {"trajectory": [_entry("full", 100), _entry("quick", 100)]}
-    regressed, msg = diff_trajectory(doc)
-    assert not regressed and "matching mode" in msg
-
-
-def test_trajectory_compares_against_best_earlier():
-    doc = {"trajectory": [
-        _entry("quick", 800.0),
-        _entry("quick", 1000.0),  # the best run is the reference
-        _entry("quick", 900.0),
-    ]}
-    regressed, msg = diff_trajectory(doc, threshold=0.25)
-    assert not regressed and "90% of its best" in msg
-    doc["trajectory"].append(_entry("quick", 500.0))
-    regressed, msg = diff_trajectory(doc, threshold=0.25)
-    assert regressed and "50% of its best" in msg
-
-
-def test_trajectory_wall_clock_fallback():
-    # app points record only wall_s; the rate is its inverse
-    doc = {"trajectory": [_entry("quick", wall=1.0),
-                          _entry("quick", wall=2.0)]}
-    regressed, msg = diff_trajectory(doc, threshold=0.25)
-    assert regressed and "50% of its best" in msg
-
-
-def test_trajectory_workload_rate_preferred():
-    point = {"events_per_sec": 1.0, "workload_events_per_sec": 1000.0,
-             "wall_s": 99.0}
-    doc = {"trajectory": [
-        {"mode": "quick", "points": {"p": dict(point)}},
-        {"mode": "quick",
-         "points": {"p": {**point, "workload_events_per_sec": 900.0}}},
-    ]}
-    regressed, msg = diff_trajectory(doc)
-    assert not regressed and "90%" in msg
-
-
 # -- the CLI ------------------------------------------------------------------
 
 
@@ -247,17 +190,3 @@ def test_cli_diff_requires_two_paths(tmp_path):
     write_manifest(str(a), _manifest("base", 100.0))
     with pytest.raises(SystemExit, match="two manifest paths"):
         main(["diff", str(a)])
-
-
-def test_cli_diff_bench_trajectory(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "BENCH_engine.json"
-    path.write_text(json.dumps({"trajectory": [
-        _entry("quick", 1000.0), _entry("quick", 400.0),
-    ]}))
-    assert main(["diff", "--bench", str(path)]) == 0  # report only
-    assert main(["diff", "--bench", str(path), "--check"]) == 1
-    assert main(["diff", "--bench", str(path), "--check",
-                 "--threshold", "0.7"]) == 0
-    assert "bench trend: storm at 40% of its best" in capsys.readouterr().out

@@ -16,8 +16,6 @@ import pytest
 from repro import DexCluster, SimParams
 from repro.check import DeadlockError
 from repro.core.errors import NodeFailedError
-from repro.obs import lens as lens_mod
-from repro.obs import resolve_lens_mode, tracing
 from repro.obs.export import PathPhase, check_trace_tree, path_phase_of
 from repro.obs.lens import LensFeed, SlidingWindow, TopView
 from repro.obs.ring import load_snapshot
@@ -26,14 +24,17 @@ from repro.runtime import MemoryAllocator, Mutex
 from conftest import make_cluster
 
 
-def _micro(num_nodes=2, rounds=30, **param_overrides):
+def _micro(num_nodes=2, rounds=30, on_cluster=None, **param_overrides):
     """The contended ping-pong micro with the lens on by default.  A gate
     releases both hammers together (after t2's migration lands) so the
     counter page really bounces: remote revocations in both directions,
-    retried faults, the works."""
+    retried faults, the works.  *on_cluster* sees the cluster before
+    anything runs (to add sinks)."""
     param_overrides.setdefault("lens", "1")
     param_overrides.setdefault("sanitize", "")
     cluster = make_cluster(num_nodes=num_nodes, **param_overrides)
+    if on_cluster is not None:
+        on_cluster(cluster)
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     var = alloc.alloc_global(8, tag="hot")
@@ -65,26 +66,12 @@ def _micro(num_nodes=2, rounds=30, **param_overrides):
     return cluster, proc, var
 
 
-# -- knob -------------------------------------------------------------------
-
-
-def test_lens_knob_resolution(monkeypatch):
-    monkeypatch.delenv("DEX_LENS", raising=False)
-    assert resolve_lens_mode("") == ""
-    assert resolve_lens_mode("off") == ""
-    assert resolve_lens_mode("1") == "on"
-    assert resolve_lens_mode("on") == "on"
-    assert resolve_lens_mode(None) == ""  # env unset
-    monkeypatch.setenv("DEX_LENS", "1")
-    assert resolve_lens_mode(None) == "on"
-    with pytest.raises(ValueError):
-        resolve_lens_mode("bogus")
-    with pytest.raises(ValueError):
-        resolve_lens_mode("spans")  # a trace mode, not a lens mode
+# -- knob (spellings: see test_switches.py) ---------------------------------
 
 
 def test_lens_off_means_no_lens_object(monkeypatch):
     monkeypatch.delenv("DEX_LENS", raising=False)
+    monkeypatch.delenv("DEX_TRACE", raising=False)
     cluster = DexCluster(num_nodes=2, params=SimParams(lens=""))
     assert cluster.lens is None and cluster.tracer is None
     # trace on, lens off: tracer exists but its sink lists stay empty
@@ -183,15 +170,13 @@ def _kmn_with_lens(num_nodes=8):
         trace="1", lens="1",
         lens_window_us=1e9, lens_max_keys=1 << 17,
     )
-    lens_mod.reset_recent()
-    tracing.reset_recent()
+    cluster = DexCluster(num_nodes=8, params=params)
     result = run_point(
         "KMN", "initial", num_nodes, "small",
-        params=params, tracer=fault_tracer,
+        params=params, tracer=fault_tracer, cluster=cluster,
     )
     assert result.correct
-    lens = max(lens_mod.recent_lenses(), key=lambda l: l.feed.trees_completed)
-    return TraceAnalysis(fault_tracer), lens.feed
+    return TraceAnalysis(fault_tracer), cluster.lens.feed
 
 
 def test_feed_matches_profiler_ground_truth_on_kmn():
@@ -303,10 +288,15 @@ def test_path_phase_of_prefix_table():
 
 def test_top_view_renders_on_sim_time_boundaries():
     stream = io.StringIO()
-    with lens_mod.live_view(interval_us=200.0, limit=4, stream=stream):
-        cluster, proc, var = _micro(rounds=30)
-    view = cluster.lens.view
-    assert view is not None and view.frames >= 2
+    views = []
+
+    def attach(cluster):
+        views.append(TopView(cluster.lens.feed, interval_us=200.0, limit=4,
+                             stream=stream))
+        cluster.tracer.add_sink(views[0])
+
+    cluster, proc, var = _micro(rounds=30, on_cluster=attach)
+    assert views[0].frames >= 2
     text = stream.getvalue()
     assert "dex top @" in text
     assert "hottest pages" in text
@@ -317,9 +307,9 @@ def test_top_view_renders_on_sim_time_boundaries():
     assert cluster.engine.now == plain_cluster.engine.now
 
 
-def test_top_view_not_attached_outside_live_view():
+def test_top_view_not_attached_unless_asked():
     cluster, _, _ = _micro(rounds=5)
-    assert cluster.lens.view is None
+    assert not any(isinstance(s, TopView) for s in cluster.tracer._sinks)
 
 
 def test_top_view_render_is_pure_query():
@@ -467,14 +457,15 @@ def test_resent_reply_keeps_original_trace(tmp_path):
         rules=[ChaosRule(kind="drop", msg_type="page_grant", nth=1)],
         seed=3,
     ).validate()
-    tracing.reset_recent()
-    out = run_pagefault_micro(
-        scenario, params=SimParams(trace="1", sanitize=""))
+    cluster = DexCluster(
+        num_nodes=2,
+        params=SimParams(trace="1", sanitize="", chaos_scenario=scenario),
+    )
+    out = run_pagefault_micro(cluster=cluster)
     assert out["ok"], out
     assert out["report"]["replies_resent"] >= 1
 
-    tracer = max(tracing.recent_tracers(), key=lambda t: len(t.spans))
-    spans = tracer.spans
+    spans = cluster.tracer.spans
     by_id = {s.span_id: s for s in spans}
     resends = [s for s in spans if s.name == "net.resend"]
     assert resends, "the resend path must be span-visible"

@@ -179,7 +179,6 @@ def test_scope_sampling_cost_within_three_percent(monkeypatch):
     dispatches each firing covers, against the unsampled run's measured
     per-dispatch wall time."""
     from repro.bench.runner import run_point
-    from repro.obs import scope as scope_mod
 
     workload = {"n_points": 10_000, "max_iters": 2}
     wall = min(
@@ -188,10 +187,10 @@ def test_scope_sampling_cost_within_three_percent(monkeypatch):
         ))
         for _ in range(2)
     )
-    scope_mod.reset_recent()
-    run_point("KMN", "initial", 4, params=SimParams(scope="1"), **workload)
-    (scope,) = scope_mod.recent_scopes()
-    engine = scope.cluster.engine
+    params = SimParams(scope="1")
+    cluster = DexCluster(num_nodes=8, params=params)
+    run_point("KMN", "initial", 4, params=params, cluster=cluster, **workload)
+    scope, engine = cluster.scope, cluster.engine
     assert scope.samples > 1
     # determinism (test_obs_scope) guarantees both runs dispatched the
     # same event stream, so the sampled run's counts price the off run

@@ -8,9 +8,8 @@ import json
 
 import pytest
 
+from repro import DexCluster
 from repro.bench.runner import run_point
-from repro.obs import lens as lens_mod
-from repro.obs import scope as scope_mod
 from repro.obs.diff import diff_manifests
 from repro.obs.manifest import (
     MANIFEST_FORMAT,
@@ -27,16 +26,21 @@ from repro.sim.engine import Engine, SimulationError
 KMN_SMALL = {"n_points": 10_000, "max_iters": 2}
 
 
+def _run_on_own_cluster(variant, params):
+    """KMN@4 on a cluster built here, so its instruments can be read."""
+    cluster = DexCluster(num_nodes=8, params=params)
+    result = run_point("KMN", variant, 4, params=params, cluster=cluster,
+                       **KMN_SMALL)
+    return result, cluster
+
+
 def _digest(backend, scope):
-    """One KMN@4 run -> every stable behavioural observable we track."""
-    scope_mod.reset_recent()
-    result = run_point(
-        "KMN", "initial", 4,
-        params=SimParams(directory=backend, scope=scope),
-        **KMN_SMALL,
-    )
+    """One KMN@4 run -> (every stable behavioural observable we track,
+    the run's DexScope or None)."""
+    result, cluster = _run_on_own_cluster(
+        "initial", SimParams(directory=backend, scope=scope))
     stats = result.stats
-    return {
+    return cluster.scope, {
         "elapsed_us": result.elapsed_us,
         "correct": bool(result.correct),
         "faults": stats.total_faults,
@@ -52,10 +56,9 @@ def test_sampling_is_behaviour_preserving(backend):
     """The ISSUE acceptance bar: a DEX_SCOPE=1 run is bit-identical to an
     unsampled one — the sampler reads state between dispatches, schedules
     nothing, and draws no randomness."""
-    reference = _digest(backend, scope="")
-    assert scope_mod.recent_scopes() == []  # off: no scope object at all
-    sampled = _digest(backend, scope="1")
-    (scope,) = scope_mod.recent_scopes()
+    no_scope, reference = _digest(backend, scope="")
+    assert no_scope is None  # off: no scope object at all
+    scope, sampled = _digest(backend, scope="1")
     assert scope.samples > 0 and scope.series  # it really sampled
     assert sampled == reference, f"{backend}: sampling perturbed the run"
 
@@ -160,16 +163,9 @@ def test_series_ring_validation():
 
 def _sampled_run(variant):
     """One fully-instrumented KMN@4 run: trace + lens + scope."""
-    scope_mod.reset_recent()
-    lens_mod.reset_recent()
-    result = run_point(
-        "KMN", variant, 4,
-        params=SimParams(trace="1", lens="1", scope="1"),
-        **KMN_SMALL,
-    )
-    scope = scope_mod.recent_scopes()[-1]
-    lenses = [l for l in lens_mod.recent_lenses() if l.cluster is scope.cluster]
-    return result, scope, lenses[-1]
+    result, cluster = _run_on_own_cluster(
+        variant, SimParams(trace="1", lens="1", scope="1"))
+    return result, cluster.scope, cluster.lens
 
 
 def _manifest_for(variant):

@@ -1,0 +1,112 @@
+"""The one switch parser (``repro.params.resolve_switch``): every spelling
+each of the five ``SimParams`` switches accepts, what it resolves to, env
+deferral, and each error message — plus the structural claim that nothing
+else in ``src/repro`` reads the environment."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.params import SWITCHES, resolve_switch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+OFF = ("", "0", "off", "none", "false", "no", "OFF", "  No ")
+YES = ("1", "on", "true", "yes", "ON", " 1 ")
+
+#: switch -> (env var, {on-spelling: mode}, rejected text, ValueError tail);
+#: chaos rejects nothing: other text is a scenario path, returned stripped
+#: and case-preserved
+TABLE = {
+    "sanitize": (
+        "DEX_SANITIZE",
+        {**dict.fromkeys(YES + ("all",), "all"),
+         "race": "race", "deadlock": "deadlock", "Race": "race"},
+        ("bogus", "spans"),
+        "'', '1'/'all', 'race', 'deadlock'",
+    ),
+    "trace": (
+        "DEX_TRACE",
+        dict.fromkeys(YES + ("all", "spans", "Spans"), "spans"),
+        ("bogus", "race"),
+        "'', '1'/'on'/'spans'",
+    ),
+    "lens": (
+        "DEX_LENS", dict.fromkeys(YES + ("all",), "on"),
+        ("bogus", "spans"),  # spans is a trace mode, not a lens mode
+        "'', '1'/'on'",
+    ),
+    "scope": (
+        "DEX_SCOPE", dict.fromkeys(YES + ("all",), "on"),
+        ("bogus", "spans"),
+        "'', '1'/'on'",
+    ),
+    "chaos": (
+        "DEX_CHAOS",
+        {**dict.fromkeys(YES, "on"),
+         "scenario.json": "scenario.json", " Dir/Drop.JSON ": "Dir/Drop.JSON",
+         "all": "all"},
+        (),
+        None,
+    ),
+}
+
+
+def test_table_covers_every_switch():
+    assert set(TABLE) == set(SWITCHES)
+    assert {name: s.env for name, s in SWITCHES.items()} == {
+        name: row[0] for name, row in TABLE.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_switch_spellings(name, monkeypatch):
+    env, on, rejected, expected = TABLE[name]
+    monkeypatch.delenv(env, raising=False)
+    for text in OFF:
+        assert resolve_switch(name, text) == ""
+    for text, mode in on.items():
+        assert resolve_switch(name, text) == mode
+    for text in rejected:
+        with pytest.raises(ValueError) as err:
+            resolve_switch(name, text)
+        assert str(err.value) == (
+            f"unknown {name} mode {text!r}; expected one of {expected}"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_none_defers_to_the_environment(name, monkeypatch):
+    env, on, rejected, _ = TABLE[name]
+    monkeypatch.delenv(env, raising=False)
+    assert resolve_switch(name, None) == ""  # unset = off
+    for text, mode in on.items():
+        monkeypatch.setenv(env, text)
+        assert resolve_switch(name, None) == mode
+        # an explicit field value never consults the environment
+        assert resolve_switch(name, "") == ""
+    for text in rejected:
+        monkeypatch.setenv(env, text)
+        with pytest.raises(ValueError, match=f"unknown {name} mode"):
+            resolve_switch(name, None)
+        assert resolve_switch(name, "0") == ""
+
+
+def _sources():
+    return sorted((SRC / "repro").rglob("*.py"))
+
+
+def test_only_params_reads_the_environment():
+    readers = [
+        str(path.relative_to(SRC)) for path in _sources()
+        if re.search(r"os\.environ|getenv", path.read_text())
+    ]
+    assert readers == ["repro/params.py"]
+
+
+def test_the_only_env_knobs_are_the_five_switches():
+    names = set()
+    for path in _sources():
+        names.update(re.findall(r"\bDEX_[A-Z_]+", path.read_text()))
+    assert names == {s.env for s in SWITCHES.values()}

@@ -1,5 +1,5 @@
 """CLI behavior of ``python -m repro.vet``: exit codes, baseline
-workflow, graph rendering, and the legacy ``repro.check --lint`` shim."""
+workflow, and graph rendering."""
 
 import os
 import subprocess
@@ -181,23 +181,3 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "clean" in result.stdout
-
-
-def test_legacy_check_shim_subprocess():
-    # the old entry point keeps working on the new framework
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.check", "--lint"],
-        capture_output=True, text=True, env=_module_env(),
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "lint: clean" in result.stdout
-
-
-def test_legacy_shim_runs_only_legacy_rules():
-    from repro.check.lint import RULES, lint_paths
-
-    assert len(RULES) == 7
-    # this fixture only trips whole-program rules — the legacy shim
-    # must stay quiet on it (it never ran these rules before)
-    violations = lint_paths([FIXTURES / "fixture_unpaired_request.py"])
-    assert violations == []
