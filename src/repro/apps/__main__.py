@@ -15,6 +15,13 @@ from repro.apps import APP_NAMES
 from repro.bench.runner import run_point
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.apps",
@@ -22,12 +29,12 @@ def main(argv=None) -> int:
         "simulated rack.",
     )
     parser.add_argument("app", choices=APP_NAMES, type=str.upper)
-    parser.add_argument("--nodes", nargs="+", type=int, default=[1],
+    parser.add_argument("--nodes", nargs="+", type=_positive, default=[1],
                         help="node counts to run (each is a separate run)")
     parser.add_argument("--variant",
                         choices=["unmodified", "initial", "optimized"],
                         default="initial")
-    parser.add_argument("--threads-per-node", type=int, default=8)
+    parser.add_argument("--threads-per-node", type=_positive, default=8)
     parser.add_argument("--scale", choices=["small", "paper"],
                         default="small")
     args = parser.parse_args(argv)
@@ -41,6 +48,10 @@ def main(argv=None) -> int:
         if baseline is None:
             base = run_point(args.app, "unmodified", 1, scale=args.scale,
                              threads_per_node=args.threads_per_node)
+            if base.correct is not True:
+                print("ERROR: wrong baseline (unmodified, 1 node) output",
+                      file=sys.stderr)
+                return 1
             baseline = base.elapsed_us
             print(f"{args.app} baseline (unmodified, 1 node, "
                   f"{args.threads_per_node} threads): "
@@ -55,7 +66,7 @@ def main(argv=None) -> int:
             f"pages={stats.pages_transferred} "
             f"migrations={len(stats.migrations)}"
         )
-        if result.correct is False:
+        if result.correct is not True:
             print("ERROR: wrong application output", file=sys.stderr)
             return 1
     return 0

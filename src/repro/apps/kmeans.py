@@ -74,6 +74,15 @@ def reference(
     return centers, max_iters
 
 
+@workloads.memoised
+def problem(
+    n_points: int, k: int, max_iters: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seeded input points and the centroids a run must end on."""
+    points = workloads.clustered_points(n_points, k, DIM, seed=seed)
+    return points, reference(points, k, max_iters)[0]
+
+
 def run(
     num_nodes: int = 1,
     variant: str = "initial",
@@ -99,8 +108,7 @@ def run(
     migrate = variant != "unmodified"
     optimized = variant == "optimized"
 
-    points = workloads.clustered_points(n_points, k, DIM, seed=seed)
-    expected, _ = reference(points, k, max_iters)
+    points, expected = problem(n_points, k, max_iters, seed)
 
     # ---- layout ----------------------------------------------------------
     points_arr = alloc_array(alloc, np.float64, n_points * DIM, name="points",

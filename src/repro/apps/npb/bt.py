@@ -19,10 +19,11 @@ DeX pathologies, both fixed in the optimized variant (§V-C):
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
+from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
@@ -59,6 +60,15 @@ def reference(grid: np.ndarray, n_passes: int) -> np.ndarray:
     return a
 
 
+@workloads.memoised
+def problem(
+    grid_cells: int, n_passes: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seeded initial grid and the grid a run must end on."""
+    grid0 = np.random.default_rng(seed).uniform(0.0, 1.0, grid_cells)
+    return grid0, reference(grid0, n_passes)
+
+
 def run(
     num_nodes: int = 1,
     variant: str = "initial",
@@ -83,9 +93,7 @@ def run(
     optimized = variant == "optimized"
     n_regions = REGIONS_PER_ITER * iters
 
-    rng = np.random.default_rng(seed)
-    grid0 = rng.uniform(0.0, 1.0, grid_cells)
-    expected = reference(grid0, n_regions)
+    grid0, expected = problem(grid_cells, n_regions, seed)
 
     # double-buffered grids; optimized page-aligns each thread's block so
     # partition edges do not share pages

@@ -17,6 +17,7 @@ from typing import Generator, Optional, Tuple
 
 import numpy as np
 
+from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
@@ -61,6 +62,7 @@ def _block_histogram(block: int, pairs: int, seed: int) -> Tuple[np.ndarray, flo
     return hist, float(gx.sum()), float(gy.sum())
 
 
+@workloads.memoised
 def reference(n_pairs: int, seed: int) -> np.ndarray:
     pairs_per_block = n_pairs // N_BLOCKS
     total = np.zeros(N_BINS, dtype=np.int64)

@@ -13,10 +13,11 @@ schedule per iteration is [row, row, T, row, row, T, row].
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
+from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
@@ -61,6 +62,15 @@ def reference(matrix: np.ndarray, n_iters: int) -> np.ndarray:
     return m
 
 
+@workloads.memoised
+def problem(
+    rows: int, cols: int, iters: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seeded initial matrix and the matrix a run must end on."""
+    matrix0 = np.random.default_rng(seed).uniform(0.0, 1.0, (rows, cols))
+    return matrix0, reference(matrix0, iters)
+
+
 def run(
     num_nodes: int = 1,
     variant: str = "initial",
@@ -87,9 +97,7 @@ def run(
     n_regions = REGIONS_PER_ITER * iters
     schedule = [SCHEDULE[r % REGIONS_PER_ITER] for r in range(n_regions)]
 
-    rng = np.random.default_rng(seed)
-    matrix0 = rng.uniform(0.0, 1.0, (rows, cols))
-    expected = reference(matrix0, iters)
+    matrix0, expected = problem(rows, cols, iters, seed)
     # square matrices keep the row partitioning valid across transposes
     assert rows == cols, "FT model requires a square matrix"
 

@@ -18,7 +18,7 @@ Either way the computed distances must equal the reference BFS exactly.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +52,16 @@ ADAPTATION = AdaptationInfo(
 )
 
 
+@workloads.memoised
+def problem(
+    n_vertices: int, n_edges: int, source: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeded graph ``(indptr, indices)`` and the distances from
+    *source* a run must compute."""
+    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    return indptr, indices, workloads.bfs_reference(indptr, indices, source)
+
+
 def run(
     num_nodes: int = 1,
     variant: str = "initial",
@@ -76,9 +86,8 @@ def run(
     migrate = variant != "unmodified"
     optimized = variant == "optimized"
 
-    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    indptr, indices, expected = problem(n_vertices, n_edges, source, seed)
     n_vertices = len(indptr) - 1  # rmat may round up to a power of two
-    expected = workloads.bfs_reference(indptr, indices, source)
 
     graph, edge_data = load_graph(alloc, indptr, indices)
     dist = alloc_array(alloc, np.int64, n_vertices, name="dist",

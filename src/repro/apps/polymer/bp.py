@@ -20,7 +20,7 @@ which is what produces that super-linearity here too.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,19 @@ def reference(
     return b
 
 
+@workloads.memoised
+def problem(
+    n_vertices: int, n_edges: int, iters: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The seeded graph ``(indptr, indices)``, the initial beliefs and the
+    beliefs a run must end on."""
+    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    beliefs0 = np.random.default_rng(seed + 1).uniform(0.0, 1.0,
+                                                       len(indptr) - 1)
+    return indptr, indices, beliefs0, reference(indptr, indices, beliefs0,
+                                                iters)
+
+
 def run(
     num_nodes: int = 1,
     variant: str = "initial",
@@ -98,11 +111,9 @@ def run(
     migrate = variant != "unmodified"
     optimized = variant == "optimized"
 
-    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    indptr, indices, beliefs0, expected = problem(n_vertices, n_edges, iters,
+                                                  seed)
     n_vertices = len(indptr) - 1
-    rng = np.random.default_rng(seed + 1)
-    beliefs0 = rng.uniform(0.0, 1.0, n_vertices)
-    expected = reference(indptr, indices, beliefs0, iters)
 
     graph, edge_data = load_graph(alloc, indptr, indices)
     beliefs = [

@@ -17,7 +17,7 @@ partitioned and scanned by worker threads in parallel.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def run(
 
     text = workloads.text_corpus(text_size, keys, seed=seed,
                                  plant_every=plant_every)
-    expected = workloads.count_occurrences(text, keys)
+    expected = reference(text_size, keys, seed, plant_every)
     max_key = max(len(k) for k in keys)
 
     # ---- layout (where the variants differ) -----------------------------
@@ -179,13 +179,14 @@ def run(
         elapsed_us=elapsed,
         output=output,
         stats=proc.stats,
-        correct=(output == expected),
+        correct=(output == list(expected)),
     )
 
 
+@workloads.memoised
 def reference(text_size: int = 16 * 1024 * 1024,
               keys: Sequence[bytes] = workloads.DEFAULT_KEYS,
-              seed: int = 7, plant_every: int = 400) -> List[int]:
+              seed: int = 7, plant_every: int = 400) -> Tuple[int, ...]:
     """The plain single-threaded answer."""
     return workloads.count_occurrences(
         workloads.text_corpus(text_size, keys, seed=seed,

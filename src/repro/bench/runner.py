@@ -100,7 +100,7 @@ def run_scaling(
     normalized to the unmodified single-node baseline."""
     baseline = run_point(app, "unmodified", 1, scale, directory=directory,
                          **overrides)
-    if baseline.correct is False:
+    if baseline.correct is not True:
         raise AssertionError(f"{app}: baseline run produced a wrong answer")
     points = [_scaling_point(baseline, baseline.elapsed_us)]
     for variant in variants:

@@ -93,6 +93,40 @@ def test_apps_cli_rejects_unknown_app():
         apps_main(["XYZ"])
 
 
+@pytest.mark.parametrize("flag", ["--nodes", "--threads-per-node"])
+def test_apps_cli_rejects_a_zero_count_as_a_usage_error(flag, capsys):
+    from repro.apps.__main__ import main as apps_main
+
+    with pytest.raises(SystemExit) as exit_info:
+        apps_main(["EP", flag, "0"])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert f"argument {flag}: must be >= 1, got 0" in last
+
+
+@pytest.mark.parametrize("unverified", [False, None])
+def test_an_unverified_baseline_is_a_failure(unverified, monkeypatch, capsys):
+    import repro.apps.__main__ as apps_cli
+    import repro.bench.runner as runner
+
+    def with_unverified_baseline(run_point):
+        def run(app, variant, *args, **kwargs):
+            result = run_point(app, variant, *args, **kwargs)
+            if variant == "unmodified":
+                result.correct = unverified
+            return result
+        return run
+
+    monkeypatch.setattr(apps_cli, "run_point",
+                        with_unverified_baseline(run_point))
+    assert apps_cli.main(["EP", "--nodes", "1"]) == 1
+    assert "baseline" in capsys.readouterr().err
+    monkeypatch.setattr(runner, "run_point",
+                        with_unverified_baseline(run_point))
+    with pytest.raises(AssertionError, match="baseline"):
+        run_scaling("GRP", node_counts=(1,), variants=("initial",), **TINY)
+
+
 def test_run_scaling_rejects_bad_nodes():
     # node counts beyond 8 simply grow the simulated rack; zero is illegal
     with pytest.raises(ValueError):
