@@ -28,31 +28,14 @@ BP       :mod:`repro.apps.polymer.bp`           NUMA-aware graph analytics
 =======  =====================================  ==========================
 """
 
-from repro.apps.common import AppResult, VARIANTS, AdaptationInfo
+from repro.apps.common import (
+    APP_NAMES,
+    AdaptationInfo,
+    AppResult,
+    RunSpec,
+    VARIANTS,
+    get_app,
+)
 
-APP_NAMES = ["GRP", "KMN", "BT", "EP", "FT", "BLK", "BFS", "BP"]
-
-
-def get_app(name: str):
-    """The app module for a short name from :data:`APP_NAMES`."""
-    from repro.apps import blackscholes, kmeans, string_match
-    from repro.apps.npb import bt, ep, ft
-    from repro.apps.polymer import bfs, bp
-
-    table = {
-        "GRP": string_match,
-        "KMN": kmeans,
-        "BT": bt,
-        "EP": ep,
-        "FT": ft,
-        "BLK": blackscholes,
-        "BFS": bfs,
-        "BP": bp,
-    }
-    try:
-        return table[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown app {name!r}; choose from {APP_NAMES}")
-
-
-__all__ = ["APP_NAMES", "AdaptationInfo", "AppResult", "VARIANTS", "get_app"]
+__all__ = ["APP_NAMES", "AdaptationInfo", "AppResult", "RunSpec", "VARIANTS",
+           "get_app"]

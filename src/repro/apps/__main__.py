@@ -11,15 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps import APP_NAMES
+from repro.apps.common import add_run_arguments
 from repro.bench.runner import run_point
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def main(argv=None) -> int:
@@ -28,15 +21,8 @@ def main(argv=None) -> int:
         description="Run one of the paper's eight applications on the "
         "simulated rack.",
     )
-    parser.add_argument("app", choices=APP_NAMES, type=str.upper)
-    parser.add_argument("--nodes", nargs="+", type=_positive, default=[1],
-                        help="node counts to run (each is a separate run)")
-    parser.add_argument("--variant",
-                        choices=["unmodified", "initial", "optimized"],
-                        default="initial")
-    parser.add_argument("--threads-per-node", type=_positive, default=8)
-    parser.add_argument("--scale", choices=["small", "paper"],
-                        default="small")
+    add_run_arguments(parser, "app", "--nodes", "--variant",
+                      "--threads-per-node", "--scale", nodes=[1])
     args = parser.parse_args(argv)
 
     baseline = None

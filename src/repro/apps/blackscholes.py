@@ -16,15 +16,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.params import SimParams
 from repro.runtime.array import DistArray, alloc_array
 
@@ -93,18 +85,12 @@ def run(
     cluster=None,
 ) -> AppResult:
     """Run BLK; output is the option price vector."""
-    check_variant(variant)
-    seed = workload_seed(params, 13) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("BLK", num_nodes, variant, threads_per_node, default_seed=13,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
-    batch = workloads.option_batch(n_options, seed)
-    expected = reference(n_options, seed)
+    batch = workloads.option_batch(n_options, job.seed)
+    expected = reference(n_options, job.seed)
 
     inputs = {
         name: alloc_array(alloc, np.float64, n_options, name=name,
@@ -166,24 +152,12 @@ def run(
         yield from ctx.write(flags.addr,
                              batch.is_call.astype(np.uint8).tobytes())
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
         parts = []
         for out in outputs:
             data = yield from out.read(ctx)
             parts.append(data)
-        return np.concatenate(parts)
+        prices = np.concatenate(parts)
+        return prices, bool(np.allclose(prices, expected))
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BLK",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected)),
-    )
+    return finish(job, body, collect, setup)

@@ -21,15 +21,7 @@ from typing import Generator, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.params import SimParams
 from repro.runtime import Barrier
 from repro.runtime.array import alloc_array
@@ -98,17 +90,11 @@ def run(
     """Run KMN; output is the final centroids, checked against the
     reference run with ``np.allclose`` (parallel reduction reorders float
     additions)."""
-    check_variant(variant)
-    seed = workload_seed(params, 11) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("KMN", num_nodes, variant, threads_per_node, default_seed=11,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
-    points, expected = problem(n_points, k, max_iters, seed)
+    points, expected = problem(n_points, k, max_iters, job.seed)
 
     # ---- layout ----------------------------------------------------------
     points_arr = alloc_array(alloc, np.float64, n_points * DIM, name="points",
@@ -238,21 +224,8 @@ def run(
         yield from points_arr.write(ctx, 0, points.ravel())
         yield from centroids.write(ctx, 0, points[:k].ravel())
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
-        final = yield from centroids.read(ctx)
-        return final.reshape(k, DIM)
+        final = (yield from centroids.read(ctx)).reshape(k, DIM)
+        return final, bool(np.allclose(final, expected, rtol=1e-8, atol=1e-8))
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="KMN",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected, rtol=1e-8, atol=1e-8)),
-    )
+    return finish(job, body, collect, setup)

@@ -14,6 +14,6 @@ migrations per execution — which is why the cheap second migration
 (Table II) matters.
 """
 
-from repro.apps.npb.common import region_loop
+from repro.apps.npb.common import region_body
 
-__all__ = ["region_loop"]
+__all__ = ["region_body"]

@@ -24,15 +24,8 @@ from typing import Generator, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    workload_seed,
-)
-from repro.apps.npb.common import region_loop
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.npb.common import region_body
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
@@ -82,18 +75,12 @@ def run(
 ) -> AppResult:
     """Run BT; output is the final grid (checked against the reference
     Jacobi sweep) and the accumulated residual."""
-    check_variant(variant)
-    seed = workload_seed(params, 23) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("BT", num_nodes, variant, threads_per_node, default_seed=23,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
     n_regions = REGIONS_PER_ITER * iters
 
-    grid0, expected = problem(grid_cells, n_regions, seed)
+    grid0, expected = problem(grid_cells, n_regions, job.seed)
 
     # double-buffered grids; optimized page-aligns each thread's block so
     # partition edges do not share pages
@@ -184,25 +171,10 @@ def run(
             ctx, 0, np.array([0, grid_cells, part, iters], dtype=np.int64)
         )
 
-    cluster.simulate(setup, proc)
-    elapsed = region_loop(
-        cluster, proc, alloc, num_threads, nodes, migrate,
-        n_regions, region_fn, serial_fn,
-    )
-
     def collect(ctx) -> Generator:
         final = yield from grids[n_regions % 2].read(ctx)
         res = yield from residual.get(ctx, 0)
-        return final, float(res)
+        return float(res), bool(np.allclose(final, expected))
 
-    (final, res) = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BT",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=res,
-        stats=proc.stats,
-        correct=bool(np.allclose(final, expected)),
-    )
+    body = region_body(job, n_regions, region_fn, serial_fn)
+    return finish(job, body, collect, setup, migrate_around=False)

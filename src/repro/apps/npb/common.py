@@ -12,39 +12,36 @@ remote across the serial sections.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, Optional
 
-from repro.apps.common import run_workers
-from repro.core import DexCluster, DexProcess
-from repro.runtime import Barrier, MemoryAllocator
+from repro.apps.common import Launch
+from repro.runtime import Barrier
 from repro.runtime.openmp import node_for_worker
 
 
-def region_loop(
-    cluster: DexCluster,
-    proc: DexProcess,
-    alloc: MemoryAllocator,
-    num_threads: int,
-    nodes: Sequence[int],
-    migrate: bool,
+def region_body(
+    job: Launch,
     n_regions: int,
     region_fn: Callable[..., Generator],
     serial_fn: Optional[Callable[..., Generator]] = None,
-) -> float:
-    """Run ``region_fn(ctx, wid, region)`` for each region in sequence,
-    with per-region out-and-back migration and origin-local barriers;
-    ``serial_fn(ctx, region)`` runs on the master between regions.
-    Returns the elapsed time of the whole region sequence."""
-    barrier = Barrier(alloc, num_threads, name="omp_join", page_aligned=True)
+) -> Callable[..., Generator]:
+    """The worker body that runs ``region_fn(ctx, wid, region)`` for each
+    region in sequence, with per-region out-and-back migration and
+    origin-local barriers; ``serial_fn(ctx, region)`` runs on the master
+    between regions.  Migration is handled per region here, so the body is
+    finished with ``migrate_around=False``."""
+    num_threads = job.num_threads
+    barrier = Barrier(job.alloc, num_threads, name="omp_join",
+                      page_aligned=True)
 
     def body(ctx, wid: int) -> Generator:
         for region in range(n_regions):
-            if migrate:
+            if job.migrate:
                 yield from ctx.migrate(
-                    node_for_worker(wid, num_threads, list(nodes))
+                    node_for_worker(wid, num_threads, job.nodes)
                 )
             yield from region_fn(ctx, wid, region)
-            if migrate:
+            if job.migrate:
                 yield from ctx.migrate_back()
             # implicit OpenMP region-end barrier — at the origin, so cheap
             yield from barrier.wait(ctx)
@@ -52,7 +49,4 @@ def region_loop(
                 yield from serial_fn(ctx, region)
             yield from barrier.wait(ctx)
 
-    # migration is handled per-region above, not by the outer harness
-    return run_workers(
-        cluster, proc, body, num_threads, nodes, migrate=False
-    )
+    return body

@@ -18,15 +18,7 @@ from typing import Generator, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
@@ -83,15 +75,10 @@ def run(
     cluster=None,
 ) -> AppResult:
     """Run EP; output is the 10-bin annulus histogram."""
-    check_variant(variant)
-    seed = workload_seed(params, 19) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("EP", num_nodes, variant, threads_per_node, default_seed=19,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized, seed = (
+        job.alloc, job.num_threads, job.optimized, job.seed)
 
     expected = reference(n_pairs, seed)
     pairs_per_block = n_pairs // N_BLOCKS
@@ -120,20 +107,8 @@ def run(
         yield from sums.add(ctx, 0, sx, site="ep:sums")
         yield from sums.add(ctx, 1, sy, site="ep:sums")
 
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
         hist = yield from bins.read(ctx)
-        return hist
+        return hist, bool((hist == expected).all())
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="EP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool((output == expected).all()),
-    )
+    return finish(job, body, collect)

@@ -18,15 +18,8 @@ from typing import Generator, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    workload_seed,
-)
-from repro.apps.npb.common import region_loop
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.npb.common import region_body
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
@@ -85,19 +78,13 @@ def run(
 ) -> AppResult:
     """Run FT; output is the final matrix checksum, with the full matrix
     checked against the reference."""
-    check_variant(variant)
-    seed = workload_seed(params, 29) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("FT", num_nodes, variant, threads_per_node, default_seed=29,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
     n_regions = REGIONS_PER_ITER * iters
     schedule = [SCHEDULE[r % REGIONS_PER_ITER] for r in range(n_regions)]
 
-    matrix0, expected = problem(rows, cols, iters, seed)
+    matrix0, expected = problem(rows, cols, iters, job.seed)
     # square matrices keep the row partitioning valid across transposes
     assert rows == cols, "FT model requires a square matrix"
 
@@ -175,25 +162,11 @@ def run(
             ctx, 0, np.array([0, rows, cols, iters], dtype=np.int64)
         )
 
-    cluster.simulate(setup, proc)
-    elapsed = region_loop(
-        cluster, proc, alloc, num_threads, nodes, migrate,
-        n_regions, region_fn, serial_fn,
-    )
-
     def collect(ctx) -> Generator:
         final = yield from mats[n_regions % 2].read(ctx)
         total = yield from checksum.get(ctx, 0)
-        return final.reshape(rows, cols), float(total)
+        return float(total), bool(
+            np.allclose(final.reshape(rows, cols), expected))
 
-    final, total = cluster.simulate(collect, proc)
-    return AppResult(
-        app="FT",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=total,
-        stats=proc.stats,
-        correct=bool(np.allclose(final, expected)),
-    )
+    body = region_body(job, n_regions, region_fn, serial_fn)
+    return finish(job, body, collect, setup, migrate_around=False)

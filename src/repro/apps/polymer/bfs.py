@@ -23,15 +23,7 @@ from typing import Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.apps.polymer.engine import make_frontier_state
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
 from repro.params import SimParams
@@ -76,17 +68,12 @@ def run(
 ) -> AppResult:
     """Run BFS; output is the distance vector, checked against the
     single-threaded reference."""
-    check_variant(variant)
-    seed = workload_seed(params, 17) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("BFS", num_nodes, variant, threads_per_node, default_seed=17,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
-    indptr, indices, expected = problem(n_vertices, n_edges, source, seed)
+    indptr, indices, expected = problem(n_vertices, n_edges, source,
+                                        job.seed)
     n_vertices = len(indptr) - 1  # rmat may round up to a power of two
 
     graph, edge_data = load_graph(alloc, indptr, indices)
@@ -155,7 +142,7 @@ def run(
                 else:
                     # check and write the shared distance array directly,
                     # publish into the shared next frontier, poke the flag
-                    page = cluster.params.page_size
+                    page = job.cluster.params.page_size
                     per = page // 8
                     newly: List[int] = []
                     for pg in np.unique(nbrs // per):
@@ -237,21 +224,8 @@ def run(
         yield from dist.set(ctx, source, 0)
         yield from ctx.write(state.current[0].addr + source, b"\x01")
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
         result = yield from dist.read(ctx)
-        return result
+        return result, bool((result == expected).all())
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BFS",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool((output == expected).all()),
-    )
+    return finish(job, body, collect, setup)

@@ -25,15 +25,7 @@ from typing import Generator, Optional, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
 from repro.params import SimParams
 from repro.runtime import Barrier
@@ -101,18 +93,12 @@ def run(
 ) -> AppResult:
     """Run BP; output is the final belief vector, checked against the
     reference (float64 math on both sides, so allclose is tight)."""
-    check_variant(variant)
-    seed = workload_seed(params, 31) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("BP", num_nodes, variant, threads_per_node, default_seed=31,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
     indptr, indices, beliefs0, expected = problem(n_vertices, n_edges, iters,
-                                                  seed)
+                                                  job.seed)
     n_vertices = len(indptr) - 1
 
     graph, edge_data = load_graph(alloc, indptr, indices)
@@ -189,21 +175,8 @@ def run(
             yield from graph.indices.write(ctx, 0, edge_data)
         yield from beliefs[0].write(ctx, 0, beliefs0)
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
         final = yield from beliefs[iters % 2].read(ctx)
-        return final
+        return final, bool(np.allclose(final, expected, rtol=1e-5, atol=1e-6))
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected, rtol=1e-5, atol=1e-6)),
-    )
+    return finish(job, body, collect, setup)

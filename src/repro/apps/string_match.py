@@ -22,15 +22,7 @@ from typing import Generator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    run_workers,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, finish, launch
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
@@ -74,19 +66,13 @@ def run(
 ) -> AppResult:
     """Run GRP; returns an :class:`AppResult` whose output is the list of
     per-key occurrence counts (verified against the reference scan)."""
-    check_variant(variant)
-    seed = workload_seed(params, 7) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params, cluster)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    job = launch("GRP", num_nodes, variant, threads_per_node, default_seed=7,
+                 params=params, tracer=tracer, seed=seed, cluster=cluster)
+    alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
-    text = workloads.text_corpus(text_size, keys, seed=seed,
+    text = workloads.text_corpus(text_size, keys, seed=job.seed,
                                  plant_every=plant_every)
-    expected = reference(text_size, keys, seed, plant_every)
+    expected = reference(text_size, keys, job.seed, plant_every)
     max_key = max(len(k) for k in keys)
 
     # ---- layout (where the variants differ) -----------------------------
@@ -163,24 +149,11 @@ def run(
                          dtype=np.int64),
             )
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
-
     def collect(ctx) -> Generator:
-        values = yield from counters.read(ctx)
-        return [int(v) for v in values]
+        counts = [int(v) for v in (yield from counters.read(ctx))]
+        return counts, counts == list(expected)
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="GRP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=(output == list(expected)),
-    )
+    return finish(job, body, collect, setup)
 
 
 @workloads.memoised

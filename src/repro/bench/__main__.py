@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps import APP_NAMES
+from repro.apps.common import APP_NAMES, add_run_arguments
 from repro.bench import experiments, reporting
 
 
@@ -22,24 +22,9 @@ def main(argv=None) -> int:
         choices=["table1", "table2", "figure2", "figure3", "pagefault",
                  "ablation", "all"],
     )
-    parser.add_argument(
-        "--apps", nargs="*", default=list(APP_NAMES),
-        help="apps for figure2 (default: all eight)",
-    )
-    parser.add_argument(
-        "--nodes", nargs="*", type=int, default=[1, 2, 4, 8],
-        help="node counts for figure2",
-    )
-    parser.add_argument(
-        "--scale", choices=["small", "paper"], default="small",
-        help="workload scale: 'small' runs in seconds, 'paper' uses the "
-        "full scaled-down defaults",
-    )
-    parser.add_argument(
-        "--directory", choices=["origin", "sharded"], default=None,
-        help="coherence-directory backend for figure2 (default: the "
-        "paper's origin-resident directory)",
-    )
+    # figure2's sweep: every --apps x --nodes point at --scale/--directory
+    add_run_arguments(parser, "--apps", "--nodes", "--scale", "--directory",
+                      apps=list(APP_NAMES), nodes=[1, 2, 4, 8])
     args = parser.parse_args(argv)
     todo = (
         ["table1", "table2", "figure3", "pagefault", "figure2", "ablation"]

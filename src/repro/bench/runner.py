@@ -1,37 +1,16 @@
 """Run (app, variant, node-count) points and normalize like Figure 2.
 
-Two workload scales are provided: ``small`` finishes a full sweep in
-seconds (CI-friendly), ``paper`` uses each app's default (scaled-down but
-contention-faithful) workload.
+Two workload scales are provided (``repro.apps.common.SCALE_PRESETS``):
+``small`` finishes a full sweep in seconds (CI-friendly), ``paper`` uses
+each app's default (scaled-down but contention-faithful) workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.apps import get_app
-from repro.apps.common import AppResult
-from repro.params import SimParams
-
-#: per-app workload overrides for the fast scale
-SCALE_PRESETS: Dict[str, Dict[str, Dict]] = {
-    # sizes chosen as the smallest that keep each app's Figure 2 shape:
-    # below them, fixed costs (migration, barriers, cold page transfer)
-    # swamp the effects the figure is about
-    "small": {
-        "GRP": {"text_size": 2 * 1024 * 1024},
-        "KMN": {"n_points": 80_000, "max_iters": 2},
-        "BT": {"grid_cells": 262_144, "iters": 2},
-        "EP": {"n_pairs": 480_000},
-        "FT": {"rows": 256, "cols": 256, "iters": 1},
-        "BLK": {"n_options": 160_000},
-        "BFS": {"n_vertices": 16_384, "n_edges": 60_000},
-        "BP": {"n_vertices": 65_536, "n_edges": 1_000_000, "iters": 2},
-    },
-    "paper": {name: {} for name in
-              ("GRP", "KMN", "BT", "EP", "FT", "BLK", "BFS", "BP")},
-}
+from repro.apps.common import SCALE_PRESETS, AppResult, RunSpec
 
 
 @dataclass
@@ -62,15 +41,20 @@ def _mean_fault_us(result: AppResult) -> float:
 
 def run_point(app: str, variant: str, num_nodes: int, scale: str = "small",
               directory: Optional[str] = None, **overrides) -> AppResult:
-    """One application run.  *directory* selects the coherence-directory
-    backend ("origin" | "sharded") without hand-building SimParams; an
-    explicit ``params=`` override wins."""
-    module = get_app(app)
-    kwargs = dict(SCALE_PRESETS[scale].get(app.upper(), {}))
-    kwargs.update(overrides)
-    if directory is not None and "params" not in kwargs:
-        kwargs["params"] = SimParams(directory=directory)
-    return module.run(num_nodes=num_nodes, variant=variant, **kwargs)
+    """One application run: :class:`RunSpec` spelled as a call.
+    *directory* selects the coherence-directory backend ("origin" |
+    "sharded") without hand-building SimParams (it is laid over a
+    ``params=`` override); ``cluster=`` / ``tracer=`` go to the run, every
+    other keyword to the app."""
+    how = {key: overrides.pop(key) for key in ("cluster", "tracer")
+           if key in overrides}
+    spec = RunSpec(
+        app, variant, num_nodes, scale,
+        threads_per_node=overrides.pop("threads_per_node", 8),
+        directory=directory, base=overrides.pop("params", None),
+        overrides=overrides,
+    )
+    return spec.run(**how)
 
 
 def _scaling_point(result: AppResult, baseline_us: float) -> ScalingPoint:

@@ -23,6 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.apps.common import RunSpec, add_run_arguments
 from repro.chaos.harness import run_pagefault_micro, run_under_chaos
 from repro.chaos.scenario import (
     EXCLUSIVE_LOSS_POLICIES,
@@ -32,14 +33,6 @@ from repro.chaos.scenario import (
 )
 from repro.core.errors import NodeFailedError
 
-_ALIASES = {
-    "string_match": "GRP", "grep": "GRP", "grp": "GRP",
-    "kmeans": "KMN", "kmn": "KMN",
-    "blackscholes": "BLK", "blk": "BLK",
-    "bt": "BT", "ep": "EP", "ft": "FT",
-    "bfs": "BFS", "bp": "BP", "pagerank": "BP",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -48,19 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=__doc__.split("Examples::", 1)[1],
     )
-    parser.add_argument("--app", default="micro",
-                        help="application (default: the 2-node pagefault "
-                        "micro); one of micro, kmeans, string_match, "
-                        "blackscholes, bt, ep, ft, bfs, bp")
-    parser.add_argument("--variant", default="initial",
-                        choices=("unmodified", "initial", "optimized"))
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--scale", default="small", choices=("small", "paper"))
-    parser.add_argument("--directory", default=None,
-                        choices=("origin", "sharded"))
-    parser.add_argument("--seed", type=int, default=None,
-                        help="engine RNG seed (default: the scenario's, "
-                        "else 0)")
+    # --seed unset: the scenario's seed, else 0
+    add_run_arguments(parser, "--app", "--variant", "--nodes", "--scale",
+                      "--directory", "--seed", micro="micro", app="micro",
+                      nodes=4)
     parser.add_argument("--iters", type=int, default=40,
                         help="micro only: per-thread iteration count")
     parser.add_argument("--no-sanitize", action="store_true",
@@ -138,13 +122,14 @@ def _print_report(report: Optional[dict]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
+    spec = RunSpec.from_args(ns)
     try:
         scenario = _build_scenario(ns)
     except ChaosError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if ns.app == "micro":
+    if spec.micro:
         result = run_pagefault_micro(
             scenario,
             directory=ns.directory,
@@ -160,23 +145,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_report(result["report"])
         return 0 if ok else 1
 
-    app = _ALIASES.get(ns.app.lower(), ns.app.upper())
+    app = spec.app
     try:
         outcome = run_under_chaos(
-            app,
-            variant=ns.variant,
-            num_nodes=ns.nodes,
-            scale=ns.scale,
-            scenario=scenario,
-            directory=ns.directory,
-            sanitize=not ns.no_sanitize,
-            seed=ns.seed,
-            max_restarts=ns.max_restarts,
+            app, spec.variant, spec.nodes, spec.scale, scenario=scenario,
+            directory=spec.directory, sanitize=not ns.no_sanitize,
+            seed=spec.seed, max_restarts=ns.max_restarts,
         )
     except NodeFailedError as err:
         print(f"{app}: did not survive the scenario: {err}", file=sys.stderr)
-        controller = getattr(scenario, "last_controller", None)
-        _print_report(controller.report() if controller else None)
+        _print_report(err.chaos_report)
         return 1
     for line in outcome.attempts:
         print(f"{app}: {line}")

@@ -80,9 +80,6 @@ class ChaosController:
         self.engine = engine
         self.params = params
         self.scenario = scenario.validate()
-        # backref for the harness: apps build their cluster internally, so
-        # the scenario object is the only handle the caller keeps
-        scenario.last_controller = self
         self.cluster: Optional[Any] = None
         self.net: Optional[Any] = None
         #: ground truth: nodes that fail-stopped

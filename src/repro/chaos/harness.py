@@ -9,7 +9,8 @@ Two entry points:
   is exact: the shared counter must equal the iteration count.
 * :func:`run_under_chaos` — any Figure-2 app under a scenario, with a
   fail-stop restart policy: when a run dies of :class:`NodeFailedError`
-  the app is re-run on a fresh cluster with the *same* scenario object.
+  the app is re-run on a fresh cluster (built from the same
+  :class:`~repro.apps.common.RunSpec`) with the *same* scenario object.
   Rule state (``matched``/``fired``) is shared across attempts, so a crash
   that already fired stays consumed and the restarted run completes.
 
@@ -18,9 +19,10 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+from repro.apps.common import RunSpec
 from repro.chaos.scenario import ChaosScenario
 from repro.core import DexCluster
 from repro.core.errors import NodeFailedError
@@ -28,24 +30,15 @@ from repro.params import SimParams
 from repro.runtime import Barrier, MemoryAllocator
 
 
-def _chaos_params(
-    params: Optional[SimParams],
-    scenario: Optional[ChaosScenario],
-    directory: Optional[str],
-    sanitize: bool,
-    seed: Optional[int],
-) -> SimParams:
-    base = params if params is not None else SimParams()
-    overrides: Dict[str, Any] = {}
+def _under(spec: RunSpec, scenario: Optional[ChaosScenario],
+           sanitize: bool) -> RunSpec:
+    """*spec* with the scenario (and the sanitizer) laid on its params."""
+    base = spec.base if spec.base is not None else SimParams()
     if scenario is not None:
-        overrides["chaos_scenario"] = scenario
-    if directory is not None:
-        overrides["directory"] = directory
+        base = base.copy(chaos_scenario=scenario)
     if sanitize:
-        overrides["sanitize"] = "1"
-    if seed is not None:
-        overrides["seed"] = seed
-    return base.copy(**overrides) if overrides else base
+        base = base.copy(sanitize="1")
+    return replace(spec, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +64,9 @@ def run_pagefault_micro(
     run afterwards (its tracer, say) passes its own 2-node *cluster*, whose
     params then stand in for every other argument but *iters*."""
     if cluster is None:
-        run_params = _chaos_params(params, scenario, directory, sanitize, seed)
-        cluster = DexCluster(num_nodes=2, params=run_params)
+        cluster = _under(
+            RunSpec("micro", directory=directory, seed=seed, base=params),
+            scenario, sanitize).cluster()
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     var = alloc.alloc_global(8, tag="chaos_micro")
@@ -165,26 +159,27 @@ def run_under_chaos(
     fresh cluster up to *max_restarts* times (consumed crash rules do not
     re-fire).  The final attempt's exception propagates when the budget is
     exhausted, so an un-survivable scenario is loud, not silently wrong."""
-    from repro.bench.runner import run_point
-
     if scenario is None:
         scenario = ChaosScenario()
-    run_params = _chaos_params(params, scenario, directory, sanitize, seed)
-    outcome = ChaosRunReport(app=app, variant=variant, num_nodes=num_nodes)
+    spec = _under(
+        RunSpec(app, variant, num_nodes, scale,
+                threads_per_node=overrides.pop("threads_per_node", 8),
+                directory=directory, seed=seed, overrides=overrides,
+                base=params),
+        scenario, sanitize)
+    outcome = ChaosRunReport(app=spec.app, variant=variant,
+                             num_nodes=num_nodes)
     for attempt in range(max_restarts + 1):
+        cluster = spec.cluster()
         try:
-            result = run_point(app, variant, num_nodes, scale,
-                               params=run_params, **overrides)
+            outcome.result = spec.run(cluster=cluster)
         except NodeFailedError as err:
             outcome.attempts.append(f"attempt {attempt + 1}: {err}")
-            controller = getattr(scenario, "last_controller", None)
-            outcome.report = controller.report() if controller else None
+            outcome.report = err.chaos_report = cluster.chaos.report()
             if attempt >= max_restarts:
                 raise
             continue
         outcome.attempts.append(f"attempt {attempt + 1}: completed")
-        outcome.result = result
-        controller = getattr(scenario, "last_controller", None)
-        outcome.report = controller.report() if controller else None
+        outcome.report = cluster.chaos.report()
         return outcome
     return outcome  # pragma: no cover - loop always returns or raises

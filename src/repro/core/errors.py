@@ -43,3 +43,6 @@ class NodeFailedError(DexError):
         super().__init__(f"node {node} failed: {diagnostic}")
         self.node = node
         self.diagnostic = diagnostic
+        #: the controller report of the cluster the run died on, set by
+        #: ``chaos.harness.run_under_chaos`` before it re-raises
+        self.chaos_report = None

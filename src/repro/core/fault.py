@@ -17,7 +17,7 @@ run are free, exactly like MMU hits on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from struct import pack_into, unpack_from
+from struct import Struct
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.core.errors import SegmentationFault
@@ -42,6 +42,43 @@ class InFlightFault:
     #: set synchronously when the grant arrives; from that point until
     #: ``done``, an invalidation for this page must wait
     installing: bool = False
+
+
+def _make_atomic_add(fmt: str):
+    """``FaultHandler.atomic_add_*`` for the 8-byte struct format *fmt*:
+    :meth:`FaultHandler.atomic_update` specialised for the dominant atomic
+    — same fault/sanitizer semantics, no struct/closure round trip."""
+    codec = Struct(fmt)
+    unpack_from, pack_into = codec.unpack_from, codec.pack_into
+
+    def atomic_add(
+        self, node: int, tid: int, addr: int, delta, site: str = ""
+    ) -> Generator:
+        """Atomically add *delta* to the little-endian 8-byte word at
+        *addr*; returns the old value."""
+        proc = self.proc
+        page = self._page_size
+        vpn = addr // page
+        if (addr + 7) // page != vpn:
+            raise ValueError(
+                f"atomic update crosses a page boundary: {addr:#x}+8"
+            )
+        state = proc.node_state(node)
+        # inlined permits() write fast path: an EXCLUSIVE PTE means go
+        pte = state.page_table.lookup(vpn)
+        if pte is None or pte.state is not PageState.EXCLUSIVE:
+            if not self.permits(node, vpn, True):
+                yield from self._fault(node, tid, vpn, True, site)
+        if proc.sanitizer is not None:
+            # one write-classified access covers the read-modify-write
+            proc.sanitizer.on_access(node, tid, vpn, True, site)
+        frame = state.frames.frame(vpn)
+        offset = addr - vpn * page
+        old = unpack_from(frame, offset)[0]
+        pack_into(frame, offset, old + delta)
+        return old
+
+    return atomic_add
 
 
 class FaultHandler:
@@ -71,7 +108,6 @@ class FaultHandler:
     ) -> Generator:
         """Make *vpn* accessible at *node*; the fast path falls straight
         through without yielding."""
-        proc = self.proc
         if self.permits(node, vpn, write):
             return
         yield from self._fault(node, tid, vpn, write, site)
@@ -278,55 +314,5 @@ class FaultHandler:
         frames.write(addr, new)
         return old
 
-    def atomic_add_i64(
-        self, node: int, tid: int, addr: int, delta: int, site: str = ""
-    ) -> Generator:
-        """Specialised :meth:`atomic_update` for the dominant atomic: add
-        to a little-endian signed 64-bit word.  Same fault/sanitizer
-        semantics, no struct/closure round trip; returns the old value."""
-        proc = self.proc
-        page = self._page_size
-        vpn = addr // page
-        if (addr + 7) // page != vpn:
-            raise ValueError(
-                f"atomic update crosses a page boundary: {addr:#x}+8"
-            )
-        state = proc.node_state(node)
-        # inlined permits() write fast path: an EXCLUSIVE PTE means go
-        pte = state.page_table.lookup(vpn)
-        if pte is None or pte.state is not PageState.EXCLUSIVE:
-            if not self.permits(node, vpn, True):
-                yield from self._fault(node, tid, vpn, True, site)
-        if proc.sanitizer is not None:
-            # one write-classified access covers the read-modify-write
-            proc.sanitizer.on_access(node, tid, vpn, True, site)
-        frame = state.frames.frame(vpn)
-        offset = addr - vpn * page
-        old = unpack_from("<q", frame, offset)[0]
-        pack_into("<q", frame, offset, old + delta)
-        return old
-
-    def atomic_add_f64(
-        self, node: int, tid: int, addr: int, delta: float, site: str = ""
-    ) -> Generator:
-        """IEEE-double twin of :meth:`atomic_add_i64` (the accumulator
-        adds of the Figure-2 apps); returns the old value."""
-        proc = self.proc
-        page = self._page_size
-        vpn = addr // page
-        if (addr + 7) // page != vpn:
-            raise ValueError(
-                f"atomic update crosses a page boundary: {addr:#x}+8"
-            )
-        state = proc.node_state(node)
-        pte = state.page_table.lookup(vpn)
-        if pte is None or pte.state is not PageState.EXCLUSIVE:
-            if not self.permits(node, vpn, True):
-                yield from self._fault(node, tid, vpn, True, site)
-        if proc.sanitizer is not None:
-            proc.sanitizer.on_access(node, tid, vpn, True, site)
-        frame = state.frames.frame(vpn)
-        offset = addr - vpn * page
-        old = unpack_from("<d", frame, offset)[0]
-        pack_into("<d", frame, offset, old + delta)
-        return old
+    atomic_add_i64 = _make_atomic_add("<q")
+    atomic_add_f64 = _make_atomic_add("<d")

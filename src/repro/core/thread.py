@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import struct
 from heapq import heappush as _heappush
-from struct import pack_into as _pack_into, unpack_from as _unpack_from
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.errors import DexError
+from repro.core.fault import FaultHandler
 from repro.memory.page_table import PageState
 from repro.sim import Process
 from repro.sim.engine import _UNSET, Immediate
@@ -105,6 +105,46 @@ class _ComputeAwait:
         else:
             cores._in_use -= 1
         raise StopIteration
+
+
+def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
+    """``ThreadContext.atomic_add_*`` for the 8-byte struct format *fmt*.
+    Eager fast path: with an EXCLUSIVE PTE and no sanitizer the update is
+    purely synchronous, so skip the generator machinery entirely and hand
+    back the result as an Immediate.  Mirrors *general*, the
+    :class:`FaultHandler` method that remains the general path."""
+    codec = struct.Struct(fmt)
+    unpack_from, pack_into = codec.unpack_from, codec.pack_into
+
+    def atomic_add(self, addr: int, delta, site: str = "") -> Generator:
+        """Atomically add *delta* to the little-endian 8-byte word at
+        *addr*; returns the old value."""
+        proc = self.proc
+        node = self.thread.current_node
+        page = self._page_size
+        vpn = addr // page
+        offset = addr - vpn * page
+        if proc.sanitizer is None and offset <= page - 8:
+            if node == self._state_node and proc.state_gen == self._state_gen:
+                state = self._state
+            else:
+                state = proc.node_state(node)
+                self._state_node = node
+                self._state_gen = proc.state_gen
+                self._state = state
+            pte = state.page_table._entries.get(vpn)
+            if pte is not None and pte.state is PageState.EXCLUSIVE:
+                frame = state.frames._frames.get(vpn)
+                if frame is None:
+                    frame = state.frames.frame(vpn)
+                old = unpack_from(frame, offset)[0]
+                pack_into(frame, offset, old + delta)
+                imm = self._imm
+                imm.value = old
+                return imm
+        return general(proc.faults, node, self.tid, addr, delta, site)
+
+    return atomic_add
 
 
 class ThreadContext:
@@ -350,64 +390,8 @@ class ThreadContext:
     def write_i64(self, addr: int, value: int, site: str = "") -> Generator:
         yield from self.write(addr, struct.pack("<q", value), site)
 
-    def atomic_add_i64(self, addr: int, delta: int, site: str = "") -> Generator:
-        """Atomically add *delta* to a 64-bit integer; returns the old value."""
-        # Eager fast path: with an EXCLUSIVE PTE and no sanitizer the
-        # update is purely synchronous, so skip the generator machinery
-        # entirely and hand back the result as an Immediate.  Mirrors
-        # FaultHandler.atomic_add_i64, which remains the general path.
-        proc = self.proc
-        node = self.thread.current_node
-        page = self._page_size
-        vpn = addr // page
-        offset = addr - vpn * page
-        if proc.sanitizer is None and offset <= page - 8:
-            if node == self._state_node and proc.state_gen == self._state_gen:
-                state = self._state
-            else:
-                state = proc.node_state(node)
-                self._state_node = node
-                self._state_gen = proc.state_gen
-                self._state = state
-            pte = state.page_table._entries.get(vpn)
-            if pte is not None and pte.state is PageState.EXCLUSIVE:
-                frame = state.frames._frames.get(vpn)
-                if frame is None:
-                    frame = state.frames.frame(vpn)
-                old = _unpack_from("<q", frame, offset)[0]
-                _pack_into("<q", frame, offset, old + delta)
-                imm = self._imm
-                imm.value = old
-                return imm
-        return proc.faults.atomic_add_i64(node, self.tid, addr, delta, site)
-
-    def atomic_add_f64(self, addr: int, delta: float, site: str = "") -> Generator:
-        """Atomically add *delta* to an IEEE double; returns the old value.
-        Same eager fast path as :meth:`atomic_add_i64`."""
-        proc = self.proc
-        node = self.thread.current_node
-        page = self._page_size
-        vpn = addr // page
-        offset = addr - vpn * page
-        if proc.sanitizer is None and offset <= page - 8:
-            if node == self._state_node and proc.state_gen == self._state_gen:
-                state = self._state
-            else:
-                state = proc.node_state(node)
-                self._state_node = node
-                self._state_gen = proc.state_gen
-                self._state = state
-            pte = state.page_table._entries.get(vpn)
-            if pte is not None and pte.state is PageState.EXCLUSIVE:
-                frame = state.frames._frames.get(vpn)
-                if frame is None:
-                    frame = state.frames.frame(vpn)
-                old = _unpack_from("<d", frame, offset)[0]
-                _pack_into("<d", frame, offset, old + delta)
-                imm = self._imm
-                imm.value = old
-                return imm
-        return proc.faults.atomic_add_f64(node, self.tid, addr, delta, site)
+    atomic_add_i64 = _make_atomic_add("<q", FaultHandler.atomic_add_i64)
+    atomic_add_f64 = _make_atomic_add("<d", FaultHandler.atomic_add_f64)
 
     def atomic_add_u32(self, addr: int, delta: int, site: str = "") -> Generator:
         old = yield from self.atomic_update(

@@ -21,7 +21,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import NodeFailedError
 from repro.net import rdma
-from repro.net import messages as _messages
 from repro.net.buffers import BufferPool, RdmaSink
 from repro.net.messages import Message, MsgType, recycle_message
 from repro.net.retry import backoff_delay, timeout_base_us
@@ -106,7 +105,7 @@ class Network:
         #: message-freelist recycling is only sound when no other component
         #: retains message objects: the reliable transport (chaos runs)
         #: retransmits requests and caches replies, so it closes the gate
-        self._recycle = _messages.FREELIST_DEFAULT and chaos is None
+        self._recycle = chaos is None
 
     def connection(self, src: int, dst: int) -> Connection:
         try:
@@ -205,8 +204,7 @@ class Network:
             reply_event = self.routers[msg.src].expect_reply(msg.msg_id)
             yield from self._send_impl(msg)
             reply = yield reply_event
-            if self._recycle:
-                recycle_message(msg)
+            recycle_message(msg)  # chaos is None here: the gate is open
             return reply
         with maybe_span(
             tracer, "net.request", node=msg.src,
@@ -215,14 +213,13 @@ class Network:
             reply_event = self.routers[msg.src].expect_reply(msg.msg_id)
             yield from self.send(msg)
             reply = yield reply_event
-        if self._recycle:
-            recycle_message(msg)
+        recycle_message(msg)
         return reply
 
     def recycle(self, msg: Message) -> None:
         """Recycle a reply the caller has fully consumed.  No-op whenever
-        recycling is unsound (fault injection on, or the freelist knob is
-        off), so protocol code can call it unconditionally."""
+        recycling is unsound (fault injection on), so protocol code can
+        call it unconditionally."""
         if self._recycle:
             recycle_message(msg)
 

@@ -10,8 +10,8 @@ Allocation discipline
 ---------------------
 :class:`Message` is a ``slots=True`` dataclass, and the hot protocol paths
 recycle message objects through a bounded freelist
-(:func:`obtain_message` / :func:`recycle_message`, default
-``FREELIST_DEFAULT``).  Obtaining from the freelist is always safe; the
+(:func:`obtain_message` / :func:`recycle_message`).  Obtaining from the
+freelist is always safe; the
 *recycling* side is only reachable from well-defined death points:
 
 * a request message dies when its correlated reply arrives at the
@@ -183,10 +183,6 @@ class Message:
 # ----------------------------------------------------------------------
 # bounded freelist
 # ----------------------------------------------------------------------
-
-#: process-wide default, snapshotted by each Network at construction; the
-#: determinism differential tests flip it to allocate every message fresh
-FREELIST_DEFAULT = True
 
 #: parked messages never exceed this (a rack sim has bounded in-flight
 #: traffic; anything beyond the cap is left to the garbage collector)

@@ -25,21 +25,17 @@ quantiles, critical-path phase totals, downsampled utilization series);
 ``diff`` compares two manifests — ranked per-metric deltas, dominant
 critical-path phase, hottest directory shard — and with ``--check``
 exits nonzero on a thresholded headline regression (the CI trend
-guard).
-
-``--app`` takes a Figure 2 short name (KMN, GRP, BT, EP, FT, BLK, BFS,
-BP), a long alias (``kmeans``, ``blackscholes``, ...), or ``pagefault`` —
-a built-in 2-node atomic-add ping-pong microbenchmark (§V-D) that needs
-no application workload.
+guard).  ``--app pagefault`` is a built-in 2-node atomic-add ping-pong
+microbenchmark (§V-D) that needs no application workload.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.apps.common import RunSpec, add_run_arguments
 from repro.obs.export import (
     check_all_traces,
     cross_node_traces,
@@ -50,90 +46,44 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.tracing import Span, load_spans
-
-#: long-form aliases for the Figure 2 short names
-_ALIASES: Dict[str, str] = {
-    "string_match": "GRP", "string-match": "GRP", "grep": "GRP",
-    "kmeans": "KMN",
-    "blackscholes": "BLK",
-    "bfs": "BFS",
-    "bp": "BP",
-    "bt": "BT", "ep": "EP", "ft": "FT",
-}
+from repro.params import SimParams
 
 
-def _resolve_app(name: str) -> str:
-    return _ALIASES.get(name.lower(), name.upper())
+def _spec(ns: argparse.Namespace) -> RunSpec:
+    """The run this invocation names, traced; ``top`` / ``manifest`` /
+    ``export --scope`` lay their lens and scope switches on top."""
+    def switch(name: str) -> Optional[str]:
+        return "1" if getattr(ns, name, False) else None
+
+    return RunSpec.from_args(ns, base=SimParams(
+        trace="1", lens=switch("lens"), scope=switch("scope"),
+        lens_window_us=getattr(ns, "window_us", SimParams.lens_window_us),
+    ))
 
 
-def _parse_value(text: str) -> Any:
-    """``--app-arg`` values: literal where possible, string otherwise."""
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
-
-
-def _overrides(pairs: Sequence[str]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--app-arg expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        out[key] = _parse_value(value)
-    return out
-
-
-def _sim_params(ns: argparse.Namespace):
-    """Traced SimParams for a CLI run; the ``top`` subcommand adds the
-    lens knobs on top."""
-    from repro.params import SimParams
-
-    kwargs: Dict[str, Any] = {"trace": "1", "directory": ns.directory}
-    if getattr(ns, "lens", False):
-        kwargs["lens"] = "1"
-        if hasattr(ns, "window_us"):
-            kwargs["lens_window_us"] = ns.window_us
-    if getattr(ns, "scope", False):
-        kwargs["scope"] = "1"
-    return SimParams(**kwargs)
-
-
-def _build_cluster(ns: argparse.Namespace):
-    """The cluster this invocation runs on and afterwards reads its
-    instruments from (``.tracer``/``.lens``/``.scope``): two nodes for the
-    §V-D micro, the app testbed otherwise."""
-    from repro.apps.common import TESTBED_NODES
-    from repro.core import DexCluster
-
-    micro = _resolve_app(ns.app) == "PAGEFAULT"
-    return DexCluster(
-        num_nodes=2 if micro else max(ns.nodes, TESTBED_NODES),
-        params=_sim_params(ns),
-    )
-
-
-def _run_on(cluster, ns: argparse.Namespace):
-    """Run the selected workload on *cluster*; returns (AppResult or None
-    for the micro, DexStats, label)."""
-    app = _resolve_app(ns.app)
-    if app == "PAGEFAULT":
+def _run_on(cluster, spec: RunSpec, ns: argparse.Namespace):
+    """Run *spec* on *cluster* (built by ``spec.cluster()``, so the caller
+    can read ``.tracer``/``.lens``/``.scope`` off it afterwards); returns
+    (AppResult or None for the micro, DexStats, label)."""
+    if spec.micro:
         from repro.bench.experiments import pagefault_micro
 
         pagefault_micro(ns.duration_us, cluster.params, cluster=cluster)
         (proc,) = cluster.processes.values()
         return None, proc.stats, f"pagefault micro ({ns.duration_us:.0f}us)"
-    from repro.bench.runner import run_point
-
-    result = run_point(
-        app, ns.variant, ns.nodes, ns.scale,
-        params=cluster.params, cluster=cluster, **_overrides(ns.app_arg),
-    )
+    result = spec.run(cluster=cluster)
     label = (
-        f"{app} {ns.variant} nodes={ns.nodes} scale={ns.scale}"
+        f"{spec.app} {spec.variant} nodes={spec.nodes} scale={spec.scale}"
         f" elapsed={result.elapsed_us:.0f}us correct={result.correct}"
     )
     return result, result.stats, label
+
+
+def _run(ns: argparse.Namespace):
+    """(cluster, AppResult-or-None, stats, label) of a fresh run."""
+    spec = _spec(ns)
+    cluster = spec.cluster()
+    return (cluster, *_run_on(cluster, spec, ns))
 
 
 def _load_or_run(ns: argparse.Namespace):
@@ -142,8 +92,7 @@ def _load_or_run(ns: argparse.Namespace):
     if ns.input:
         spans, meta = load_spans(ns.input)
         return spans, int(meta.get("dropped", 0)), None, ns.input, None
-    cluster = _build_cluster(ns)
-    _, stats, label = _run_on(cluster, ns)
+    cluster, _, stats, label = _run(ns)
     tracer = cluster.tracer
     return tracer.spans, tracer.dropped, stats, label, cluster
 
@@ -200,8 +149,7 @@ def _summary(spans: Sequence[Span], dropped: int, label: str) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    cluster = _build_cluster(ns)
-    _, _, label = _run_on(cluster, ns)
+    cluster, _, _, label = _run(ns)
     tracer = cluster.tracer
     out = ns.out or "dex-spans.json"
     tracer.save_json(out)
@@ -251,11 +199,7 @@ def cmd_manifest(ns: argparse.Namespace) -> int:
     versioned ``dex-run-v1`` manifest that ``diff`` compares."""
     from repro.obs.manifest import build_manifest, write_manifest
 
-    if _resolve_app(ns.app) == "PAGEFAULT":
-        raise SystemExit("manifest captures application runs; pick a "
-                         "Figure 2 app (KMN, GRP, ...)")
-    cluster = _build_cluster(ns)
-    result, _, _ = _run_on(cluster, ns)
+    cluster, result, _, _ = _run(ns)
     doc = build_manifest(
         result, cluster, scope=cluster.scope, lens=cluster.lens,
         label=ns.label,
@@ -292,14 +236,15 @@ def cmd_top(ns: argparse.Namespace) -> int:
     final end-of-run summary frame."""
     from repro.obs.lens import TopView
 
-    cluster = _build_cluster(ns)
+    spec = _spec(ns)
+    cluster = spec.cluster()
     lens, tracer = cluster.lens, cluster.tracer
     view = TopView(
         lens.feed, interval_us=ns.interval_us, limit=ns.limit,
         stream=sys.stdout,
     )
     tracer.add_sink(view)
-    _, _, label = _run_on(cluster, ns)
+    _, _, label = _run_on(cluster, spec, ns)
     print()
     print(_summary(tracer.spans, tracer.dropped, label))
     view.render()  # final frame at end-of-run state
@@ -309,20 +254,14 @@ def cmd_top(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--app", default="kmeans",
-                   help="app short name, alias, or 'pagefault' (default kmeans)")
-    p.add_argument("--variant", default="initial",
-                   choices=("unmodified", "initial", "optimized"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--scale", default="small", choices=("small", "paper"))
-    p.add_argument("--directory", default="origin",
-                   choices=("origin", "sharded"),
-                   help="coherence-directory backend")
+def _add_workload_args(p: argparse.ArgumentParser,
+                       micro: Optional[str] = "pagefault") -> None:
+    add_run_arguments(
+        p, "--app", "--variant", "--nodes", "--scale", "--directory",
+        "--app-arg", micro=micro, app="kmeans", nodes=4, directory="origin",
+    )
     p.add_argument("--duration-us", type=float, default=20_000.0,
                    help="pagefault micro duration (ignored for apps)")
-    p.add_argument("--app-arg", action="append", default=[],
-                   metavar="KEY=VALUE", help="workload override (repeatable)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -356,7 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_manifest = sub.add_parser(
         "manifest", help="run with DexScope+DexLens, write dex-run.json"
     )
-    _add_workload_args(p_manifest)
+    # a manifest captures an application run: no micro here
+    _add_workload_args(p_manifest, micro=None)
     p_manifest.add_argument("--out", help="manifest path (default dex-run.json)")
     p_manifest.add_argument("--label", default="",
                             help="label recorded in the manifest")

@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from repro.apps.common import add_run_arguments
 from repro.serve.arrivals import parse_curve
 from repro.serve.manager import ServeManager
 from repro.serve.policy import POLICY_NAMES
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tenants", default=DEFAULT_TENANTS,
                         help="comma list of kind:curve[:name] "
                              f"(default {DEFAULT_TENANTS})")
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=42)
+    add_run_arguments(parser, "--nodes", "--seed", "--directory",
+                      nodes=8, seed=42)
     parser.add_argument("--requests", type=int, default=400,
                         help="arrivals per tenant")
     parser.add_argument("--rate", type=float, default=8000.0,
@@ -182,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--burst-at-us", type=float, default=50_000.0)
     parser.add_argument("--burst-for-us", type=float, default=20_000.0)
     parser.add_argument("--burst-x", type=float, default=8.0)
-    parser.add_argument("--directory", choices=("origin", "sharded"),
-                        default=None)
     parser.add_argument("--chaos", default="",
                         help='"fail-stop" or a scenario JSON path')
     parser.add_argument("--crash-node", type=int, default=None,

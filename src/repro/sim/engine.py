@@ -40,12 +40,6 @@ _UNSET = object()
 _INF = float("inf")
 
 
-#: module defaults for ``Engine(fastlane=None, inline=None)``; the
-#: determinism differential tests flip them to select the reference lanes
-FASTLANE_DEFAULT = True
-INLINE_DEFAULT = True
-
-
 class SimulationError(Exception):
     """Raised for illegal engine usage (double trigger, bad yield, ...)."""
 
@@ -220,14 +214,10 @@ class Timeout(Event):
         # model code and must defer callbacks to the queue, _fire only ever
         # runs as a dispatched queue entry (top of stack), so its callbacks
         # can run synchronously at this very dispatch position — saving a
-        # scheduling round trip per elapsed timeout.  Knob-gated with the
-        # other resume-collapsing optimisation and covered by the same
-        # determinism differential tests.
+        # scheduling round trip per elapsed timeout.  The reference engine
+        # (tests/oracles/engine.py) goes through succeed() instead; the
+        # determinism differential tests compare the two.
         self._entry = None
-        engine = self.engine
-        if not engine._inline:
-            self.succeed(value)
-            return
         if self._done:
             raise SimulationError(f"event {self!r} already triggered")
         self._done = True
@@ -292,10 +282,9 @@ class Process(Event):
         engine = self.engine
         generator = self.generator
         prev = engine.current_process
-        inline = engine._inline
         # The loop continues stepping inline when the yielded waitable has
-        # already triggered (knob-gated; see Engine._inline), avoiding a
-        # full scheduling round trip per already-done yield.
+        # already triggered, avoiding a full scheduling round trip per
+        # already-done yield (the reference engine always reschedules).
         while True:
             engine.current_process = self
             try:
@@ -328,7 +317,7 @@ class Process(Event):
             if hooks:
                 for waiting in hooks:
                     waiting(self, target)
-            if inline and target._done and not self._interrupts:
+            if target._done and not self._interrupts:
                 self._waiting_on = None
                 if target._exc is not None:
                     value, exc = _UNSET, target._exc
@@ -337,7 +326,7 @@ class Process(Event):
                 continue
             # inlined target.add_callback(self._resume_cb): this is the
             # single hottest callback registration in the simulator
-            if target._done:
+            if target._done:  # only with an interrupt pending
                 engine._schedule_now(self._resume_cb, target)
             else:
                 target._callbacks.append(self._resume_cb)
@@ -411,10 +400,8 @@ class Engine:
         eng.run()
         assert eng.now == 5.0 and proc.value == "done"
 
-    ``fastlane`` and ``inline`` select the same-time FIFO fast lane and
-    the inline-resume optimisation; both default on (``FASTLANE_DEFAULT``
-    / ``INLINE_DEFAULT``) and both are verified order-preserving by the
-    determinism differential tests.
+    ``tests/oracles/engine.py`` subclasses this into the one-heap,
+    nothing-inlined reference the determinism differential tests use.
     """
 
     __slots__ = (
@@ -437,17 +424,10 @@ class Engine:
         "_next_sample",
         "current_process",
         "tracer",
-        "_fastlane_on",
-        "_inline",
         "events_dispatched",
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        fastlane: Optional[bool] = None,
-        inline: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self._queue: List[list] = []
         self._fastlane: deque = deque()
@@ -484,8 +464,6 @@ class Engine:
         #: the repro.obs Tracer attached to this engine, or None (tracing
         #: off); instrumented code guards on this single attribute
         self.tracer: Optional[Any] = None
-        self._fastlane_on = FASTLANE_DEFAULT if fastlane is None else fastlane
-        self._inline = INLINE_DEFAULT if inline is None else inline
         #: total dispatches across all run() calls (perf accounting)
         self.events_dispatched = 0
 
@@ -568,11 +546,8 @@ class Engine:
         return entry
 
     def _schedule_now(self, fn: Callable, *args: Any) -> None:
-        if self._fastlane_on:
-            self._seq += 1
-            self._fastlane.append([self.now, self._seq, fn, args])
-        else:
-            self._schedule_at(self.now, fn, *args)
+        self._seq += 1
+        self._fastlane.append([self.now, self._seq, fn, args])
 
     def _schedule_callbacks(self, event: Event) -> None:
         callbacks = event._callbacks
@@ -581,20 +556,15 @@ class Engine:
             # the single-callback case (one waiter) dispatches the callback
             # directly at the identical queue position, skipping the
             # _run_callbacks trampoline; the append is _schedule_now inlined
-            if self._fastlane_on:
-                self._seq += 1
-                if len(callbacks) == 1:
-                    self._fastlane.append(
-                        [self.now, self._seq, callbacks[0], (event,)]
-                    )
-                else:
-                    self._fastlane.append(
-                        [self.now, self._seq, self._run_callbacks, (event, callbacks)]
-                    )
-            elif len(callbacks) == 1:
-                self._schedule_at(self.now, callbacks[0], event)
+            self._seq += 1
+            if len(callbacks) == 1:
+                self._fastlane.append(
+                    [self.now, self._seq, callbacks[0], (event,)]
+                )
             else:
-                self._schedule_at(self.now, self._run_callbacks, event, callbacks)
+                self._fastlane.append(
+                    [self.now, self._seq, self._run_callbacks, (event, callbacks)]
+                )
 
     @staticmethod
     def _run_callbacks(event: Event, callbacks: List[Callable]) -> None:

@@ -234,15 +234,6 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def held(self):
-        """Generator context: ``yield from resource.held()`` is not possible
-        in Python; instead use ``yield resource.acquire()`` / ``release()``.
-        Provided for documentation symmetry only."""
-        raise NotImplementedError(
-            "acquire()/release() explicitly; generators cannot use with-blocks "
-            "across yields"
-        )
-
 
 class Store:
     """Unbounded FIFO of items with blocking ``get``.

@@ -16,12 +16,13 @@ Entry point: ``python -m repro.vet`` — see :mod:`repro.vet.cli`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.vet.callgraph import CallGraph
 from repro.vet.effects import infer_effects
-from repro.vet.loader import load_paths, package_root, repo_root
+from repro.vet.loader import iter_python_files, load_paths, package_root, repo_root
 from repro.vet.msggraph import MessageGraph, ModuleScan
 from repro.vet.rules import REGISTRY, VetContext, Violation, run_rules
 from repro.vet import legacy as _legacy  # registers the seven ported rules
@@ -47,7 +48,19 @@ ALL_RULES = tuple(REGISTRY)
 def build_context(
     paths: Sequence[Path], repo_mode: bool = False
 ) -> VetContext:
-    """Parse *paths* once and run every shared analysis pass."""
+    """Parse *paths* once and run every shared analysis pass.  Rules only
+    read the context, so one is shared by every caller in the process
+    that scans the same files in the same state (path, mtime, size)."""
+    paths = tuple(Path(p) for p in paths)
+    stats = [(path, path.stat()) for path in iter_python_files(paths)]
+    stamp = tuple((str(p), st.st_mtime_ns, st.st_size) for p, st in stats)
+    return _build_context(paths, stamp, repo_mode)
+
+
+@lru_cache(maxsize=32)
+def _build_context(
+    paths: Tuple[Path, ...], stamp: Tuple[tuple, ...], repo_mode: bool
+) -> VetContext:
     modules, failures = load_paths(paths)
     scans = [ModuleScan(m) for m in modules]
     callgraph = CallGraph(modules)

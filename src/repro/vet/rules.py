@@ -40,7 +40,7 @@ from repro.vet.loader import ModuleInfo, ParseFailure
 from repro.vet.msggraph import MessageGraph, ModuleScan
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     rule: str
     path: str
@@ -52,11 +52,12 @@ class Violation:
 
 
 class VetContext:
-    """Everything the rules share: one parse, one graph, one effect table."""
+    """Everything the rules share: one parse, one graph, one effect table.
+    Read-only once built, so a rule's findings are kept with it."""
 
     __slots__ = (
         "modules", "failures", "scans", "callgraph", "effects",
-        "graph", "repo_mode",
+        "graph", "repo_mode", "findings",
     )
 
     def __init__(
@@ -76,6 +77,8 @@ class VetContext:
         self.effects = effects
         self.graph = graph
         self.repo_mode = repo_mode
+        #: rule name -> its violations, filled by :func:`run_rules`
+        self.findings: Dict[str, List[Violation]] = {}
 
 
 RuleFn = Callable[[VetContext], List[Violation]]
@@ -102,11 +105,11 @@ def run_rules(
         for f in ctx.failures
     ]
     for name in selected:
-        try:
-            fn = REGISTRY[name]
-        except KeyError:
-            raise ValueError(f"unknown rule: {name!r}") from None
-        violations.extend(fn(ctx))
+        if name not in ctx.findings:
+            if name not in REGISTRY:
+                raise ValueError(f"unknown rule: {name!r}")
+            ctx.findings[name] = REGISTRY[name](ctx)
+        violations.extend(ctx.findings[name])
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return violations
 

@@ -60,6 +60,24 @@ def check_protocol_invariants(monkeypatch):
 
 
 @pytest.fixture
+def built(monkeypatch):
+    """The clusters the launch plane built during the test, in order: it
+    constructs whatever ``repro.apps.common.DexCluster`` names, the seam
+    DexBench's traced run swaps a recording subclass into."""
+    import repro.apps.common as launch_plane
+
+    clusters = []
+
+    class RecordingCluster(DexCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    monkeypatch.setattr(launch_plane, "DexCluster", RecordingCluster)
+    return clusters
+
+
+@pytest.fixture
 def cluster():
     return make_cluster()
 

@@ -23,10 +23,13 @@ def test_crash_mid_run_fails_loud_within_lease_timeout():
     NodeFailedError (not a hang), and the origin detects the silence within
     one lease timeout plus a check period."""
     scenario = _crash_scenario(node=1, msg_type="delegate", nth=2)
+    # the caller that wants the controller afterwards owns the cluster
+    cluster = DexCluster(num_nodes=2, params=SimParams(
+        chaos_scenario=scenario, sanitize="1"))
     with pytest.raises(NodeFailedError) as exc_info:
-        run_pagefault_micro(scenario)
+        run_pagefault_micro(cluster=cluster)
     assert "node 1" in str(exc_info.value)
-    controller = scenario.last_controller
+    controller = cluster.chaos
     report = controller.report()
     assert report["crashed"] == [1] and report["failed"] == [1]
     assert report["lease_expiries"] >= 1
@@ -76,7 +79,7 @@ def test_exclusive_loss_rollback_restores_flushed_copy():
     assert second == 41
     assert proc.failed is None
     assert thread.failed is not None  # the thread itself is dead, loudly
-    report = scenario.last_controller.report()
+    report = cluster.chaos.report()
     assert report["failed"] == [1]
     assert any("rolled back" in e or "recovered" in e
                for e in report["events"]), report["events"]
@@ -132,7 +135,7 @@ def test_shared_copy_reclaimed_transparently():
 
     assert cluster.simulate(main, proc) == 7
     assert proc.failed is None
-    report = scenario.last_controller.report()
+    report = cluster.chaos.report()
     assert report["failed"] == [1]
     assert any("shared cop" in e for e in report["events"]), report["events"]
 

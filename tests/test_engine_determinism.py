@@ -1,19 +1,20 @@
 """Differential determinism: the DexSpeed fast paths are optimisations,
 not semantics.  Every Figure-2 app must produce a bit-identical run —
-same simulated time, same fault statistics — with each fast path
-disabled: the same-time FIFO fast lane, the inline-resume collapse, and
-the message freelist.  Both coherence-directory backends are covered.
+same simulated time, same fault statistics — on the reference engine of
+``tests/oracles/engine.py``, which has none of them: no same-time FIFO
+fast lane, no inline resume, no synchronous timeout callbacks, no message
+reuse.  Both coherence-directory backends are covered.
 
 The workloads are scaled far below the bench presets: the goal is to
-drive every protocol path through both engine configurations, not to
-measure anything.
+drive every protocol path through both engines, not to measure anything.
 """
 
 import pytest
 
+from oracles import engine as oracle
+from repro import DexCluster
 from repro.bench.runner import run_point
 from repro.net import messages
-from repro.sim import engine
 
 #: tiny per-app workloads (the differential needs coverage, not load)
 APP_OVERRIDES = {
@@ -49,40 +50,53 @@ def run_digest(app, backend):
 @pytest.mark.parametrize("backend", ["origin", "sharded"])
 @pytest.mark.parametrize("app", sorted(APP_OVERRIDES))
 def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
-    reference = run_digest(app, backend)
-
-    # fast lane and inline resume off (the pre-refactor dispatch shape)
-    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", False)
-    monkeypatch.setattr(engine, "INLINE_DEFAULT", False)
-    assert run_digest(app, backend) == reference, \
-        f"{app}/{backend}: engine fast paths changed behaviour"
-    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", True)
-    monkeypatch.setattr(engine, "INLINE_DEFAULT", True)
-
-    # message freelist off (every message freshly allocated)
-    monkeypatch.setattr(messages, "FREELIST_DEFAULT", False)
-    assert run_digest(app, backend) == reference, \
-        f"{app}/{backend}: message freelist changed behaviour"
+    production = run_digest(app, backend)
+    oracle.install(monkeypatch)
+    assert run_digest(app, backend) == production, \
+        f"{app}/{backend}: the engine fast paths or the message freelist " \
+        "changed behaviour"
 
 
-def test_lane_defaults_reach_engine(monkeypatch):
-    """The differential above only means something if flipping the module
-    defaults really selects the reference lanes."""
-    eng = engine.Engine()
-    assert eng._fastlane_on and eng._inline
-    monkeypatch.setattr(engine, "FASTLANE_DEFAULT", False)
-    monkeypatch.setattr(engine, "INLINE_DEFAULT", False)
-    eng = engine.Engine()
-    assert not eng._fastlane_on and not eng._inline
+def _ping(cluster):
+    def main(ctx):
+        yield from ctx.migrate(1)
+        yield from ctx.write_i64(0x1000_0000, 1)
+        yield from ctx.migrate_back()
+
+    cluster.simulate(main)
+    return cluster.engine
 
 
-def test_freelist_knob_reaches_network(monkeypatch):
-    """The Network snapshots the freelist default at construction."""
-    from repro import DexCluster
+def test_oracle_reaches_the_engine(monkeypatch):
+    """The differential above only means something if installing the oracle
+    really selects the reference lanes: a cluster built afterwards runs on
+    the one heap, with non-inlining timeouts and processes."""
+    fast = _ping(DexCluster(num_nodes=2))
+    assert type(fast) is oracle.Engine
+    oracle.install(monkeypatch)
+    eng = DexCluster(num_nodes=2).engine
+    assert isinstance(eng, oracle.ReferenceEngine)
+    assert isinstance(eng.timeout(1.0), oracle.ReferenceTimeout)
+    assert isinstance(eng.process(iter(())), oracle.ReferenceProcess)
+    slow = _ping(DexCluster(num_nodes=2))
+    assert slow.now == fast.now
+    # every inline resume / synchronous timeout callback of the fast run is
+    # a dispatched entry here
+    assert slow.events_dispatched > fast.events_dispatched
 
+
+def test_oracle_never_reuses_a_message(monkeypatch):
+    """The network recycles exactly when nothing else can hold a message
+    (no fault injection); under the oracle nothing is ever parked."""
     assert DexCluster(num_nodes=2).net._recycle is True
-    monkeypatch.setattr(messages, "FREELIST_DEFAULT", False)
-    assert DexCluster(num_nodes=2).net._recycle is False
+    assert DexCluster(num_nodes=2, chaos=True).net._recycle is False
+    messages._freelist.clear()
+    _ping(DexCluster(num_nodes=2))
+    assert messages.freelist_size() > 0
+    messages._freelist.clear()
+    oracle.install(monkeypatch)
+    _ping(DexCluster(num_nodes=2))
+    assert messages.freelist_size() == 0
 
 
 def test_recycled_messages_get_fresh_ids():

@@ -1,17 +1,19 @@
 """Edge cases of the DexSpeed engine internals: the same-time FIFO fast
 lane, tagged-entry timeout cancellation with heap compaction, the
 ``run(until)`` boundary (including the fast-lane spill), and the inline
-resume — each exercised under both knob settings where the knob changes
-the code path."""
+resume — each exercised on the production engine and on the reference
+engine of ``tests/oracles/engine.py`` where the two take different code
+paths."""
 
 import pytest
 
+from oracles.engine import HeapOnlyEngine, ReferenceEngine
 from repro.sim import Engine
 from repro.sim.engine import SimulationError
 
-KNOBS = [
-    pytest.param(dict(fastlane=True, inline=True), id="fast"),
-    pytest.param(dict(fastlane=False, inline=False), id="plain"),
+ENGINES = [
+    pytest.param(Engine, id="fast"),
+    pytest.param(ReferenceEngine, id="plain"),
 ]
 
 
@@ -20,10 +22,10 @@ KNOBS = [
 # ---------------------------------------------------------------------------
 
 
-def _same_time_order(**knobs):
+def _same_time_order(engine_cls):
     """Interleave heap entries (timeouts) and fast-lane entries (callbacks
     of already-done events) at one instant; return the dispatch order."""
-    eng = Engine(**knobs)
+    eng = engine_cls()
     order = []
 
     def waiter(tag, delay):
@@ -47,18 +49,19 @@ def _same_time_order(**knobs):
 
 
 def test_fastlane_and_heap_merge_in_seq_order():
-    fast = _same_time_order(fastlane=True, inline=False)
-    plain = _same_time_order(fastlane=False, inline=False)
+    # same inlining on both sides: only the lane an entry waits in differs
+    fast = _same_time_order(Engine)
+    plain = _same_time_order(HeapOnlyEngine)
     assert fast == plain
     assert sorted(fast) == ["p0", "p1", "t0", "t1", "t2"]
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_fastlane_does_not_jump_future_heap_entries(knobs):
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_fastlane_does_not_jump_future_heap_entries(engine_cls):
     """A same-time callback enqueued *during* dispatch at time t must run
     before any strictly later heap entry, but after earlier same-time
     entries already queued."""
-    eng = Engine(**knobs)
+    eng = engine_cls()
     order = []
 
     def trigger():
@@ -84,9 +87,9 @@ def test_fastlane_does_not_jump_future_heap_entries(knobs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_cancelled_timeouts_do_not_advance_clock(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_cancelled_timeouts_do_not_advance_clock(engine_cls):
+    eng = engine_cls()
 
     def body():
         keep = eng.timeout(10.0)
@@ -99,12 +102,12 @@ def test_cancelled_timeouts_do_not_advance_clock(knobs):
     assert eng.now == 10.0  # the cancelled 500.0 entry never fired
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_mass_cancellation_triggers_compaction(knobs):
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_mass_cancellation_triggers_compaction(engine_cls):
     """Cancelling most of the queue must shrink it in place (the tagged
     entries are physically dropped once they dominate) and leave the
     survivors' order intact."""
-    eng = Engine(**knobs)
+    eng = engine_cls()
     fired = []
 
     def arm():
@@ -124,9 +127,9 @@ def test_mass_cancellation_triggers_compaction(knobs):
     assert len(eng._queue) == 0
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_cancel_after_fire_is_a_noop(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_cancel_after_fire_is_a_noop(engine_cls):
+    eng = engine_cls()
 
     def body():
         t = eng.timeout(1.0)
@@ -140,11 +143,11 @@ def test_cancel_after_fire_is_a_noop(knobs):
     assert eng.now == 2.0
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_cancelled_then_rearmed_private_timeout(knobs):
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_cancelled_then_rearmed_private_timeout(engine_cls):
     """rearm() after a fire must schedule afresh even when an unrelated
     cancellation storm compacted the heap in between."""
-    eng = Engine(**knobs)
+    eng = engine_cls()
     times = []
 
     def body():
@@ -167,9 +170,9 @@ def test_cancelled_then_rearmed_private_timeout(knobs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_until_is_inclusive(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_until_is_inclusive(engine_cls):
+    eng = engine_cls()
     fired = []
 
     def body():
@@ -186,9 +189,9 @@ def test_until_is_inclusive(knobs):
     assert fired == [30.0, 30.5]
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_until_with_empty_queue_advances_clock(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_until_with_empty_queue_advances_clock(engine_cls):
+    eng = engine_cls()
     eng.run(until=42.0)
     assert eng.now == 42.0
 
@@ -197,7 +200,7 @@ def test_until_spills_pending_fastlane_to_heap():
     """A second run() with an earlier `until` parks the pending fast-lane
     entries back on the heap (their sortedness invariant must survive the
     clock moving below them) and still dispatches them correctly later."""
-    eng = Engine(fastlane=True, inline=True)
+    eng = Engine()
     order = []
 
     def sleeper():
@@ -227,9 +230,9 @@ def test_until_spills_pending_fastlane_to_heap():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_max_events_guard_in_both_modes(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_max_events_guard_in_both_modes(engine_cls):
+    eng = engine_cls()
 
     def spinner():
         while True:
@@ -240,9 +243,9 @@ def test_max_events_guard_in_both_modes(knobs):
         eng.run(max_events=500)
 
 
-@pytest.mark.parametrize("knobs", KNOBS)
-def test_events_dispatched_accumulates(knobs):
-    eng = Engine(**knobs)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_events_dispatched_accumulates(engine_cls):
+    eng = engine_cls()
 
     def body():
         for _ in range(5):

@@ -1,7 +1,8 @@
 """``python -m repro.obs`` owns the cluster it inspects: every subcommand
-builds its ``DexCluster``, hands it to the workload, and reads the tracer /
-lens / scope off that object — no module-global registry recovers them, so
-nothing outlives the cluster either."""
+builds its ``DexCluster`` (``RunSpec.cluster()``, recorded by conftest's
+``built``), hands it to the workload, and reads the tracer / lens / scope
+off that object — no module-global registry recovers them, so nothing
+outlives the cluster either."""
 
 import gc
 import json
@@ -19,20 +20,6 @@ KMN = ["--app", "KMN", "--nodes", "2",
 PAGEFAULT = ["--app", "pagefault", "--duration-us", "1500"]
 POINTS = pytest.mark.parametrize(
     "point", [KMN, PAGEFAULT], ids=["kmn2", "pagefault"])
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """The clusters the CLI built, in order."""
-    clusters = []
-    build = cli._build_cluster
-
-    def recording_build(ns):
-        clusters.append(build(ns))
-        return clusters[-1]
-
-    monkeypatch.setattr(cli, "_build_cluster", recording_build)
-    return clusters
 
 
 def _spans_line(cluster):
@@ -104,8 +91,12 @@ def test_manifest_twice_in_one_process_is_byte_identical(
 
 
 def test_manifest_rejects_the_micro(capsys):
-    with pytest.raises(SystemExit, match="application runs"):
+    """A manifest captures an application run: its ``--app`` does not take
+    the pseudo-app, and says so as a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["manifest", *PAGEFAULT])
+    assert exit_info.value.code == 2
+    assert "argument --app: unknown app 'pagefault'" in capsys.readouterr().err
 
 
 def test_dropped_instrumented_clusters_are_collectable(monkeypatch):

@@ -393,6 +393,7 @@ def test_failstop_crash_dumps_snapshot_under_kmeans(tmp_path):
         run_under_chaos(
             "KMN", "initial", 4, "small",
             scenario=scenario, max_restarts=0, params=params,
+            n_points=20_000, max_iters=1,
         )
     assert dump.exists()
     spans, meta = load_snapshot(str(dump))

@@ -141,7 +141,9 @@ def test_blk_price_query_matches_batch_pricing():
 def test_adapters_do_not_disturb_batch_entrypoints():
     # the batch mains the adapters were factored from still exist and
     # stay importable — serving is a layer, not a rewrite
-    from repro.apps import blackscholes, kmeans, string_match
+    from repro.apps import blackscholes, common, kmeans, string_match
 
     for mod in (kmeans, string_match, blackscholes):
-        assert callable(mod.run) and callable(mod.run_workers)
+        # the worker harness now sits behind the shared epilogue
+        assert callable(mod.run) and mod.finish is common.finish
+    assert callable(common.run_workers)
