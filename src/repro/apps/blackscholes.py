@@ -71,7 +71,12 @@ def _price(batch: workloads.OptionBatch, lo: int, hi: int) -> np.ndarray:
 @workloads.memoised
 def reference(n_options: int, seed: int = 13) -> np.ndarray:
     batch = workloads.option_batch(n_options, seed)
-    return _price(batch, 0, n_options)
+    # a chunk at a time: _price_arrays holds a dozen batch-sized temporaries
+    prices = np.empty(n_options)
+    for lo in range(0, n_options, CHUNK):
+        hi = min(lo + CHUNK, n_options)
+        prices[lo:hi] = _price(batch, lo, hi)
+    return prices
 
 
 def run(

@@ -53,8 +53,13 @@ def reference(
     centers = points[:k].copy()
     assign = np.full(len(points), -1)
     for iteration in range(max_iters):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        # nearest centre a chunk at a time: the (points, k, DIM) broadcast
+        # of the whole input is ~50x the input
+        new_assign = np.empty(len(points), dtype=np.intp)
+        for lo in range(0, len(points), CHUNK_POINTS):
+            block = points[lo : lo + CHUNK_POINTS]
+            d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assign[lo : lo + len(block)] = d2.argmin(axis=1)
         changed = bool((new_assign != assign).any())
         assign = new_assign
         for c in range(k):

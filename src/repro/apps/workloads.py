@@ -27,6 +27,11 @@ DEFAULT_KEYS = (b"popcorn", b"kernel", b"migrate", b"infiniband")
 #: most (function, spec) results kept per process, least recently used
 #: dropped first: one Figure 2 sweep or DexBench workload needs <= 10
 MEMO_BOUND = 16
+#: generators draw and fold their randomness a block at a time, so scratch
+#: is O(block) rather than a multiple of the output: a process's heap high-
+#: water mark is set by its largest transient, and it keeps it for life
+TEXT_BLOCK_BYTES = 64 * 1024
+RMAT_BLOCK_EDGES = 32_768
 _memo: "OrderedDict[tuple, Any]" = OrderedDict()
 
 
@@ -83,8 +88,11 @@ def text_corpus(
     which is what makes GRP's global occurrence counter contended."""
     rng = np.random.default_rng(seed)
     text = rng.integers(ord("a"), ord("z") + 1, size=size_bytes, dtype=np.uint8)
-    # sprinkle spaces for realism
-    text[rng.random(size_bytes) < 0.15] = ord(" ")
+    # sprinkle spaces for realism (Generator.random fills in order, so a
+    # blocked draw is the whole draw; the uint8 integers above is not)
+    for lo in range(0, size_bytes, TEXT_BLOCK_BYTES):
+        block = text[lo : lo + TEXT_BLOCK_BYTES]
+        block[rng.random(len(block)) < 0.15] = ord(" ")
     buffer = bytearray(text.tobytes())
     n_plants = max(size_bytes // plant_every, len(keys))
     positions = rng.integers(0, max(size_bytes - 16, 1), size=n_plants)
@@ -184,18 +192,20 @@ def rmat_graph(
         n_vertices = 1 << (n_vertices - 1).bit_length()
     levels = n_vertices.bit_length() - 1
     rng = np.random.default_rng(seed)
-    # one quadrant decision per (edge, level): the number of thresholds a
-    # draw clears is its quadrant, 0..3 = a, b, c, d
-    probs = rng.random((n_edges, levels))
-    quadrant = ((probs >= a).view(np.uint8) + (probs >= a + b)
-                + (probs >= a + b + c))
-    del probs  # as large as the gather below: do not hold both
     # b and d set the level's dst bit, c and d its src bit; an edge is the
     # one key src << levels | dst, so a quadrant contributes
     # (src_bit << levels | dst_bit) * level_weight and the key is one dot
     bits = np.array([0, 1, 1 << levels, 1 << levels | 1], dtype=np.int64)
     weights = 1 << np.arange(levels - 1, -1, -1, dtype=np.int64)
-    edge = bits[quadrant] @ weights
+    edge = np.empty(n_edges, dtype=np.int64)
+    for lo in range(0, n_edges, RMAT_BLOCK_EDGES):
+        # one quadrant decision per (edge, level): the number of thresholds
+        # a draw clears is its quadrant, 0..3 = a, b, c, d (row blocks of
+        # Generator.random are the rows of the whole draw)
+        probs = rng.random((min(RMAT_BLOCK_EDGES, n_edges - lo), levels))
+        quadrant = ((probs >= a).view(np.uint8) + (probs >= a + b)
+                    + (probs >= a + b + c))
+        edge[lo : lo + len(probs)] = bits[quadrant] @ weights
     # symmetrize (Polymer's inputs are undirected), sort by (src, dst), dedupe
     low = (1 << levels) - 1
     keys = np.concatenate([edge, (edge & low) << levels | edge >> levels])

@@ -18,7 +18,7 @@ records the stall so benchmarks can report pool pressure.
 
 from __future__ import annotations
 
-from repro.sim import Engine, Resource
+from repro.sim import Engine, Event, Resource
 
 
 class BufferPool:
@@ -40,26 +40,37 @@ class BufferPool:
     def in_use(self) -> int:
         return self._slots.in_use
 
-    def acquire(self):
-        """Generator: obtain one chunk, stalling under exhaustion."""
+    def take(self) -> Event:
+        """One chunk's grant event, already triggered when a chunk was
+        free.  An exhausted pool counts the stall and tells the engine's
+        pool-stall hooks — buffer-pool exhaustion is a blocking site like
+        any other, and a stuck simulation's post-mortem must name exhausted
+        pools — and whoever waits on the grant calls :meth:`resumed` once
+        it fires.  (The engine pre-binds each hook's ``on_pool_*`` methods
+        at ``add_hook`` time, so the hookless case iterates an empty list.)"""
         self.acquisitions += 1
         grant = self._slots.acquire()
-        if not grant.triggered:
+        if not grant._done:
             self.stalls += 1
-            # let the deadlock detector's engine watcher see the stall:
-            # buffer-pool exhaustion is a blocking site like any other, and
-            # a stuck simulation's post-mortem must name exhausted pools
-            # (the engine pre-binds each hook's on_pool_* methods at
-            # add_hook time, so the hookless case iterates an empty list)
             for notify in self.engine._hooks_pool_stall:
                 notify(self)
-            try:
-                yield grant
-            finally:
-                for notify in self.engine._hooks_pool_resume:
-                    notify(self)
+        return grant
+
+    def resumed(self) -> None:
+        """A grant that :meth:`take` reported as a stall has fired."""
+        for notify in self.engine._hooks_pool_resume:
+            notify(self)
+
+    def acquire(self):
+        """Generator: obtain one chunk, stalling under exhaustion."""
+        grant = self.take()
+        if grant.triggered:
+            yield grant
             return
-        yield grant
+        try:
+            yield grant
+        finally:
+            self.resumed()
 
     def release(self) -> None:
         self._slots.release()

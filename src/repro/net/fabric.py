@@ -12,7 +12,9 @@ attached, fair-share link bandwidth for the full wire size, propagation
 latency, receive-pool chunk + completion handling at the receiver, and the
 data-path landing cost.  Delivery hands the message to the receiver's
 router.  Senders return as soon as the send is posted — completions are
-asynchronous, as on a real HCA.
+asynchronous, as on a real HCA: everything after the post belongs to the
+message's :class:`_Flight` (or, on traced and fault-injected runs, to the
+generator :meth:`Network._wire` it was derived from).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.net.retry import backoff_delay, timeout_base_us
 from repro.net.verbs import Router
 from repro.obs.tracing import maybe_span
 from repro.params import SimParams
-from repro.sim import Engine, FairShareResource
+from repro.sim import Engine, Event, FairShareResource
 
 
 class NodeNIC:
@@ -63,7 +65,106 @@ class Connection:
         self.bytes_on_wire = 0
         #: tail of the in-order delivery chain: RC connections deliver in
         #: post order, so each message waits for its predecessor's dispatch
-        self._delivery_tail = None
+        self._delivery_tail: Optional[Event] = None
+
+
+class _Flight(Event):
+    """One posted message on its way to the receiver's router: the
+    transmission and receiver side of the send path as a chain of stages.
+
+    Every stage is a plain method the engine calls at exactly the queue
+    position where the generator :meth:`Network._wire` would resume — a
+    delay is one ``_schedule_at`` entry where the generator allocates a
+    ``Timeout``, a wake-up sits in the awaited event's own callback list —
+    so both produce the same dispatch order, sequence numbers and sim
+    times (``tests/test_flight.py``), at one object per message instead
+    of a process, its generator frames, an event and a timeout per delay.
+    As an :class:`Event` the flight *is* its message's ``delivered``
+    marker in the connection's in-order chain."""
+
+    __slots__ = ("net", "conn", "msg", "wire_bytes", "predecessor", "sent_at",
+                 "landing")
+
+    def __init__(self, net: "Network", conn: Connection, msg: Message,
+                 wire_bytes: int, predecessor: Optional[Event]):
+        Event.__init__(self, net.engine, "delivered")
+        self.net = net
+        self.conn = conn
+        self.msg = msg
+        self.wire_bytes = wire_bytes
+        self.predecessor = predecessor
+        self.engine._schedule_now(self._transmit)
+
+    def _after(self, delay: float, stage) -> None:
+        engine = self.engine
+        engine._schedule_at(engine.now + delay, stage)
+
+    def _transmit(self) -> None:
+        # serialize onto the link under fair sharing with concurrent sends
+        self.sent_at = self.engine.now
+        sent = self.net.nics[self.conn.src].tx.consume(
+            self.wire_bytes, tag=self.msg.msg_type
+        )
+        if sent._done:
+            self._sent(sent)
+        else:
+            sent._callbacks.append(self._sent)
+
+    def _sent(self, _sent: Event) -> None:
+        conn = self.conn
+        scope = self.net.scope
+        if scope is not None:
+            scope.note_wire(conn, self.wire_bytes, self.engine.now - self.sent_at)
+        conn.send_pool.release()  # send completion reclaims the chunk
+        self._after(self.net.params.wire_latency, self._arrive)
+
+    def _arrive(self) -> None:
+        # receiver: consume a posted receive (stalling while none is free)
+        grant = self.conn.recv_pool.take()
+        if grant._done:
+            self._reap()
+        else:
+            grant._callbacks.append(self._reap)
+
+    def _reap(self, stalled_on: Optional[Event] = None) -> None:
+        if stalled_on is not None:
+            self.conn.recv_pool.resumed()
+        self._after(self.net.params.verb_recv_overhead, self._reaped)
+
+    def _reaped(self) -> None:
+        msg = self.msg
+        if msg.page_data is None:
+            self._landed()
+        else:
+            self.landing = iter(
+                self.net.data_path.landing(self.net.params, msg.data_bytes)
+            )
+            self._land()
+
+    def _land(self) -> None:
+        # one entry per landing delay of the page-transfer mode, in order
+        delay = next(self.landing, None)
+        if delay is not None:
+            self._after(delay, self._land)
+            return
+        if self.net.data_path.uses_sink:
+            self.conn.rdma_sink.release()  # page copied out: recycle the slot
+        self._landed()
+
+    def _landed(self) -> None:
+        self.conn.recv_pool.release()  # re-post the receive work request
+        # drop the link either way, or the chain would keep every flight
+        # the connection ever carried alive
+        predecessor, self.predecessor = self.predecessor, None
+        if predecessor is not None and not predecessor._done:
+            # enforce RC in-order delivery
+            predecessor._callbacks.append(self._deliver)
+        else:
+            self._deliver(None)
+
+    def _deliver(self, _predecessor: Optional[Event]) -> None:
+        self.net.routers[self.conn.dst].dispatch(self.msg)
+        self.succeed()
 
 
 class Network:
@@ -77,6 +178,8 @@ class Network:
         self.engine = engine
         self.num_nodes = num_nodes
         self.params = params
+        #: the page-transfer mode's cost model, looked up once
+        self.data_path = rdma.DATA_PATHS[params.page_transfer_mode]
         #: the ChaosController when fault injection is on, else None; every
         #: hook below is gated on one `is None` test so the chaos-off send
         #: path stays bit-identical
@@ -169,17 +272,17 @@ class Network:
         wire_bytes = msg.control_bytes + msg.data_bytes
         conn.bytes_on_wire += wire_bytes
         # claim a position in the connection's in-order delivery chain at
-        # post time (RC semantics: receive order == post order)
-        predecessor = conn._delivery_tail
-        delivered = self.engine.event(name="delivered")
-        conn._delivery_tail = delivered
-        wire_proc = self.engine.process(
-            self._wire(conn, msg, wire_bytes, predecessor, delivered),
-            name="wire",
+        # post time (RC semantics: receive order == post order).  The one
+        # place that picks the message's carrier: span stacks and
+        # tracer.carry are keyed by process and the chaos verdicts live in
+        # the generator, so only runs with neither take the flight
+        if self.engine.tracer is None and chaos is None:
+            carrier = _Flight
+        else:
+            carrier = Network._wire_process
+        conn._delivery_tail = carrier(
+            self, conn, msg, wire_bytes, conn._delivery_tail
         )
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.carry(wire_proc)
 
     def post(self, msg: Message):
         """Fire-and-forget send, run as its own process."""
@@ -291,58 +394,62 @@ class Network:
                 router.cancel_reply(msg.msg_id)
                 chaos.untrack_request(msg)
 
+    def _wire_process(
+        self, conn: Connection, msg: Message, wire_bytes: int, predecessor
+    ) -> Event:
+        """Carry *msg* with the generator :meth:`_wire` as its own process
+        (same signature and return value as constructing a
+        :class:`_Flight`: the message's ``delivered`` event)."""
+        delivered = self.engine.event(name="delivered")
+        wire_proc = self.engine.process(
+            self._wire(conn, msg, wire_bytes, predecessor, delivered),
+            name="wire",
+        )
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.carry(wire_proc)
+        return delivered
+
     def _wire(
         self, conn: Connection, msg: Message, wire_bytes: int, predecessor, delivered
     ) -> Generator:
-        """Transmission + receiver side, as an asynchronous process."""
+        """Transmission + receiver side, as an asynchronous process: what
+        :class:`_Flight` does, written as the generator it was derived
+        from, plus the ``net.wire`` span and the fault-injection verdict."""
+        params = self.params
         with maybe_span(
             self.engine.tracer, "net.wire", node=conn.src,
             msg_type=msg.msg_type.value, dst=conn.dst, bytes=wire_bytes,
         ):
-            yield from self._wire_impl(conn, msg, wire_bytes, predecessor, delivered)
-
-    def _wire_impl(
-        self, conn: Connection, msg: Message, wire_bytes: int, predecessor, delivered
-    ) -> Generator:
-        params = self.params
-        # serialize onto the link under fair sharing with concurrent sends
-        scope = self.scope
-        if scope is None:
-            yield self.nics[conn.src].tx.consume(wire_bytes, tag=msg.msg_type)
-        else:
+            # serialize onto the link under fair sharing with concurrent sends
             sent_at = self.engine.now
             yield self.nics[conn.src].tx.consume(wire_bytes, tag=msg.msg_type)
-            scope.note_wire(conn, wire_bytes, self.engine.now - sent_at)
-        conn.send_pool.release()  # send completion reclaims the chunk
-        yield self.engine.timeout(params.wire_latency)
-        # receiver: consume a posted receive, reap the completion
-        yield from conn.recv_pool.acquire()
-        yield self.engine.timeout(params.verb_recv_overhead)
-        if msg.page_data is not None:
-            yield from rdma.receiver_data_cost(conn, msg.data_bytes)
-        conn.recv_pool.release()  # re-post the receive work request
-        chaos = self.chaos
-        if chaos is None:
-            if predecessor is not None and not predecessor.triggered:
-                yield predecessor  # enforce RC in-order delivery
-            self.routers[conn.dst].dispatch(msg)
-            delivered.succeed()
-            return
-        verdict = chaos.on_deliver(msg, wire_bytes)
-        if verdict is not None and verdict.extra_delay_us > 0.0:
-            # the delayed message keeps its slot in the delivery chain —
-            # head-of-line blocking, as on a real RC queue pair
-            yield self.engine.timeout(verdict.extra_delay_us)
-        if verdict is None or not verdict.reorder:
-            if predecessor is not None and not predecessor.triggered:
-                yield predecessor  # enforce RC in-order delivery
-        if verdict is None or not verdict.drop:
-            self.routers[conn.dst].dispatch(msg)
-            if verdict is not None and verdict.duplicate:
+            if self.scope is not None:
+                self.scope.note_wire(conn, wire_bytes, self.engine.now - sent_at)
+            conn.send_pool.release()  # send completion reclaims the chunk
+            yield self.engine.timeout(params.wire_latency)
+            # receiver: consume a posted receive, reap the completion
+            yield from conn.recv_pool.acquire()
+            yield self.engine.timeout(params.verb_recv_overhead)
+            if msg.page_data is not None:
+                yield from rdma.receiver_data_cost(conn, msg.data_bytes)
+            conn.recv_pool.release()  # re-post the receive work request
+            chaos = self.chaos
+            verdict = None if chaos is None else chaos.on_deliver(msg, wire_bytes)
+            if verdict is not None and verdict.extra_delay_us > 0.0:
+                # the delayed message keeps its slot in the delivery chain —
+                # head-of-line blocking, as on a real RC queue pair
+                yield self.engine.timeout(verdict.extra_delay_us)
+            if verdict is None or not verdict.reorder:
+                if predecessor is not None and not predecessor.triggered:
+                    yield predecessor  # enforce RC in-order delivery
+            if verdict is None or not verdict.drop:
                 self.routers[conn.dst].dispatch(msg)
-        # a dropped message must still release its chain slot, or every
-        # later delivery on this connection waits forever
-        delivered.succeed()
+                if verdict is not None and verdict.duplicate:
+                    self.routers[conn.dst].dispatch(msg)
+            # a dropped message must still release its chain slot, or every
+            # later delivery on this connection waits forever
+            delivered.succeed()
 
     # -- diagnostics ----------------------------------------------------------
 

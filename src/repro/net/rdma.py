@@ -17,7 +17,7 @@ why the hybrid wins:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Dict, Generator, NamedTuple, Tuple
 
 from repro.obs.tracing import maybe_span
 from repro.params import SimParams
@@ -26,31 +26,56 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Connection
 
 
+class DataPath(NamedTuple):
+    """One ``page_transfer_mode``'s cost model, read by both carriers of a
+    message (the generators below and the fabric's in-flight stages)."""
+
+    #: the page lands in a slot of the receiver's RDMA sink: the sender
+    #: reserves it before posting, the receiver recycles it after landing
+    uses_sink: bool
+    #: sender-side preparation delay, charged before the wire
+    post: Callable[[SimParams], float]
+    #: receiver-side delays for *nbytes*, charged one after another once
+    #: the completion is reaped
+    landing: Callable[[SimParams, int], Tuple[float, ...]]
+
+
+DATA_PATHS: Dict[str, DataPath] = {
+    # post the RDMA write (the slot's address was exchanged at request
+    # time); on completion copy from the sink slot to the final frame
+    "rdma_sink": DataPath(
+        True,
+        lambda p: p.rdma_post_cost,
+        lambda p, nbytes: (p.rdma_completion_cost, nbytes / p.memcpy_bandwidth),
+    ),
+    # the page buffer is not from the pre-mapped pool: pay the DMA mapping;
+    # the data lands in a freshly mapped buffer and is copied out
+    "verb": DataPath(
+        False,
+        lambda p: p.dma_map_cost + p.verb_send_overhead,
+        lambda p, nbytes: (nbytes / p.memcpy_bandwidth,),
+    ),
+    # the data lands directly in the final frame: no copy, but the region
+    # is registered per page and must be torn down
+    "rdma_register": DataPath(
+        False,
+        lambda p: p.rdma_register_cost + p.rdma_post_cost,
+        lambda p, nbytes: (p.rdma_completion_cost,),
+    ),
+}
+
+
 def sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
     """Sender-side preparation for *nbytes* of page data (before the wire)."""
     with maybe_span(
         conn.engine.tracer, "net.rdma_write", node=conn.src,
         bytes=nbytes, mode=conn.params.page_transfer_mode,
     ):
-        yield from _sender_data_cost(conn, nbytes)
-
-
-def _sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
-    params: SimParams = conn.params
-    mode = params.page_transfer_mode
-    engine = conn.engine
-    if mode == "rdma_sink":
-        # reserve a slot in the receiver's sink (address was exchanged at
-        # request time) and post the RDMA write
-        yield from conn.rdma_sink.acquire()
-        yield engine.timeout(params.rdma_post_cost)
-    elif mode == "verb":
-        # page buffer is not from the pre-mapped pool: pay the DMA mapping
-        yield engine.timeout(params.dma_map_cost + params.verb_send_overhead)
-    elif mode == "rdma_register":
-        yield engine.timeout(params.rdma_register_cost + params.rdma_post_cost)
-    else:
-        raise ValueError(f"unknown page_transfer_mode: {mode!r}")
+        params = conn.params
+        path = DATA_PATHS[params.page_transfer_mode]
+        if path.uses_sink:
+            yield from conn.rdma_sink.acquire()
+        yield conn.engine.timeout(path.post(params))
 
 
 def receiver_data_cost(conn: "Connection", nbytes: int) -> Generator:
@@ -59,24 +84,9 @@ def receiver_data_cost(conn: "Connection", nbytes: int) -> Generator:
         conn.engine.tracer, "net.rdma_recv", node=conn.dst,
         bytes=nbytes, mode=conn.params.page_transfer_mode,
     ):
-        yield from _receiver_data_cost(conn, nbytes)
-
-
-def _receiver_data_cost(conn: "Connection", nbytes: int) -> Generator:
-    params: SimParams = conn.params
-    mode = params.page_transfer_mode
-    engine = conn.engine
-    if mode == "rdma_sink":
-        yield engine.timeout(params.rdma_completion_cost)
-        # copy from the sink slot to the final frame, then recycle the slot
-        yield engine.timeout(nbytes / params.memcpy_bandwidth)
-        conn.rdma_sink.release()
-    elif mode == "verb":
-        # data landed in a freshly mapped buffer; copy out
-        yield engine.timeout(nbytes / params.memcpy_bandwidth)
-    elif mode == "rdma_register":
-        # data landed directly in the final frame: no copy, but the region
-        # must be torn down
-        yield engine.timeout(params.rdma_completion_cost)
-    else:
-        raise ValueError(f"unknown page_transfer_mode: {mode!r}")
+        params = conn.params
+        path = DATA_PATHS[params.page_transfer_mode]
+        for delay in path.landing(params, nbytes):
+            yield conn.engine.timeout(delay)
+        if path.uses_sink:
+            conn.rdma_sink.release()

@@ -26,6 +26,9 @@ KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
 
+#: the page-data transfer disciplines (cost models in repro.net.rdma)
+PAGE_TRANSFER_MODES = ("rdma_sink", "verb", "rdma_register")
+
 
 @dataclass
 class SimParams:
@@ -234,6 +237,13 @@ class SimParams:
     dram_contention: Optional[Callable[[int], float]] = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.page_transfer_mode not in PAGE_TRANSFER_MODES:
+            raise ValueError(
+                f"unknown page_transfer_mode {self.page_transfer_mode!r}; "
+                f"expected one of {', '.join(map(repr, PAGE_TRANSFER_MODES))}"
+            )
 
     def dram_contention_model(self) -> Callable[[int], float]:
         """Effective aggregate DRAM capacity as a function of active streams."""

@@ -483,9 +483,10 @@ class Engine:
     def add_hook(self, hook: Any) -> None:
         """Register a process-lifecycle observer.  A hook may implement
         ``on_process_created(process)``, ``on_process_waiting(process,
-        event)``, ``on_process_finished(process)``, ``on_pool_stall(pool,
-        process)``, and ``on_pool_resume(pool, process)``; the engine calls
-        whichever exist.  Methods are bound once here so dispatch sites
+        event)``, ``on_process_finished(process)``, ``on_pool_stall(pool)``,
+        and ``on_pool_resume(pool)`` (a buffer pool ran dry / its oldest
+        waiter got a chunk; the waiter need not be a process); the engine
+        calls whichever exist.  Methods are bound once here so dispatch sites
         iterate pre-built lists instead of getattr-probing per call.  Used
         by the repro.check and repro.obs diagnostics layers."""
         self.hooks.append(hook)

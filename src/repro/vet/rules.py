@@ -24,8 +24,9 @@ The six whole-program rules — none expressible file-at-a-time:
   ``.dispatch(...)`` outside the ``net`` layer bypasses it.
 * ``chaos-reachability`` — every message type needs a ``CONTROL_SIZES``
   entry (or fault injection cannot size/target its frames), and
-  fabric-internal delivery helpers (``_send_impl``/``_wire``) may not be
-  called from outside the fabric, or the chaos hooks are bypassed.
+  fabric-internal delivery helpers (``_send_impl``/``_wire``, or
+  constructing a ``_Flight``) may not be used from outside the fabric,
+  or the chaos hooks are bypassed.
 """
 
 from __future__ import annotations
@@ -330,9 +331,12 @@ def _check_inject_coverage(ctx: VetContext) -> List[Violation]:
     return violations
 
 
-#: fabric-internal delivery helpers: calling these directly skips the
+#: fabric-internal delivery helpers (functions, and the class whose
+#: construction launches a message): calling these directly skips the
 #: chaos on_send/on_deliver interposition points
-_FABRIC_INTERNALS = frozenset({"_send_impl", "_wire", "_wire_impl"})
+_FABRIC_INTERNALS = frozenset(
+    {"_send_impl", "_wire", "_wire_process", "_Flight"}
+)
 
 
 @rule("chaos-reachability")
@@ -362,16 +366,19 @@ def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
     for fn in ctx.callgraph.functions:
         if fn.name in _FABRIC_INTERNALS:
             defining.setdefault(fn.name, set()).add(fn.module.rel)
+    for scan in ctx.scans:
+        for node in scan.tree.body:  # module-level classes
+            if isinstance(node, ast.ClassDef) and node.name in _FABRIC_INTERNALS:
+                defining.setdefault(node.name, set()).add(scan.module.rel)
     if defining:
         for scan in ctx.scans:
             for node in ast.walk(scan.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in defining
-                ):
+                if not isinstance(node, ast.Call):
                     continue
-                if scan.module.rel in defining[node.func.attr]:
+                # attribute tail or bare name: the flight can be imported
+                # and constructed without going through an object
+                name = call_name(node)
+                if name not in defining or scan.module.rel in defining[name]:
                     continue
                 violations.append(Violation(
                     rule="chaos-reachability",
@@ -379,7 +386,7 @@ def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
                     line=node.lineno,
                     message=(
                         f"call to fabric-internal "
-                        f"'{node.func.attr}(...)' from outside the fabric "
+                        f"'{name}(...)' from outside the fabric "
                         f"bypasses the chaos on_send/on_deliver hooks — "
                         f"go through send/post/request"
                     ),

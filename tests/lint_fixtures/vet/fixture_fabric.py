@@ -1,8 +1,16 @@
 """Clean fabric-shaped module: frontends stamp trace context, internals
 stay inside the module.  Scanned alone it must produce zero violations;
-paired with ``fixture_chaos_bypass.py`` it provides the ``_send_impl``
-definition that makes the cross-module bypass visible.
+paired with ``fixture_chaos_bypass.py`` / ``fixture_flight_bypass.py`` it
+provides the ``_send_impl`` / ``_Flight`` definitions that make the
+cross-module bypasses visible.
 """
+
+
+class _Flight:
+    """A message between post and delivery; constructing one launches it."""
+
+    def __init__(self, fabric, msg):
+        fabric.in_flight.append(msg)
 
 
 class MiniFabric:
@@ -12,3 +20,4 @@ class MiniFabric:
 
     def _send_impl(self, msg):
         self.outbox.append(msg)
+        _Flight(self, msg)

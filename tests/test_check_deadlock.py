@@ -157,3 +157,46 @@ def test_pool_stall_clears_on_release():
     cluster.engine.run()
     assert pool.stalls == 1  # b waited for a's chunk once
     assert "exhausted buffer pools:" not in proc.deadlocks.report()
+
+
+@pytest.mark.parametrize("pool_name, knob", [
+    ("c0->1.recv", "recv_pool_chunks"),  # the message in flight waits
+    ("c0->1.sink", "rdma_sink_chunks"),  # the sender waits, flight releases
+])
+def test_pool_exhausted_by_messages_in_flight_appears_in_report(pool_name, knob):
+    """Whatever carries a message — a flight or, on traced runs, the wire
+    process — a receive pool or RDMA sink it finds dry is named by the
+    post-mortem while the wait lasts, and cleared once the chunk comes."""
+    from repro.net import Message, MsgType
+
+    cluster = make_cluster(num_nodes=2, sanitize="deadlock", **{knob: 1})
+    proc = cluster.create_process()
+    eng, net = cluster.engine, cluster.net
+    landed = []
+
+    def handler(msg):
+        landed.append(eng.now)
+        yield eng.timeout(0)
+
+    net.router(1).register(MsgType.PAGE_GRANT, handler)
+
+    def sender():
+        for _ in range(2):  # back to back: the second finds the pool dry
+            yield from net.send(
+                Message(MsgType.PAGE_GRANT, 0, 1, page_data=bytes(4096)))
+
+    eng.process(sender())
+    pool = {p.name: p for conn in net.connections.values()
+            for p in (conn.recv_pool, conn.rdma_sink)}[pool_name]
+    until = 0.0
+    while not pool.stalls:
+        until += 0.25
+        eng.run(until=until)
+    assert len(landed) < 2
+    assert (f"pool {pool_name} exhausted (1 chunks, 1 waiter(s))"
+            in proc.deadlocks.report())
+    assert proc.deadlocks.watcher.stalls()
+    eng.run()
+    assert len(landed) == 2 and pool.stalls == 1 and pool.in_use == 0
+    assert proc.deadlocks.watcher.stalls() == []
+    assert "exhausted buffer pools:" not in proc.deadlocks.report()

@@ -3,15 +3,22 @@ not semantics.  Every Figure-2 app must produce a bit-identical run —
 same simulated time, same fault statistics — on the reference engine of
 ``tests/oracles/engine.py``, which has none of them: no same-time FIFO
 fast lane, no inline resume, no synchronous timeout callbacks, no message
-reuse.  Both coherence-directory backends are covered.
+reuse.  Both coherence-directory backends are covered, and so are both
+carriers of a message in flight: the reference engine under production's
+``_Flight`` stages, and under the generator they were derived from
+(``tests/oracles/wire.py``), which production keeps for traced and
+fault-injected runs.
 
 The workloads are scaled far below the bench presets: the goal is to
 drive every protocol path through both engines, not to measure anything.
 """
 
+import functools
+
 import pytest
 
 from oracles import engine as oracle
+from oracles import wire as wire_oracle
 from repro import DexCluster
 from repro.bench.runner import run_point
 from repro.net import messages
@@ -47,14 +54,34 @@ def run_digest(app, backend):
     }
 
 
-@pytest.mark.parametrize("backend", ["origin", "sharded"])
-@pytest.mark.parametrize("app", sorted(APP_OVERRIDES))
+#: the production side of every comparison, run once per point
+production_digest = functools.lru_cache(maxsize=None)(run_digest)
+
+
+def every_point(test):
+    return pytest.mark.parametrize("backend", ["origin", "sharded"])(
+        pytest.mark.parametrize("app", sorted(APP_OVERRIDES))(test))
+
+
+@every_point
 def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
-    production = run_digest(app, backend)
+    """The reference engine under production's carrier, the flight."""
+    production = production_digest(app, backend)
     oracle.install(monkeypatch)
     assert run_digest(app, backend) == production, \
         f"{app}/{backend}: the engine fast paths or the message freelist " \
         "changed behaviour"
+
+
+@every_point
+def test_the_flight_is_behaviour_preserving(app, backend, monkeypatch):
+    """The reference engine under the reference carrier: nothing of the
+    production dispatch path is left in this run."""
+    production = production_digest(app, backend)
+    oracle.install(monkeypatch)
+    wire_oracle.install(monkeypatch)
+    assert run_digest(app, backend) == production, \
+        f"{app}/{backend}: the flight's stages are not the generator's"
 
 
 def _ping(cluster):

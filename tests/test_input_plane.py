@@ -2,21 +2,27 @@
 derived from it is built once per process per spec
 (``repro.apps.workloads.memoised``) and shared read-only.
 
-Three things are pinned here: the R-MAT generator still produces the
-graphs its previous implementation did (kept below as the oracle), a warm
-run is indistinguishable from a cold one on the sim clock and in every
-versioned artifact, and what the plane hands out cannot be written to.
+Four things are pinned here: the R-MAT generator still produces the
+graphs its previous implementation did (kept below as the oracle) and the
+block-streamed generators and references the bytes their whole-array
+forms did, building one costs scratch of the order of what it returns, a
+warm run is indistinguishable from a cold one on the sim clock and in
+every versioned artifact, and what the plane hands out cannot be written
+to.
 """
 
 import dataclasses
 import hashlib
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.apps import APP_NAMES, get_app, kmeans, string_match, workloads
+from repro.apps import (APP_NAMES, blackscholes, get_app, kmeans, string_match,
+                        workloads)
 from repro.obs import __main__ as obs_cli
 from test_apps import TINY
 from test_serve import kmn_spec, run_report, scan_burst_spec
@@ -118,6 +124,102 @@ def test_text_corpus_64k_is_the_corpus_it_always_was():
     ]:
         text = workloads.text_corpus(64 * 1024, **kwargs)
         assert hashlib.sha256(text).hexdigest() == sha
+
+
+# ---------------------------------------------------------------------------
+# block streaming: the same bytes, scratch of the order of the output
+# ---------------------------------------------------------------------------
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def pinned(*cases):
+    """(spec, sha256 of the expected answer at the commit before the
+    references went blockwise), on and off the block boundaries."""
+    return pytest.mark.parametrize(
+        "spec, sha", cases, ids=["-".join(map(str, spec)) for spec, _ in cases])
+
+
+@pinned(
+    ((80_000, 16, 2, 11),  # bench "small" KMN
+     "f447c3996c25f0087f42465d4cf405cb4f9afe0af3cf197845740084707c8513"),
+    ((10_000, 8, 3, 42),
+     "a831e0b913a281bf9becf09e7e66e90993d618a76e222356dae10aefadcc3a6e"),
+    ((5_000, 4, 2, 20200708),
+     "70afa17b0fdcf0dd9eb213827d81871d11f1d64a9b1c22f9ebc59308c73e5848"),
+)
+def test_kmn_reference_centroids_are_the_ones_they_always_were(spec, sha):
+    assert sha256(kmeans.problem(*spec)[1]) == sha
+
+
+@pinned(
+    ((160_000, 13),  # DexBench's size
+     "fcc1b03789496cca091511cbb1e9103eb6be885996c39f85c0ccef69af0f7141"),
+    ((20_000, 13),
+     "e036b8439bd84079105b952d9c309e35876bd5c39babf90293356cbd66baac74"),
+    ((2 * blackscholes.CHUNK + 17, 42),
+     "c9f3814631c0c3839e9b8be4536377bfd99b4084640f488f3e6e03b76e26efbf"),
+)
+def test_blk_reference_prices_are_the_ones_they_always_were(spec, sha):
+    # as exact as scaled_apps' sim_digest, which holds BLK's output: priced
+    # with scipy.special.erf (math.erf differs in the last bit on a fifth
+    # of all arguments) by this platform's numpy log and exp
+    assert sha256(blackscholes.reference(*spec)) == sha
+
+
+def test_text_corpus_is_the_corpus_it_always_was_off_the_block_boundary():
+    size = workloads.TEXT_BLOCK_BYTES + 34_465
+    text = workloads.text_corpus(size, seed=3)
+    assert len(text) == size == 100_001
+    assert hashlib.sha256(text).hexdigest() == \
+        "cafc6f2a183564f58f982c1b2368fd64a4cc9d570c85f3113a2f4a3a3ba92ecf"
+
+
+def returned_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, bytes):
+        return len(value)
+    return sum(map(returned_bytes, value))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: workloads.rmat_graph(32_768, 500_000),
+    lambda: kmeans.reference(
+        workloads.clustered_points.__wrapped__(80_000, 16, 3, seed=11), 16, 2)[0],
+    lambda: workloads.text_corpus(2 * 1024 * 1024),
+    lambda: blackscholes.reference(160_000),
+], ids=["rmat_graph", "kmeans.reference", "text_corpus",
+        "blackscholes.reference"])
+def test_building_an_input_costs_scratch_of_the_order_of_its_size(build):
+    """A worker's heap never shrinks below its largest transient, so a
+    generator whose scratch is many times its output sets the process's
+    resident size for life (DexBench ``peak_rss_mb``).  Cold build at
+    DexBench's sizes: peak traced memory within 4x the returned bytes plus
+    16 MiB of block scratch (R-MAT once drew 120 MB for an 8 MB graph)."""
+    import scipy.special  # noqa: F401  (a one-off import is not scratch)
+
+    tracemalloc.start()
+    try:
+        value = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * returned_bytes(value) + 16 * 2**20
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # BLK imported scipy for years while pyproject declared numpy alone
+    declared = re.search(r'^dependencies = \[(.*)\]$',
+                         (REPO / "pyproject.toml").read_text(), re.M).group(1)
+    imported = set()
+    for path in (REPO / "src").rglob("*.py"):
+        imported |= set(re.findall(
+            r"^\s*(?:from|import) (numpy|scipy)\b", path.read_text(), re.M))
+    assert imported == {"numpy", "scipy"}
+    assert imported <= set(re.findall(r'"(\w+)', declared))
 
 
 # ---------------------------------------------------------------------------

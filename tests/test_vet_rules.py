@@ -97,6 +97,17 @@ def test_chaos_bypass_fixture_needs_fabric_in_scope():
     assert "_send_impl" in v.message
 
 
+def test_flight_bypass_fixture_needs_fabric_in_scope():
+    # constructing a _Flight launches a message exactly as calling _wire
+    # does; the rule sees construction by bare name and through a module
+    assert vet_fixture("fixture_flight_bypass.py") == []
+    violations = vet_fixture("fixture_fabric.py", "fixture_flight_bypass.py")
+    assert rules_fired(violations) == ["chaos-reachability"]
+    assert [v.line for v in violations] == [11, 15]
+    assert all("fixture_flight_bypass.py" in v.path and "_Flight" in v.message
+               for v in violations)
+
+
 def test_lens_sink_fixture():
     violations = vet_fixture("fixture_lens_sink.py")
     assert rules_fired(violations) == ["lens-sink-discipline"]
