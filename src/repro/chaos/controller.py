@@ -137,9 +137,6 @@ class ChaosController:
 
     # -- fail-stop -------------------------------------------------------
 
-    def is_crashed(self, node: int) -> bool:
-        return node in self.crashed
-
     def is_fenced(self, node: int) -> bool:
         """Dead for fabric purposes: fail-stopped, or declared failed and
         fenced off so a wrongly-suspected node cannot disturb reclaimed
@@ -163,7 +160,7 @@ class ChaosController:
                 if thread.alive and thread.current_node == node:
                     thread.sim_process.interrupt(ThreadHalt(self.engine, node))
 
-    # -- injection (called from the fabric's wire process) ----------------
+    # -- injection (called from the fabric's send path and flights) -------
 
     def on_send(self, msg: Message) -> bool:
         """True if the send must be suppressed (source is dead/fenced)."""

@@ -79,6 +79,3 @@ class BufferPool:
 class RdmaSink(BufferPool):
     """The per-connection RDMA landing zone: page-sized slots inside a
     single pre-registered RDMA memory region."""
-
-    def __init__(self, engine: Engine, chunks: int, slot_bytes: int, name: str = ""):
-        super().__init__(engine, chunks, slot_bytes, name=name)

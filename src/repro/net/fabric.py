@@ -13,8 +13,7 @@ latency, receive-pool chunk + completion handling at the receiver, and the
 data-path landing cost.  Delivery hands the message to the receiver's
 router.  Senders return as soon as the send is posted — completions are
 asynchronous, as on a real HCA: everything after the post belongs to the
-message's :class:`_Flight` (or, on traced and fault-injected runs, to the
-generator :meth:`Network._wire` it was derived from).
+message's :class:`_Flight`, on every run.
 """
 
 from __future__ import annotations
@@ -72,18 +71,18 @@ class _Flight(Event):
     """One posted message on its way to the receiver's router: the
     transmission and receiver side of the send path as a chain of stages.
 
-    Every stage is a plain method the engine calls at exactly the queue
-    position where the generator :meth:`Network._wire` would resume — a
-    delay is one ``_schedule_at`` entry where the generator allocates a
-    ``Timeout``, a wake-up sits in the awaited event's own callback list —
-    so both produce the same dispatch order, sequence numbers and sim
-    times (``tests/test_flight.py``), at one object per message instead
-    of a process, its generator frames, an event and a timeout per delay.
-    As an :class:`Event` the flight *is* its message's ``delivered``
-    marker in the connection's in-order chain."""
+    Every stage is a plain method the engine calls: a delay is one
+    ``_schedule_at`` entry, a wake-up sits in the awaited event's own
+    callback list.  The stages were derived one ``yield`` at a time from
+    the generator kept in ``tests/oracles/wire.py``; ``tests/test_flight.py``
+    requires the two to agree on dispatch order, sim times, spans and
+    fault-injection outcomes.  As an :class:`Event` the flight *is* its
+    message's ``delivered`` marker in the connection's in-order chain, and
+    on a traced run the key of the stack its spans nest on.  Knobs are
+    attribute tests inside the stage that needs them."""
 
     __slots__ = ("net", "conn", "msg", "wire_bytes", "predecessor", "sent_at",
-                 "landing")
+                 "landing", "wire_span", "recv_span", "verdict")
 
     def __init__(self, net: "Network", conn: Connection, msg: Message,
                  wire_bytes: int, predecessor: Optional[Event]):
@@ -93,6 +92,11 @@ class _Flight(Event):
         self.msg = msg
         self.wire_bytes = wire_bytes
         self.predecessor = predecessor
+        #: what fault injection decided about this delivery, if anything
+        self.verdict = None
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.carry(self)  # our spans parent under the poster's
         self.engine._schedule_now(self._transmit)
 
     def _after(self, delay: float, stage) -> None:
@@ -100,8 +104,16 @@ class _Flight(Event):
         engine._schedule_at(engine.now + delay, stage)
 
     def _transmit(self) -> None:
+        engine = self.engine
+        if engine.tracer is not None:
+            conn = self.conn
+            self.wire_span = engine.tracer.open_span(
+                self, "net.wire", conn.src, -1,
+                {"msg_type": self.msg.msg_type.value, "dst": conn.dst,
+                 "bytes": self.wire_bytes},
+            )
         # serialize onto the link under fair sharing with concurrent sends
-        self.sent_at = self.engine.now
+        self.sent_at = engine.now
         sent = self.net.nics[self.conn.src].tx.consume(
             self.wire_bytes, tag=self.msg.msg_type
         )
@@ -135,11 +147,16 @@ class _Flight(Event):
         msg = self.msg
         if msg.page_data is None:
             self._landed()
-        else:
-            self.landing = iter(
-                self.net.data_path.landing(self.net.params, msg.data_bytes)
+            return
+        params = self.net.params
+        tracer = self.engine.tracer
+        if tracer is not None:
+            self.recv_span = tracer.open_span(
+                self, "net.rdma_recv", self.conn.dst, -1,
+                {"bytes": msg.data_bytes, "mode": params.page_transfer_mode},
             )
-            self._land()
+        self.landing = iter(self.net.data_path.landing(params, msg.data_bytes))
+        self._land()
 
     def _land(self) -> None:
         # one entry per landing delay of the page-transfer mode, in order
@@ -149,22 +166,53 @@ class _Flight(Event):
             return
         if self.net.data_path.uses_sink:
             self.conn.rdma_sink.release()  # page copied out: recycle the slot
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.close_span(self, self.recv_span)
         self._landed()
 
     def _landed(self) -> None:
         self.conn.recv_pool.release()  # re-post the receive work request
-        # drop the link either way, or the chain would keep every flight
-        # the connection ever carried alive
-        predecessor, self.predecessor = self.predecessor, None
-        if predecessor is not None and not predecessor._done:
-            # enforce RC in-order delivery
-            predecessor._callbacks.append(self._deliver)
-        else:
-            self._deliver(None)
+        chaos = self.net.chaos
+        if chaos is not None:
+            # the controller's zero-length chaos.* spans nest under net.wire:
+            # the flight, not a process, is what executes while it decides
+            engine = self.engine
+            engine.current_process = self
+            try:
+                verdict = self.verdict = chaos.on_deliver(self.msg, self.wire_bytes)
+            finally:
+                engine.current_process = None
+            if verdict is not None and verdict.extra_delay_us > 0.0:
+                # the delayed message keeps its slot in the delivery chain —
+                # head-of-line blocking, as on a real RC queue pair
+                self._after(verdict.extra_delay_us, self._deliver)
+                return
+        self._deliver()
 
-    def _deliver(self, _predecessor: Optional[Event]) -> None:
-        self.net.routers[self.conn.dst].dispatch(self.msg)
+    def _deliver(self, _predecessor: Optional[Event] = None) -> None:
+        verdict = self.verdict
+        predecessor = self.predecessor
+        if predecessor is not None:
+            # drop the link either way, or the chain would keep every
+            # flight the connection ever carried alive
+            self.predecessor = None
+            if not predecessor._done and (verdict is None or not verdict.reorder):
+                # enforce RC in-order delivery: come back when it is through
+                predecessor._callbacks.append(self._deliver)
+                return
+        router = self.net.routers[self.conn.dst]
+        if verdict is None or not verdict.drop:
+            router.dispatch(self.msg)
+            if verdict is not None and verdict.duplicate:
+                router.dispatch(self.msg)
+        # a dropped message still releases its slot in the chain, or every
+        # later delivery on this connection waits forever
         self.succeed()
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.close_span(self, self.wire_span)
+            tracer.on_process_finished(self)  # the carried marker goes too
 
 
 class Network:
@@ -272,15 +320,8 @@ class Network:
         wire_bytes = msg.control_bytes + msg.data_bytes
         conn.bytes_on_wire += wire_bytes
         # claim a position in the connection's in-order delivery chain at
-        # post time (RC semantics: receive order == post order).  The one
-        # place that picks the message's carrier: span stacks and
-        # tracer.carry are keyed by process and the chaos verdicts live in
-        # the generator, so only runs with neither take the flight
-        if self.engine.tracer is None and chaos is None:
-            carrier = _Flight
-        else:
-            carrier = Network._wire_process
-        conn._delivery_tail = carrier(
+        # post time (RC semantics: receive order == post order)
+        conn._delivery_tail = _Flight(
             self, conn, msg, wire_bytes, conn._delivery_tail
         )
 
@@ -297,7 +338,7 @@ class Network:
         single-shot path, kept verbatim so chaos-off sim time is
         bit-identical.  On that path the request object is recycled once
         the reply arrives: by then the responder's handler has posted the
-        reply (its final use of the request) and the wire process has
+        reply (its final use of the request) and the flight has
         delivered, so the requester holds the only live reference."""
         if self.chaos is not None:
             reply = yield from self._request_with_retry(msg)
@@ -393,63 +434,6 @@ class Network:
             finally:
                 router.cancel_reply(msg.msg_id)
                 chaos.untrack_request(msg)
-
-    def _wire_process(
-        self, conn: Connection, msg: Message, wire_bytes: int, predecessor
-    ) -> Event:
-        """Carry *msg* with the generator :meth:`_wire` as its own process
-        (same signature and return value as constructing a
-        :class:`_Flight`: the message's ``delivered`` event)."""
-        delivered = self.engine.event(name="delivered")
-        wire_proc = self.engine.process(
-            self._wire(conn, msg, wire_bytes, predecessor, delivered),
-            name="wire",
-        )
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.carry(wire_proc)
-        return delivered
-
-    def _wire(
-        self, conn: Connection, msg: Message, wire_bytes: int, predecessor, delivered
-    ) -> Generator:
-        """Transmission + receiver side, as an asynchronous process: what
-        :class:`_Flight` does, written as the generator it was derived
-        from, plus the ``net.wire`` span and the fault-injection verdict."""
-        params = self.params
-        with maybe_span(
-            self.engine.tracer, "net.wire", node=conn.src,
-            msg_type=msg.msg_type.value, dst=conn.dst, bytes=wire_bytes,
-        ):
-            # serialize onto the link under fair sharing with concurrent sends
-            sent_at = self.engine.now
-            yield self.nics[conn.src].tx.consume(wire_bytes, tag=msg.msg_type)
-            if self.scope is not None:
-                self.scope.note_wire(conn, wire_bytes, self.engine.now - sent_at)
-            conn.send_pool.release()  # send completion reclaims the chunk
-            yield self.engine.timeout(params.wire_latency)
-            # receiver: consume a posted receive, reap the completion
-            yield from conn.recv_pool.acquire()
-            yield self.engine.timeout(params.verb_recv_overhead)
-            if msg.page_data is not None:
-                yield from rdma.receiver_data_cost(conn, msg.data_bytes)
-            conn.recv_pool.release()  # re-post the receive work request
-            chaos = self.chaos
-            verdict = None if chaos is None else chaos.on_deliver(msg, wire_bytes)
-            if verdict is not None and verdict.extra_delay_us > 0.0:
-                # the delayed message keeps its slot in the delivery chain —
-                # head-of-line blocking, as on a real RC queue pair
-                yield self.engine.timeout(verdict.extra_delay_us)
-            if verdict is None or not verdict.reorder:
-                if predecessor is not None and not predecessor.triggered:
-                    yield predecessor  # enforce RC in-order delivery
-            if verdict is None or not verdict.drop:
-                self.routers[conn.dst].dispatch(msg)
-                if verdict is not None and verdict.duplicate:
-                    self.routers[conn.dst].dispatch(msg)
-            # a dropped message must still release its chain slot, or every
-            # later delivery on this connection waits forever
-            delivered.succeed()
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -27,8 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DataPath(NamedTuple):
-    """One ``page_transfer_mode``'s cost model, read by both carriers of a
-    message (the generators below and the fabric's in-flight stages)."""
+    """One ``page_transfer_mode``'s cost model, read by the sender-side
+    generator below and by the fabric's in-flight stages."""
 
     #: the page lands in a slot of the receiver's RDMA sink: the sender
     #: reserves it before posting, the receiver recycles it after landing
@@ -76,17 +76,3 @@ def sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
         if path.uses_sink:
             yield from conn.rdma_sink.acquire()
         yield conn.engine.timeout(path.post(params))
-
-
-def receiver_data_cost(conn: "Connection", nbytes: int) -> Generator:
-    """Receiver-side handling of *nbytes* of page data (after the wire)."""
-    with maybe_span(
-        conn.engine.tracer, "net.rdma_recv", node=conn.dst,
-        bytes=nbytes, mode=conn.params.page_transfer_mode,
-    ):
-        params = conn.params
-        path = DATA_PATHS[params.page_transfer_mode]
-        for delay in path.landing(params, nbytes):
-            yield conn.engine.timeout(delay)
-        if path.uses_sink:
-            conn.rdma_sink.release()

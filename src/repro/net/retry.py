@@ -9,8 +9,6 @@ timeouts live in :data:`repro.net.messages.TIMEOUT_CLASSES` plus the
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from repro.net.messages import TIMEOUT_CLASSES, MsgType
 from repro.params import SimParams
 
@@ -32,10 +30,3 @@ def timeout_base_us(params: SimParams, msg_type: MsgType) -> float:
         return params.retry_timeout_data_us
     return params.retry_timeout_heavy_us
 
-
-def inflight_requests(chaos: Optional[Any]) -> int:
-    """Reliable requests currently awaiting a reply — the retry-layer
-    in-flight count DexScope samples.  The reliable transport only exists
-    with fault injection on; with *chaos* ``None`` the plain single-shot
-    request path tracks nothing, so the count is 0."""
-    return 0 if chaos is None else chaos.inflight_requests()

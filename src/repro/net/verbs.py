@@ -95,7 +95,7 @@ class Router:
             if msg.reply_to is not None:
                 return  # orphaned reply
             # raise from a bare scheduled callback so the error escapes
-            # engine.run() instead of silently failing the wire process
+            # engine.run() instead of failing a loopback sender's process
             error = RouterError(
                 f"node {self.node_id}: no handler for {msg.msg_type} ({msg!r})"
             )

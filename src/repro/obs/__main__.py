@@ -24,7 +24,8 @@ run manifest (``dex-run-v1``: params, seed, counters, latency
 quantiles, critical-path phase totals, downsampled utilization series);
 ``diff`` compares two manifests — ranked per-metric deltas, dominant
 critical-path phase, hottest directory shard — and with ``--check``
-exits nonzero on a thresholded headline regression (the CI trend
+exits nonzero on a thresholded headline regression, a headline metric
+absent from either side, or a candidate not ``correct`` (the CI trend
 guard).  ``--app pagefault`` is a built-in 2-node atomic-add ping-pong
 microbenchmark (§V-D) that needs no application workload.
 """
@@ -86,11 +87,20 @@ def _run(ns: argparse.Namespace):
     return (cluster, *_run_on(cluster, spec, ns))
 
 
+def _loaded(load, path: str):
+    """``load(path)``, or the loader's one-line complaint and exit 2."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _load_or_run(ns: argparse.Namespace):
     """(spans, dropped, stats-or-None, label, cluster-or-None) from
     --input or a fresh run."""
     if ns.input:
-        spans, meta = load_spans(ns.input)
+        spans, meta = _loaded(load_spans, ns.input)
         return spans, int(meta.get("dropped", 0)), None, ns.input, None
     cluster, _, stats, label = _run(ns)
     tracer = cluster.tracer
@@ -223,10 +233,11 @@ def cmd_diff(ns: argparse.Namespace) -> int:
     if not ns.a or not ns.b:
         raise SystemExit("diff needs two manifest paths")
     report = diff_manifests(
-        load_manifest(ns.a), load_manifest(ns.b), threshold=ns.threshold
+        _loaded(load_manifest, ns.a), _loaded(load_manifest, ns.b),
+        threshold=ns.threshold,
     )
     print(format_report(report, limit=ns.limit))
-    return 1 if (ns.check and report.regressed) else 0
+    return 1 if ns.check and (report.regressed or report.unchecked) else 0
 
 
 def cmd_top(ns: argparse.Namespace) -> int:
@@ -314,7 +325,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_diff.add_argument("--limit", type=int, default=20,
                         help="ranked delta rows shown (default 20)")
     p_diff.add_argument("--check", action="store_true",
-                        help="exit nonzero when a headline metric regressed")
+                        help="exit nonzero when a headline metric regressed, "
+                        "is missing, or the candidate is not correct")
     p_diff.set_defaults(fn=cmd_diff)
 
     p_top = sub.add_parser("top", help="live DexLens view (hot pages, "

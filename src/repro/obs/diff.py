@@ -17,7 +17,9 @@ A thresholded verdict (``--check``) turns the diff into a CI trend
 guard: the exit status is nonzero when a headline metric (end-to-end
 sim time, fault p99) regressed by more than ``--threshold`` (default
 10%), with a one-line attribution like ``p99 fault latency +12%,
-dominated by wire (+9.1 ms, 61% of growth), hottest shard 3``.
+dominated by wire (+9.1 ms, 61% of growth), hottest shard 3`` — and when
+a headline metric is absent from either side or the candidate's result is
+not ``correct``: a guard that compares only what both have passes vacuously.
 
 Pure manifest arithmetic — no simulation imports, no wall clocks.
 """
@@ -81,6 +83,7 @@ class DiffReport:
         *,
         threshold: float,
         regressions: List[MetricDelta],
+        unchecked: List[str],
         dominant_phase: Optional[str],
         dominant_share: float,
         dominant_delta_us: float,
@@ -92,6 +95,8 @@ class DiffReport:
         self.deltas = deltas
         self.threshold = threshold
         self.regressions = regressions
+        #: why no verdict can vouch for the candidate, regressed or not
+        self.unchecked = unchecked
         self.dominant_phase = dominant_phase
         self.dominant_share = dominant_share
         self.dominant_delta_us = dominant_delta_us
@@ -105,6 +110,8 @@ class DiffReport:
     def attribution(self) -> str:
         """The one-line verdict a CI log (or a human) reads first."""
         if not self.regressions:
+            if self.unchecked:
+                return "unchecked: " + "; ".join(self.unchecked)
             return (
                 f"ok: no headline metric regressed more than "
                 f"{self.threshold:.0%} ({self.label_b} vs {self.label_a})"
@@ -153,11 +160,20 @@ def diff_manifests(
 ) -> DiffReport:
     """Compare candidate *b* against baseline *a* (both manifest docs)."""
     deltas: List[MetricDelta] = []
+    unchecked: List[str] = []
 
     for name, path in HEADLINE_METRICS:
         va, vb = _get_path(a, path), _get_path(b, path)
         if va is not None and vb is not None:
             deltas.append(MetricDelta(name, va, vb, "result"))
+        else:
+            absent = " and ".join(
+                side for side, v in (("baseline", va), ("candidate", vb))
+                if v is None)
+            unchecked.append(f"{name} missing from {absent}")
+    result_b = b.get("result")
+    if not (isinstance(result_b, dict) and result_b.get("correct") is True):
+        unchecked.append("candidate result.correct is not true")
 
     for key, va, vb in _shared_numbers(
         a.get("counters", {}), b.get("counters", {})
@@ -220,6 +236,7 @@ def diff_manifests(
         deltas,
         threshold=threshold,
         regressions=regressions,
+        unchecked=unchecked,
         dominant_phase=dominant_phase,
         dominant_share=dominant_share,
         dominant_delta_us=dominant_delta_us,

@@ -272,28 +272,14 @@ class LensFeed:
     ) -> Dict[str, Dict[str, Any]]:
         """Per-:class:`PathPhase` latency snapshot (count/mean/p50/p99/...),
         optionally restricted to one app-phase and/or mode label."""
-        per_phase: Dict[str, List[Histogram]] = {}
+        per_phase: Dict[str, Histogram] = {}
         for (phase, app_label, mode_label), child in self.path_us.per_label().items():
             if app is not None and app_label != app:
                 continue
             if mode is not None and mode_label != mode:
                 continue
-            per_phase.setdefault(phase, []).append(child)
-        out: Dict[str, Dict[str, Any]] = {}
-        for phase, children in per_phase.items():
-            if len(children) == 1:
-                out[phase] = children[0].snapshot()
-                continue
-            merged = children[0]._make_child()
-            for hist in children:
-                for i, n in enumerate(hist.counts):
-                    merged.counts[i] += n
-                merged.count += hist.count
-                merged.sum += hist.sum
-                merged.min = min(merged.min, hist.min)
-                merged.max = max(merged.max, hist.max)
-            out[phase] = merged.snapshot()
-        return out
+            per_phase[phase] = child.merge_into(per_phase.get(phase))
+        return {phase: hist.snapshot() for phase, hist in per_phase.items()}
 
     def _record_tree(self, root: Span, members: List[Span]) -> None:
         """The one-pass walk: attribute *root*'s end-to-end latency to path

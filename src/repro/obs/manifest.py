@@ -30,6 +30,7 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Histogram
+from repro.obs.tracing import load_artifact
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -61,12 +62,6 @@ def _hist_section(hist: Histogram) -> Dict[str, Any]:
     doc["mean"] = hist.mean
     doc.update(hist.quantiles(*_QUANTILES))
     return doc
-
-
-def _merge_into(target: Optional[Histogram], hist: Histogram) -> Histogram:
-    if target is None:
-        target = hist._make_child()
-    return target.merge(hist)
 
 
 def build_manifest(
@@ -103,9 +98,9 @@ def build_manifest(
             key = str(home)
             directory[key] = directory.get(key, 0) + served
         fault = proc.stats.fault_latency
-        fault_all = _merge_into(fault_all, fault)
+        fault_all = fault.merge_into(fault_all)
         for mode, child in fault.per_label().items():
-            fault_by_mode[mode] = _merge_into(fault_by_mode.get(mode), child)
+            fault_by_mode[mode] = child.merge_into(fault_by_mode.get(mode))
 
     net = cluster.net
     counters["net_messages_sent"] = net.messages_sent
@@ -153,7 +148,7 @@ def build_manifest(
     if lens is not None:
         per_phase: Dict[str, Histogram] = {}
         for (phase, _app, _mode), child in lens.feed.path_us.per_label().items():
-            per_phase[phase] = _merge_into(per_phase.get(phase), child)
+            per_phase[phase] = child.merge_into(per_phase.get(phase))
         doc["phases"] = {
             phase: _hist_section(hist)
             for phase, hist in sorted(per_phase.items())
@@ -180,10 +175,4 @@ def write_manifest(path: str, doc: Dict[str, Any]) -> None:
 def load_manifest(path: str) -> Dict[str, Any]:
     """Load and validate a manifest; raises ``ValueError`` for files that
     aren't run manifests (wrong tool output, corrupted artifacts)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise ValueError(
-            f"{path!r} is not a run manifest (format={doc.get('format')!r})"
-        )
-    return doc
+    return load_artifact(path, "a run manifest", "format", MANIFEST_FORMAT)

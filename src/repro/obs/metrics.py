@@ -187,12 +187,7 @@ class Histogram(_LabeledMixin):
             return self
         merged = self._make_child()
         for hist in (self, *self._children.values()):
-            for i, n in enumerate(hist.counts):
-                merged.counts[i] += n
-            merged.count += hist.count
-            merged.sum += hist.sum
-            merged.min = min(merged.min, hist.min)
-            merged.max = max(merged.max, hist.max)
+            merged._fold(hist)
         return merged
 
     def percentile(self, p: float) -> float:
@@ -235,7 +230,16 @@ class Histogram(_LabeledMixin):
                 f"(start={self.start}, factor={self.factor}, "
                 f"nbuckets={len(self.bounds)})"
             )
-        src = other._merged()
+        return self._fold(other._merged())
+
+    def merge_into(self, target: Optional["Histogram"]) -> "Histogram":
+        """*target* with this folded in — a fresh histogram of this one's
+        geometry when there is no *target* yet."""
+        return (self._make_child() if target is None else target).merge(self)
+
+    def _fold(self, src: "Histogram") -> "Histogram":
+        """:meth:`merge` proper: add *src*'s own buckets (same geometry,
+        children not looked at) to this histogram's."""
         for i, n in enumerate(src.counts):
             self.counts[i] += n
         self.count += src.count

@@ -46,7 +46,7 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.export import chrome_trace
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Span, Tracer, load_artifact, spans_of
 
 __all__ = ["FlightRecorder", "SeriesRing", "load_snapshot"]
 
@@ -256,15 +256,11 @@ class FlightRecorder:
 def load_snapshot(path: str) -> Tuple[List[Span], Dict[str, Any]]:
     """Load a flight-recorder snapshot; returns ``(spans, meta)`` where
     meta carries ``format``/``reason`` and the Perfetto ``otherData``.
-    Raises ``ValueError`` for files that aren't flight-recorder dumps."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"{path!r} is not a flight-recorder snapshot"
-            f" (format={doc.get('format')!r})"
-        )
-    spans = [Span.from_dict(d) for d in doc.get("spans", [])]
+    Raises ``ValueError`` for files that aren't whole flight-recorder
+    dumps."""
+    doc = load_artifact(path, "a flight-recorder snapshot", "format",
+                        SNAPSHOT_FORMAT)
+    spans = spans_of(path, doc)
     meta = {
         "format": doc["format"],
         "reason": doc.get("reason", ""),

@@ -18,7 +18,7 @@ A :class:`DexScope` registers one sampler on the engine's sampling grid
 * per-shard directory request rates
   (:meth:`repro.core.directory.CoherenceDirectory.requests_by_home`);
 * retry/chaos in-flight request counts
-  (:func:`repro.net.retry.inflight_requests`) and retransmissions;
+  (``ChaosController.inflight_requests``) and retransmissions;
 * the engine's own queue length and scheduling rate; and
 * a snapshot of every process :class:`MetricsRegistry` counter.
 
@@ -219,9 +219,7 @@ class DexScope:
         # retry/chaos in-flight accounting
         chaos = cluster.chaos
         if chaos is not None:
-            from repro.net.retry import inflight_requests
-
-            inflight = float(inflight_requests(chaos))
+            inflight = float(chaos.inflight_requests())
             self.retry_inflight.set(inflight)
             push("retry.inflight", t, inflight, "mean")
             retx = chaos.retransmissions.value

@@ -12,7 +12,9 @@ spanning requester → home → victim.
 
 Span context is keyed by the *currently executing* simulation process
 (``engine.current_process``), so interleaved processes on one engine can
-never steal each other's parents.  When tracing is off (``DEX_TRACE``
+never steal each other's parents; a message in flight, which is engine
+callbacks and not a process, is the key of its own stack
+(:meth:`Tracer.open_span`).  When tracing is off (``DEX_TRACE``
 unset and ``SimParams.trace`` falsy) no tracer exists at all: hot paths
 guard on ``proc.obs is None`` / use :func:`maybe_span`, and the engine
 runs with empty hooks — zero cost.
@@ -33,6 +35,8 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "maybe_span", "NULL_SPAN", "load_spans"]
+
+SPANS_FORMAT = "dextrace-spans-v1"
 
 
 class Span:
@@ -116,19 +120,7 @@ class _SpanHandle:
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        tracer = self._tracer
-        self.span.end_us = tracer.engine.now
-        stack = tracer._stacks.get(self._key)
-        if stack is not None:
-            try:
-                stack.remove(self.span)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if not stack:
-                del tracer._stacks[self._key]
-        if tracer._sink_close:
-            for close in tracer._sink_close:
-                close(self.span)
+        self._tracer.close_span(self._key, self.span)
         return False
 
 
@@ -170,8 +162,9 @@ class Tracer:
         self.spans: List[Span] = []
         self.dropped = 0
         self._ids = itertools.count(1)
-        # span stacks keyed by the sim Process that opened them (None key =
-        # spans opened outside any process, e.g. test driver code)
+        # span stacks keyed by the sim Process (or message flight) that
+        # opened them (None key = spans opened outside any process, e.g.
+        # test driver code)
         self._stacks: Dict[Any, List[Span]] = {}
         #: registered sinks plus their pre-bound callback lists; the close
         #: path iterates `_sink_close` directly (no getattr per span)
@@ -206,24 +199,14 @@ class Tracer:
 
     # -- engine hook ---------------------------------------------------------
 
-    def on_process_created(self, proc) -> None:
-        pass
-
-    def on_process_waiting(self, proc, target) -> None:
-        pass
-
     def on_process_finished(self, proc) -> None:
-        stack = self._stacks.pop(proc, None)
-        if stack:
-            now = self.engine.now
-            for span in reversed(stack):
-                # only spans this process *owns* (adopted roots); carried
-                # markers belong to, and are closed by, another stack
-                if span.adopted and span.end_us is None:
-                    span.end_us = now
-                    if self._sink_close:
-                        for close in self._sink_close:
-                            close(span)
+        """Reclaim *proc*'s stack, closing the adopted spans it owns.  A
+        message's flight calls this for itself at delivery."""
+        for span in reversed(self._stacks.pop(proc, ())):
+            # only spans this process *owns* (adopted roots); carried
+            # markers belong to, and are closed by, another stack
+            if span.adopted and span.end_us is None:
+                self.close_span(proc, span)
 
     # -- recording -----------------------------------------------------------
 
@@ -233,16 +216,13 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def _key(self) -> Any:
-        return self.engine.current_process
-
     def current(self) -> Optional[Span]:
         """Innermost open span of the currently executing process."""
-        stack = self._stacks.get(self._key())
+        stack = self._stacks.get(self.engine.current_process)
         return stack[-1] if stack else None
 
     def open_spans(self) -> List[Span]:
-        """Every span still open right now, across all processes — the
+        """Every span still open right now, across all stacks — the
         flight recorder dumps these as crash evidence (a deadlocked thread's
         blocked span never closes, so the ring alone would miss it)."""
         seen: Dict[int, Span] = {}
@@ -260,7 +240,15 @@ class Tracer:
 
         The span parents under the innermost open span of the current sim
         process (or starts a new trace if there is none)."""
-        key = self._key()
+        key = self.engine.current_process
+        return _SpanHandle(self, self.open_span(key, name, node, tid, attrs), key)
+
+    def open_span(self, key: Any, name: str, node: int, tid: int,
+                  attrs: Dict[str, Any]) -> Span:
+        """Open *name* on *key*'s span stack.  With :meth:`close_span`,
+        the explicit pair :meth:`span` is built on; called directly only by
+        an activity with no block to put a ``with`` around — a message in
+        flight (``net/fabric.py``), which is its own stack key."""
         stack = self._stacks.get(key)
         parent = stack[-1] if stack else None
         span_id = next(self._ids)
@@ -279,7 +267,22 @@ class Tracer:
         else:
             stack.append(span)
         self._record(span)
-        return _SpanHandle(self, span, key)
+        return span
+
+    def close_span(self, key: Any, span: Span) -> None:
+        """Stamp ``end_us``, pop *span* off *key*'s stack, tell the sinks."""
+        span.end_us = self.engine.now
+        stack = self._stacks.get(key)
+        if stack is not None:
+            try:
+                stack.remove(span)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+            if not stack:
+                del self._stacks[key]
+        if self._sink_close:
+            for close in self._sink_close:
+                close(span)
 
     # -- cross-process / cross-node propagation ------------------------------
 
@@ -333,7 +336,7 @@ class Tracer:
         with open(path, "w") as fh:
             json.dump(
                 {
-                    "format": "dextrace-spans-v1",
+                    "format": SPANS_FORMAT,
                     "dropped": self.dropped,
                     "max_spans": self.max_spans,
                     "spans": [s.to_dict() for s in self.spans],
@@ -342,11 +345,35 @@ class Tracer:
             )
 
 
+def load_artifact(path: str, what: str, key: str, expected: str) -> Dict[str, Any]:
+    """The JSON object saved in *path*, which must be *what* (its version
+    field *key* holds *expected*), or one ``ValueError`` naming the file
+    and what is wrong with it — the line a CLI prints before exiting 2."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as err:  # truncated, or not JSON at all
+        raise ValueError(f"{path!r} is not valid JSON: {err}") from err
+    found = doc.get(key) if isinstance(doc, dict) else None
+    if found != expected:
+        raise ValueError(
+            f"{path!r} is not {what} ({key}={found!r}, expected {expected!r})")
+    return doc
+
+
+def spans_of(path: str, doc: Dict[str, Any]) -> List[Span]:
+    """The span records of a loaded artifact; ``ValueError`` says what
+    :meth:`Span.from_dict` could not rebuild one from."""
+    try:
+        return [Span.from_dict(record) for record in doc.get("spans", [])]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{path!r}: malformed span record ({err!r})") from err
+
+
 def load_spans(path: str) -> Tuple[List[Span], Dict[str, Any]]:
     """Load spans saved by :meth:`Tracer.save_json`; returns
-    ``(spans, meta)`` where meta holds ``dropped``/``max_spans``."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    spans = [Span.from_dict(d) for d in doc.get("spans", [])]
+    ``(spans, meta)`` where meta holds ``dropped``/``max_spans``.  Raises
+    ``ValueError`` for anything that is not a whole span log."""
+    doc = load_artifact(path, "a span log", "format", SPANS_FORMAT)
     meta = {k: v for k, v in doc.items() if k != "spans"}
-    return spans, meta
+    return spans_of(path, doc), meta

@@ -28,7 +28,7 @@ from repro.apps.common import add_run_arguments
 from repro.serve.arrivals import parse_curve
 from repro.serve.manager import ServeManager
 from repro.serve.policy import POLICY_NAMES
-from repro.serve.report import render_report
+from repro.serve.report import load_report, render_report
 from repro.serve.tenant import WORKLOAD_KINDS, TenantSpec
 
 DEFAULT_TENANTS = "kmn:constant,grp:constant,blk:constant,scan:burst"
@@ -146,11 +146,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_report(path: str) -> int:
-    with open(path) as fh:
-        report = json.load(fh)
-    if report.get("schema") != "dex-serve-report/v1":
-        print(f"{path}: not a DexServe report "
-              f"(schema={report.get('schema')!r})", file=sys.stderr)
+    try:
+        report = load_report(path)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     print(render_report(report))
     return 0

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from repro.obs.tracing import load_artifact
+
 from .arrivals import curve_window
 
 SCHEMA = "dex-serve-report/v1"
@@ -188,3 +190,14 @@ def render_report(report: Dict[str, Any]) -> str:
                 f" after={_fmt(att['p99_after_crash'], 1)}us [{marker}]"
             )
     return "\n".join(lines)
+
+
+def load_report(path: str) -> Dict[str, Any]:
+    """A saved report; ``ValueError`` for a file that is not a whole one —
+    anything :func:`render_report` cannot show."""
+    report = load_artifact(path, "a DexServe report", "schema", SCHEMA)
+    try:
+        render_report(report)
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"{path!r}: malformed report ({err!r})") from err
+    return report

@@ -27,7 +27,11 @@ def main(argv=None) -> int:
                         help="bucket width for the fault-rate histogram")
     args = parser.parse_args(argv)
 
-    tracer = FaultTracer.load_csv(args.trace)
+    try:
+        tracer = FaultTracer.load_csv(args.trace)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     analysis = TraceAnalysis(tracer)
     print(analysis.report(top=args.top))
     print()

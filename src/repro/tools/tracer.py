@@ -103,11 +103,16 @@ class FaultTracer:
 
     @classmethod
     def load_csv(cls, path: str) -> "FaultTracer":
+        """Load a trace written by :meth:`save_csv`; raises ``ValueError``
+        naming the file and line of a row that is not a fault record."""
         tracer = cls()
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                tracer.events.append(
-                    FaultEvent(
+            reader = csv.DictReader(fh)
+            try:
+                for row in reader:
+                    if None in row.values():
+                        raise ValueError("row is cut short")
+                    tracer.events.append(FaultEvent(
                         time_us=float(row["time_us"]),
                         node=int(row["node"]),
                         tid=int(row["tid"]),
@@ -117,6 +122,9 @@ class FaultTracer:
                         tag=row["tag"],
                         # traces written before the column existed load fine
                         src_node=int(row.get("src_node") or -1),
-                    )
-                )
+                    ))
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(
+                    f"{path!r} line {reader.line_num}: not a fault-trace row "
+                    f"({err!r})") from err
         return tracer

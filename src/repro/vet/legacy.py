@@ -12,8 +12,9 @@ Rule rationale lives with each check below; the short version:
 * ``sim-nondeterminism`` — no wall clocks, OS entropy, or unseeded RNG
   inside simulation code; determinism per seed is load-bearing.
 * ``yield-discipline`` — generator processes may only yield waitables.
-* ``span-discipline`` — spans close via ``with``; trace ids cross
-  processes only through the Message header fields.
+* ``span-discipline`` — spans close via ``with`` (the tracer's explicit
+  open/close pair is the fabric's alone); trace ids cross processes only
+  through the Message header fields.
 * ``slots-discipline`` — engine-core classes declare ``__slots__``.
 * ``retry-discipline`` — request-class messages declare a timeout class;
   nobody hand-rolls exponential backoff.
@@ -71,6 +72,10 @@ _NONDETERMINISM_EXEMPT_PARTS = ("bench", "tools", "check", "vet")
 #: the tracing machinery itself builds spans and serializes their ids
 _SPAN_EXEMPT_PARTS = ("obs",)
 
+#: the tracer's explicit pair: only a message in flight (engine callbacks,
+#: not a generator) has no block to put a ``with`` around
+_EXPLICIT_SPAN_CALLS = frozenset({"open_span", "close_span"})
+
 #: dict keys that would smuggle trace context outside the Message fields
 _TRACE_ID_KEYS = frozenset({"trace_id", "parent_span", "span_id"})
 
@@ -81,6 +86,10 @@ def nondeterminism_exempt(path: Path) -> bool:
 
 def span_exempt(path: Path) -> bool:
     return any(part in _SPAN_EXEMPT_PARTS for part in path.parts)
+
+
+def _carries_flights(path: Path) -> bool:
+    return path.name == "fabric.py" and "net" in path.parts[:-1]
 
 
 @rule("unhandled-message-type")
@@ -234,20 +243,25 @@ def _scan_spans(scan: ModuleScan) -> List[Violation]:
     for node in ast.walk(scan.tree):
         if isinstance(node, ast.Call):
             func = node.func
-            opens_span = (
-                (isinstance(func, ast.Attribute) and func.attr == "span")
-                or (isinstance(func, ast.Name) and func.id == "maybe_span")
-            )
+            attr = func.attr if isinstance(func, ast.Attribute) else None
+            opens_span = attr == "span" or (
+                isinstance(func, ast.Name) and func.id == "maybe_span")
             if opens_span and id(node) not in with_calls:
-                shown = "maybe_span" if isinstance(func, ast.Name) else \
-                    f"{'.'.join(dotted_name(func)) or '<expr>.span'}"
-                violations.append(Violation(
-                    rule="span-discipline",
-                    path=str(scan.path), line=node.lineno,
-                    message=f"'{shown}(...)' outside a with statement: "
-                            f"spans must be closed by their context "
-                            f"manager or end_us never stamps",
-                ))
+                why = ("outside a with statement: spans must be closed by "
+                       "their context manager or end_us never stamps")
+            elif attr in _EXPLICIT_SPAN_CALLS and not _carries_flights(scan.path):
+                why = ("outside net/fabric.py: only a message in flight "
+                       "opens and closes spans by hand; use 'with "
+                       "tracer.span(...)'")
+            else:
+                continue
+            shown = "maybe_span" if attr is None else \
+                f"{'.'.join(dotted_name(func)) or '<expr>.' + attr}"
+            violations.append(Violation(
+                rule="span-discipline",
+                path=str(scan.path), line=node.lineno,
+                message=f"'{shown}(...)' {why}",
+            ))
         elif isinstance(node, ast.Dict):
             for key in node.keys:
                 if (

@@ -24,9 +24,9 @@ The six whole-program rules — none expressible file-at-a-time:
   ``.dispatch(...)`` outside the ``net`` layer bypasses it.
 * ``chaos-reachability`` — every message type needs a ``CONTROL_SIZES``
   entry (or fault injection cannot size/target its frames), and
-  fabric-internal delivery helpers (``_send_impl``/``_wire``, or
-  constructing a ``_Flight``) may not be used from outside the fabric,
-  or the chaos hooks are bypassed.
+  fabric-internal delivery helpers (``_send_impl``, or constructing a
+  ``_Flight``) may not be used from outside the fabric, or the chaos
+  hooks are bypassed.
 """
 
 from __future__ import annotations
@@ -217,60 +217,40 @@ def _check_dropped_wait(ctx: VetContext) -> List[Violation]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
         }
         for node in own:
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                call = node.value
-                if call_effect(ctx.callgraph, ctx.effects, call) is BLOCKING:
-                    name = call_name(call)
-                    violations.append(Violation(
-                        rule="dropped-wait",
-                        path=str(fn.module.path),
-                        line=call.lineno,
-                        message=(
-                            f"call to blocking '{name}(...)' as a bare "
-                            f"statement: the generator is built and "
-                            f"dropped, the simulated wait never happens — "
-                            f"drive it with 'yield from' or spawn it via "
-                            f"engine.process(...)"
-                        ),
-                    ))
-            elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-                call = node.value
-                if call_effect(ctx.callgraph, ctx.effects, call) is BLOCKING:
-                    name = call_name(call)
-                    violations.append(Violation(
-                        rule="dropped-wait",
-                        path=str(fn.module.path),
-                        line=call.lineno,
-                        message=(
-                            f"'yield {name}(...)' hands the engine a "
-                            f"generator, not a waitable — use "
-                            f"'yield from {name}(...)'"
-                        ),
-                    ))
+            call = getattr(node, "value", None)
+            if not isinstance(call, ast.Call):
+                continue
+            name = call_name(call)
+            if isinstance(node, ast.Expr):
+                why = (
+                    f"call to blocking '{name}(...)' as a bare "
+                    f"statement: the generator is built and "
+                    f"dropped, the simulated wait never happens — "
+                    f"drive it with 'yield from' or spawn it via "
+                    f"engine.process(...)"
+                )
+            elif isinstance(node, ast.Yield):
+                why = (
+                    f"'yield {name}(...)' hands the engine a "
+                    f"generator, not a waitable — use "
+                    f"'yield from {name}(...)'"
+                )
             elif (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
+                and node.targets[0].id not in loads
             ):
-                call = node.value
-                target = node.targets[0].id
-                if (
-                    target not in loads
-                    and call_effect(ctx.callgraph, ctx.effects, call)
-                    is BLOCKING
-                ):
-                    name = call_name(call)
-                    violations.append(Violation(
-                        rule="dropped-wait",
-                        path=str(fn.module.path),
-                        line=call.lineno,
-                        message=(
-                            f"result of blocking '{name}(...)' bound to "
-                            f"'{target}' but never driven — the simulated "
-                            f"wait never happens"
-                        ),
-                    ))
+                why = (
+                    f"result of blocking '{name}(...)' bound to "
+                    f"'{node.targets[0].id}' but never driven — the "
+                    f"simulated wait never happens"
+                )
+            else:
+                continue
+            if call_effect(ctx.callgraph, ctx.effects, call) is BLOCKING:
+                violations.append(Violation(
+                    "dropped-wait", str(fn.module.path), call.lineno, why))
     return violations
 
 
@@ -334,9 +314,7 @@ def _check_inject_coverage(ctx: VetContext) -> List[Violation]:
 #: fabric-internal delivery helpers (functions, and the class whose
 #: construction launches a message): calling these directly skips the
 #: chaos on_send/on_deliver interposition points
-_FABRIC_INTERNALS = frozenset(
-    {"_send_impl", "_wire", "_wire_process", "_Flight"}
-)
+_FABRIC_INTERNALS = frozenset({"_send_impl", "_Flight"})
 
 
 @rule("chaos-reachability")

@@ -79,10 +79,32 @@ def test_span_discipline_fixture():
     # both un-with'd open forms flagged ...
     assert "'tracer.span(...)'" in messages
     assert "'maybe_span(...)'" in messages
+    # ... the explicit pair, which only net/fabric.py may use ...
+    assert "'tracer.open_span(...)' outside net/fabric.py" in messages
+    assert "'tracer.close_span(...)' outside net/fabric.py" in messages
     # ... and all three smuggled-id dict keys
     for key in ("trace_id", "parent_span", "span_id"):
         assert f"dict key {key!r}" in messages
-    assert len(violations) == 5  # the sanctioned with-forms are not flagged
+    assert len(violations) == 7  # the sanctioned with-forms are not flagged
+
+
+def test_span_discipline_lets_the_fabric_open_and_close_by_hand():
+    by_hand = ("def stage(tracer, flight):\n"
+               "    span = tracer.open_span(flight, 'net.wire', 0, -1, {})\n"
+               "    tracer.close_span(flight, span)\n")
+    net_dir = FIXTURES / "net"
+    net_dir.mkdir(exist_ok=True)
+    try:
+        for name, verdict in (("fabric.py", []),
+                              ("verbs.py", ["span-discipline"])):
+            fixture = net_dir / name
+            fixture.write_text(by_hand)
+            try:
+                assert rules_of(lint_paths([fixture])) == verdict
+            finally:
+                fixture.unlink()
+    finally:
+        net_dir.rmdir()
 
 
 def test_slots_discipline_fixture():

@@ -6,8 +6,7 @@ fast lane, no inline resume, no synchronous timeout callbacks, no message
 reuse.  Both coherence-directory backends are covered, and so are both
 carriers of a message in flight: the reference engine under production's
 ``_Flight`` stages, and under the generator they were derived from
-(``tests/oracles/wire.py``), which production keeps for traced and
-fault-injected runs.
+(``tests/oracles/wire.py``).
 
 The workloads are scaled far below the bench presets: the goal is to
 drive every protocol path through both engines, not to measure anything.

@@ -15,11 +15,11 @@ from repro.obs.manifest import MANIFEST_FORMAT, write_manifest
 
 
 def _manifest(label, sim_time, *, counters=None, phases=None,
-              directory=None, p99=None, by_mode=None):
+              directory=None, p99=None, by_mode=None, correct=True):
     doc = {
         "format": MANIFEST_FORMAT,
         "label": label,
-        "result": {"sim_time_us": sim_time},
+        "result": {"sim_time_us": sim_time, "correct": correct},
         "counters": counters or {},
         "directory_requests": directory or {},
         "quantiles": {},
@@ -52,9 +52,9 @@ def test_metric_delta_new_from_zero_is_infinite():
 
 
 def test_identical_manifests_no_regression():
-    a = _manifest("A", 100.0, counters={"faults_read": 10})
+    a = _manifest("A", 100.0, counters={"faults_read": 10}, p99=40.0)
     report = diff_manifests(a, a)
-    assert not report.regressed
+    assert not report.regressed and not report.unchecked
     assert report.attribution().startswith("ok:")
     assert all(m.delta == 0.0 for m in report.deltas)
 
@@ -172,8 +172,8 @@ def test_format_report_skips_unchanged():
 def test_cli_diff_exit_codes(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    write_manifest(str(a), _manifest("base", 100.0))
-    write_manifest(str(b), _manifest("cand", 200.0))
+    write_manifest(str(a), _manifest("base", 100.0, p99=40.0))
+    write_manifest(str(b), _manifest("cand", 200.0, p99=40.0))
     # report-only never fails the build
     assert main(["diff", str(a), str(b)]) == 0
     # --check turns the verdict into the exit status
@@ -190,3 +190,56 @@ def test_cli_diff_requires_two_paths(tmp_path):
     write_manifest(str(a), _manifest("base", 100.0))
     with pytest.raises(SystemExit, match="two manifest paths"):
         main(["diff", str(a)])
+
+
+@pytest.mark.parametrize("strip, named", [
+    (("result", "sim_time_us"), "sim_time_us missing from candidate"),
+    (("quantiles", "fault_latency_us"), "fault_p99_us missing from candidate"),
+    (("result", "correct"), "candidate result.correct is not true"),
+    (("result",), "sim_time_us missing from candidate; "
+                  "candidate result.correct is not true"),
+])
+def test_cli_check_does_not_pass_on_what_it_cannot_see(strip, named,
+                                                       tmp_path, capsys):
+    """The guard vouches for a candidate only if every headline metric is
+    on both sides and the candidate's answer was right; a bare
+    ``{"format": ...}`` used to print "ok" and exit 0."""
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    whole = _manifest("base", 100.0, p99=40.0)
+    write_manifest(str(a), whole)
+    stripped = _manifest("cand", 100.0, p99=40.0)
+    node = stripped
+    for key in strip[:-1]:
+        node = node[key]
+    del node[strip[-1]]
+    write_manifest(str(b), stripped)
+    assert main(["diff", str(a), str(b)]) == 0  # report-only still is
+    assert main(["diff", str(a), str(b), "--check"]) == 1
+    out = capsys.readouterr().out
+    assert f"unchecked: {named}" in out and "ok:" not in out
+    # missing from the baseline is named as such
+    assert main(["diff", str(b), str(a), "--check"]) == (
+        0 if strip == ("result", "correct") else 1)
+    assert ("missing from baseline" in capsys.readouterr().out) == (
+        strip != ("result", "correct"))
+
+
+def test_cli_check_rejects_a_wrong_answer_and_a_bare_document(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    wrong = tmp_path / "wrong.json"
+    bare = tmp_path / "bare.json"
+    write_manifest(str(a), _manifest("base", 100.0, p99=40.0))
+    write_manifest(str(wrong), _manifest("cand", 90.0, p99=30.0, correct=False))
+    write_manifest(str(bare), {"format": MANIFEST_FORMAT})
+    assert main(["diff", str(a), str(wrong), "--check"]) == 1
+    assert "result.correct is not true" in capsys.readouterr().out
+    assert main(["diff", str(a), str(bare), "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "sim_time_us missing from candidate" in out
+    assert "fault_p99_us missing from candidate" in out
+    # a regression is still reported as one, whatever else is wrong
+    regressed = _manifest("cand", 200.0, p99=40.0, correct=False)
+    report = diff_manifests(_manifest("base", 100.0, p99=40.0), regressed)
+    assert report.regressed and report.unchecked
+    assert report.attribution().startswith("regression: sim_time_us")

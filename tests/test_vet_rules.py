@@ -98,8 +98,8 @@ def test_chaos_bypass_fixture_needs_fabric_in_scope():
 
 
 def test_flight_bypass_fixture_needs_fabric_in_scope():
-    # constructing a _Flight launches a message exactly as calling _wire
-    # does; the rule sees construction by bare name and through a module
+    # constructing a _Flight launches a message past the chaos on_send
+    # hook; the rule sees construction by bare name and through a module
     assert vet_fixture("fixture_flight_bypass.py") == []
     violations = vet_fixture("fixture_fabric.py", "fixture_flight_bypass.py")
     assert rules_fired(violations) == ["chaos-reachability"]
