@@ -4,12 +4,14 @@ A deliberately bad multi-threaded histogram: every thread's partial
 counters live on ONE page (bump-allocated together), so on DeX the page
 ping-pongs between all nodes.  We:
 
-1. run it with the fault tracer attached,
+1. run it with the fault tracer attached (and save the trace),
 2. let the trace analysis point at the guilty page and call sites,
 3. apply the paper's fix — page-aligned per-thread counters with local
    staging — and measure the difference.
 
 Run:  python examples/profile_and_optimize.py
+The naive run's trace is left in ./trace.csv, so step 2 can be redone
+offline, with the advisor's suggestions:  python -m repro.tools trace.csv
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ def run_variant(page_aligned: bool):
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     tracer = FaultTracer()
-    proc.attach_tracer(tracer)
+    proc.add_hook(tracer)
 
     if page_aligned:
         # the fix: each thread's counters own their pages; one merge at
@@ -80,6 +82,7 @@ def run_variant(page_aligned: bool):
 def main():
     print("== step 1: run the naive version under the fault profiler ==")
     slow_elapsed, tracer = run_variant(page_aligned=False)
+    tracer.save_csv("trace.csv")  # the hand-off to `python -m repro.tools`
     print(f"naive version: {slow_elapsed / 1000:.2f} ms "
           f"({len(tracer)} trace events)\n")
 

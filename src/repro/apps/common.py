@@ -336,7 +336,7 @@ def launch(app: str, num_nodes: int, variant: str, threads_per_node: int, *,
         seed = params.seed if pinned else default_seed
     proc = cluster.create_process()
     if tracer is not None:
-        proc.attach_tracer(tracer)
+        proc.add_hook(tracer)
     return Launch(
         spec, cluster, proc, MemoryAllocator(proc),
         nodes=list(range(num_nodes)), num_threads=threads_per_node * num_nodes,

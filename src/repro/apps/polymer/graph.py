@@ -31,10 +31,6 @@ class DistGraph:
     host_indptr: np.ndarray
     host_indices: np.ndarray
 
-    @property
-    def bytes_total(self) -> int:
-        return self.indptr.nbytes + self.indices.nbytes
-
 
 def load_graph(
     alloc: MemoryAllocator,
@@ -56,15 +52,6 @@ def load_graph(
         host_indices=indices,
     )
     return graph, indices
-
-
-def vertex_partitions(n_vertices: int, parts: int) -> List[Tuple[int, int]]:
-    """Even block partition of the vertex set."""
-    size = (n_vertices + parts - 1) // parts
-    return [
-        (min(i * size, n_vertices), min((i + 1) * size, n_vertices))
-        for i in range(parts)
-    ]
 
 
 def edge_balanced_partitions(

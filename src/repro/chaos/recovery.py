@@ -44,7 +44,7 @@ def recover_process(
     """Reclaim everything *proc* had at the failed *node*."""
     directory = proc.protocol.directory
     policy = controller.scenario.on_exclusive_loss
-    sanitizer = proc.sanitizer
+    hooks = proc.hooks
     fatal: List[str] = []
     recovered: List[str] = []
     shared_dropped = 0
@@ -85,9 +85,10 @@ def recover_process(
                 entry.owners = {home}
                 entry.writer = None
                 home_pte.state = PageState.SHARED
-                if sanitizer is not None:
-                    sanitizer.on_revoke(vpn, node, downgrade=False, requester=home)
-                    sanitizer.on_grant(vpn, home, write=False)
+                for revoked in hooks["revoke"]:
+                    revoked(vpn, node, False, home)
+                for granted in hooks["grant"]:
+                    granted(vpn, home, False)
                 exclusive_rolled_back += 1
                 note = (
                     detail + f"; restored version {home_pte.data_version} from "
@@ -101,15 +102,15 @@ def recover_process(
             else:
                 entry.owners.discard(node)
                 shared_dropped += 1
-                if sanitizer is not None:
-                    sanitizer.on_revoke(vpn, node, downgrade=False, requester=home)
+                for revoked in hooks["revoke"]:
+                    revoked(vpn, node, False, home)
                 if not entry.owners:
                     if home_pte is not None and home_pte.data_version == entry.data_version:
                         entry.owners = {home}
                         entry.writer = None
                         home_pte.state = PageState.SHARED
-                        if sanitizer is not None:
-                            sanitizer.on_grant(vpn, home, write=False)
+                        for granted in hooks["grant"]:
+                            granted(vpn, home, False)
                     else:
                         fatal.append(
                             f"page {vpn:#x}: node {node} held the only reader "
@@ -129,8 +130,8 @@ def recover_process(
             )
             thread.failed = diag
             thread.sim_process.fail(NodeFailedError(node, diag))
-            if proc.deadlocks is not None:
-                proc.deadlocks.on_thread_dead(thread.tid)
+            for died in hooks["thread_dead"]:
+                died(thread.tid)
 
         exc = NodeFailedError(node, reason)
         proc.futex.drop_waiters({t.tid for t in dead_threads}, exc)
@@ -147,8 +148,8 @@ def recover_process(
         proc.nodes_with_worker.discard(node)
         proc.worker_ready.pop(node, None)
         proc.drop_node_state(node)
-        if sanitizer is not None:
-            sanitizer.on_node_dead(node)
+        for died in hooks["node_dead"]:
+            died(node)
 
         if dead_threads:
             # thread death is surfaced to joiners (sim_process.fail above),

@@ -15,14 +15,15 @@ rules live in :mod:`repro.vet`):
 
 They are enabled per process by ``SimParams.sanitize`` or, when that is
 left at ``None``, by the ``DEX_SANITIZE`` environment variable:
-``1``/``all`` turns both on, ``race`` and ``deadlock`` select one.  When
-disabled (the default) no checker objects exist and every instrumentation
-site is a single attribute-is-None test.
+``1``/``all`` turns both on, ``race`` and ``deadlock`` select one.  An
+enabled checker is an observer of its process (``proc.add_hook``); when
+disabled (the default) no checker object exists and every probe list it
+would be on is empty.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.check.sanitizer import CoherenceSanitizer, CoherenceViolation
 from repro.check.waitfor import DeadlockDetector, DeadlockError
@@ -40,12 +41,13 @@ __all__ = [
 ]
 
 
-def make_sanitizers(
-    proc: "DexProcess",
-) -> Tuple[Optional[CoherenceSanitizer], Optional[DeadlockDetector]]:
-    """The (race sanitizer, deadlock detector) pair for *proc*, either of
-    which is None when its mode is not enabled."""
+def make_sanitizers(proc: "DexProcess") -> List[object]:
+    """The checkers *proc*'s sanitize mode enables (race sanitizer first),
+    for the process to ``add_hook``."""
     mode = resolve_switch("sanitize", proc.cluster.params.sanitize)
-    races = CoherenceSanitizer(proc) if mode in ("all", "race") else None
-    deadlocks = DeadlockDetector(proc) if mode in ("all", "deadlock") else None
-    return races, deadlocks
+    checkers: List[object] = []
+    if mode in ("all", "race"):
+        checkers.append(CoherenceSanitizer(proc))
+    if mode in ("all", "deadlock"):
+        checkers.append(DeadlockDetector(proc))
+    return checkers

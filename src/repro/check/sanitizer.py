@@ -85,9 +85,8 @@ class _PageMeta:
 
 
 class CoherenceSanitizer:
-    """Per-process dynamic checker; instrumentation sites in the fault,
-    protocol, and futex layers call the ``on_*`` hooks when a process has
-    one attached (``DexProcess.sanitizer``)."""
+    """Per-process dynamic checker: an observer (``DexProcess.add_hook``)
+    of the fault, protocol and futex layers' probes."""
 
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
@@ -191,11 +190,14 @@ class CoherenceSanitizer:
 
     # -- protocol happens-before edges --------------------------------------
 
-    def on_grant(self, vpn: int, requester: int, write: bool) -> None:
+    def on_grant(self, vpn: int, requester: int, write: bool, entry=None) -> None:
         """A grant publishes the page's causal history (the home clock) to
         the requester's copy.  Called at the home when a grant is issued;
         the grant and the requester's install travel the same in-order
-        connection, so merging here is safe."""
+        connection, so merging here is safe.  *entry* is the directory
+        entry of a grant just decided: it must satisfy MRSW right now."""
+        if entry is not None and self.transition_checks:
+            self.proc.protocol.directory.check_entry(vpn, entry)
         self.edges_recorded += 1
         self._copy_clock(requester, vpn).merge(self._home_clock(vpn))
         kind = "exclusive" if write else "shared"

@@ -19,7 +19,7 @@ insertion time — online and O(cycle length).  A cycle raises
 :class:`DeadlockError` with the cycle and each member's sim-time stack
 of block frames.
 
-An :class:`EngineWaitWatcher` hook on the simulation engine additionally
+An :class:`EngineWaitWatcher` observing the simulation engine additionally
 tracks what every sim process is waiting on, so :meth:`DeadlockDetector.
 report` can describe a stuck simulation (used by ``DexCluster.simulate``
 when the main thread never finishes) even when no thread-level cycle
@@ -60,9 +60,9 @@ class BlockFrame:
 
 
 class EngineWaitWatcher:
-    """Engine hook recording what every sim process last waited on, plus
-    which buffer pools are currently exhausted (``repro.net.buffers``
-    notifies on stall/resume)."""
+    """Engine observer recording what every sim process last waited on,
+    plus which buffer pools are currently exhausted (``repro.net.buffers``
+    fires the stall/resume probes)."""
 
     def __init__(self) -> None:
         self.waiting: Dict["Process", "Event"] = {}
@@ -74,15 +74,11 @@ class EngineWaitWatcher:
     def ensure(cls, engine: "Engine") -> "EngineWaitWatcher":
         """The engine's watcher, installing one on first use (processes of
         every DexProcess on the cluster share it)."""
-        for hook in engine.hooks:
-            if isinstance(hook, cls):
-                return hook
-        watcher = cls()
-        engine.add_hook(watcher)
+        watcher = engine.hooks.find(cls)
+        if watcher is None:
+            watcher = cls()
+            engine.add_hook(watcher)
         return watcher
-
-    def on_process_created(self, process: "Process") -> None:
-        pass
 
     def on_process_waiting(self, process: "Process", event: "Event") -> None:
         self.waiting[process] = event

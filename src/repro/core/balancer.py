@@ -115,11 +115,6 @@ class AffinityBalancer:
         #: tid -> Counter of home nodes of faulted pages
         self._affinity: Dict[int, Counter] = defaultdict(Counter)
 
-    def observe_fault(self, tid: int, owner_node: int) -> None:
-        """Feed one fault observation (call from a tracer hook or from
-        the application's own instrumentation)."""
-        self._affinity[tid][owner_node] += 1
-
     def observe_trace(self, tracer) -> None:
         """Digest a §IV fault trace: each fault's current owners vote for
         where the faulting thread should live."""

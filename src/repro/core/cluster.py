@@ -110,14 +110,13 @@ class DexCluster:
         ]
         self.processes: Dict[int, DexProcess] = {}
         #: the online analytics bundle (repro.obs.lens), or None when the
-        #: lens is off — with it off nothing subscribes to the tracer and
-        #: the sink lists stay empty
+        #: lens is off — with it off nothing listens for span closes
         self.lens: Optional[DexLens] = (
             DexLens(self, self.tracer) if lens_on else None
         )
         #: the DexScope time-series sampler (repro.obs.scope), or None when
         #: telemetry is off — with it off the engine never fires a sampler
-        #: and the fabric's wire path skips its timing reads
+        #: and the fabric's wire stage skips its timing reads
         self.scope: Optional[DexScope] = (
             DexScope(self) if resolve_switch("scope", self.params.scope) else None
         )
@@ -188,10 +187,13 @@ class DexCluster:
                 )
             self.engine.run(until=until)
             if not thread.sim_process.triggered:
-                detail = ""
-                if proc.deadlocks is not None:
-                    # the wait-for detector knows who is stuck on what
-                    detail = "\n" + proc.deadlocks.report()
+                # an observer with a report() (the wait-for detector knows
+                # who is stuck on what) gets to add it
+                detail = "".join(
+                    "\n" + observer.report()
+                    for observer in proc.hooks.observers
+                    if hasattr(observer, "report")
+                )
                 raise DexError(
                     "simulation ended before the main thread finished "
                     "(deadlock or `until` too small)" + detail

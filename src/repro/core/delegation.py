@@ -105,9 +105,8 @@ class DelegationService:
             result = yield from self._ops[op](ctx, **kwargs)
             return result
         proc.stats.delegations += 1
-        detector = proc.deadlocks
-        if detector is not None:
-            detector.on_delegation_call(tid, op, node)
+        for called in proc.hooks["delegation_call"]:
+            called(tid, op, node)
         try:
             with maybe_span(
                 proc.obs, "delegation.call", node=node, tid=tid, op=op
@@ -121,8 +120,8 @@ class DelegationService:
                     )
                 )
         finally:
-            if detector is not None:
-                detector.on_delegation_return(tid)
+            for returned in proc.hooks["delegation_return"]:
+                returned(tid)
         if "error" in reply.payload:
             kind = reply.payload.get("error_kind")
             if kind == "DeadlockError":

@@ -47,11 +47,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.memory.radix_tree import RadixTree
+from repro.params import DIRECTORY_BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
-
-DIRECTORY_BACKENDS = ("origin", "sharded")
 
 
 @dataclass
@@ -74,9 +73,6 @@ class PageEntry:
     #: busy-collisions this page has caused (how often a requester was
     #: told to retry because an operation was already in flight here)
     busy_retries: int = 0
-
-    def is_owner(self, node: int) -> bool:
-        return node in self.owners
 
 
 class DirectoryShard:
@@ -325,10 +321,7 @@ class ShardedDirectory(CoherenceDirectory):
         super().__init__(proc)
         params = proc.cluster.params
         num_nodes = proc.cluster.num_nodes
-        nshards = params.directory_shards or _next_prime(num_nodes)
-        if nshards < 1:
-            raise ValueError(f"directory_shards must be >= 1, got {nshards}")
-        self.nshards = nshards
+        self.nshards = nshards = params.directory_shards or _next_prime(num_nodes)
         #: shard index -> hosting node; owned by the origin (a rebalancer
         #: may remap it), learned lazily by remote nodes via home lookups
         self.shard_map: List[int] = [i % num_nodes for i in range(nshards)]

@@ -47,7 +47,7 @@ class InFlightFault:
 def _make_atomic_add(fmt: str):
     """``FaultHandler.atomic_add_*`` for the 8-byte struct format *fmt*:
     :meth:`FaultHandler.atomic_update` specialised for the dominant atomic
-    — same fault/sanitizer semantics, no struct/closure round trip."""
+    — same fault/probe semantics, no struct/closure round trip."""
     codec = Struct(fmt)
     unpack_from, pack_into = codec.unpack_from, codec.pack_into
 
@@ -69,9 +69,10 @@ def _make_atomic_add(fmt: str):
         if pte is None or pte.state is not PageState.EXCLUSIVE:
             if not self.permits(node, vpn, True):
                 yield from self._fault(node, tid, vpn, True, site)
-        if proc.sanitizer is not None:
+        if self._on_access:
             # one write-classified access covers the read-modify-write
-            proc.sanitizer.on_access(node, tid, vpn, True, site)
+            for accessed in self._on_access:
+                accessed(node, tid, vpn, True, site)
         frame = state.frames.frame(vpn)
         offset = addr - vpn * page
         old = unpack_from(frame, offset)[0]
@@ -84,11 +85,13 @@ def _make_atomic_add(fmt: str):
 class FaultHandler:
     """Per-process fault path; drives :class:`ConsistencyProtocol`."""
 
-    __slots__ = ("proc", "_page_size")
+    __slots__ = ("proc", "_page_size", "_on_access")
 
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
         self._page_size = proc.cluster.params.page_size
+        #: the ``access`` probe, held: it is tested on every access
+        self._on_access = proc.hooks["access"]
 
     # ------------------------------------------------------------------
 
@@ -150,16 +153,8 @@ class FaultHandler:
         vma = yield from proc.vma_sync.ensure_vma(
             node, vpn * params.page_size, write
         )
-        if proc.tracer is not None:
-            proc.tracer.record(
-                time_us=engine.now,
-                node=node,
-                tid=tid,
-                fault_type="write" if write else "read",
-                site=site,
-                addr=vpn * params.page_size,
-                tag=vma.tag,
-            )
+        for began in proc.hooks["fault_begin"]:
+            began(engine.now, node, tid, write, site, vpn * params.page_size, vma.tag)
         coalesced = False
         while True:
             if self.permits(node, vpn, write):
@@ -173,9 +168,8 @@ class FaultHandler:
                     # compatible access type: follow (§III-C) — the
                     # leader's grant covers our access
                     coalesced = True
-                detector = proc.deadlocks
-                if detector is not None:
-                    detector.on_follower_wait(tid, leader.leader_tid, vpn)
+                for waits in proc.hooks["follower_wait"]:
+                    waits(tid, leader.leader_tid, vpn)
                 try:
                     with maybe_span(
                         proc.obs, "fault.follow",
@@ -183,8 +177,8 @@ class FaultHandler:
                     ):
                         yield leader.done
                 finally:
-                    if detector is not None:
-                        detector.on_follower_resume(tid)
+                    for resumed in proc.hooks["follower_resume"]:
+                        resumed(tid)
                 continue  # re-check the PTE, maybe become leader
             # become the leader for this page fault
             fault = InFlightFault(
@@ -224,10 +218,10 @@ class FaultHandler:
             proc.stats.record_fault(record)
             if span is not None:
                 span.attrs["retries"] = retries
-            if proc.sanitizer is not None:
-                # the transition committed (our PTE is installed): the
-                # directory and every settled node must agree right now
-                proc.sanitizer.on_transition(vpn)
+            # the transition committed (our PTE is installed): the directory
+            # and every settled node must agree right now
+            for committed in proc.hooks["transition"]:
+                committed(vpn)
             return
         if coalesced:
             if span is not None:
@@ -263,8 +257,9 @@ class FaultHandler:
             take = min(end - pos, (vpn + 1) * page - pos)
             if not self.permits(node, vpn, False):
                 yield from self._fault(node, tid, vpn, False, site)
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_access(node, tid, vpn, False, site)
+            if self._on_access:
+                for accessed in self._on_access:
+                    accessed(node, tid, vpn, False, site)
             out += proc.node_state(node).frames.read(pos, take)
             pos += take
         return bytes(out)
@@ -282,8 +277,9 @@ class FaultHandler:
             take = min(end - pos, (vpn + 1) * page - (addr + pos))
             if not self.permits(node, vpn, True):
                 yield from self._fault(node, tid, vpn, True, site)
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_access(node, tid, vpn, True, site)
+            if self._on_access:
+                for accessed in self._on_access:
+                    accessed(node, tid, vpn, True, site)
             proc.node_state(node).frames.write(addr + pos, data[pos : pos + take])
             pos += take
 
@@ -303,9 +299,10 @@ class FaultHandler:
             )
         if not self.permits(node, vpn, True):
             yield from self._fault(node, tid, vpn, True, site)
-        if proc.sanitizer is not None:
+        if self._on_access:
             # one write-classified access covers the read-modify-write
-            proc.sanitizer.on_access(node, tid, vpn, True, site)
+            for accessed in self._on_access:
+                accessed(node, tid, vpn, True, site)
         frames = proc.node_state(node).frames
         old = frames.read(addr, nbytes)
         new = fn(old)

@@ -37,8 +37,8 @@ class FutexTable:
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
         #: addr -> FIFO of (wake event, waiting tid); the tid identifies
-        #: the logical thread for the deadlock detector and for the
-        #: sanitizer's wake happens-before edge
+        #: the logical thread to the futex probes (the deadlock detector's
+        #: block frames, the sanitizer's wake happens-before edge)
         self._queues: Dict[int, Deque[Tuple[Event, int]]] = {}
         #: set by fail-stop recovery when the thread set is broken: any
         #: further wait would sleep for a wake that may never come, so it
@@ -76,18 +76,17 @@ class FutexTable:
                     span.attrs["result"] = "eagain"
                 return "eagain"
             tid = origin_ctx.tid
-            detector = proc.deadlocks
-            if detector is not None:
-                # records the block frame and checks the wait-for graph for a
-                # cycle *before* we sleep; raises DeadlockError on one
-                detector.on_futex_wait(tid, addr)
+            # *before* we sleep: the deadlock detector records the block
+            # frame and raises DeadlockError on a wait-for cycle
+            for waits in proc.hooks["futex_wait"]:
+                waits(tid, addr)
             waiter = proc.cluster.engine.event(name=f"futex@{addr:#x}")
             self._queues.setdefault(addr, deque()).append((waiter, tid))
             try:
                 yield waiter
             finally:
-                if detector is not None:
-                    detector.on_futex_resume(tid)
+                for resumed in proc.hooks["futex_resume"]:
+                    resumed(tid)
         return "woken"
 
     def wake(self, origin_ctx, addr: int, count: int) -> Generator:
@@ -103,21 +102,17 @@ class FutexTable:
             yield proc.cluster.engine.timeout(params.futex_op_cost)
             queue = self._queues.get(addr)
             woken = 0
-            sanitizer = proc.sanitizer
             while queue and woken < count:
                 waiter, waiter_tid = queue.popleft()
-                if sanitizer is not None:
-                    # the wake orders the waker's past before the woken
-                    # thread's future
-                    sanitizer.on_futex_wake(origin_ctx.tid, waiter_tid)
+                # the wake orders the waker's past before the woken
+                # thread's future
+                for woke in proc.hooks["futex_wake"]:
+                    woke(origin_ctx.tid, waiter_tid)
                 waiter.succeed()
                 woken += 1
             if queue is not None and not queue:
                 del self._queues[addr]
         return woken
-
-    def waiter_count(self, addr: int) -> int:
-        return len(self._queues.get(addr, ()))
 
     # ------------------------------------------------------------------
     # fail-stop recovery hooks (see repro.chaos.recovery)
@@ -132,7 +127,6 @@ class FutexTable:
         if not tids:
             return 0
         dropped = 0
-        detector = self.proc.deadlocks
         for addr in list(self._queues):
             queue = self._queues[addr]
             keep: Deque[Tuple[Event, int]] = deque()
@@ -140,8 +134,8 @@ class FutexTable:
                 if tid in tids:
                     if not waiter.triggered:
                         waiter.fail(exc)
-                    if detector is not None:
-                        detector.on_futex_resume(tid)
+                    for resumed in self.proc.hooks["futex_resume"]:
+                        resumed(tid)
                     dropped += 1
                 else:
                     keep.append((waiter, tid))
@@ -158,13 +152,12 @@ class FutexTable:
         how many pending waiters were failed."""
         self.poisoned = exc
         failed = 0
-        detector = self.proc.deadlocks
         for addr, queue in list(self._queues.items()):
             for waiter, tid in queue:
                 if not waiter.triggered:
                     waiter.fail(exc)
-                if detector is not None:
-                    detector.on_futex_resume(tid)
+                for resumed in self.proc.hooks["futex_resume"]:
+                    resumed(tid)
                 failed += 1
         self._queues.clear()
         return failed

@@ -47,6 +47,7 @@ from repro.memory.page_table import PageTable
 from repro.memory.vma import AddressSpaceMap, Protection
 from repro.net.messages import Message, MsgType
 from repro.sim import Interrupt
+from repro.sim.engine import Hooks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import DexCluster
@@ -75,6 +76,18 @@ class NodeProcessState:
     owner_hints: OwnerHintCache = field(default_factory=OwnerHintCache)
 
 
+#: what an observer of one process (:meth:`DexProcess.add_hook`) may define
+#: ``on_<probe>`` for — DESIGN.md §3 "Observation plane" says where each
+#: fires, with what, and who listens by default
+PROCESS_PROBES = (
+    "access", "fault_begin", "follower_wait", "follower_resume", "transition",
+    "grant", "revoke", "retry", "invalidate", "home_lookup", "redirect",
+    "spawn", "unmap", "node_dead", "thread_dead",
+    "futex_wait", "futex_resume", "futex_wake",
+    "delegation_call", "delegation_return", "lock_acquired", "lock_released",
+)
+
+
 class DexProcess:
     """One application process whose threads may span the whole rack."""
 
@@ -86,7 +99,9 @@ class DexProcess:
         self.origin = origin
         self.name = name or f"proc{self.pid}"
         self.stats = DexStats()
-        self.tracer = None  # set via attach_tracer()
+        #: the observers of this process and their per-probe lists (see
+        #: :meth:`add_hook`); built first, the services below hold lists
+        self.hooks = Hooks(*PROCESS_PROBES)
         #: the cluster's repro.obs span tracer, or None when tracing is off;
         #: every instrumented hot path guards on this single attribute
         self.obs = cluster.tracer
@@ -117,10 +132,10 @@ class DexProcess:
         self.futex = FutexTable(self)
         self.vma_sync = VmaSync(self)
         self.files = FileService(self)
-        #: the repro.check dynamic checkers (None unless DEX_SANITIZE /
-        #: SimParams.sanitize enables them); every instrumentation site
-        #: in the fault/protocol/futex layers guards on these
-        self.sanitizer, self.deadlocks = make_sanitizers(self)
+        # the repro.check dynamic checkers DEX_SANITIZE / SimParams.sanitize
+        # enables (none by default)
+        for checker in make_sanitizers(self):
+            self.add_hook(checker)
 
         self.threads: List[DexThread] = []
         self._next_tid = 0
@@ -134,6 +149,14 @@ class DexProcess:
         state.vma_map.mmap(
             GLOBALS_BASE, GLOBALS_SIZE, Protection.READ_WRITE, tag="globals"
         )
+
+    def add_hook(self, observer: Any) -> None:
+        """Let *observer* watch this process: whichever ``on_<probe>``
+        methods of :data:`PROCESS_PROBES` it defines are called from then
+        on, after those of the observers added before it; what one raises
+        reaches the thread whose action fired the probe.  (The §IV-A fault
+        profiler is ``proc.add_hook(FaultTracer())``.)"""
+        self.hooks.add(observer)
 
     # ------------------------------------------------------------------
     # per-node state
@@ -192,8 +215,9 @@ class DexProcess:
         thread, giving the coherence sanitizer its spawn ordering edge."""
         thread = DexThread(self, self._next_tid, name=name)
         self._next_tid += 1
-        if self.sanitizer is not None and parent_tid is not None:
-            self.sanitizer.on_spawn(parent_tid, thread.tid)
+        if parent_tid is not None:
+            for spawned in self.hooks["spawn"]:
+                spawned(parent_tid, thread.tid)
         thread.current_node = self.origin if at_node is None else at_node
         origin_map = self.node_state(self.origin).vma_map
         thread.stack_base = self._next_stack
@@ -263,8 +287,8 @@ class DexProcess:
         state.page_table.drop_range(vpn_start, vpn_end)
         state.frames.drop_range(vpn_start, vpn_end)
         self.protocol.directory.drop_range(vpn_start, vpn_end)
-        if self.sanitizer is not None:
-            self.sanitizer.on_unmap(vpn_start, vpn_end)
+        for unmapped in self.hooks["unmap"]:
+            unmapped(vpn_start, vpn_end)
         # shrinks are broadcast eagerly (§III-D)
         yield from self.vma_sync.broadcast_shrink(start, end)
 
@@ -335,14 +359,3 @@ class DexProcess:
         self.threads.clear()
         self.worker_ready.clear()
         self.nodes_with_worker.clear()
-
-    # ------------------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Install a page-fault tracer (see :mod:`repro.tools.tracer`)."""
-        self.tracer = tracer
-
-    def memory_bytes(self, node: int, addr: int, nbytes: int) -> bytes:
-        """Test/diagnostic helper: raw frame bytes at *node* without going
-        through the protocol."""
-        return self.node_state(node).frames.read(addr, nbytes)

@@ -122,8 +122,8 @@ class ConsistencyProtocol:
                     # this page's shard — drop the hint and re-resolve
                     proc.stats.hint_stale += 1
                     proc.node_state(node).owner_hints.invalidate(vpn)
-                    if proc.sanitizer is not None:
-                        proc.sanitizer.on_redirect(vpn, node, target)
+                    for redirected in proc.hooks["redirect"]:
+                        redirected(vpn, node, target)
                     proc.cluster.net.recycle(reply)
                     continue
                 self._note_home(node, vpn, target)
@@ -197,8 +197,8 @@ class ConsistencyProtocol:
         home = reply.payload["home"]
         proc.cluster.net.recycle(reply)
         hints.insert(vpn, home)
-        if proc.sanitizer is not None:
-            proc.sanitizer.on_home_lookup(vpn, node, home)
+        for resolved in proc.hooks["home_lookup"]:
+            resolved(vpn, node, home)
         return home
 
     def _note_home(self, node: int, vpn: int, home: int) -> None:
@@ -296,8 +296,8 @@ class ConsistencyProtocol:
             # the requester lost the race and must back off and retry
             entry.busy_retries += 1
             result = (_RETRY, None, 0, None)
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_retry(vpn, requester)
+            for refused in proc.hooks["retry"]:
+                refused(vpn, requester)
             if reply_to is not None:
                 yield from proc.cluster.net.send(
                     reply_to.make_reply(MsgType.PAGE_RETRY, PAYLOAD_RETRY)
@@ -334,13 +334,10 @@ class ConsistencyProtocol:
                         })
                     )
                     return result
-                if proc.sanitizer is not None:
-                    # the grant is decided: the entry must satisfy MRSW right
-                    # now, and the requester's copy inherits the page's causal
-                    # history (it travels in-order ahead of any invalidation)
-                    if proc.sanitizer.transition_checks:
-                        self.directory.check_entry(vpn, entry)
-                    proc.sanitizer.on_grant(vpn, requester, write)
+                # the grant is decided (it travels in-order ahead of any
+                # invalidation): a checker may hold the entry to MRSW now
+                for granted in proc.hooks["grant"]:
+                    granted(vpn, requester, write, entry)
                 if reply_to is not None:
                     _status, state_name, version, data = result
                     yield from proc.cluster.net.send(
@@ -478,8 +475,8 @@ class ConsistencyProtocol:
             home_pte = proc.node_state(home).page_table.ensure(vpn)
             # the home never discards its frame: it is the flush target
             home_pte.state = PageState.SHARED if downgrade else PageState.INVALID
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_revoke(vpn, home, downgrade, requester)
+            for revoked in proc.hooks["revoke"]:
+                revoked(vpn, home, downgrade, requester)
         if remote_losers:
             proc.stats.invalidations_sent += len(remote_losers)
             pending = []
@@ -530,11 +527,10 @@ class ConsistencyProtocol:
                             )
                         # recovery already dropped the dead loser's copy:
                         # an ack (necessarily without flush data) is implied
-            if proc.sanitizer is not None:
-                # each ack proves the loser's accesses are complete; its
-                # copy's causal history flows into the page's home clock
+            # each ack proves the loser's accesses are complete
+            for revoked in proc.hooks["revoke"]:
                 for node in acked:
-                    proc.sanitizer.on_revoke(vpn, node, downgrade, requester)
+                    revoked(vpn, node, downgrade, requester)
             flushes = [ack for ack in acks if ack.page_data is not None]
             if len(flushes) > 1:
                 raise ProtocolError(
@@ -550,10 +546,10 @@ class ConsistencyProtocol:
                     # the home now also holds a valid reader copy
                     home_pte.state = PageState.SHARED
                     entry.owners.add(home)
-                    if proc.sanitizer is not None:
-                        # grant-equivalent: the flush left the home with a
-                        # readable copy, inheriting the page's history
-                        proc.sanitizer.on_grant(vpn, home, write=False)
+                    # grant-equivalent: the flush left the home with a
+                    # readable copy, inheriting the page's history
+                    for granted in proc.hooks["grant"]:
+                        granted(vpn, home, False)
             for ack in acks:
                 proc.cluster.net.recycle(ack)
         if downgrade:
@@ -591,8 +587,8 @@ class ConsistencyProtocol:
                 yield from self.acquire_page(origin, vpn, True, fault)
             finally:
                 fault.done.succeed()
-            if proc.sanitizer is not None:
-                proc.sanitizer.on_transition(vpn)
+            for committed in proc.hooks["transition"]:
+                committed(vpn)
 
     # ------------------------------------------------------------------
     # owner side: servicing revocations
@@ -636,19 +632,11 @@ class ConsistencyProtocol:
                 dirty = bytes(frame) if frame is not None else bytes(params.page_size)
             if pte is not None:
                 pte.state = PageState.SHARED if downgrade else PageState.INVALID
-        if proc.tracer is not None:
-            proc.tracer.record(
-                time_us=engine.now,
-                node=node,
-                tid=-1,
-                fault_type="invalidate",
-                site="",
-                addr=vpn * params.page_size,
-                # the node whose access triggered this revocation (falling
-                # back to the revoking home for old-style messages), so
-                # false-sharing reports can name both parties
-                src_node=msg.payload.get("requester", msg.src),
-            )
+        for invalidated in proc.hooks["invalidate"]:
+            # with the node whose access triggered this revocation, so
+            # false-sharing reports can name both parties
+            invalidated(engine.now, node, vpn * params.page_size,
+                        msg.payload.get("requester", msg.src))
         yield from proc.cluster.net.send(
             msg.make_reply(
                 MsgType.PAGE_INVALIDATE_ACK, PAYLOAD_ACK_OK, page_data=dirty

@@ -109,9 +109,9 @@ class _ComputeAwait:
 
 def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
     """``ThreadContext.atomic_add_*`` for the 8-byte struct format *fmt*.
-    Eager fast path: with an EXCLUSIVE PTE and no sanitizer the update is
-    purely synchronous, so skip the generator machinery entirely and hand
-    back the result as an Immediate.  Mirrors *general*, the
+    Eager fast path: with an EXCLUSIVE PTE and nobody observing accesses the
+    update is purely synchronous, so skip the generator machinery entirely
+    and hand back the result as an Immediate.  Mirrors *general*, the
     :class:`FaultHandler` method that remains the general path."""
     codec = struct.Struct(fmt)
     unpack_from, pack_into = codec.unpack_from, codec.pack_into
@@ -124,7 +124,7 @@ def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
         page = self._page_size
         vpn = addr // page
         offset = addr - vpn * page
-        if proc.sanitizer is None and offset <= page - 8:
+        if not self._on_access and offset <= page - 8:
             if node == self._state_node and proc.state_gen == self._state_gen:
                 state = self._state
             else:
@@ -170,6 +170,8 @@ class ThreadContext:
         self._page_size = self.cluster.params.page_size
         self._chaos_off = self.cluster.chaos is None
         self._nodes = self.cluster.nodes
+        #: the process's ``access`` probe, held: the eager atomic tests it
+        self._on_access = self.proc.hooks["access"]
         #: memoised per-node state for the distributed-memory fast paths,
         #: keyed (and revalidated) by the thread's current node
         self._state_node = -1

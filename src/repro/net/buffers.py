@@ -42,24 +42,23 @@ class BufferPool:
 
     def take(self) -> Event:
         """One chunk's grant event, already triggered when a chunk was
-        free.  An exhausted pool counts the stall and tells the engine's
-        pool-stall hooks — buffer-pool exhaustion is a blocking site like
-        any other, and a stuck simulation's post-mortem must name exhausted
-        pools — and whoever waits on the grant calls :meth:`resumed` once
-        it fires.  (The engine pre-binds each hook's ``on_pool_*`` methods
-        at ``add_hook`` time, so the hookless case iterates an empty list.)"""
+        free.  An exhausted pool counts the stall and fires the engine's
+        ``pool_stall`` probe — buffer-pool exhaustion is a blocking site
+        like any other, and a stuck simulation's post-mortem must name
+        exhausted pools — and whoever waits on the grant calls
+        :meth:`resumed` once it fires."""
         self.acquisitions += 1
         grant = self._slots.acquire()
         if not grant._done:
             self.stalls += 1
-            for notify in self.engine._hooks_pool_stall:
-                notify(self)
+            for stalled in self.engine.hooks["pool_stall"]:
+                stalled(self)
         return grant
 
     def resumed(self) -> None:
         """A grant that :meth:`take` reported as a stall has fired."""
-        for notify in self.engine._hooks_pool_resume:
-            notify(self)
+        for resumed in self.engine.hooks["pool_resume"]:
+            resumed(self)
 
     def acquire(self):
         """Generator: obtain one chunk, stalling under exhaustion."""

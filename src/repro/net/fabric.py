@@ -124,9 +124,11 @@ class _Flight(Event):
 
     def _sent(self, _sent: Event) -> None:
         conn = self.conn
-        scope = self.net.scope
-        if scope is not None:
-            scope.note_wire(conn, self.wire_bytes, self.engine.now - self.sent_at)
+        on_wire = self.net._on_wire
+        if on_wire:
+            waited = self.engine.now - self.sent_at
+            for serialized in on_wire:
+                serialized(conn, self.wire_bytes, waited)
         conn.send_pool.release()  # send completion reclaims the chunk
         self._after(self.net.params.wire_latency, self._arrive)
 
@@ -232,10 +234,9 @@ class Network:
         #: hook below is gated on one `is None` test so the chaos-off send
         #: path stays bit-identical
         self.chaos = chaos
-        #: the DexScope sampler when time-series telemetry is on, else None
-        #: (set by DexCluster after construction); the wire path measures
-        #: per-link queueing delay only behind one `is None` test
-        self.scope = None
+        #: the engine's ``wire`` probe, held: the flight measures a link's
+        #: service time per message, and only when somebody listens
+        self._on_wire = engine.hooks["wire"]
         self.nics: List[NodeNIC] = [
             NodeNIC(engine, n, params) for n in range(num_nodes)
         ]
@@ -284,9 +285,8 @@ class Network:
                 # caller already did); the receiver's router parents its
                 # handler span on it
                 tracer.inject(msg)
-                # offer the stamped message to any online sinks (DexLens
-                # flight recorder); free when no sink is registered
-                tracer.note_message(msg)
+                for posted in self.engine.hooks["message"]:
+                    posted(self.engine.now, msg)
                 yield from self._send_impl(msg)
 
     def _send_impl(self, msg: Message) -> Generator:

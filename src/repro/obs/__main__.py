@@ -254,7 +254,7 @@ def cmd_top(ns: argparse.Namespace) -> int:
         lens.feed, interval_us=ns.interval_us, limit=ns.limit,
         stream=sys.stdout,
     )
-    tracer.add_sink(view)
+    cluster.engine.add_hook(view)
     _, _, label = _run_on(cluster, spec, ns)
     print()
     print(_summary(tracer.spans, tracer.dropped, label))

@@ -1,12 +1,12 @@
 """DexLens: online, bounded-memory trace analytics.
 
 Everything here runs *during* the simulation, fed exclusively by the
-tracer's span-close sink hook (:meth:`repro.obs.tracing.Tracer.add_sink`)
+engine's ``span_close`` probe (``engine.add_hook``, fired by the tracer)
 — no engine events are ever scheduled, so sim time with the lens on is
 bit-identical to a plain traced run, and a lens-off run is bit-identical
 to an untraced one (no lens object exists at all).
 
-Three consumers ride the sink:
+Three consumers ride the probe:
 
 * :class:`LensFeed` — sliding sim-time windows of per-page fault rate,
   owner churn (exclusive-ownership transfers), and (requester -> victim)
@@ -205,12 +205,6 @@ class LensFeed:
     def page_faults(self, vpn: int) -> float:
         """Faults on *vpn* inside the current window."""
         return self._faults.get(self.engine.now, vpn)
-
-    def fault_rate(self, vpn: int) -> float:
-        """Faults per simulated millisecond on *vpn*, over the window."""
-        now = self.engine.now
-        span = min(self.window_us, now) or self.window_us
-        return self._faults.get(now, vpn) * 1000.0 / span
 
     def hot_pages(self, top: int = 10) -> List[PageHeat]:
         now = self.engine.now
@@ -457,10 +451,10 @@ class TopView:
 
 
 class DexLens:
-    """The per-cluster analytics bundle: wires a :class:`LensFeed`, a
-    :class:`~repro.obs.ring.FlightRecorder` onto the cluster's tracer via
-    the sink hook.  (``obs top`` adds its :class:`TopView` over ``feed`` to
-    the same tracer.)"""
+    """The per-cluster analytics bundle: a :class:`LensFeed` behind its
+    :class:`LensSink`, and a :class:`~repro.obs.ring.FlightRecorder`, both
+    observers of the cluster's engine.  (``obs top`` adds its
+    :class:`TopView` over ``feed`` the same way.)"""
 
     def __init__(self, cluster, tracer: Tracer):
         params = cluster.params
@@ -473,14 +467,14 @@ class DexLens:
             max_keys=params.lens_max_keys,
         )
         self.sink = LensSink(self.feed, max_traces=params.lens_max_traces)
-        tracer.add_sink(self.sink)
+        cluster.engine.add_hook(self.sink)
         self.recorder = FlightRecorder(
             tracer,
             num_nodes=cluster.num_nodes,
             ring_spans=params.lens_ring_spans,
             ring_msgs=params.lens_ring_msgs,
         )
-        tracer.add_sink(self.recorder)
+        cluster.engine.add_hook(self.recorder)
         self.dump_path: Optional[str] = None
 
     def dump_on_crash(self, err: BaseException) -> Optional[str]:

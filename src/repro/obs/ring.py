@@ -13,7 +13,7 @@ The rest of this module is the crash flight recorder: fixed-size
 per-node rings of recent spans and protocol messages, dumped as a
 Perfetto-loadable snapshot on failure.
 
-The recorder is a tracer sink (see :meth:`repro.obs.tracing.Tracer.add_sink`):
+The recorder is an engine observer (``span_close`` and ``message`` probes):
 ``on_span_close`` appends each closed span to its node's ring and
 ``on_message`` records a compact summary of every traced outbound message.
 Rings are ``collections.deque(maxlen=...)`` — O(1) append, fixed memory,
@@ -185,7 +185,7 @@ class FlightRecorder:
     def _ring_index(self, node: int) -> int:
         return node if 0 <= node < self.num_nodes else self.num_nodes
 
-    # -- sink protocol -------------------------------------------------------
+    # -- engine probes -------------------------------------------------------
 
     def on_span_close(self, span: Span) -> None:
         self._spans[self._ring_index(span.node)].append(span)

@@ -14,7 +14,7 @@ A :class:`DexScope` registers one sampler on the engine's sampling grid
   :class:`~repro.sim.resources.Resource`), and live thread residency
   (:func:`repro.core.thread.threads_by_node`);
 * per-NIC transmit utilization and per-link occupancy / mean queueing
-  delay (fed by :meth:`note_wire` from the fabric's wire path);
+  delay (fed by the engine's ``wire`` probe, :meth:`on_wire`);
 * per-shard directory request rates
   (:meth:`repro.core.directory.CoherenceDirectory.requests_by_home`);
 * retry/chaos in-flight request counts
@@ -33,7 +33,7 @@ sampled run is bit-identical to an unsampled one (asserted by
 ``tests/test_obs_scope.py``).  When the scope is off
 (``SimParams.scope=""`` / ``DEX_SCOPE`` unset) no object exists: the
 engine compares one float against ``+inf`` per dispatch and the fabric
-guards on ``net.scope is None``.
+tests its empty ``wire`` list.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DexScope:
         self._last: Dict[str, float] = {}
         self._last_t = 0.0
         #: per-link [msgs, measured wire us, ideal serialization us]
-        #: accumulated by the fabric between samples (see note_wire)
+        #: accumulated by the fabric between samples (see on_wire)
         self._wire_wait: Dict[Tuple[int, int], List[float]] = {}
         self._link_bw = float(params.link_bandwidth)
 
@@ -106,7 +106,7 @@ class DexScope:
         self._serve_tracks: Dict[int, str] = {}
 
         cluster.engine.add_sampler(self.on_sample, self.interval_us)
-        cluster.net.scope = self
+        cluster.engine.add_hook(self)
 
     def attach_serve(self, feed: Any) -> None:
         """Register a DexServe manager: its :meth:`scope_series` is read
@@ -115,7 +115,7 @@ class DexScope:
 
     # -- fabric feed --------------------------------------------------------
 
-    def note_wire(self, conn: Any, wire_bytes: int, wait_us: float) -> None:
+    def on_wire(self, conn: Any, wire_bytes: int, wait_us: float) -> None:
         """Called by the fabric (scope on only) after a message serialized
         onto its link: *wait_us* is the measured fair-share service time;
         the ideal (uncontended) serialization time is accumulated alongside

@@ -19,13 +19,12 @@ unset and ``SimParams.trace`` falsy) no tracer exists at all: hot paths
 guard on ``proc.obs is None`` / use :func:`maybe_span`, and the engine
 runs with empty hooks — zero cost.
 
-Online consumers (the DexLens analytics layer, the flight recorder)
-subscribe through :meth:`Tracer.add_sink`: a sink's ``on_span_close`` fires
-once per span, at close time, with the span's final attrs — the only
-sanctioned way to observe spans during the run.  Sinks that also define
-``on_message`` additionally see every traced outbound message.  With no
-sinks registered the close path costs one truthiness test on a pre-bound
-(empty) callback list.
+Online consumers (the DexLens analytics layer, the flight recorder) are
+engine observers like any other (``engine.add_hook``): ``on_span_close``
+fires once per span, at close time, with the span's final attrs — the only
+sanctioned way to observe spans during the run — and ``on_message(now,
+msg)`` once per traced outbound message.  With nobody listening the close
+path costs one truthiness test on an empty list.
 """
 
 from __future__ import annotations
@@ -166,38 +165,13 @@ class Tracer:
         # opened them (None key = spans opened outside any process, e.g.
         # test driver code)
         self._stacks: Dict[Any, List[Span]] = {}
-        #: registered sinks plus their pre-bound callback lists; the close
-        #: path iterates `_sink_close` directly (no getattr per span)
-        self._sinks: List[Any] = []
-        self._sink_close: List[Any] = []
-        self._sink_msg: List[Any] = []
+        #: the engine's ``span_close`` probe, held: the close path runs per
+        #: span (lexical closes and adopted handler-root closes alike)
+        self._on_span_close: List[Any] = engine.hooks["span_close"]
         engine.tracer = self
         engine.add_hook(self)
 
-    # -- sinks ---------------------------------------------------------------
-
-    def add_sink(self, sink) -> None:
-        """Register an online span consumer.  ``sink.on_span_close(span)``
-        fires once per span at close time (lexical closes and adopted
-        handler-root closes alike); a sink that also defines
-        ``on_message(now, msg)`` sees every traced outbound message.  This
-        is the only sanctioned registration path — direct mutation of the
-        sink lists is a DexVet ``lens-sink-discipline`` violation."""
-        self._sinks.append(sink)
-        self._sink_close.append(sink.on_span_close)
-        on_message = getattr(sink, "on_message", None)
-        if on_message is not None:
-            self._sink_msg.append(on_message)
-
-    def note_message(self, msg) -> None:
-        """Offer an outbound message to the registered sinks (called by the
-        fabric's traced send path, right after :meth:`inject`)."""
-        if self._sink_msg:
-            now = self.engine.now
-            for cb in self._sink_msg:
-                cb(now, msg)
-
-    # -- engine hook ---------------------------------------------------------
+    # -- engine probe --------------------------------------------------------
 
     def on_process_finished(self, proc) -> None:
         """Reclaim *proc*'s stack, closing the adopted spans it owns.  A
@@ -270,7 +244,7 @@ class Tracer:
         return span
 
     def close_span(self, key: Any, span: Span) -> None:
-        """Stamp ``end_us``, pop *span* off *key*'s stack, tell the sinks."""
+        """Stamp ``end_us``, pop *span* off *key*'s stack, fire the probe."""
         span.end_us = self.engine.now
         stack = self._stacks.get(key)
         if stack is not None:
@@ -280,9 +254,9 @@ class Tracer:
                 pass
             if not stack:
                 del self._stacks[key]
-        if self._sink_close:
-            for close in self._sink_close:
-                close(span)
+        if self._on_span_close:
+            for closed in self._on_span_close:
+                closed(span)
 
     # -- cross-process / cross-node propagation ------------------------------
 

@@ -19,7 +19,7 @@ Constants marked *calibrated* were tuned so that the microbenchmarks of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, NamedTuple, Optional
 
 KB = 1024
@@ -28,6 +28,8 @@ GB = 1024 * MB
 
 #: the page-data transfer disciplines (cost models in repro.net.rdma)
 PAGE_TRANSFER_MODES = ("rdma_sink", "verb", "rdma_register")
+#: the coherence-directory backends (repro.core.directory)
+DIRECTORY_BACKENDS = ("origin", "sharded")
 
 
 @dataclass
@@ -189,8 +191,8 @@ class SimParams:
     # ---- online analytics (see repro.obs.lens — DexLens) ------------------
     #: streaming trace analytics: "" off, "1"/"on" on.  None defers to the
     #: DEX_LENS environment variable.  Turning the lens on implies a tracer
-    #: (it subscribes to span closes); with it off no lens object exists and
-    #: nothing beyond the tracer's empty sink list is ever touched
+    #: (it listens for span closes); with it off no lens object exists and
+    #: nothing beyond the tracer's empty span-close list is ever touched
     lens: Optional[str] = None
     #: sliding sim-time window for the heat statistics (fault rate, owner
     #: churn, ping-pong pairs), and its slice count (decay granularity)
@@ -213,7 +215,7 @@ class SimParams:
     #: periodic utilization sampling: "" off, "1"/"on" on.  None defers to
     #: the DEX_SCOPE environment variable.  When off no sampler exists and
     #: the engine's only obligation is one float compare against +inf per
-    #: dispatch; instrumented fabric paths guard on `net.scope is None`
+    #: dispatch, the fabric's one truth test of its empty `wire` list
     scope: Optional[str] = None
     #: sim-time between utilization samples (the grid the sampler fires on)
     scope_interval_us: float = 500.0
@@ -239,10 +241,23 @@ class SimParams:
     )
 
     def __post_init__(self) -> None:
-        if self.page_transfer_mode not in PAGE_TRANSFER_MODES:
+        """One ``ValueError`` naming the field, here and not mid-run."""
+        for name, known in (("page_transfer_mode", PAGE_TRANSFER_MODES),
+                            ("directory", DIRECTORY_BACKENDS)):
+            if getattr(self, name) not in known:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"expected one of {', '.join(map(repr, known))}"
+                )
+        for names, ok, bound in _BOUNDS:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not ok(value):
+                    raise ValueError(f"{name} must be {bound}, got {value!r}")
+        if self.lease_timeout_us <= self.lease_interval_us:
             raise ValueError(
-                f"unknown page_transfer_mode {self.page_transfer_mode!r}; "
-                f"expected one of {', '.join(map(repr, PAGE_TRANSFER_MODES))}"
+                f"lease_timeout_us must exceed lease_interval_us "
+                f"({self.lease_interval_us!r}), got {self.lease_timeout_us!r}"
             )
 
     def dram_contention_model(self) -> Callable[[int], float]:
@@ -263,6 +278,21 @@ class SimParams:
         """A modified copy; keyword names are field names."""
         return replace(self, **overrides)
 
+
+def _named(*suffixes: str, also: tuple = ()) -> tuple:
+    return tuple(
+        f.name for f in fields(SimParams) if f.name.endswith(suffixes)) + also
+
+
+#: (fields, test, what the ValueError says the field must be)
+_BOUNDS = (
+    (_named("_cost", "_overhead", "_latency", "_backoff"),
+     lambda v: v >= 0, "non-negative"),
+    (_named("_bandwidth", also=("page_size", "cores_per_node")),
+     lambda v: v > 0, "positive"),
+    (_named("_chunks", also=("directory_shards", "retry_max_attempts")),
+     lambda v: v >= 1, "at least 1"),
+)
 
 DEFAULT_PARAMS = SimParams()
 

@@ -18,7 +18,6 @@ DeX applications:
 """
 
 from repro.runtime.alloc import MemoryAllocator
-from repro.runtime.array import DistArray
 from repro.runtime.openmp import node_for_worker, parallel_region
 from repro.runtime.sync import Barrier, Mutex
 
@@ -30,3 +29,11 @@ __all__ = [
     "node_for_worker",
     "parallel_region",
 ]
+
+
+def __getattr__(name: str):
+    if name == "DistArray":  # the one export that needs numpy
+        from repro.runtime.array import DistArray
+
+        return DistArray
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -108,6 +108,3 @@ class MemoryAllocator:
 
     def globals_used(self) -> int:
         return self._globals_cursor - GLOBALS_BASE
-
-    def heap_used(self) -> int:
-        return self._heap_cursor - HEAP_BASE

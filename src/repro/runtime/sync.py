@@ -40,24 +40,20 @@ class Mutex:
                 self.addr, _FREE, _LOCKED_CONTENDED, site=f"mutex:{self.name}"
             )
             if observed == _FREE:
-                if ctx.proc.deadlocks is not None:
-                    # tell the wait-for detector who holds this lock, so
-                    # futex waiters on it get a blocked-on edge
-                    ctx.proc.deadlocks.on_lock_acquired(self.addr, ctx.tid)
+                # who holds this lock: the wait-for detector gives futex
+                # waiters on it a blocked-on edge
+                for acquired in ctx.proc.hooks["lock_acquired"]:
+                    acquired(self.addr, ctx.tid)
                 return
             # contended: sleep until the holder unlocks (the futex re-checks
             # the word at the origin, so a lost wake cannot strand us)
             yield from ctx.futex_wait(self.addr, _LOCKED_CONTENDED)
 
     def unlock(self, ctx: "ThreadContext") -> Generator:
-        if ctx.proc.deadlocks is not None:
-            ctx.proc.deadlocks.on_lock_released(self.addr, ctx.tid)
+        for released in ctx.proc.hooks["lock_released"]:
+            released(self.addr, ctx.tid)
         yield from ctx.write_u32(self.addr, _FREE, site=f"mutex:{self.name}")
         yield from ctx.futex_wake(self.addr, 1)
-
-    def locked(self, ctx: "ThreadContext") -> Generator:
-        value = yield from ctx.read_u32(self.addr)
-        return value != _FREE
 
 
 class Barrier:

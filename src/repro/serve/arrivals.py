@@ -71,20 +71,6 @@ class ArrivalCurve:
     def ramp_final(self) -> float:
         return self.ramp_to if self.ramp_to > 0.0 else 4.0 * self.rate
 
-    def rate_at(self, t_us: float) -> float:
-        """The specified instantaneous rate (requests/s) at offset
-        *t_us* — what the shape tests check generated arrivals against."""
-        if self.kind == "burst":
-            in_burst = (
-                self.burst_at_us <= t_us < self.burst_at_us + self.burst_for_us
-            )
-            return self.rate * self.burst_x if in_burst else self.rate
-        if self.kind == "ramp":
-            span = self.span_us()
-            frac = min(max(t_us / span, 0.0), 1.0) if span > 0 else 1.0
-            return self.rate + (self.ramp_final - self.rate) * frac
-        return self.rate
-
     def span_us(self) -> float:
         """Nominal duration of the whole curve in microseconds."""
         if self.kind == "ramp":

@@ -313,7 +313,7 @@ class Process(Event):
                 )
                 return
             self._waiting_on = target
-            hooks = engine._hooks_waiting
+            hooks = engine._on_waiting
             if hooks:
                 for waiting in hooks:
                     waiting(self, target)
@@ -385,6 +385,45 @@ class AnyOf(Event):
             self.succeed(child._value)
 
 
+class Hooks(dict):
+    """Who is watching one engine or one ``DexProcess``: probe name -> the
+    list of its observers' bound ``on_<probe>`` methods.
+
+    :meth:`add` binds an observer's methods once.  A site names the event
+    and iterates its list inline (``for granted in proc.hooks["grant"]:
+    granted(vpn, ...)``), never naming an observer and with no function in
+    between; per-access and per-message sites hold their list from
+    construction and test its truth first.  The lists are only ever appended
+    to, and only here, so a list held early sees later observers."""
+
+    __slots__ = ("observers",)
+
+    def __init__(self, *probes: str):
+        super().__init__((probe, []) for probe in probes)
+        self.observers: List[Any] = []
+
+    def add(self, observer: Any) -> None:
+        self.observers.append(observer)
+        for probe, bound in self.items():
+            method = getattr(observer, "on_" + probe, None)
+            if method is not None:
+                bound.append(method)
+
+    def find(self, kind: type) -> Optional[Any]:
+        """The first observer of type *kind*, or None."""
+        return next((o for o in self.observers if isinstance(o, kind)), None)
+
+
+#: what an engine observer may define ``on_<probe>`` for: process
+#: lifecycle; a buffer pool running dry / its oldest waiter getting a chunk
+#: (the waiter need not be a process); a span closing and a traced message
+#: posted (``repro.obs.tracing``); a message serialized onto its link
+ENGINE_PROBES = (
+    "process_created", "process_waiting", "process_finished",
+    "pool_stall", "pool_resume", "span_close", "message", "wire",
+)
+
+
 class Engine:
     """The event loop.
 
@@ -414,12 +453,10 @@ class Engine:
         "seed",
         "_rng",
         "hooks",
-        "_hooks_created",
-        "_hooks_waiting",
-        "_hooks_finished",
-        "_hooks_pool_stall",
-        "_hooks_pool_resume",
-        "_hooks_sample",
+        "_on_created",
+        "_on_waiting",
+        "_on_finished",
+        "_on_sample",
         "_sample_interval",
         "_next_sample",
         "current_process",
@@ -442,20 +479,18 @@ class Engine:
         #: reproducible end to end
         self.seed = seed
         self._rng: Optional[Any] = None
-        #: observers of process lifecycle (see :meth:`add_hook`); empty in
-        #: normal runs, so every hook site is one falsy check.  The
-        #: per-kind lists below are pre-bound methods populated at
-        #: ``add_hook`` time so hot paths never getattr-probe a hook.
-        self.hooks: List[Any] = []
-        self._hooks_created: List[Callable] = []
-        self._hooks_waiting: List[Callable] = []
-        self._hooks_finished: List[Callable] = []
-        self._hooks_pool_stall: List[Callable] = []
-        self._hooks_pool_resume: List[Callable] = []
-        #: periodic sim-time samplers (see :meth:`add_sampler`); with none
-        #: registered the deadline stays +inf and the run loop's only
-        #: obligation is one float compare per dispatch
-        self._hooks_sample: List[Callable] = []
+        #: the observers of this run (see :meth:`add_hook`); every list is
+        #: empty in normal runs.  The lifecycle lists are held here as well
+        #: because the process step reads one per yield.
+        self.hooks = hooks = Hooks(*ENGINE_PROBES)
+        self._on_created: List[Callable] = hooks["process_created"]
+        self._on_waiting: List[Callable] = hooks["process_waiting"]
+        self._on_finished: List[Callable] = hooks["process_finished"]
+        #: periodic sim-time samplers, the ``sample`` probe (see
+        #: :meth:`add_sampler`); with none registered the deadline stays
+        #: +inf and the run loop's only obligation is one float compare per
+        #: dispatch
+        self._on_sample: List[Callable] = []
         self._sample_interval = 0.0
         self._next_sample = _INF
         #: the Process whose generator is currently executing (None between
@@ -480,26 +515,11 @@ class Engine:
             self._rng = default_rng(self.seed)
         return self._rng
 
-    def add_hook(self, hook: Any) -> None:
-        """Register a process-lifecycle observer.  A hook may implement
-        ``on_process_created(process)``, ``on_process_waiting(process,
-        event)``, ``on_process_finished(process)``, ``on_pool_stall(pool)``,
-        and ``on_pool_resume(pool)`` (a buffer pool ran dry / its oldest
-        waiter got a chunk; the waiter need not be a process); the engine
-        calls whichever exist.  Methods are bound once here so dispatch sites
-        iterate pre-built lists instead of getattr-probing per call.  Used
-        by the repro.check and repro.obs diagnostics layers."""
-        self.hooks.append(hook)
-        for attr, bucket in (
-            ("on_process_created", self._hooks_created),
-            ("on_process_waiting", self._hooks_waiting),
-            ("on_process_finished", self._hooks_finished),
-            ("on_pool_stall", self._hooks_pool_stall),
-            ("on_pool_resume", self._hooks_pool_resume),
-        ):
-            method = getattr(hook, attr, None)
-            if method is not None:
-                bucket.append(method)
+    def add_hook(self, observer: Any) -> None:
+        """Let *observer* watch this run: whichever ``on_<probe>`` methods
+        of :data:`ENGINE_PROBES` it defines are called from then on, after
+        those of the observers added before it."""
+        self.hooks.add(observer)
 
     def add_sampler(self, fire: Callable[[float], None], interval_us: float) -> None:
         """Register a periodic sim-time sampler (the DexScope hook).
@@ -515,18 +535,18 @@ class Engine:
             raise SimulationError(
                 f"sampler interval must be positive: {interval_us}"
             )
-        if self._hooks_sample and interval_us != self._sample_interval:
+        if self._on_sample and interval_us != self._sample_interval:
             raise SimulationError("all samplers share one grid interval")
         self._sample_interval = float(interval_us)
         if self._next_sample == _INF:
             self._next_sample = self.now + self._sample_interval
-        self._hooks_sample.append(fire)
+        self._on_sample.append(fire)
 
     def _fire_samplers(self, when: float) -> float:
         """Fire every sampler at the pending grid deadline, then advance
         the grid past *when*; returns the new deadline."""
         deadline = self._next_sample
-        for fire in self._hooks_sample:
+        for fire in self._on_sample:
             fire(deadline)
         interval = self._sample_interval
         periods = int((when - deadline) / interval) + 1
@@ -590,14 +610,16 @@ class Engine:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         proc = Process(self, generator, name=name)
-        if self.hooks:
-            for created in self._hooks_created:
+        if self._on_created or self._on_finished:
+            # keyed on the lifecycle lists alone: the finish callback is a
+            # dispatch, and an observer of anything else must not add one
+            for created in self._on_created:
                 created(proc)
             proc.add_callback(self._notify_finished)
         return proc
 
     def _notify_finished(self, proc: Event) -> None:
-        for finished in self._hooks_finished:
+        for finished in self._on_finished:
             finished(proc)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -605,10 +627,6 @@ class Engine:
 
     def any_of(self, events: Iterable[Event], name: str = "") -> AnyOf:
         return AnyOf(self, events, name=name)
-
-    def trigger_at(self, when: float, event: Event, value: Any = None) -> None:
-        """Succeed *event* at absolute simulated time *when*."""
-        self._schedule_at(when, event.succeed, value)
 
     # -- main loop --------------------------------------------------------
 

@@ -115,10 +115,6 @@ class FairShareResource:
         self._reschedule()
         return event
 
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
-
     def effective_capacity(self, n_jobs: Optional[int] = None) -> float:
         n = len(self._jobs) if n_jobs is None else n_jobs
         if n == 0:

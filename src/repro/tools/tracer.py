@@ -40,8 +40,8 @@ class FaultEvent:
 
 
 class FaultTracer:
-    """Collects :class:`FaultEvent` records; attach with
-    :meth:`repro.core.DexProcess.attach_tracer`."""
+    """Collects :class:`FaultEvent` records; an observer of one process,
+    attached with ``proc.add_hook(FaultTracer())``."""
 
     def __init__(self, max_events: int = 2_000_000):
         self.events: List[FaultEvent] = []
@@ -75,6 +75,15 @@ class FaultTracer:
         self.events.append(
             FaultEvent(time_us, node, tid, fault_type, site, addr, tag, src_node)
         )
+
+    def on_fault_begin(self, now: float, node: int, tid: int, write: bool,
+                       site: str, addr: int, tag: str) -> None:
+        """A thread trapped on a page the protocol must fetch or upgrade."""
+        self.record(now, node, tid, "write" if write else "read", site, addr, tag)
+
+    def on_invalidate(self, now: float, node: int, addr: int, requester: int) -> None:
+        """*node* gave a page up (or down) on behalf of *requester*'s access."""
+        self.record(now, node, -1, "invalidate", "", addr, src_node=requester)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -29,7 +29,7 @@ are skipped rather than guessed at.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.vet.callgraph import (
     UBIQUITOUS_METHODS, CallGraph, FunctionInfo, call_name,
@@ -82,12 +82,3 @@ def call_effect(
     if len(kinds) == 1:
         return kinds.pop()
     return None
-
-
-def blocking_candidates(
-    graph: CallGraph, effects: Dict[FunctionInfo, str], call: ast.Call
-) -> List[FunctionInfo]:
-    """The (all-blocking) candidate set of *call*, or ``[]``."""
-    if call_effect(graph, effects, call) is not BLOCKING:
-        return []
-    return graph.resolve_call(call)

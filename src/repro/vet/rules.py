@@ -371,57 +371,64 @@ def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
                 ))
     return violations
 
-#: the tracer's sink registries; only Tracer.add_sink (obs/tracing.py)
-#: may touch them — everything else must go through the hook
-_SINK_LISTS = frozenset({"_sinks", "_sink_close", "_sink_msg"})
 _LIST_MUTATORS = frozenset({"append", "extend", "insert", "remove", "clear"})
+
+
+def _probe_list(node: ast.AST) -> Optional[str]:
+    """How *node* spells a probe list — ``x.hooks[...]``, a held
+    ``x._on_<probe>`` or the registry's ``observers`` — else None."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+        if isinstance(node, ast.Attribute) and node.attr == "hooks":
+            return ".hooks[...]"
+    elif isinstance(node, ast.Attribute) and (
+        node.attr == "observers" or node.attr.startswith("_on_")
+    ):
+        return "." + node.attr
+    return None
 
 
 @rule("lens-sink-discipline")
 def _check_lens_sink_discipline(ctx: VetContext) -> List[Violation]:
-    """DexLens consumers: (a) sinks hook in via Tracer.add_sink only —
-    mutating the tracer's sink lists directly skips the pre-bound callback
-    registration and the one sanctioned subscription point; (b) critical-
-    path phase labels come from the PathPhase enum (repro.obs.export),
-    never re-spelled as string literals."""
+    """Observers and DexLens consumers: (a) whoever watches a run hooks in
+    via add_hook only — the registry's add (sim/engine.py) is the one place
+    a probe list grows, so a list a site holds is never stale or reordered;
+    (b) critical-path phase labels come from the PathPhase enum
+    (repro.obs.export), never re-spelled as string literals."""
     violations: List[Violation] = []
     for scan in ctx.scans:
-        owns_lists = scan.module.rel.endswith("obs/tracing.py")
+        owns_lists = scan.module.rel.endswith("sim/engine.py")
         for node in ast.walk(scan.tree):
             if not isinstance(node, (ast.Call, ast.Assign, ast.AugAssign)):
                 continue
-            # (a) direct mutation of a tracer's sink lists
+            # (a) direct mutation of a probe list
             if not owns_lists:
-                touched: Optional[ast.Attribute] = None
+                touched: Optional[str] = None
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _LIST_MUTATORS
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr in _SINK_LISTS
                 ):
-                    touched = node.func.value
+                    touched = _probe_list(node.func.value)
                 elif isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = (
                         node.targets if isinstance(node, ast.Assign)
                         else [node.target]
                     )
                     for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr in _SINK_LISTS
-                        ):
-                            touched = target
-                            break
+                        spelled = _probe_list(target)
+                        # (binding a held list, `self._on_x = hooks[...]`,
+                        # is how a site starts)
+                        if spelled and not spelled.startswith("._on_"):
+                            touched = spelled
                 if touched is not None:
                     violations.append(Violation(
                         rule="lens-sink-discipline",
                         path=str(scan.path),
                         line=node.lineno,
                         message=(
-                            f"direct mutation of tracer sink list "
-                            f"'.{touched.attr}' — register online span "
-                            f"consumers via Tracer.add_sink(...) only"
+                            f"direct mutation of probe list '{touched}' — "
+                            f"observers register via add_hook(...) only"
                         ),
                     ))
             # (b) phase labels spelled as string literals

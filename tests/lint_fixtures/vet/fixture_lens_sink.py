@@ -1,15 +1,15 @@
-"""Seeded lens-sink-discipline violations: direct mutation of a tracer's
-sink lists (bypassing Tracer.add_sink) and a critical-path phase label
-spelled as a string literal instead of the PathPhase enum."""
+"""Seeded lens-sink-discipline violations: direct mutation of a probe
+list (bypassing add_hook, the registry's one place a list grows) and a
+critical-path phase label spelled as a string literal, not PathPhase."""
 
 
 class HeatProbe:
     def __init__(self, tracer, histogram):
         self.hits = 0
-        # BAD: direct mutation of the tracer's sink registry — the
-        # pre-bound callback lists go stale
-        tracer._sinks.append(self)
-        tracer._sink_close.append(self.on_span_close)
+        # BAD: growing a probe list by hand, looked up or held — the
+        # observer list and the other probes never hear of this object
+        tracer.engine.hooks["span_close"].append(self.on_span_close)
+        tracer._on_span_close.append(self.on_span_close)
         self.histogram = histogram
 
     def on_span_close(self, span):
@@ -21,12 +21,12 @@ class HeatProbe:
 
     def detach(self, tracer):
         # BAD: assignment counts as direct mutation too
-        tracer._sink_msg = []
+        tracer.engine.hooks["message"] = []
 
 
 def register(tracer, probe):
     # GOOD: the one sanctioned subscription point
-    tracer.add_sink(probe)
+    tracer.engine.add_hook(probe)
 
 
 def record(histogram, phase, us):

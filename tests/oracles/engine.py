@@ -61,7 +61,7 @@ class ReferenceProcess(Process):
                 "instances (Timeout, Process, Event) may be yielded"))
             return
         self._waiting_on = target
-        for waiting in engine._hooks_waiting:
+        for waiting in engine._on_waiting:
             waiting(self, target)
         target.add_callback(self._resume_cb)
 
@@ -74,8 +74,8 @@ class ReferenceEngine(HeapOnlyEngine):
 
     def process(self, generator, name=""):
         proc = ReferenceProcess(self, generator, name=name)
-        if self.hooks:
-            for created in self._hooks_created:
+        if self._on_created or self._on_finished:
+            for created in self._on_created:
                 created(proc)
             proc.add_callback(self._notify_finished)
         return proc

@@ -39,8 +39,8 @@ def wire(net, conn, msg, wire_bytes, predecessor, delivered):
         # serialize onto the link under fair sharing with concurrent sends
         sent_at = net.engine.now
         yield net.nics[conn.src].tx.consume(wire_bytes, tag=msg.msg_type)
-        if net.scope is not None:
-            net.scope.note_wire(conn, wire_bytes, net.engine.now - sent_at)
+        for serialized in net.engine.hooks["wire"]:
+            serialized(conn, wire_bytes, net.engine.now - sent_at)
         conn.send_pool.release()  # send completion reclaims the chunk
         yield net.engine.timeout(params.wire_latency)
         # receiver: consume a posted receive, reap the completion

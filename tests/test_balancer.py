@@ -108,7 +108,7 @@ def test_affinity_balancer_moves_thread_to_its_data():
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     tracer = FaultTracer()
-    proc.attach_tracer(tracer)
+    proc.add_hook(tracer)
     data = alloc_array(alloc, np.int64, 4096, name="remote_data",
                        page_aligned=True)
     balancer = AffinityBalancer(proc, min_faults=3)

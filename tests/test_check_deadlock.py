@@ -4,7 +4,7 @@ simulation gets a post-mortem report."""
 
 import pytest
 
-from repro.check import DeadlockError
+from repro.check import DeadlockDetector, DeadlockError
 from repro.core.errors import DexError
 from repro.runtime import MemoryAllocator, Mutex
 
@@ -96,7 +96,7 @@ def test_contended_mutex_is_not_flagged():
         return total
 
     assert cluster.simulate(main, proc) == 12
-    detector = proc.deadlocks
+    detector = proc.hooks.find(DeadlockDetector)
     assert detector._frames == {}
     assert detector._lock_holder == {}
     assert detector.edges_checked > 0
@@ -134,7 +134,7 @@ def test_exhausted_buffer_pool_appears_in_report():
     cluster.engine.process(pool.acquire(), name="second")  # stalls forever
     cluster.engine.run()
     assert pool.stalls == 1
-    report = proc.deadlocks.report()
+    report = proc.hooks.find(DeadlockDetector).report()
     assert "exhausted buffer pools:" in report
     assert "pool c0->1.send exhausted (1 chunks, 1 waiter(s))" in report
     assert "pending sim processes:" in report
@@ -156,7 +156,7 @@ def test_pool_stall_clears_on_release():
     cluster.engine.process(cycle(cluster.engine), name="b")
     cluster.engine.run()
     assert pool.stalls == 1  # b waited for a's chunk once
-    assert "exhausted buffer pools:" not in proc.deadlocks.report()
+    assert "exhausted buffer pools:" not in proc.hooks.find(DeadlockDetector).report()
 
 
 @pytest.mark.parametrize("pool_name, knob", [
@@ -194,9 +194,9 @@ def test_pool_exhausted_by_messages_in_flight_appears_in_report(pool_name, knob)
         eng.run(until=until)
     assert len(landed) < 2
     assert (f"pool {pool_name} exhausted (1 chunks, 1 waiter(s))"
-            in proc.deadlocks.report())
-    assert proc.deadlocks.watcher.stalls()
+            in proc.hooks.find(DeadlockDetector).report())
+    assert proc.hooks.find(DeadlockDetector).watcher.stalls()
     eng.run()
     assert len(landed) == 2 and pool.stalls == 1 and pool.in_use == 0
-    assert proc.deadlocks.watcher.stalls() == []
-    assert "exhausted buffer pools:" not in proc.deadlocks.report()
+    assert proc.hooks.find(DeadlockDetector).watcher.stalls() == []
+    assert "exhausted buffer pools:" not in proc.hooks.find(DeadlockDetector).report()

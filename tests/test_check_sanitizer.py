@@ -16,7 +16,7 @@ Both must be caught under both directory backends.
 
 import pytest
 
-from repro.check import CoherenceViolation
+from repro.check import CoherenceSanitizer, CoherenceViolation, DeadlockDetector
 from repro.check.vclock import VectorClock
 from repro.memory.page_table import PageState
 from repro.net.messages import MsgType
@@ -101,8 +101,8 @@ def test_clean_run_counts_checks(backend):
         return total
 
     assert cluster.simulate(main, proc) == 16
-    san = proc.sanitizer
-    assert san is not None and proc.deadlocks is not None
+    san = proc.hooks.find(CoherenceSanitizer)
+    assert san is not None and proc.hooks.find(DeadlockDetector) is not None
     assert san.accesses_checked > 0
     assert san.transitions_checked > 0
     assert san.edges_recorded > 0
@@ -163,7 +163,7 @@ def test_skipped_invalidation_trips_race_detector(backend):
     catches the stale read and names both access sites."""
     cluster = make_cluster(num_nodes=2, directory=backend, sanitize="race")
     proc = cluster.create_process()
-    proc.sanitizer.transition_checks = False
+    proc.hooks.find(CoherenceSanitizer).transition_checks = False
     vpn = pick_vpn(proc)
     addr = vpn * cluster.params.page_size
 
@@ -205,7 +205,7 @@ def test_reordered_grant_trips_race_detector(backend):
     unordered write/write pair."""
     cluster = make_cluster(num_nodes=2, directory=backend, sanitize="race")
     proc = cluster.create_process()
-    proc.sanitizer.transition_checks = False
+    proc.hooks.find(CoherenceSanitizer).transition_checks = False
     vpn = pick_vpn(proc)
     addr = vpn * cluster.params.page_size
 

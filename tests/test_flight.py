@@ -39,12 +39,12 @@ COLUMNS = (False, True)
 
 
 class WireTotals:
-    """Stands in for DexScope: what ``note_wire`` was told, in order."""
+    """Stands in for DexScope: what ``on_wire`` was told, in order."""
 
     def __init__(self):
         self.notes = []
 
-    def note_wire(self, conn, wire_bytes, wait_us):
+    def on_wire(self, conn, wire_bytes, wait_us):
         self.notes.append((conn.src, conn.dst, wire_bytes, wait_us))
 
 
@@ -69,8 +69,9 @@ def run_fabric(scenario, num_nodes, scope, overrides, traced=False, rules=()):
         chaos = ChaosController(eng, params, ChaosScenario(
             rules=[ChaosRule(**rule) for rule in rules]))
     net = Network(eng, num_nodes, params, chaos=chaos)
-    if scope:
-        net.scope = WireTotals()
+    wire_totals = WireTotals()
+    if scope:  # added after the fabric was built: its held list sees it
+        eng.add_hook(wire_totals)
     log = []
     first_msg_id = Message(MsgType.PING, 0, 0).msg_id + 1
     scenario(eng, net, log)
@@ -91,7 +92,7 @@ def run_fabric(scenario, num_nodes, scope, overrides, traced=False, rules=()):
             pool.name: (pool.acquisitions, pool.stalls, pool.in_use)
             for c in used for pool in (c.send_pool, c.recv_pool, c.rdma_sink)
         },
-        "scope": net.scope.notes if scope else None,
+        "scope": wire_totals.notes if scope else None,
         "spans": span_rows(tracer, first_msg_id) if traced else None,
         "open_stacks": len(tracer._stacks) if traced else 0,
         "chaos": chaos.report() if rules else None,
@@ -292,7 +293,7 @@ def test_a_stalled_traced_flight_is_in_the_flight_recorder_dump(tmp_path):
     eng = Engine()
     tracer = Tracer(eng)
     recorder = FlightRecorder(tracer, num_nodes=2)
-    tracer.add_sink(recorder)
+    eng.add_hook(recorder)
     net = Network(eng, 2, SimParams(recv_pool_chunks=1))
     net.connection(0, 1).recv_pool.take()  # never given back
     log = []

@@ -65,7 +65,7 @@ def test_export_scope_merges_its_own_clusters_series(
 def test_top_adds_its_view_to_its_own_cluster(point, built, capsys):
     assert cli.main(["top", *point, "--interval-us", "500"]) == 0
     (cluster,) = built
-    (view,) = [s for s in cluster.tracer._sinks if isinstance(s, TopView)]
+    (view,) = [o for o in cluster.engine.hooks.observers if isinstance(o, TopView)]
     assert view.feed is cluster.lens.feed
     text = capsys.readouterr().out
     assert view.frames >= 2 and text.count("dex top @") == view.frames

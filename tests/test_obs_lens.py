@@ -74,20 +74,20 @@ def test_lens_off_means_no_lens_object(monkeypatch):
     monkeypatch.delenv("DEX_TRACE", raising=False)
     cluster = DexCluster(num_nodes=2, params=SimParams(lens=""))
     assert cluster.lens is None and cluster.tracer is None
-    # trace on, lens off: tracer exists but its sink lists stay empty
+    # trace on, lens off: the tracer exists but nobody listens for closes
     cluster = DexCluster(num_nodes=2, params=SimParams(trace="1", lens=""))
     assert cluster.lens is None
-    assert cluster.tracer._sinks == []
-    assert cluster.tracer._sink_close == []
+    assert cluster.engine.hooks["span_close"] == []
+    assert cluster.engine.hooks["message"] == []
 
 
 def test_lens_on_implies_tracer():
     cluster = DexCluster(num_nodes=2, params=SimParams(lens="1"))
     assert cluster.tracer is not None
     assert cluster.lens is not None
-    # the feed and the flight recorder are subscribed via add_sink
-    assert cluster.lens.sink in cluster.tracer._sinks
-    assert cluster.lens.recorder in cluster.tracer._sinks
+    # the feed and the flight recorder are observers of the engine
+    assert cluster.lens.sink in cluster.engine.hooks.observers
+    assert cluster.lens.recorder in cluster.engine.hooks.observers
 
 
 def test_lens_env_knob(monkeypatch):
@@ -293,7 +293,7 @@ def test_top_view_renders_on_sim_time_boundaries():
     def attach(cluster):
         views.append(TopView(cluster.lens.feed, interval_us=200.0, limit=4,
                              stream=stream))
-        cluster.tracer.add_sink(views[0])
+        cluster.engine.add_hook(views[0])
 
     cluster, proc, var = _micro(rounds=30, on_cluster=attach)
     assert views[0].frames >= 2
@@ -309,7 +309,7 @@ def test_top_view_renders_on_sim_time_boundaries():
 
 def test_top_view_not_attached_unless_asked():
     cluster, _, _ = _micro(rounds=5)
-    assert not any(isinstance(s, TopView) for s in cluster.tracer._sinks)
+    assert cluster.engine.hooks.find(TopView) is None
 
 
 def test_top_view_render_is_pure_query():

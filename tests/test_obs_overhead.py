@@ -1,12 +1,10 @@
 """The diagnostics-off zero-cost guarantee, guarded three ways:
 
 1. structurally — with ``DEX_TRACE`` unset no tracer object exists, hot
-   paths see ``proc.obs is None``, the engine runs with empty hooks, and
-   messages carry no trace context; the same single-attribute shape holds
-   for the chaos (``cluster.chaos is None``), check
-   (``proc.sanitizer``/``proc.deadlocks is None``), and scope
-   (``cluster.scope``/``net.scope is None``, no sampler registered)
-   layers;
+   paths see ``proc.obs is None``, the engine and the process have no
+   observer and every probe list is empty, and messages carry no trace
+   context; chaos is ``cluster.chaos is None`` and scope ``cluster.scope
+   is None`` with no sampler registered;
 2. semantically — tracing on/off yields bit-identical simulated time and
    fault counts (instrumentation must never perturb the model);
 3. a microbound — the entire per-fault off-mode cost of all three
@@ -66,33 +64,37 @@ def test_off_mode_is_structurally_zero_cost(monkeypatch):
     assert cluster.tracer is None
     assert cluster.engine.tracer is None
     assert proc.obs is None
-    assert cluster.engine.hooks == []  # nothing on the per-step hot path
+    # nobody watches: nothing on the per-step, per-message or per-access
+    # hot paths, which test these very lists
+    assert cluster.engine.hooks.observers == []
+    assert not any(cluster.engine.hooks.values())
     # scope off: no sampler registered, the run loop compares one float
     # against +inf per dispatch, and the fabric never times the wire
     assert cluster.scope is None
-    assert cluster.net.scope is None
-    assert cluster.engine._hooks_sample == []
+    assert cluster.net._on_wire is cluster.engine.hooks["wire"]
+    assert cluster.engine._on_sample == []
     assert cluster.engine._next_sample == float("inf")
     # messages default to carrying no trace context
     msg = Message(MsgType.PAGE_REQUEST, src=0, dst=1)
     assert msg.trace_id is None and msg.parent_span is None
 
 
-def test_chaos_and_check_off_paths_are_single_attribute(monkeypatch):
-    """With every diagnostic layer off, each dispatch-adjacent guard is one
-    attribute load against None (or a flag snapshotted at construction) —
-    no object graphs, no hook lists, no getattr probing."""
+def test_chaos_and_check_off_every_probe_list_is_empty(monkeypatch):
+    """With every diagnostic layer off no observer object exists and every
+    probe list — the ones sites hold and the ones they look up — is empty;
+    chaos is one attribute load against None (or a flag snapshotted at
+    construction)."""
     monkeypatch.delenv("DEX_TRACE", raising=False)
     cluster, proc = _run_workload(trace=None)
     assert cluster.chaos is None
-    assert proc.sanitizer is None
-    assert proc.deadlocks is None
+    assert proc.hooks.observers == [] and not any(proc.hooks.values())
+    assert proc.faults._on_access is proc.hooks["access"]
     eng = cluster.engine
-    assert eng.hooks == []
-    # the pre-bound per-kind hook lists the dispatch sites iterate
-    assert eng._hooks_created == [] and eng._hooks_waiting == []
-    assert eng._hooks_finished == []
-    assert eng._hooks_pool_stall == [] and eng._hooks_pool_resume == []
+    assert eng.hooks.observers == [] and not any(eng.hooks.values())
+    # the lifecycle lists the engine holds for its own dispatch sites
+    assert eng._on_created is eng.hooks["process_created"]
+    assert eng._on_waiting is eng.hooks["process_waiting"]
+    assert eng._on_finished is eng.hooks["process_finished"]
     # chaos-off collapses message recycling to one snapshotted flag
     assert cluster.net._recycle is True
 
@@ -117,8 +119,9 @@ def test_scope_knob_resolution(monkeypatch):
     assert DexCluster(num_nodes=2, params=SimParams(scope="")).scope is None
     cluster = DexCluster(num_nodes=2, params=SimParams(scope="1"))
     assert cluster.scope is not None
-    assert cluster.net.scope is cluster.scope  # the fabric's wire guard
-    assert len(cluster.engine._hooks_sample) == 1
+    # the fabric's wire stage tests this list
+    assert cluster.net._on_wire == [cluster.scope.on_wire]
+    assert cluster.engine._on_sample == [cluster.scope.on_sample]
     monkeypatch.setenv("DEX_SCOPE", "1")
     assert DexCluster(num_nodes=2).scope is not None
     monkeypatch.setenv("DEX_SCOPE", "0")
@@ -134,12 +137,12 @@ def test_tracing_does_not_perturb_the_simulation():
     assert on_proc.stats.total_faults == off_proc.stats.total_faults
     assert on_proc.stats.fault_retries == off_proc.stats.fault_retries
     assert on_cluster.tracer.spans and off_cluster.tracer is None
-    # with the lens off the tracer's sink lists stay empty: the span-close
-    # path is one truthiness test on a pre-bound empty list
+    # with the lens off nobody listens for spans or messages: the
+    # span-close path is one truthiness test on a held empty list
     assert on_cluster.lens is None
-    assert on_cluster.tracer._sinks == []
-    assert on_cluster.tracer._sink_close == []
-    assert on_cluster.tracer._sink_msg == []
+    assert on_cluster.engine.hooks.observers == [on_cluster.tracer]
+    assert on_cluster.tracer._on_span_close == []
+    assert on_cluster.engine.hooks["message"] == []
 
 
 def test_off_mode_guard_cost_within_three_percent(monkeypatch):
@@ -151,15 +154,20 @@ def test_off_mode_guard_cost_within_three_percent(monkeypatch):
     assert faults > 0
     per_fault_wall = wall / faults
     # the off-mode cost per instrumented site is one attribute load plus a
-    # None check; measure the real primitives on the real objects, one per
-    # diagnostic layer (obs, check's sanitizer + deadlock detector, chaos)
+    # None check (spans, chaos), a truth test of a held list (per-access
+    # and per-message probes) or a loop over an empty one (the others);
+    # measure the real primitives on the real objects
+    def bare_loop():
+        for granted in proc.hooks["grant"]:
+            granted()
+
     n = 20_000
     guards = (
         lambda: proc.obs is None,
-        lambda: proc.sanitizer is None,
-        lambda: proc.deadlocks is None,
+        lambda: not proc.faults._on_access,
+        bare_loop,
         lambda: cluster.chaos is None,
-        lambda: cluster.net.scope is None,
+        lambda: not cluster.net._on_wire,
     )
     guard_cost = sum(
         min(timeit.repeat(guard, number=n, repeat=5)) / n for guard in guards

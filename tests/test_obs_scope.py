@@ -95,11 +95,11 @@ def test_sampler_registration_validation():
 
 def test_samplers_do_not_count_as_hooks():
     """The zero-cost-off story for the rest of the engine: samplers live
-    on their own list, so hook-guarded paths stay empty."""
+    on their own list, so every probe list stays empty."""
     engine = Engine(seed=1)
     engine.add_sampler(lambda t: None, 10.0)
-    assert engine.hooks == []
-    assert len(engine._hooks_sample) == 1
+    assert engine.hooks.observers == [] and not any(engine.hooks.values())
+    assert len(engine._on_sample) == 1
 
 
 # -- SeriesRing ---------------------------------------------------------------

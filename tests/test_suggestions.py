@@ -86,7 +86,7 @@ def test_advisor_on_real_contended_run():
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     tracer = FaultTracer()
-    proc.attach_tracer(tracer)
+    proc.add_hook(tracer)
     counter = alloc.alloc_global(8, tag="counter")
     gate = cluster.engine.event()
 

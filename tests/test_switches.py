@@ -1,14 +1,15 @@
 """The one switch parser (``repro.params.resolve_switch``): every spelling
 each of the five ``SimParams`` switches accepts, what it resolves to, env
 deferral, and each error message — plus the structural claim that nothing
-else in ``src/repro`` reads the environment."""
+else in ``src/repro`` reads the environment, and what ``SimParams`` itself
+refuses at construction."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.params import SWITCHES, resolve_switch
+from repro.params import SWITCHES, SimParams, resolve_switch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,3 +111,39 @@ def test_the_only_env_knobs_are_the_five_switches():
     for path in _sources():
         names.update(re.findall(r"\bDEX_[A-Z_]+", path.read_text()))
     assert names == {s.env for s in SWITCHES.values()}
+
+
+@pytest.mark.parametrize("field, value, complaint", [
+    ("link_bandwidth", 0.0, "must be positive, got 0.0"),
+    ("dram_bandwidth", -1.0, "must be positive"),
+    ("memcpy_bandwidth", 0, "must be positive"),
+    ("page_size", 0, "must be positive"),
+    ("cores_per_node", 0, "must be positive"),
+    ("wire_latency", -0.1, "must be non-negative, got -0.1"),
+    ("verb_send_overhead", -1.0, "must be non-negative"),
+    ("fault_trap_cost", -2.0, "must be non-negative"),
+    ("fault_retry_backoff", -130.0, "must be non-negative"),
+    ("remote_worker_setup_cost", -1.0, "must be non-negative"),
+    ("send_pool_chunks", 0, "must be at least 1, got 0"),
+    ("recv_pool_chunks", -3, "must be at least 1"),
+    ("rdma_sink_chunks", 0, "must be at least 1"),
+    ("directory", "home", "unknown directory 'home'.*'origin', 'sharded'"),
+    ("directory_shards", 0, "must be at least 1"),
+    ("retry_max_attempts", 0, "must be at least 1"),
+    ("lease_timeout_us", 150.0, r"must exceed lease_interval_us \(150.0\)"),
+    ("lease_interval_us", 600.0, "lease_timeout_us must exceed"),
+])
+def test_simparams_refuses_a_bad_field_at_construction(field, value, complaint):
+    """One ValueError naming the field, from the constructor and from
+    ``copy`` — not a ZeroDivisionError or a hang somewhere mid-run."""
+    for build in (lambda: SimParams(**{field: value}),
+                  lambda: SimParams().copy(**{field: value})):
+        with pytest.raises(ValueError, match=complaint) as refusal:
+            build()
+        assert field in str(refusal.value)
+
+
+def test_simparams_accepts_the_edges_it_should():
+    SimParams(wire_latency=0.0, fault_retry_backoff=0.0, send_pool_chunks=1,
+              directory="sharded", directory_shards=1, retry_max_attempts=1,
+              lease_interval_us=599.9)

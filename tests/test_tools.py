@@ -20,7 +20,7 @@ def traced_run():
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     tracer = FaultTracer()
-    proc.attach_tracer(tracer)
+    proc.add_hook(tracer)
     counter = alloc.alloc_global(8, tag="counter")
     private = [alloc_array(alloc, np.int64, 512, page_aligned=True,
                            name=f"buf{n}") for n in range(4)]
@@ -140,3 +140,27 @@ def test_invalid_bucket_rejected():
     except ValueError:
         raised = True
     assert raised
+
+
+def test_the_example_hands_its_trace_to_the_cli(tmp_path, monkeypatch, capsys):
+    """The §IV workflow as the README spells it: the example profiles its
+    bad histogram and leaves ``trace.csv``; ``python -m repro.tools`` on
+    that file names the same falsely shared page and says how to fix it."""
+    import re
+    import runpy
+    from pathlib import Path
+
+    from repro.tools.__main__ import main as tools_cli
+
+    example = (Path(__file__).resolve().parent.parent
+               / "examples" / "profile_and_optimize.py")
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(example), run_name="__main__")
+    said = capsys.readouterr().out
+    (page,) = re.findall(r"-> page (0x[0-9a-f]+) is written from nodes", said)
+    assert tools_cli(["trace.csv"]) == 0
+    report = capsys.readouterr().out
+    assert "false-sharing candidates" in report
+    flagged = report[report.index("false-sharing candidates"):]
+    assert page in flagged and "histogram:add" in report
+    assert "posix_memalign" in report  # the advisor's remedy for it

@@ -112,14 +112,14 @@ def test_lens_sink_fixture():
     violations = vet_fixture("fixture_lens_sink.py")
     assert rules_fired(violations) == ["lens-sink-discipline"]
     by_line = {v.line: v.message for v in violations}
-    # direct .append on the tracer's sink registries
-    assert 11 in by_line and "Tracer.add_sink" in by_line[11]
-    assert 12 in by_line and "_sink_close" in by_line[12]
+    # direct .append on a probe list, looked up or held
+    assert 11 in by_line and "add_hook" in by_line[11]
+    assert 12 in by_line and "_on_span_close" in by_line[12]
     # phase label spelled as a string literal
     assert 18 in by_line and "PathPhase" in by_line[18]
     # plain assignment counts as mutation too
-    assert 24 in by_line and "_sink_msg" in by_line[24]
-    # the sanctioned forms (add_sink, phase=enum.value) stay quiet
+    assert 24 in by_line and ".hooks[...]" in by_line[24]
+    # the sanctioned forms (add_hook, phase=enum.value) stay quiet
     assert len(violations) == 4
 
 
