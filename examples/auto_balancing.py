@@ -36,7 +36,7 @@ def run(balanced: bool):
         )
 
     def main(ctx):
-        yield ctx.engine.timeout(10_000.0)  # everyone parked on node 1
+        yield 10_000.0  # everyone parked on node 1
         start = ctx.now
         gate.succeed()
         nodes = yield from proc.join_all(threads)

@@ -60,9 +60,11 @@ class BlockFrame:
 
 
 class EngineWaitWatcher:
-    """Engine observer recording what every sim process last waited on,
-    plus which buffer pools are currently exhausted (``repro.net.buffers``
-    fires the stall/resume probes)."""
+    """Engine observer recording the Event every sim process last waited on
+    (a private sleep is not a wait the engine reports, so a record may be
+    stale: :meth:`pending` checks it against the process), plus which buffer
+    pools are currently exhausted (``repro.net.buffers`` fires the
+    stall/resume probes)."""
 
     def __init__(self) -> None:
         self.waiting: Dict["Process", "Event"] = {}

@@ -96,7 +96,7 @@ class LoadBalancer:
         (spawn with ``cluster.engine.process(balancer.run(...))``)."""
         engine = self.proc.cluster.engine
         while engine.now < until:
-            yield engine.timeout(interval_us)
+            yield interval_us
             self.rebalance()
 
 

@@ -247,7 +247,7 @@ class DexCluster:
         def lease_handler(msg: Message) -> Generator:
             # keepalive receipt at the origin (chaos-only traffic); charged
             # a nominal handling cost like any small control message
-            yield self.engine.timeout(self.params.verb_recv_overhead)
+            yield self.params.verb_recv_overhead
             if self.chaos is not None:
                 self.chaos.on_lease_renew(
                     msg.payload["pid"], msg.payload["node"]

@@ -78,7 +78,7 @@ class DelegationService:
 
         def noop(ctx) -> Generator:
             # used by the delegation microbenchmark
-            yield proc.cluster.engine.timeout(0.0)
+            yield 0.0
             return "ok"
 
         for name, op in (
@@ -148,7 +148,7 @@ class DelegationService:
         original thread, run the op in its context, reply with the result."""
         proc = self.proc
         params = proc.cluster.params
-        yield proc.cluster.engine.timeout(params.delegation_dispatch_cost)
+        yield params.delegation_dispatch_cost
         ctx = OriginExecContext(proc, msg.payload["tid"])
         op = self._ops.get(msg.payload["op"])
         if op is None:

@@ -148,7 +148,7 @@ class FaultHandler:
         params = proc.cluster.params
         state = proc.node_state(node)
         started = engine.now
-        yield engine.timeout(params.fault_trap_cost)
+        yield params.fault_trap_cost
         # VMA check — may run the on-demand sync, may raise SegmentationFault
         vma = yield from proc.vma_sync.ensure_vma(
             node, vpn * params.page_size, write
@@ -159,7 +159,7 @@ class FaultHandler:
         while True:
             if self.permits(node, vpn, write):
                 break
-            yield engine.timeout(params.fault_coalesce_lookup_cost)
+            yield params.fault_coalesce_lookup_cost
             flist = state.inflight.get(vpn)
             active = [f for f in flist if not f.done.triggered] if flist else []
             if active and params.enable_fault_coalescing:

@@ -65,10 +65,9 @@ class FileService:
 
     def _register_ops(self) -> None:
         proc = self.proc
-        engine_timeout = lambda us: proc.cluster.engine.timeout(us)  # noqa: E731
 
         def file_open(ctx, path: str, mode: str) -> Generator:
-            yield engine_timeout(_FILE_OP_COST)
+            yield _FILE_OP_COST
             self.ops += 1
             if mode not in ("r", "w", "a", "r+"):
                 raise DexError(f"bad open mode {mode!r}")
@@ -92,7 +91,7 @@ class FileService:
                 self._contents[handle.path][handle.offset:handle.offset + length]
             )
             handle.offset += len(data)
-            yield engine_timeout(_FILE_OP_COST + len(data) / _FILE_COPY_BANDWIDTH)
+            yield _FILE_OP_COST + len(data) / _FILE_COPY_BANDWIDTH
             self.ops += 1
             # bytes must survive the message payload: ship as latin-1 text
             return data.decode("latin-1")
@@ -108,7 +107,7 @@ class FileService:
                 content.extend(b"\x00" * (end - len(content)))
             content[handle.offset:end] = raw
             handle.offset = end
-            yield engine_timeout(_FILE_OP_COST + len(raw) / _FILE_COPY_BANDWIDTH)
+            yield _FILE_OP_COST + len(raw) / _FILE_COPY_BANDWIDTH
             self.ops += 1
             return len(raw)
 
@@ -117,14 +116,14 @@ class FileService:
             if offset < 0:
                 raise DexError(f"negative seek offset {offset}")
             handle.offset = offset
-            yield engine_timeout(_FILE_OP_COST)
+            yield _FILE_OP_COST
             self.ops += 1
             return offset
 
         def file_close(ctx, fd: int) -> Generator:
             self._handle(fd)
             del self._descriptors[fd]
-            yield engine_timeout(_FILE_OP_COST)
+            yield _FILE_OP_COST
             self.ops += 1
             return 0
 

@@ -67,7 +67,7 @@ class FutexTable:
             proc.obs, "futex.wait",
             node=proc.origin, tid=origin_ctx.tid, addr=addr,
         ) as span:
-            yield proc.cluster.engine.timeout(params.futex_op_cost)
+            yield params.futex_op_cost
             # fault the futex page to the origin (read access), then compare
             # and enqueue atomically (no yields in between)
             yield from origin_ctx.fault_in(addr, FUTEX_WORD, write=False)
@@ -99,7 +99,7 @@ class FutexTable:
             proc.obs, "futex.wake",
             node=proc.origin, tid=origin_ctx.tid, addr=addr,
         ):
-            yield proc.cluster.engine.timeout(params.futex_op_cost)
+            yield params.futex_op_cost
             queue = self._queues.get(addr)
             woken = 0
             while queue and woken < count:

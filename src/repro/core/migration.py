@@ -80,7 +80,7 @@ class MigrationService:
             source_cost += params.origin_process_setup_cost
         elif src == proc.origin:
             source_cost += params.origin_resume_cost
-        yield engine.timeout(source_cost)
+        yield source_cost
         components["context_collect"] = params.context_collect_cost
         proc.ever_migrated = True
 
@@ -134,7 +134,7 @@ class MigrationService:
                 name=f"worker_ready@{dest}"
             )
             with maybe_span(proc.obs, "migration.remote_worker", node=dest):
-                yield engine.timeout(params.remote_worker_setup_cost)
+                yield params.remote_worker_setup_cost
             components["remote_worker"] = params.remote_worker_setup_cost
             proc.nodes_with_worker.add(dest)
             proc.node_state(dest)  # materialize page table / frames / VMA replica
@@ -150,17 +150,17 @@ class MigrationService:
                 yield ready
             # wake the sleeping remote worker so it can fork for us
             with maybe_span(proc.obs, "migration.worker_wake", node=dest):
-                yield engine.timeout(params.worker_wake_cost)
+                yield params.worker_wake_cost
             components["worker_wake"] = params.worker_wake_cost
         # fork a remote thread from the remote worker (CLONE_THREAD)
         with maybe_span(proc.obs, "migration.thread_fork", node=dest):
-            yield engine.timeout(params.remote_thread_fork_cost)
+            yield params.remote_thread_fork_cost
         components["thread_fork"] = params.remote_thread_fork_cost
         with maybe_span(proc.obs, "migration.context_restore", node=dest):
-            yield engine.timeout(params.remote_context_restore_cost)
+            yield params.remote_context_restore_cost
         components["context_restore"] = params.remote_context_restore_cost
         with maybe_span(proc.obs, "migration.schedule", node=dest):
-            yield engine.timeout(params.remote_sched_cost)
+            yield params.remote_sched_cost
         components["schedule"] = params.remote_sched_cost
         yield from proc.cluster.net.send(
             msg.make_reply(
@@ -187,7 +187,7 @@ class MigrationService:
         src = thread.current_node
         start = engine.now
         # remote side: collect the remote thread's context
-        yield engine.timeout(params.context_collect_cost)
+        yield params.context_collect_cost
         reply = yield from proc.cluster.net.request(
             Message(
                 MsgType.MIGRATE_BACK,
@@ -221,9 +221,8 @@ class MigrationService:
         """Origin-side handler: update the original thread's context with
         the received state and mark it runnable."""
         proc = self.proc
-        engine = proc.cluster.engine
         params = proc.cluster.params
-        yield engine.timeout(params.backward_update_cost)
+        yield params.backward_update_cost
         yield from proc.cluster.net.send(
             msg.make_reply(
                 MsgType.MIGRATE_DONE, {"origin_us": params.backward_update_cost}

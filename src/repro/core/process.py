@@ -265,7 +265,7 @@ class DexProcess:
 
     def do_mmap(self, length: int, prot: int, tag: str = "") -> Generator:
         params = self.cluster.params
-        yield self.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         page = params.page_size
         aligned = (length + page - 1) // page * page
         start = self._mmap_cursor
@@ -277,7 +277,7 @@ class DexProcess:
 
     def do_munmap(self, start: int, length: int) -> Generator:
         params = self.cluster.params
-        yield self.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         page = params.page_size
         end = (start + length + page - 1) // page * page
         start -= start % page
@@ -294,7 +294,7 @@ class DexProcess:
 
     def do_mprotect(self, start: int, length: int, prot: int) -> Generator:
         params = self.cluster.params
-        yield self.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         page = params.page_size
         end = (start + length + page - 1) // page * page
         start -= start % page
@@ -336,7 +336,7 @@ class DexProcess:
 
     def handle_exit_msg(self, msg: Message) -> Generator:
         node = msg.dst
-        yield self.cluster.engine.timeout(self.cluster.params.vma_op_cost)
+        yield self.cluster.params.vma_op_cost
         self.nodes_with_worker.discard(node)
         state = self._node_states.get(node)
         if state is not None and self.protocol.directory.entries_hosted(node) == 0:

@@ -86,7 +86,6 @@ class ConsistencyProtocol:
         page data and the PTE; returns the number of retries."""
         proc = self.proc
         proc.check_failed()
-        engine = proc.cluster.engine
         params = proc.cluster.params
         page_table = proc.node_state(node).page_table
         retries = 0
@@ -149,7 +148,7 @@ class ConsistencyProtocol:
             if status == _RETRY:
                 retries += 1
                 proc.stats.record_busy_retry(vpn)
-                yield engine.timeout(params.fault_retry_backoff)
+                yield params.fault_retry_backoff
                 continue
             # mark installing *synchronously* with the grant arrival so a
             # following invalidation (FIFO-ordered behind the grant) waits
@@ -158,9 +157,9 @@ class ConsistencyProtocol:
                 frames = proc.node_state(node).frames
                 if data is not None:
                     if vpn not in frames:
-                        yield engine.timeout(params.page_alloc_cost)
+                        yield params.page_alloc_cost
                     frames.install(vpn, data)
-            yield engine.timeout(params.pte_update_cost)
+            yield params.pte_update_cost
             # final PTE update is synchronous after the last yield: the
             # caller's data access runs in the same engine step
             pte = page_table.ensure(vpn)
@@ -214,7 +213,7 @@ class ConsistencyProtocol:
         """Origin message handler for :data:`MsgType.PAGE_HOME_LOOKUP`:
         resolve a page to its home shard node from the origin-owned map."""
         proc = self.proc
-        yield proc.cluster.engine.timeout(proc.cluster.params.home_lookup_cost)
+        yield proc.cluster.params.home_lookup_cost
         yield from proc.cluster.net.send(
             msg.make_reply(
                 MsgType.PAGE_HOME_INFO,
@@ -263,7 +262,6 @@ class ConsistencyProtocol:
         this grant on the in-order connection.
         """
         proc = self.proc
-        engine = proc.cluster.engine
         params = proc.cluster.params
         origin = proc.origin
         if proc.failed is not None:
@@ -309,7 +307,7 @@ class ConsistencyProtocol:
                 proc.obs, "protocol.grant",
                 node=home, vpn=vpn, write=write, requester=requester,
             ):
-                yield engine.timeout(params.protocol_handler_cost)
+                yield params.protocol_handler_cost
                 try:
                     if write:
                         result = yield from self._grant_exclusive(
@@ -471,7 +469,7 @@ class ConsistencyProtocol:
         home = self.directory.home(vpn)
         remote_losers = [n for n in losers if n != home]
         if home in losers:
-            yield engine.timeout(params.invalidation_handler_cost)
+            yield params.invalidation_handler_cost
             home_pte = proc.node_state(home).page_table.ensure(vpn)
             # the home never discards its frame: it is the flush target
             home_pte.state = PageState.SHARED if downgrade else PageState.INVALID
@@ -611,7 +609,7 @@ class ConsistencyProtocol:
             # lens aggregates
             requester=msg.payload.get("requester", msg.src),
         ):
-            yield engine.timeout(params.invalidation_handler_cost)
+            yield params.invalidation_handler_cost
             # wait out any in-flight fault that is mid-install for this page
             # (its grant was FIFO-ordered ahead of this invalidation)
             while True:

@@ -20,14 +20,13 @@ simulation engine.  Application code receives a :class:`ThreadContext`
 from __future__ import annotations
 
 import struct
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.errors import DexError
 from repro.core.fault import FaultHandler
 from repro.memory.page_table import PageState
 from repro.sim import Process
-from repro.sim.engine import _UNSET, Immediate
+from repro.sim.engine import Immediate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -77,10 +76,10 @@ class DexThread:
 class _ComputeAwait:
     """``yield from``-able wrapper for the cpu-only compute fast path.
 
-    The first ``__next__`` hands the armed sleep timeout to the scheduler;
-    the resume re-enters here, where the core slot is released at exactly
-    the point the generator path's ``finally`` block ran (inside the
-    process step, before the caller's frame continues) — so scheduling
+    The first ``__next__`` hands the delay to the scheduler (a private
+    sleep); the resume re-enters here, where the core slot is released at
+    exactly the point the generator path's ``finally`` block ran (inside
+    the process step, before the caller's frame continues) — so scheduling
     order, and therefore sequence-number allocation, is unchanged.  One
     reusable instance per ThreadContext: a thread runs one compute at a
     time, and ``yield from`` consumes the wrapper before the next call.
@@ -90,7 +89,7 @@ class _ComputeAwait:
     caller gates on fault injection being off, the sole interrupt source.
     """
 
-    __slots__ = ("timeout", "cores", "_yielded")
+    __slots__ = ("delay", "cores", "_yielded")
 
     def __iter__(self) -> "_ComputeAwait":
         return self
@@ -98,7 +97,7 @@ class _ComputeAwait:
     def __next__(self):
         if not self._yielded:
             self._yielded = True
-            return self.timeout
+            return self.delay
         cores = self.cores
         if cores._waiters:
             cores._waiters.popleft().succeed()
@@ -156,9 +155,6 @@ class ThreadContext:
         self.cluster = thread.proc.cluster
         self.engine = self.cluster.engine
         self.params = self.cluster.params
-        #: reusable sleep timeout for the cpu-only compute path (created
-        #: lazily; see _compute_impl)
-        self._sleep = None
         #: reusable awaiter for the no-generator compute fast path
         self._caw = _ComputeAwait()
         #: reusable Immediate for synchronous fast-path returns (consumed
@@ -228,7 +224,9 @@ class ThreadContext:
         traffic is filtered by an LLC miss model (``working_set`` is the
         hot footprint it is drawn from) and served by the node's fair-share
         DRAM bandwidth; the effective duration is the max of the CPU time
-        and the memory time, modelling a core stalled on memory.
+        and the memory time, modelling a core stalled on memory.  CPU time
+        alone is a private sleep (the process yields the number); with DRAM
+        traffic it is a ``Timeout`` joined to the transfer by ``all_of``.
 
         Returns the generator directly (no pass-through frame): ``yield
         from ctx.compute(...)`` delegates to it immediately.
@@ -244,25 +242,8 @@ class ThreadContext:
                 if cores._in_use < cores.capacity:
                     cores._in_use += 1
                     if cpu_us > 0:
-                        sleep = self._sleep
-                        if sleep is not None and sleep._done:
-                            # inlined Timeout.rearm (hottest call site)
-                            sleep._value = _UNSET
-                            sleep._exc = None
-                            sleep._done = False
-                            sleep._callbacks = []
-                            sleep.delay = cpu_us
-                            sleep._cancelled = False
-                            engine = self.engine
-                            engine._seq += 1
-                            sleep._entry = entry = [
-                                engine.now + cpu_us, engine._seq, sleep._fire, (None,)
-                            ]
-                            _heappush(engine._queue, entry)
-                        else:
-                            self._sleep = sleep = self.engine.timeout(cpu_us)
                         aw = self._caw
-                        aw.timeout = sleep
+                        aw.delay = cpu_us
                         aw.cores = cores
                         aw._yielded = False
                         return aw
@@ -318,15 +299,7 @@ class ThreadContext:
             elif traffic > 0:
                 yield node.dram.consume(traffic)
             elif cpu_us > 0:
-                # reuse one private timeout per thread context: the
-                # previous sleep has fully settled (we were its sole
-                # waiter), so rearming replaces an allocation with a reset
-                sleep = self._sleep
-                if sleep is not None and sleep._done:
-                    yield sleep.rearm(cpu_us)
-                else:
-                    self._sleep = sleep = engine.timeout(cpu_us)
-                    yield sleep
+                yield cpu_us
         finally:
             # inlined Resource.release for the held slot
             if cores._waiters:
@@ -345,7 +318,7 @@ class ThreadContext:
         return 0.05 + 0.95 * (1.0 - llc / working_set)
 
     def sleep(self, us: float) -> Generator:
-        yield self.engine.timeout(us)
+        yield us
 
     # -- distributed memory ----------------------------------------------------
 

@@ -50,7 +50,7 @@ class VmaSync:
         proc = self.proc
         params = proc.cluster.params
         proc.stats.vma_queries += 1
-        yield proc.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         reply = yield from proc.cluster.net.request(
             Message(
                 MsgType.VMA_QUERY,
@@ -78,7 +78,7 @@ class VmaSync:
         """Origin handler for :data:`MsgType.VMA_QUERY`."""
         proc = self.proc
         params = proc.cluster.params
-        yield proc.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         vma = proc.node_state(proc.origin).vma_map.find(msg.payload["addr"])
         if vma is None:
             payload = {"valid": False}
@@ -149,7 +149,7 @@ class VmaSync:
         node = msg.dst
         start, end = msg.payload["start"], msg.payload["end"]
         new_prot = msg.payload["prot"]
-        yield proc.cluster.engine.timeout(params.vma_op_cost)
+        yield params.vma_op_cost
         state = proc.node_state(node)
         page = params.page_size
         vpn_start, vpn_end = start // page, (end + page - 1) // page

@@ -313,7 +313,7 @@ class Network:
         conn.messages += 1
 
         yield from conn.send_pool.acquire()
-        yield self.engine.timeout(params.verb_send_overhead)
+        yield params.verb_send_overhead
         if msg.page_data is not None:
             self.page_payloads += 1
             yield from rdma.sender_data_cost(conn, msg.data_bytes)

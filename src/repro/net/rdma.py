@@ -75,4 +75,4 @@ def sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
         path = DATA_PATHS[params.page_transfer_mode]
         if path.uses_sink:
             yield from conn.rdma_sink.acquire()
-        yield conn.engine.timeout(path.post(params))
+        yield path.post(params)

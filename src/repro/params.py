@@ -18,6 +18,7 @@ Constants marked *calibrated* were tuned so that the microbenchmarks of
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, NamedTuple, Optional
@@ -252,8 +253,9 @@ class SimParams:
         for names, ok, bound in _BOUNDS:
             for name in names:
                 value = getattr(self, name)
-                if value is not None and not ok(value):
-                    raise ValueError(f"{name} must be {bound}, got {value!r}")
+                if value is not None and not (math.isfinite(value) and ok(value)):
+                    must = bound if math.isfinite(value) else "finite"
+                    raise ValueError(f"{name} must be {must}, got {value!r}")
         if self.lease_timeout_us <= self.lease_interval_us:
             raise ValueError(
                 f"lease_timeout_us must exceed lease_interval_us "
@@ -284,9 +286,10 @@ def _named(*suffixes: str, also: tuple = ()) -> tuple:
         f.name for f in fields(SimParams) if f.name.endswith(suffixes)) + also
 
 
-#: (fields, test, what the ValueError says the field must be)
+#: (fields, test, what the ValueError says the field must be, besides
+#: finite); the first group is what model code yields as a delay
 _BOUNDS = (
-    (_named("_cost", "_overhead", "_latency", "_backoff"),
+    (_named("_cost", "_overhead", "_latency", "_backoff", "_us"),
      lambda v: v >= 0, "non-negative"),
     (_named("_bandwidth", also=("page_size", "cores_per_node")),
      lambda v: v > 0, "positive"),

@@ -133,7 +133,7 @@ class ServeManager:
             ev.triggered or not th.alive or th.failed is not None
             for ev, th in zip(ready, workers)
         ):
-            yield engine.timeout(TICK_US)
+            yield TICK_US
             self._sweep_failures()
         self._serve_start_us = engine.now
         if self.fail_stop is not None and self.cluster.chaos is not None:
@@ -145,7 +145,7 @@ class ServeManager:
                            name=f"inject.{tenant.spec.name}")
 
         while not self._done():
-            yield engine.timeout(TICK_US)
+            yield TICK_US
             self._sweep_failures()
 
         for tenant in self.tenants:
@@ -154,7 +154,7 @@ class ServeManager:
         # same settle-or-die logic on the way out: never join a worker
         # that chaos may still kill under us
         while any(th.alive and th.failed is None for th in workers):
-            yield engine.timeout(TICK_US)
+            yield TICK_US
             self._sweep_failures()
 
     def _fail_stop_now(self, node: int) -> None:
@@ -228,7 +228,7 @@ class ServeManager:
         for rid in range(len(times)):
             delay = t0 + float(times[rid]) - engine.now
             if delay > 0.0:
-                yield engine.timeout(delay)
+                yield delay
             self._admit(tenant, rid, engine.now)
         tenant.injection_done = True
 

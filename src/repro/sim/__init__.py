@@ -2,9 +2,11 @@
 
 This package is the bottom-most substrate of the reproduction: a small,
 deterministic discrete-event engine in the style of SimPy.  Simulated
-activities are Python generators that ``yield`` waitables (timeouts, events,
-other processes, resource requests); the engine advances a virtual clock in
-microseconds and resumes generators when their waitables complete.
+activities are Python generators that ``yield`` either a number of
+microseconds (a private sleep) or a waitable (events, other processes,
+resource requests, a ``Timeout`` for a deadline somebody else races or
+cancels); the engine advances a virtual clock in microseconds and resumes
+generators when what they yielded completes.
 
 Everything above — the interconnect, the virtual-memory subsystem, the DeX
 protocol, and the applications — runs as processes on this engine.

@@ -17,7 +17,9 @@ a single heap.  Simulated activities are generator functions wrapped in
 :class:`Process`; whenever a process yields a waitable (:class:`Event`,
 :class:`Timeout`, or another :class:`Process`), it is suspended until the
 waitable triggers, at which point the waitable's value is sent back into
-the generator (or its exception is thrown into it).
+the generator (or its exception is thrown into it).  Yielding a plain
+number sleeps that many microseconds: a wait nobody else can observe,
+race or cancel needs no Event, only its queue entry.
 
 Time is a float in **microseconds**.  All ordering ties are broken by a
 monotonically increasing sequence number, which makes runs bit-for-bit
@@ -189,26 +191,6 @@ class Timeout(Event):
             ):
                 engine._compact()
 
-    def rearm(self, delay: float) -> "Timeout":
-        """Reset an already-settled timeout and schedule it afresh.
-
-        Strictly for *private* single-waiter timeouts (e.g. the compute
-        sleep) whose previous firing has fully settled: the sole waiter was
-        resumed, nothing else holds a reference.  Consumes one sequence
-        number at the call site, exactly like constructing a new Timeout
-        here would, so dispatch order is unchanged."""
-        self._value = _UNSET
-        self._exc = None
-        self._done = False
-        self._callbacks = []
-        self.delay = delay
-        self._cancelled = False
-        engine = self.engine
-        engine._seq += 1
-        self._entry = entry = [engine.now + delay, engine._seq, self._fire, (None,)]
-        heapq.heappush(engine._queue, entry)
-        return self
-
     def _fire(self, value: Any) -> None:
         # Unlike succeed(), which may be reached from arbitrarily deep in
         # model code and must defer callbacks to the queue, _fire only ever
@@ -237,16 +219,18 @@ class Process(Event):
     """A running generator.  As an :class:`Event`, it triggers when the
     generator returns (value = the ``return`` value) or raises."""
 
-    __slots__ = ("generator", "_waiting_on", "_interrupts", "_resume_cb")
+    __slots__ = ("generator", "_waiting_on", "_interrupts", "_resume_cb", "_wake_cb")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         super().__init__(engine, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
+        #: the Event waited on, or the sequence number of the sleep in progress
+        self._waiting_on: Any = None
         self._interrupts: List[Interrupt] = []
-        # bind once: every wait registers this callback, and a fresh bound
+        # bind once: every wait registers one of these, and a fresh bound
         # method per yield is measurable allocation churn on the hot loop
         self._resume_cb = self._resume
+        self._wake_cb = self._wake
         engine._schedule_now(self._resume_cb, None)
 
     @property
@@ -275,6 +259,13 @@ class Process(Event):
             self._step(_UNSET, event._exc)
         else:
             self._step(event._value, None)
+
+    def _wake(self, token: int) -> None:
+        # the end of a private sleep; an Interrupt that pulled the process
+        # out of it (and whatever it waits on since) left this entry stale
+        if self._waiting_on == token:
+            self._waiting_on = None
+            self._step(None, None)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self._done:
@@ -305,11 +296,25 @@ class Process(Event):
             finally:
                 engine.current_process = prev
             if not isinstance(target, Event):
-                self.fail(
-                    SimulationError(
-                        f"process {self.name!r} yielded {target!r}; only Event "
-                        "instances (Timeout, Process, Event) may be yielded"
+                # a number of microseconds is a private sleep: one heap
+                # entry, taking its sequence number where engine.timeout()
+                # would have, and nothing anybody else could wait on
+                try:
+                    if not target >= 0:  # NaN as well
+                        raise ValueError(target)
+                except (TypeError, ValueError):
+                    self.fail(
+                        SimulationError(
+                            f"process {self.name!r} yielded {target!r}; only an "
+                            "Event (Timeout, Process, AllOf, AnyOf) or a delay "
+                            "in microseconds >= 0 may be yielded"
+                        )
                     )
+                    return
+                engine._seq += 1
+                self._waiting_on = seq = engine._seq
+                heapq.heappush(
+                    engine._queue, [engine.now + target, seq, self._wake_cb, (seq,)]
                 )
                 return
             self._waiting_on = target
@@ -415,7 +420,8 @@ class Hooks(dict):
 
 
 #: what an engine observer may define ``on_<probe>`` for: process
-#: lifecycle; a buffer pool running dry / its oldest waiter getting a chunk
+#: lifecycle (``process_waiting`` for a wait on an Event, not for a private
+#: sleep); a buffer pool running dry / its oldest waiter getting a chunk
 #: (the waiter need not be a process); a span closing and a traced message
 #: posted (``repro.obs.tracing``); a message serialized onto its link
 ENGINE_PROBES = (
@@ -432,7 +438,7 @@ class Engine:
         eng = Engine()
 
         def hello():
-            yield eng.timeout(5.0)
+            yield 5.0
             return "done"
 
         proc = eng.process(hello())

@@ -9,8 +9,9 @@ One parse of the package feeds four cooperating passes:
 4. **message graph** — per ``MsgType`` member: send sites, registered
    handlers, and request↔reply pairing via reachability.
 
-Rules (the seven ported per-file lint rules plus seven whole-program
-protocol rules) run off the shared :class:`~repro.vet.rules.VetContext`.
+Rules (six ported per-file lint rules, six whole-program protocol rules
+and four per-file discipline rules) run off the shared
+:class:`~repro.vet.rules.VetContext`.
 Entry point: ``python -m repro.vet`` — see :mod:`repro.vet.cli`.
 """
 
@@ -25,21 +26,12 @@ from repro.vet.effects import infer_effects
 from repro.vet.loader import iter_python_files, load_paths, package_root, repo_root
 from repro.vet.msggraph import MessageGraph, ModuleScan
 from repro.vet.rules import REGISTRY, VetContext, Violation, run_rules
-from repro.vet import legacy as _legacy  # registers the seven ported rules
+from repro.vet import legacy as _legacy  # registers the six ported rules
 from repro.vet.legacy import LEGACY_RULES
 
-#: the whole-program rules that need the shared graph/effect passes
-GRAPH_RULES = (
-    "handler-totality",
-    "orphan-message-type",
-    "reply-pairing",
-    "dropped-wait",
-    "inject-coverage",
-    "chaos-reachability",
-    "lens-sink-discipline",
-    "metric-discipline",
-    "serve-discipline",
-)
+#: the rules of :mod:`repro.vet.rules`: the whole-program ones that need
+#: the shared graph/effect passes, then its per-file disciplines
+GRAPH_RULES = tuple(name for name in REGISTRY if name not in LEGACY_RULES)
 
 #: every selectable rule, in report order
 ALL_RULES = tuple(REGISTRY)

@@ -1,4 +1,4 @@
-"""The seven per-file lint rules, ported onto the DexVet framework.
+"""The six per-file lint rules ported onto the DexVet framework.
 
 The rules run off the shared :class:`~repro.vet.msggraph.ModuleScan`,
 so one parse feeds both these and the whole-program rules.
@@ -11,7 +11,6 @@ Rule rationale lives with each check below; the short version:
   directory backends' storage internals.
 * ``sim-nondeterminism`` — no wall clocks, OS entropy, or unseeded RNG
   inside simulation code; determinism per seed is load-bearing.
-* ``yield-discipline`` — generator processes may only yield waitables.
 * ``span-discipline`` — spans close via ``with`` (the tracer's explicit
   open/close pair is the fabric's alone); trace ids cross processes only
   through the Message header fields.
@@ -30,12 +29,11 @@ from repro.vet.callgraph import dotted_name
 from repro.vet.msggraph import ModuleScan, msgtype_member
 from repro.vet.rules import rule, Violation, VetContext
 
-#: the seven ported rule names, in the order the old pass reported them
+#: the six ported rule names, in the order the old pass reported them
 LEGACY_RULES = (
     "unhandled-message-type",
     "directory-encapsulation",
     "sim-nondeterminism",
-    "yield-discipline",
     "span-discipline",
     "slots-discipline",
     "retry-discipline",
@@ -209,25 +207,6 @@ def check_sim_nondeterminism(ctx: VetContext) -> List[Violation]:
         if ctx.repo_mode and nondeterminism_exempt(scan.path):
             continue
         violations.extend(_scan_nondeterminism(scan))
-    return violations
-
-
-@rule("yield-discipline")
-def check_yield_discipline(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
-    for scan in ctx.scans:
-        for node in ast.walk(scan.tree):
-            if isinstance(node, ast.Yield):
-                value = node.value
-                if value is None or isinstance(value, ast.Constant):
-                    shown = "bare yield" if value is None else \
-                        f"yield {value.value!r}"
-                    violations.append(Violation(
-                        rule="yield-discipline",
-                        path=str(scan.path), line=node.lineno,
-                        message=f"{shown}: generator processes may only "
-                                f"yield waitables (Event/Timeout/Process)",
-                    ))
     return violations
 
 

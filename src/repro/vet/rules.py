@@ -5,7 +5,9 @@ modules, call graph, effect table, message graph) to a list of
 :class:`Violation`.  Rules register themselves by name; the CLI selects
 from that registry.
 
-The six whole-program rules — none expressible file-at-a-time:
+The six whole-program rules — none expressible file-at-a-time (the
+per-file ``yield-discipline``, ``lens-sink-discipline``,
+``metric-discipline`` and ``serve-discipline`` follow them below):
 
 * ``handler-totality`` — every message type that is *sent* somewhere
   must have a handler *registered* somewhere, or dispatch raises on
@@ -35,7 +37,9 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.vet.callgraph import CallGraph, FunctionInfo, call_name, iter_own_nodes
+from repro.vet.callgraph import (
+    CallGraph, FunctionInfo, call_name, dotted_name, iter_own_nodes,
+)
 from repro.vet.effects import call_effect, BLOCKING
 from repro.vet.loader import ModuleInfo, ParseFailure
 from repro.vet.msggraph import MessageGraph, ModuleScan
@@ -251,6 +255,49 @@ def _check_dropped_wait(ctx: VetContext) -> List[Violation]:
             if call_effect(ctx.callgraph, ctx.effects, call) is BLOCKING:
                 violations.append(Violation(
                     "dropped-wait", str(fn.module.path), call.lineno, why))
+    return violations
+
+
+@rule("yield-discipline")
+def _check_yield_discipline(ctx: VetContext) -> List[Violation]:
+    """A generator process yields a delay in microseconds (a private sleep)
+    or a waitable; a constant that is neither — nothing, None, a string, a
+    negative number — fails the process at run time.  In ``src/`` (repo
+    mode) a sleep has one spelling, so an inline one-argument
+    ``yield x.timeout(d)`` is a finding too.  Names, attributes and
+    arithmetic are taken on trust."""
+    violations: List[Violation] = []
+    not_waitable = ("generator processes may only yield a delay in "
+                    "microseconds >= 0 or a waitable (Event/Timeout/Process)")
+    for scan in ctx.scans:
+        for node in ast.walk(scan.tree):
+            if not isinstance(node, ast.Yield):
+                continue
+            value, why = node.value, not_waitable
+            negated = isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub)
+            constant = value.operand if negated else value
+            if value is None:
+                shown = "bare yield"
+            elif isinstance(constant, ast.Constant) and (
+                negated or type(constant.value) not in (int, float)
+            ):
+                shown = f"yield {'-' * negated}{constant.value!r}"
+            elif (
+                ctx.repo_mode
+                and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "timeout"
+                and len(value.args) == 1
+                and not value.keywords
+            ):
+                shown = f"yield {'.'.join(dotted_name(value.func)) or '<expr>.timeout'}(...)"
+                why = ("a private sleep spelled the old way — yield the delay "
+                       "itself; a Timeout is for a deadline that is raced, "
+                       "joined or cancelled")
+            else:
+                continue
+            violations.append(Violation(
+                "yield-discipline", str(scan.path), node.lineno, f"{shown}: {why}"))
     return violations
 
 

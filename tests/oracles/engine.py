@@ -33,7 +33,8 @@ class ReferenceTimeout(Timeout):
 
 class ReferenceProcess(Process):
     """One generator step per dispatch, even when the yielded event has
-    already triggered."""
+    already triggered; a yielded delay is a :class:`ReferenceTimeout`, the
+    way every sleep was once spelled."""
 
     def _step(self, value, exc):
         if self._done:
@@ -55,14 +56,21 @@ class ReferenceProcess(Process):
             return
         finally:
             engine.current_process = prev
-        if not isinstance(target, Event):
-            self.fail(SimulationError(
-                f"process {self.name!r} yielded {target!r}; only Event "
-                "instances (Timeout, Process, Event) may be yielded"))
-            return
+        if isinstance(target, Event):
+            for waiting in engine._on_waiting:
+                waiting(self, target)
+        else:
+            try:
+                valid = target >= 0  # false for NaN as well
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                self.fail(SimulationError(
+                    f"process {self.name!r} yielded {target!r}; only an "
+                    "Event or a delay in microseconds >= 0 may be yielded"))
+                return
+            target = ReferenceTimeout(engine, target)
         self._waiting_on = target
-        for waiting in engine._on_waiting:
-            waiting(self, target)
         target.add_callback(self._resume_cb)
 
 

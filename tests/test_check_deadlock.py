@@ -140,6 +140,41 @@ def test_exhausted_buffer_pool_appears_in_report():
     assert "pending sim processes:" in report
 
 
+def test_post_mortem_lists_the_stuck_waiter_not_the_sleeper():
+    """A private sleep is not a recorded wait: of two processes that both
+    waited on an event earlier, the post-mortem of a run cut short names
+    the one still stuck on an Event, not the one now asleep (whose last
+    recorded wait is stale)."""
+    cluster = make_cluster(num_nodes=2, sanitize="deadlock")
+    proc = cluster.create_process()
+    engine = cluster.engine
+    gate = engine.event(name="gate")
+    never = engine.event(name="never")
+
+    def stuck():
+        yield gate
+        yield never
+
+    def sleeper():
+        yield gate
+        yield 1_000.0
+
+    def opener():
+        yield 5.0
+        gate.succeed()
+
+    engine.process(stuck(), name="stuck")
+    asleep = engine.process(sleeper(), name="sleeper")
+    engine.process(opener(), name="opener")
+    engine.run(until=100.0)
+    watcher = proc.hooks.find(DeadlockDetector).watcher
+    assert asleep.is_alive and watcher.waiting[asleep] is gate  # stale
+    pending = watcher.pending()
+    assert len(pending) == 1
+    assert pending[0].startswith("stuck waiting on <never pending")
+    assert "sleeper" not in proc.hooks.find(DeadlockDetector).report()
+
+
 def test_pool_stall_clears_on_release():
     from repro.net.buffers import BufferPool
 

@@ -129,7 +129,7 @@ def test_yielding_non_event_fails_process():
     eng = Engine()
 
     def bad():
-        yield 42
+        yield object()  # neither an Event nor a delay
 
     proc = eng.process(bad())
     eng.run()

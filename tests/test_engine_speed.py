@@ -144,20 +144,19 @@ def test_cancel_after_fire_is_a_noop(engine_cls):
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
-def test_cancelled_then_rearmed_private_timeout(engine_cls):
-    """rearm() after a fire must schedule afresh even when an unrelated
-    cancellation storm compacted the heap in between."""
+def test_private_sleep_after_cancellation_storm(engine_cls):
+    """A plain sleep after a fired one must schedule afresh even when an
+    unrelated cancellation storm compacted the heap in between."""
     eng = engine_cls()
     times = []
 
     def body():
-        sleep = eng.timeout(1.0)
-        yield sleep
+        yield 1.0
         times.append(eng.now)
         junk = [eng.timeout(50.0 + i) for i in range(100)]
         for t in junk:
             t.cancel()
-        yield sleep.rearm(2.0)
+        yield 2.0
         times.append(eng.now)
 
     eng.process(body())

@@ -207,7 +207,8 @@ def test_the_probe_sequence_is_a_function_of_the_run(workload):
     hash order, id() or anything else that varies between runs."""
     fresh = start(sys.executable, workload)
     here = probe_log.log(workload)
-    assert here["process_probes"] > 1000 and here["engine_probes"] > 1000
+    # (the engine side is waits on Events: a private sleep fires no probe)
+    assert here["process_probes"] > 1000 and here["engine_probes"] > 200
     if workload == "pagefault":  # the cheap one also repeats in-process
         again = probe_log.log(workload)
         assert again == here, parted(here, again)

@@ -130,6 +130,13 @@ def test_the_only_env_knobs_are_the_five_switches():
     ("directory", "home", "unknown directory 'home'.*'origin', 'sharded'"),
     ("directory_shards", 0, "must be at least 1"),
     ("retry_max_attempts", 0, "must be at least 1"),
+    ("wire_latency", float("inf"), "must be finite, got inf"),
+    ("fault_trap_cost", float("nan"), "must be finite, got nan"),
+    ("protocol_handler_cost", float("-inf"), "must be finite"),
+    ("link_bandwidth", float("inf"), "must be finite"),
+    ("home_lookup_cost", -1.2, "must be non-negative"),
+    ("retry_timeout_ctl_us", -80.0, "must be non-negative"),
+    ("lease_check_us", float("nan"), "must be finite"),
     ("lease_timeout_us", 150.0, r"must exceed lease_interval_us \(150.0\)"),
     ("lease_interval_us", 600.0, "lease_timeout_us must exceed"),
 ])
@@ -141,6 +148,32 @@ def test_simparams_refuses_a_bad_field_at_construction(field, value, complaint):
         with pytest.raises(ValueError, match=complaint) as refusal:
             build()
         assert field in str(refusal.value)
+
+
+def test_every_model_constant_a_process_sleeps_on_is_validated():
+    """``yield params.<field>`` is a private sleep, and a bad delay fails one
+    simulated process mid-run — so every field model code yields (and every
+    latency / cost / overhead / bandwidth field by name) is one the
+    constructor refuses when negative, NaN or infinite."""
+    import ast
+    from dataclasses import fields
+
+    names = {f.name for f in fields(SimParams)}
+    yielded = {
+        node.attr
+        for path in _sources()
+        for gen in ast.walk(ast.parse(path.read_text()))
+        if isinstance(gen, ast.Yield) and gen.value is not None
+        for node in ast.walk(gen.value)
+        if isinstance(node, ast.Attribute) and node.attr in names
+    }
+    assert len(yielded) >= 20  # the protocol, migration and verb costs
+    by_name = {n for n in names if n.endswith(
+        ("_cost", "_overhead", "_latency", "_backoff", "_bandwidth"))}
+    for field in sorted(yielded | by_name):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                SimParams(**{field: bad})
 
 
 def test_simparams_accepts_the_edges_it_should():
