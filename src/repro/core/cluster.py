@@ -24,6 +24,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.chaos import ChaosController, resolve_scenario
@@ -109,6 +110,8 @@ class DexCluster:
             DexNode(self.engine, n, self.params) for n in range(num_nodes)
         ]
         self.processes: Dict[int, DexProcess] = {}
+        #: the source of every pid in this cluster (DexProcess draws one)
+        self.pids = itertools.count(1)
         #: the online analytics bundle (repro.obs.lens), or None when the
         #: lens is off — with it off nothing listens for span closes
         self.lens: Optional[DexLens] = (

@@ -14,7 +14,6 @@ thread table.  The address-space layout mirrors a conventional process:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -91,11 +90,9 @@ PROCESS_PROBES = (
 class DexProcess:
     """One application process whose threads may span the whole rack."""
 
-    _pids = itertools.count(1)
-
     def __init__(self, cluster: "DexCluster", origin: int = 0, name: str = ""):
         self.cluster = cluster
-        self.pid = next(self._pids)
+        self.pid = next(cluster.pids)
         self.origin = origin
         self.name = name or f"proc{self.pid}"
         self.stats = DexStats()

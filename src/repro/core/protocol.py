@@ -50,7 +50,6 @@ from repro.net.messages import (
     PAYLOAD_RETRY,
     Message,
     MsgType,
-    obtain_message,
 )
 from repro.obs.tracing import maybe_span
 
@@ -104,7 +103,7 @@ class ConsistencyProtocol:
             else:
                 target = yield from self._resolve_home(node, vpn)
                 reply = yield from proc.cluster.net.request(
-                    obtain_message(
+                    Message(
                         MsgType.PAGE_REQUEST,
                         src=node,
                         dst=target,
@@ -123,7 +122,6 @@ class ConsistencyProtocol:
                     proc.node_state(node).owner_hints.invalidate(vpn)
                     for redirected in proc.hooks["redirect"]:
                         redirected(vpn, node, target)
-                    proc.cluster.net.recycle(reply)
                     continue
                 self._note_home(node, vpn, target)
                 outcome = (
@@ -132,11 +130,6 @@ class ConsistencyProtocol:
                     reply.payload.get("version", 0),
                     reply.page_data,
                 )
-                if outcome[0] != _FAILED:
-                    # fully extracted (the _FAILED branch below still
-                    # needs the payload, but it only occurs in chaos runs
-                    # where recycling is a no-op anyway)
-                    proc.cluster.net.recycle(reply)
             status, state_name, version, data = outcome
             if status == _FAILED:
                 # the home could not complete the grant because fail-stop
@@ -186,7 +179,7 @@ class ConsistencyProtocol:
         proc.stats.home_lookups += 1
         with maybe_span(proc.obs, "protocol.resolve_home", node=node, vpn=vpn):
             reply = yield from proc.cluster.net.request(
-                obtain_message(
+                Message(
                     MsgType.PAGE_HOME_LOOKUP,
                     src=node,
                     dst=proc.origin,
@@ -194,7 +187,6 @@ class ConsistencyProtocol:
                 )
             )
         home = reply.payload["home"]
-        proc.cluster.net.recycle(reply)
         hints.insert(vpn, home)
         for resolved in proc.hooks["home_lookup"]:
             resolved(vpn, node, home)
@@ -479,7 +471,7 @@ class ConsistencyProtocol:
             proc.stats.invalidations_sent += len(remote_losers)
             pending = []
             for node in remote_losers:
-                msg = obtain_message(
+                msg = Message(
                     MsgType.PAGE_INVALIDATE,
                     src=home,
                     dst=node,
@@ -548,8 +540,6 @@ class ConsistencyProtocol:
                     # readable copy, inheriting the page's history
                     for granted in proc.hooks["grant"]:
                         granted(vpn, home, False)
-            for ack in acks:
-                proc.cluster.net.recycle(ack)
         if downgrade:
             # downgraded losers stay owners (readers); nothing to remove
             return

@@ -18,12 +18,13 @@ message's :class:`_Flight`, on every run.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import NodeFailedError
 from repro.net import rdma
 from repro.net.buffers import BufferPool, RdmaSink
-from repro.net.messages import Message, MsgType, recycle_message
+from repro.net.messages import Message, MsgType
 from repro.net.retry import backoff_delay, timeout_base_us
 from repro.net.verbs import Router
 from repro.obs.tracing import maybe_span
@@ -254,10 +255,8 @@ class Network:
         self.messages_sent = 0
         self.page_payloads = 0
         self.loopback_deliveries = 0
-        #: message-freelist recycling is only sound when no other component
-        #: retains message objects: the reliable transport (chaos runs)
-        #: retransmits requests and caches replies, so it closes the gate
-        self._recycle = chaos is None
+        #: the source of every ``msg_id`` this cluster puts on the wire
+        self._msg_ids = itertools.count(1)
 
     def connection(self, src: int, dst: int) -> Connection:
         try:
@@ -272,7 +271,11 @@ class Network:
 
     def send(self, msg: Message) -> Generator:
         """Generator: sender-side cost of posting *msg*; delivery continues
-        asynchronously.  Yields until the send is posted."""
+        asynchronously.  Yields until the send is posted.  A message is
+        stamped with its ``msg_id`` here the first time it is sent; a
+        retransmission keeps the id it has."""
+        if not msg.msg_id:
+            msg.msg_id = next(self._msg_ids)
         tracer = self.engine.tracer
         if tracer is None:
             yield from self._send_impl(msg)
@@ -336,10 +339,11 @@ class Network:
         With fault injection enabled the request rides the reliable
         transport (:meth:`_request_with_retry`); otherwise it is the plain
         single-shot path, kept verbatim so chaos-off sim time is
-        bit-identical.  On that path the request object is recycled once
-        the reply arrives: by then the responder's handler has posted the
-        reply (its final use of the request) and the flight has
-        delivered, so the requester holds the only live reference."""
+        bit-identical.  Either way *msg* is stamped before the reply is
+        awaited, and neither the request nor its reply is ever reused: the
+        caller may keep both for as long as it likes."""
+        if not msg.msg_id:
+            msg.msg_id = next(self._msg_ids)
         if self.chaos is not None:
             reply = yield from self._request_with_retry(msg)
             return reply
@@ -348,7 +352,6 @@ class Network:
             reply_event = self.routers[msg.src].expect_reply(msg.msg_id)
             yield from self._send_impl(msg)
             reply = yield reply_event
-            recycle_message(msg)  # chaos is None here: the gate is open
             return reply
         with maybe_span(
             tracer, "net.request", node=msg.src,
@@ -357,15 +360,7 @@ class Network:
             reply_event = self.routers[msg.src].expect_reply(msg.msg_id)
             yield from self.send(msg)
             reply = yield reply_event
-        recycle_message(msg)
         return reply
-
-    def recycle(self, msg: Message) -> None:
-        """Recycle a reply the caller has fully consumed.  No-op whenever
-        recycling is unsound (fault injection on), so protocol code can
-        call it unconditionally."""
-        if self._recycle:
-            recycle_message(msg)
 
     def _request_with_retry(self, msg: Message) -> Generator:
         """The reliable request path: retransmit on reply timeout with

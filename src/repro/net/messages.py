@@ -6,33 +6,22 @@ and travel the verb path; page data is 4 KB and travels the RDMA path.  A
 control part and the data part over the appropriate paths and delivers them
 together.
 
-Allocation discipline
----------------------
-:class:`Message` is a ``slots=True`` dataclass, and the hot protocol paths
-recycle message objects through a bounded freelist
-(:func:`obtain_message` / :func:`recycle_message`).  Obtaining from the
-freelist is always safe; the
-*recycling* side is only reachable from well-defined death points:
-
-* a request message dies when its correlated reply arrives at the
-  requester — handlers must never retain a request past posting its
-  reply (every handler in this repo replies as its final act);
-* a reply message dies when the requester has extracted its fields.
-
-Both points live behind :meth:`repro.net.fabric.Network` gates that are
-closed whenever fault injection is enabled: the reliable transport
-retransmits request objects and caches replies for idempotent re-send, so
-under chaos no message is ever recycled.
+Identity
+--------
+A :class:`Message` is a value: built once with ``Message(...)`` (or
+:meth:`Message.make_reply`), never reused.  Its ``msg_id`` is 0 until the
+:class:`repro.net.fabric.Network` stamps it from the cluster's own counter
+the first time the message is sent or requested; a retransmission keeps
+the id it was stamped with, so the responder's duplicate filter sees the
+same request.  Nothing here holds state between runs: one cluster's ids
+start at 1 whatever ran before it in the interpreter.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-_msg_ids = itertools.count(1)
+from typing import Any, Dict, Optional
 
 
 class MsgType(enum.Enum):
@@ -140,7 +129,8 @@ class Message:
     dst: int
     payload: Dict[str, Any] = field(default_factory=dict)
     page_data: Optional[bytes] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    #: 0 until the fabric stamps it at first send (see module docstring)
+    msg_id: int = 0
     reply_to: Optional[int] = None
     #: causal-trace context (repro.obs), stamped by the fabric at send time
     #: when tracing is on.  These are the ONLY sanctioned carriers of trace
@@ -163,12 +153,12 @@ class Message:
         payload: Optional[Dict[str, Any]] = None,
         page_data: Optional[bytes] = None,
     ) -> "Message":
-        return obtain_message(
+        return Message(
             msg_type,
-            src=self.dst,
-            dst=self.src,
-            payload=payload,
-            page_data=page_data,
+            self.dst,
+            self.src,
+            payload if payload is not None else {},
+            page_data,
             reply_to=self.msg_id,
         )
 
@@ -178,69 +168,6 @@ class Message:
             f"<Msg {self.msg_type.value} {self.src}->{self.dst} "
             f"#{self.msg_id}{data}>"
         )
-
-
-# ----------------------------------------------------------------------
-# bounded freelist
-# ----------------------------------------------------------------------
-
-#: parked messages never exceed this (a rack sim has bounded in-flight
-#: traffic; anything beyond the cap is left to the garbage collector)
-_FREELIST_CAP = 1024
-
-_freelist: List[Message] = []
-
-
-def obtain_message(
-    msg_type: MsgType,
-    src: int,
-    dst: int,
-    payload: Optional[Dict[str, Any]] = None,
-    page_data: Optional[bytes] = None,
-    reply_to: Optional[int] = None,
-) -> Message:
-    """A :class:`Message`, reinitialised from the freelist when possible.
-
-    Freshly stamps ``msg_id`` from the global counter either way, so the
-    wire protocol cannot distinguish a recycled object from a new one —
-    runs with the freelist on and off are bit-identical.
-    """
-    if _freelist:
-        msg = _freelist.pop()
-        msg.msg_type = msg_type
-        msg.src = src
-        msg.dst = dst
-        msg.payload = payload if payload is not None else {}
-        msg.page_data = page_data
-        msg.msg_id = next(_msg_ids)
-        msg.reply_to = reply_to
-        msg.trace_id = None
-        msg.parent_span = None
-        return msg
-    return Message(
-        msg_type,
-        src,
-        dst,
-        payload if payload is not None else {},
-        page_data,
-        reply_to=reply_to,
-    )
-
-
-def recycle_message(msg: Message) -> None:
-    """Park a dead message for reuse.  Callers must hold the *only* live
-    reference; :class:`repro.net.fabric.Network` enforces this by never
-    recycling when fault injection is enabled (the reliable transport
-    caches and retransmits message objects)."""
-    if len(_freelist) < _FREELIST_CAP:
-        msg.payload = None  # type: ignore[assignment] — drop caller-owned refs
-        msg.page_data = None
-        _freelist.append(msg)
-
-
-def freelist_size() -> int:
-    """Current number of parked messages (diagnostics/tests)."""
-    return len(_freelist)
 
 
 #: shared payloads for fixed single-field replies; receivers treat

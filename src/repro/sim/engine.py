@@ -153,8 +153,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_cancelled", "_entry")
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # false for NaN as well
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Inlined Event.__init__ minus the f-string name: Timeouts are the
         # most-allocated event type and the label is recomputed lazily by
         # __repr__ on the rare debugging path instead.
@@ -641,10 +641,15 @@ class Engine:
 
         Stops when the queue empties, when simulated time would pass
         *until*, or (as a runaway guard) after *max_events* dispatches.
-        Returns the final simulation time.
+        Returns the final simulation time.  The clock never moves back:
+        *until* below :attr:`now` (or NaN) raises :class:`SimulationError`,
+        and *until* equal to it only dispatches what is due at ``now``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not until >= self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}")
         self._running = True
         dispatched = 0
         queue = self._queue
@@ -667,7 +672,7 @@ class Engine:
                     entry = queue[0]
                     from_heap = True
                 else:
-                    if until is not None and until > self.now:
+                    if until is not None:
                         self.now = until
                     break
                 when, _seq, fn, args = entry
@@ -681,11 +686,6 @@ class Engine:
                     continue
                 if when > limit:
                     self.now = until
-                    # `until` may rewind the clock below pending same-time
-                    # entries; spill the fast lane so its sortedness
-                    # invariant survives for the next run() call
-                    while fastlane:
-                        heapq.heappush(queue, fastlane.popleft())
                     break
                 if from_heap:
                     heappop(queue)

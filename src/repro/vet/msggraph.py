@@ -5,8 +5,7 @@ For every ``MsgType`` member the scan recovers:
 * **send sites** — every place a message of that type enters the fabric:
   ``net.send(...)`` / ``net.post(...)`` / ``net.request(...)`` calls whose
   argument is (or is a local binding of) a ``Message(MsgType.X, ...)`` /
-  ``obtain_message(MsgType.X, ...)`` / ``msg.make_reply(MsgType.X, ...)``
-  construction;
+  ``msg.make_reply(MsgType.X, ...)`` construction;
 * **handler registrations** — both literal ``router.register(MsgType.X,
   fn)`` calls and routes-dict wiring (``{MsgType.X: lambda p:
   p.svc.handler, ...}``), resolved to function definitions through the
@@ -36,10 +35,6 @@ from repro.vet.loader import ModuleInfo
 #: attribute-call names that put a message on the wire
 SEND_ATTRS = frozenset({"send", "post", "request"})
 
-#: constructor callables that build a Message of a literal type
-_CTOR_NAMES = frozenset({"Message", "obtain_message"})
-
-
 def msgtype_member(node: ast.AST) -> Optional[str]:
     """The member name when *node* is a ``MsgType.X`` reference."""
     if (
@@ -53,8 +48,8 @@ def msgtype_member(node: ast.AST) -> Optional[str]:
 
 def message_ctor_member(node: ast.AST) -> Optional[Tuple[str, bool]]:
     """``(member, is_reply)`` when *node* constructs a message of a
-    literal type: ``Message(MsgType.X, ...)``, ``obtain_message(
-    MsgType.X, ...)``, or ``msg.make_reply(MsgType.X, ...)``."""
+    literal type: ``Message(MsgType.X, ...)`` or
+    ``msg.make_reply(MsgType.X, ...)``."""
     if not isinstance(node, ast.Call):
         return None
     func = node.func
@@ -71,7 +66,7 @@ def message_ctor_member(node: ast.AST) -> Optional[Tuple[str, bool]]:
     member = msgtype_member(first)
     if member is None:
         return None
-    if isinstance(func, ast.Name) and func.id in _CTOR_NAMES:
+    if isinstance(func, ast.Name) and func.id == "Message":
         return member, False
     if isinstance(func, ast.Attribute) and func.attr == "make_reply":
         return member, True

@@ -1,9 +1,10 @@
 """The reference event engine: every entry goes through the one
-``(when, seq)`` heap, nothing is resumed inline, no message object is
-reused.  Production :class:`~repro.sim.engine.Engine` adds a same-time FIFO
-fast lane, inline resumes of already-triggered waits, synchronous timeout
-callbacks and a message freelist on top; the determinism differential tests
-run every app on both and require identical behaviour.
+``(when, seq)`` heap, nothing is resumed inline.  Production
+:class:`~repro.sim.engine.Engine` adds a same-time FIFO fast lane, inline
+resumes of already-triggered waits and synchronous timeout callbacks on
+top; the determinism differential tests run every app on both and require
+identical behaviour.  No message object is reused on either side: a
+message is a value in production too.
 """
 
 from __future__ import annotations
@@ -91,7 +92,5 @@ class ReferenceEngine(HeapOnlyEngine):
 
 def install(monkeypatch) -> None:
     """Make every ``DexCluster`` built from here on run on the reference:
-    :class:`ReferenceEngine` at the single construction site, and a
-    network that never parks a message for reuse."""
+    :class:`ReferenceEngine` at the single construction site."""
     monkeypatch.setattr("repro.core.cluster.Engine", ReferenceEngine)
-    monkeypatch.setattr("repro.net.fabric.recycle_message", lambda msg: None)

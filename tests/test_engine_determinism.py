@@ -2,9 +2,9 @@
 not semantics.  Every Figure-2 app must produce a bit-identical run —
 same simulated time, same fault statistics — on the reference engine of
 ``tests/oracles/engine.py``, which has none of them: no same-time FIFO
-fast lane, no inline resume, no synchronous timeout callbacks, no message
-reuse.  Both coherence-directory backends are covered, and so are both
-carriers of a message in flight: the reference engine under production's
+fast lane, no inline resume, no synchronous timeout callbacks.  Both
+coherence-directory backends are covered, and so are both carriers of a
+message in flight: the reference engine under production's
 ``_Flight`` stages, and under the generator they were derived from
 (``tests/oracles/wire.py``).
 
@@ -20,7 +20,6 @@ from oracles import engine as oracle
 from oracles import wire as wire_oracle
 from repro import DexCluster
 from repro.bench.runner import run_point
-from repro.net import messages
 
 #: tiny per-app workloads (the differential needs coverage, not load)
 APP_OVERRIDES = {
@@ -68,8 +67,7 @@ def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
     production = production_digest(app, backend)
     oracle.install(monkeypatch)
     assert run_digest(app, backend) == production, \
-        f"{app}/{backend}: the engine fast paths or the message freelist " \
-        "changed behaviour"
+        f"{app}/{backend}: the engine fast paths changed behaviour"
 
 
 @every_point
@@ -109,31 +107,3 @@ def test_oracle_reaches_the_engine(monkeypatch):
     # every inline resume / synchronous timeout callback of the fast run is
     # a dispatched entry here
     assert slow.events_dispatched > fast.events_dispatched
-
-
-def test_oracle_never_reuses_a_message(monkeypatch):
-    """The network recycles exactly when nothing else can hold a message
-    (no fault injection); under the oracle nothing is ever parked."""
-    assert DexCluster(num_nodes=2).net._recycle is True
-    assert DexCluster(num_nodes=2, chaos=True).net._recycle is False
-    messages._freelist.clear()
-    _ping(DexCluster(num_nodes=2))
-    assert messages.freelist_size() > 0
-    messages._freelist.clear()
-    oracle.install(monkeypatch)
-    _ping(DexCluster(num_nodes=2))
-    assert messages.freelist_size() == 0
-
-
-def test_recycled_messages_get_fresh_ids():
-    """Freelist reuse must never recycle a message identity: msg_id always
-    comes from the global counter, so reply matching and the transport's
-    dedup window keep working."""
-    messages._freelist.clear()  # earlier runs may have filled it to cap
-    msg = messages.obtain_message(messages.MsgType.PING, src=0, dst=1)
-    first_id = msg.msg_id
-    messages.recycle_message(msg)
-    again = messages.obtain_message(messages.MsgType.PING, src=0, dst=1)
-    assert again is msg  # actually reused ...
-    assert again.msg_id > first_id  # ... under a fresh identity
-    assert again.payload == {} and again.page_data is None

@@ -53,7 +53,8 @@ def test_zero_int_and_numpy_delays(engine_cls, delay):
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 @pytest.mark.parametrize(
-    "bad", [-1.0, -1, math.nan, np.float64("nan"), "x", None, [1.0], object()],
+    "bad", [-1.0, -1, math.nan, np.float64("nan"), "x", None, [1.0],
+            pytest.param(object(), id="object()")],  # repr holds an address
     ids=repr)
 def test_a_bad_delay_fails_the_process(engine_cls, bad):
     eng = engine_cls()
@@ -70,6 +71,22 @@ def test_a_bad_delay_fails_the_process(engine_cls, bad):
     with pytest.raises(SimulationError, match="yielded"):
         _ = proc.value
     assert eng.now == 1.0 and not eng._queue  # nothing was scheduled for it
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, np.float64("nan")], ids=repr)
+def test_a_bad_timeout_delay_is_refused(engine_cls, bad):
+    """``engine.timeout`` refuses what a yielded sleep refuses: a NaN deadline
+    would otherwise be dispatched in turn and leave the clock reading NaN."""
+    eng = engine_cls()
+    fired = []
+    for delay in (1.0, 3.0, bad, 5.0):
+        try:
+            eng.timeout(delay).add_callback(lambda _t: fired.append(eng.now))
+        except SimulationError as err:
+            assert delay is bad and "must be >= 0" in str(err)
+    eng.run()
+    assert fired == [1.0, 3.0, 5.0]
 
 
 def _tie_order(engine_cls, spellings):

@@ -195,33 +195,53 @@ def test_until_with_empty_queue_advances_clock(engine_cls):
     assert eng.now == 42.0
 
 
-def test_until_spills_pending_fastlane_to_heap():
-    """A second run() with an earlier `until` parks the pending fast-lane
-    entries back on the heap (their sortedness invariant must survive the
-    clock moving below them) and still dispatches them correctly later."""
-    eng = Engine()
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_until_before_now_is_refused(engine_cls):
+    """The clock never moves back: a second run() with an earlier `until`
+    raises instead of rewinding, and a process started afterwards fires at
+    its own time after the first run's boundary, not before it."""
+    eng = engine_cls()
     order = []
 
     def sleeper():
         yield eng.timeout(100.0)
-        order.append("sleeper")
+        order.append(("sleeper", eng.now))
 
     eng.process(sleeper())
     eng.run(until=30.0)
     assert eng.now == 30.0
-    # a fresh process's first step is a fast-lane entry at t=30
+
     def second():
-        order.append("second")
-        yield eng.timeout(1.0)
-        order.append("second-done")
+        yield eng.timeout(5.0)
+        order.append(("second", eng.now))
 
     eng.process(second())
-    eng.run(until=10.0)          # below every pending entry: spill + park
-    assert order == []
-    assert len(eng._fastlane) == 0
+    for earlier in (10.0, float("nan")):
+        with pytest.raises(SimulationError, match="already at 30"):
+            eng.run(until=earlier)
+    assert eng.now == 30.0 and order == []
     eng.run()
-    assert order == ["second", "second-done", "sleeper"]
-    assert eng.now == 100.0
+    assert order == [("second", 35.0), ("sleeper", 100.0)]
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_until_now_is_a_noop(engine_cls):
+    """`until` equal to the clock dispatches nothing that is not due yet
+    and leaves the clock where it is."""
+    eng = engine_cls()
+    fired = []
+
+    def sleeper():
+        yield eng.timeout(100.0)
+        fired.append(eng.now)
+
+    eng.process(sleeper())
+    eng.run(until=30.0)
+    dispatched = eng.events_dispatched
+    assert eng.run(until=30.0) == 30.0
+    assert eng.events_dispatched == dispatched and fired == []
+    eng.run()
+    assert fired == [100.0]
 
 
 # ---------------------------------------------------------------------------

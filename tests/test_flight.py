@@ -48,16 +48,11 @@ class WireTotals:
         self.notes.append((conn.src, conn.dst, wire_bytes, wait_us))
 
 
-def span_rows(tracer, first_msg_id):
-    """Every recorded span, in full; message ids (a per-interpreter
-    counter) are made relative to the run's first."""
-    def attrs(span):
-        if "msg_id" not in span.attrs:
-            return span.attrs
-        return {**span.attrs, "msg_id": span.attrs["msg_id"] - first_msg_id}
-
+def span_rows(tracer):
+    """Every recorded span, in full (message ids included: each fabric
+    numbers its messages from 1)."""
     return [(s.name, s.span_id, s.trace_id, s.parent_id, s.node,
-             s.start_us, s.end_us, attrs(s)) for s in tracer.spans]
+             s.start_us, s.end_us, s.attrs) for s in tracer.spans]
 
 
 def run_fabric(scenario, num_nodes, scope, overrides, traced=False, rules=()):
@@ -73,7 +68,6 @@ def run_fabric(scenario, num_nodes, scope, overrides, traced=False, rules=()):
     if scope:  # added after the fabric was built: its held list sees it
         eng.add_hook(wire_totals)
     log = []
-    first_msg_id = Message(MsgType.PING, 0, 0).msg_id + 1
     scenario(eng, net, log)
     eng.run()
     used = [c for c in net.connections.values() if c.messages]
@@ -93,7 +87,7 @@ def run_fabric(scenario, num_nodes, scope, overrides, traced=False, rules=()):
             for c in used for pool in (c.send_pool, c.recv_pool, c.rdma_sink)
         },
         "scope": wire_totals.notes if scope else None,
-        "spans": span_rows(tracer, first_msg_id) if traced else None,
+        "spans": span_rows(tracer) if traced else None,
         "open_stacks": len(tracer._stacks) if traced else 0,
         "chaos": chaos.report() if rules else None,
         "chaos_parents": [

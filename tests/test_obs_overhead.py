@@ -95,8 +95,6 @@ def test_chaos_and_check_off_every_probe_list_is_empty(monkeypatch):
     assert eng._on_created is eng.hooks["process_created"]
     assert eng._on_waiting is eng.hooks["process_waiting"]
     assert eng._on_finished is eng.hooks["process_finished"]
-    # chaos-off collapses message recycling to one snapshotted flag
-    assert cluster.net._recycle is True
 
 
 def test_trace_knob_resolution(monkeypatch):

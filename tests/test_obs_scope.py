@@ -199,6 +199,25 @@ def test_scope_gauges_and_series_cover_the_rack(opt_run):
     assert scope.registry.get("directory_request_rate").per_label()
 
 
+def test_a_full_series_table_drops_samples_and_leaves_the_run_alone():
+    """The exhaustion edge of the series cap: with room for a handful of
+    series the run still completes, the refused samples are counted — by
+    the scope and in its manifest alike — and the sim clock is the one an
+    uncapped run reads."""
+    capped, capped_cluster = _run_on_own_cluster(
+        "initial", SimParams(scope="1", scope_max_series=8))
+    uncapped, cluster = _run_on_own_cluster("initial", SimParams(scope="1"))
+    scope = capped_cluster.scope
+    assert capped.correct and len(scope.series) == 8
+    assert scope.series_dropped > 0 and cluster.scope.series_dropped == 0
+    manifest = build_manifest(capped, capped_cluster, scope=scope)
+    assert manifest["scope"]["series_dropped"] == scope.series_dropped
+    assert (capped.elapsed_us, capped_cluster.engine.now,
+            capped_cluster.engine.events_dispatched) == (
+        uncapped.elapsed_us, cluster.engine.now,
+        cluster.engine.events_dispatched)
+
+
 def test_counter_events_structure(opt_run):
     _, scope, _ = opt_run
     events = scope.counter_events()
