@@ -9,9 +9,9 @@ One parse of the package feeds four cooperating passes:
 4. **message graph** — per ``MsgType`` member: send sites, registered
    handlers, and request↔reply pairing via reachability.
 
-Rules (six ported per-file lint rules, six whole-program protocol rules
-and four per-file discipline rules) run off the shared
-:class:`~repro.vet.rules.VetContext`.
+Every rule lives in the one registry of :mod:`repro.vet.rules` and reads
+the shared :class:`~repro.vet.rules.VetContext`; a finding is fixed, never
+suppressed.
 Entry point: ``python -m repro.vet`` — see :mod:`repro.vet.cli`.
 """
 
@@ -19,19 +19,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.vet.callgraph import CallGraph
 from repro.vet.effects import infer_effects
-from repro.vet.loader import iter_python_files, load_paths, package_root, repo_root
+from repro.vet.loader import iter_python_files, load_paths
 from repro.vet.msggraph import MessageGraph, ModuleScan
-from repro.vet.rules import REGISTRY, VetContext, Violation, run_rules
-from repro.vet import legacy as _legacy  # registers the six ported rules
-from repro.vet.legacy import LEGACY_RULES
-
-#: the rules of :mod:`repro.vet.rules`: the whole-program ones that need
-#: the shared graph/effect passes, then its per-file disciplines
-GRAPH_RULES = tuple(name for name in REGISTRY if name not in LEGACY_RULES)
+from repro.vet.rules import REGISTRY, VetContext, run_rules
 
 #: every selectable rule, in report order
 ALL_RULES = tuple(REGISTRY)
@@ -67,21 +61,3 @@ def _build_context(
         graph=graph,
         repo_mode=repo_mode,
     )
-
-
-def vet_paths(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[str]] = None,
-    repo_mode: bool = False,
-) -> List[Violation]:
-    """One-call convenience: build the context and run *rules* over it."""
-    return run_rules(build_context(paths, repo_mode=repo_mode), rules)
-
-
-def vet_repo(
-    root: Optional[Path] = None, rules: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Vet the installed ``repro`` package sources with repo exemptions."""
-    if root is None:
-        root = package_root()
-    return vet_paths([root], rules=rules, repo_mode=True)

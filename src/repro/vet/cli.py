@@ -2,17 +2,16 @@
 
 ``check`` (the default) runs every registered rule.  With no paths it
 vets the installed ``repro`` package in repo mode (offline-tooling
-exemptions apply) and honors the checked-in ``vet-baseline.toml``; with
-explicit paths it vets exactly those files with no exemptions and no
-baseline unless ``--baseline`` is given.  Exits 1 when anything is
-reported.
+exemptions apply); with explicit paths it vets exactly those files with
+no exemptions.  A first positional other than ``check`` or ``graph`` is
+a path.  Exits 1 when anything is reported: a finding is fixed, never
+suppressed.
 
 ``graph`` prints the extracted message graph — text by default,
 ``--dot`` for Graphviz, ``--json`` for the golden-snapshot dict.
 
-Under ``--strict`` (the CI mode) baseline hygiene is enforced too:
-entries must be justified, expired entries must be pruned, and entries
-that no longer match anything are errors.
+A flag the command does not take (``check --dot``, ``graph --rules``) or
+an unknown rule name is a usage error: one line on stderr, exit 2.
 """
 
 from __future__ import annotations
@@ -23,37 +22,24 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.vet import ALL_RULES, build_context, run_rules
-from repro.vet.baseline import Baseline, DEFAULT_BASELINE_NAME, render
-from repro.vet.loader import package_root, repo_root
+from repro.vet.loader import package_root
 from repro.vet.report import (
     render_graph_json, render_graph_text, render_json, render_text,
 )
-from repro.vet.rules import Violation
 
-
-def _default_baseline_path() -> Optional[Path]:
-    """The checked-in baseline: ``<repo>/vet-baseline.toml`` when the
-    package runs from a src layout, else ``./vet-baseline.toml``."""
-    root = repo_root()
-    candidates = []
-    if root is not None:
-        candidates.append(root / DEFAULT_BASELINE_NAME)
-    candidates.append(Path.cwd() / DEFAULT_BASELINE_NAME)
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
+PROG = "python -m repro.vet"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.vet",
+        prog=PROG,
         description="DexVet: whole-program message-graph and effect "
                     "analysis for the coherence protocol",
     )
     parser.add_argument(
-        "command", nargs="?", default="check", choices=("check", "graph"),
-        help="check (default): run the rules; graph: print the message graph",
+        "command", nargs="?", default="check",
+        help="check (default): run the rules; graph: print the message "
+             "graph; anything else is the first path",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -61,25 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rules", default=None,
-        help="comma-separated rule subset (default: all)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also enforce baseline hygiene (justified, unexpired, "
-             "non-stale entries)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"suppression file (default: the checked-in "
-             f"{DEFAULT_BASELINE_NAME} when vetting the repo)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current violations to the baseline file and exit 0",
+        help="check command: comma-separated rule subset (default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule names",
@@ -98,6 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"{PROG}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit(text: str, output: Optional[Path]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -107,24 +80,29 @@ def _emit(text: str, output: Optional[Path]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_intermixed_args(argv)
+    if args.command not in ("check", "graph"):
+        args.paths.insert(0, Path(args.command))
+        args.command = "check"
 
     if args.list_rules:
         for name in ALL_RULES:
             print(name)
         return 0
 
+    if args.command == "check" and args.dot:
+        return _usage_error("--dot applies to the graph command only")
+    if args.command == "graph" and args.rules is not None:
+        return _usage_error("--rules applies to the check command only")
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
         unknown = [r for r in rules if r not in ALL_RULES]
         if unknown:
-            print(f"unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown rule(s): {', '.join(unknown)}")
 
     repo_scan = not args.paths
-    paths = args.paths or [package_root()]
-    ctx = build_context(paths, repo_mode=repo_scan)
+    ctx = build_context(args.paths or [package_root()], repo_mode=repo_scan)
 
     if args.command == "graph":
         if args.dot:
@@ -136,35 +114,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     violations = run_rules(ctx, rules)
-
-    baseline_path = args.baseline
-    if baseline_path is None and repo_scan and not args.no_baseline:
-        baseline_path = _default_baseline_path()
-    if args.update_baseline:
-        # Explicit-path runs default to ./vet-baseline.toml: never reach
-        # for the repo's checked-in baseline unless vetting the repo (or
-        # told to via --baseline).
-        default_root = (repo_root() if repo_scan else None) or Path.cwd()
-        target = baseline_path or default_root / DEFAULT_BASELINE_NAME
-        target.write_text(render(violations))
-        print(f"wrote {len(violations)} suppression(s) to {target}")
-        return 0
-
-    suppressed: List[Violation] = []
-    if baseline_path is not None and not args.no_baseline:
-        baseline = Baseline.load(baseline_path)
-        violations, suppressed = baseline.apply(
-            violations, strict=args.strict
-        )
-
     if args.json:
-        _emit(render_json(violations, suppressed), args.output)
+        _emit(render_json(violations), args.output)
     else:
-        _emit(
-            render_text(violations, suppressed=len(suppressed),
-                        checked=len(ctx.modules)),
-            args.output,
-        )
+        _emit(render_text(violations, checked=len(ctx.modules)), args.output)
     return 1 if violations else 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass
@@ -89,11 +89,3 @@ def package_root() -> Path:
 
     return Path(repro.__file__).parent
 
-
-def repo_root() -> Optional[Path]:
-    """The repository checkout containing the package, when the package
-    is run from a ``src`` layout (``<repo>/src/repro``); else None."""
-    pkg = package_root()
-    if pkg.parent.name == "src":
-        return pkg.parent.parent
-    return None

@@ -14,12 +14,11 @@ For every ``MsgType`` member the scan recovers:
   ``make_reply``; combined with call-graph reachability from each
   handler this yields the request ↔ reply pairing (``PAGE_REQUEST`` is
   answered by ``PAGE_GRANT`` / ``PAGE_RETRY`` / ``PAGE_REDIRECT``, ...);
-* the declared ``TIMEOUT_CLASSES`` retry class and ``CONTROL_SIZES``
-  wire size.
+* membership in the ``TIMEOUT_CLASSES`` retry table and the
+  ``CONTROL_SIZES`` wire-size table, and which of the two are in scope.
 
-The per-module collection (:class:`ModuleScan`) also gathers everything
-the ported per-file lint rules need, so the legacy rules and the
-whole-program rules share one scan.
+The graph is the one place these facts live: every rule that asks about
+a message type reads its :class:`MsgNode`.
 """
 
 from __future__ import annotations
@@ -122,22 +121,9 @@ class ModuleScan:
         self.tree = module.tree
         #: MsgType members defined here: name -> line
         self.msgtype_members: Dict[str, int] = {}
-        self.defines_msgtype = False
-        #: members referenced in handler positions (register/make_reply)
-        self.handled_members: Set[str] = set()
-        #: members used as dict-literal keys (only counts as handling
-        #: outside the defining module, to ignore size/metadata tables)
-        self.dict_key_members: Set[str] = set()
-        #: keys of ``TIMEOUT_CLASSES = {...}`` / ``CONTROL_SIZES = {...}``
-        self.timeout_class_members: Set[str] = set()
-        self.defines_timeout_classes = False
-        self.control_size_members: Set[str] = set()
-        self.defines_control_sizes = False
-        #: member -> declared timeout class string (when literal)
-        self.timeout_class_of: Dict[str, str] = {}
-        #: MsgType members this module passes to ``.request(...)``:
-        #: (member, line), resolved through function-local bindings
-        self.requested_members: List[Tuple[str, int]] = []
+        #: ``TIMEOUT_CLASSES = {...}`` / ``CONTROL_SIZES = {...}`` defined
+        #: here: table -> member -> the value when it is a string literal
+        self.tables: Dict[str, Dict[str, Optional[str]]] = {}
         #: typed send sites (send/post/request of a constructed message)
         self.send_sites: List[SendSite] = []
         #: handler registrations (literal + routes-dict)
@@ -160,26 +146,15 @@ class ModuleScan:
                     and isinstance(node.value, ast.Dict)
                     and target.id in ("TIMEOUT_CLASSES", "CONTROL_SIZES")
                 ):
-                    members: Set[str] = set()
+                    table = self.tables.setdefault(target.id, {})
                     for key, value in zip(node.value.keys, node.value.values):
                         member = msgtype_member(key) if key is not None else None
-                        if member is None:
-                            continue
-                        members.add(member)
-                        if (
-                            target.id == "TIMEOUT_CLASSES"
-                            and isinstance(value, ast.Constant)
-                            and isinstance(value.value, str)
-                        ):
-                            self.timeout_class_of[member] = value.value
-                    if target.id == "TIMEOUT_CLASSES":
-                        self.defines_timeout_classes = True
-                        self.timeout_class_members |= members
-                    else:
-                        self.defines_control_sizes = True
-                        self.control_size_members |= members
+                        if member is not None:
+                            table[member] = value.value if (
+                                isinstance(value, ast.Constant)
+                                and isinstance(value.value, str)
+                            ) else None
             if isinstance(node, ast.ClassDef) and node.name == "MsgType":
-                self.defines_msgtype = True
                 for stmt in node.body:
                     if isinstance(stmt, ast.Assign):
                         for target in stmt.targets:
@@ -189,27 +164,21 @@ class ModuleScan:
                 func = node.func
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in ("register", "make_reply")
-                    and node.args
+                    and func.attr == "register"
+                    and len(node.args) >= 2
                 ):
                     member = msgtype_member(node.args[0])
-                    if member is not None:
-                        self.handled_members.add(member)
-                        if func.attr == "register" and len(node.args) >= 2:
-                            handler = self._handler_name(node.args[1])
-                            if handler is not None:
-                                self.handler_regs.append(HandlerReg(
-                                    member, handler, self.module,
-                                    node.lineno, "register",
-                                ))
+                    handler = self._handler_name(node.args[1])
+                    if member is not None and handler is not None:
+                        self.handler_regs.append(HandlerReg(
+                            member, handler, self.module,
+                            node.lineno, "register",
+                        ))
             elif isinstance(node, ast.Dict):
                 for key, value in zip(node.keys, node.values):
                     member = msgtype_member(key) if key is not None else None
-                    if member is None:
-                        continue
-                    self.dict_key_members.add(member)
                     handler = self._handler_name(value)
-                    if handler is not None:
+                    if member is not None and handler is not None:
                         self.handler_regs.append(HandlerReg(
                             member, handler, self.module,
                             key.lineno, "routes-dict",
@@ -282,8 +251,6 @@ class ModuleScan:
             self.send_sites.append(SendSite(
                 member, func.attr, is_reply, self.module, node.lineno, qualname,
             ))
-            if func.attr == "request":
-                self.requested_members.append((member, node.lineno))
 
 
 class MsgNode:
@@ -292,7 +259,7 @@ class MsgNode:
     __slots__ = (
         "name", "defined_in", "defined_line", "send_sites", "handler_regs",
         "handler_fns", "replies", "reply_producer_fns", "timeout_class",
-        "has_control_size",
+        "has_timeout_class", "has_control_size",
     )
 
     def __init__(self, name: str, defined_in: str, defined_line: int):
@@ -306,7 +273,9 @@ class MsgNode:
         self.replies: Set[str] = set()
         #: function qualnames that build this member as a make_reply
         self.reply_producer_fns: Set[str] = set()
+        #: the TIMEOUT_CLASSES value, when it is a string literal
         self.timeout_class: Optional[str] = None
+        self.has_timeout_class = False
         self.has_control_size = False
 
     @property
@@ -327,6 +296,8 @@ class MessageGraph:
 
     def __init__(self, scans: List[ModuleScan], callgraph: CallGraph):
         self.nodes: Dict[str, MsgNode] = {}
+        #: the tables (TIMEOUT_CLASSES, CONTROL_SIZES) some scanned module defines
+        self.tables: Set[str] = set()
         self.scans = scans
         for scan in scans:
             for member, line in scan.msgtype_members.items():
@@ -343,12 +314,18 @@ class MessageGraph:
                 for member in members:
                     if member in known:
                         known[member].reply_producer_fns.add(qualname)
-            for member, cls in scan.timeout_class_of.items():
-                if member in known:
-                    known[member].timeout_class = cls
-            for member in scan.control_size_members:
-                if member in known:
-                    known[member].has_control_size = True
+            for table, entries in scan.tables.items():
+                self.tables.add(table)
+                for member, value in entries.items():
+                    node = known.get(member)
+                    if node is None:
+                        continue
+                    if table == "CONTROL_SIZES":
+                        node.has_control_size = True
+                    else:
+                        node.has_timeout_class = True
+                        if value is not None:
+                            node.timeout_class = value
         # resolve handlers and compute the reply closure per request type.
         # The transport layer is opaque to the traversal: the fabric
         # *delivers* messages (and its dynamic dispatch would make every

@@ -3,45 +3,24 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.vet.msggraph import MessageGraph
 from repro.vet.rules import Violation
 
 
-def render_text(
-    violations: List[Violation],
-    suppressed: int = 0,
-    checked: Optional[int] = None,
-) -> str:
+def render_text(violations: List[Violation], checked: int) -> str:
     """The CLI check report: one line per violation plus a summary."""
+    summary = f"{len(violations)} violation(s)" if violations else "clean"
     lines = [v.format() for v in violations]
-    summary = (
-        f"{len(violations)} violation(s)"
-        if violations else "clean"
-    )
-    if suppressed:
-        summary += f", {suppressed} suppressed by baseline"
-    if checked is not None:
-        summary += f" ({checked} file(s) checked)"
-    lines.append(summary)
+    lines.append(f"{summary} ({checked} file(s) checked)")
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    violations: List[Violation], suppressed: List[Violation]
-) -> str:
-    def row(v: Violation) -> Dict[str, object]:
-        return {"rule": v.rule, "path": v.path, "line": v.line,
-                "message": v.message}
-
-    return json.dumps(
-        {
-            "violations": [row(v) for v in violations],
-            "suppressed": [row(v) for v in suppressed],
-        },
-        indent=2,
-    ) + "\n"
+def render_json(violations: List[Violation]) -> str:
+    rows = [{"rule": v.rule, "path": v.path, "line": v.line,
+             "message": v.message} for v in violations]
+    return json.dumps({"violations": rows}, indent=2) + "\n"
 
 
 def render_graph_text(graph: MessageGraph) -> str:

@@ -1,13 +1,11 @@
-"""DexVet rule framework and the whole-program protocol rules.
+"""DexVet's rules: one registry, every rule a function of one context.
 
-A rule is a function from the shared :class:`VetContext` (parsed
-modules, call graph, effect table, message graph) to a list of
-:class:`Violation`.  Rules register themselves by name; the CLI selects
-from that registry.
+A rule maps the shared :class:`VetContext` (parsed modules and their
+scans, call graph, effect table, message graph) to a list of
+:class:`Violation`; ``@rule(name)`` registers it and the CLI selects
+from :data:`REGISTRY`.  A finding is fixed, never suppressed.
 
-The six whole-program rules — none expressible file-at-a-time (the
-per-file ``yield-discipline``, ``lens-sink-discipline``,
-``metric-discipline`` and ``serve-discipline`` follow them below):
+Message-type facts come from the message graph only:
 
 * ``handler-totality`` — every message type that is *sent* somewhere
   must have a handler *registered* somewhere, or dispatch raises on
@@ -18,23 +16,40 @@ per-file ``yield-discipline``, ``lens-sink-discipline``,
 * ``reply-pairing`` — a type awaited via ``.request(...)`` must have a
   reply (``make_reply``) reachable from its handlers, or the requester
   waits forever.
+* ``chaos-reachability`` — every message type needs a ``CONTROL_SIZES``
+  entry (or fault injection cannot size/target its frames), and
+  fabric-internal delivery helpers (``_send_impl``, or constructing a
+  ``_Flight``) may not be used from outside the fabric, or the chaos
+  hooks are bypassed.
+* ``retry-discipline`` — a type awaited via ``.request(...)`` declares
+  a ``TIMEOUT_CLASSES`` entry, and nobody hand-rolls exponential
+  backoff.
+
+The rest read the call graph, the effect table or one file at a time:
+
 * ``dropped-wait`` — effect inference: a call to a blocking (generator)
   function whose result is discarded builds the generator and never
   drives it, so the simulated wait silently does not happen.
 * ``inject-coverage`` — cross-node sends must pass through a fabric
   frontend that stamps trace context (``Tracer.inject``); direct
   ``.dispatch(...)`` outside the ``net`` layer bypasses it.
-* ``chaos-reachability`` — every message type needs a ``CONTROL_SIZES``
-  entry (or fault injection cannot size/target its frames), and
-  fabric-internal delivery helpers (``_send_impl``, or constructing a
-  ``_Flight``) may not be used from outside the fabric, or the chaos
-  hooks are bypassed.
+* ``yield-discipline``, ``lens-sink-discipline``, ``metric-discipline``
+  and ``serve-discipline`` — see each rule's docstring.
+* ``directory-encapsulation`` — only ``core/directory.py`` may touch the
+  directory backends' storage internals.
+* ``sim-nondeterminism`` — no wall clocks, OS entropy, or unseeded RNG
+  inside simulation code; determinism per seed is load-bearing.
+* ``span-discipline`` — spans close via ``with`` (the tracer's explicit
+  open/close pair is the fabric's alone); trace ids cross processes only
+  through the Message header fields.
+* ``slots-discipline`` — engine-core classes declare ``__slots__``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.vet.callgraph import (
@@ -42,7 +57,7 @@ from repro.vet.callgraph import (
 )
 from repro.vet.effects import call_effect, BLOCKING
 from repro.vet.loader import ModuleInfo, ParseFailure
-from repro.vet.msggraph import MessageGraph, ModuleScan
+from repro.vet.msggraph import MessageGraph, ModuleScan, SEND_ATTRS
 
 
 @dataclass(frozen=True)
@@ -368,24 +383,16 @@ _FABRIC_INTERNALS = frozenset({"_send_impl", "_Flight"})
 def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
     violations: List[Violation] = []
     # (a) CONTROL_SIZES totality, when the table is in scope
-    if any(scan.defines_control_sizes for scan in ctx.scans):
-        sized: Set[str] = set()
-        for scan in ctx.scans:
-            sized |= scan.control_size_members
-        for scan in ctx.scans:
-            for member, line in sorted(scan.msgtype_members.items(),
-                                       key=lambda kv: kv[1]):
-                if member not in sized:
-                    violations.append(Violation(
-                        rule="chaos-reachability",
-                        path=str(scan.path),
-                        line=line,
-                        message=(
-                            f"MsgType.{member} has no CONTROL_SIZES entry "
-                            f"— the fabric cannot size its frames and "
-                            f"fault injection cannot target it"
-                        ),
-                    ))
+    if "CONTROL_SIZES" in ctx.graph.tables:
+        for name, node in ctx.graph.nodes.items():
+            if not node.has_control_size:
+                violations.append(Violation(
+                    "chaos-reachability",
+                    _defining_path(ctx, node.defined_in), node.defined_line,
+                    f"MsgType.{name} has no CONTROL_SIZES entry — the "
+                    f"fabric cannot size its frames and fault injection "
+                    f"cannot target it",
+                ))
     # (b) fabric internals called from outside their defining module
     defining: Dict[str, Set[str]] = {}
     for fn in ctx.callgraph.functions:
@@ -417,6 +424,7 @@ def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
                     ),
                 ))
     return violations
+
 
 _LIST_MUTATORS = frozenset({"append", "extend", "insert", "remove", "clear"})
 
@@ -731,4 +739,256 @@ def _check_serve_discipline(ctx: VetContext) -> List[Violation]:
                             f"MetricsRegistry serve_*_total counters so "
                             f"the SLO report and scope series see them"
                         ))
+    return violations
+
+
+# -- directory-encapsulation, sim-nondeterminism, span- and slots-discipline --
+
+#: attribute names that are directory storage internals
+_DIRECTORY_INTERNALS = frozenset({"directory_shard", "shard_map", "_lru"})
+
+
+@rule("directory-encapsulation")
+def _check_directory_encapsulation(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        if scan.path.name == "directory.py":
+            continue
+        for node in ast.walk(scan.tree):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in _DIRECTORY_INTERNALS:
+                violations.append(Violation(
+                    "directory-encapsulation", str(scan.path), node.lineno,
+                    f"access to directory internal '.{node.attr}' outside "
+                    f"core/directory.py; go through the CoherenceDirectory "
+                    f"interface",
+                ))
+    return violations
+
+
+#: fully dotted call suffixes that read wall clocks or OS entropy
+_WALL_CLOCK_CALLS = frozenset({
+    ("time", "time"), ("time", "time_ns"), ("time", "monotonic"),
+    ("time", "monotonic_ns"), ("time", "perf_counter"),
+    ("time", "perf_counter_ns"), ("datetime", "now"), ("datetime", "utcnow"),
+    ("os", "urandom"), ("uuid", "uuid4"),
+})
+
+#: numpy.random constructors that are deterministic when given a seed
+_SEEDED_RNG_CTORS = frozenset({"default_rng", "RandomState", "SeedSequence",
+                               "Generator", "PCG64", "Philox"})
+
+#: directories exempt from the nondeterminism rule when vetting the repo:
+#: offline tooling that never runs inside a simulation
+_NONDETERMINISM_EXEMPT_PARTS = ("bench", "tools", "check", "vet")
+
+
+def _nondeterminism_of(node: ast.AST) -> List[str]:
+    """Why *node* makes a simulation nondeterministic: one reason per
+    finding, none when it does not."""
+    if isinstance(node, ast.Import):
+        return ["import of the unseeded 'random' module inside sim code"
+                for alias in node.names
+                if alias.name == "random" or alias.name.startswith("random.")]
+    if isinstance(node, ast.ImportFrom):
+        return ["import from the unseeded 'random' module inside sim code"
+                ] if node.module == "random" else []
+    dotted = dotted_name(node.func) if isinstance(node, ast.Call) else ()
+    if len(dotted) < 2:
+        return []
+    shown = ".".join(dotted)
+    if dotted[-2:] in _WALL_CLOCK_CALLS:
+        return [f"wall-clock/entropy call '{shown}()' inside sim code; use "
+                f"engine time"]
+    if "random" in dotted[:-1]:
+        # something.random.<fn>(...): numpy-style RNG access
+        if dotted[-1] not in _SEEDED_RNG_CTORS:
+            return [f"'{shown}()' draws from global RNG state; use a seeded "
+                    f"default_rng"]
+        if not node.args and not node.keywords:
+            return [f"'{shown}()' without a seed is nondeterministic"]
+    elif dotted[0] == "random":
+        return [f"'{shown}()' uses the unseeded 'random' module inside sim "
+                f"code"]
+    return []
+
+
+@rule("sim-nondeterminism")
+def _check_sim_nondeterminism(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        if ctx.repo_mode and any(part in _NONDETERMINISM_EXEMPT_PARTS
+                                 for part in scan.path.parts):
+            continue
+        for node in ast.walk(scan.tree):
+            for why in _nondeterminism_of(node):
+                violations.append(Violation(
+                    "sim-nondeterminism", str(scan.path), node.lineno, why))
+    return violations
+
+
+#: the tracer's explicit pair: only a message in flight (engine callbacks,
+#: not a generator) has no block to put a ``with`` around
+_EXPLICIT_SPAN_CALLS = frozenset({"open_span", "close_span"})
+
+#: dict keys that would smuggle trace context outside the Message fields
+_TRACE_ID_KEYS = frozenset({"trace_id", "parent_span", "span_id"})
+
+
+@rule("span-discipline")
+def _check_span_discipline(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        # the tracing machinery itself builds spans and serializes ids
+        if ctx.repo_mode and "obs" in scan.path.parts:
+            continue
+        carries_flights = (scan.path.name == "fabric.py"
+                           and "net" in scan.path.parts[:-1])
+        # calls that appear as a with-statement item are the sanctioned form
+        with_calls: Set[int] = {
+            id(item.context_expr) for node in ast.walk(scan.tree)
+            if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+        }
+        for node in ast.walk(scan.tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                attr = func.attr if isinstance(func, ast.Attribute) else None
+                opens_span = attr == "span" or (
+                    isinstance(func, ast.Name) and func.id == "maybe_span")
+                if opens_span and id(node) not in with_calls:
+                    why = ("outside a with statement: spans must be closed "
+                           "by their context manager or end_us never stamps")
+                elif attr in _EXPLICIT_SPAN_CALLS and not carries_flights:
+                    why = ("outside net/fabric.py: only a message in flight "
+                           "opens and closes spans by hand; use 'with "
+                           "tracer.span(...)'")
+                else:
+                    continue
+                shown = "maybe_span" if attr is None else \
+                    f"{'.'.join(dotted_name(func)) or '<expr>.' + attr}"
+                violations.append(Violation(
+                    "span-discipline", str(scan.path), node.lineno,
+                    f"'{shown}(...)' {why}"))
+            elif isinstance(node, ast.Dict):
+                for key in node.keys:
+                    if isinstance(key, ast.Constant) and \
+                            key.value in _TRACE_ID_KEYS:
+                        violations.append(Violation(
+                            "span-discipline", str(scan.path), key.lineno,
+                            f"dict key {key.value!r}: trace ids cross "
+                            f"processes only via the Message "
+                            f"trace_id/parent_span fields"))
+    return violations
+
+
+#: base-class names that exempt a class from the slots rule
+_SLOTS_EXEMPT_BASES = frozenset({
+    "Enum", "IntEnum", "StrEnum", "Flag", "IntFlag",
+    "BaseException", "Exception", "Warning",
+})
+
+
+def _slots_scope(path: Path) -> bool:
+    """Is *path* on an engine-core path the slots rule covers?"""
+    parents = path.parts[:-1]
+    return "sim" in parents or (path.name == "messages.py" and "net" in parents)
+
+
+def _declares_slots(node: ast.ClassDef) -> bool:
+    for stmt in node.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__slots__"
+               for t in targets):
+            return True
+    return any(
+        isinstance(deco, ast.Call)
+        and dotted_name(deco.func)[-1:] == ("dataclass",)
+        and any(kw.arg == "slots" and isinstance(kw.value, ast.Constant)
+                and kw.value.value is True for kw in deco.keywords)
+        for deco in node.decorator_list
+    )
+
+
+def _slots_exempt_class(node: ast.ClassDef) -> bool:
+    for base in node.bases:
+        last = (dotted_name(base) or ("",))[-1]
+        if last in _SLOTS_EXEMPT_BASES or last.endswith(("Error", "Exception")):
+            return True
+    return False
+
+
+@rule("slots-discipline")
+def _check_slots_discipline(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        if not _slots_scope(scan.path):
+            continue
+        for node in ast.walk(scan.tree):
+            if isinstance(node, ast.ClassDef) and \
+                    not _slots_exempt_class(node) and not _declares_slots(node):
+                violations.append(Violation(
+                    "slots-discipline", str(scan.path), node.lineno,
+                    f"class {node.name} on an engine-core path declares no "
+                    f"__slots__ (use a class-body literal or "
+                    f"@dataclass(slots=True)); hot-loop objects must not "
+                    f"carry an instance __dict__",
+                ))
+    return violations
+
+
+# -- retry-discipline ----------------------------------------------------------
+
+
+def _hand_rolled_backoff_loops(fn: ast.AST) -> List[ast.While]:
+    """The while-loops of *fn* that send *and* scale their own delay
+    (``*=`` or ``**``): hand-rolled exponential retransmit loops — unless
+    the function delegates the arithmetic to the shared ``backoff_delay``
+    helper.  Constant-delay loops are fine."""
+    if any(isinstance(node, ast.Call) and call_name(node) == "backoff_delay"
+           for node in ast.walk(fn)):
+        return []
+    return [
+        loop for loop in ast.walk(fn)
+        if isinstance(loop, ast.While)
+        and any(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in SEND_ATTRS for node in ast.walk(loop))
+        and any((isinstance(node, ast.AugAssign)
+                 and isinstance(node.op, (ast.Mult, ast.Pow)))
+                or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+                for node in ast.walk(loop))
+    ]
+
+
+@rule("retry-discipline")
+def _check_retry_discipline(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    # (a) every requested type declares a timeout class.  Skipped when no
+    #     scanned module defines the table (partial scans of modules that
+    #     merely *use* the transport would otherwise all fail).
+    if "TIMEOUT_CLASSES" in ctx.graph.tables:
+        for name, node in ctx.graph.nodes.items():
+            if node.has_timeout_class:
+                continue
+            for site in node.send_sites:
+                if site.via == "request":
+                    violations.append(Violation(
+                        "retry-discipline", str(site.module.path), site.line,
+                        f"MsgType.{name} is awaited via .request() but "
+                        f"declares no entry in TIMEOUT_CLASSES — the "
+                        f"retransmission loop has no reply deadline for it",
+                    ))
+    # (b) no hand-rolled exponential backoff
+    for scan in ctx.scans:
+        for fn in ast.walk(scan.tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for loop in _hand_rolled_backoff_loops(fn):
+                    violations.append(Violation(
+                        "retry-discipline", str(scan.path), loop.lineno,
+                        "retransmit loop scales its own delay: use "
+                        "net.retry.backoff_delay (capped exponential, "
+                        "bounded attempts) instead of hand-rolled backoff",
+                    ))
     return violations

@@ -9,7 +9,12 @@ backend ran.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +80,33 @@ def built(monkeypatch):
 
     monkeypatch.setattr(launch_plane, "DexCluster", RecordingCluster)
     return clusters
+
+
+@pytest.fixture(scope="session")
+def repo_vet_check():
+    """``(exit code, stdout)`` of one in-process ``repro.vet check`` over
+    the repo, shared by every test that asks whether the repo is clean."""
+    from repro.vet.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check"])
+    return code, out.getvalue()
+
+
+def run_vet_module(*args):
+    """``python -m repro.vet *args`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "repro.vet", *args],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.fixture(scope="session")
+def repo_vet_module_run():
+    """One ``python -m repro.vet`` subprocess over the repo, shared by the
+    entry-point tests."""
+    return run_vet_module()
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
-"""Lint fixture: a MsgType member with no handler anywhere.
+"""Lint fixture: MsgType members nothing ever sends.
 
-HELLO is wired to a router; ORPHAN is dead protocol surface and must
-trip ``unhandled-message-type``.
+ORPHAN has no handler and no sender; HELLO is wired to a router but never
+sent.  Both are dead protocol surface: ``orphan-message-type`` pins each.
 """
 
 import enum

@@ -1,7 +1,7 @@
 """Seeded bug: a message type that is sent but never handled anywhere.
 
-Dispatch would raise on delivery; handler-totality pins the send site
-and the legacy unhandled-message-type rule pins the definition.
+Dispatch would raise on delivery; handler-totality pins the send site,
+the one place the missing wiring shows.
 """
 
 

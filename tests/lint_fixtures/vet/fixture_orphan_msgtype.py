@@ -1,8 +1,8 @@
 """Seeded bug: a message type with a handler but no send site anywhere.
 
-``GHOST_SYNC`` is registered (so the per-file unhandled-message-type
-rule stays quiet) but nothing ever constructs or sends one — dead
-protocol surface only the whole-program send-site scan can see.
+``GHOST_SYNC`` is registered (so it looks wired from the handler side)
+but nothing ever constructs or sends one — dead protocol surface only
+the whole-program send-site scan can see.
 """
 
 

@@ -1,188 +1,218 @@
-"""The seeded-bug fixture corpus: every planted defect is detected,
-every clean fixture passes with zero false positives, and the repo
-itself is vet-clean."""
+"""DexVet's rules against the seeded-bug corpus under ``lint_fixtures/``.
+
+One table gives every fixture's exact findings: each planted defect is
+reported at its line by its rule (the fragment pins the message), each
+clean fixture reports nothing, and together the fixtures trip every
+registered rule.  The repo itself is vet-clean."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.vet import ALL_RULES, GRAPH_RULES, build_context, run_rules, vet_repo
-from repro.vet.legacy import LEGACY_RULES
+from repro.vet import ALL_RULES, REGISTRY, build_context, run_rules
 
-FIXTURES = Path(__file__).parent / "lint_fixtures" / "vet"
+FIXTURES = Path(__file__).parent / "lint_fixtures"
+
+#: fixture (or files scanned together; findings land in the last one)
+#: -> its findings as (line, rule, message fragment), in report order
+CORPUS = {
+    "fixture_bad_yield.py": [
+        (8, "yield-discipline", "bare yield"),
+        (9, "yield-discipline", "yield None"),
+        (10, "yield-discipline", "yield 'soon'"),
+        (11, "yield-discipline", "yield -1.0"),
+    ],
+    "fixture_directory_touch.py": [
+        (6, "directory-encapsulation", "'.directory_shard'"),
+        (10, "directory-encapsulation", "'._lru'"),
+    ],
+    "fixture_nondeterminism.py": [
+        (4, "sim-nondeterminism", "import of the unseeded 'random' module"),
+        (9, "sim-nondeterminism", "'random.random()'"),
+        (9, "sim-nondeterminism", "'time.time()'"),
+    ],
+    "fixture_retry_discipline.py": [
+        (26, "reply-pairing", "MsgType.SYN"),
+        (33, "reply-pairing", "MsgType.NAK"),
+        # caught through the msg = Message(...) binding; SYN is declared
+        (33, "retry-discipline", "MsgType.NAK"),
+        # the hand-rolled loop; the constant-delay one is fine
+        (40, "retry-discipline", "retransmit loop scales its own delay"),
+    ],
+    "fixture_span_discipline.py": [
+        (7, "span-discipline", "'tracer.span(...)' outside a with"),
+        (8, "span-discipline", "'maybe_span(...)' outside a with"),
+        (14, "span-discipline", "'tracer.open_span(...)' outside net/fabric.py"),
+        (15, "span-discipline", "'tracer.close_span(...)' outside net/fabric.py"),
+        (19, "span-discipline", "dict key 'trace_id'"),
+        (19, "span-discipline", "dict key 'parent_span'"),
+        (20, "span-discipline", "dict key 'span_id'"),
+    ],
+    "fixture_unhandled_message.py": [
+        (11, "orphan-message-type", "MsgType.HELLO"),
+        (12, "orphan-message-type", "MsgType.ORPHAN"),
+    ],
+    # the plain class and the slot-less dataclass; not the slotted class,
+    # the dataclass(slots=True), the enum or the exception
+    "sim/fixture_missing_slots.py": [
+        (8, "slots-discipline", "class BadEvent"),
+        (26, "slots-discipline", "class BadRecord"),
+    ],
+    # alone, _send_impl and _Flight resolve to nothing: no finding, no guess
+    "vet/fixture_chaos_bypass.py": [],
+    "vet/fixture_flight_bypass.py": [],
+    # scanned with the fabric that defines them, the bypass is visible,
+    # by bare name and through a module
+    ("vet/fixture_fabric.py", "vet/fixture_chaos_bypass.py"): [
+        (9, "chaos-reachability", "fabric-internal '_send_impl(...)'"),
+    ],
+    ("vet/fixture_fabric.py", "vet/fixture_flight_bypass.py"): [
+        (11, "chaos-reachability", "fabric-internal '_Flight(...)'"),
+        (15, "chaos-reachability", "fabric-internal '_Flight(...)'"),
+    ],
+    "vet/fixture_clean.py": [],
+    "vet/fixture_fabric.py": [],
+    "vet/fixture_dispatch_bypass.py": [
+        (18, "inject-coverage", "direct '.dispatch(...)'"),
+        (22, "inject-coverage", "no Tracer.inject call"),
+    ],
+    "vet/fixture_dropped_wait.py": [
+        (28, "dropped-wait", "built and dropped"),
+        (34, "dropped-wait", "use 'yield from transfer_page(...)'"),
+        (38, "dropped-wait", "bound to 'pending'"),
+        # blocking-ness propagates through a return wrapper
+        (43, "dropped-wait", "'forward_transfer(...)'"),
+    ],
+    "vet/fixture_lens_sink.py": [
+        (11, "lens-sink-discipline", "'.hooks[...]'"),
+        (12, "lens-sink-discipline", "'._on_span_close'"),
+        (18, "lens-sink-discipline", "PathPhase"),
+        (24, "lens-sink-discipline", "'.hooks[...]'"),
+    ],
+    # collections.Counter and registry families stay quiet
+    "vet/fixture_metric_discipline.py": [
+        (13, "metric-discipline", "'self.stats'"),
+        (15, "metric-discipline", "'self.request_counters'"),
+        (19, "metric-discipline", "direct Gauge(...)"),
+        (20, "metric-discipline", "registry.histogram"),
+    ],
+    "vet/fixture_missing_control_size.py": [
+        (10, "chaos-reachability", "MsgType.DATA_ACK has no CONTROL_SIZES"),
+    ],
+    "vet/fixture_missing_handler.py": [
+        (13, "handler-totality", "MsgType.EVICT_NOTICE is sent"),
+    ],
+    "vet/fixture_orphan_msgtype.py": [
+        (11, "orphan-message-type", "MsgType.GHOST_SYNC is never sent"),
+    ],
+    "vet/fixture_serve_discipline.py": [
+        (16, "serve-discipline", "'._backlog.append(...)'"),
+        (17, "serve-discipline", "'self.admitted'"),
+        (21, "serve-discipline", "'._backlog.clear(...)'"),
+        (25, "serve-discipline", "'.evict_oldest(...)'"),
+        (29, "serve-discipline", "AdmissionDecision minted"),
+        (33, "serve-discipline", "queue-private"),
+    ],
+    "vet/fixture_unpaired_request.py": [
+        (25, "reply-pairing", "MsgType.FETCH_HINT is awaited via .request()"),
+    ],
+}
 
 
-def vet_fixture(*names):
-    ctx = build_context([FIXTURES / name for name in names])
-    return run_rules(ctx)
+def _files(key):
+    return (key,) if isinstance(key, str) else key
 
 
-def rules_fired(violations):
-    return sorted({v.rule for v in violations})
+def vet(*paths, rules=None, repo_mode=False):
+    return run_rules(build_context(paths, repo_mode=repo_mode), rules)
+
+
+@pytest.mark.parametrize(
+    "key", list(CORPUS), ids=lambda key: "+".join(Path(f).stem for f in _files(key)))
+def test_fixture_findings(key):
+    files = [FIXTURES / name for name in _files(key)]
+    violations = vet(*files)
+    assert [(v.line, v.rule) for v in violations] == \
+        [(line, rule) for line, rule, _ in CORPUS[key]]
+    for v, (_, _, fragment) in zip(violations, CORPUS[key]):
+        assert fragment in v.message and v.path == str(files[-1]), v.format()
+
+
+def test_corpus_table_covers_every_fixture():
+    listed = {name for key in CORPUS for name in _files(key)}
+    assert listed == {p.relative_to(FIXTURES).as_posix()
+                      for p in FIXTURES.rglob("*.py")}
+
+
+def test_every_rule_is_tripped_by_a_fixture():
+    tripped = {rule for rows in CORPUS.values() for _, rule, _ in rows}
+    assert tripped == set(ALL_RULES)
 
 
 def test_registry_contains_all_rules():
-    assert set(ALL_RULES) == set(GRAPH_RULES) | set(LEGACY_RULES)
-    assert len(ALL_RULES) == 16
-
-
-def test_dropped_wait_fixture():
-    violations = [v for v in vet_fixture("fixture_dropped_wait.py")]
-    assert rules_fired(violations) == ["dropped-wait"]
-    by_line = {v.line: v.message for v in violations}
-    # the acceptance case: a deliberately un-yielded blocking call
-    assert 28 in by_line and "built and dropped" in by_line[28]
-    # yield (not yield from) of a generator
-    assert 34 in by_line and "yield from" in by_line[34]
-    # bound but never driven
-    assert 38 in by_line and "'pending'" in by_line[38]
-    # blocking-ness propagates through a return wrapper
-    assert 43 in by_line and "forward_transfer" in by_line[43]
-    assert len(violations) == 4  # the sanctioned forms stay quiet
-
-
-def test_orphan_msgtype_fixture():
-    violations = vet_fixture("fixture_orphan_msgtype.py")
-    assert rules_fired(violations) == ["orphan-message-type"]
-    (v,) = violations
-    assert "GHOST_SYNC" in v.message
-    assert v.line == 11
-
-
-def test_missing_handler_fixture():
-    violations = vet_fixture("fixture_missing_handler.py")
-    # whole-program rule pins the send site, legacy rule the definition
-    assert rules_fired(violations) == [
-        "handler-totality", "unhandled-message-type",
-    ]
-    totality = [v for v in violations if v.rule == "handler-totality"]
-    assert len(totality) == 1 and totality[0].line == 13
-    assert "EVICT_NOTICE" in totality[0].message
-
-
-def test_unpaired_request_fixture():
-    violations = vet_fixture("fixture_unpaired_request.py")
-    assert rules_fired(violations) == ["reply-pairing"]
-    (v,) = violations
-    assert "FETCH_HINT" in v.message
-    assert "wait forever" in v.message
-    assert v.line == 25  # the .request call site
-
-
-def test_dispatch_bypass_fixture():
-    violations = vet_fixture("fixture_dispatch_bypass.py")
-    assert rules_fired(violations) == ["inject-coverage"]
-    messages = {v.line: v.message for v in violations}
-    assert 18 in messages and "dispatch" in messages[18]
-    assert 22 in messages and "Tracer.inject" in messages[22]
-    assert len(violations) == 2
-
-
-def test_missing_control_size_fixture():
-    violations = vet_fixture("fixture_missing_control_size.py")
-    assert rules_fired(violations) == ["chaos-reachability"]
-    (v,) = violations
-    assert "DATA_ACK" in v.message and "CONTROL_SIZES" in v.message
-
-
-def test_chaos_bypass_fixture_needs_fabric_in_scope():
-    # alone, _send_impl resolves to nothing — no violation (and no guess)
-    assert vet_fixture("fixture_chaos_bypass.py") == []
-    # scanned with the fabric that defines _send_impl, the cross-module
-    # bypass becomes visible
-    violations = vet_fixture("fixture_fabric.py", "fixture_chaos_bypass.py")
-    assert rules_fired(violations) == ["chaos-reachability"]
-    (v,) = violations
-    assert "fixture_chaos_bypass.py" in v.path
-    assert "_send_impl" in v.message
-
-
-def test_flight_bypass_fixture_needs_fabric_in_scope():
-    # constructing a _Flight launches a message past the chaos on_send
-    # hook; the rule sees construction by bare name and through a module
-    assert vet_fixture("fixture_flight_bypass.py") == []
-    violations = vet_fixture("fixture_fabric.py", "fixture_flight_bypass.py")
-    assert rules_fired(violations) == ["chaos-reachability"]
-    assert [v.line for v in violations] == [11, 15]
-    assert all("fixture_flight_bypass.py" in v.path and "_Flight" in v.message
-               for v in violations)
-
-
-def test_lens_sink_fixture():
-    violations = vet_fixture("fixture_lens_sink.py")
-    assert rules_fired(violations) == ["lens-sink-discipline"]
-    by_line = {v.line: v.message for v in violations}
-    # direct .append on a probe list, looked up or held
-    assert 11 in by_line and "add_hook" in by_line[11]
-    assert 12 in by_line and "_on_span_close" in by_line[12]
-    # phase label spelled as a string literal
-    assert 18 in by_line and "PathPhase" in by_line[18]
-    # plain assignment counts as mutation too
-    assert 24 in by_line and ".hooks[...]" in by_line[24]
-    # the sanctioned forms (add_hook, phase=enum.value) stay quiet
-    assert len(violations) == 4
-
-
-def test_metric_discipline_fixture():
-    violations = vet_fixture("fixture_metric_discipline.py")
-    assert rules_fired(violations) == ["metric-discipline"]
-    by_line = {v.line: v.message for v in violations}
-    # ad-hoc stat dicts, exact name and suffix match
-    assert 13 in by_line and "self.stats" in by_line[13]
-    assert 15 in by_line and "request_counters" in by_line[15]
-    # direct metric construction outside the obs layer
-    assert 19 in by_line and "Gauge" in by_line[19]
-    assert 20 in by_line and "registry.histogram" in by_line[20]
-    # registry-family registration, unrelated dicts, and
-    # collections.Counter (import-aware matching) all stay quiet
-    assert len(violations) == 4
-
-
-def test_serve_discipline_fixture():
-    violations = vet_fixture("fixture_serve_discipline.py")
-    assert rules_fired(violations) == ["serve-discipline"]
-    by_line = {v.line: v.message for v in violations}
-    # direct backlog mutation, call and wholesale-assignment forms
-    assert 16 in by_line and "_backlog.append" in by_line[16]
-    assert 21 in by_line and "_backlog.clear" in by_line[21]
-    assert 33 in by_line and "queue-private" in by_line[33]
-    # policy-only entry point called from a manager
-    assert 25 in by_line and "evict_oldest" in by_line[25]
-    # decision minted outside the policy layer
-    assert 29 in by_line and "AdmissionDecision" in by_line[29]
-    # ad-hoc tally instead of a registry counter
-    assert 17 in by_line and "self.admitted" in by_line[17]
-    # the sanctioned policy.decide path stays quiet
-    assert len(violations) == 6
-
-
-def test_lens_sink_baseline_suppression():
-    # a [[suppress]] baseline entry silences the new rule like any other
-    import datetime
-
-    from repro.vet.baseline import Baseline, Suppression
-
-    violations = vet_fixture("fixture_lens_sink.py")
-    baseline = Baseline([Suppression(
-        rule="lens-sink-discipline",
-        path="fixture_lens_sink.py",
-        reason="seeded fixture",
-    )])
-    reported, suppressed = baseline.apply(
-        violations, today=datetime.date(2026, 8, 8)
-    )
-    assert reported == [] and len(suppressed) == len(violations)
+    assert ALL_RULES == tuple(REGISTRY)
+    assert len(ALL_RULES) == 15
 
 
 def test_clean_fixtures_zero_false_positives():
-    assert vet_fixture("fixture_clean.py") == []
-    assert vet_fixture("fixture_fabric.py") == []
+    for name in ("fixture_clean.py", "fixture_fabric.py"):
+        fixture = FIXTURES / "vet" / name
+        assert vet(fixture) == [] and vet(fixture, repo_mode=True) == []
+
+
+def test_yield_discipline_fixture():
+    # vetted as part of src/, the one-argument inline timeout is a sleep
+    # spelled the old way; the value-carrying one still needs its Event
+    fixture = FIXTURES / "fixture_bad_yield.py"
+    in_src = vet(fixture, repo_mode=True)
+    (old_way,) = [v for v in in_src if v not in vet(fixture)]
+    assert old_way.line == 16 and len(in_src) == 5
+    assert "yield engine.timeout(...): a private sleep" in old_way.message
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def test_span_discipline_lets_the_fabric_open_and_close_by_hand(tmp_path):
+    by_hand = ("def stage(tracer, flight):\n"
+               "    span = tracer.open_span(flight, 'net.wire', 0, -1, {})\n"
+               "    tracer.close_span(flight, span)\n")
+    assert vet(_write(tmp_path / "net" / "fabric.py", by_hand)) == []
+    flagged = vet(_write(tmp_path / "net" / "verbs.py", by_hand))
+    assert [v.rule for v in flagged] == ["span-discipline"] * 2
+
+
+def test_span_discipline_repo_mode_exempts_obs(tmp_path):
+    fixture = _write(tmp_path / "obs" / "machinery.py",
+                     "def serialize(s):\n    return {'trace_id': s.trace_id}\n")
+    assert [v.rule for v in vet(fixture)] == ["span-discipline"]
+    assert vet(fixture, repo_mode=True) == []
+
+
+def test_slots_discipline_scope_is_engine_core_paths(tmp_path):
+    # a slot-less class outside sim/ (and not net/messages.py) is not this
+    # rule's business; in net/messages.py it is
+    slot_less = "class SlotLess:\n    def __init__(self):\n        self.x = 1\n"
+    assert vet(_write(tmp_path / "plain_module.py", slot_less)) == []
+    flagged = vet(_write(tmp_path / "net" / "messages.py", slot_less))
+    assert [v.rule for v in flagged] == ["slots-discipline"]
+
+
+def test_repo_mode_exempts_offline_tooling(tmp_path):
+    # tools/ reads no wall clocks today, but the exemption is what lets
+    # e.g. bench harnesses time themselves
+    fixture = _write(tmp_path / "tools" / "offline.py",
+                     "import time\n\ndef stamp():\n    return time.time()\n")
+    assert [v.rule for v in vet(fixture)] == ["sim-nondeterminism"]
+    assert vet(fixture, repo_mode=True) == []
 
 
 def test_whole_corpus_scan_detects_every_seeded_bug():
     # all fixtures in one whole-program scan: every seeded rule fires
-    ctx = build_context([FIXTURES])
-    fired = {v.rule for v in run_rules(ctx)}
+    fired = {v.rule for v in vet(FIXTURES / "vet")}
     assert {
         "dropped-wait", "orphan-message-type", "handler-totality",
         "reply-pairing", "inject-coverage", "chaos-reachability",
@@ -192,27 +222,25 @@ def test_whole_corpus_scan_detects_every_seeded_bug():
 
 
 def test_rule_subset_selection():
-    violations = run_rules(
-        build_context([FIXTURES / "fixture_missing_handler.py"]),
-        ["handler-totality"],
-    )
-    assert rules_fired(violations) == ["handler-totality"]
+    fixture = FIXTURES / "fixture_retry_discipline.py"
+    violations = vet(fixture, rules=["retry-discipline"])
+    assert [v.line for v in violations] == [33, 40]
+    assert {v.rule for v in violations} == {"retry-discipline"}
 
 
 def test_unknown_rule_rejected():
-    ctx = build_context([FIXTURES / "fixture_clean.py"])
     with pytest.raises(ValueError, match="unknown rule"):
-        run_rules(ctx, ["no-such-rule"])
+        vet(FIXTURES / "vet" / "fixture_clean.py", rules=["no-such-rule"])
 
 
 def test_parse_error_reported_not_fatal(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n")
-    violations = run_rules(build_context([bad]))
-    assert [v.rule for v in violations] == ["parse-error"]
+    assert [v.rule for v in vet(bad)] == ["parse-error"]
 
 
-def test_repo_is_vet_clean():
+def test_repo_is_vet_clean(repo_vet_check):
     # the acceptance bar: the repo passes its own whole-program analysis
-    # with no baseline entries at all
-    assert vet_repo() == []
+    # (the one in-process whole-repo run, shared through conftest)
+    code, out = repo_vet_check
+    assert code == 0, out
