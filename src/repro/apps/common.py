@@ -12,6 +12,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence
 
@@ -221,10 +222,19 @@ class RunSpec:
         )
 
 
-def _count(text: str) -> int:
+def count_arg(text: str) -> int:
+    """argparse type: an int >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_arg(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -244,11 +254,11 @@ _RUN_ARGUMENTS: Dict[str, Dict[str, Any]] = {
     "app": dict(help="Figure 2 short name (%s) or long alias (%s)" % (
         ", ".join(APP_NAMES), ", ".join(sorted(_ALIASES)))),
     "variant": dict(choices=VARIANTS, default="initial"),
-    "nodes": dict(type=_count, default=1, help="nodes the run is placed on"),
+    "nodes": dict(type=count_arg, default=1, help="nodes the run is placed on"),
     "scale": dict(choices=tuple(SCALE_PRESETS), default="small",
                   help="'small' runs in seconds, 'paper' uses the full "
                   "scaled-down defaults"),
-    "threads_per_node": dict(type=_count, default=8),
+    "threads_per_node": dict(type=count_arg, default=8),
     "directory": dict(choices=DIRECTORY_BACKENDS, default=None,
                       help="coherence-directory backend (unset: the "
                       "paper's origin-resident one)"),

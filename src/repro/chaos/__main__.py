@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.apps.common import RunSpec, add_run_arguments
+from repro.apps.common import RunSpec, add_run_arguments, count_arg
 from repro.chaos.harness import run_pagefault_micro, run_under_chaos
 from repro.chaos.scenario import (
     EXCLUSIVE_LOSS_POLICIES,
@@ -32,6 +32,16 @@ from repro.chaos.scenario import (
     ChaosScenario,
 )
 from repro.core.errors import NodeFailedError
+
+
+def _delay(text: str) -> Tuple[str, float]:
+    """``MSG_TYPE:US`` (a bare MSG_TYPE is a zero delay, refused later)."""
+    msg_type, _, us = text.partition(":")
+    try:
+        return msg_type, float(us or "0")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects MSG_TYPE:US, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_arguments(parser, "--app", "--variant", "--nodes", "--scale",
                       "--directory", "--seed", micro="micro", app="micro",
                       nodes=4)
-    parser.add_argument("--iters", type=int, default=40,
+    parser.add_argument("--iters", type=count_arg, default=40,
                         help="micro only: per-thread iteration count")
     parser.add_argument("--no-sanitize", action="store_true",
                         help="run without the DexCheck coherence sanitizer")
@@ -66,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--drop-nth", type=int, default=1,
                         help="which match the --drop rules fire on")
     parser.add_argument("--delay", action="append", default=[],
-                        metavar="MSG_TYPE:US",
+                        type=_delay, metavar="MSG_TYPE:US",
                         help="delay the first message of this type by US "
                         "microseconds (repeatable)")
     parser.add_argument("--duplicate", action="append", default=[],
@@ -88,11 +98,9 @@ def _build_scenario(ns: argparse.Namespace) -> Optional[ChaosScenario]:
     for msg_type in ns.drop:
         scenario.rules.append(
             ChaosRule(kind="drop", msg_type=msg_type, nth=ns.drop_nth))
-    for spec in ns.delay:
-        msg_type, _, us = spec.partition(":")
+    for msg_type, us in ns.delay:
         scenario.rules.append(ChaosRule(
-            kind="delay", msg_type=msg_type, nth=1,
-            delay_us=float(us or "0")))
+            kind="delay", msg_type=msg_type, nth=1, delay_us=us))
     for msg_type in ns.duplicate:
         scenario.rules.append(
             ChaosRule(kind="duplicate", msg_type=msg_type, nth=1))
@@ -121,13 +129,13 @@ def _print_report(report: Optional[dict]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
     spec = RunSpec.from_args(ns)
     try:
         scenario = _build_scenario(ns)
     except ChaosError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        parser.error(str(err))
 
     if spec.micro:
         result = run_pagefault_micro(

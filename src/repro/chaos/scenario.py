@@ -32,8 +32,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import DexError
+from repro.net.messages import MsgType
 
 KINDS = ("drop", "delay", "duplicate", "reorder", "degrade", "crash")
+#: the ``msg_type`` spellings a rule may match on
+_MSG_TYPES = frozenset(t.value for t in MsgType)
 
 #: what recovery does when a fail-stopped node held the only current copy
 #: of a page: "fail" the process with a precise diagnostic, or "rollback"
@@ -79,6 +82,10 @@ class ChaosRule:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ChaosError(f"unknown rule kind {self.kind!r} (one of {KINDS})")
+        if self.msg_type is not None and self.msg_type not in _MSG_TYPES:
+            raise ChaosError(
+                f"unknown msg_type {self.msg_type!r} (one of "
+                f"{', '.join(sorted(_MSG_TYPES))})")
         if self.kind == "crash":
             if self.node is None:
                 raise ChaosError("crash rule needs a 'node'")

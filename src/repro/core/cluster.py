@@ -94,7 +94,7 @@ class DexCluster:
         #: DexLens rides on span closes, so turning it on implies a tracer
         lens_on = resolve_switch("lens", self.params.lens)
         self.tracer: Optional[Tracer] = (
-            Tracer(self.engine, max_spans=self.params.trace_max_spans)
+            Tracer(self.engine)
             if resolve_switch("trace", self.params.trace) or lens_on
             else None
         )

@@ -36,7 +36,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.apps.common import RunSpec, add_run_arguments
+from repro.apps.common import RunSpec, add_run_arguments, positive_arg
 from repro.obs.export import (
     check_all_traces,
     cross_node_traces,
@@ -261,7 +261,8 @@ def cmd_top(ns: argparse.Namespace) -> int:
     view.render()  # final frame at end-of-run state
     evicted = {k: v for k, v in lens.feed.evicted.items() if v}
     if evicted:
-        print(f"note: memory cap evicted keys: {evicted} (raise lens_max_keys)")
+        print(f"note: memory cap evicted keys: {evicted} "
+              "(raise LensFeed max_keys)")
     return 0
 
 
@@ -271,7 +272,7 @@ def _add_workload_args(p: argparse.ArgumentParser,
         p, "--app", "--variant", "--nodes", "--scale", "--directory",
         "--app-arg", micro=micro, app="kmeans", nodes=4, directory="origin",
     )
-    p.add_argument("--duration-us", type=float, default=20_000.0,
+    p.add_argument("--duration-us", type=positive_arg, default=20_000.0,
                    help="pagefault micro duration (ignored for apps)")
 
 
@@ -332,11 +333,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_top = sub.add_parser("top", help="live DexLens view (hot pages, "
                            "ping-pong pairs, critical-path p50/p99)")
     _add_workload_args(p_top)
-    p_top.add_argument("--interval-us", type=float, default=10_000.0,
+    p_top.add_argument("--interval-us", type=positive_arg, default=10_000.0,
                        help="sim-time between live frames (default 10000)")
     p_top.add_argument("--limit", type=int, default=8,
                        help="rows per table (default 8)")
-    p_top.add_argument("--window-us", type=float, default=5_000.0,
+    p_top.add_argument("--window-us", type=positive_arg, default=5_000.0,
                        help="heat-stat sliding window (default 5000)")
     p_top.set_defaults(fn=cmd_top, lens=True)
 

@@ -2,11 +2,14 @@
 terminal timeline/top-spans reports, per-phase time attribution, and the
 span-tree validator used by tests and the CLI.
 
-Offline tooling, plus the two shared phase vocabularies: ``PHASE_NAMES``
-(the app-phase attribution categories) and :class:`PathPhase` (the
-critical-path phases DexLens attributes latency to).  Both are the single
-source of truth — DexVet's ``lens-sink-discipline`` rule rejects phase
-labels spelled as string literals anywhere else.
+Also the one place "where did the time go?" is computed: one span-name
+table (``SPAN_PHASES``) maps a span to its app phase (``PHASE_NAMES``)
+and to its critical-path phase (:class:`PathPhase`), and one
+:func:`sweep` hands each instant to the highest-ranked open span.  The
+per-thread :func:`attribution` and DexLens's per-tree critical path are
+two rankings over that sweep.  The vocabularies are the single source of
+truth — DexVet's ``lens-sink-discipline`` rule rejects phase labels
+spelled as string literals anywhere else.
 """
 
 from __future__ import annotations
@@ -14,15 +17,12 @@ from __future__ import annotations
 import enum
 import json
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.tracing import Span
 
 # -- span-tree structure ------------------------------------------------------
-
-
-def span_index(spans: Sequence[Span]) -> Dict[int, Span]:
-    return {s.span_id: s for s in spans}
 
 
 def traces(spans: Sequence[Span]) -> Dict[int, List[Span]]:
@@ -86,18 +86,6 @@ def cross_node_traces(spans: Sequence[Span], min_nodes: int = 2) -> List[TreeRep
 
 # -- per-phase attribution ----------------------------------------------------
 
-# span-name prefix -> (phase, priority).  Higher priority wins when spans of
-# the same thread overlap (a remote futex_wait is nested inside the waiter's
-# delegation.call round-trip; the time is futex time, not delegation time).
-_PHASES: Tuple[Tuple[str, str, int], ...] = (
-    ("chaos.", "chaos", 6),
-    ("futex.", "futex", 5),
-    ("fault", "fault_wait", 4),
-    ("migration.", "migration", 3),
-    ("delegation.", "delegation", 2),
-    ("compute", "compute", 1),
-)
-
 PHASE_NAMES: Tuple[str, ...] = (
     "compute", "fault_wait", "futex", "migration", "delegation", "chaos",
 )
@@ -124,72 +112,92 @@ class PathPhase(enum.Enum):
     COMPUTE = "compute"
 
 
-#: span-name prefix -> PathPhase, longest prefix first (first match wins)
-_PATH_PHASES: Tuple[Tuple[str, PathPhase], ...] = (
-    ("net.wire", PathPhase.WIRE),
-    ("net.", PathPhase.QUEUE),
-    ("rx.", PathPhase.HANDLER),
-    ("protocol.revoke", PathPhase.BLOCKED),
-    ("protocol.invalidate", PathPhase.BLOCKED),
-    ("fault.follow", PathPhase.BLOCKED),
-    ("futex.", PathPhase.BLOCKED),
-    ("fault.acquire", PathPhase.QUEUE),
-    # bare "fault" (after the specific fault.* entries above): requester-side
-    # trap/PTE/backoff work
-    ("fault", PathPhase.QUEUE),
-    ("compute", PathPhase.COMPUTE),
+#: span-name prefix -> (app phase, priority, PathPhase), a prefix before its
+#: stem, first match wins; any other name is (None, 0, HANDLER).  A higher
+#: priority owns a thread's overlapping time (a futex_wait nested in the
+#: waiter's delegation.call is futex time).
+SPAN_PHASES: Tuple[Tuple[str, Optional[str], int, PathPhase], ...] = (
+    ("net.wire", None, 0, PathPhase.WIRE),
+    ("net.", None, 0, PathPhase.QUEUE),
+    ("rx.", None, 0, PathPhase.HANDLER),
+    ("protocol.revoke", None, 0, PathPhase.BLOCKED),
+    ("protocol.invalidate", None, 0, PathPhase.BLOCKED),
+    ("chaos.", "chaos", 6, PathPhase.HANDLER),
+    ("futex.", "futex", 5, PathPhase.BLOCKED),
+    ("fault.follow", "fault_wait", 4, PathPhase.BLOCKED),
+    ("fault.acquire", "fault_wait", 4, PathPhase.QUEUE),
+    # bare "fault": requester-side trap/PTE/backoff work
+    ("fault", "fault_wait", 4, PathPhase.QUEUE),
+    ("migration.", "migration", 3, PathPhase.HANDLER),
+    ("delegation.", "delegation", 2, PathPhase.HANDLER),
+    ("compute", "compute", 1, PathPhase.COMPUTE),
 )
+_UNLISTED = ("", None, 0, PathPhase.HANDLER)
+
+
+def _span_phase(name: str) -> Tuple[str, Optional[str], int, PathPhase]:
+    for row in SPAN_PHASES:
+        if name.startswith(row[0]):
+            return row
+    return _UNLISTED
 
 
 def path_phase_of(name: str) -> PathPhase:
-    """Critical-path phase for a span name; anything uncategorized is
-    service work (HANDLER)."""
-    for prefix, phase in _PATH_PHASES:
-        if name.startswith(prefix):
-            return phase
-    return PathPhase.HANDLER
+    """Critical-path phase for a span name."""
+    return _span_phase(name)[3]
 
 
 def phase_of(name: str) -> Optional[Tuple[str, int]]:
-    for prefix, phase, prio in _PHASES:
-        if name.startswith(prefix):
-            return phase, prio
-    return None
+    """``(app phase, priority)`` for a span name, or None when the span is
+    not attributed to an app phase."""
+    _, phase, prio, _ = _span_phase(name)
+    return None if phase is None else (phase, prio)
+
+
+def sweep(legs: Iterable[Tuple[float, Optional[float], Any, Hashable]]
+          ) -> Dict[Hashable, float]:
+    """The one attribution sweep: ``{bucket: us}`` over *legs* of
+    ``(start_us, end_us, rank, bucket)``.  At every instant the open leg
+    of highest rank owns the time, so nested spans are never counted
+    twice.  At a tie ends sort before starts; open and zero-length legs
+    are skipped.  Intervals are added in time order, and buckets appear
+    in the order they first receive time."""
+    events = []
+    for leg, (start, end, rank, bucket) in enumerate(legs):
+        if end is not None and end > start:
+            events.append((start, 1, leg, rank, bucket))
+            events.append((end, 0, leg, rank, bucket))
+    events.sort(key=itemgetter(0, 1))
+    owners: Dict[int, Tuple[Any, Hashable]] = {}
+    totals: Dict[Hashable, float] = {}
+    last_t = 0.0
+    for t, is_start, leg, rank, bucket in events:
+        if owners and t > last_t:
+            owner = max(owners.values(), key=itemgetter(0))[1]
+            totals[owner] = totals.get(owner, 0.0) + (t - last_t)
+        if is_start:
+            owners[leg] = (rank, bucket)
+        else:
+            del owners[leg]
+        last_t = t
+    return totals
 
 
 def attribution(spans: Sequence[Span]) -> Dict[int, Dict[str, float]]:
-    """Per-thread wall-time attribution: ``{tid: {phase: us}}``.
-
-    A priority sweep over each thread's categorized spans: at every instant
-    the highest-priority open span owns the time, so nested/overlapping
-    spans (futex inside delegation, fault inside compute) are not counted
-    twice."""
-    by_tid: Dict[int, List[Tuple[float, int, int]]] = defaultdict(list)
+    """Per-thread wall-time attribution: ``{tid: {phase: us}}``, every
+    phase of ``PHASE_NAMES`` present — :func:`sweep` over each thread's
+    closed app-phase spans, ranked by priority."""
+    by_tid: Dict[int, List[Tuple[float, float, int, str]]] = defaultdict(list)
     for s in spans:
         if s.tid < 0 or s.end_us is None:
             continue
-        cat = phase_of(s.name)
-        if cat is None:
-            continue
-        _, prio = cat
-        by_tid[s.tid].append((s.start_us, +1, prio))
-        by_tid[s.tid].append((s.end_us, -1, prio))
-
-    prio_to_phase = {prio: phase for _, phase, prio in _PHASES}
+        _, phase, prio, _ = _span_phase(s.name)
+        if phase is not None:
+            by_tid[s.tid].append((s.start_us, s.end_us, prio, phase))
     out: Dict[int, Dict[str, float]] = {}
-    for tid, events in by_tid.items():
-        events.sort(key=lambda e: (e[0], e[1]))  # ends before starts at ties
-        active = [0] * 8  # open-span count per priority level
-        top = 0  # highest priority with active[p] > 0
-        last_t = None
-        totals: Dict[str, float] = {p: 0.0 for p in PHASE_NAMES}
-        for t, delta, prio in events:
-            if last_t is not None and top > 0 and t > last_t:
-                totals[prio_to_phase[top]] += t - last_t
-            active[prio] += delta
-            top = max((p for p in range(1, 8) if active[p] > 0), default=0)
-            last_t = t
-        out[tid] = totals
+    for tid, legs in by_tid.items():
+        got = sweep(legs)
+        out[tid] = {p: got.get(p, 0.0) for p in PHASE_NAMES}
     return out
 
 
@@ -342,7 +350,7 @@ def chrome_trace(
     any metadata they need) after the slice events — the DexScope
     utilization series render as Perfetto counter tracks alongside the
     span timeline (see :meth:`repro.obs.scope.DexScope.counter_events`)."""
-    index = span_index(spans)
+    index = {s.span_id: s for s in spans}
     lanes = _allocate_lanes(spans, index)
     events: List[Dict[str, Any]] = []
 
@@ -364,7 +372,7 @@ def chrome_trace(
         args.update(s.attrs)
         events.append({
             "name": s.name,
-            "cat": phase_of(s.name)[0] if phase_of(s.name) else "protocol",
+            "cat": _span_phase(s.name)[1] or "protocol",
             "ph": "X",
             "pid": s.node if s.node >= 0 else (nodes[0] if nodes else 0),
             "tid": lane,

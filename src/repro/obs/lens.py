@@ -11,35 +11,30 @@ Three consumers ride the probe:
 * :class:`LensFeed` — sliding sim-time windows of per-page fault rate,
   owner churn (exclusive-ownership transfers), and (requester -> victim)
   ping-pong pair counts, each with slice-based decay and a fixed key cap;
-  plus per-(phase x app x mode) critical-path latency histograms filled
-  by the one-pass tree walk below.  This is the stable query API the
-  future placement balancer consumes.
+  plus per-(phase x app x mode) critical-path latency histograms.
 * :class:`TopView` — the ``python -m repro.obs top`` live terminal view;
   renders opportunistically whenever a span close crosses the next
   sim-time deadline (never schedules anything).
 * :class:`~repro.obs.ring.FlightRecorder` — see :mod:`repro.obs.ring`.
 
 Critical-path extraction: spans are buffered per trace as they close;
-when a trace's *root* closes the tree is walked once with a
-deepest-active-span sweep — every instant of the tree's lifetime is
-attributed to the :class:`~repro.obs.export.PathPhase` of the deepest
-span covering it, root-owned residual counting as queueing.  Ownership
-is exclusive, so the per-phase parts sum to the tree's covered wall time
-even though handler and wire legs run concurrently with their waiting
-ancestors; equal-depth parallel fan-out legs (a multi-victim revocation)
-attribute to a single leg, critical-path style.  The buffer holds at
-most ``lens_max_traces`` incomplete trees (FIFO eviction, counted).
+when a trace's *root* closes, :func:`tree_phases` runs the one
+attribution sweep of :mod:`repro.obs.export` over the tree, ranked by
+depth (see there).  The buffer holds at most ``LensSink.max_traces``
+incomplete trees (FIFO eviction, counted).
 
 Enable with ``SimParams(lens="1")`` / ``DEX_LENS=1``; the lens implies a
-tracer.  All knobs live on :class:`~repro.params.SimParams` (``lens_*``).
+tracer.  ``SimParams.lens_window_us`` sets the heat window and
+``lens_dump_path`` the crash dump; every other capacity is the
+constructor default of the component that owns it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.obs.export import PathPhase, path_phase_of, phase_of
+from repro.obs.export import PathPhase, path_phase_of, phase_of, sweep
 from repro.obs.metrics import Histogram
 from repro.obs.ring import FlightRecorder
 from repro.obs.tracing import Span, Tracer
@@ -138,22 +133,13 @@ class SlidingWindow:
         return len(self._totals)
 
 
-class PageHeat:
+class PageHeat(NamedTuple):
     """One hot page as the feed reports it."""
 
-    __slots__ = ("vpn", "faults", "rate_per_ms", "churn")
-
-    def __init__(self, vpn: int, faults: float, rate_per_ms: float, churn: float):
-        self.vpn = vpn
-        self.faults = faults
-        self.rate_per_ms = rate_per_ms
-        self.churn = churn
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PageHeat(vpn={self.vpn:#x} faults={self.faults:.0f}"
-            f" rate={self.rate_per_ms:.2f}/ms churn={self.churn:.0f})"
-        )
+    vpn: int
+    faults: float
+    rate_per_ms: float
+    churn: float
 
 
 class LensFeed:
@@ -202,24 +188,15 @@ class LensFeed:
 
     # -- heat queries -------------------------------------------------------
 
-    def page_faults(self, vpn: int) -> float:
-        """Faults on *vpn* inside the current window."""
-        return self._faults.get(self.engine.now, vpn)
-
     def hot_pages(self, top: int = 10) -> List[PageHeat]:
+        """The *top* most-faulted pages in the window, hottest first, with
+        their fault rate and owner churn (exclusive-ownership transfers)."""
         now = self.engine.now
         span = min(self.window_us, now) or self.window_us
         return [
             PageHeat(vpn, count, count * 1000.0 / span, self._churn.get(now, vpn))
             for vpn, count in self._faults.top(now, top)
         ]
-
-    def owner_churn(self, vpn: int) -> float:
-        """Exclusive-ownership transfers of *vpn* inside the window."""
-        return self._churn.get(self.engine.now, vpn)
-
-    def churn_pages(self, top: int = 10) -> List[Tuple[int, float]]:
-        return self._churn.top(self.engine.now, top)
 
     def ping_pong_pairs(
         self, top: int = 10, vpn: Optional[int] = None
@@ -237,19 +214,6 @@ class LensFeed:
         ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:top]
 
-    def page_pairs(self, vpn: int) -> List[Tuple[int, int, float]]:
-        """Per-page (requester, victim, count) triples, hottest first —
-        shaped like ``tools.analysis.PageReport.invalidation_pairs``."""
-        now = self.engine.now
-        self._pairs._advance(now)
-        triples = [
-            (requester, victim, count)
-            for (page, requester, victim), count in self._pairs._totals.items()
-            if page == vpn
-        ]
-        triples.sort(key=lambda t: (-t[2], t[0], t[1]))
-        return triples
-
     @property
     def evicted(self) -> Dict[str, int]:
         """Keys dropped by the memory cap, per statistic (0 = complete)."""
@@ -261,83 +225,55 @@ class LensFeed:
 
     # -- critical-path queries ----------------------------------------------
 
-    def path_breakdown(
-        self, app: Optional[str] = None, mode: Optional[str] = None
-    ) -> Dict[str, Dict[str, Any]]:
-        """Per-:class:`PathPhase` latency snapshot (count/mean/p50/p99/...),
-        optionally restricted to one app-phase and/or mode label."""
+    def phase_histograms(self) -> Dict[str, Histogram]:
+        """``path_us`` folded over app and mode: one histogram per
+        :class:`PathPhase` value (the manifest's ``phases`` section)."""
         per_phase: Dict[str, Histogram] = {}
-        for (phase, app_label, mode_label), child in self.path_us.per_label().items():
-            if app is not None and app_label != app:
-                continue
-            if mode is not None and mode_label != mode:
-                continue
+        for (phase, _app, _mode), child in self.path_us.per_label().items():
             per_phase[phase] = child.merge_into(per_phase.get(phase))
-        return {phase: hist.snapshot() for phase, hist in per_phase.items()}
+        return per_phase
+
+    def path_breakdown(self) -> Dict[str, Dict[str, Any]]:
+        """Per-:class:`PathPhase` latency snapshot (count/mean/p50/p99/...)."""
+        return {phase: hist.snapshot()
+                for phase, hist in self.phase_histograms().items()}
 
     def _record_tree(self, root: Span, members: List[Span]) -> None:
-        """The one-pass walk: attribute *root*'s end-to-end latency to path
-        phases by a deepest-active-span sweep.
-
-        At every instant of the tree's lifetime the time belongs to the
-        *deepest* span covering it — the leg actually being serviced (the
-        wire transfer, the remote handler, the revocation wait); intervals
-        no descendant covers fall to their parent, and root-owned residual
-        is queueing.  Because ownership is exclusive, the per-phase parts
-        sum to the tree's covered wall time — nothing is double-counted
-        even though a child subtree (wire delivery, an adopted handler)
-        runs concurrently with its waiting ancestor.  Parallel fan-out legs
-        at equal depth attribute to one leg (critical-path semantics)."""
         app_cat = phase_of(root.name)
         app = app_cat[0] if app_cat is not None else "other"
         mode = _tree_mode(root)
-        multi = len(members) > 1
-        depth: Dict[int, int] = {root.span_id: 0}
-        index = {span.span_id: span for span in members}
-
-        def depth_of(span: Span) -> int:
-            d = depth.get(span.span_id)
-            if d is None:
-                parent = index.get(span.parent_id)
-                d = 1 if parent is None else depth_of(parent) + 1
-                depth[span.span_id] = d
-            return d
-
-        # sweep events: (time, is_end, depth, span); ends before starts at
-        # ties so back-to-back legs hand over cleanly
-        events = []
-        for span in members:
-            if span.end_us is None or span.end_us <= span.start_us:
-                continue
-            d = depth_of(span)
-            events.append((span.start_us, 1, d, span))
-            events.append((span.end_us, 0, d, span))
-        events.sort(key=lambda e: (e[0], e[1]))
-        active: Dict[int, Tuple[int, Span]] = {}
-        phases: Dict[PathPhase, float] = {}
-        last_t: Optional[float] = None
-        for t, is_start, d, span in events:
-            if active and last_t is not None and t > last_t:
-                _, owner = max(
-                    active.values(), key=lambda ds: (ds[0], ds[1].span_id)
-                )
-                if owner is root and multi:
-                    # root residual = requester-side work between the legs
-                    # (trap cost, PTE updates, retry backoff): queueing.  A
-                    # single-span tree classifies by its own name instead
-                    phase = PathPhase.QUEUE
-                else:
-                    phase = path_phase_of(owner.name)
-                phases[phase] = phases.get(phase, 0.0) + (t - last_t)
-            if is_start:
-                active[span.span_id] = (d, span)
-            else:
-                active.pop(span.span_id, None)
-            last_t = t
-        for phase, us in phases.items():
+        for phase, us in tree_phases(root, members).items():
             self.path_us.labels(phase=phase.value, app=app, mode=mode).observe(us)
         self.tree_us.labels(app=app, mode=mode).observe(root.duration_us)
         self.trees_completed += 1
+
+
+def tree_phases(root: Span, members: List[Span]) -> Dict[PathPhase, float]:
+    """*root*'s latency by :class:`PathPhase`: the sweep ranked by depth,
+    so each instant belongs to the leg actually being serviced (the wire
+    transfer, the remote handler, the revocation wait); equal-depth
+    fan-out legs go to the higher span id.  The root's own residual in a
+    multi-span tree is requester-side work between the legs (trap cost,
+    PTE updates, retry backoff): queueing."""
+    multi = len(members) > 1
+    depth: Dict[int, int] = {root.span_id: 0}
+    index = {span.span_id: span for span in members}
+
+    def depth_of(span: Span) -> int:
+        d = depth.get(span.span_id)
+        if d is None:
+            parent = index.get(span.parent_id)
+            d = 1 if parent is None else depth_of(parent) + 1
+            depth[span.span_id] = d
+        return d
+
+    def leg(span: Span):
+        phase = (PathPhase.QUEUE if span is root and multi
+                 else path_phase_of(span.name))
+        return (span.start_us, span.end_us,
+                (depth_of(span), span.span_id), phase)
+
+    return sweep(map(leg, members))
 
 
 def _tree_mode(root: Span) -> str:
@@ -457,23 +393,13 @@ class DexLens:
     :class:`TopView` over ``feed`` the same way.)"""
 
     def __init__(self, cluster, tracer: Tracer):
-        params = cluster.params
         self.cluster = cluster
         self.tracer = tracer
         self.feed = LensFeed(
-            cluster.engine,
-            window_us=params.lens_window_us,
-            slices=params.lens_window_slices,
-            max_keys=params.lens_max_keys,
-        )
-        self.sink = LensSink(self.feed, max_traces=params.lens_max_traces)
+            cluster.engine, window_us=cluster.params.lens_window_us)
+        self.sink = LensSink(self.feed)
         cluster.engine.add_hook(self.sink)
-        self.recorder = FlightRecorder(
-            tracer,
-            num_nodes=cluster.num_nodes,
-            ring_spans=params.lens_ring_spans,
-            ring_msgs=params.lens_ring_msgs,
-        )
+        self.recorder = FlightRecorder(tracer, num_nodes=cluster.num_nodes)
         cluster.engine.add_hook(self.recorder)
         self.dump_path: Optional[str] = None
 

@@ -46,9 +46,8 @@ _QUANTILES = (50, 90, 99, 99.9)
 
 
 def _params_dict(params: Any) -> Dict[str, Any]:
-    """Simple-typed SimParams fields only (knob objects like a chaos
-    scenario or a contention model aren't JSON and aren't inputs a diff
-    can meaningfully compare)."""
+    """Simple-typed SimParams fields only (a programmatic chaos scenario
+    isn't JSON and isn't an input a diff can meaningfully compare)."""
     out: Dict[str, Any] = {}
     for field in dataclasses.fields(params):
         value = getattr(params, field.name)
@@ -88,12 +87,7 @@ def build_manifest(
     fault_all: Optional[Histogram] = None
     fault_by_mode: Dict[str, Histogram] = {}
     for proc in procs:
-        reg = proc.stats.registry
-        for name in reg.names():
-            metric = reg.get(name)
-            if metric.kind != "counter":
-                continue
-            counters[name] = counters.get(name, 0) + metric.total()
+        proc.stats.registry.counter_totals(counters)
         for home, served in proc.stats.directory_requests.items():
             key = str(home)
             directory[key] = directory.get(key, 0) + served
@@ -107,11 +101,7 @@ def build_manifest(
     counters["net_page_payloads"] = net.page_payloads
     counters["net_loopback_deliveries"] = net.loopback_deliveries
     if cluster.chaos is not None:
-        chaos_reg = cluster.chaos.metrics
-        for name in chaos_reg.names():
-            metric = chaos_reg.get(name)
-            if metric.kind == "counter":
-                counters[name] = counters.get(name, 0) + metric.total()
+        cluster.chaos.metrics.counter_totals(counters)
 
     doc: Dict[str, Any] = {
         "format": MANIFEST_FORMAT,
@@ -146,12 +136,9 @@ def build_manifest(
         }
 
     if lens is not None:
-        per_phase: Dict[str, Histogram] = {}
-        for (phase, _app, _mode), child in lens.feed.path_us.per_label().items():
-            per_phase[phase] = child.merge_into(per_phase.get(phase))
         doc["phases"] = {
             phase: _hist_section(hist)
-            for phase, hist in sorted(per_phase.items())
+            for phase, hist in sorted(lens.feed.phase_histograms().items())
         }
         doc["trees_completed"] = lens.feed.trees_completed
 

@@ -1,4 +1,4 @@
-"""Typed metrics: counters, gauges, and log-bucketed histograms.
+"""Typed metrics: counters and log-bucketed histograms.
 
 ``DexStats`` (``repro.core.stats``) is a facade over a
 :class:`MetricsRegistry`; subsystems can also register their own metrics
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class _LabeledMixin:
@@ -89,38 +89,6 @@ class Counter(_LabeledMixin):
     def snapshot(self) -> Any:
         if self._children:
             return {"total": self.total(), "by_label": self.value_by_label()}
-        return self.value
-
-
-class Gauge(_LabeledMixin):
-    """A value that can go up and down (queue depths, copyset sizes)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
-        self.name = name
-        self.help = help
-        self.value = 0
-        self._init_labels(labelnames)
-
-    def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help)
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
-    def value_by_label(self) -> Dict[Any, Any]:
-        return {key: child.value for key, child in self.per_label().items()}
-
-    def snapshot(self) -> Any:
-        if self._children:
-            return {"value": self.value, "by_label": self.value_by_label()}
         return self.value
 
 
@@ -317,9 +285,6 @@ class Histogram(_LabeledMixin):
         }
 
 
-_METRIC_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
     """A named collection of metrics with a single snapshot/report path.
 
@@ -346,9 +311,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Counter:
         return self._register(Counter, name, help, labelnames=labelnames)
 
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge, name, help, labelnames=labelnames)
-
     def histogram(
         self,
         name: str,
@@ -370,8 +332,13 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def names(self) -> Iterable[str]:
-        return self._metrics.keys()
+    def counter_totals(self, into: Dict[str, Any]) -> Dict[str, Any]:
+        """Add each counter's total (labels summed) to ``into[name]``, so
+        several registries fold into one dict; returns *into*."""
+        for name, metric in self._metrics.items():
+            if isinstance(metric, Counter):
+                into[name] = into.get(name, 0) + metric.total()
+        return into
 
     def snapshot(self) -> Dict[str, Any]:
         return {name: metric.snapshot() for name, metric in self._metrics.items()}

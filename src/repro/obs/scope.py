@@ -7,8 +7,8 @@ the signal the adaptation recipe of §IV (and the planned online
 balancer / DexServe SLO reporting) needs.
 
 A :class:`DexScope` registers one sampler on the engine's sampling grid
-(:meth:`repro.sim.engine.Engine.add_sampler`): every
-``scope_interval_us`` of simulated time it reads
+(:meth:`repro.sim.engine.Engine.add_sampler`): every ``INTERVAL_US``
+of simulated time it reads
 
 * per-node CPU busy fraction and run-queue depth (the cores
   :class:`~repro.sim.resources.Resource`), and live thread residency
@@ -23,9 +23,9 @@ A :class:`DexScope` registers one sampler on the engine's sampling grid
 * a snapshot of every process :class:`MetricsRegistry` counter.
 
 Samples land in bounded :class:`~repro.obs.ring.SeriesRing` time series
-(fixed memory, pairwise decay) and in a scope-owned
-:class:`MetricsRegistry` of gauge families — the registry is the
-single registration path the ``metric-discipline`` vet rule enforces.
+(fixed memory, pairwise decay) — the one record of a sample, read by the
+manifest's ``series`` section and the Perfetto counter tracks.  The
+module constants size them; no ``SimParams`` field does.
 
 Everything here is **read-only** over the model: the sampler fires
 between dispatches, schedules nothing, and draws no randomness, so a
@@ -40,23 +40,27 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.ring import SeriesRing
 
 __all__ = ["DexScope"]
 
 #: synthetic Perfetto process id for series not owned by a single node
 CLUSTER_PID = 9999
+#: sim-time between samples (the grid the sampler fires on)
+INTERVAL_US = 500.0
+#: stored points per series; on overflow adjacent points merge and the
+#: accept stride doubles, so a fixed buffer covers the whole run
+SERIES_POINTS = 512
+#: hard cap on distinct series keys (per-link series scale O(nodes^2));
+#: a refused sample is counted in ``series_dropped``
+MAX_SERIES = 4096
 
 class DexScope:
     """Periodic utilization sampler for one cluster (see module doc)."""
 
     def __init__(self, cluster: Any):
-        params = cluster.params
         self.cluster = cluster
-        self.interval_us = float(params.scope_interval_us)
-        self.capacity = int(params.scope_series_points)
-        self.max_series = int(params.scope_max_series)
+        self.interval_us = INTERVAL_US
         self.samples = 0
         #: series not created because the key cap was hit (never silent)
         self.series_dropped = 0
@@ -68,36 +72,7 @@ class DexScope:
         #: per-link [msgs, measured wire us, ideal serialization us]
         #: accumulated by the fabric between samples (see on_wire)
         self._wire_wait: Dict[Tuple[int, int], List[float]] = {}
-        self._link_bw = float(params.link_bandwidth)
-
-        reg = self.registry = MetricsRegistry()
-        self.node_busy = reg.gauge(
-            "node_busy_frac", "CPU cores in use / capacity, per node",
-            labelnames=("node",))
-        self.node_runq = reg.gauge(
-            "node_runq_depth", "threads queued for a core, per node",
-            labelnames=("node",))
-        self.node_threads = reg.gauge(
-            "node_threads", "live app threads resident, per node",
-            labelnames=("node",))
-        self.nic_tx_util = reg.gauge(
-            "nic_tx_util", "transmit bandwidth utilization, per NIC",
-            labelnames=("node",))
-        self.link_occupancy = reg.gauge(
-            "link_occupancy", "wire-bytes rate / bandwidth, per link",
-            labelnames=("link",))
-        self.link_queue = reg.gauge(
-            "link_queue_us",
-            "mean per-message wire queueing delay beyond serialization",
-            labelnames=("link",))
-        self.dir_rate = reg.gauge(
-            "directory_request_rate",
-            "ownership requests served per ms, by hosting shard",
-            labelnames=("home",))
-        self.retry_inflight = reg.gauge(
-            "retry_inflight", "reliable requests awaiting a reply")
-        self.engine_queue = reg.gauge(
-            "engine_queue_len", "pending entries in the event queue")
+        self._link_bw = float(cluster.params.link_bandwidth)
 
         #: DexServe feed (a ServeManager), or None when no serving run is
         #: attached — the common case costs one None check per sample
@@ -133,10 +108,10 @@ class DexScope:
               pid: int = CLUSTER_PID) -> None:
         ring = self.series.get(key)
         if ring is None:
-            if len(self.series) >= self.max_series:
+            if len(self.series) >= MAX_SERIES:
                 self.series_dropped += 1
                 return
-            ring = self.series[key] = SeriesRing(self.capacity, agg=agg)
+            ring = self.series[key] = SeriesRing(SERIES_POINTS, agg=agg)
             self._series_pid[key] = pid
         ring.push(t, value)
 
@@ -155,12 +130,9 @@ class DexScope:
         for node in cluster.nodes:
             n = node.node_id
             cores = node.cores
-            busy = cores.in_use / cores.capacity
-            runq = float(cores.queued)
-            self.node_busy.labels(node=n).set(busy)
-            self.node_runq.labels(node=n).set(runq)
-            push(f"node{n}.busy_frac", t, busy, "mean", n)
-            push(f"node{n}.runq", t, runq, "mean", n)
+            push(f"node{n}.busy_frac", t, cores.in_use / cores.capacity,
+                 "mean", n)
+            push(f"node{n}.runq", t, float(cores.queued), "mean", n)
 
         # live thread residency (compute-follows-data placement signal)
         from repro.core.thread import threads_by_node
@@ -170,7 +142,6 @@ class DexScope:
             for n, count in threads_by_node(proc).items():
                 residency[n] = residency.get(n, 0) + count
         for n, count in residency.items():
-            self.node_threads.labels(node=n).set(count)
             push(f"node{n}.threads", t, float(count), "mean", n)
 
         # per-NIC transmit utilization (served-bytes delta over capacity)
@@ -180,7 +151,6 @@ class DexScope:
             if served or key in self.series:
                 util = (served - last.get(key, 0.0)) / (nic.tx.capacity * dt)
                 last[key] = served
-                self.nic_tx_util.labels(node=nic.node_id).set(util)
                 push(key, t, util, "mean", nic.node_id)
 
         # per-link occupancy (bytes-on-wire delta over capacity)
@@ -190,7 +160,6 @@ class DexScope:
                 occ = (conn.bytes_on_wire - last.get(key, 0.0)) / (
                     self._link_bw * dt)
                 last[key] = conn.bytes_on_wire
-                self.link_occupancy.labels(link=f"{src}->{dst}").set(occ)
                 push(key, t, occ, "mean", src)
 
         # per-link queueing delay (measured wire wait minus ideal
@@ -202,7 +171,6 @@ class DexScope:
                 acc[0] = acc[1] = acc[2] = 0.0
             else:
                 excess = 0.0
-            self.link_queue.labels(link=f"{src}->{dst}").set(excess)
             push(f"link{src}->{dst}.queue_us", t, excess, "mean", src)
 
         # per-shard directory request rate
@@ -213,24 +181,20 @@ class DexScope:
                 key = f"dir.home{home}.req_per_ms"
                 rate = (served - last.get(key, 0.0)) * 1000.0 / dt
                 last[key] = served
-                self.dir_rate.labels(home=home).set(rate)
                 push(key, t, rate, "mean", home)
 
         # retry/chaos in-flight accounting
         chaos = cluster.chaos
         if chaos is not None:
-            inflight = float(chaos.inflight_requests())
-            self.retry_inflight.set(inflight)
-            push("retry.inflight", t, inflight, "mean")
+            push("retry.inflight", t, float(chaos.inflight_requests()), "mean")
             retx = chaos.retransmissions.value
             if retx or "chaos.retransmits" in self.series:
                 push("chaos.retransmits", t, float(retx), "last")
 
         # engine health: queue length + scheduling rate
         engine = cluster.engine
-        depth = float(len(engine._queue) + len(engine._fastlane))
-        self.engine_queue.set(depth)
-        push("engine.queue_len", t, depth, "mean")
+        push("engine.queue_len", t,
+             float(len(engine._queue) + len(engine._fastlane)), "mean")
         seq = float(engine._seq)
         push("engine.sched_per_us", t, (seq - last.get("seq", 0.0)) / dt,
              "mean")
@@ -240,11 +204,7 @@ class DexScope:
         # cumulative series (agg="last" keeps the latest total per point)
         totals: Dict[str, float] = {}
         for proc in cluster.processes.values():
-            reg = proc.stats.registry
-            for name in reg.names():
-                metric = reg.get(name)
-                if metric.kind == "counter":
-                    totals[name] = totals.get(name, 0.0) + metric.total()
+            proc.stats.registry.counter_totals(totals)
         for name, value in totals.items():
             if value or f"stats.{name}" in self.series:
                 push(f"stats.{name}", t, float(value), "last")

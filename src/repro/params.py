@@ -186,8 +186,6 @@ class SimParams:
     #: DEX_TRACE environment variable (same scheme as `sanitize`); when off
     #: no tracer exists and instrumented paths reduce to a None check
     trace: Optional[str] = None
-    #: span-recording cap per tracer; further spans are counted as dropped
-    trace_max_spans: int = 1_000_000
 
     # ---- online analytics (see repro.obs.lens — DexLens) ------------------
     #: streaming trace analytics: "" off, "1"/"on" on.  None defers to the
@@ -196,18 +194,8 @@ class SimParams:
     #: nothing beyond the tracer's empty span-close list is ever touched
     lens: Optional[str] = None
     #: sliding sim-time window for the heat statistics (fault rate, owner
-    #: churn, ping-pong pairs), and its slice count (decay granularity)
+    #: churn, ping-pong pairs)
     lens_window_us: float = 5_000.0
-    lens_window_slices: int = 8
-    #: memory cap per heat statistic: beyond this many live keys, the
-    #: coldest keys are evicted (counted, never silent)
-    lens_max_keys: int = 4096
-    #: completed span trees the critical-path extractor may hold open at
-    #: once; older incomplete trees are evicted FIFO
-    lens_max_traces: int = 256
-    #: flight-recorder ring capacities, per node (closed spans / messages)
-    lens_ring_spans: int = 4096
-    lens_ring_msgs: int = 2048
     #: crash-dump path for the flight recorder ("" disables auto-dump;
     #: None means the default ./dex-flightrec.json)
     lens_dump_path: Optional[str] = None
@@ -218,13 +206,6 @@ class SimParams:
     #: the engine's only obligation is one float compare against +inf per
     #: dispatch, the fabric's one truth test of its empty `wire` list
     scope: Optional[str] = None
-    #: sim-time between utilization samples (the grid the sampler fires on)
-    scope_interval_us: float = 500.0
-    #: stored points per time series; on overflow adjacent points merge and
-    #: the accept stride doubles, so a fixed buffer covers the whole run
-    scope_series_points: int = 512
-    #: hard cap on distinct series keys (per-link series scale O(nodes^2))
-    scope_max_series: int = 4096
 
     # ---- feature switches (for ablations) ---------------------------------
     #: leader-follower coalescing of concurrent same-page faults (§III-C)
@@ -235,11 +216,6 @@ class SimParams:
     #: (send 4KB through the verb path), or "rdma_register" (register a
     #: region per page -- the strawman §III-E rules out)
     page_transfer_mode: str = "rdma_sink"
-
-    #: optional override for DRAM contention; maps active streams -> bytes/us
-    dram_contention: Optional[Callable[[int], float]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         """One ``ValueError`` naming the field, here and not mid-run."""
@@ -264,8 +240,6 @@ class SimParams:
 
     def dram_contention_model(self) -> Callable[[int], float]:
         """Effective aggregate DRAM capacity as a function of active streams."""
-        if self.dram_contention is not None:
-            return self.dram_contention
         cap, knee, factor = self.dram_bandwidth, self.dram_knee, self.dram_contention_factor
 
         def model(n: int) -> float:

@@ -103,7 +103,10 @@ def _resolve_chaos(ns: argparse.Namespace, num_nodes: int):
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    specs = parse_tenants(ns.tenants, ns)
+    try:
+        specs = parse_tenants(ns.tenants, ns)
+    except ValueError as err:
+        ns.run_parser.error(str(err))
     want_export = bool(ns.trace_out)
     chaos, fail_stop = _resolve_chaos(ns, ns.nodes)
     manager = ServeManager(

@@ -16,6 +16,7 @@ can never hide wrong results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -28,7 +29,7 @@ from repro.runtime import MemoryAllocator
 from repro.runtime.array import alloc_array
 
 from .arrivals import ArrivalCurve
-from .policy import make_policy
+from .policy import POLICY_NAMES, make_policy
 from .queueing import Request, ServeQueue
 
 WORKLOAD_KINDS = ("kmn", "grp", "blk", "scan")
@@ -68,21 +69,29 @@ class TenantSpec:
     slo_p99_us: float = 2_000.0
     seed: int = 0
 
-    def validate(self) -> "TenantSpec":
-        if self.workload not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"tenant {self.name!r}: unknown workload {self.workload!r} "
-                f"(one of {WORKLOAD_KINDS})"
-            )
+    def __post_init__(self) -> None:
+        """One ``ValueError`` naming the field, here and not mid-run."""
+        for field, value, known in (("workload", self.workload, WORKLOAD_KINDS),
+                                    ("policy", self.policy, POLICY_NAMES)):
+            if value not in known:
+                raise ValueError(f"tenant {self.name!r}: unknown {field} "
+                                 f"{value!r} (one of {known})")
         if not self.nodes:
             raise ValueError(f"tenant {self.name!r}: needs at least one node")
-        if self.workers_per_node < 1 or self.queue_capacity < 1:
-            raise ValueError(
-                f"tenant {self.name!r}: workers_per_node and queue_capacity "
-                "must be >= 1"
-            )
+        for field, ok, must in (
+            ("workers_per_node", self.workers_per_node >= 1, "at least 1"),
+            ("queue_capacity", self.queue_capacity >= 1, "at least 1"),
+            ("items", self.items >= 0, "non-negative"),
+            ("request_items", self.request_items >= 0, "non-negative"),
+            ("slo_p99_us", 0.0 < self.slo_p99_us < math.inf,
+             "positive and finite"),
+            ("policy_rate_per_s", 0.0 <= self.policy_rate_per_s < math.inf,
+             "non-negative and finite"),
+        ):
+            if not ok:
+                raise ValueError(f"tenant {self.name!r}: {field} must be "
+                                 f"{must}, got {getattr(self, field)!r}")
         self.curve.validate()
-        return self
 
     @property
     def total_items(self) -> int:
@@ -104,7 +113,7 @@ class Tenant:
     """Runtime state of one tenant on a shared cluster."""
 
     def __init__(self, spec: TenantSpec, cluster: Any, registry: Any):
-        self.spec = spec.validate()
+        self.spec = spec
         self.cluster = cluster
         self.registry = registry
         self.proc = None

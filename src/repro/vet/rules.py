@@ -513,7 +513,7 @@ def _check_lens_sink_discipline(ctx: VetContext) -> List[Violation]:
 
 #: the typed metric constructors of repro.obs.metrics; outside the obs
 #: layer they must be reached through MetricsRegistry registration
-_METRIC_CTORS = frozenset({"Counter", "Gauge", "Histogram"})
+_METRIC_CTORS = frozenset({"Counter", "Histogram"})
 _METRIC_MODULES = frozenset({"repro.obs.metrics", "repro.obs"})
 #: attribute names that smell like a hand-rolled metrics store
 _STAT_DICT_NAMES = ("stats", "metrics", "counters")
@@ -529,8 +529,8 @@ def _is_stat_dict_name(attr: str) -> bool:
 def _check_metric_discipline(ctx: VetContext) -> List[Violation]:
     """Metrics go through a MetricsRegistry, nowhere else.
 
-    Outside the obs layer, (a) constructing ``Counter``/``Gauge``/
-    ``Histogram`` directly bypasses the registry's single registration,
+    Outside the obs layer, (a) constructing ``Counter``/``Histogram``
+    directly bypasses the registry's single registration,
     snapshot, and report path (and its kind-collision check); (b) a
     ``self.stats = {}``-style ad-hoc dict in place of registry families
     dodges the typed metrics entirely — per-key bounds, label handling,
@@ -602,7 +602,7 @@ def _check_metric_discipline(ctx: VetContext) -> List[Violation]:
                             line=node.lineno,
                             message=(
                                 f"ad-hoc stat dict 'self.{target.attr}' — "
-                                f"use MetricsRegistry counter/gauge "
+                                f"use MetricsRegistry counter/histogram "
                                 f"families instead of a hand-rolled dict "
                                 f"(typed, bounded, exported by manifests)"
                             ),

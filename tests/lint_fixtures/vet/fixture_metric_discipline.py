@@ -4,7 +4,7 @@ belong — plus the collections.Counter false-positive trap."""
 
 from collections import Counter
 
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class ShardTracker:
@@ -16,7 +16,6 @@ class ShardTracker:
         # GOOD: an ordinary dict under an unrelated name stays clean
         self.routes = {}
         # BAD: direct construction bypasses the registry
-        self.depth = Gauge("shard_depth")
         self.latency = Histogram("shard_latency_us")
 
     def observe(self, key, us):
@@ -28,9 +27,9 @@ def build_registry():
     # GOOD: registration through the registry is the sanctioned path
     registry = MetricsRegistry()
     faults = registry.counter("faults_total", "page faults")
-    depth = registry.gauge("queue_depth", "runnable threads")
+    wait = registry.histogram("queue_wait_us", "time queued")
     faults.inc()
-    return registry, depth
+    return registry, wait
 
 
 def tally_words(words):

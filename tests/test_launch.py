@@ -400,6 +400,43 @@ def test_bad_app_arg_is_a_usage_error(command, pair, complaint, capsys):
     assert complaint in last
 
 
+SMALL_SERVE = ["--nodes", "2", "--requests", "4", "--quiet"]
+
+
+@pytest.mark.parametrize("main, argv, complaint", [
+    # obs: sim-time flags are positive
+    (obs_main, ["top", "--app", "pagefault", "--interval-us", "0"],
+     "argument --interval-us: must be > 0, got 0"),
+    (obs_main, ["top", "--app", "pagefault", "--window-us", "0"],
+     "argument --window-us: must be > 0, got 0"),
+    (obs_main, ["report", "--app", "pagefault", "--duration-us", "-5"],
+     "argument --duration-us: must be > 0, got -5"),
+    # chaos: a rule names a real message type; counts and delays parse
+    (chaos_main, ["--drop", "no_such_type"],
+     "unknown msg_type 'no_such_type' (one of "),
+    (chaos_main, ["--delay", "page_request:abc"],
+     "argument --delay: expects MSG_TYPE:US, got 'page_request:abc'"),
+    (chaos_main, ["--iters", "-1"], "argument --iters: must be >= 1, got -1"),
+    # serve: a tenant spec fails at construction, before any run
+    (serve_main, [*SMALL_SERVE, "--tenants", "bogus:constant"],
+     "unknown workload 'bogus'"),
+    (serve_main, [*SMALL_SERVE, "--tenants", "kmn:wobble"],
+     "unknown arrival curve 'wobble'"),
+    (serve_main, [*SMALL_SERVE, "--workers-per-node", "0"],
+     "workers_per_node must be at least 1, got 0"),
+    (serve_main, [*SMALL_SERVE, "--queue-capacity", "0"],
+     "queue_capacity must be at least 1, got 0"),
+    (serve_main, [*SMALL_SERVE, "--rate", "-5"],
+     "arrival rate must be positive, got -5.0"),
+    (serve_main, [*SMALL_SERVE, "--items", "-4"],
+     "items must be non-negative, got -4"),
+    (serve_main, [*SMALL_SERVE, "--slo-p99-us", "-1"],
+     "slo_p99_us must be positive and finite, got -1.0"),
+])
+def test_a_bad_flag_value_is_a_usage_error(main, argv, complaint, capsys):
+    assert complaint in _usage_error(main, argv, capsys)
+
+
 @pytest.mark.parametrize("main, argv, dest", RUN_TAKING)
 def test_long_aliases_are_accepted_everywhere(main, argv, dest, capsys):
     """``kmeans`` parses on all four CLIs (``repro.apps`` and

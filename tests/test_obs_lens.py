@@ -18,7 +18,7 @@ from repro.check import DeadlockError
 from repro.core.errors import NodeFailedError
 from repro.obs.export import PathPhase, check_trace_tree, path_phase_of
 from repro.obs.lens import LensFeed, SlidingWindow, TopView
-from repro.obs.ring import load_snapshot
+from repro.obs.ring import FlightRecorder, load_snapshot
 from repro.runtime import MemoryAllocator, Mutex
 
 from conftest import make_cluster
@@ -166,17 +166,17 @@ def _kmn_with_lens(num_nodes=8):
     from repro.tools import FaultTracer, TraceAnalysis
 
     fault_tracer = FaultTracer()
-    params = SimParams(
-        trace="1", lens="1",
-        lens_window_us=1e9, lens_max_keys=1 << 17,
-    )
+    params = SimParams(trace="1", lens="1")
     cluster = DexCluster(num_nodes=8, params=params)
+    # a feed that keeps everything: window and key cap beyond the run
+    feed = cluster.lens.sink.feed = LensFeed(
+        cluster.engine, window_us=1e9, max_keys=1 << 17)
     result = run_point(
         "KMN", "initial", num_nodes, "small",
         params=params, tracer=fault_tracer, cluster=cluster,
     )
     assert result.correct
-    return TraceAnalysis(fault_tracer), cluster.lens.feed
+    return TraceAnalysis(fault_tracer), feed
 
 
 def test_feed_matches_profiler_ground_truth_on_kmn():
@@ -187,17 +187,15 @@ def test_feed_matches_profiler_ground_truth_on_kmn():
     ground_truth = analysis.hottest_pages(10)
     assert ground_truth and ground_truth[0].faults > 0
     assert feed.evicted == {"faults": 0, "churn": 0, "pairs": 0}
+    heat = {page.vpn: page.faults for page in feed.hot_pages(1 << 17)}
     for report in ground_truth:
-        assert feed.page_faults(report.vpn) == report.faults
+        assert heat[report.vpn] == report.faults
         expected_pairs = {
             (src, victim): count
             for src, victim, count in report.invalidation_pairs
         }
-        got_pairs = {
-            (src, victim): count
-            for src, victim, count in feed.page_pairs(report.vpn)
-        }
-        assert got_pairs == expected_pairs
+        assert dict(feed.ping_pong_pairs(1 << 17, vpn=report.vpn)) \
+            == expected_pairs
     # hot_pages ranks by the same counts
     hottest = feed.hot_pages(1)[0]
     assert hottest.vpn == ground_truth[0].vpn
@@ -209,8 +207,8 @@ def test_feed_owner_churn_tracks_write_grants():
     feed = cluster.lens.feed
     vpn = var // 4096
     # every atomic bounce is an exclusive grant: churn tracks contention
-    assert feed.owner_churn(vpn) > 0
-    assert feed.churn_pages(1)[0][0] == vpn
+    churniest = max(feed.hot_pages(), key=lambda page: page.churn)
+    assert churniest.vpn == vpn and churniest.churn > 0
     # aggregated ping-pong view: both directions of the bounce appear
     pairs = dict(feed.ping_pong_pairs())
     assert sum(pairs.values()) > 0
@@ -265,7 +263,10 @@ def test_critical_path_modes_split_like_dexstats():
 
 
 def test_tree_buffer_eviction_is_counted():
-    cluster, proc, _ = _micro(rounds=20, lens_max_traces=1)
+    def one_open_tree(cluster):
+        cluster.lens.sink.max_traces = 1
+
+    cluster, proc, _ = _micro(rounds=20, on_cluster=one_open_tree)
     feed = cluster.lens.feed
     # with room for a single open tree, interleaved traces force evictions
     assert feed.trees_evicted > 0
@@ -428,8 +429,16 @@ def test_dump_path_empty_disables_autodump(tmp_path, monkeypatch):
 
 
 def test_ring_capacity_bounds_snapshot(tmp_path):
-    cluster, proc, _ = _micro(rounds=40, lens_ring_spans=16, lens_ring_msgs=8)
-    recorder = cluster.lens.recorder
+    recorders = []
+
+    def small_rings(cluster):
+        recorders.append(FlightRecorder(
+            cluster.tracer, num_nodes=cluster.num_nodes,
+            ring_spans=16, ring_msgs=8))
+        cluster.engine.add_hook(recorders[0])
+
+    cluster, proc, _ = _micro(rounds=40, on_cluster=small_rings)
+    recorder = recorders[0]
     assert recorder.spans_seen > 16  # history really overflowed the ring
     snapshot = recorder.snapshot_spans()
     # bounded: at most ring_spans per node ring (+1 unbound ring), plus

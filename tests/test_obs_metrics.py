@@ -5,10 +5,10 @@ import math
 import pytest
 
 from repro.core.stats import DexStats, FaultRecord
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
-# -- Counter / Gauge -----------------------------------------------------------
+# -- Counter -------------------------------------------------------------------
 
 
 def test_counter_basics():
@@ -37,14 +37,6 @@ def test_counter_label_errors():
     fam = Counter("fam", labelnames=("home",))
     with pytest.raises(ValueError):
         fam.labels(wrong=1)
-
-
-def test_gauge():
-    g = Gauge("depth")
-    g.set(7)
-    g.inc(2)
-    g.dec()
-    assert g.value == 8
 
 
 # -- Histogram -----------------------------------------------------------------
@@ -147,6 +139,17 @@ def test_registry_snapshot_and_report():
     assert "hits" in text and "lat" in text and "fam" in text
     assert "zero" not in text  # skip_zero default
     assert "zero" in reg.report(skip_zero=False)
+
+
+def test_counter_totals_fold_several_registries():
+    into = {"hits": 1}
+    for hits in (3, 4):
+        reg = MetricsRegistry()
+        reg.counter("hits").inc(hits)
+        reg.counter("fam", labelnames=("node",)).labels(node=1).inc(2)
+        reg.histogram("lat").observe(5.0)  # not a counter: left out
+        assert reg.counter_totals(into) is into
+    assert into == {"hits": 8, "fam": 4}
 
 
 # -- the DexStats facade -------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.obs.manifest import (
     load_manifest,
     write_manifest,
 )
+from repro.obs import scope as scope_module
 from repro.obs.ring import SeriesRing
 from repro.obs.scope import CLUSTER_PID
 from repro.params import SimParams
@@ -184,7 +185,7 @@ def opt_manifest(opt_run):
     return build_manifest(result, scope.cluster, scope=scope, lens=lens)
 
 
-def test_scope_gauges_and_series_cover_the_rack(opt_run):
+def test_scope_series_cover_the_rack(opt_run):
     _, scope, _ = opt_run
     keys = set(scope.series)
     assert any(k.startswith("node0.busy_frac") for k in keys)
@@ -194,19 +195,22 @@ def test_scope_gauges_and_series_cover_the_rack(opt_run):
     assert "engine.queue_len" in keys and "faults.per_ms" in keys
     assert any(k.startswith("stats.") for k in keys)
     assert scope.series_dropped == 0
-    # the registry families carry the latest values for live readers
-    assert scope.registry.get("node_busy_frac").per_label()
-    assert scope.registry.get("directory_request_rate").per_label()
+    # per-node readings get one series per node, and none is empty
+    assert {f"node{n}.busy_frac" for n in range(len(scope.cluster.nodes))} \
+        <= keys
+    assert all(scope.series[k].points() for k in keys)
 
 
-def test_a_full_series_table_drops_samples_and_leaves_the_run_alone():
+def test_a_full_series_table_drops_samples_and_leaves_the_run_alone(
+        monkeypatch):
     """The exhaustion edge of the series cap: with room for a handful of
     series the run still completes, the refused samples are counted — by
     the scope and in its manifest alike — and the sim clock is the one an
     uncapped run reads."""
-    capped, capped_cluster = _run_on_own_cluster(
-        "initial", SimParams(scope="1", scope_max_series=8))
     uncapped, cluster = _run_on_own_cluster("initial", SimParams(scope="1"))
+    monkeypatch.setattr(scope_module, "MAX_SERIES", 8)
+    capped, capped_cluster = _run_on_own_cluster(
+        "initial", SimParams(scope="1"))
     scope = capped_cluster.scope
     assert capped.correct and len(scope.series) == 8
     assert scope.series_dropped > 0 and cluster.scope.series_dropped == 0

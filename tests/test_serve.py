@@ -5,6 +5,7 @@ and the zero-cost-when-off guards."""
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,23 @@ def run_report(specs, **kw):
     kw.setdefault("num_nodes", 4)
     kw.setdefault("seed", 42)
     return ServeManager(list(specs), **kw).run()
+
+
+@pytest.mark.parametrize("bad, field", [
+    (dict(workers_per_node=0), "workers_per_node must be at least 1"),
+    (dict(queue_capacity=0), "queue_capacity must be at least 1"),
+    (dict(items=-4), "items must be non-negative"),
+    # a negative slice length never ended the run it was built for
+    (dict(request_items=-1), "request_items must be non-negative"),
+    (dict(slo_p99_us=-1.0), "slo_p99_us must be positive and finite"),
+    (dict(slo_p99_us=float("inf")), "slo_p99_us must be positive"),
+    (dict(policy_rate_per_s=-5.0), "policy_rate_per_s must be non-negative"),
+    (dict(policy="wobble"), "unknown policy 'wobble'"),
+    (dict(nodes=()), "needs at least one node"),
+])
+def test_a_tenant_spec_fails_at_construction(bad, field):
+    with pytest.raises(ValueError, match=f"tenant 'kmn-v': {field}"):
+        replace(kmn_spec(), **bad)
 
 
 def test_seeded_report_bit_identical():

@@ -93,8 +93,7 @@ CORPUS = {
     "vet/fixture_metric_discipline.py": [
         (13, "metric-discipline", "'self.stats'"),
         (15, "metric-discipline", "'self.request_counters'"),
-        (19, "metric-discipline", "direct Gauge(...)"),
-        (20, "metric-discipline", "registry.histogram"),
+        (19, "metric-discipline", "registry.histogram"),
     ],
     "vet/fixture_missing_control_size.py": [
         (10, "chaos-reachability", "MsgType.DATA_ACK has no CONTROL_SIZES"),
