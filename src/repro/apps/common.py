@@ -209,14 +209,14 @@ class RunSpec:
 
     def run(self, cluster: Optional[DexCluster] = None,
             tracer=None) -> AppResult:
-        """Run the app (on *cluster* when the caller built it)."""
+        """Run the app on *cluster* when the caller built it (and keeps it
+        open), else on one :func:`launch` builds and :func:`finish` closes."""
         if self.micro:
             raise ValueError(f"{self.app!r} is run by its own CLI")
-        if cluster is None:
-            cluster = self.cluster()
         return get_app(self.app).run(
             num_nodes=self.nodes, variant=self.variant,
-            threads_per_node=self.threads_per_node, params=cluster.params,
+            threads_per_node=self.threads_per_node,
+            params=self.params() if cluster is None else cluster.params,
             tracer=tracer, cluster=cluster,
             **{**SCALE_PRESETS[self.scale][self.app], **self.overrides},
         )
@@ -322,6 +322,8 @@ class Launch:
     optimized: bool
     #: workload-generation seed
     seed: int
+    #: :func:`launch` built the cluster, so :func:`finish` closes it
+    owns_cluster: bool = False
 
 
 def launch(app: str, num_nodes: int, variant: str, threads_per_node: int, *,
@@ -336,7 +338,8 @@ def launch(app: str, num_nodes: int, variant: str, threads_per_node: int, *,
     (timings stay bit-identical when no seed is requested)."""
     spec = RunSpec(app, variant, num_nodes, threads_per_node=threads_per_node,
                    base=params)
-    if cluster is None:
+    owns_cluster = cluster is None
+    if owns_cluster:
         cluster = spec.cluster()
     elif num_nodes > cluster.num_nodes:
         raise ValueError(
@@ -351,7 +354,7 @@ def launch(app: str, num_nodes: int, variant: str, threads_per_node: int, *,
         spec, cluster, proc, MemoryAllocator(proc),
         nodes=list(range(num_nodes)), num_threads=threads_per_node * num_nodes,
         migrate=variant != "unmodified", optimized=variant == "optimized",
-        seed=seed,
+        seed=seed, owns_cluster=owns_cluster,
     )
 
 
@@ -361,13 +364,18 @@ def finish(job: Launch, body: Callable[..., Generator],
            migrate_around: bool = True) -> AppResult:
     """The epilogue of every app's ``run()``: *setup* (untimed), the timed
     parallel section of ``body(ctx, wid)`` workers, then *collect*, which
-    returns ``(output, correct)``.  ``migrate_around=False`` is for bodies
-    that migrate per region themselves."""
+    returns ``(output, correct)``; a cluster :func:`launch` built is closed
+    on the way out.  ``migrate_around=False`` is for bodies that migrate
+    per region themselves."""
     cluster, proc = job.cluster, job.proc
-    if setup is not None:
-        cluster.simulate(setup, proc)
-    elapsed = run_workers(job, body, job.migrate and migrate_around)
-    output, correct = cluster.simulate(collect, proc)
+    try:
+        if setup is not None:
+            cluster.simulate(setup, proc)
+        elapsed = run_workers(job, body, job.migrate and migrate_around)
+        output, correct = cluster.simulate(collect, proc)
+    finally:
+        if job.owns_cluster:
+            cluster.close()
     spec = job.spec
     return AppResult(
         app=spec.app, variant=spec.variant, num_nodes=spec.nodes,

@@ -127,7 +127,9 @@ def run(
     chunk_points = CHUNK_POINTS if optimized else CHUNK_POINTS // 16
 
     def body(ctx, wid: int) -> Generator:
-        lo = wid * part
+        # with more workers than blocks the last ones get none, but still
+        # meet every barrier
+        lo = min(wid * part, n_points)
         hi = min(lo + part, n_points)
         prev_assign = np.full(hi - lo, -1, dtype=np.int64)
         for it in range(max_iters):

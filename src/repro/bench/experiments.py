@@ -111,6 +111,7 @@ def migration_microbench(
             yield from ctx.sleep(1_000_000.0)
 
     cluster.simulate(main, proc)
+    cluster.close()
     records = proc.stats.migrations
     firsts = [m for m in records if m.kind == "forward" and m.first_on_node]
     seconds = [m for m in records if m.kind == "forward" and not m.first_on_node]
@@ -161,8 +162,9 @@ def pagefault_micro(
 ) -> FaultReport:
     """Two threads on two nodes ping-ponging one global variable (§V-D).
     A tool that inspects the hammer run afterwards passes its own 2-node
-    *cluster* (built from the same *params*)."""
-    if cluster is None:
+    *cluster* (built from the same *params*) and keeps it open."""
+    owned = cluster is None
+    if owned:
         cluster = DexCluster(num_nodes=2, params=params)
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
@@ -187,6 +189,8 @@ def pagefault_micro(
         return counts, value
 
     counts, value = cluster.simulate(main, proc)
+    if owned:
+        cluster.close()
     recs = [r for r in proc.stats.fault_latencies if not r.coalesced]
     fast = [r.latency_us for r in recs if r.retries == 0]
     slow = [r.latency_us for r in recs if r.retries > 0]
@@ -203,6 +207,7 @@ def pagefault_micro(
         return ctx.now - start
 
     fetch_latency = cluster2.simulate(fetch, proc2)
+    cluster2.close()
     # strip the fault-handling side costs, leaving the messaging layer's
     # request + 4KB RDMA delivery (what the paper's 13.6us measures)
     trap_side = (

@@ -344,15 +344,18 @@ class DexProcess:
 
     def release(self) -> None:
         """Drop every per-node and per-thread structure this process
-        holds, so a retired process costs nothing but its (small) object
-        header until garbage collection takes the rest.
+        holds, and every edge back to it: the services and the cluster go,
+        ``stats`` stays.  What is left holds no cycle, so reference
+        counting frees the process as soon as its last holder drops it.
 
         Called by :meth:`DexCluster.retire_process` after the threads
         have finished; the cluster removes the pid from its routing table
         in the same step, so no message can reach the released state."""
-        for node in list(self._node_states):
-            self._node_states.pop(node, None)
+        self._node_states.clear()
         self.state_gen += 1
         self.threads.clear()
         self.worker_ready.clear()
         self.nodes_with_worker.clear()
+        for name in ("protocol", "faults", "migration", "delegation",
+                     "vma_sync", "futex", "files", "cluster"):
+            vars(self).pop(name, None)

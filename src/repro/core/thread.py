@@ -31,6 +31,8 @@ from repro.sim.engine import Immediate
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
 
+_INF = float("inf")
+
 
 def threads_by_node(proc: "DexProcess") -> dict:
     """Live application threads resident per node — ``{node: count}``.
@@ -231,6 +233,11 @@ class ThreadContext:
         Returns the generator directly (no pass-through frame): ``yield
         from ctx.compute(...)`` delegates to it immediately.
         """
+        if not (0.0 <= cpu_us < _INF and 0.0 <= mem_bytes < _INF):  # NaN too
+            for name, value in (("cpu_us", cpu_us), ("mem_bytes", mem_bytes)):
+                if not 0.0 <= value < _INF:
+                    raise ValueError(
+                        f"compute {name} must be >= 0 and finite, got {value!r}")
         # compute is the hottest instrumented call site: the tracing-off
         # path must stay a single None check, so no maybe_span() here
         obs = self.proc.obs

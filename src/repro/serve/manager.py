@@ -108,6 +108,7 @@ class ServeManager:
         for tenant in self.tenants:
             self.cluster.retire_process(tenant.proc, force=chaotic)
         self.cluster.retire_process(mgr_proc, force=chaotic)
+        self.cluster.close()  # tracer and scope stay readable: --trace-out
         return report
 
     def _main(self, ctx) -> Generator:

@@ -153,8 +153,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_cancelled", "_entry")
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if not delay >= 0:  # false for NaN as well
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        if not 0 <= delay < _INF:  # false for NaN as well
+            raise SimulationError(f"timeout delay must be >= 0 and finite, got {delay}")
         # Inlined Event.__init__ minus the f-string name: Timeouts are the
         # most-allocated event type and the label is recomputed lazily by
         # __repr__ on the rare debugging path instead.
@@ -167,7 +167,7 @@ class Timeout(Event):
         self.delay = delay
         self._cancelled = False
         # inlined _schedule_at (Timeouts are the most-scheduled entry kind);
-        # delay >= 0 was checked above so `when` can never be in the past
+        # the delay was checked above so `when` is finite and never past
         engine._seq += 1
         self._entry = entry = [engine.now + delay, engine._seq, self._fire, (value,)]
         heapq.heappush(engine._queue, entry)
@@ -229,6 +229,7 @@ class Process(Event):
         self._interrupts: List[Interrupt] = []
         # bind once: every wait registers one of these, and a fresh bound
         # method per yield is measurable allocation churn on the hot loop
+        # (each is a cycle through self: _step drops both once it finishes)
         self._resume_cb = self._resume
         self._wake_cb = self._wake
         engine._schedule_now(self._resume_cb, None)
@@ -286,11 +287,13 @@ class Process(Event):
                 else:
                     target = generator.send(value)
             except StopIteration as stop:
+                self._resume_cb = self._wake_cb = None
                 self.succeed(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - propagate to waiters
                 if isinstance(err, (KeyboardInterrupt, SystemExit)):
                     raise
+                self._resume_cb = self._wake_cb = None
                 self.fail(err)
                 return
             finally:
@@ -300,14 +303,14 @@ class Process(Event):
                 # entry, taking its sequence number where engine.timeout()
                 # would have, and nothing anybody else could wait on
                 try:
-                    if not target >= 0:  # NaN as well
+                    if not 0 <= target < _INF:  # NaN as well
                         raise ValueError(target)
                 except (TypeError, ValueError):
                     self.fail(
                         SimulationError(
                             f"process {self.name!r} yielded {target!r}; only an "
-                            "Event (Timeout, Process, AllOf, AnyOf) or a delay "
-                            "in microseconds >= 0 may be yielded"
+                            "Event (Timeout, Process, AllOf, AnyOf) or a finite "
+                            "delay in microseconds >= 0 may be yielded"
                         )
                     )
                     return
@@ -565,8 +568,8 @@ class Engine:
     # -- scheduling primitives ------------------------------------------
 
     def _schedule_at(self, when: float, fn: Callable, *args: Any) -> list:
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past ({when} < {self.now})")
+        if not self.now <= when < _INF:  # NaN as well
+            raise SimulationError(f"cannot schedule at {when} (now {self.now})")
         self._seq += 1
         entry = [when, self._seq, fn, args]
         heapq.heappush(self._queue, entry)

@@ -39,6 +39,9 @@ The rest read the call graph, the effect table or one file at a time:
   directory backends' storage internals.
 * ``sim-nondeterminism`` — no wall clocks, OS entropy, or unseeded RNG
   inside simulation code; determinism per seed is load-bearing.
+* ``gc-discipline`` — the program never runs or switches Python's cyclic
+  collector: a finished run frees itself by reference counting, and the
+  collector's state belongs to the host.
 * ``span-discipline`` — spans close via ``with`` (the tracer's explicit
   open/close pair is the fabric's alone); trace ids cross processes only
   through the Message header fields.
@@ -824,6 +827,31 @@ def _check_sim_nondeterminism(ctx: VetContext) -> List[Violation]:
             for why in _nondeterminism_of(node):
                 violations.append(Violation(
                     "sim-nondeterminism", str(scan.path), node.lineno, why))
+    return violations
+
+
+#: the ``gc`` calls that run or switch the cyclic collector
+_GC_CALLS = frozenset({"collect", "disable", "enable", "freeze",
+                       "set_threshold"})
+
+
+@rule("gc-discipline")
+def _check_gc_discipline(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        for node in ast.walk(scan.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call) and \
+                    dotted_name(node.func)[:-1] == ("gc",):
+                names = [node.func.attr]
+            else:
+                continue
+            violations.extend(Violation(
+                "gc-discipline", str(scan.path), node.lineno,
+                f"'gc.{name}' in the program: free a run by cutting its "
+                f"cycles, and leave the collector to the host")
+                for name in names if name in _GC_CALLS)
     return violations
 
 

@@ -10,6 +10,7 @@ backend ran.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -32,6 +33,20 @@ def make_cluster(num_nodes: int = 4, **param_overrides) -> DexCluster:
     return DexCluster(num_nodes=num_nodes, params=params)
 
 
+@contextlib.contextmanager
+def collector_off():
+    """Run the block with Python's cyclic collector off (after one full
+    collection), so only reference counting frees what the block drops."""
+    gc.collect()
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def run_main(cluster: DexCluster, main, *args):
     """Run *main(ctx, *args)* in a fresh process; returns (result, proc)."""
     proc = cluster.create_process()
@@ -40,28 +55,43 @@ def run_main(cluster: DexCluster, main, *args):
 
 
 @pytest.fixture(autouse=True)
-def check_protocol_invariants(monkeypatch):
+def open_clusters(monkeypatch):
     """Validate directory/PTE consistency for every cluster a test built.
 
-    Every :class:`DexCluster` constructed during the test is recorded; at
-    teardown, each of its processes gets a
-    :meth:`ConsistencyProtocol.check_invariants` pass — but only when the
-    cluster is quiescent (no pending events), since mid-operation state is
-    legitimately inconsistent in tests that stop the engine early."""
+    Every :class:`DexCluster` constructed during the test is recorded, and
+    each of its processes gets a
+    :meth:`ConsistencyProtocol.check_invariants` pass when the cluster is
+    closed, or at teardown if it never was — but only when the cluster is
+    quiescent (no pending events), since mid-operation state is
+    legitimately inconsistent in tests that stop the engine early.  A
+    closed cluster is checked and let go, so the list this yields holds
+    the clusters still open (``tests/test_reclaim.py`` requires that a run
+    leaves none behind)."""
     clusters = []
     original_init = DexCluster.__init__
+    original_close = DexCluster.close
+
+    def check(cluster):
+        if cluster.engine._queue:
+            return
+        for process in cluster.processes.values():
+            process.protocol.check_invariants()
 
     def recording_init(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         clusters.append(self)
 
+    def checking_close(self):
+        if self in clusters:
+            check(self)
+            clusters.remove(self)
+        original_close(self)
+
     monkeypatch.setattr(DexCluster, "__init__", recording_init)
-    yield
+    monkeypatch.setattr(DexCluster, "close", checking_close)
+    yield clusters
     for cluster in clusters:
-        if cluster.engine._queue:
-            continue
-        for process in cluster.processes.values():
-            process.protocol.check_invariants()
+        check(cluster)
 
 
 @pytest.fixture

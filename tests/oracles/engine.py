@@ -9,6 +9,8 @@ message is a value in production too.
 
 from __future__ import annotations
 
+import math
+
 from repro.sim.engine import Engine, Event, Process, SimulationError, Timeout
 
 
@@ -62,13 +64,14 @@ class ReferenceProcess(Process):
                 waiting(self, target)
         else:
             try:
-                valid = target >= 0  # false for NaN as well
+                valid = 0 <= target < math.inf  # false for NaN as well
             except (TypeError, ValueError):
                 valid = False
             if not valid:
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded {target!r}; only an "
-                    "Event or a delay in microseconds >= 0 may be yielded"))
+                    "Event or a finite delay in microseconds >= 0 may be "
+                    "yielded"))
                 return
             target = ReferenceTimeout(engine, target)
         self._waiting_on = target

@@ -82,6 +82,17 @@ def test_app_four_nodes_spot_check():
     assert result.num_nodes == 4
 
 
+@pytest.mark.parametrize("variant", ["initial", "optimized"])
+def test_kmn_with_more_workers_than_blocks(variant):
+    """600 workers over 1,000 points: blocks of 2, so the last 100 workers
+    have none (they were handed a negative-sized one) but still meet every
+    barrier, and the centroids still match the reference."""
+    result = get_app("KMN").run(num_nodes=2, variant=variant,
+                                threads_per_node=300, n_points=1_000,
+                                k=4, max_iters=2)
+    assert result.correct and result.num_threads == 600
+
+
 # ---------------------------------------------------------------------------
 # workload generators
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 PER_FILE_RULES = (
     "directory-encapsulation",
     "sim-nondeterminism",
+    "gc-discipline",
     "span-discipline",
     "slots-discipline",
     "retry-discipline",

@@ -53,7 +53,7 @@ def test_zero_int_and_numpy_delays(engine_cls, delay):
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 @pytest.mark.parametrize(
-    "bad", [-1.0, -1, math.nan, np.float64("nan"), "x", None, [1.0],
+    "bad", [-1.0, -1, math.nan, np.float64("nan"), math.inf, "x", None, [1.0],
             pytest.param(object(), id="object()")],  # repr holds an address
     ids=repr)
 def test_a_bad_delay_fails_the_process(engine_cls, bad):
@@ -74,10 +74,12 @@ def test_a_bad_delay_fails_the_process(engine_cls, bad):
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
-@pytest.mark.parametrize("bad", [-1.0, math.nan, np.float64("nan")], ids=repr)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, np.float64("nan"), math.inf],
+                         ids=repr)
 def test_a_bad_timeout_delay_is_refused(engine_cls, bad):
     """``engine.timeout`` refuses what a yielded sleep refuses: a NaN deadline
-    would otherwise be dispatched in turn and leave the clock reading NaN."""
+    would otherwise be dispatched in turn and leave the clock reading NaN,
+    and one at infinity would end the run there."""
     eng = engine_cls()
     fired = []
     for delay in (1.0, 3.0, bad, 5.0):
@@ -87,6 +89,35 @@ def test_a_bad_timeout_delay_is_refused(engine_cls, bad):
             assert delay is bad and "must be >= 0" in str(err)
     eng.run()
     assert fired == [1.0, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("when", [math.nan, math.inf], ids=repr)
+def test_a_non_finite_entry_time_is_refused(engine_cls, when):
+    """NaN compares false with everything, so it once passed the "not in
+    the past" test and corrupted the heap order."""
+    eng = engine_cls()
+    with pytest.raises(SimulationError, match="cannot schedule at"):
+        eng._schedule_at(when, lambda: None)
+    assert not eng._queue
+
+
+@pytest.mark.parametrize("amount, value", [
+    ("cpu_us", math.inf), ("mem_bytes", math.inf),
+    ("cpu_us", math.nan), ("mem_bytes", math.nan),
+    ("cpu_us", -1.0), ("mem_bytes", -1.0),
+])
+def test_a_bad_compute_amount_fails_precisely(amount, value):
+    """Infinity once died in the sampler arithmetic (ZeroDivisionError), and
+    NaN or a negative amount was a free 0 us compute."""
+    cluster = DexCluster(num_nodes=2)
+
+    def main(ctx):
+        yield from ctx.compute(**{amount: value})
+
+    with pytest.raises(ValueError, match=f"compute {amount} must be >= 0"):
+        cluster.simulate(main)
+    assert cluster.now == 0.0
 
 
 def _tie_order(engine_cls, spellings):

@@ -389,16 +389,18 @@ def test_a_delivered_flight_lets_go_of_its_predecessor():
 
 
 @pytest.mark.parametrize("backend", ["origin", "sharded"])
-def test_an_app_run_cannot_tell_the_carriers_apart(backend, built, monkeypatch):
+def test_an_app_run_cannot_tell_the_carriers_apart(backend, monkeypatch):
     """Whole stack: KMN-initial on four nodes consumes the same sequence
-    numbers and dispatches the same events on either carrier."""
+    numbers and dispatches the same events on either carrier.  The test
+    builds the cluster, so the run leaves it open for the carriers to be
+    read afterwards."""
     for switch in SWITCHES.values():  # no tracer, no chaos, no engine hooks
         monkeypatch.delenv(switch.env, raising=False)
 
     def run():
-        result = run_point("KMN", "initial", 4, directory=backend,
+        cluster = DexCluster(params=SimParams(directory=backend))
+        result = run_point("KMN", "initial", 4, cluster=cluster,
                            n_points=10_000, max_iters=2)
-        cluster = built[-1]
         assert result.correct
         return {
             "carriers": {type(c._delivery_tail)

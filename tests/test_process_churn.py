@@ -4,12 +4,12 @@ state, and retiring processes must not perturb simulation determinism
 — two clusters with the same seed produce bit-identical engine digests
 after a thousand create/simulate/retire cycles."""
 
-import gc
 import weakref
 
 import numpy as np
 import pytest
 
+from conftest import collector_off
 from repro.core.cluster import DexCluster
 from repro.core.errors import DexError
 from repro.params import SimParams
@@ -54,14 +54,15 @@ def churn(seed):
 
 
 def test_churn_is_bounded_and_deterministic():
-    cluster, refs, digest, checksum = churn(seed=21)
-    # no per-process state left behind on the cluster
-    assert len(cluster.processes) == 0
-    # retired processes are actually collectable: nothing (engine,
-    # nodes, frame stores) pins them once released
-    gc.collect()
-    alive = sum(1 for r in refs if r() is not None)
-    assert alive <= 2, f"{alive} of {ROUNDS} retired processes still pinned"
+    with collector_off():
+        cluster, refs, digest, checksum = churn(seed=21)
+        # no per-process state left behind on the cluster
+        assert len(cluster.processes) == 0
+        # retired processes are freed by reference counting alone: nothing
+        # (engine, nodes, frame stores, their own services) pins them once
+        # released, and no cycle waits for a collection
+        alive = sum(1 for r in refs if r() is not None)
+    assert alive == 0, f"{alive} of {ROUNDS} retired processes still pinned"
 
     # same seed, same churn -> bit-identical engine digest and results
     cluster2, _, digest2, checksum2 = churn(seed=21)

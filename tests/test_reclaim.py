@@ -1,0 +1,119 @@
+"""Reclamation: a finished run frees itself.
+
+Whoever builds a cluster closes it (``DexCluster.close``), a finished sim
+process drops its pre-bound callbacks, and a retired ``DexProcess`` lets go
+of its services — so a knobs-off run leaves no reference cycle behind, and
+everything it allocated (frames, PTEs, handler generators) goes back by
+reference counting the moment its owner drops it, not at some later
+cyclic collection.  Each case runs with every ``DEX_*`` switch off and the
+cyclic collector disabled, then asks a full collection (``DEBUG_SAVEALL``)
+what it found unreachable: the answer must be nothing.
+"""
+
+import collections
+import gc
+import re
+import weakref
+
+import pytest
+
+from conftest import collector_off
+from repro import DexCluster
+from repro.apps.common import APP_NAMES
+from repro.bench.experiments import pagefault_micro
+from repro.bench.runner import run_point
+from repro.params import SWITCHES
+from repro.serve import ServeManager
+from repro.sim import engine as engine_module
+from test_apps import TINY
+from test_serve import kmn_spec, scan_burst_spec
+
+
+@pytest.fixture(autouse=True)
+def switches_off(monkeypatch):
+    """Observer data (span trees, lens closures, sanitizer clocks) is still
+    cyclic with a knob on: these runs are the knobs-off ones."""
+    for switch in SWITCHES.values():
+        monkeypatch.delenv(switch.env, raising=False)
+
+
+def unreachable_after(run):
+    """How many objects a full collection finds unreachable once *run()*
+    returned and its result was dropped, and their types (the second of
+    two runs: the first pays for lazy imports and memoised inputs)."""
+    run()
+    with collector_off():
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = gc.collect()
+            kinds = collections.Counter(type(o).__qualname__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    return found, kinds
+
+
+def serve(directory):
+    ServeManager([kmn_spec(requests=40), scan_burst_spec(requests=60)],
+                 num_nodes=4, seed=42, directory=directory).run()
+
+
+RUNS = {
+    **{f"{app}-{variant}": (lambda app=app, variant=variant:
+                            run_point(app, variant, 2, **TINY[app]))
+       for app in APP_NAMES for variant in ("initial", "optimized")},
+    "serve-origin": lambda: serve("origin"),
+    "serve-sharded": lambda: serve("sharded"),
+    "pagefault": lambda: pagefault_micro(duration_us=2_000.0),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_finished_run_leaves_no_cyclic_garbage(name, open_clusters):
+    found, kinds = unreachable_after(RUNS[name])
+    assert found == 0, f"{name}: {found} unreachable, {kinds.most_common(12)}"
+    assert open_clusters == [], "a run left the cluster it built open"
+
+
+def test_a_finished_handler_process_is_freed_at_once(monkeypatch):
+    """No cyclic collection needed, and no cluster close either: a
+    handler's sim process is gone as soon as it has run, even while the
+    caller keeps the cluster open."""
+    born = []
+
+    class Tracked(engine_module.Process):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            born.append((self.name, weakref.ref(self)))
+
+    monkeypatch.setattr(engine_module, "Process", Tracked)
+    cluster = DexCluster()
+    with collector_off():
+        result = run_point("KMN", "initial", 2, cluster=cluster, **TINY["KMN"])
+        handlers = [(name, ref) for name, ref in born
+                    if re.fullmatch(r"n\d+\.\w+", name)]
+        alive = [name for name, ref in handlers if ref() is not None]
+    assert result.correct and len(handlers) > 100
+    assert alive == []
+
+
+def test_close_keeps_results_readable_and_is_idempotent():
+    cluster = DexCluster()
+    result = run_point("BFS", "initial", 2, cluster=cluster, **TINY["BFS"])
+    before = (cluster.now, cluster.engine.events_dispatched,
+              cluster.net.messages_sent, cluster.net.page_payloads,
+              [c.bytes_on_wire for c in cluster.net.connections.values()],
+              cluster.net.pool_pressure(), result.stats.total_faults)
+    (proc,) = cluster.processes.values()
+    cluster.close()
+    cluster.close()
+    after = (cluster.now, cluster.engine.events_dispatched,
+             cluster.net.messages_sent, cluster.net.page_payloads,
+             [c.bytes_on_wire for c in cluster.net.connections.values()],
+             cluster.net.pool_pressure(), proc.stats.total_faults)
+    assert before == after and before[2] > 0
+    assert cluster.processes == {} and proc.stats is result.stats
+    assert not hasattr(proc, "cluster") and not hasattr(proc, "protocol")

@@ -59,7 +59,8 @@ def test_list_rules(capsys):
     assert "dropped-wait" in names
     assert "lens-sink-discipline" in names
     assert "serve-discipline" in names
-    assert len(names) == 15
+    assert "gc-discipline" in names
+    assert len(names) == 16
 
 
 def test_rule_subset(capsys):
