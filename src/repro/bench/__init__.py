@@ -1,15 +1,6 @@
-"""The experiment harness: regenerates every table and figure of §V.
-
-* :func:`repro.bench.experiments.table1` — adaptation complexity (Table I)
-* :func:`repro.bench.experiments.figure2` — application scalability sweep
-* :func:`repro.bench.experiments.table2` — migration latencies (Table II)
-* :func:`repro.bench.experiments.figure3` — migration breakdown (Fig. 3)
-* :func:`repro.bench.experiments.pagefault_micro` — the bimodal
-  fault-latency microbenchmark of §V-D
-* :func:`repro.bench.experiments.ablation_*` — design-choice ablations
-
-``python -m repro.bench <experiment>`` prints the paper-style report.
-"""
+"""The experiment harness: every table and figure of §V as rows checked
+against the paper (``repro.bench.experiments``); ``python -m repro.bench
+<experiment>|all`` renders them."""
 
 from repro.bench.runner import SCALE_PRESETS, ScalingPoint, run_point, run_scaling
 

@@ -1,89 +1,192 @@
-"""Drivers for every table and figure of the paper's evaluation (§V)."""
+"""The paper's evaluation (§V), each experiment written once.
+
+``EXPERIMENTS`` maps an experiment name to a function of the parsed CLI
+arguments that measures it as :class:`Row` records, and ``SHAPE`` holds
+what the paper says of a row: its number and the band the row must stay
+in.  A ``SHAPE`` name with an ``a/b`` segment is a relation, the ratio of
+the rows named with ``a`` and with ``b`` (``fig2.GRP.optimized/initial.n8``).
+"""
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import DexCluster, SimParams
 from repro.apps import APP_NAMES, get_app
-from repro.bench.runner import ScalingPoint, run_point, run_scaling
+from repro.bench.runner import ScalingPoint, _mean_fault_us, run_point, run_scaling
 from repro.runtime import MemoryAllocator
 
+INF = math.inf
+VARIANTS = ("initial", "optimized")
 
-# ---------------------------------------------------------------------------
-# Table I — adaptation complexity
-# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Row:
+    """One measured quantity, the paper's number for it and the closed
+    band ``[lo, hi]`` it must fall in (unbounded: no claim)."""
+
+    name: str
+    ours: float
+    unit: str
+    paper: Optional[float] = None
+    lo: float = -INF
+    hi: float = INF
+
+    @property
+    def banded(self) -> bool:
+        return (self.lo, self.hi) != (-INF, INF)
+
+    @property
+    def ok(self) -> bool:
+        return not self.banded or self.lo <= self.ours <= self.hi
+
+
+def gt(lo: float, **paper) -> dict:
+    """Strictly above *lo*: the closed band from the next float up
+    (``gt(a) | lt(b)`` is strictly between)."""
+    return dict(lo=math.nextafter(lo, INF), **paper)
+
+
+def lt(hi: float, **paper) -> dict:
+    return dict(hi=math.nextafter(hi, -INF), **paper)
+
+
+def near(paper: float, rel: float = 1e-6) -> dict:
+    """Within *rel* of the paper's number, as ``pytest.approx`` reads it."""
+    return dict(lo=paper * (1 - rel), hi=paper * (1 + rel), paper=paper)
+
 
 #: the paper's Table I numbers (total changed LoC: initial, optimized)
 PAPER_TABLE1 = {
     "GRP": (2, 18), "KMN": (2, 26), "BT": (38, 61), "EP": (2, 4),
     "FT": (20, 44), "BLK": (2, 6), "BFS": (11, 38), "BP": (12, 42),
 }
+#: Figure 2 at 8 nodes and --scale small: (initial, optimized) per app
+FIG2_N8 = {
+    "GRP": (lt(1.0), gt(1.3)), "KMN": (lt(1.1), gt(1.3)),
+    "BT": (lt(1.0), gt(1.0) | lt(4.0)), "EP": (gt(2.0), gt(2.0)),
+    "FT": (lt(1.0), lt(1.0)), "BLK": (gt(2.0), {}), "BFS": (lt(1.0), lt(1.0)),
+}
+#: the §III design choices, one SimParams field each: row prefix -> (field,
+#: values, app, variant, nodes, metrics besides correct and elapsed_us)
+ABLATIONS = {
+    "coalescing": ("enable_fault_coalescing", (True, False), "KMN", "initial",
+                   4, ("total_faults", "faults_coalesced", "leaders",
+                       "fault_retries")),
+    "transfer": ("page_transfer_mode", ("rdma_sink", "verb", "rdma_register"),
+                 "GRP", "optimized", 4, ()),
+    "skip": ("enable_transfer_skip", (True, False), "KMN", "optimized", 4,
+             ("pages_transferred", "transfers_skipped")),
+    "directory": ("directory", ("origin", "sharded"), "KMN", "initial", 8,
+                  ("mean_fault_us", "total_faults", "fault_retries",
+                   "origin_dir_share", "hint_hit_rate", "hint_lookups")),
+}
+ON_OFF = {True: "on", False: "off"}
+
+#: what the paper says of each row; each band is one shape assertion
+SHAPE: Dict[str, dict] = {
+    **{f"table1.{app}.{variant}": near(loc, 0) for app, locs in
+       PAPER_TABLE1.items() for variant, loc in zip(VARIANTS, locs)},
+    "table1.unmatched_apps": dict(lo=0, hi=0),
+    "table1.total.initial": dict(hi=119, paper=110),  # "~110 added lines"
+    "table1.total.optimized": dict(paper=246),
+    # the totals add the wire round trip the paper's origin + remote omits
+    "table2.first.origin_us": near(12.1, 0.05),
+    "table2.first.remote_us": near(800.0, 0.05),
+    "table2.first.total_us": near(812.1, 0.05),
+    "table2.second.origin_us": near(6.6, 0.05),
+    "table2.second.remote_us": near(230.0, 0.05),
+    "table2.second.total_us": near(236.6, 0.06),
+    "table2.backward.total_us": near(24.7, 0.20),
+    "table2.second/first.total_us": lt(0.35, paper=236.6 / 812.1),
+    "table2.backward/first.total_us": lt(0.1, paper=24.7 / 812.1),
+    # remote-worker setup dominates the first migration, and only the first
+    "fig3.first.remote_worker": near(620.0),
+    "fig3.first.remote_worker/remote_side": gt(0.7, paper=620 / 800),
+    "fig3.second.remote_worker": dict(lo=0.0, hi=0.0),
+    **{f"fig3.second/first.{part}": dict(lo=1.0, hi=1.0)
+       for part in ("thread_fork", "context_restore", "schedule")},
+    "pagefault.lost_updates": dict(lo=0, hi=0),
+    "pagefault.total_faults": dict(lo=201),
+    "pagefault.fast_count": dict(lo=1), "pagefault.contended_count": dict(lo=1),
+    "pagefault.fast_share_pct": dict(paper=27.5),
+    "pagefault.fast_mean_us": gt(12.0) | lt(27.0, paper=19.3),
+    "pagefault.contended_mean_us": gt(110.0) | lt(220.0, paper=158.8),
+    "pagefault.bimodal_ratio": gt(5.0) | lt(13.0, paper=8.2),
+    # "constantly took 13.6us to retrieve a 4 KB page"
+    "pagefault.page_retrieval_us": gt(9.0) | lt(18.0, paper=13.6),
+    "fig2.wrong_outputs": dict(lo=0, hi=0), "fig2.peak": dict(paper=10.06),
+    "fig2.beyond_one_machine": dict(paper=6),
+    **{f"fig2.{app}.{variant}.n8": claim for app, claims in FIG2_N8.items()
+       for variant, claim in zip(VARIANTS, claims) if claim},
+    "fig2.GRP.optimized/initial.n8": gt(2.0),
+    "fig2.KMN.optimized/initial.n8": gt(1.0),
+    "fig2.FT.optimized/initial.n8": dict(lo=1.0),
+    "fig2.BFS.optimized/initial.n8": dict(lo=1.0),
+    "fig2.BP.initial.n2": gt(2.0, paper=3.84),  # super-linear from 1 to 2
+    "fig2.BP.initial.n8/n2": gt(1.0),
+    **{f"ablation.{prefix}.{ON_OFF.get(value, value)}.correct": dict(lo=1, hi=1)
+       for prefix, (_, values, *_) in ABLATIONS.items() for value in values},
+    "ablation.coalescing.on.faults_coalesced": dict(lo=1),
+    "ablation.coalescing.off.faults_coalesced": dict(lo=0, hi=0),
+    "ablation.coalescing.off/on.fault_retries": dict(lo=1.0),
+    "ablation.coalescing.off/on.leaders": gt(1.0),
+    "ablation.transfer.rdma_sink/verb.elapsed_us": lt(1.0),
+    "ablation.transfer.rdma_sink/rdma_register.elapsed_us": lt(1.0),
+    # "dynamic RDMA region association is so costly that it can offset
+    # the benefit of RDMA"
+    "ablation.transfer.rdma_register/verb.elapsed_us": gt(1.0),
+    "ablation.skip.on.transfers_skipped": dict(lo=1),
+    "ablation.skip.off/on.pages_transferred": gt(1.0),
+    "ablation.skip.on/off.elapsed_us": dict(hi=1.02),
+    "ablation.directory.origin.origin_dir_share": dict(lo=1.0, hi=1.0),
+    "ablation.directory.sharded.origin_dir_share": lt(0.5),
+    "ablation.directory.sharded/origin.mean_fault_us": lt(1.0),
+    "ablation.directory.sharded.hint_hit_rate": gt(0.5),
+    "ablation.directory.origin.hint_lookups": dict(lo=0, hi=0),
+}
 
 
-def table1() -> List[Dict]:
-    """Adaptation-complexity rows from each app's recorded metadata."""
-    rows = []
-    for name in APP_NAMES:
-        info = get_app(name).ADAPTATION
-        rows.append(
-            {
-                "app": name,
-                "impl": info.multithread_impl
-                + (f" ({info.regions})" if info.regions else ""),
-                "initial_loc": info.initial_loc,
-                "optimized_loc": info.optimized_loc,
-                "notes": info.notes,
-            }
-        )
+def run(name: str, args) -> List[Row]:
+    """Experiment *name* measured under the parsed CLI *args*, with
+    ``SHAPE`` laid over its rows and its relation rows appended."""
+    rows = [replace(row, **SHAPE.get(row.name, {}))
+            for row in EXPERIMENTS[name](args)]
+    ours = {row.name: row.ours for row in rows}
+    for relation, claim in SHAPE.items():
+        parts = relation.split(".")
+        for i, part in enumerate(parts):
+            sides = [".".join(parts[:i] + [side] + parts[i + 1:])
+                     for side in part.split("/")]
+            if len(sides) == 2 and all(side in ours for side in sides):
+                num, den = (ours[side] for side in sides)
+                rows.append(Row(relation, num / den if den else math.nan,
+                                "ratio", **claim))
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Figure 2 — application scalability
-# ---------------------------------------------------------------------------
+#: decimals a unit prints with; counts and LoC print none
+PLACES = {"us": 1, "%": 1, "x": 2, "ratio": 3}
 
 
-def figure2(
-    apps: Sequence[str] = APP_NAMES,
-    node_counts: Sequence[int] = (1, 2, 4, 8),
-    variants: Sequence[str] = ("initial", "optimized"),
-    scale: str = "small",
-    directory: Optional[str] = None,
-) -> List[ScalingPoint]:
-    """The full scalability sweep, optionally under a non-default
-    coherence-directory backend."""
-    points: List[ScalingPoint] = []
-    for app in apps:
-        points.extend(run_scaling(app, node_counts, variants, scale,
-                                  directory=directory))
-    return points
+def render(rows: Sequence[Row]) -> str:
+    """Any experiment's rows: name, ours, paper, ours ÷ paper, band, ok."""
+    def fmt(value: Optional[float], unit: str) -> str:
+        return "-" if value is None else f"{value:.{PLACES.get(unit, 0)}f}"
 
-
-def figure2_summary(points: List[ScalingPoint]) -> Dict[str, object]:
-    """The headline claims derived from the sweep: how many of the eight
-    apps end above single-machine performance, and the best speedup."""
-    best_at_max: Dict[str, float] = {}
-    max_nodes = max(p.num_nodes for p in points)
-    for p in points:
-        if p.num_nodes == max_nodes and p.variant == "optimized":
-            best_at_max[p.app] = max(best_at_max.get(p.app, 0.0), p.normalized)
-    scaled = sorted(app for app, s in best_at_max.items() if s > 1.0)
-    peak = max((p.normalized for p in points), default=0.0)
-    return {
-        "apps_beyond_single_machine": scaled,
-        "count_beyond": len(scaled),
-        "total_apps": len(best_at_max),
-        "peak_speedup": peak,
-        "all_correct": all(p.correct for p in points),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Table II + Figure 3 — migration latency & breakdown
-# ---------------------------------------------------------------------------
+    width = max((len(row.name) for row in rows), default=3)
+    lines = [f"{'row':{width}} {'ours':>10} unit  {'paper':>8} ÷paper  band"]
+    for row in rows:
+        ratio = f"{row.ours / row.paper:.2f}" if row.paper else "-"
+        band = (f"[{fmt(row.lo, row.unit)}, {fmt(row.hi, row.unit)}] "
+                + ("ok" if row.ok else "FAIL")) if row.banded else "-"
+        lines.append(f"{row.name:{width}} {fmt(row.ours, row.unit):>10} "
+                     f"{row.unit:5} {fmt(row.paper, row.unit):>8} {ratio:>6}"
+                     f"  {band}")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -133,9 +236,40 @@ def migration_microbench(
     )
 
 
-# ---------------------------------------------------------------------------
-# §V-D — page-fault handling microbenchmark
-# ---------------------------------------------------------------------------
+def table1(args) -> List[Row]:
+    """Table I: lines changed to adapt each application to DeX"""
+    rows = [Row(f"table1.{app}.{variant}",
+                getattr(get_app(app).ADAPTATION, f"{variant}_loc"), "LoC")
+            for app in APP_NAMES for variant in VARIANTS]
+    return rows + [
+        Row("table1.unmatched_apps", len(set(APP_NAMES) ^ set(PAPER_TABLE1)),
+            "apps"),
+        *(Row(f"table1.total.{variant}", sum(
+            row.ours for row in rows if row.name.endswith(variant)), "LoC")
+          for variant in VARIANTS)]
+
+
+def table2(args) -> Iterator[Row]:
+    """Table II: thread migration latency at the origin, remote and total"""
+    report = migration_microbench()
+    for kind, sides in (("first", report.first_forward),
+                        ("second", report.second_forward),
+                        ("backward", report.backward)):
+        for side, us in sides.items():
+            yield Row(f"table2.{kind}.{side}", us, "us")
+
+
+def figure3(args) -> Iterator[Row]:
+    """Figure 3: breakdown of the migration latency at the remote node"""
+    report = migration_microbench()
+    for kind, parts in (("first", report.breakdown_first),
+                        ("second", report.breakdown_second)):
+        parts = {"remote_worker": 0.0, **parts}
+        for part, us in parts.items():
+            yield Row(f"fig3.{kind}.{part}", us, "us")
+        yield Row(f"fig3.{kind}.remote_side", sum(  # collect runs at origin
+            us for part, us in parts.items() if part != "context_collect"),
+            "us")
 
 
 @dataclass
@@ -228,88 +362,78 @@ def pagefault_micro(
     )
 
 
-# ---------------------------------------------------------------------------
-# Ablations — design choices §III calls out
-# ---------------------------------------------------------------------------
+def pagefault(args) -> Iterator[Row]:
+    """§V-D: page-fault handling, two threads ping-ponging one variable"""
+    report = pagefault_micro()
+    for field, value in vars(report).items():
+        yield Row(f"pagefault.{field}", value,
+                  "us" if field.endswith("_us") else "count")
+    yield Row("pagefault.fast_share_pct",
+              100 * report.fast_count / max(report.total_faults, 1), "%")
+    yield Row("pagefault.bimodal_ratio", report.bimodal_ratio, "x")
 
 
-def ablation_coalescing(app: str = "KMN", num_nodes: int = 4,
-                        scale: str = "small") -> Dict[str, Dict[str, float]]:
-    """Leader–follower fault coalescing (§III-C) on vs off."""
-    out = {}
-    for label, enabled in (("coalescing_on", True), ("coalescing_off", False)):
-        result = run_point(app, "initial", num_nodes, scale,
-                           params=SimParams(enable_fault_coalescing=enabled))
-        out[label] = {
-            "elapsed_us": result.elapsed_us,
-            "faults": float(result.stats.total_faults),
-            "coalesced": float(result.stats.faults_coalesced),
-            "retries": float(result.stats.fault_retries),
-            "correct": float(bool(result.correct)),
-        }
-    return out
+def figure2(apps: Sequence[str] = APP_NAMES,
+            node_counts: Sequence[int] = (1, 2, 4, 8),
+            variants: Sequence[str] = VARIANTS, scale: str = "small",
+            directory: Optional[str] = None) -> List[ScalingPoint]:
+    """The scalability sweep: every app's Figure 2 series, optionally under
+    a non-default coherence-directory backend."""
+    return [point for app in apps for point in run_scaling(
+        app, node_counts, variants, scale, directory=directory)]
 
 
-def ablation_transfer_mode(app: str = "GRP", num_nodes: int = 4,
-                           scale: str = "small") -> Dict[str, float]:
-    """Page-data path (§III-E): the RDMA-sink hybrid vs verb-only vs
-    per-page region registration."""
-    out = {}
-    for mode in ("rdma_sink", "verb", "rdma_register"):
-        result = run_point(app, "optimized", num_nodes, scale,
-                           params=SimParams(page_transfer_mode=mode))
-        assert result.correct, f"{app} wrong under transfer mode {mode}"
-        out[mode] = result.elapsed_us
-    return out
+def figure2_rows(args) -> Iterator[Row]:
+    """Figure 2: speed-up over the unmodified one-node run (> 1 beats it)"""
+    points = figure2(apps=args.apps, node_counts=args.nodes, scale=args.scale,
+                     directory=args.directory)
+    top = max((p.num_nodes for p in points), default=0)
+    for p in points:
+        if p.variant != "unmodified":
+            name = f"fig2.{p.app}.{p.variant}.n{p.num_nodes}"
+            yield Row(name, p.normalized, "x")
+            if p.hint_hit_rate is not None:
+                yield Row(f"{name}.hint_hit", p.hint_hit_rate, "ratio")
+    yield Row("fig2.wrong_outputs", sum(not p.correct for p in points), "runs")
+    yield Row("fig2.beyond_one_machine", len({
+        p.app for p in points if p.variant == "optimized"
+        and p.num_nodes == top and p.normalized > 1.0}), "apps")
+    yield Row("fig2.peak", max((p.normalized for p in points), default=0.0),
+              "x")
 
 
-def ablation_transfer_skip(app: str = "KMN", num_nodes: int = 4,
-                           scale: str = "small") -> Dict[str, Dict[str, float]]:
-    """Skipping data transfer for up-to-date copies (§III-B) on vs off."""
-    out = {}
-    for label, enabled in (("skip_on", True), ("skip_off", False)):
-        result = run_point(app, "optimized", num_nodes, scale,
-                           params=SimParams(enable_transfer_skip=enabled))
-        out[label] = {
-            "elapsed_us": result.elapsed_us,
-            "pages_transferred": float(result.stats.pages_transferred),
-            "transfers_skipped": float(result.stats.transfers_skipped),
-            "correct": float(bool(result.correct)),
-        }
-    return out
+#: the metrics of an ablation run that are not a DexStats counter
+DERIVED = {
+    "correct": lambda r: int(r.correct is True),
+    "elapsed_us": lambda r: r.elapsed_us,
+    "mean_fault_us": _mean_fault_us,
+    # the faults that ran the protocol themselves, leaders and loners
+    "leaders": lambda r: r.stats.total_faults - r.stats.faults_coalesced,
+    "origin_dir_share": lambda r: r.stats.directory_requests.get(0, 0) / (
+        sum(r.stats.directory_requests.values()) or 1),
+    "hint_lookups": lambda r: r.stats.hint_hits + r.stats.hint_misses,
+}
 
 
-def ablation_directory(app: str = "KMN", num_nodes: int = 8,
-                       scale: str = "small") -> Dict[str, Dict[str, float]]:
-    """Coherence-directory placement: the paper's origin-resident
-    directory vs the sharded home-node directory.
+def ablation(args) -> Iterator[Row]:
+    """Ablations of the §III design choices, one SimParams field each"""
+    for prefix, (field, values, app, variant, nodes, metrics) in (
+            ABLATIONS.items()):
+        for value in values:
+            result = run_point(app, variant, nodes, "small",
+                               params=SimParams(**{field: value}))
+            name = f"ablation.{prefix}.{ON_OFF.get(value, value)}"
+            for metric in ("correct", "elapsed_us", *metrics):
+                ours = (DERIVED[metric](result) if metric in DERIVED
+                        else getattr(result.stats, metric))
+                if ours is not None:  # a hit rate needs lookups
+                    yield Row(f"{name}.{metric}", ours,
+                              "us" if metric.endswith("_us") else
+                              "ratio" if isinstance(ours, float) else "count")
 
-    The fault-heavy *initial* variants hammer the directory, so this is
-    where decongesting the origin shows: the sharded backend spreads
-    metadata service (and the page flush/grant data traffic that follows
-    it) across home nodes, lowering the mean fault-handling latency."""
-    out = {}
-    for backend in ("origin", "sharded"):
-        result = run_point(app, "initial", num_nodes, scale,
-                           params=SimParams(directory=backend))
-        assert result.correct, f"{app} wrong under directory={backend}"
-        stats = result.stats
-        records = stats.fault_latencies
-        mean_fault = (
-            sum(r.latency_us for r in records) / len(records) if records else 0.0
-        )
-        requests = stats.directory_requests
-        total_requests = sum(requests.values()) or 1
-        row = {
-            "elapsed_us": result.elapsed_us,
-            "mean_fault_us": mean_fault,
-            "faults": float(stats.total_faults),
-            "retries": float(stats.fault_retries),
-            # share of directory requests the origin node served: 1.0 by
-            # construction for the origin backend, <1 once shards spread
-            "origin_dir_share": requests.get(0, 0) / total_requests,
-        }
-        if stats.hint_hit_rate is not None:
-            row["hint_hit_rate"] = stats.hint_hit_rate
-        out[backend] = row
-    return out
+
+#: ``python -m repro.bench all`` runs them in this order
+EXPERIMENTS = {
+    "table1": table1, "table2": table2, "figure3": figure3,
+    "pagefault": pagefault, "figure2": figure2_rows, "ablation": ablation,
+}

@@ -1,13 +1,12 @@
-"""Tests for the experiment harness itself: runner, reporting, CLIs."""
+"""Tests for the experiment harness itself: runner, experiment table, CLIs."""
+
+import argparse
 
 import pytest
 
-from repro.bench.experiments import PAPER_TABLE1, figure2_summary, table1
-from repro.bench.reporting import (
-    render_ablation,
-    render_figure2,
-    render_table1,
-)
+import repro.bench.experiments as experiments
+from repro.bench.__main__ import main as bench_main
+from repro.bench.experiments import PAPER_TABLE1, SHAPE, Row, render, run
 from repro.bench.runner import SCALE_PRESETS, ScalingPoint, run_point, run_scaling
 
 TINY = {"text_size": 256 * 1024, "plant_every": 2000}
@@ -36,46 +35,86 @@ def test_scale_presets_cover_all_apps():
 
 
 def test_table1_rows_complete():
-    rows = table1()
-    assert len(rows) == 8
-    text = render_table1(rows)
-    assert "GRP" in text and "total changed LoC" in text
+    rows = run("table1", None)
+    assert {f"table1.{app}.{variant}" for app in PAPER_TABLE1
+            for variant in ("initial", "optimized")} <= {r.name for r in rows}
+    text = render(rows)
+    assert "table1.GRP.initial" in text and "table1.total.initial" in text
 
 
-def test_figure2_summary_counts_scalers():
-    points = [
+def _figure2(monkeypatch, points):
+    """The figure2 experiment's rows over a made-up sweep."""
+    monkeypatch.setattr(experiments, "figure2", lambda **kwargs: points)
+    sweep = argparse.Namespace(apps=None, nodes=None, scale=None,
+                               directory=None)
+    return run("figure2", sweep)
+
+
+def test_figure2_summary_counts_scalers(monkeypatch):
+    rows = {r.name: r for r in _figure2(monkeypatch, [
         ScalingPoint("A", "unmodified", 1, 100.0, 1.0, True, 0, 0),
         ScalingPoint("A", "optimized", 8, 25.0, 4.0, True, 0, 0),
         ScalingPoint("B", "optimized", 8, 200.0, 0.5, True, 0, 0),
-    ]
-    summary = figure2_summary(points)
-    assert summary["apps_beyond_single_machine"] == ["A"]
-    assert summary["count_beyond"] == 1
-    assert summary["peak_speedup"] == 4.0
-    assert summary["all_correct"]
+    ])}
+    assert rows["fig2.A.optimized.n8"].ours == 4.0
+    assert rows["fig2.beyond_one_machine"].ours == 1
+    assert rows["fig2.peak"].ours == 4.0
+    assert rows["fig2.wrong_outputs"].ours == 0 and rows["fig2.wrong_outputs"].ok
 
 
-def test_render_figure2_layout():
-    points = [
+def test_render_figure2_layout(monkeypatch):
+    text = render(_figure2(monkeypatch, [
         ScalingPoint("A", "unmodified", 1, 100.0, 1.0, True, 0, 0),
         ScalingPoint("A", "initial", 2, 50.0, 2.0, True, 5, 1),
         ScalingPoint("A", "optimized", 2, 40.0, 2.5, True, 4, 0),
-    ]
-    text = render_figure2(points)
-    assert "A" in text and "2.00" in text and "2.50" in text
+    ]))
+    assert "fig2.A.initial.n2" in text and "2.00" in text and "2.50" in text
 
 
 def test_render_ablation_mixed_values():
-    text = render_ablation("t", {"a": 1.5, "b": {"x": 2.0}})
-    assert "t" in text and "x=2.0" in text
+    text = render([Row("t.a", 1.5, "us"),
+                   Row("t.b", 2.0, "ratio", paper=4.0, lo=1.0)])
+    lines = text.splitlines()
+    assert lines[1].split() == ["t.a", "1.5", "us", "-", "-", "-"]
+    assert lines[2].split() == ["t.b", "2.000", "ratio", "4.000", "0.50",
+                                "[1.000,", "inf]", "ok"]
 
 
 def test_bench_cli_table1(capsys):
-    from repro.bench.__main__ import main as bench_main
-
     assert bench_main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "Table I" in out
+
+
+#: the experiments cheap enough for tier-1 (well under a second each), with
+#: the prefix of the rows they measure
+CHEAP = {"table1": "table1.", "table2": "table2.", "figure3": "fig3."}
+
+
+@pytest.mark.parametrize("name", list(CHEAP))
+def test_cheap_experiments_hold_every_band(name):
+    rows = run(name, None)
+    banded = {r.name for r in rows if r.banded}
+    assert banded == {key for key, claim in SHAPE.items()
+                      if key.startswith(CHEAP[name])
+                      and Row(key, 0.0, "", **claim).banded}
+    assert [r.name for r in rows if not r.ok] == []
+
+
+def test_bench_cli_exits_1_on_a_row_outside_its_band(monkeypatch, capsys):
+    monkeypatch.setitem(experiments.EXPERIMENTS, "table1",
+                        lambda args: [Row("table1.GRP.initial", 3, "LoC")])
+    assert bench_main(["table1"]) == 1
+    captured = capsys.readouterr()
+    assert "table1.GRP.initial" in captured.err
+    assert "FAIL" in captured.out
+
+
+def test_bench_cli_exits_2_on_an_unknown_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_main(["table9"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'table9'" in capsys.readouterr().err
 
 
 def test_apps_cli_runs_and_reports(capsys):

@@ -108,7 +108,7 @@ def test_bench_cli_declares_the_sweep(monkeypatch, capsys):
     seen = {}
     monkeypatch.setattr(experiments, "figure2",
                         lambda **kwargs: seen.update(kwargs) or [])
-    monkeypatch.setattr("repro.bench.reporting.render_figure2",
+    monkeypatch.setattr("repro.bench.experiments.render",
                         lambda points: "rendered")
     assert bench_main(["figure2", "--apps", "kmeans", "bt", "--nodes", "1",
                        "2", "--directory", "sharded"]) == 0
