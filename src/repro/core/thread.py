@@ -26,7 +26,6 @@ from repro.core.errors import DexError
 from repro.core.fault import FaultHandler
 from repro.memory.page_table import PageState
 from repro.sim import Process
-from repro.sim.engine import Immediate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -75,44 +74,33 @@ class DexThread:
         return f"<DexThread {self.name} @node{self.current_node}>"
 
 
-class _ComputeAwait:
-    """``yield from``-able wrapper for the cpu-only compute fast path.
+def _done(value: Any) -> Generator:
+    """A fast path's result that is known at call time: ``yield from``
+    finishes at once with *value*.  A plain generator, not a reused
+    iterator object: it costs less to build and run (EXPERIMENTS.md,
+    "Awaiter plane"), and two results that exist at once stay apart."""
+    return value
+    yield 0.0  # never reached: it only makes this a generator
 
-    The first ``__next__`` hands the delay to the scheduler (a private
-    sleep); the resume re-enters here, where the core slot is released at
-    exactly the point the generator path's ``finally`` block ran (inside
-    the process step, before the caller's frame continues) — so scheduling
-    order, and therefore sequence-number allocation, is unchanged.  One
-    reusable instance per ThreadContext: a thread runs one compute at a
-    time, and ``yield from`` consumes the wrapper before the next call.
 
-    Only safe when the sleep cannot be interrupted (an iterator has no
-    ``throw``/``close``, so an Interrupt would skip the release); the
-    caller gates on fault injection being off, the sole interrupt source.
-    """
-
-    __slots__ = ("delay", "cores", "_yielded")
-
-    def __iter__(self) -> "_ComputeAwait":
-        return self
-
-    def __next__(self):
-        if not self._yielded:
-            self._yielded = True
-            return self.delay
-        cores = self.cores
+def _hold_core(cores: Any, cpu_us: float) -> Generator:
+    """The cpu-only compute fast path: sleep *cpu_us* on a core slot the
+    caller has already taken, then give the slot back, at the point
+    ``_compute_impl``'s ``finally`` does, and on an Interrupt too."""
+    try:
+        yield cpu_us
+    finally:
         if cores._waiters:
             cores._waiters.popleft().succeed()
         else:
             cores._in_use -= 1
-        raise StopIteration
 
 
 def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
     """``ThreadContext.atomic_add_*`` for the 8-byte struct format *fmt*.
     Eager fast path: with an EXCLUSIVE PTE and nobody observing accesses the
-    update is purely synchronous, so skip the generator machinery entirely
-    and hand back the result as an Immediate.  Mirrors *general*, the
+    update is purely synchronous, so skip the fault handler and hand back
+    the old value through :func:`_done`.  Mirrors *general*, the
     :class:`FaultHandler` method that remains the general path."""
     codec = struct.Struct(fmt)
     unpack_from, pack_into = codec.unpack_from, codec.pack_into
@@ -140,9 +128,7 @@ def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
                     frame = state.frames.frame(vpn)
                 old = unpack_from(frame, offset)[0]
                 pack_into(frame, offset, old + delta)
-                imm = self._imm
-                imm.value = old
-                return imm
+                return _done(old)
         return general(proc.faults, node, self.tid, addr, delta, site)
 
     return atomic_add
@@ -157,16 +143,9 @@ class ThreadContext:
         self.cluster = thread.proc.cluster
         self.engine = self.cluster.engine
         self.params = self.cluster.params
-        #: reusable awaiter for the no-generator compute fast path
-        self._caw = _ComputeAwait()
-        #: reusable Immediate for synchronous fast-path returns (consumed
-        #: by ``yield from`` before the next call can overwrite it)
-        self._imm = Immediate(None)
         #: immutable per-cluster facts, cached off the attribute chains the
-        #: hot paths would otherwise re-walk on every call (cluster.chaos is
-        #: assigned once in DexCluster.__init__, page_size never changes)
+        #: hot paths would otherwise re-walk on every call
         self._page_size = self.cluster.params.page_size
-        self._chaos_off = self.cluster.chaos is None
         self._nodes = self.cluster.nodes
         #: the process's ``access`` probe, held: the eager atomic tests it
         self._on_access = self.proc.hooks["access"]
@@ -242,27 +221,17 @@ class ThreadContext:
         # path must stay a single None check, so no maybe_span() here
         obs = self.proc.obs
         if obs is None:
-            if mem_bytes <= 0 and self._chaos_off:
-                # cpu-only, interrupt-free: skip the generator frame
-                # entirely (see _ComputeAwait; bit-identical scheduling)
+            if mem_bytes <= 0:
+                # cpu-only with a free core: take the slot now and skip
+                # _compute_impl's frame (bit-identical scheduling)
                 cores = self._nodes[self.thread.current_node].cores
                 if cores._in_use < cores.capacity:
+                    if cpu_us <= 0:
+                        # a free core taken and given back with no yield:
+                        # nobody waits for a core while one is free
+                        return _done(None)
                     cores._in_use += 1
-                    if cpu_us > 0:
-                        aw = self._caw
-                        aw.delay = cpu_us
-                        aw.cores = cores
-                        aw._yielded = False
-                        return aw
-                    # zero-duration compute: slot taken and released with
-                    # no yield, exactly like the generator path
-                    if cores._waiters:
-                        cores._waiters.popleft().succeed()
-                    else:
-                        cores._in_use -= 1
-                    imm = self._imm
-                    imm.value = None
-                    return imm
+                    return _hold_core(cores, cpu_us)
             return self._compute_impl(cpu_us, mem_bytes, working_set)
         return self._compute_traced(obs, cpu_us, mem_bytes, working_set)
 

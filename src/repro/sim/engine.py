@@ -19,7 +19,9 @@ a single heap.  Simulated activities are generator functions wrapped in
 waitable triggers, at which point the waitable's value is sent back into
 the generator (or its exception is thrown into it).  Yielding a plain
 number sleeps that many microseconds: a wait nobody else can observe,
-race or cancel needs no Event, only its queue entry.
+race or cancel needs no Event, only its queue entry, and none at all when
+the run loop would pop it next: a process woken from a sleep runs its next
+sleep in place (*run-ahead*) while nothing else is due before it.
 
 Time is a float in **microseconds**.  All ordering ties are broken by a
 monotonically increasing sequence number, which makes runs bit-for-bit
@@ -44,27 +46,6 @@ _INF = float("inf")
 
 class SimulationError(Exception):
     """Raised for illegal engine usage (double trigger, bad yield, ...)."""
-
-
-class Immediate:
-    """A ``yield from``-able carrying an already-computed result.
-
-    Fast paths that finish synchronously (no simulated time, no
-    suspension) can return ``Immediate(value)`` instead of a generator:
-    delegation consumes it without a single yield, so the caller's
-    ``result = yield from fn(...)`` works unchanged at a fraction of the
-    generator set-up cost."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any = None):
-        self.value = value
-
-    def __iter__(self) -> "Immediate":
-        return self
-
-    def __next__(self) -> Any:
-        raise StopIteration(self.value)
 
 
 class Interrupt(Exception):
@@ -266,9 +247,14 @@ class Process(Event):
         # out of it (and whatever it waits on since) left this entry stale
         if self._waiting_on == token:
             self._waiting_on = None
-            self._step(None, None)
+            self._step(None, None, True)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(
+        self, value: Any, exc: Optional[BaseException], ahead: bool = False
+    ) -> None:
+        # *ahead*: this step is a whole dispatch (entered from _wake, never
+        # one of several callbacks of a _fire or _run_callbacks), so a sleep
+        # the run loop would pop next anyway may run in place
         if self._done:
             return
         engine = self.engine
@@ -315,10 +301,24 @@ class Process(Event):
                     )
                     return
                 engine._seq += 1
+                when = engine.now + target
+                # run-ahead: nothing is due before the wake-up, so take it
+                # here instead of a heap push and pop; a tie goes through
+                # the heap (the head has the lower seq)
+                if ahead and not engine._fastlane:
+                    queue = engine._queue
+                    if (
+                        (not queue or when < queue[0][0])
+                        and when <= engine._until
+                        and when < engine._next_sample
+                        and engine._ahead_left
+                    ):
+                        engine._ahead_left -= 1
+                        engine.now = when
+                        value = exc = None
+                        continue
                 self._waiting_on = seq = engine._seq
-                heapq.heappush(
-                    engine._queue, [engine.now + target, seq, self._wake_cb, (seq,)]
-                )
+                heapq.heappush(engine._queue, [when, seq, self._wake_cb, (seq,)])
                 return
             self._waiting_on = target
             hooks = engine._on_waiting
@@ -468,6 +468,8 @@ class Engine:
         "_on_sample",
         "_sample_interval",
         "_next_sample",
+        "_until",
+        "_ahead_left",
         "current_process",
         "tracer",
         "events_dispatched",
@@ -502,6 +504,11 @@ class Engine:
         self._on_sample: List[Callable] = []
         self._sample_interval = 0.0
         self._next_sample = _INF
+        #: the running run()'s stop time, and how many sleeps may still run
+        #: ahead in place before it settles its dispatch count (none outside
+        #: run(); see there)
+        self._until = _INF
+        self._ahead_left = 0
         #: the Process whose generator is currently executing (None between
         #: steps); the repro.obs tracer keys span stacks by this
         self.current_process: Optional[Any] = None
@@ -658,8 +665,14 @@ class Engine:
         queue = self._queue
         fastlane = self._fastlane
         heappop = heapq.heappop
-        limit = _INF if until is None else until
+        self._until = limit = _INF if until is None else until
         next_sample = self._next_sample
+        # Sleeps run ahead in Process._step are dispatches this loop does not
+        # see: lend them at most half the remaining budget and settle the
+        # count only when `dispatched` reaches `stop`.  The total cannot
+        # reach max_events before that, and the last loan is 0.
+        granted = self._ahead_left = max(max_events, 0) // 2
+        stop = max_events - granted
         try:
             while True:
                 # merge the fast lane and the heap by comparing heads;
@@ -699,13 +712,18 @@ class Engine:
                     next_sample = self._fire_samplers(when)
                 fn(*args)
                 dispatched += 1
-                if dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
+                if dispatched >= stop:
+                    dispatched += granted - self._ahead_left
+                    granted = self._ahead_left = (max_events - dispatched) // 2
+                    if dispatched >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}; likely a livelock"
+                        )
+                    stop = max_events - granted
         finally:
             self._running = False
-            self.events_dispatched += dispatched
+            self.events_dispatched += dispatched + granted - self._ahead_left
+            self._ahead_left = 0
         return self.now
 
     def run_process(self, generator: Generator, name: str = "") -> Any:

@@ -238,6 +238,167 @@ def test_a_finished_process_ignores_its_pending_wake(engine_cls):
 
 
 # ---------------------------------------------------------------------------
+# run-ahead: a sleep whose wake-up is next in line runs in place
+# ---------------------------------------------------------------------------
+
+
+def _unahead(eng):
+    """Forbid every run-ahead on *eng*: a sampler grid finer than any
+    sleep below puts a deadline before each wake-up.  Samplers never touch
+    the queue, the clock or a sequence number, so the run is the same."""
+    eng.add_sampler(lambda deadline: None, 1e-3)
+    return eng
+
+
+def _spin(eng, delay, log=None, laps=None):
+    def body():
+        lap = 0
+        while laps is None or lap < laps:
+            yield delay
+            lap += 1
+            if log is not None:
+                log.append(eng.now)
+
+    return eng.process(body())
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("max_events", [1, 2, 3, 4, 1000, 1001])
+@pytest.mark.parametrize("kicked_off", [False, True])
+def test_a_lone_sleeper_meets_max_events_exactly(engine_cls, max_events,
+                                                 kicked_off):
+    """``while True: yield 1.0`` never leaves its own dispatch on the
+    production engine; its sleeps still count, and the guard trips after
+    exactly *max_events* of them with the clock where it would stand had
+    every wake-up gone through the heap.  *kicked_off*: an earlier run()
+    dispatched the process start, so this run's first dispatch is a
+    wake-up that may run ahead."""
+    seen = []
+    for eng in (engine_cls(), _unahead(engine_cls())):
+        _spin(eng, 1.0)
+        if kicked_off:
+            eng.run(until=0.5)
+        with pytest.raises(SimulationError, match="max_events"):
+            eng.run(max_events=max_events)
+        seen.append((eng.events_dispatched, eng.now, eng._seq))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == max_events + kicked_off
+    if engine_cls is Engine:  # the kick-off at 0, then one wake-up per us
+        assert seen[0][1] == max_events - 1 + kicked_off
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("until", [4.5, 4.0])
+def test_run_until_stops_a_sleeper_running_ahead(engine_cls, until):
+    """The sleep that crosses ``until`` stays pending and a second
+    ``run()`` resumes it; a wake-up exactly at ``until`` still runs."""
+    seen = []
+    for eng in (engine_cls(), _unahead(engine_cls())):
+        woke = []
+        _spin(eng, 1.0, woke, laps=10)
+        assert eng.run(until=until) == until
+        assert woke == [1.0, 2.0, 3.0, 4.0]
+        assert [entry[0] for entry in eng._queue] == [5.0]
+        first = (eng.events_dispatched, eng._seq)
+        eng.run()
+        assert woke == [float(lap) for lap in range(1, 11)] and eng.now == 10.0
+        seen.append((first, eng.events_dispatched, eng._seq))
+    assert seen[0] == seen[1]
+
+
+def _sampled(engine_cls):
+    eng = engine_cls()
+    fired = []
+    eng.add_sampler(
+        lambda deadline: fired.append(
+            (deadline, eng.now, len(eng._queue) + len(eng._fastlane))),
+        1.0)
+    woke = []
+    _spin(eng, 0.25, woke, laps=17)
+    _spin(eng, 0.375, woke, laps=9)
+    eng.run()
+    return fired, woke, eng.now
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_a_sampler_sees_the_same_deadlines_and_queue(engine_cls):
+    """Nothing runs ahead across a sampler deadline: every firing happens
+    at the same dispatch, with as many entries pending, as on the
+    reference."""
+    fired, woke, now = _sampled(engine_cls)
+    assert (fired, woke, now) == _sampled(ReferenceEngine)
+    assert [deadline for deadline, _, _ in fired] == [1.0, 2.0, 3.0, 4.0]
+    assert now == 4.25
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_a_wake_up_tying_the_heap_head_goes_after_it(engine_cls):
+    """At 1.0 the first sleeper sleeps until 2.0, the time of the second's
+    pending wake-up: the tie goes through the heap, where the older entry
+    wins, instead of running ahead of it."""
+    eng = engine_cls()
+    log = []
+
+    def first():
+        yield 1.0
+        yield 1.0
+        log.append(("first", eng.now))
+
+    def second():
+        yield 2.0
+        log.append(("second", eng.now))
+
+    eng.process(first())
+    eng.process(second())
+    eng.run()
+    assert log == [("second", 2.0), ("first", 2.0)]
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_a_shared_timeout_resumes_every_waiter_at_its_time(engine_cls):
+    """Two processes wait on one Timeout and the first to resume sleeps
+    again at once.  Its step is one of the Timeout's callbacks, not a whole
+    dispatch, so the sleep must not run ahead: the second waiter still
+    resumes at 5.0."""
+    eng = engine_cls()
+    deadline = eng.timeout(5.0)
+    log = []
+
+    def waiter(tag, naps):
+        yield deadline
+        log.append((tag, eng.now))
+        for _ in range(naps):
+            yield 1.0
+            log.append((tag, eng.now))
+
+    eng.process(waiter("a", 2))
+    eng.process(waiter("b", 0))
+    eng.run()
+    assert log == [("a", 5.0), ("b", 5.0), ("a", 6.0), ("a", 7.0)]
+
+
+def test_a_sleep_next_in_line_skips_the_heap(monkeypatch):
+    """On the production engine a lone sleeper's wake-ups after the first
+    run in place: the loop dispatches one wake entry for 100 sleeps, and
+    ``events_dispatched`` still counts every one."""
+    from repro.sim.engine import Process
+
+    wakes = []
+    wake = Process._wake
+
+    def counting_wake(self, token):
+        wakes.append(token)
+        wake(self, token)
+
+    monkeypatch.setattr(Process, "_wake", counting_wake)
+    eng = Engine()
+    _spin(eng, 1.0, laps=100)
+    eng.run()
+    assert eng.now == 100.0 and eng.events_dispatched == 101
+    assert len(wakes) == 1
+
+
+# ---------------------------------------------------------------------------
 # random sleep / timeout / any_of mixes, production vs reference
 # ---------------------------------------------------------------------------
 
@@ -341,3 +502,34 @@ def test_a_pingpong_hammer_constructs_no_timeout(monkeypatch):
     assert len(proc.stats.fault_latencies) > 5
     assert cluster.engine.events_dispatched > 5_000
     assert built == []
+
+
+def test_two_fast_path_results_from_one_context_stay_apart():
+    """The eager ``atomic_add_i64`` and the cpu-only ``compute`` return
+    generators, never a per-context object the next call overwrites: two
+    results taken before either is consumed keep their own values and
+    delays, and every core slot is given back."""
+    cluster = DexCluster(num_nodes=2, params=SimParams(chaos="", sanitize=""))
+    proc = cluster.create_process()
+    alloc = MemoryAllocator(proc)
+    a = alloc.alloc_global(8, tag="a")
+    b = alloc.alloc_global(8, tag="b")
+
+    def main(ctx):
+        yield from ctx.migrate(1)
+        yield from ctx.write_i64(a, 10)   # faults the page in EXCLUSIVE
+        yield from ctx.write_i64(b, 20)
+        ga = ctx.atomic_add_i64(a, 1)     # so both adds take the eager path
+        gb = ctx.atomic_add_i64(b, 1)
+        va = yield from ga
+        vb = yield from gb
+        start = ctx.now
+        c1 = ctx.compute(cpu_us=1.0)
+        c2 = ctx.compute(cpu_us=5.0)
+        yield from c1
+        first = ctx.now - start
+        yield from c2
+        return va, vb, first, ctx.now - start
+
+    assert cluster.simulate(main, proc) == (10, 20, 1.0, 6.0)
+    assert [node.cores._in_use for node in cluster.nodes] == [0, 0]
