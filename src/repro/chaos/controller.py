@@ -36,7 +36,6 @@ from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
 from repro.core.errors import NodeFailedError
 from repro.net.messages import Message, MsgType
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import maybe_span
 
 
 class ChaosVerdict:
@@ -199,8 +198,8 @@ class ChaosController:
                 # at 1/factor of its bandwidth
                 extra = wire_bytes / self.params.link_bandwidth * (rule.factor - 1.0)
                 verdict.extra_delay_us += extra
-            with maybe_span(
-                self.engine.tracer, f"chaos.{rule.kind}", node=msg.dst,
+            with self.engine.span(
+                f"chaos.{rule.kind}", node=msg.dst,
                 msg_type=msg.msg_type.value, src=msg.src, msg_id=msg.msg_id,
             ):
                 pass
@@ -347,9 +346,7 @@ class ChaosController:
         self.failed.add(node)
         self.node_failures.inc()
         self._log(f"node {node} declared failed: {reason}")
-        with maybe_span(
-            self.engine.tracer, "chaos.node_failed", node=node, reason=reason,
-        ):
+        with self.engine.span("chaos.node_failed", node=node, reason=reason):
             pass
         exc = NodeFailedError(node, reason)
         for reply_event in list(self._pending_to.pop(node, {}).values()):

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.errors import NodeFailedError
 from repro.memory.page_table import PageState
-from repro.obs.tracing import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.controller import ChaosController
@@ -50,9 +49,7 @@ def recover_process(
     shared_dropped = 0
     exclusive_rolled_back = 0
 
-    with maybe_span(
-        proc.obs, "chaos.recover", node=proc.origin, failed_node=node,
-    ):
+    with controller.engine.span("chaos.recover", node=proc.origin, failed_node=node):
         hosted = directory.entries_hosted(node)
         if hosted:
             fatal.append(

@@ -90,8 +90,9 @@ class DexCluster:
             seed = scenario.seed
         self.engine = Engine(seed=0 if seed is None else seed)
         #: the repro.obs span tracer, or None when tracing is off (the
-        #: common case — instrumented code then costs one None check).
-        #: DexLens rides on span closes, so turning it on implies a tracer
+        #: common case — ``engine.span`` then hands out a shared no-op).
+        #: DexLens's critical paths ride on span closes, so turning it on
+        #: implies a tracer
         lens_on = resolve_switch("lens", self.params.lens)
         self.tracer: Optional[Tracer] = (
             Tracer(self.engine)
@@ -113,7 +114,8 @@ class DexCluster:
         #: the source of every pid in this cluster (DexProcess draws one)
         self.pids = itertools.count(1)
         #: the online analytics bundle (repro.obs.lens), or None when the
-        #: lens is off — with it off nothing listens for span closes
+        #: lens is off — with it off nothing listens for span closes or
+        #: for the processes' fault, invalidate and grant probes
         self.lens: Optional[DexLens] = (
             DexLens(self, self.tracer) if lens_on else None
         )
@@ -167,13 +169,17 @@ class DexCluster:
         proc.release()
 
     def close(self) -> None:
-        """Whoever builds a cluster closes it: retire every process (forced)
-        and cut the edges that tie the fabric back to the cluster, so that
-        no reference cycle is left and everything the run allocated is
-        freed by reference counting when the cluster is dropped.  Results
-        stay readable: clock, counters, tracer, scope, every ``stats``."""
+        """Whoever builds a cluster closes it: retire every process (forced),
+        detach the engine's observers and samplers, and cut the edges that
+        tie the fabric and the scope back to the cluster, so that no
+        reference cycle is left and everything the run allocated is freed
+        by reference counting when the cluster is dropped.  Results stay
+        readable: clock, counters, tracer, lens, scope, every ``stats``."""
         for proc in list(self.processes.values()):
             self.retire_process(proc, force=True)
+        self.engine.detach_observers()
+        if self.scope is not None:
+            self.scope.detach()
         for router in self.net.routers:
             router._handlers.clear()
         for conn in self.net.connections.values():

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator
 
 from repro.core.errors import DexError
 from repro.net.messages import Message, MsgType
-from repro.obs.tracing import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -108,8 +107,8 @@ class DelegationService:
         for called in proc.hooks["delegation_call"]:
             called(tid, op, node)
         try:
-            with maybe_span(
-                proc.obs, "delegation.call", node=node, tid=tid, op=op
+            with proc.cluster.engine.span(
+                "delegation.call", node=node, tid=tid, op=op
             ):
                 reply = yield from proc.cluster.net.request(
                     Message(

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.core.errors import SegmentationFault
 from repro.core.stats import FaultRecord
 from repro.memory.page_table import PageState
-from repro.obs.tracing import maybe_span
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,11 +130,11 @@ class FaultHandler:
     def _fault(
         self, node: int, tid: int, vpn: int, write: bool, site: str
     ) -> Generator:
-        obs = self.proc.obs
-        if obs is None:
+        tracer = self.proc.cluster.engine.tracer
+        if tracer is None:
             yield from self._fault_impl(node, tid, vpn, write, site, None)
         else:
-            with obs.span(
+            with tracer.span(
                 "fault", node=node, tid=tid, vpn=vpn, write=write, site=site
             ) as span:
                 yield from self._fault_impl(node, tid, vpn, write, site, span)
@@ -171,10 +170,8 @@ class FaultHandler:
                 for waits in proc.hooks["follower_wait"]:
                     waits(tid, leader.leader_tid, vpn)
                 try:
-                    with maybe_span(
-                        proc.obs, "fault.follow",
-                        node=node, tid=tid, vpn=vpn, leader=leader.leader_tid,
-                    ):
+                    with engine.span("fault.follow", node=node, tid=tid, vpn=vpn,
+                                     leader=leader.leader_tid):
                         yield leader.done
                 finally:
                     for resumed in proc.hooks["follower_resume"]:
@@ -191,10 +188,8 @@ class FaultHandler:
                 flist = state.inflight[vpn] = []
             flist.append(fault)
             try:
-                with maybe_span(
-                    proc.obs, "fault.acquire",
-                    node=node, tid=tid, vpn=vpn, write=write,
-                ):
+                with engine.span("fault.acquire", node=node, tid=tid, vpn=vpn,
+                                 write=write):
                     retries = yield from proc.protocol.acquire_page(
                         node, vpn, write, fault
                     )

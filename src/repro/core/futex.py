@@ -21,7 +21,6 @@ import struct
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Generator, Optional, Tuple
 
-from repro.obs.tracing import maybe_span
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +62,8 @@ class FutexTable:
         if self.poisoned is not None:
             raise self.poisoned
         proc.stats.futex_waits += 1
-        with maybe_span(
-            proc.obs, "futex.wait",
-            node=proc.origin, tid=origin_ctx.tid, addr=addr,
+        with proc.cluster.engine.span(
+            "futex.wait", node=proc.origin, tid=origin_ctx.tid, addr=addr,
         ) as span:
             yield params.futex_op_cost
             # fault the futex page to the origin (read access), then compare
@@ -95,9 +93,8 @@ class FutexTable:
         proc = self.proc
         params = proc.cluster.params
         proc.stats.futex_wakes += 1
-        with maybe_span(
-            proc.obs, "futex.wake",
-            node=proc.origin, tid=origin_ctx.tid, addr=addr,
+        with proc.cluster.engine.span(
+            "futex.wake", node=proc.origin, tid=origin_ctx.tid, addr=addr,
         ):
             yield params.futex_op_cost
             queue = self._queues.get(addr)

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Dict, Generator
 from repro.core.errors import MigrationError, NodeFailedError
 from repro.core.stats import MigrationRecord
 from repro.net.messages import Message, MsgType
-from repro.obs.tracing import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -58,9 +57,8 @@ class MigrationService:
     def _migrate_forward(self, thread: "DexThread", dest: int) -> Generator:
         # the span covers exactly the MigrationRecord [start_us, end_us]
         # interval, so per-phase attribution agrees with Table II totals
-        with maybe_span(
-            self.proc.obs, "migration.forward",
-            node=thread.current_node, tid=thread.tid, dest=dest,
+        with self.proc.cluster.engine.span(
+            "migration.forward", node=thread.current_node, tid=thread.tid, dest=dest,
         ):
             yield from self._migrate_forward_impl(thread, dest)
 
@@ -133,7 +131,7 @@ class MigrationService:
             ready = proc.worker_ready[dest] = engine.event(
                 name=f"worker_ready@{dest}"
             )
-            with maybe_span(proc.obs, "migration.remote_worker", node=dest):
+            with engine.span("migration.remote_worker", node=dest):
                 yield params.remote_worker_setup_cost
             components["remote_worker"] = params.remote_worker_setup_cost
             proc.nodes_with_worker.add(dest)
@@ -149,17 +147,17 @@ class MigrationService:
                 # the worker is mid-setup for another migration: wait
                 yield ready
             # wake the sleeping remote worker so it can fork for us
-            with maybe_span(proc.obs, "migration.worker_wake", node=dest):
+            with engine.span("migration.worker_wake", node=dest):
                 yield params.worker_wake_cost
             components["worker_wake"] = params.worker_wake_cost
         # fork a remote thread from the remote worker (CLONE_THREAD)
-        with maybe_span(proc.obs, "migration.thread_fork", node=dest):
+        with engine.span("migration.thread_fork", node=dest):
             yield params.remote_thread_fork_cost
         components["thread_fork"] = params.remote_thread_fork_cost
-        with maybe_span(proc.obs, "migration.context_restore", node=dest):
+        with engine.span("migration.context_restore", node=dest):
             yield params.remote_context_restore_cost
         components["context_restore"] = params.remote_context_restore_cost
-        with maybe_span(proc.obs, "migration.schedule", node=dest):
+        with engine.span("migration.schedule", node=dest):
             yield params.remote_sched_cost
         components["schedule"] = params.remote_sched_cost
         yield from proc.cluster.net.send(
@@ -174,9 +172,9 @@ class MigrationService:
     def _migrate_back(self, thread: "DexThread") -> Generator:
         """Backward migration: ship the up-to-date context home and resume
         the original thread (§III-A)."""
-        with maybe_span(
-            self.proc.obs, "migration.backward",
-            node=thread.current_node, tid=thread.tid, dest=self.proc.origin,
+        with self.proc.cluster.engine.span(
+            "migration.backward", node=thread.current_node, tid=thread.tid,
+            dest=self.proc.origin,
         ):
             yield from self._migrate_back_impl(thread)
 

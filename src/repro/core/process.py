@@ -99,9 +99,6 @@ class DexProcess:
         #: the observers of this process and their per-probe lists (see
         #: :meth:`add_hook`); built first, the services below hold lists
         self.hooks = Hooks(*PROCESS_PROBES)
-        #: the cluster's repro.obs span tracer, or None when tracing is off;
-        #: every instrumented hot path guards on this single attribute
-        self.obs = cluster.tracer
 
         self._node_states: Dict[int, NodeProcessState] = {}
         #: bumped whenever a node's state is dropped; ThreadContext keys
@@ -130,9 +127,11 @@ class DexProcess:
         self.vma_sync = VmaSync(self)
         self.files = FileService(self)
         # the repro.check dynamic checkers DEX_SANITIZE / SimParams.sanitize
-        # enables (none by default)
+        # enables (none by default), and the lens's page-heat feed
         for checker in make_sanitizers(self):
             self.add_hook(checker)
+        if cluster.lens is not None:
+            self.add_hook(cluster.lens.feed)
 
         self.threads: List[DexThread] = []
         self._next_tid = 0

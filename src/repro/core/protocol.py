@@ -51,7 +51,6 @@ from repro.net.messages import (
     Message,
     MsgType,
 )
-from repro.obs.tracing import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.fault import InFlightFault
@@ -177,7 +176,7 @@ class ConsistencyProtocol:
             return hinted
         proc.stats.hint_misses += 1
         proc.stats.home_lookups += 1
-        with maybe_span(proc.obs, "protocol.resolve_home", node=node, vpn=vpn):
+        with proc.cluster.engine.span("protocol.resolve_home", node=node, vpn=vpn):
             reply = yield from proc.cluster.net.request(
                 Message(
                     MsgType.PAGE_HOME_LOOKUP,
@@ -295,9 +294,8 @@ class ConsistencyProtocol:
             return result
         entry.busy = True
         try:
-            with maybe_span(
-                proc.obs, "protocol.grant",
-                node=home, vpn=vpn, write=write, requester=requester,
+            with proc.cluster.engine.span(
+                "protocol.grant", node=home, vpn=vpn, write=write, requester=requester,
             ):
                 yield params.protocol_handler_cost
                 try:
@@ -440,9 +438,8 @@ class ConsistencyProtocol:
         *requester* is the node whose request triggered the revocation —
         shipped in the invalidation payload so owner-side traces can name
         both parties of the conflict."""
-        with maybe_span(
-            self.proc.obs, "protocol.revoke",
-            node=self.directory.home(entry.vpn), vpn=entry.vpn,
+        with self.proc.cluster.engine.span(
+            "protocol.revoke", node=self.directory.home(entry.vpn), vpn=entry.vpn,
             downgrade=downgrade, losers=len(losers),
         ):
             yield from self._revoke_impl(entry, losers, downgrade, requester)
@@ -485,10 +482,10 @@ class ConsistencyProtocol:
                 inval_proc = engine.process(
                     proc.cluster.net.request(msg), name=f"inval:{vpn:#x}->{node}"
                 )
-                if proc.obs is not None:
+                if engine.tracer is not None:
                     # the fan-out runs as child processes; seed them with the
                     # revoke span so their net spans stay in this trace
-                    proc.obs.carry(inval_proc)
+                    engine.tracer.carry(inval_proc)
                 pending.append((node, inval_proc))
             chaos = proc.cluster.chaos
             if chaos is None:
@@ -591,9 +588,8 @@ class ConsistencyProtocol:
         vpn = msg.payload["vpn"]
         downgrade = msg.payload["downgrade"]
         state = proc.node_state(node)
-        with maybe_span(
-            proc.obs, "protocol.invalidate",
-            node=node, vpn=vpn, downgrade=downgrade,
+        with engine.span(
+            "protocol.invalidate", node=node, vpn=vpn, downgrade=downgrade,
             # the node whose access triggered this revocation — with the
             # victim (node), the (requester -> victim) ping-pong pair the
             # lens aggregates

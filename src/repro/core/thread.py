@@ -218,9 +218,9 @@ class ThreadContext:
                     raise ValueError(
                         f"compute {name} must be >= 0 and finite, got {value!r}")
         # compute is the hottest instrumented call site: the tracing-off
-        # path must stay a single None check, so no maybe_span() here
-        obs = self.proc.obs
-        if obs is None:
+        # path must stay a single None check, so no engine.span() here
+        tracer = self.engine.tracer
+        if tracer is None:
             if mem_bytes <= 0:
                 # cpu-only with a free core: take the slot now and skip
                 # _compute_impl's frame (bit-identical scheduling)
@@ -233,16 +233,16 @@ class ThreadContext:
                     cores._in_use += 1
                     return _hold_core(cores, cpu_us)
             return self._compute_impl(cpu_us, mem_bytes, working_set)
-        return self._compute_traced(obs, cpu_us, mem_bytes, working_set)
+        return self._compute_traced(tracer, cpu_us, mem_bytes, working_set)
 
     def _compute_traced(
         self,
-        obs,
+        tracer,
         cpu_us: float,
         mem_bytes: float,
         working_set: Optional[float],
     ) -> Generator:
-        with obs.span(
+        with tracer.span(
             "compute", node=self.thread.current_node, tid=self.tid,
             cpu_us=cpu_us, mem_bytes=mem_bytes,
         ):

@@ -27,7 +27,6 @@ from repro.net.buffers import BufferPool, RdmaSink
 from repro.net.messages import Message, MsgType
 from repro.net.retry import backoff_delay, timeout_base_us
 from repro.net.verbs import Router
-from repro.obs.tracing import maybe_span
 from repro.params import SimParams
 from repro.sim import Engine, Event, FairShareResource
 
@@ -353,10 +352,8 @@ class Network:
             yield from self._send_impl(msg)
             reply = yield reply_event
             return reply
-        with maybe_span(
-            tracer, "net.request", node=msg.src,
-            msg_type=msg.msg_type.value, dst=msg.dst,
-        ):
+        with tracer.span("net.request", node=msg.src,
+                         msg_type=msg.msg_type.value, dst=msg.dst):
             reply_event = self.routers[msg.src].expect_reply(msg.msg_id)
             yield from self.send(msg)
             reply = yield reply_event
@@ -380,8 +377,8 @@ class Network:
         params = self.params
         router = self.routers[msg.src]
         base_us = timeout_base_us(params, msg.msg_type)
-        with maybe_span(
-            engine.tracer, "net.request", node=msg.src,
+        with engine.span(
+            "net.request", node=msg.src,
             msg_type=msg.msg_type.value, dst=msg.dst, reliable=True,
         ):
             reply_event = router.expect_reply(msg.msg_id)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Generator, NamedTuple, Tuple
 
-from repro.obs.tracing import maybe_span
 from repro.params import SimParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,8 +66,8 @@ DATA_PATHS: Dict[str, DataPath] = {
 
 def sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
     """Sender-side preparation for *nbytes* of page data (before the wire)."""
-    with maybe_span(
-        conn.engine.tracer, "net.rdma_write", node=conn.src,
+    with conn.engine.span(
+        "net.rdma_write", node=conn.src,
         bytes=nbytes, mode=conn.params.page_transfer_mode,
     ):
         params = conn.params

@@ -135,7 +135,7 @@ class Router:
             # same reply_to so it correlates at the requester; requester-
             # side suppression drops it if the original also arrived)
             self.chaos.replies_resent.inc()
-            clone = Message(
+            resend = Message(
                 msg_type=cached.msg_type,
                 src=cached.src,
                 dst=cached.dst,
@@ -148,36 +148,29 @@ class Router:
                 trace_id=cached.trace_id,
                 parent_span=cached.parent_span,
             )
-            proc = self.net.post(clone)
-            tracer = self.engine.tracer
-            if tracer is not None and clone.trace_id is not None:
-                # the posted send process starts with an empty span stack;
-                # without adoption its net.send/net.wire spans would root a
-                # fresh, disconnected trace
-                tracer.adopt(
-                    proc, "net.resend",
-                    trace_id=clone.trace_id, parent_id=clone.parent_span,
-                    node=self.node_id, msg_type=clone.msg_type.value,
-                )
         elif msg.msg_type in TIMEOUT_CLASSES:
             # request-class message whose handler is still running (it may
             # legitimately block, e.g. a delegated futex wait): tell the
             # requester to keep waiting instead of declaring us dead
             self.chaos.request_acks.inc()
-            ack = msg.make_reply(MsgType.REQUEST_ACK, {"ack_for": msg.msg_id})
+            resend = msg.make_reply(MsgType.REQUEST_ACK, {"ack_for": msg.msg_id})
             # same trace-continuity rule as resent replies: the ack answers
             # a request that already carries a trace context
-            ack.trace_id = msg.trace_id
-            ack.parent_span = msg.parent_span
-            proc = self.net.post(ack)
-            tracer = self.engine.tracer
-            if tracer is not None and ack.trace_id is not None:
-                tracer.adopt(
-                    proc, "net.resend",
-                    trace_id=ack.trace_id, parent_id=ack.parent_span,
-                    node=self.node_id, msg_type=ack.msg_type.value,
-                )
-        # duplicates of one-way messages vanish silently
+            resend.trace_id = msg.trace_id
+            resend.parent_span = msg.parent_span
+        else:
+            return  # duplicates of one-way messages vanish silently
+        proc = self.net.post(resend)
+        tracer = self.engine.tracer
+        if tracer is not None and resend.trace_id is not None:
+            # the posted send process starts with an empty span stack;
+            # without adoption its net.send/net.wire spans would root a
+            # fresh, disconnected trace
+            tracer.adopt(
+                proc, "net.resend",
+                trace_id=resend.trace_id, parent_id=resend.parent_span,
+                node=self.node_id, msg_type=resend.msg_type.value,
+            )
 
     def note_reply_sent(self, reply: Message) -> None:
         """Cache an outbound reply against its request id (called by the

@@ -1,17 +1,19 @@
 """DexLens: online, bounded-memory trace analytics.
 
-Everything here runs *during* the simulation, fed exclusively by the
-engine's ``span_close`` probe (``engine.add_hook``, fired by the tracer)
-— no engine events are ever scheduled, so sim time with the lens on is
-bit-identical to a plain traced run, and a lens-off run is bit-identical
-to an untraced one (no lens object exists at all).
-
-Three consumers ride the probe:
+Everything here runs *during* the simulation, as observers — no engine
+events are ever scheduled, so sim time with the lens on is bit-identical
+to a plain traced run, and a lens-off run is bit-identical to an untraced
+one (no lens object exists at all).
 
 * :class:`LensFeed` — sliding sim-time windows of per-page fault rate,
   owner churn (exclusive-ownership transfers), and (requester -> victim)
   ping-pong pair counts, each with slice-based decay and a fixed key cap;
-  plus per-(phase x app x mode) critical-path latency histograms.
+  plus per-(phase x app x mode) critical-path latency histograms.  Heat
+  comes from the process probes the §IV-A fault profiler records
+  (``fault_begin``, ``invalidate``) and from ``grant``: the feed observes
+  every process of its cluster, and a fault counts when it traps.
+* :class:`LensSink` — the engine's ``span_close`` observer that hands
+  each completed span tree to the feed's histograms.
 * :class:`TopView` — the ``python -m repro.obs top`` live terminal view;
   renders opportunistically whenever a span close crosses the next
   sim-time deadline (never schedules anything).
@@ -150,6 +152,7 @@ class LensFeed:
     def __init__(
         self,
         engine,
+        page_size: int,
         *,
         window_us: float = 5_000.0,
         slices: int = 8,
@@ -157,6 +160,7 @@ class LensFeed:
     ):
         self.engine = engine
         self.window_us = float(window_us)
+        self._page_size = page_size
         self._faults = SlidingWindow(window_us, slices, max_keys)
         self._churn = SlidingWindow(window_us, slices, max_keys)
         self._pairs = SlidingWindow(window_us, slices, max_keys)
@@ -175,16 +179,19 @@ class LensFeed:
         self.trees_completed = 0
         self.trees_evicted = 0
 
-    # -- update entry points (called by the sink only) ----------------------
+    # -- process probes (``proc.add_hook``) ----------------------------------
 
-    def _on_fault(self, now: float, vpn: int) -> None:
-        self._faults.add(now, vpn)
+    def on_fault_begin(self, now: float, node: int, tid: int, write: bool,
+                       site: str, addr: int, tag: str) -> None:
+        self._faults.add(now, addr // self._page_size)
 
-    def _on_write_grant(self, now: float, vpn: int) -> None:
-        self._churn.add(now, vpn)
+    def on_invalidate(self, now: float, node: int, addr: int, requester: int) -> None:
+        # *node* is the victim giving the page up
+        self._pairs.add(now, (addr // self._page_size, requester, node))
 
-    def _on_invalidate(self, now: float, vpn: int, requester: int, victim: int) -> None:
-        self._pairs.add(now, (vpn, requester, victim))
+    def on_grant(self, vpn: int, requester: int, write: bool, entry=None) -> None:
+        if write:  # an exclusive-ownership transfer
+            self._churn.add(self.engine.now, vpn)
 
     # -- heat queries -------------------------------------------------------
 
@@ -258,22 +265,23 @@ def tree_phases(root: Span, members: List[Span]) -> Dict[PathPhase, float]:
     multi = len(members) > 1
     depth: Dict[int, int] = {root.span_id: 0}
     index = {span.span_id: span for span in members}
+    return sweep(
+        (span.start_us, span.end_us,
+         (_depth_of(span, depth, index), span.span_id),
+         PathPhase.QUEUE if span is root and multi else path_phase_of(span.name))
+        for span in members)
 
-    def depth_of(span: Span) -> int:
-        d = depth.get(span.span_id)
-        if d is None:
-            parent = index.get(span.parent_id)
-            d = 1 if parent is None else depth_of(parent) + 1
-            depth[span.span_id] = d
-        return d
 
-    def leg(span: Span):
-        phase = (PathPhase.QUEUE if span is root and multi
-                 else path_phase_of(span.name))
-        return (span.start_us, span.end_us,
-                (depth_of(span), span.span_id), phase)
-
-    return sweep(map(leg, members))
+def _depth_of(span: Span, depth: Dict[int, int], index: Dict[int, Span]) -> int:
+    """*span*'s depth below its tree's root, memoised in *depth*.  (A
+    module function: a nested one calling itself would leave a function
+    <-> cell cycle behind per tree.)"""
+    d = depth.get(span.span_id)
+    if d is None:
+        parent = index.get(span.parent_id)
+        d = 1 if parent is None else _depth_of(parent, depth, index) + 1
+        depth[span.span_id] = d
+    return d
 
 
 def _tree_mode(root: Span) -> str:
@@ -288,8 +296,8 @@ def _tree_mode(root: Span) -> str:
 
 
 class LensSink:
-    """The span-close sink: routes heat events to the feed and buffers
-    spans per trace for critical-path extraction on root close."""
+    """The span-close sink: buffers spans per trace and hands each tree to
+    the feed's critical-path histograms when its root closes."""
 
     __slots__ = ("feed", "max_traces", "_traces")
 
@@ -300,17 +308,6 @@ class LensSink:
 
     def on_span_close(self, span: Span) -> None:
         feed = self.feed
-        name = span.name
-        attrs = span.attrs
-        end = span.end_us
-        if name == "fault":
-            feed._on_fault(end, attrs["vpn"])
-        elif name == "protocol.invalidate":
-            # span.node is the victim applying the revocation
-            feed._on_invalidate(end, attrs["vpn"], attrs["requester"], span.node)
-        elif name == "protocol.grant" and attrs.get("write"):
-            feed._on_write_grant(end, attrs["vpn"])
-        # critical-path buffering
         traces = self._traces
         members = traces.get(span.trace_id)
         if members is None:
@@ -387,16 +384,17 @@ class TopView:
 
 
 class DexLens:
-    """The per-cluster analytics bundle: a :class:`LensFeed` behind its
-    :class:`LensSink`, and a :class:`~repro.obs.ring.FlightRecorder`, both
-    observers of the cluster's engine.  (``obs top`` adds its
-    :class:`TopView` over ``feed`` the same way.)"""
+    """The per-cluster analytics bundle: a :class:`LensFeed` (which every
+    process of the cluster observes) behind its :class:`LensSink`, and a
+    :class:`~repro.obs.ring.FlightRecorder`, both observers of the
+    cluster's engine.  (``obs top`` adds its :class:`TopView` over
+    ``feed`` the same way.)"""
 
     def __init__(self, cluster, tracer: Tracer):
-        self.cluster = cluster
+        self.params = cluster.params
         self.tracer = tracer
-        self.feed = LensFeed(
-            cluster.engine, window_us=cluster.params.lens_window_us)
+        self.feed = LensFeed(cluster.engine, cluster.params.page_size,
+                             window_us=cluster.params.lens_window_us)
         self.sink = LensSink(self.feed)
         cluster.engine.add_hook(self.sink)
         self.recorder = FlightRecorder(tracer, num_nodes=cluster.num_nodes)
@@ -410,7 +408,7 @@ class DexLens:
         retries/re-raises do not overwrite the evidence."""
         if self.dump_path is not None:
             return self.dump_path
-        path = self.cluster.params.lens_dump_path
+        path = self.params.lens_dump_path
         if path == "":
             return None
         if path is None:

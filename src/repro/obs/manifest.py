@@ -74,8 +74,7 @@ def build_manifest(
     """Assemble the manifest document for one finished run.
 
     *result* is the app's :class:`~repro.apps.common.AppResult`; *cluster*
-    the cluster it ran on (recoverable from ``scope.cluster`` when the
-    telemetry was on).  *scope* adds the ``series`` section, *lens* the
+    the cluster it ran on.  *scope* adds the ``series`` section, *lens* the
     critical-path ``phases`` section; both are optional — a manifest
     without them still diffs on counters and latency quantiles.
     """

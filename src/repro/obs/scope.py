@@ -88,6 +88,11 @@ class DexScope:
         on every sample and its tenants get their own Perfetto tracks."""
         self._serve = feed
 
+    def detach(self) -> None:
+        """The run is over (``DexCluster.close``): let go of the cluster
+        and the serve feed the sampler read; the series stay."""
+        self.cluster = self._serve = None
+
     # -- fabric feed --------------------------------------------------------
 
     def on_wire(self, conn: Any, wire_bytes: int, wait_us: float) -> None:

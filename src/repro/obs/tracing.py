@@ -15,9 +15,10 @@ Span context is keyed by the *currently executing* simulation process
 never steal each other's parents; a message in flight, which is engine
 callbacks and not a process, is the key of its own stack
 (:meth:`Tracer.open_span`).  When tracing is off (``DEX_TRACE``
-unset and ``SimParams.trace`` falsy) no tracer exists at all: hot paths
-guard on ``proc.obs is None`` / use :func:`maybe_span`, and the engine
-runs with empty hooks — zero cost.
+unset and ``SimParams.trace`` falsy) no tracer exists at all: code
+outside this package opens spans through ``with engine.span(...)`` (a
+shared no-op then), the four hottest sites test ``engine.tracer is
+None`` instead, and the engine runs with empty hooks.
 
 Online consumers (the DexLens analytics layer, the flight recorder) are
 engine observers like any other (``engine.add_hook``): ``on_span_close``
@@ -33,7 +34,7 @@ import itertools
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "maybe_span", "NULL_SPAN", "load_spans"]
+__all__ = ["Span", "Tracer", "load_spans"]
 
 SPANS_FORMAT = "dextrace-spans-v1"
 
@@ -121,30 +122,6 @@ class _SpanHandle:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._tracer.close_span(self._key, self.span)
         return False
-
-
-class _NullSpan:
-    """Reusable no-op context manager (tracing off)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
-def maybe_span(tracer: Optional["Tracer"], name: str, **attrs: Any):
-    """``tracer.span(...)`` when tracing is on, a shared no-op context
-    manager when *tracer* is None.  The single call + kwargs dict is the
-    entire off-mode cost at instrumented sites that use this helper."""
-    if tracer is None:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)
 
 
 class Tracer:

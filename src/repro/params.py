@@ -190,8 +190,8 @@ class SimParams:
     # ---- online analytics (see repro.obs.lens — DexLens) ------------------
     #: streaming trace analytics: "" off, "1"/"on" on.  None defers to the
     #: DEX_LENS environment variable.  Turning the lens on implies a tracer
-    #: (it listens for span closes); with it off no lens object exists and
-    #: nothing beyond the tracer's empty span-close list is ever touched
+    #: (its critical paths come from span closes); with it off no lens
+    #: object exists and no probe list gains an observer
     lens: Optional[str] = None
     #: sliding sim-time window for the heat statistics (fault rate, owner
     #: churn, ping-pong pairs)

@@ -433,6 +433,22 @@ ENGINE_PROBES = (
 )
 
 
+class _NoSpan:
+    """What :meth:`Engine.span` hands out with tracing off: one shared
+    context manager that enters as None and does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NO_SPAN = _NoSpan()
+
+
 class Engine:
     """The event loop.
 
@@ -513,7 +529,8 @@ class Engine:
         #: steps); the repro.obs tracer keys span stacks by this
         self.current_process: Optional[Any] = None
         #: the repro.obs Tracer attached to this engine, or None (tracing
-        #: off); instrumented code guards on this single attribute
+        #: off): :meth:`span` reads it, and so does a hot site that must
+        #: branch (the one handle for one tracer)
         self.tracer: Optional[Any] = None
         #: total dispatches across all run() calls (perf accounting)
         self.events_dispatched = 0
@@ -536,6 +553,26 @@ class Engine:
         of :data:`ENGINE_PROBES` it defines are called from then on, after
         those of the observers added before it."""
         self.hooks.add(observer)
+
+    def span(self, name: str, **attrs: Any) -> Any:
+        """The span seam: ``with engine.span("fault", node=n, vpn=v):``
+        opens *name* on the attached tracer, or enters the shared no-op
+        (as None) when tracing is off."""
+        tracer = self.tracer
+        if tracer is None:
+            return _NO_SPAN
+        return tracer.span(name, **attrs)
+
+    def detach_observers(self) -> None:
+        """Let go of the tracer, every observer and every sampler, so the
+        engine holds none of them once the run is over (they keep what
+        they recorded).  Held probe lists are emptied in place."""
+        self.tracer = None
+        for bound in self.hooks.values():
+            bound.clear()
+        self.hooks.observers.clear()
+        self._on_sample.clear()
+        self._next_sample = _INF
 
     def add_sampler(self, fire: Callable[[float], None], interval_us: float) -> None:
         """Register a periodic sim-time sampler (the DexScope hook).

@@ -42,9 +42,9 @@ The rest read the call graph, the effect table or one file at a time:
 * ``gc-discipline`` — the program never runs or switches Python's cyclic
   collector: a finished run frees itself by reference counting, and the
   collector's state belongs to the host.
-* ``span-discipline`` — spans close via ``with`` (the tracer's explicit
-  open/close pair is the fabric's alone); trace ids cross processes only
-  through the Message header fields.
+* ``span-discipline`` — spans open in a ``with`` (``engine.span`` is the
+  seam, and the tracer's explicit open/close pair is the fabric's alone);
+  trace ids cross processes only through the Message header fields.
 * ``slots-discipline`` — engine-core classes declare ``__slots__``.
 """
 
@@ -872,29 +872,34 @@ def _check_span_discipline(ctx: VetContext) -> List[Violation]:
             continue
         carries_flights = (scan.path.name == "fabric.py"
                            and "net" in scan.path.parts[:-1])
-        # calls that appear as a with-statement item are the sanctioned form
+        # calls that appear as a with-statement item are the sanctioned
+        # form, and so is the seam's one pass-through (``Engine.span``
+        # returning the tracer's span)
         with_calls: Set[int] = {
             id(item.context_expr) for node in ast.walk(scan.tree)
             if isinstance(node, (ast.With, ast.AsyncWith))
             for item in node.items
+        } | {
+            id(ret.value) for cls in ast.walk(scan.tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Engine"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "span"
+            for ret in ast.walk(fn) if isinstance(ret, ast.Return)
         }
         for node in ast.walk(scan.tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 attr = func.attr if isinstance(func, ast.Attribute) else None
-                opens_span = attr == "span" or (
-                    isinstance(func, ast.Name) and func.id == "maybe_span")
-                if opens_span and id(node) not in with_calls:
+                if attr == "span" and id(node) not in with_calls:
                     why = ("outside a with statement: spans must be closed "
                            "by their context manager or end_us never stamps")
                 elif attr in _EXPLICIT_SPAN_CALLS and not carries_flights:
                     why = ("outside net/fabric.py: only a message in flight "
                            "opens and closes spans by hand; use 'with "
-                           "tracer.span(...)'")
+                           "engine.span(...)'")
                 else:
                     continue
-                shown = "maybe_span" if attr is None else \
-                    f"{'.'.join(dotted_name(func)) or '<expr>.' + attr}"
+                shown = '.'.join(dotted_name(func)) or '<expr>.' + attr
                 violations.append(Violation(
                     "span-discipline", str(scan.path), node.lineno,
                     f"'{shown}(...)' {why}"))

@@ -3,9 +3,9 @@ outside the fabric, and trace ids smuggled through dict payloads — every
 form the span-discipline rule must flag."""
 
 
-def leaky_span(tracer, obs):
+def leaky_span(tracer, engine):
     handle = tracer.span("fault", node=0, tid=1)  # never closed
-    ctx = maybe_span(obs, "compute", node=0)      # noqa: F821 — same leak
+    ctx = engine.span("compute", node=0)          # same leak, through the seam
     return handle, ctx
 
 
@@ -21,9 +21,9 @@ def smuggled_context(current):
     return payload, record
 
 
-def sanctioned(tracer, obs):
+def sanctioned(tracer, engine):
     # the with forms are fine — the rule must not flag these
     with tracer.span("fault", node=0, tid=1):
         pass
-    with maybe_span(obs, "compute", node=0) as span:  # noqa: F821
+    with engine.span("compute", node=0) as span:
         return span

@@ -12,13 +12,12 @@ more dispatch per message.
 from __future__ import annotations
 
 from repro.net import fabric, rdma
-from repro.obs.tracing import maybe_span
 
 
 def receiver_data_cost(conn, nbytes):
     """Receiver-side handling of *nbytes* of page data (after the wire)."""
-    with maybe_span(
-        conn.engine.tracer, "net.rdma_recv", node=conn.dst,
+    with conn.engine.span(
+        "net.rdma_recv", node=conn.dst,
         bytes=nbytes, mode=conn.params.page_transfer_mode,
     ):
         params = conn.params
@@ -32,8 +31,8 @@ def receiver_data_cost(conn, nbytes):
 def wire(net, conn, msg, wire_bytes, predecessor, delivered):
     """Transmission + receiver side, as an asynchronous process."""
     params = net.params
-    with maybe_span(
-        net.engine.tracer, "net.wire", node=conn.src,
+    with net.engine.span(
+        "net.wire", node=conn.src,
         msg_type=msg.msg_type.value, dst=conn.dst, bytes=wire_bytes,
     ):
         # serialize onto the link under fair sharing with concurrent sends

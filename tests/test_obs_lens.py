@@ -8,6 +8,7 @@ view, the crash flight recorder (deadlock and fail-stop dumps), and the
 chaos-retry trace-continuity fix.
 """
 
+import gc
 import io
 import json
 
@@ -17,11 +18,12 @@ from repro import DexCluster, SimParams
 from repro.check import DeadlockError
 from repro.core.errors import NodeFailedError
 from repro.obs.export import PathPhase, check_trace_tree, path_phase_of
-from repro.obs.lens import LensFeed, SlidingWindow, TopView
+from repro.obs.lens import LensFeed, SlidingWindow, TopView, tree_phases
 from repro.obs.ring import FlightRecorder, load_snapshot
+from repro.obs.tracing import Span
 from repro.runtime import MemoryAllocator, Mutex
 
-from conftest import make_cluster
+from conftest import collector_off, make_cluster
 
 
 def _micro(num_nodes=2, rounds=30, on_cluster=None, **param_overrides):
@@ -85,9 +87,11 @@ def test_lens_on_implies_tracer():
     cluster = DexCluster(num_nodes=2, params=SimParams(lens="1"))
     assert cluster.tracer is not None
     assert cluster.lens is not None
-    # the feed and the flight recorder are observers of the engine
+    # the sink and the flight recorder are observers of the engine, the
+    # feed of every process (page heat rides the profiler's probes)
     assert cluster.lens.sink in cluster.engine.hooks.observers
     assert cluster.lens.recorder in cluster.engine.hooks.observers
+    assert cluster.lens.feed in cluster.create_process().hooks.observers
 
 
 def test_lens_env_knob(monkeypatch):
@@ -168,9 +172,10 @@ def _kmn_with_lens(num_nodes=8):
     fault_tracer = FaultTracer()
     params = SimParams(trace="1", lens="1")
     cluster = DexCluster(num_nodes=8, params=params)
-    # a feed that keeps everything: window and key cap beyond the run
-    feed = cluster.lens.sink.feed = LensFeed(
-        cluster.engine, window_us=1e9, max_keys=1 << 17)
+    # a feed that keeps everything (window and key cap beyond the run),
+    # installed before the run creates its process, which then observes it
+    feed = cluster.lens.feed = cluster.lens.sink.feed = LensFeed(
+        cluster.engine, params.page_size, window_us=1e9, max_keys=1 << 17)
     result = run_point(
         "KMN", "initial", num_nodes, "small",
         params=params, tracer=fault_tracer, cluster=cluster,
@@ -200,6 +205,35 @@ def test_feed_matches_profiler_ground_truth_on_kmn():
     hottest = feed.hot_pages(1)[0]
     assert hottest.vpn == ground_truth[0].vpn
     assert hottest.faults == ground_truth[0].faults
+
+
+def test_refused_access_is_counted_by_neither_feed_nor_profiler():
+    """A fault counts when it traps on a mapped page, as in the profiler's
+    six-tuple: an access the VMA check refuses (SIGSEGV) is in neither
+    record, though its fault span was opened and closed."""
+    from repro.core.errors import SegmentationFault
+    from repro.tools import FaultTracer
+
+    cluster = make_cluster(num_nodes=2, lens="1", sanitize="")
+    proc = cluster.create_process()
+    fault_tracer = FaultTracer()
+    proc.add_hook(fault_tracer)
+    unmapped = 0xDEAD0000
+
+    def main(ctx):
+        yield from ctx.migrate(1)
+        try:
+            yield from ctx.read(unmapped, 8)
+        except SegmentationFault:
+            return "segv"
+        return "no fault"
+
+    assert cluster.simulate(main, proc) == "segv"
+    vpn = unmapped // 4096
+    assert any(span.name == "fault" and span.attrs["vpn"] == vpn
+               for span in cluster.tracer.spans)
+    assert vpn not in {page.vpn for page in cluster.lens.feed.hot_pages(1 << 10)}
+    assert all(event.addr // 4096 != vpn for event in fault_tracer)
 
 
 def test_feed_owner_churn_tracks_write_grants():
@@ -271,6 +305,19 @@ def test_tree_buffer_eviction_is_counted():
     # with room for a single open tree, interleaved traces force evictions
     assert feed.trees_evicted > 0
     assert feed.trees_completed > 0  # non-interleaved trees still complete
+
+
+def test_tree_phases_leaves_no_reference_cycle():
+    """One completed tree must not leave garbage for the cyclic collector
+    (a self-calling nested helper would leave a function <-> cell cycle)."""
+    root = Span("fault", 1, 1, None, 0, 0, 0.0, 10.0)
+    request = Span("net.request", 2, 1, 1, 0, 0, 1.0, 9.0)
+    wire = Span("net.wire", 3, 1, 2, 0, 0, 2.0, 5.0)
+    with collector_off():
+        phases = tree_phases(root, [wire, request, root])
+        assert gc.collect() == 0
+    # the wire leg is the deepest: it owns its 3 us, the rest is queueing
+    assert phases == {PathPhase.QUEUE: 7.0, PathPhase.WIRE: 3.0}
 
 
 def test_path_phase_of_prefix_table():

@@ -1,7 +1,8 @@
 """The diagnostics-off zero-cost guarantee, guarded three ways:
 
-1. structurally — with ``DEX_TRACE`` unset no tracer object exists, hot
-   paths see ``proc.obs is None``, the engine and the process have no
+1. structurally — with ``DEX_TRACE`` unset no tracer object exists (the
+   four hottest sites see ``engine.tracer is None``, every other one gets
+   ``engine.span``'s shared no-op), the engine and the process have no
    observer and every probe list is empty, and messages carry no trace
    context; chaos is ``cluster.chaos is None`` and scope ``cluster.scope
    is None`` with no sampler registered;
@@ -22,6 +23,7 @@ import pytest
 
 from repro import DexCluster, SimParams
 from repro.net.messages import Message, MsgType
+from repro.obs.tracing import Tracer
 from repro.runtime import MemoryAllocator
 
 #: generous over-estimate of instrumented guard sites evaluated per fault
@@ -63,7 +65,7 @@ def test_off_mode_is_structurally_zero_cost(monkeypatch):
     cluster, proc = _run_workload(trace=None)  # None defers to the env
     assert cluster.tracer is None
     assert cluster.engine.tracer is None
-    assert proc.obs is None
+    assert cluster.engine.hooks.find(Tracer) is None
     # nobody watches: nothing on the per-step, per-message or per-access
     # hot paths, which test these very lists
     assert cluster.engine.hooks.observers == []
@@ -151,17 +153,24 @@ def test_off_mode_guard_cost_within_three_percent(monkeypatch):
     faults = proc.stats.total_faults
     assert faults > 0
     per_fault_wall = wall / faults
-    # the off-mode cost per instrumented site is one attribute load plus a
-    # None check (spans, chaos), a truth test of a held list (per-access
-    # and per-message probes) or a loop over an empty one (the others);
-    # measure the real primitives on the real objects
+    # the off-mode cost per instrumented site is a span seam entered and
+    # left (spans), one attribute load plus a None check (chaos), a truth
+    # test of a held list (per-access and per-message probes) or a loop
+    # over an empty one (the others); measure the real primitives on the
+    # real objects
+    engine = cluster.engine
+
+    def span_seam():
+        with engine.span("fault", node=1, vpn=7):
+            pass
+
     def bare_loop():
         for granted in proc.hooks["grant"]:
             granted()
 
     n = 20_000
     guards = (
-        lambda: proc.obs is None,
+        span_seam,
         lambda: not proc.faults._on_access,
         bare_loop,
         lambda: cluster.chaos is None,

@@ -6,7 +6,7 @@ import pytest
 
 from repro import DexCluster, SimParams
 from repro.obs.export import check_trace_tree, cross_node_traces
-from repro.obs.tracing import NULL_SPAN, Tracer, maybe_span
+from repro.obs.tracing import Tracer
 from repro.runtime import MemoryAllocator
 from repro.sim import Engine
 
@@ -55,10 +55,17 @@ def test_interleaved_processes_do_not_steal_parents():
     assert a.trace_id != b.trace_id
 
 
-def test_maybe_span_off_is_the_shared_null():
-    assert maybe_span(None, "anything", node=3) is NULL_SPAN
-    with maybe_span(None, "x") as span:
+def test_engine_span_off_is_one_shared_object_entering_as_none():
+    engine = Engine()
+    assert engine.tracer is None
+    off = engine.span("anything", node=3)
+    assert engine.span("x") is off
+    with off as span:
         assert span is None
+    # with a tracer attached the seam opens real spans
+    tracer = Tracer(engine)
+    with engine.span("on", node=3) as span:
+        assert span is tracer.spans[0] and span.node == 3
 
 
 def test_max_spans_cap_drops_and_counts():

@@ -1,13 +1,14 @@
 """Reclamation: a finished run frees itself.
 
 Whoever builds a cluster closes it (``DexCluster.close``), a finished sim
-process drops its pre-bound callbacks, and a retired ``DexProcess`` lets go
-of its services — so a knobs-off run leaves no reference cycle behind, and
-everything it allocated (frames, PTEs, handler generators) goes back by
-reference counting the moment its owner drops it, not at some later
-cyclic collection.  Each case runs with every ``DEX_*`` switch off and the
-cyclic collector disabled, then asks a full collection (``DEBUG_SAVEALL``)
-what it found unreachable: the answer must be nothing.
+process drops its pre-bound callbacks, a retired ``DexProcess`` lets go
+of its services, and the engine lets go of its observers — so a run leaves
+no reference cycle behind, and everything it allocated (frames, PTEs,
+handler generators, span trees) goes back by reference counting the moment
+its owner drops it, not at some later cyclic collection.  Each case runs
+with every ``DEX_*`` switch off (or one observer knob on) and the cyclic
+collector disabled, then asks a full collection (``DEBUG_SAVEALL``) what
+it found unreachable: the answer must be nothing.
 """
 
 import collections
@@ -18,7 +19,7 @@ import weakref
 import pytest
 
 from conftest import collector_off
-from repro import DexCluster
+from repro import DexCluster, SimParams
 from repro.apps.common import APP_NAMES
 from repro.bench.experiments import pagefault_micro
 from repro.bench.runner import run_point
@@ -31,8 +32,8 @@ from test_serve import kmn_spec, scan_burst_spec
 
 @pytest.fixture(autouse=True)
 def switches_off(monkeypatch):
-    """Observer data (span trees, lens closures, sanitizer clocks) is still
-    cyclic with a knob on: these runs are the knobs-off ones."""
+    """Sanitizer clocks and chaos timers are still cyclic with those knobs
+    on: every run starts with all of them off."""
     for switch in SWITCHES.values():
         monkeypatch.delenv(switch.env, raising=False)
 
@@ -69,11 +70,37 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_a_finished_run_leaves_no_cyclic_garbage(name, open_clusters):
+#: every run knobs off, and three of them again with one observer knob on
+CASES = [pytest.param(name, None, id=name) for name in RUNS] + [
+    pytest.param(name, knob, id=f"{name}-{knob}")
+    for knob in ("trace", "lens", "scope")
+    for name in ("KMN-initial", "serve-sharded", "pagefault")]
+
+
+@pytest.mark.parametrize("name, knob", CASES)
+def test_a_finished_run_leaves_no_cyclic_garbage(name, knob, monkeypatch,
+                                                 open_clusters):
+    if knob is not None:
+        monkeypatch.setenv(SWITCHES[knob].env, "1")
     found, kinds = unreachable_after(RUNS[name])
     assert found == 0, f"{name}: {found} unreachable, {kinds.most_common(12)}"
     assert open_clusters == [], "a run left the cluster it built open"
+
+
+def test_close_keeps_observer_results_readable():
+    cluster = DexCluster(num_nodes=4, params=SimParams(
+        trace="1", lens="1", scope="1", lens_dump_path=""))
+    run_point("KMN", "initial", 2, cluster=cluster, **TINY["KMN"])
+    feed, scope = cluster.lens.feed, cluster.scope
+    before = (len(cluster.tracer.spans), feed.hot_pages(8),
+              feed.path_breakdown(), scope.series_dict())
+    cluster.close()
+    assert cluster.engine.tracer is None
+    assert cluster.engine.hooks.observers == [] and cluster.engine._on_sample == []
+    after = (len(cluster.tracer.spans), cluster.lens.feed.hot_pages(8),
+             cluster.lens.feed.path_breakdown(), cluster.scope.series_dict())
+    assert after == before and before[0] > 0 and before[1] and before[3]
+    assert cluster.scope.counter_events()
 
 
 def test_a_finished_handler_process_is_freed_at_once(monkeypatch):

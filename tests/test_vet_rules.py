@@ -47,7 +47,7 @@ CORPUS = {
     ],
     "fixture_span_discipline.py": [
         (7, "span-discipline", "'tracer.span(...)' outside a with"),
-        (8, "span-discipline", "'maybe_span(...)' outside a with"),
+        (8, "span-discipline", "'engine.span(...)' outside a with"),
         (14, "span-discipline", "'tracer.open_span(...)' outside net/fabric.py"),
         (15, "span-discipline", "'tracer.close_span(...)' outside net/fabric.py"),
         (19, "span-discipline", "dict key 'trace_id'"),
