@@ -45,6 +45,29 @@ ADAPTATION = AdaptationInfo(
 )
 
 
+def sq_dist(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to each centre, ``(n, k)``; summed
+    left to right, the order numpy reduces a short (< 8) axis in, so
+    bit-identical to reducing the squared broadcast difference."""
+    d = pts[:, 0, None] - centers[:, 0]
+    out = d * d
+    for j in range(1, pts.shape[1]):
+        d = pts[:, j, None] - centers[:, j]
+        out += d * d
+    return out
+
+
+def cluster_sums(pts: np.ndarray, assign: np.ndarray, k: int):
+    """Member counts ``(k,)`` and coordinate sums ``(k, dim)`` per cluster,
+    rows added in row order as a masked ``sum(axis=0)`` does, but from
+    ``+0.0``: an all ``-0.0`` sum is ``+0.0``, the same to an accumulator
+    that starts at ``+0.0``."""
+    sums = np.empty((k, pts.shape[1]))
+    for j in range(pts.shape[1]):
+        sums[:, j] = np.bincount(assign, weights=pts[:, j], minlength=k)
+    return np.bincount(assign, minlength=k), sums
+
+
 def reference(
     points: np.ndarray, k: int, max_iters: int
 ) -> Tuple[np.ndarray, int]:
@@ -58,14 +81,13 @@ def reference(
         new_assign = np.empty(len(points), dtype=np.intp)
         for lo in range(0, len(points), CHUNK_POINTS):
             block = points[lo : lo + CHUNK_POINTS]
-            d2 = ((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_assign[lo : lo + len(block)] = d2.argmin(axis=1)
+            new_assign[lo : lo + len(block)] = sq_dist(
+                block, centers).argmin(axis=1)
         changed = bool((new_assign != assign).any())
         assign = new_assign
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+        counts, sums = cluster_sums(points, assign, k)
+        nz = counts > 0
+        centers[nz] = sums[nz] / counts[nz, None]  # the members' mean
         if not changed:
             return centers, iteration + 1
     return centers, max_iters
@@ -155,8 +177,7 @@ def run(
                     cpu_us=take * CPU_US_PER_POINT,
                     mem_bytes=take * DIM * 8,
                 )
-                d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                assign = d2.argmin(axis=1)
+                assign = sq_dist(pts, centers).argmin(axis=1)
                 chunk_changed = bool(
                     (assign != prev_assign[pos - lo : pos - lo + take]).any()
                 )
@@ -165,12 +186,9 @@ def run(
                     # the same per-point update work, but staged into the
                     # thread's private buffers (no shared page involved)
                     yield from ctx.compute(cpu_us=take * UPDATE_US_PER_POINT)
-                    for c in range(k):
-                        mask = assign == c
-                        n_c = int(mask.sum())
-                        if n_c:
-                            local_sums[c] += pts[mask].sum(axis=0)
-                            local_counts[c] += n_c
+                    n_c, s = cluster_sums(pts, assign, k)
+                    local_sums += s
+                    local_counts += n_c
                     local_changed = local_changed or chunk_changed
                 else:
                     # the original program folds point after point straight
@@ -179,11 +197,11 @@ def run(
                     # accumulator page stays hot at this node and every
                     # theft by another node forces a refault mid-burst
                     slice_us = take * UPDATE_US_PER_POINT / k
+                    counts_c, sums_c = cluster_sums(pts, assign, k)
                     for c in range(k):
-                        mask = assign == c
-                        n_c = int(mask.sum())
+                        n_c = int(counts_c[c])
                         if n_c:
-                            s = pts[mask].sum(axis=0)
+                            s = sums_c[c]
                             for d in range(DIM):
                                 yield from sums.add(ctx, c * DIM + d, s[d],
                                                     site="kmn:accumulate")

@@ -246,8 +246,7 @@ def kmn_query(ctx, points_arr, centroids, k: int, lo: int, hi: int,
     pts = raw.reshape(hi - lo, dim)
     yield from ctx.compute(cpu_us=(hi - lo) * kmeans.CPU_US_PER_POINT,
                            mem_bytes=(hi - lo) * dim * 8)
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return kmeans.sq_dist(pts, centers).argmin(axis=1)
 
 
 def grp_lookup(ctx, text_arr, text_len: int, keys: Sequence[bytes],

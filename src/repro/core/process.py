@@ -343,7 +343,7 @@ class DexProcess:
 
     def release(self) -> None:
         """Drop every per-node and per-thread structure this process
-        holds, and every edge back to it: the services and the cluster go,
+        holds and every edge back to it (services, observers, cluster);
         ``stats`` stays.  What is left holds no cycle, so reference
         counting frees the process as soon as its last holder drops it.
 
@@ -352,6 +352,7 @@ class DexProcess:
         in the same step, so no message can reach the released state."""
         self._node_states.clear()
         self.state_gen += 1
+        self.hooks.detach()  # a sanitizer holds the process
         self.threads.clear()
         self.worker_ready.clear()
         self.nodes_with_worker.clear()

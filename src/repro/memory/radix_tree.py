@@ -17,8 +17,11 @@ _FANOUT = 1 << _BITS_PER_LEVEL  # 64
 _KEY_BITS = 48
 _LEVELS = (_KEY_BITS + _BITS_PER_LEVEL - 1) // _BITS_PER_LEVEL  # 8
 _MAX_KEY = (1 << _KEY_BITS) - 1
-
-_TOMBSTONE = object()
+_MASK = _FANOUT - 1
+#: the shift that selects each interior level's slot, root first (the leaf
+#: level's shift is 0); a walk indexes with these, no call per level
+_SHIFTS = tuple((_LEVELS - 1 - level) * _BITS_PER_LEVEL
+                for level in range(_LEVELS - 1))
 
 
 class _Node:
@@ -46,44 +49,36 @@ class RadixTree:
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
 
-    @staticmethod
-    def _check_key(key: int) -> None:
-        if not 0 <= key <= _MAX_KEY:
-            raise KeyError(f"radix tree key out of range: {key}")
-
-    @staticmethod
-    def _index(key: int, level: int) -> int:
-        shift = (_LEVELS - 1 - level) * _BITS_PER_LEVEL
-        return (key >> shift) & (_FANOUT - 1)
-
     def insert(self, key: int, value: Any) -> None:
         """Set *key* to *value* (which must not be None)."""
         if value is None:
             raise ValueError("radix tree cannot store None; use delete()")
-        self._check_key(key)
+        if not 0 <= key <= _MAX_KEY:
+            raise KeyError(f"radix tree key out of range: {key}")
         node = self._root
-        for level in range(_LEVELS - 1):
-            idx = self._index(key, level)
+        for shift in _SHIFTS:
+            idx = (key >> shift) & _MASK
             child = node.slots[idx]
             if child is None:
                 child = _Node()
                 node.slots[idx] = child
                 node.count += 1
             node = child
-        idx = self._index(key, _LEVELS - 1)
+        idx = key & _MASK
         if node.slots[idx] is None:
             node.count += 1
             self._size += 1
         node.slots[idx] = value
 
     def get(self, key: int, default: Any = None) -> Any:
-        self._check_key(key)
+        if not 0 <= key <= _MAX_KEY:
+            raise KeyError(f"radix tree key out of range: {key}")
         node = self._root
-        for level in range(_LEVELS - 1):
-            node = node.slots[self._index(key, level)]
+        for shift in _SHIFTS:
+            node = node.slots[(key >> shift) & _MASK]
             if node is None:
                 return default
-        value = node.slots[self._index(key, _LEVELS - 1)]
+        value = node.slots[key & _MASK]
         return default if value is None else value
 
     def setdefault(self, key: int, factory) -> Any:
@@ -96,16 +91,17 @@ class RadixTree:
     def delete(self, key: int) -> bool:
         """Remove *key*; returns whether it was present.  Empty interior
         nodes are pruned so memory stays proportional to occupancy."""
-        self._check_key(key)
+        if not 0 <= key <= _MAX_KEY:
+            raise KeyError(f"radix tree key out of range: {key}")
         path: List[Tuple[_Node, int]] = []
         node = self._root
-        for level in range(_LEVELS - 1):
-            idx = self._index(key, level)
+        for shift in _SHIFTS:
+            idx = (key >> shift) & _MASK
             path.append((node, idx))
             node = node.slots[idx]
             if node is None:
                 return False
-        idx = self._index(key, _LEVELS - 1)
+        idx = key & _MASK
         if node.slots[idx] is None:
             return False
         node.slots[idx] = None

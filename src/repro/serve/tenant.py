@@ -202,6 +202,7 @@ class Tenant:
         kind = spec.workload
         n = spec.total_items
         if kind == "kmn":
+            from repro.apps import kmeans
             points = workloads.clustered_points(n, KMN_K, seed=spec.seed + 11)
             centers = points[:KMN_K].copy()
             self._arrays["points"] = alloc_array(
@@ -213,9 +214,8 @@ class Tenant:
             for slot in range(self.n_slots):
                 lo, hi = slot * spec.per_request, min(
                     (slot + 1) * spec.per_request, n)
-                d2 = ((points[lo:hi, None, :] - centers[None, :, :]) ** 2
-                      ).sum(axis=2)
-                self._expected.append(d2.argmin(axis=1))
+                self._expected.append(
+                    kmeans.sq_dist(points[lo:hi], centers).argmin(axis=1))
 
             def setup(ctx):
                 yield from self._arrays["points"].write(ctx, 0, points.ravel())

@@ -421,6 +421,13 @@ class Hooks(dict):
         """The first observer of type *kind*, or None."""
         return next((o for o in self.observers if isinstance(o, kind)), None)
 
+    def detach(self) -> None:
+        """Let go of every observer (they keep what they recorded); a probe
+        list a site holds is emptied in place."""
+        for bound in self.values():
+            bound.clear()
+        self.observers.clear()
+
 
 #: what an engine observer may define ``on_<probe>`` for: process
 #: lifecycle (``process_waiting`` for a wait on an Event, not for a private
@@ -566,11 +573,9 @@ class Engine:
     def detach_observers(self) -> None:
         """Let go of the tracer, every observer and every sampler, so the
         engine holds none of them once the run is over (they keep what
-        they recorded).  Held probe lists are emptied in place."""
+        they recorded)."""
         self.tracer = None
-        for bound in self.hooks.values():
-            bound.clear()
-        self.hooks.observers.clear()
+        self.hooks.detach()
         self._on_sample.clear()
         self._next_sample = _INF
 

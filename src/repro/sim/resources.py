@@ -14,10 +14,10 @@ Three resources cover everything the rack model needs:
 
 Hot-path notes: event display names are precomputed per resource (no
 per-call f-strings), an uncontended :meth:`Resource.acquire` hands out a
-shared pre-granted event instead of allocating one per call, and
-:meth:`FairShareResource.consume` takes a batched single-job fast path
-when the resource is idle — all verified bit-for-bit against the exact
-per-arrival GPS recomputation.
+shared pre-granted event instead of allocating one per call, and a
+:class:`FairShareResource` state change is one pass over its jobs —
+verified bit-for-bit against the two-pass GPS recomputation of
+``tests/oracles/fairshare.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import _INF, Engine, Event, SimulationError
 
 _EPS = 1e-9
 
@@ -84,42 +84,21 @@ class FairShareResource:
 
     def consume(self, amount: float, tag: Any = None) -> Event:
         """Return an event that triggers once *amount* units of service
-        have been delivered to this job under fair sharing."""
+        have been delivered to this job under fair sharing.  A negative or
+        non-finite amount is refused before the resource is touched."""
+        if not 0 <= amount < _INF:  # false for NaN as well
+            raise ValueError(f"fair-share resource {self.name!r}: amount "
+                             f"must be finite and >= 0, got {amount!r}")
         event = Event(self.engine, self._consume_name)
-        if amount <= 0:
+        if amount == 0:
             event.succeed()
-            return event
-        if not self._jobs:
-            # batched idle-arrival fast path: with no competing jobs the
-            # advance pass charges nothing and the schedule is a single
-            # completion timer.  Arithmetic mirrors _advance/_reschedule
-            # exactly (including the capacity/1 division) so sim times are
-            # bit-identical to the general path.
-            engine = self.engine
-            now = engine.now
-            self._last_update = now
-            remaining = float(amount)
-            self._jobs.append(_ShareJob(remaining, event, tag))
-            if remaining > _EPS:
-                rate = self.effective_capacity(1) / 1
-                when = now + remaining / rate
-                if when > now:
-                    self._timer_id += 1
-                    engine._schedule_at(when, self._on_timer, self._timer_id)
-                    return event
-            # sub-resolution job: fall back to the general settlement
-            self._reschedule()
-            return event
-        self._advance()
-        self._jobs.append(_ShareJob(float(amount), event, tag))
-        self._reschedule()
+        else:
+            self._settle(_ShareJob(float(amount), event, tag))
         return event
 
     def effective_capacity(self, n_jobs: Optional[int] = None) -> float:
         n = len(self._jobs) if n_jobs is None else n_jobs
-        if n == 0:
-            return self.capacity
-        if self._contention is None:
+        if n == 0 or self._contention is None:
             return self.capacity
         cap = self._contention(n)
         if cap <= 0:
@@ -128,56 +107,58 @@ class FairShareResource:
 
     # -- internals ----------------------------------------------------------
 
-    def _rate_per_job(self) -> float:
-        n = len(self._jobs)
-        if n == 0:
-            return 0.0
-        return self.effective_capacity(n) / n
-
-    def _advance(self) -> None:
-        """Charge service delivered since the last state change."""
+    def _settle(self, arrival: Optional[_ShareJob]) -> None:
+        """One state change in one pass over the jobs: charge each the
+        ``cap / n * dt`` served since the last change, add *arrival*, finish
+        those left with at most ``_EPS`` in list order, and arm the next
+        completion under a fresh timer id (a stale timer fires, idle)."""
         now = self.engine.now
+        jobs = self._jobs
+        n = len(jobs)
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._jobs:
-            return
-        served = self._rate_per_job() * dt
-        self.total_served += served * len(self._jobs)
-        for job in self._jobs:
-            job.remaining -= served
-
-    def _reschedule(self) -> None:
-        """Schedule the next completion (invalidating any stale timer)."""
         self._timer_id += 1
+        served = 0.0  # x - 0.0 == x: a same-instant change charges nothing
+        if dt > 0 and n:
+            served = self.effective_capacity(n) / n * dt
+            self.total_served += served * n
+        finished = []
+        low = _INF
+        for job in jobs:
+            left = job.remaining = job.remaining - served
+            if left <= _EPS:
+                finished.append(job)
+            elif left < low:
+                low = left
+        if arrival is not None:
+            jobs.append(arrival)
+            if arrival.remaining <= _EPS:
+                finished.append(arrival)
+            elif arrival.remaining < low:
+                low = arrival.remaining
         while True:
-            jobs = self._jobs
-            if any(j.remaining <= _EPS for j in jobs):
-                finished = [j for j in jobs if j.remaining <= _EPS]
-                self._jobs = [j for j in jobs if j.remaining > _EPS]
+            if finished:
+                self._jobs = jobs = [j for j in jobs if j.remaining > _EPS]
                 for job in finished:
                     job.event.succeed()
-                jobs = self._jobs
             if not jobs:
                 return
-            rate = self.effective_capacity(len(jobs)) / len(jobs)
-            next_remaining = min(j.remaining for j in jobs)
-            when = self.engine.now + next_remaining / rate
-            if when <= self.engine.now:
-                # the remaining service is below float resolution at the
-                # current clock value: treat those jobs as served now,
-                # otherwise the timer would respawn at the same instant
-                for job in jobs:
-                    if job.remaining <= next_remaining + _EPS:
-                        job.remaining = 0.0
-                continue
-            self.engine._schedule_at(when, self._on_timer, self._timer_id)
-            return
+            when = now + low / (self.effective_capacity(len(jobs)) / len(jobs))
+            if when > now:
+                self.engine._schedule_at(when, self._on_timer, self._timer_id)
+                return
+            # the remaining service is below float resolution at the
+            # current clock value: treat those jobs as served now,
+            # otherwise the timer would respawn at the same instant
+            cut = low + _EPS
+            finished = [j for j in jobs if j.remaining <= cut]
+            for job in finished:
+                job.remaining = 0.0
+            low = min([j.remaining for j in jobs if j.remaining > 0], default=_INF)
 
     def _on_timer(self, timer_id: int) -> None:
-        if timer_id != self._timer_id:
-            return  # superseded by an arrival or another completion
-        self._advance()
-        self._reschedule()
+        if timer_id == self._timer_id:  # else superseded by a later change
+            self._settle(None)
 
 
 class Resource:

@@ -50,6 +50,12 @@ def test_key_out_of_range_rejected():
         tree.insert(1 << 48, "too big")
     with pytest.raises(KeyError):
         tree.get(-1)
+    with pytest.raises(KeyError):
+        tree.get(1 << 48)
+    for key in (-1, 1 << 48):
+        with pytest.raises(KeyError):
+            tree.delete(key)
+    assert len(tree) == 0 and tree._root.count == 0
 
 
 def test_contains():
@@ -119,3 +125,15 @@ def test_range_scan_matches_model(keys, lo, hi):
         tree.insert(k, str(k))
     expected = sorted(k for k in keys if lo <= k < hi)
     assert [k for k, _ in tree.iter_range(lo, hi)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=st.sets(KEY, min_size=1, max_size=60), data=st.data())
+def test_deleting_every_key_leaves_the_root_empty(keys, data):
+    tree = RadixTree()
+    for k in keys:
+        tree.insert(k, k)
+    for k in data.draw(st.permutations(sorted(keys))):
+        assert tree.delete(k)
+    assert len(tree) == 0 and tree._root.count == 0
+    assert tree._root.slots == [None] * 64

@@ -2,13 +2,14 @@
 
 Whoever builds a cluster closes it (``DexCluster.close``), a finished sim
 process drops its pre-bound callbacks, a retired ``DexProcess`` lets go
-of its services, and the engine lets go of its observers — so a run leaves
-no reference cycle behind, and everything it allocated (frames, PTEs,
-handler generators, span trees) goes back by reference counting the moment
-its owner drops it, not at some later cyclic collection.  Each case runs
-with every ``DEX_*`` switch off (or one observer knob on) and the cyclic
-collector disabled, then asks a full collection (``DEBUG_SAVEALL``) what
-it found unreachable: the answer must be nothing.
+of its services and its observers, and the engine lets go of its
+observers — so a run leaves no reference cycle behind, and everything it
+allocated (frames, PTEs, handler generators, span trees, sanitizer clocks)
+goes back by reference counting the moment its owner drops it, not at some
+later cyclic collection.  Each case runs with every ``DEX_*`` switch off
+(or one observer or checker knob on) and the cyclic collector disabled,
+then asks a full collection (``DEBUG_SAVEALL``) what it found unreachable:
+the answer must be nothing.
 """
 
 import collections
@@ -32,8 +33,8 @@ from test_serve import kmn_spec, scan_burst_spec
 
 @pytest.fixture(autouse=True)
 def switches_off(monkeypatch):
-    """Sanitizer clocks and chaos timers are still cyclic with those knobs
-    on: every run starts with all of them off."""
+    """Chaos timers are still cyclic with that knob on: every run starts
+    with all of them off."""
     for switch in SWITCHES.values():
         monkeypatch.delenv(switch.env, raising=False)
 
@@ -73,7 +74,7 @@ RUNS = {
 #: every run knobs off, and three of them again with one observer knob on
 CASES = [pytest.param(name, None, id=name) for name in RUNS] + [
     pytest.param(name, knob, id=f"{name}-{knob}")
-    for knob in ("trace", "lens", "scope")
+    for knob in ("trace", "lens", "scope", "sanitize")
     for name in ("KMN-initial", "serve-sharded", "pagefault")]
 
 

@@ -92,6 +92,25 @@ def test_zero_amount_completes_immediately():
     assert eng.run_process(job()) == 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_a_bad_amount_is_refused_and_the_resource_keeps_serving(bad):
+    """A NaN job once stayed in the job list and poisoned every later
+    consume with "cannot schedule at nan"."""
+    eng = Engine()
+    share = FairShareResource(eng, capacity=100.0, name="n0.dram")
+
+    def job():
+        yield share.consume(100.0)
+        with pytest.raises(ValueError, match="n0.dram"):
+            share.consume(bad)
+        assert share._jobs == [] and share.total_served == 100.0
+        yield share.consume(0)
+        yield share.consume(500.0)
+        return eng.now
+
+    assert eng.run_process(job()) == pytest.approx(6.0)
+
+
 def test_contention_model_reduces_capacity():
     eng = Engine()
     share = FairShareResource(
