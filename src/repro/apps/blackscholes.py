@@ -34,10 +34,49 @@ ADAPTATION = AdaptationInfo(
 )
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
+# Cephes ndtr.c erf/erfc, the kernel scipy.special.erf evaluates: T/U for
+# |x| <= 1, P/Q for the erfc form above; U and Q are monic (p1evl)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
 
-    return erf(x)
+
+def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (p1evl if *monic*: an implicit leading 1)."""
+    ans = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """libm's exp, which Cephes calls: numpy's own float64 exp differs
+    from it in the last bit; its complex exp goes through libm's cexp."""
+    return np.exp(x.astype(np.complex128)).real
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.erf`` bit for bit, without importing scipy.
+    Cephes' erfc for |x| >= 8 (its R/S branch, or 0 once exp(-x²)
+    underflows) is below 1.2e-29, so 1 - erfc rounds to exactly 1."""
+    a = np.abs(x)
+    out = np.ones_like(a)
+    inner = a <= 1.0
+    mid = ~(inner | (a >= 8.0))  # NaN lands here and stays NaN
+    s = a[inner]
+    z = s * s
+    out[inner] = s * _horner(z, _T) / _horner(z, _U, monic=True)
+    s = a[mid]
+    out[mid] = 1.0 - _exp(-s * s) * _horner(s, _P) / _horner(s, _Q, monic=True)
+    return np.copysign(out, x)
 
 
 def _price_arrays(
@@ -50,8 +89,9 @@ def _price_arrays(
 ) -> np.ndarray:
     d1 = (np.log(s / k) + (r + v * v / 2.0) * t) / (v * np.sqrt(t))
     d2 = d1 - v * np.sqrt(t)
-    cnd1 = 0.5 * (1.0 + _erf(d1 / sqrt(2.0)))
-    cnd2 = 0.5 * (1.0 + _erf(d2 / sqrt(2.0)))
+    # one kernel call for both: its cost is per call more than per value
+    cnd1, cnd2 = np.split(
+        0.5 * (1.0 + _erf(np.concatenate((d1, d2)) / sqrt(2.0))), 2)
     call = s * cnd1 - k * np.exp(-r * t) * cnd2
     put = call - s + k * np.exp(-r * t)
     return np.where(is_call, call, put)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.core.errors import SegmentationFault
 from repro.core.stats import FaultRecord
-from repro.memory.page_table import PageState
+from repro.memory.page_table import EXCLUSIVE, INVALID
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +65,7 @@ def _make_atomic_add(fmt: str):
         state = proc.node_state(node)
         # inlined permits() write fast path: an EXCLUSIVE PTE means go
         pte = state.page_table.lookup(vpn)
-        if pte is None or pte.state is not PageState.EXCLUSIVE:
+        if pte is None or pte.state is not EXCLUSIVE:
             if not self.permits(node, vpn, True):
                 yield from self._fault(node, tid, vpn, True, site)
         if self._on_access:
@@ -105,25 +105,15 @@ class FaultHandler:
             return proc.protocol.directory.lookup(vpn) is None
         return False
 
-    def ensure_page(
-        self, node: int, tid: int, vpn: int, write: bool, site: str = ""
-    ) -> Generator:
-        """Make *vpn* accessible at *node*; the fast path falls straight
-        through without yielding."""
-        if self.permits(node, vpn, write):
-            return
-        yield from self._fault(node, tid, vpn, write, site)
-
     def ensure_range(
         self, node: int, tid: int, addr: int, nbytes: int, write: bool, site: str = ""
     ) -> Generator:
-        """Make every page of ``[addr, addr+nbytes)`` accessible."""
-        page = self.proc.cluster.params.page_size
-        vpn = addr // page
-        last = (addr + max(nbytes, 1) - 1) // page
-        while vpn <= last:
-            yield from self.ensure_page(node, tid, vpn, write, site)
-            vpn += 1
+        """Make every page of ``[addr, addr+nbytes)`` accessible; the fast
+        path falls straight through without yielding."""
+        page = self._page_size
+        for vpn in range(addr // page, (addr + max(nbytes, 1) - 1) // page + 1):
+            if not self.permits(node, vpn, write):
+                yield from self._fault(node, tid, vpn, write, site)
 
     # ------------------------------------------------------------------
 
@@ -236,46 +226,51 @@ class FaultHandler:
     # data-plane entry points: fault + synchronous byte access
     # ------------------------------------------------------------------
 
-    def read(
-        self, node: int, tid: int, addr: int, nbytes: int, site: str = ""
+    def read_into(
+        self, node: int, tid: int, addr: int, out, site: str = ""
     ) -> Generator:
-        """Read *nbytes* through the distributed address space.  Each page
-        is touched synchronously right after it is secured, so per-page
-        reads are sequentially consistent."""
-        proc = self.proc
-        page = self._page_size
-        out = bytearray()
-        pos = addr
-        end = addr + nbytes
-        while pos < end:
-            vpn = pos // page
-            take = min(end - pos, (vpn + 1) * page - pos)
-            if not self.permits(node, vpn, False):
-                yield from self._fault(node, tid, vpn, False, site)
-            if self._on_access:
-                for accessed in self._on_access:
-                    accessed(node, tid, vpn, False, site)
-            out += proc.node_state(node).frames.read(pos, take)
-            pos += take
-        return bytes(out)
+        """Fill the writable buffer *out* with the bytes at *addr*."""
+        return self._copy(node, tid, addr, out, False, site)
 
     def write(
-        self, node: int, tid: int, addr: int, data: bytes, site: str = ""
+        self, node: int, tid: int, addr: int, data, site: str = ""
     ) -> Generator:
-        """Write *data* through the distributed address space."""
+        """Write the bytes of the buffer *data* at *addr*."""
+        return self._copy(node, tid, addr, data, True, site)
+
+    def _copy(
+        self, node: int, tid: int, addr: int, buf, write: bool, site: str
+    ) -> Generator:
+        """Copy each byte once, between *buf* and its frame, in the
+        direction *write* says.  Each page is copied right after it is
+        secured, so per-page accesses are sequentially consistent; pages
+        never touched read as zeros."""
         proc = self.proc
         page = self._page_size
+        buf = memoryview(buf).cast("B")
+        state = proc.node_state(node)
+        ptes, frames = state.page_table._entries, state.frames
         pos = 0
-        end = len(data)
-        while pos < end:
-            vpn = (addr + pos) // page
-            take = min(end - pos, (vpn + 1) * page - (addr + pos))
-            if not self.permits(node, vpn, True):
-                yield from self._fault(node, tid, vpn, True, site)
+        while pos < len(buf):
+            vpn, off = divmod(addr + pos, page)
+            take = min(len(buf) - pos, page - off)
+            pte = ptes.get(vpn)
+            # inlined permits(): a PTE denies a write unless EXCLUSIVE, a
+            # read if INVALID; no PTE is the origin's implicit exclusive
+            if (pte.state is not EXCLUSIVE and (write or pte.state is INVALID)
+                    if pte is not None else not self.permits(node, vpn, write)):
+                yield from self._fault(node, tid, vpn, write, site)
+                state = proc.node_state(node)
+                ptes, frames = state.page_table._entries, state.frames
             if self._on_access:
                 for accessed in self._on_access:
-                    accessed(node, tid, vpn, True, site)
-            proc.node_state(node).frames.write(addr + pos, data[pos : pos + take])
+                    accessed(node, tid, vpn, write, site)
+            if write:
+                frames.frame(vpn)[off : off + take] = buf[pos : pos + take]
+            else:
+                frame = frames.peek(vpn)
+                buf[pos : pos + take] = bytes(take) if frame is None else \
+                    memoryview(frame)[off : off + take]
             pos += take
 
     def atomic_update(

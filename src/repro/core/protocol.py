@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.core.directory import PageEntry, make_directory
 from repro.core.errors import NodeFailedError, ProtocolError
-from repro.memory.page_table import PageState
+from repro.memory.page_table import STATE_OF_VALUE, PageState
 from repro.net.messages import (
     PAYLOAD_ACK_OK,
     PAYLOAD_REDIRECT,
@@ -155,7 +155,7 @@ class ConsistencyProtocol:
             # final PTE update is synchronous after the last yield: the
             # caller's data access runs in the same engine step
             pte = page_table.ensure(vpn)
-            pte.state = PageState(state_name)
+            pte.state = STATE_OF_VALUE[state_name]
             pte.data_version = version
             return retries
 

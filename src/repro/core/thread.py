@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.errors import DexError
 from repro.core.fault import FaultHandler
-from repro.memory.page_table import PageState
+from repro.memory.page_table import EXCLUSIVE
 from repro.sim import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,7 +122,7 @@ def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
                 self._state_gen = proc.state_gen
                 self._state = state
             pte = state.page_table._entries.get(vpn)
-            if pte is not None and pte.state is PageState.EXCLUSIVE:
+            if pte is not None and pte.state is EXCLUSIVE:
                 frame = state.frames._frames.get(vpn)
                 if frame is None:
                     frame = state.frames.frame(vpn)
@@ -300,12 +300,18 @@ class ThreadContext:
 
     def read(self, addr: int, nbytes: int, site: str = "") -> Generator:
         """Read bytes through the distributed address space."""
-        return self.proc.faults.read(
-            self.thread.current_node, self.tid, addr, nbytes, site
+        out = bytearray(nbytes)
+        yield from self.read_into(addr, out, site)
+        return bytes(out)
+
+    def read_into(self, addr: int, out, site: str = "") -> Generator:
+        """Fill the writable buffer *out* from the distributed address space."""
+        return self.proc.faults.read_into(
+            self.thread.current_node, self.tid, addr, out, site
         )
 
-    def write(self, addr: int, data: bytes, site: str = "") -> Generator:
-        """Write bytes through the distributed address space."""
+    def write(self, addr: int, data, site: str = "") -> Generator:
+        """Write a buffer's bytes through the distributed address space."""
         return self.proc.faults.write(
             self.thread.current_node, self.tid, addr, data, site
         )

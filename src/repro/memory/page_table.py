@@ -27,9 +27,15 @@ class PageState(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
+#: for the per-access paths: an Enum class attribute costs ~20x a global
+INVALID, EXCLUSIVE = PageState.INVALID, PageState.EXCLUSIVE
+#: ``PageState(value)`` without the ~1 us Enum call
+STATE_OF_VALUE = {state.value: state for state in PageState}
+
+
 @dataclass
 class PTE:
-    state: PageState = PageState.INVALID
+    state: PageState = INVALID
     #: version of the page contents this node last held; compared against
     #: the directory's version to decide whether data transfer can be
     #: skipped on an ownership grant
@@ -37,11 +43,11 @@ class PTE:
 
     @property
     def readable(self) -> bool:
-        return self.state is not PageState.INVALID
+        return self.state is not INVALID
 
     @property
     def writable(self) -> bool:
-        return self.state is PageState.EXCLUSIVE
+        return self.state is EXCLUSIVE
 
 
 class PageTable:

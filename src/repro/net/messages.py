@@ -91,6 +91,8 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     MsgType.PING: 16,
     MsgType.PONG: 16,
 }
+#: keyed by ``_value_``: a str's hash is cached, ``Enum.__hash__`` is Python
+_CONTROL_SIZE_OF = {kind._value_: size for kind, size in CONTROL_SIZES.items()}
 
 
 #: retry-timeout class of every request-class message (one that a sender
@@ -141,7 +143,7 @@ class Message:
 
     @property
     def control_bytes(self) -> int:
-        return CONTROL_SIZES.get(self.msg_type, 48)
+        return _CONTROL_SIZE_OF.get(self.msg_type._value_, 48)
 
     @property
     def data_bytes(self) -> int:

@@ -34,7 +34,9 @@ class Router:
     def __init__(self, engine: Engine, node_id: int):
         self.engine = engine
         self.node_id = node_id
-        self._handlers: Dict[MsgType, Handler] = {}
+        #: handlers keyed by ``MsgType._value_``: a str hashes at C speed,
+        #: an Enum member through the Python-level ``Enum.__hash__``
+        self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
         self.dispatched = 0
         self.replies_matched = 0
@@ -48,7 +50,7 @@ class Router:
         self.duplicates_dropped = 0
         #: per-type handler process names, built once — the dispatch hot
         #: path must not re-render an f-string per message
-        self._proc_names: Dict[MsgType, str] = {}
+        self._proc_names: Dict[str, str] = {}
 
     def attach_chaos(self, chaos, net) -> None:
         """Enable the responder side of the reliable transport: duplicate
@@ -58,11 +60,11 @@ class Router:
         self.net = net
 
     def register(self, msg_type: MsgType, handler: Handler) -> None:
-        if msg_type in self._handlers:
+        if msg_type._value_ in self._handlers:
             raise RouterError(
                 f"node {self.node_id}: handler for {msg_type} already registered"
             )
-        self._handlers[msg_type] = handler
+        self._handlers[msg_type._value_] = handler
 
     def expect_reply(self, msg_id: int) -> Event:
         event = self.engine.event(name="reply")
@@ -90,7 +92,8 @@ class Router:
             self._seen[msg.msg_id] = None
             while len(self._seen) > _SEEN_CAP:
                 self._seen.popitem(last=False)
-        handler = self._handlers.get(msg.msg_type)
+        kind = msg.msg_type._value_
+        handler = self._handlers.get(kind)
         if handler is None:
             if msg.reply_to is not None:
                 return  # orphaned reply
@@ -106,11 +109,9 @@ class Router:
             self.engine._schedule_now(_raise)
             return
         self.dispatched += 1
-        name = self._proc_names.get(msg.msg_type)
+        name = self._proc_names.get(kind)
         if name is None:
-            name = self._proc_names[msg.msg_type] = (
-                f"n{self.node_id}.{msg.msg_type.value}"
-            )
+            name = self._proc_names[kind] = f"n{self.node_id}.{kind}"
         proc = self.engine.process(handler(msg), name=name)
         tracer = self.engine.tracer
         if tracer is not None:

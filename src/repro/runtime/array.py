@@ -60,24 +60,21 @@ class DistArray:
         hi = self.length if hi is None else hi
         if not 0 <= lo <= hi <= self.length:
             raise IndexError(f"bad slice [{lo}:{hi}] of length {self.length}")
-        raw = yield from ctx.read(
-            self.addr + lo * self.itemsize, (hi - lo) * self.itemsize, site
-        )
-        return np.frombuffer(raw, dtype=self.dtype).copy()
+        out = np.empty(hi - lo, self.dtype)
+        yield from ctx.read_into(self.addr + lo * self.itemsize, out, site)
+        return out
 
     def write(
         self, ctx: "ThreadContext", lo: int, values: np.ndarray, site: str = ""
     ) -> Generator:
         """Write *values* starting at element *lo*."""
-        values = np.asarray(values, dtype=self.dtype)
+        values = np.ascontiguousarray(values, dtype=self.dtype)
         if lo < 0 or lo + values.size > self.length:
             raise IndexError(
                 f"write of {values.size} elements at {lo} overflows "
                 f"length {self.length}"
             )
-        yield from ctx.write(
-            self.addr + lo * self.itemsize, values.tobytes(), site
-        )
+        yield from ctx.write(self.addr + lo * self.itemsize, values, site)
 
     # -- element access ----------------------------------------------------
 

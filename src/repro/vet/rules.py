@@ -42,6 +42,8 @@ The rest read the call graph, the effect table or one file at a time:
 * ``gc-discipline`` — the program never runs or switches Python's cyclic
   collector: a finished run frees itself by reference counting, and the
   collector's state belongs to the host.
+* ``third-party-layering`` — no scipy import; numpy at module level only in
+  ``apps/``, ``serve/`` and ``runtime/array.py``, elsewhere ``numpy.random``.
 * ``span-discipline`` — spans open in a ``with`` (``engine.span`` is the
   seam, and the tracer's explicit open/close pair is the fabric's alone);
   trace ids cross processes only through the Message header fields.
@@ -786,16 +788,21 @@ _SEEDED_RNG_CTORS = frozenset({"default_rng", "RandomState", "SeedSequence",
 _NONDETERMINISM_EXEMPT_PARTS = ("bench", "tools", "check", "vet")
 
 
+def _imported(node: ast.AST) -> List[str]:
+    """The absolute module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
 def _nondeterminism_of(node: ast.AST) -> List[str]:
     """Why *node* makes a simulation nondeterministic: one reason per
     finding, none when it does not."""
-    if isinstance(node, ast.Import):
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
         return ["import of the unseeded 'random' module inside sim code"
-                for alias in node.names
-                if alias.name == "random" or alias.name.startswith("random.")]
-    if isinstance(node, ast.ImportFrom):
-        return ["import from the unseeded 'random' module inside sim code"
-                ] if node.module == "random" else []
+                for name in _imported(node) if name.split(".")[0] == "random"]
     dotted = dotted_name(node.func) if isinstance(node, ast.Call) else ()
     if len(dotted) < 2:
         return []
@@ -852,6 +859,32 @@ def _check_gc_discipline(ctx: VetContext) -> List[Violation]:
                 f"'gc.{name}' in the program: free a run by cutting its "
                 f"cycles, and leave the collector to the host")
                 for name in names if name in _GC_CALLS)
+    return violations
+
+
+@rule("third-party-layering")
+def _check_third_party_layering(ctx: VetContext) -> List[Violation]:
+    violations: List[Violation] = []
+    for scan in ctx.scans:
+        parents = scan.path.parts[:-1]
+        numeric = "apps" in parents or "serve" in parents or (
+            scan.path.name == "array.py" and "runtime" in parents)
+        top = {id(node) for node in iter_own_nodes(scan.tree)}
+        for node in ast.walk(scan.tree):
+            for name in _imported(node):
+                root = name.split(".")[0]
+                if root == "scipy":
+                    why = "scipy is a test oracle, not a run dependency"
+                elif root != "numpy" or numeric or (
+                        id(node) not in top and name == "numpy.random"):
+                    continue
+                else:
+                    why = ("numpy at module level only in apps/, serve/ and "
+                           "runtime/array.py, elsewhere a function-level "
+                           "numpy.random")
+                violations.append(Violation(
+                    "third-party-layering", str(scan.path), node.lineno,
+                    f"import of '{name}': {why}"))
     return violations
 
 

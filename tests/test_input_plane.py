@@ -14,7 +14,10 @@ to.
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -199,8 +202,6 @@ def test_building_an_input_costs_scratch_of_the_order_of_its_size(build):
     resident size for life (DexBench ``peak_rss_mb``).  Cold build at
     DexBench's sizes: peak traced memory within 4x the returned bytes plus
     16 MiB of block scratch (R-MAT once drew 120 MB for an 8 MB graph)."""
-    import scipy.special  # noqa: F401  (a one-off import is not scratch)
-
     tracemalloc.start()
     try:
         value = build()
@@ -211,15 +212,37 @@ def test_building_an_input_costs_scratch_of_the_order_of_its_size(build):
 
 
 def test_every_third_party_import_is_a_declared_dependency():
-    # BLK imported scipy for years while pyproject declared numpy alone
-    declared = re.search(r'^dependencies = \[(.*)\]$',
-                         (REPO / "pyproject.toml").read_text(), re.M).group(1)
+    # BLK imported scipy for years while pyproject declared numpy alone;
+    # now scipy is only the test oracle of BLK's erf kernel
+    pyproject = (REPO / "pyproject.toml").read_text()
+
+    def declared(key):
+        listed = re.search(rf'^{key} = \[(.*)\]$', pyproject, re.M).group(1)
+        return set(re.findall(r'"(\w+)', listed))
+
     imported = set()
     for path in (REPO / "src").rglob("*.py"):
         imported |= set(re.findall(
             r"^\s*(?:from|import) (numpy|scipy)\b", path.read_text(), re.M))
-    assert imported == {"numpy", "scipy"}
-    assert imported <= set(re.findall(r'"(\w+)', declared))
+    assert imported == declared("dependencies") == {"numpy"}
+    assert "scipy" in declared("test")
+
+
+def test_a_blk_run_and_a_blk_serve_run_load_no_scipy():
+    script = "\n".join((
+        "import sys",
+        "from repro.apps import blackscholes",
+        "from repro.serve import ArrivalCurve, ServeManager, TenantSpec",
+        f"assert blackscholes.run(num_nodes=2, **{TINY['BLK']!r}).correct",
+        "ServeManager([TenantSpec('blk', 'blk',",
+        "    ArrivalCurve('constant', rate=4_000, requests=40), nodes=(0, 1),",
+        "    items=4_096, request_items=256, seed=3)], num_nodes=2).run()",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    ))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

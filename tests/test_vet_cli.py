@@ -60,7 +60,8 @@ def test_list_rules(capsys):
     assert "lens-sink-discipline" in names
     assert "serve-discipline" in names
     assert "gc-discipline" in names
-    assert len(names) == 16
+    assert "third-party-layering" in names
+    assert len(names) == 17
 
 
 def test_rule_subset(capsys):

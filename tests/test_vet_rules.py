@@ -118,6 +118,13 @@ CORPUS = {
         (29, "serve-discipline", "AdmissionDecision minted"),
         (33, "serve-discipline", "queue-private"),
     ],
+    # the function-level numpy.random import stays quiet
+    "vet/fixture_third_party.py": [
+        (5, "third-party-layering", "import of 'numpy'"),
+        (6, "third-party-layering", "'scipy.special': scipy is a test oracle"),
+        (15, "third-party-layering", "'scipy.stats'"),
+        (16, "third-party-layering", "elsewhere a function-level numpy.random"),
+    ],
     "vet/fixture_unpaired_request.py": [
         (25, "reply-pairing", "MsgType.FETCH_HINT is awaited via .request()"),
     ],
@@ -156,7 +163,7 @@ def test_every_rule_is_tripped_by_a_fixture():
 
 def test_registry_contains_all_rules():
     assert ALL_RULES == tuple(REGISTRY)
-    assert len(ALL_RULES) == 16
+    assert len(ALL_RULES) == 17
 
 
 def test_clean_fixtures_zero_false_positives():
@@ -222,7 +229,7 @@ def test_whole_corpus_scan_detects_every_seeded_bug():
         "dropped-wait", "orphan-message-type", "handler-totality",
         "reply-pairing", "inject-coverage", "chaos-reachability",
         "lens-sink-discipline", "metric-discipline",
-        "serve-discipline",
+        "serve-discipline", "third-party-layering",
     } <= fired
 
 
