@@ -195,7 +195,7 @@ def run(
         for name in FIELDS:
             yield from inputs[name].write(ctx, 0, getattr(batch, name))
         yield from ctx.write(flags.addr,
-                             batch.is_call.astype(np.uint8).tobytes())
+                             batch.is_call.view(np.uint8))
 
     def collect(ctx) -> Generator:
         parts = []

@@ -18,7 +18,6 @@ class FrameStore:
     def __init__(self, page_size: int = 4096):
         self.page_size = page_size
         self._frames: Dict[int, bytearray] = {}
-        self.pages_allocated = 0
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -33,7 +32,6 @@ class FrameStore:
         if frame is None:
             frame = bytearray(self.page_size)
             self._frames[vpn] = frame
-            self.pages_allocated += 1
         return frame
 
     def peek(self, vpn: int) -> Optional[bytearray]:
@@ -57,39 +55,24 @@ class FrameStore:
             del self._frames[vpn]
         return len(victims)
 
+    # The word accessors: an atomic update or a futex word lies in one
+    # page (bulk copies go page by page through FaultHandler._copy).
+
     def read(self, addr: int, length: int) -> bytes:
-        """Read *length* bytes starting at byte address *addr*, crossing
-        page boundaries as needed.  Pages never touched read as zeros."""
+        """The *length* bytes at byte address *addr*, within one page; a
+        page never touched reads as zeros."""
         vpn, offset = divmod(addr, self.page_size)
-        if offset + length <= self.page_size:
-            # hot path: the access fits in one page
-            frame = self._frames.get(vpn)
-            if frame is None:
-                return bytes(length)
-            return bytes(frame[offset : offset + length])
-        out = bytearray()
-        remaining = length
-        while remaining > 0:
-            vpn, offset = divmod(addr, self.page_size)
-            take = min(remaining, self.page_size - offset)
-            frame = self._frames.get(vpn)
-            if frame is None:
-                out.extend(b"\x00" * take)
-            else:
-                out.extend(frame[offset : offset + take])
-            addr += take
-            remaining -= take
-        return bytes(out)
+        if offset + length > self.page_size:
+            raise ValueError(f"read crosses a page boundary: {addr:#x}+{length}")
+        frame = self._frames.get(vpn)
+        if frame is None:
+            return bytes(length)
+        return bytes(frame[offset : offset + length])
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write *data* starting at byte address *addr*."""
+        """Write *data* at byte address *addr*, within one page."""
         vpn, offset = divmod(addr, self.page_size)
-        if offset + len(data) <= self.page_size:
-            self.frame(vpn)[offset : offset + len(data)] = data
-            return
-        pos = 0
-        while pos < len(data):
-            vpn, offset = divmod(addr + pos, self.page_size)
-            take = min(len(data) - pos, self.page_size - offset)
-            self.frame(vpn)[offset : offset + take] = data[pos : pos + take]
-            pos += take
+        if offset + len(data) > self.page_size:
+            raise ValueError(
+                f"write crosses a page boundary: {addr:#x}+{len(data)}")
+        self.frame(vpn)[offset : offset + len(data)] = data

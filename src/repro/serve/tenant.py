@@ -270,7 +270,7 @@ class Tenant:
                         ctx, 0, getattr(batch, name))
                 yield from ctx.write(
                     self._arrays["flags"].addr,
-                    batch.is_call.astype(np.uint8).tobytes())
+                    batch.is_call.view(np.uint8))
 
         self.cluster.simulate(setup, self.proc)
 

@@ -48,8 +48,8 @@ def _build_context(
     paths: Tuple[Path, ...], stamp: Tuple[tuple, ...], repo_mode: bool
 ) -> VetContext:
     modules, failures = load_paths(paths)
-    scans = [ModuleScan(m) for m in modules]
     callgraph = CallGraph(modules)
+    scans = [ModuleScan(m, callgraph) for m in modules]
     effects = infer_effects(callgraph)
     graph = MessageGraph(scans, callgraph)
     return VetContext(

@@ -69,18 +69,11 @@ def iter_own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _is_generator(fn: ast.AST) -> bool:
-    for node in iter_own_nodes(fn):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
 class FunctionInfo:
     """One function or method definition."""
 
     __slots__ = (
-        "name", "qualname", "module", "node", "lineno",
+        "name", "qualname", "module", "node", "lineno", "own",
         "is_generator", "called_names", "return_call_names",
     )
 
@@ -93,7 +86,10 @@ class FunctionInfo:
             else f"{module.rel}::{node.name}"
         )
         self.lineno = node.lineno
-        self.is_generator = _is_generator(node)
+        #: the body's nodes, nested definitions excluded: walked once
+        self.own: List[ast.AST] = list(iter_own_nodes(node))
+        self.is_generator = any(
+            isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in self.own)
         #: bare names of every call in this function's own body
         self.called_names: Set[str] = set()
         #: bare names called directly in a ``return f(...)`` statement —
@@ -109,7 +105,7 @@ class FunctionInfo:
                 return None
             return name
 
-        for sub in iter_own_nodes(node):
+        for sub in self.own:
             if isinstance(sub, ast.Call):
                 name = edge_name(sub)
                 if name is not None:
@@ -130,8 +126,12 @@ class CallGraph:
     def __init__(self, modules: List[ModuleInfo]):
         self.functions: List[FunctionInfo] = []
         self.by_name: Dict[str, List[FunctionInfo]] = {}
+        #: module -> its definitions, in source (depth-first) order
+        self.by_module: Dict[ModuleInfo, List[FunctionInfo]] = {}
         for module in modules:
+            start = len(self.functions)
             self._collect(module)
+            self.by_module[module] = self.functions[start:]
         for fn in self.functions:
             self.by_name.setdefault(fn.name, []).append(fn)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -29,15 +29,16 @@ class ModuleInfo:
 
     __slots__ = ("path", "tree", "rel", "parts")
 
-    def __init__(self, path: Path, tree: ast.Module, rel: str):
+    def __init__(self, path: Path, tree: ast.Module, under_root: Optional[Path]):
         self.path = path
         self.tree = tree
         #: display/graph name: posix path relative to the scan root when
-        #: the file lives under one (``core/protocol.py``), else the
-        #: path as given
-        self.rel = rel
-        #: directory parts, used by scoped rules (exemptions, slots scope)
-        self.parts = path.parts
+        #: the file lives under one (``core/protocol.py``), else its name
+        self.rel = under_root.as_posix() if under_root else path.name
+        #: the parts scoped rules read (exemptions, the packages a rule
+        #: covers): relative to the scan root, so where the checkout lives
+        #: does not matter; a file named on its own keeps the path as given
+        self.parts = (under_root or path).parts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModuleInfo {self.rel}>"
@@ -54,14 +55,14 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     return files
 
 
-def _relative_name(path: Path, roots: Sequence[Path]) -> str:
+def _under_root(path: Path, roots: Sequence[Path]) -> Optional[Path]:
     resolved = path.resolve()
     for root in roots:
         try:
-            return resolved.relative_to(root.resolve()).as_posix()
+            return resolved.relative_to(root.resolve())
         except ValueError:
             continue
-    return path.name
+    return None
 
 
 def load_paths(
@@ -79,7 +80,7 @@ def load_paths(
                 ParseFailure(str(path), err.lineno or 0, str(err.msg))
             )
             continue
-        modules.append(ModuleInfo(path, tree, _relative_name(path, roots)))
+        modules.append(ModuleInfo(path, tree, _under_root(path, roots)))
     return modules, failures
 
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.vet.callgraph import (
-    CallGraph, FunctionInfo, dotted_name, iter_own_nodes,
-)
+from repro.vet.callgraph import CallGraph, FunctionInfo
 from repro.vet.loader import ModuleInfo
 
 #: attribute-call names that put a message on the wire
@@ -115,10 +113,12 @@ class HandlerReg:
 class ModuleScan:
     """Everything one parsed module contributes to the analysis."""
 
-    def __init__(self, module: ModuleInfo):
+    def __init__(self, module: ModuleInfo, callgraph: CallGraph):
         self.module = module
         self.path = module.path
         self.tree = module.tree
+        #: the module's one walk, shared by every per-file rule
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
         #: MsgType members defined here: name -> line
         self.msgtype_members: Dict[str, int] = {}
         #: ``TIMEOUT_CLASSES = {...}`` / ``CONTROL_SIZES = {...}`` defined
@@ -131,12 +131,13 @@ class ModuleScan:
         #: function qualname -> set of reply members it builds
         self.reply_producers: Dict[str, Set[str]] = {}
         self._collect()
-        self._collect_functions()
+        for fn in callgraph.by_module[module]:
+            self._scan_function(fn)
 
     # -- module-level collection ----------------------------------------
 
     def _collect(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 target = node.target if isinstance(node, ast.AnnAssign) else (
                     node.targets[0] if len(node.targets) == 1 else None
@@ -199,26 +200,11 @@ class ModuleScan:
 
     # -- per-function collection ----------------------------------------
 
-    def _collect_functions(self) -> None:
-        self._walk_scope(self.tree, "")
-
-    def _walk_scope(self, node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{owner}.{child.name}" if owner else child.name
-                self._scan_function(child, inner)
-                self._walk_scope(child, inner)
-            elif isinstance(child, ast.ClassDef):
-                inner = f"{owner}.{child.name}" if owner else child.name
-                self._walk_scope(child, inner)
-            else:
-                self._walk_scope(child, owner)
-
-    def _scan_function(self, fn: ast.AST, qual: str) -> None:
-        qualname = f"{self.module.rel}::{qual}"
+    def _scan_function(self, fn: FunctionInfo) -> None:
+        qualname = fn.qualname
         # own body only: nested defs get their own _scan_function visit,
         # so walking into them here would double-count their send sites
-        own = list(iter_own_nodes(fn))
+        own = fn.own
         # function-local `msg = Message(MsgType.X, ...)` bindings
         bindings: Dict[str, Tuple[str, bool]] = {}
         for node in own:

@@ -1,9 +1,11 @@
 """DexVet's rules: one registry, every rule a function of one context.
 
 A rule maps the shared :class:`VetContext` (parsed modules and their
-scans, call graph, effect table, message graph) to a list of
-:class:`Violation`; ``@rule(name)`` registers it and the CLI selects
-from :data:`REGISTRY`.  A finding is fixed, never suppressed.
+scans, call graph, effect table, message graph) to its findings, each a
+``(path, line, message)``; ``@rule(name)`` registers it under the name
+:func:`run_rules` stamps on every :class:`Violation`, and the CLI selects
+from :data:`REGISTRY`.  A per-file rule reads ``scan.nodes``, the one walk
+of its module.  A finding is fixed, never suppressed.
 
 Message-type facts come from the message graph only:
 
@@ -11,51 +13,59 @@ Message-type facts come from the message graph only:
   must have a handler *registered* somewhere, or dispatch raises on
   delivery.
 * ``orphan-message-type`` — a member that is never sent, posted,
-  requested, or produced as a reply is dead protocol surface from the
-  send side.
+  requested, or produced as a reply is dead protocol surface.
 * ``reply-pairing`` — a type awaited via ``.request(...)`` must have a
   reply (``make_reply``) reachable from its handlers, or the requester
   waits forever.
 * ``chaos-reachability`` — every message type needs a ``CONTROL_SIZES``
-  entry (or fault injection cannot size/target its frames), and
-  fabric-internal delivery helpers (``_send_impl``, or constructing a
-  ``_Flight``) may not be used from outside the fabric, or the chaos
-  hooks are bypassed.
+  entry, and fabric-internal delivery helpers (``_send_impl``,
+  ``_Flight``) are not used from outside the fabric, or the chaos hooks
+  are bypassed.
 * ``retry-discipline`` — a type awaited via ``.request(...)`` declares
-  a ``TIMEOUT_CLASSES`` entry, and nobody hand-rolls exponential
-  backoff.
+  a ``TIMEOUT_CLASSES`` entry, and nobody hand-rolls exponential backoff.
 
 The rest read the call graph, the effect table or one file at a time:
 
-* ``dropped-wait`` — effect inference: a call to a blocking (generator)
-  function whose result is discarded builds the generator and never
-  drives it, so the simulated wait silently does not happen.
-* ``inject-coverage`` — cross-node sends must pass through a fabric
-  frontend that stamps trace context (``Tracer.inject``); direct
-  ``.dispatch(...)`` outside the ``net`` layer bypasses it.
-* ``yield-discipline``, ``lens-sink-discipline``, ``metric-discipline``
-  and ``serve-discipline`` — see each rule's docstring.
-* ``directory-encapsulation`` — only ``core/directory.py`` may touch the
+* ``dropped-wait`` — a call to a blocking (generator) function whose
+  result is discarded never drives it: the simulated wait never happens.
+* ``inject-coverage`` — cross-node sends pass through a fabric frontend
+  that stamps trace context; no direct ``.dispatch(...)`` outside ``net``.
+* ``yield-discipline`` — a process yields a delay or a waitable; a
+  ``timeout`` call is only for a deadline raced by ``any_of`` or joined
+  by ``all_of``; and ``sim/``, ``core/``, ``net/`` and ``runtime/`` define
+  no Python-level ``__next__`` awaiter.
+* ``lens-sink-discipline`` — observers attach through ``add_hook``, phase
+  labels come from ``PathPhase``, and outside ``obs/`` and ``check/`` a
+  site never guards on an observer (``sanitizer``, ``deadlocks``,
+  ``detector``, ``scope``) being None.
+* ``metric-discipline`` and ``serve-discipline`` — see each docstring.
+* ``directory-encapsulation`` — only ``core/directory.py`` touches the
   directory backends' storage internals.
-* ``sim-nondeterminism`` — no wall clocks, OS entropy, or unseeded RNG
-  inside simulation code; determinism per seed is load-bearing.
+* ``sim-nondeterminism`` — no wall clocks, OS entropy or unseeded RNG in
+  simulation code, and no interpreter-global state in ``sim/``, ``net/``
+  and ``core/`` (a module-level empty container, an ``itertools.count``
+  not held by ``self.``): determinism per seed is load-bearing.
 * ``gc-discipline`` — the program never runs or switches Python's cyclic
-  collector: a finished run frees itself by reference counting, and the
-  collector's state belongs to the host.
+  collector: a finished run frees itself by reference counting.
 * ``third-party-layering`` — no scipy import; numpy at module level only in
   ``apps/``, ``serve/`` and ``runtime/array.py``, elsewhere ``numpy.random``.
-* ``span-discipline`` — spans open in a ``with`` (``engine.span`` is the
-  seam, and the tracer's explicit open/close pair is the fabric's alone);
-  trace ids cross processes only through the Message header fields.
+* ``distance-kernel`` — no ``sum`` over axis 2: k-means distances have one
+  kernel, ``repro.apps.kmeans.sq_dist``.
+* ``span-discipline`` — spans open in a ``with`` (the tracer's explicit
+  open/close pair is the fabric's alone); trace ids cross processes only
+  in the Message header fields; the retired seam (``maybe_span``,
+  ``NULL_SPAN``, ``proc.obs``) stays gone; and of ``sim/``, ``core/``,
+  ``net/`` and ``chaos/`` only ``core/cluster.py`` imports
+  ``repro.obs.tracing``.
 * ``slots-discipline`` — engine-core classes declare ``__slots__``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set
+import re
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.vet.callgraph import (
     CallGraph, FunctionInfo, call_name, dotted_name, iter_own_nodes,
@@ -76,37 +86,25 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+@dataclass
 class VetContext:
     """Everything the rules share: one parse, one graph, one effect table.
     Read-only once built, so a rule's findings are kept with it."""
 
-    __slots__ = (
-        "modules", "failures", "scans", "callgraph", "effects",
-        "graph", "repo_mode", "findings",
-    )
-
-    def __init__(
-        self,
-        modules: List[ModuleInfo],
-        failures: List[ParseFailure],
-        scans: List[ModuleScan],
-        callgraph: CallGraph,
-        effects: Dict[FunctionInfo, str],
-        graph: MessageGraph,
-        repo_mode: bool,
-    ):
-        self.modules = modules
-        self.failures = failures
-        self.scans = scans
-        self.callgraph = callgraph
-        self.effects = effects
-        self.graph = graph
-        self.repo_mode = repo_mode
-        #: rule name -> its violations, filled by :func:`run_rules`
-        self.findings: Dict[str, List[Violation]] = {}
+    modules: List[ModuleInfo]
+    failures: List[ParseFailure]
+    scans: List[ModuleScan]
+    callgraph: CallGraph
+    effects: Dict[FunctionInfo, str]
+    graph: MessageGraph
+    repo_mode: bool
+    #: rule name -> its violations, filled by :func:`run_rules`
+    findings: Dict[str, List[Violation]] = field(default_factory=dict)
 
 
-RuleFn = Callable[[VetContext], List[Violation]]
+#: one finding: the file, the line, and why
+Finding = Tuple[object, int, str]
+RuleFn = Callable[[VetContext], Iterable[Finding]]
 
 #: name -> rule function, in registration order
 REGISTRY: Dict[str, RuleFn] = {}
@@ -133,10 +131,43 @@ def run_rules(
         if name not in ctx.findings:
             if name not in REGISTRY:
                 raise ValueError(f"unknown rule: {name!r}")
-            ctx.findings[name] = REGISTRY[name](ctx)
+            ctx.findings[name] = [
+                Violation(name, str(path), line, message)
+                for path, line, message in REGISTRY[name](ctx)
+            ]
         violations.extend(ctx.findings[name])
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return violations
+
+
+def _under(module: ModuleInfo, *dirs: str) -> bool:
+    """Does *module* lie in a directory named one of *dirs*?"""
+    return any(part in dirs for part in module.parts[:-1])
+
+
+def _spelled(node: ast.AST) -> Optional[str]:
+    """The identifier *node* spells — a name, an attribute's tail, an
+    imported name, a definition or a parameter — else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.arg):
+        return node.arg
+    return None
+
+
+def _targets(node: ast.AST) -> List[ast.expr]:
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
+def _is_self_attr(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+        and node.value.id == "self"
 
 
 # ---------------------------------------------------------------------------
@@ -144,43 +175,26 @@ def run_rules(
 
 
 @rule("handler-totality")
-def _check_handler_totality(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_handler_totality(ctx: VetContext) -> Iterable[Finding]:
     for name in sorted(ctx.graph.nodes):
         node = ctx.graph.nodes[name]
         sends = node.one_way_sends
         if sends and not node.handler_regs:
             site = min(sends, key=lambda s: (s.module.rel, s.line))
-            violations.append(Violation(
-                rule="handler-totality",
-                path=str(site.module.path),
-                line=site.line,
-                message=(
-                    f"MsgType.{name} is sent via .{site.via}() but no "
-                    f"handler is registered on any Router — delivery "
-                    f"raises at dispatch"
-                ),
-            ))
-    return violations
+            yield site.module.path, site.line, (
+                f"MsgType.{name} is sent via .{site.via}() but no handler is "
+                f"registered on any Router — delivery raises at dispatch")
 
 
 @rule("orphan-message-type")
-def _check_orphan_message_types(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_orphan_message_types(ctx: VetContext) -> Iterable[Finding]:
     for name in sorted(ctx.graph.nodes):
         node = ctx.graph.nodes[name]
         if not node.send_sites and not node.is_reply_type:
-            violations.append(Violation(
-                rule="orphan-message-type",
-                path=_defining_path(ctx, node.defined_in),
-                line=node.defined_line,
-                message=(
-                    f"MsgType.{name} is never sent, posted, requested, or "
-                    f"produced as a reply — dead protocol surface on the "
-                    f"send side (wire it or delete it)"
-                ),
-            ))
-    return violations
+            yield _defining_path(ctx, node.defined_in), node.defined_line, (
+                f"MsgType.{name} is never sent, posted, requested, or "
+                f"produced as a reply — dead protocol surface on the "
+                f"send side (wire it or delete it)")
 
 
 def _defining_path(ctx: VetContext, rel: str) -> str:
@@ -191,191 +205,169 @@ def _defining_path(ctx: VetContext, rel: str) -> str:
 
 
 @rule("reply-pairing")
-def _check_reply_pairing(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_reply_pairing(ctx: VetContext) -> Iterable[Finding]:
     for name in sorted(ctx.graph.nodes):
         node = ctx.graph.nodes[name]
-        if not node.is_requested:
+        if not node.is_requested or node.replies:
             continue
-        if node.replies:
-            continue
-        site = min(
-            (s for s in node.send_sites if s.via == "request"),
-            key=lambda s: (s.module.rel, s.line),
-        )
-        if not node.handler_fns:
+        site = min((s for s in node.send_sites if s.via == "request"),
+                   key=lambda s: (s.module.rel, s.line))
+        if node.handler_fns:
+            detail = "no make_reply is reachable from its handlers"
+        elif node.handler_regs:
             detail = "its registered handler resolves to no known function"
-            if not node.handler_regs:
-                detail = "it has no registered handler at all"
-            message = (
-                f"MsgType.{name} is awaited via .request() but {detail} — "
-                f"the requester would wait forever"
-            )
         else:
-            message = (
-                f"MsgType.{name} is awaited via .request() but no "
-                f"make_reply is reachable from its handlers — the "
-                f"requester would wait forever"
-            )
-        violations.append(Violation(
-            rule="reply-pairing",
-            path=str(site.module.path),
-            line=site.line,
-            message=message,
-        ))
-    return violations
-
-
-#: call names sanctioned to *consume* a generator: the engine spawners
-#: drive it as a process, carry() adopts it for tracing
-SPAWNER_NAMES = frozenset({"process", "run_process", "all_of", "any_of", "carry"})
+            detail = "it has no registered handler at all"
+        yield site.module.path, site.line, (
+            f"MsgType.{name} is awaited via .request() but {detail} — "
+            f"the requester would wait forever")
 
 
 @rule("dropped-wait")
-def _check_dropped_wait(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_dropped_wait(ctx: VetContext) -> Iterable[Finding]:
     for fn in ctx.callgraph.functions:
-        own = list(iter_own_nodes(fn.node))
-        loads: Set[str] = {
-            n.id for n in own
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        for node in own:
+        loads: Set[str] = {n.id for n in fn.own if isinstance(n, ast.Name)
+                           and isinstance(n.ctx, ast.Load)}
+        for node in fn.own:
             call = getattr(node, "value", None)
             if not isinstance(call, ast.Call):
                 continue
             name = call_name(call)
             if isinstance(node, ast.Expr):
-                why = (
-                    f"call to blocking '{name}(...)' as a bare "
-                    f"statement: the generator is built and "
-                    f"dropped, the simulated wait never happens — "
-                    f"drive it with 'yield from' or spawn it via "
-                    f"engine.process(...)"
-                )
+                why = (f"call to blocking '{name}(...)' as a bare statement: "
+                       f"the generator is built and dropped, the simulated "
+                       f"wait never happens — drive it with 'yield from' or "
+                       f"spawn it via engine.process(...)")
             elif isinstance(node, ast.Yield):
-                why = (
-                    f"'yield {name}(...)' hands the engine a "
-                    f"generator, not a waitable — use "
-                    f"'yield from {name}(...)'"
-                )
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id not in loads
-            ):
-                why = (
-                    f"result of blocking '{name}(...)' bound to "
-                    f"'{node.targets[0].id}' but never driven — the "
-                    f"simulated wait never happens"
-                )
+                why = (f"'yield {name}(...)' hands the engine a generator, "
+                       f"not a waitable — use 'yield from {name}(...)'")
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name) \
+                    and node.targets[0].id not in loads:
+                why = (f"result of blocking '{name}(...)' bound to "
+                       f"'{node.targets[0].id}' but never driven — the "
+                       f"simulated wait never happens")
             else:
                 continue
             if call_effect(ctx.callgraph, ctx.effects, call) is BLOCKING:
-                violations.append(Violation(
-                    "dropped-wait", str(fn.module.path), call.lineno, why))
-    return violations
+                yield fn.module.path, call.lineno, why
+
+
+#: the engine-core packages: a sleep is spelled one way there even
+#: outside repo mode, and a waitable is never a Python-level iterator
+_ENGINE_CORE = ("sim", "core", "net", "runtime")
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _is_timeout(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "timeout"
+
+
+def _raced_timeouts(scan: ModuleScan) -> Set[int]:
+    """The ids of the nodes a scope races or joins: inside the arguments
+    of an ``any_of``/``all_of`` call, or a value bound to a name that is."""
+    raced: Set[int] = set()
+    for scope in [scan.tree, *(n for n in scan.nodes if isinstance(n, _SCOPE_NODES))]:
+        own = list(iter_own_nodes(scope))
+        names: Set[str] = set()
+        for node in own:
+            if isinstance(node, ast.Call) and call_name(node) in ("any_of", "all_of"):
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                    for sub in ast.walk(arg):
+                        raced.add(id(sub))
+                        if isinstance(sub, ast.Name):
+                            names.add(sub.id)
+        raced.update(id(node.value) for node in own if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id in names
+                             for t in node.targets))
+    return raced
 
 
 @rule("yield-discipline")
-def _check_yield_discipline(ctx: VetContext) -> List[Violation]:
+def _check_yield_discipline(ctx: VetContext) -> Iterable[Finding]:
     """A generator process yields a delay in microseconds (a private sleep)
     or a waitable; a constant that is neither — nothing, None, a string, a
-    negative number — fails the process at run time.  In ``src/`` (repo
-    mode) a sleep has one spelling, so an inline one-argument
-    ``yield x.timeout(d)`` is a finding too.  Names, attributes and
-    arithmetic are taken on trust."""
-    violations: List[Violation] = []
+    negative number — fails the process at run time.  Names, attributes
+    and arithmetic are taken on trust.  In ``src/`` (repo mode) and in
+    the engine-core packages a sleep has one spelling: a ``timeout`` call
+    is a finding unless it is an ``any_of``/``all_of`` argument or bound to
+    a name that is one.  And the engine-core packages define no
+    ``__next__`` (by ``def`` or by binding): a Python-level awaiter plus
+    its StopIteration costs 2.4-5.7x a plain generator."""
     not_waitable = ("generator processes may only yield a delay in "
                     "microseconds >= 0 or a waitable (Event/Timeout/Process)")
     for scan in ctx.scans:
-        for node in ast.walk(scan.tree):
-            if not isinstance(node, ast.Yield):
-                continue
-            value, why = node.value, not_waitable
-            negated = isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub)
-            constant = value.operand if negated else value
-            if value is None:
-                shown = "bare yield"
-            elif isinstance(constant, ast.Constant) and (
-                negated or type(constant.value) not in (int, float)
-            ):
-                shown = f"yield {'-' * negated}{constant.value!r}"
-            elif (
-                ctx.repo_mode
-                and isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "timeout"
-                and len(value.args) == 1
-                and not value.keywords
-            ):
-                shown = f"yield {'.'.join(dotted_name(value.func)) or '<expr>.timeout'}(...)"
-                why = ("a private sleep spelled the old way — yield the delay "
-                       "itself; a Timeout is for a deadline that is raced, "
-                       "joined or cancelled")
-            else:
-                continue
-            violations.append(Violation(
-                "yield-discipline", str(scan.path), node.lineno, f"{shown}: {why}"))
-    return violations
+        core = _under(scan.module, *_ENGINE_CORE)
+        raced: Optional[Set[int]] = None
+        if (ctx.repo_mode or core) and any(map(_is_timeout, scan.nodes)):
+            raced = _raced_timeouts(scan)
+        yielded: Set[int] = set()
+        for node in scan.nodes:
+            if isinstance(node, ast.Yield):
+                value = node.value
+                negated = isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub)
+                constant = value.operand if negated else value
+                if value is None:
+                    shown = "bare yield"
+                elif isinstance(constant, ast.Constant) and (
+                        negated or type(constant.value) not in (int, float)):
+                    shown = f"yield {'-' * negated}{constant.value!r}"
+                else:
+                    if _is_timeout(value) and len(value.args) == 1 \
+                            and not value.keywords:
+                        yielded.add(id(value))
+                    continue
+                yield scan.path, node.lineno, f"{shown}: {not_waitable}"
+            elif raced is not None and _is_timeout(node) and id(node) not in raced:
+                shown = '.'.join(dotted_name(node.func)) or '<expr>.timeout'
+                if id(node) in yielded:
+                    why = (f"yield {shown}(...): a private sleep spelled the "
+                           f"old way — yield the delay itself")
+                else:
+                    why = f"'{shown}(...)' outside any_of/all_of"
+                yield scan.path, node.lineno, (
+                    f"{why}; a Timeout is for a deadline that is raced "
+                    f"(any_of) or joined (all_of)")
+            elif core and (isinstance(node, ast.FunctionDef) or isinstance(
+                    node, ast.Name) and isinstance(node.ctx, ast.Store)) \
+                    and _spelled(node) == "__next__":
+                yield scan.path, node.lineno, (
+                    "'__next__' in an engine-core package: a Python-level "
+                    "awaiter costs 2.4-5.7x a generator — a fast path returns "
+                    "a generator")
 
 
 @rule("inject-coverage")
-def _check_inject_coverage(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
-    # (a) direct dispatch outside the net layer bypasses trace stamping
-    #     and the chaos delivery hooks
+def _check_inject_coverage(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
-        if "net" in scan.module.parts:
-            continue
-        for node in ast.walk(scan.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dispatch"
-            ):
-                violations.append(Violation(
-                    rule="inject-coverage",
-                    path=str(scan.path),
-                    line=node.lineno,
-                    message=(
+        # (a) direct dispatch outside the net layer bypasses trace
+        #     stamping and the chaos delivery hooks
+        if "net" not in scan.module.parts:
+            for node in scan.nodes:
+                if isinstance(node, ast.Call) and isinstance(
+                        node.func, ast.Attribute) and node.func.attr == "dispatch":
+                    yield scan.path, node.lineno, (
                         "direct '.dispatch(...)' outside the net layer "
                         "bypasses Tracer.inject and the chaos delivery "
-                        "hooks — go through send/post/request"
-                    ),
-                ))
-    # (b) a fabric frontend (class with both send and _send_impl) must
-    #     stamp trace context before handing off
-    for scan in ctx.scans:
-        for cls in ast.walk(scan.tree):
+                        "hooks — go through send/post/request")
+        # (b) a fabric frontend (class with both send and _send_impl) must
+        #     stamp trace context before handing off
+        for cls in scan.nodes:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            defs = {
-                stmt.name: stmt for stmt in cls.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
+            defs = {stmt.name: stmt for stmt in cls.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
             if "send" not in defs or "_send_impl" not in defs:
                 continue
-            send_def = defs["send"]
-            injects = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "inject"
-                for node in ast.walk(send_def)
-            )
-            if not injects:
-                violations.append(Violation(
-                    rule="inject-coverage",
-                    path=str(scan.path),
-                    line=send_def.lineno,
-                    message=(
-                        f"{cls.name}.send has no Tracer.inject call — "
-                        f"cross-node messages leave without trace context "
-                        f"and spans cannot be stitched across nodes"
-                    ),
-                ))
-    return violations
+            if not any(isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr == "inject"
+                    for node in ast.walk(defs["send"])):
+                yield scan.path, defs["send"].lineno, (
+                    f"{cls.name}.send has no Tracer.inject call — "
+                    f"cross-node messages leave without trace context "
+                    f"and spans cannot be stitched across nodes")
 
 
 #: fabric-internal delivery helpers (functions, and the class whose
@@ -385,19 +377,15 @@ _FABRIC_INTERNALS = frozenset({"_send_impl", "_Flight"})
 
 
 @rule("chaos-reachability")
-def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_chaos_reachability(ctx: VetContext) -> Iterable[Finding]:
     # (a) CONTROL_SIZES totality, when the table is in scope
     if "CONTROL_SIZES" in ctx.graph.tables:
         for name, node in ctx.graph.nodes.items():
             if not node.has_control_size:
-                violations.append(Violation(
-                    "chaos-reachability",
-                    _defining_path(ctx, node.defined_in), node.defined_line,
+                yield _defining_path(ctx, node.defined_in), node.defined_line, (
                     f"MsgType.{name} has no CONTROL_SIZES entry — the "
                     f"fabric cannot size its frames and fault injection "
-                    f"cannot target it",
-                ))
+                    f"cannot target it")
     # (b) fabric internals called from outside their defining module
     defining: Dict[str, Set[str]] = {}
     for fn in ctx.callgraph.functions:
@@ -407,28 +395,18 @@ def _check_chaos_reachability(ctx: VetContext) -> List[Violation]:
         for node in scan.tree.body:  # module-level classes
             if isinstance(node, ast.ClassDef) and node.name in _FABRIC_INTERNALS:
                 defining.setdefault(node.name, set()).add(scan.module.rel)
-    if defining:
-        for scan in ctx.scans:
-            for node in ast.walk(scan.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                # attribute tail or bare name: the flight can be imported
-                # and constructed without going through an object
-                name = call_name(node)
-                if name not in defining or scan.module.rel in defining[name]:
-                    continue
-                violations.append(Violation(
-                    rule="chaos-reachability",
-                    path=str(scan.path),
-                    line=node.lineno,
-                    message=(
-                        f"call to fabric-internal "
-                        f"'{name}(...)' from outside the fabric "
-                        f"bypasses the chaos on_send/on_deliver hooks — "
-                        f"go through send/post/request"
-                    ),
-                ))
-    return violations
+    if not defining:
+        return
+    for scan in ctx.scans:
+        for node in scan.nodes:
+            # attribute tail or bare name: the flight can be imported and
+            # constructed without going through an object
+            name = call_name(node) if isinstance(node, ast.Call) else None
+            if name in defining and scan.module.rel not in defining[name]:
+                yield scan.path, node.lineno, (
+                    f"call to fabric-internal '{name}(...)' from outside the "
+                    f"fabric bypasses the chaos on_send/on_deliver hooks — "
+                    f"go through send/post/request")
 
 
 _LIST_MUTATORS = frozenset({"append", "extend", "insert", "remove", "clear"})
@@ -442,76 +420,83 @@ def _probe_list(node: ast.AST) -> Optional[str]:
         if isinstance(node, ast.Attribute) and node.attr == "hooks":
             return ".hooks[...]"
     elif isinstance(node, ast.Attribute) and (
-        node.attr == "observers" or node.attr.startswith("_on_")
-    ):
+            node.attr == "observers" or node.attr.startswith("_on_")):
         return "." + node.attr
     return None
 
 
+def _mutated_probe_list(node: ast.AST) -> Optional[str]:
+    """The probe list *node* mutates, if any; binding a held list
+    (``self._on_x = hooks[...]``) is how a site starts, not a mutation."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in _LIST_MUTATORS:
+        return _probe_list(node.func.value)
+    touched = None
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        for target in _targets(node):
+            spelled = _probe_list(target)
+            if spelled and not spelled.startswith("._on_"):
+                touched = spelled
+    return touched
+
+
+#: who watches a run; a site names the probe it fires, never one of these
+_OBSERVER_NAMES = ("sanitizer", "deadlocks", "detector", "scope")
+#: the two modules sanctioned to guard on one: the cluster's close() and
+#: the serve manager's scope attach
+_OBSERVER_GUARD_SITES = (("core", "cluster.py"), ("serve", "manager.py"))
+
+
+def _observer_guard(node: ast.Compare) -> Optional[str]:
+    """The observer *node* asks about (``x.sanitizer is None``), if any."""
+    for left, op, right in zip([node.left, *node.comparators], node.ops,
+                               node.comparators):
+        named = _spelled(left) if isinstance(left, (ast.Name, ast.Attribute)) else None
+        if named and named.endswith(_OBSERVER_NAMES) and isinstance(
+                op, (ast.Is, ast.IsNot)) and isinstance(right, ast.Constant) \
+                and right.value is None:
+            return named
+    return None
+
+
 @rule("lens-sink-discipline")
-def _check_lens_sink_discipline(ctx: VetContext) -> List[Violation]:
+def _check_lens_sink_discipline(ctx: VetContext) -> Iterable[Finding]:
     """Observers and DexLens consumers: (a) whoever watches a run hooks in
     via add_hook only — the registry's add (sim/engine.py) is the one place
     a probe list grows, so a list a site holds is never stale or reordered;
     (b) critical-path phase labels come from the PathPhase enum
-    (repro.obs.export), never re-spelled as string literals."""
-    violations: List[Violation] = []
+    (repro.obs.export), never re-spelled as string literals; (c) outside
+    obs/ and check/ a site does not ask whether an observer is attached
+    (``x.sanitizer is None``): it fires its probe, and the observers bound
+    to it run."""
     for scan in ctx.scans:
         owns_lists = scan.module.rel.endswith("sim/engine.py")
-        for node in ast.walk(scan.tree):
-            if not isinstance(node, (ast.Call, ast.Assign, ast.AugAssign)):
+        guards = not _under(scan.module, "obs", "check") and \
+            scan.module.parts[-2:] not in _OBSERVER_GUARD_SITES
+        for node in scan.nodes:
+            if isinstance(node, ast.Compare):
+                named = _observer_guard(node) if guards else None
+                if named:
+                    yield scan.path, node.lineno, (
+                        f"guard on observer '{named}' — a site fires its "
+                        f"probe and never asks who watches (only obs/, "
+                        f"check/, core/cluster.py and serve/manager.py do)")
                 continue
             # (a) direct mutation of a probe list
-            if not owns_lists:
-                touched: Optional[str] = None
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _LIST_MUTATORS
-                ):
-                    touched = _probe_list(node.func.value)
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        spelled = _probe_list(target)
-                        # (binding a held list, `self._on_x = hooks[...]`,
-                        # is how a site starts)
-                        if spelled and not spelled.startswith("._on_"):
-                            touched = spelled
-                if touched is not None:
-                    violations.append(Violation(
-                        rule="lens-sink-discipline",
-                        path=str(scan.path),
-                        line=node.lineno,
-                        message=(
-                            f"direct mutation of probe list '{touched}' — "
-                            f"observers register via add_hook(...) only"
-                        ),
-                    ))
+            touched = None if owns_lists else _mutated_probe_list(node)
+            if touched is not None:
+                yield scan.path, node.lineno, (
+                    f"direct mutation of probe list '{touched}' — "
+                    f"observers register via add_hook(...) only")
             # (b) phase labels spelled as string literals
-            if isinstance(node, ast.Call):
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "phase"
-                        and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)
-                    ):
-                        violations.append(Violation(
-                            rule="lens-sink-discipline",
-                            path=str(scan.path),
-                            line=kw.value.lineno,
-                            message=(
-                                f"critical-path phase label "
-                                f"{kw.value.value!r} spelled as a string "
-                                f"literal — use the shared PathPhase enum "
-                                f"(repro.obs.export), e.g. "
-                                f"PathPhase.QUEUE.value"
-                            ),
-                        ))
-    return violations
+            for kw in node.keywords if isinstance(node, ast.Call) else ():
+                if kw.arg == "phase" and isinstance(kw.value, ast.Constant) \
+                        and isinstance(kw.value.value, str):
+                    yield scan.path, kw.value.lineno, (
+                        f"critical-path phase label {kw.value.value!r} "
+                        f"spelled as a string literal — use the shared "
+                        f"PathPhase enum (repro.obs.export), e.g. "
+                        f"PathPhase.QUEUE.value")
 
 
 # -- metric-discipline ---------------------------------------------------------
@@ -526,12 +511,11 @@ _STAT_DICT_NAMES = ("stats", "metrics", "counters")
 
 def _is_stat_dict_name(attr: str) -> bool:
     return attr in _STAT_DICT_NAMES or any(
-        attr.endswith("_" + name) for name in _STAT_DICT_NAMES
-    )
+        attr.endswith("_" + name) for name in _STAT_DICT_NAMES)
 
 
 @rule("metric-discipline")
-def _check_metric_discipline(ctx: VetContext) -> List[Violation]:
+def _check_metric_discipline(ctx: VetContext) -> Iterable[Finding]:
     """Metrics go through a MetricsRegistry, nowhere else.
 
     Outside the obs layer, (a) constructing ``Counter``/``Histogram``
@@ -542,77 +526,43 @@ def _check_metric_discipline(ctx: VetContext) -> List[Violation]:
     and the manifest/diff export all miss it.  Import-aware: only names
     actually imported from ``repro.obs.metrics`` count, so
     ``collections.Counter`` users stay clean."""
-    violations: List[Violation] = []
     for scan in ctx.scans:
         if "obs" in scan.module.parts:
             continue  # the metrics layer itself wires its own internals
         metric_aliases: Dict[str, str] = {}
         module_aliases: Set[str] = set()
-        for node in ast.walk(scan.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module in _METRIC_MODULES:
-                    for alias in node.names:
-                        if alias.name in _METRIC_CTORS:
-                            metric_aliases[alias.asname or alias.name] = alias.name
+        for node in scan.nodes:
+            if isinstance(node, ast.ImportFrom) and node.module in _METRIC_MODULES:
+                metric_aliases.update((alias.asname or alias.name, alias.name)
+                                      for alias in node.names
+                                      if alias.name in _METRIC_CTORS)
             elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in _METRIC_MODULES and alias.asname:
-                        module_aliases.add(alias.asname)
-        for node in ast.walk(scan.tree):
+                module_aliases.update(alias.asname for alias in node.names
+                                      if alias.name in _METRIC_MODULES and alias.asname)
+        for node in scan.nodes:
             if isinstance(node, ast.Call):
-                ctor: Optional[str] = None
-                if (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in metric_aliases
-                ):
-                    ctor = metric_aliases[node.func.id]
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _METRIC_CTORS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in module_aliases
-                ):
-                    ctor = node.func.attr
+                func, ctor = node.func, None
+                if isinstance(func, ast.Name) and func.id in metric_aliases:
+                    ctor = metric_aliases[func.id]
+                elif isinstance(func, ast.Attribute) and func.attr in _METRIC_CTORS \
+                        and isinstance(func.value, ast.Name) \
+                        and func.value.id in module_aliases:
+                    ctor = func.attr
                 if ctor is not None:
-                    violations.append(Violation(
-                        rule="metric-discipline",
-                        path=str(scan.path),
-                        line=node.lineno,
-                        message=(
-                            f"direct {ctor}(...) construction outside the "
-                            f"obs layer — register through a "
-                            f"MetricsRegistry family "
-                            f"(registry.{ctor.lower()}(name, ...)) so the "
-                            f"metric shares the snapshot/report path"
-                        ),
-                    ))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                value = node.value
-                if not isinstance(value, ast.Dict):
-                    continue
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and _is_stat_dict_name(target.attr)
-                    ):
-                        violations.append(Violation(
-                            rule="metric-discipline",
-                            path=str(scan.path),
-                            line=node.lineno,
-                            message=(
-                                f"ad-hoc stat dict 'self.{target.attr}' — "
-                                f"use MetricsRegistry counter/histogram "
-                                f"families instead of a hand-rolled dict "
-                                f"(typed, bounded, exported by manifests)"
-                            ),
-                        ))
-    return violations
+                    yield scan.path, node.lineno, (
+                        f"direct {ctor}(...) construction outside the obs "
+                        f"layer — register through a MetricsRegistry family "
+                        f"(registry.{ctor.lower()}(name, ...)) so the metric "
+                        f"shares the snapshot/report path")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(node.value, ast.Dict):
+                for target in _targets(node):
+                    if _is_self_attr(target) and _is_stat_dict_name(target.attr):
+                        yield scan.path, node.lineno, (
+                            f"ad-hoc stat dict 'self.{target.attr}' — use "
+                            f"MetricsRegistry counter/histogram families "
+                            f"instead of a hand-rolled dict (typed, bounded, "
+                            f"exported by manifests)")
 
 
 # -- serve-discipline ----------------------------------------------------------
@@ -630,16 +580,8 @@ _SERVE_DECISION_COUNTS = frozenset({
 })
 
 
-def _serve_queue_owner(rel: str) -> bool:
-    return rel.endswith("serve/queueing.py")
-
-
-def _serve_policy_layer(rel: str) -> bool:
-    return rel.endswith("serve/policy.py") or _serve_queue_owner(rel)
-
-
 @rule("serve-discipline")
-def _check_serve_discipline(ctx: VetContext) -> List[Violation]:
+def _check_serve_discipline(ctx: VetContext) -> Iterable[Finding]:
     """DexServe admission control flows through the policy interface and
     its accounting through the metrics registry, nowhere else.
 
@@ -653,98 +595,58 @@ def _check_serve_discipline(ctx: VetContext) -> List[Violation]:
     same name stay clean); (d) tallying decisions on ad-hoc ``self``
     attributes instead of registry counters hides them from the SLO
     report and the scope time-series."""
-    violations: List[Violation] = []
-
-    def flag(scan: ModuleScan, line: int, message: str) -> None:
-        violations.append(Violation(
-            rule="serve-discipline", path=str(scan.path),
-            line=line, message=message,
-        ))
-
     for scan in ctx.scans:
         rel = scan.module.rel
-        owns_queue = _serve_queue_owner(rel)
-        is_policy = _serve_policy_layer(rel)
+        owns_queue = rel.endswith("serve/queueing.py")
         mints_decisions = rel.endswith("serve/policy.py")
+        is_policy = owns_queue or mints_decisions
         serveish = "serve" in scan.module.parts
         decision_aliases: Set[str] = set()
-        for node in ast.walk(scan.tree):
-            if isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if (
+        for node in scan.nodes:
+            mod = (node.module or "") if isinstance(node, ast.ImportFrom) else None
+            if mod is not None and (
                     mod in ("repro.serve", "repro.serve.policy", "policy")
-                    or mod.endswith(".serve")
-                    or mod.endswith("serve.policy")
-                ):
-                    serveish = True
-                    for alias in node.names:
-                        if alias.name == "AdmissionDecision":
-                            decision_aliases.add(alias.asname or alias.name)
-        for node in ast.walk(scan.tree):
+                    or mod.endswith((".serve", "serve.policy"))):
+                serveish = True
+                decision_aliases.update(alias.asname or alias.name
+                                        for alias in node.names
+                                        if alias.name == "AdmissionDecision")
+        for node in scan.nodes:
             if isinstance(node, ast.Call):
                 func = node.func
-                if (
-                    not owns_queue
-                    and isinstance(func, ast.Attribute)
-                    and func.attr in _BACKLOG_MUTATORS
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "_backlog"
-                ):
-                    flag(scan, node.lineno, (
-                        f"direct '._backlog.{func.attr}(...)' outside "
-                        f"ServeQueue — admit through an AdmissionPolicy "
-                        f"(queue.commit_admit is the policy-only surface)"
-                    ))
-                elif (
-                    not is_policy
-                    and isinstance(func, ast.Attribute)
-                    and func.attr in _SERVE_QUEUE_API
-                ):
-                    flag(scan, node.lineno, (
-                        f"'.{func.attr}(...)' called outside the admission "
-                        f"policy layer — route the request through "
-                        f"AdmissionPolicy.decide(...) instead"
-                    ))
-                elif (
-                    not mints_decisions
-                    and isinstance(func, ast.Name)
-                    and func.id in decision_aliases
-                ):
-                    flag(scan, node.lineno, (
-                        "AdmissionDecision minted outside serve/policy.py "
-                        "— only policies may decide; return one from an "
-                        "AdmissionPolicy.decide(...) override"
-                    ))
+                attr = func.attr if isinstance(func, ast.Attribute) else None
+                if not owns_queue and attr in _BACKLOG_MUTATORS and isinstance(
+                        func.value, ast.Attribute) and func.value.attr == "_backlog":
+                    yield scan.path, node.lineno, (
+                        f"direct '._backlog.{attr}(...)' outside ServeQueue — "
+                        f"admit through an AdmissionPolicy (queue.commit_admit "
+                        f"is the policy-only surface)")
+                elif not is_policy and attr in _SERVE_QUEUE_API:
+                    yield scan.path, node.lineno, (
+                        f"'.{attr}(...)' called outside the admission policy "
+                        f"layer — route the request through "
+                        f"AdmissionPolicy.decide(...) instead")
+                elif not mints_decisions and isinstance(func, ast.Name) \
+                        and func.id in decision_aliases:
+                    yield scan.path, node.lineno, (
+                        "AdmissionDecision minted outside serve/policy.py — "
+                        "only policies may decide; return one from an "
+                        "AdmissionPolicy.decide(...) override")
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        not owns_queue
-                        and isinstance(target, ast.Attribute)
-                        and target.attr == "_backlog"
-                    ):
-                        flag(scan, node.lineno, (
-                            "assignment to '._backlog' outside ServeQueue "
-                            "— the backlog deque is queue-private"
-                        ))
-                    elif (
-                        serveish
-                        and isinstance(node, ast.AugAssign)
-                        and isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr in _SERVE_DECISION_COUNTS
-                    ):
-                        flag(scan, node.lineno, (
+                for target in _targets(node):
+                    if not owns_queue and isinstance(target, ast.Attribute) \
+                            and target.attr == "_backlog":
+                        yield scan.path, node.lineno, (
+                            "assignment to '._backlog' outside ServeQueue — "
+                            "the backlog deque is queue-private")
+                    elif serveish and isinstance(node, ast.AugAssign) \
+                            and _is_self_attr(target) \
+                            and target.attr in _SERVE_DECISION_COUNTS:
+                        yield scan.path, node.lineno, (
                             f"ad-hoc decision tally 'self.{target.attr}' — "
                             f"count admission outcomes through the "
-                            f"MetricsRegistry serve_*_total counters so "
-                            f"the SLO report and scope series see them"
-                        ))
-    return violations
+                            f"MetricsRegistry serve_*_total counters so the "
+                            f"SLO report and scope series see them")
 
 
 # -- directory-encapsulation, sim-nondeterminism, span- and slots-discipline --
@@ -754,21 +656,16 @@ _DIRECTORY_INTERNALS = frozenset({"directory_shard", "shard_map", "_lru"})
 
 
 @rule("directory-encapsulation")
-def _check_directory_encapsulation(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_directory_encapsulation(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
         if scan.path.name == "directory.py":
             continue
-        for node in ast.walk(scan.tree):
-            if isinstance(node, ast.Attribute) and \
-                    node.attr in _DIRECTORY_INTERNALS:
-                violations.append(Violation(
-                    "directory-encapsulation", str(scan.path), node.lineno,
+        for node in scan.nodes:
+            if isinstance(node, ast.Attribute) and node.attr in _DIRECTORY_INTERNALS:
+                yield scan.path, node.lineno, (
                     f"access to directory internal '.{node.attr}' outside "
                     f"core/directory.py; go through the CoherenceDirectory "
-                    f"interface",
-                ))
-    return violations
+                    f"interface")
 
 
 #: fully dotted call suffixes that read wall clocks or OS entropy
@@ -786,6 +683,12 @@ _SEEDED_RNG_CTORS = frozenset({"default_rng", "RandomState", "SeedSequence",
 #: directories exempt from the nondeterminism rule when vetting the repo:
 #: offline tooling that never runs inside a simulation
 _NONDETERMINISM_EXEMPT_PARTS = ("bench", "tools", "check", "vet")
+
+#: the packages whose ids and pools belong to a cluster, never to the
+#: interpreter: what outlives a cluster makes a run depend on what ran
+#: before it
+_CLUSTER_OWNED = ("sim", "net", "core")
+_EMPTY_CTORS = frozenset({"list", "dict", "set"})
 
 
 def _imported(node: ast.AST) -> List[str]:
@@ -823,18 +726,54 @@ def _nondeterminism_of(node: ast.AST) -> List[str]:
     return []
 
 
+def _global_state(scan: ModuleScan) -> Iterable[Finding]:
+    """Interpreter-global state: a module-level binding of an empty
+    container, and an ``itertools.count`` not held by a ``self.``
+    attribute (an id counter belongs to the object that owns the ids)."""
+    for stmt in scan.tree.body:
+        value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, ast.Call):
+            empty = not value.args and not value.keywords and \
+                isinstance(value.func, ast.Name) and value.func.id in _EMPTY_CTORS
+        else:
+            empty = isinstance(value, (ast.List, ast.Dict)) and \
+                not (value.elts if isinstance(value, ast.List) else value.keys)
+        if empty:
+            yield scan.path, stmt.lineno, (
+                f"module-level '{ast.unparse(stmt)}' outlives a cluster: a "
+                f"run would depend on what ran before it — keep it on a "
+                f"cluster-owned object")
+    counters: Set[Tuple[str, ...]] = set()
+    for node in scan.nodes:
+        if isinstance(node, ast.Import):
+            counters.update((a.asname or a.name, "count")
+                            for a in node.names if a.name == "itertools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            counters.update((a.asname or a.name,)
+                            for a in node.names if a.name == "count")
+    if not counters:
+        return
+    held = {id(node.value) for node in scan.nodes if isinstance(node, ast.Assign)
+            and all(map(_is_self_attr, node.targets))}
+    for node in scan.nodes:
+        if isinstance(node, ast.Call) and id(node) not in held \
+                and dotted_name(node.func) in counters:
+            yield scan.path, node.lineno, (
+                f"'{'.'.join(dotted_name(node.func))}(...)' not held by a "
+                f"'self.' attribute: ids belong to the object that owns them")
+
+
 @rule("sim-nondeterminism")
-def _check_sim_nondeterminism(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_sim_nondeterminism(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
         if ctx.repo_mode and any(part in _NONDETERMINISM_EXEMPT_PARTS
-                                 for part in scan.path.parts):
+                                 for part in scan.module.parts):
             continue
-        for node in ast.walk(scan.tree):
+        for node in scan.nodes:
             for why in _nondeterminism_of(node):
-                violations.append(Violation(
-                    "sim-nondeterminism", str(scan.path), node.lineno, why))
-    return violations
+                yield scan.path, node.lineno, why
+        if _under(scan.module, *_CLUSTER_OWNED):
+            yield from _global_state(scan)
 
 
 #: the ``gc`` calls that run or switch the cyclic collector
@@ -843,10 +782,9 @@ _GC_CALLS = frozenset({"collect", "disable", "enable", "freeze",
 
 
 @rule("gc-discipline")
-def _check_gc_discipline(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_gc_discipline(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
-        for node in ast.walk(scan.tree):
+        for node in scan.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "gc":
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.Call) and \
@@ -854,23 +792,20 @@ def _check_gc_discipline(ctx: VetContext) -> List[Violation]:
                 names = [node.func.attr]
             else:
                 continue
-            violations.extend(Violation(
-                "gc-discipline", str(scan.path), node.lineno,
-                f"'gc.{name}' in the program: free a run by cutting its "
-                f"cycles, and leave the collector to the host")
-                for name in names if name in _GC_CALLS)
-    return violations
+            for name in names:
+                if name in _GC_CALLS:
+                    yield scan.path, node.lineno, (
+                        f"'gc.{name}' in the program: free a run by cutting "
+                        f"its cycles, and leave the collector to the host")
 
 
 @rule("third-party-layering")
-def _check_third_party_layering(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_third_party_layering(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
-        parents = scan.path.parts[:-1]
-        numeric = "apps" in parents or "serve" in parents or (
-            scan.path.name == "array.py" and "runtime" in parents)
+        numeric = _under(scan.module, "apps", "serve") or \
+            scan.module.parts[-2:] == ("runtime", "array.py")
         top = {id(node) for node in iter_own_nodes(scan.tree)}
-        for node in ast.walk(scan.tree):
+        for node in scan.nodes:
             for name in _imported(node):
                 root = name.split(".")[0]
                 if root == "scipy":
@@ -882,10 +817,29 @@ def _check_third_party_layering(ctx: VetContext) -> List[Violation]:
                     why = ("numpy at module level only in apps/, serve/ and "
                            "runtime/array.py, elsewhere a function-level "
                            "numpy.random")
-                violations.append(Violation(
-                    "third-party-layering", str(scan.path), node.lineno,
-                    f"import of '{name}': {why}"))
-    return violations
+                yield scan.path, node.lineno, f"import of '{name}': {why}"
+
+
+@rule("distance-kernel")
+def _check_distance_kernel(ctx: VetContext) -> Iterable[Finding]:
+    """k-means distances have one kernel, ``repro.apps.kmeans.sq_dist``,
+    the reduction written out left to right; a ``sum`` over axis 2 is the
+    broadcast expression it replaced (numpy's ``_sum`` was 28.7 % of
+    KMN-optimized)."""
+    for scan in ctx.scans:
+        for node in scan.nodes:
+            if not isinstance(node, ast.Call) or call_name(node) != "sum":
+                continue
+            axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+            if isinstance(node.func, ast.Attribute):
+                # np.sum(x, axis) or x.sum(axis)
+                at = int(dotted_name(node.func)[:-1] in (("np",), ("numpy",)))
+                axes += node.args[at:at + 1]
+            if any(isinstance(a, ast.Constant) and a.value == 2 for a in axes):
+                shown = '.'.join(dotted_name(node.func)) or '<expr>.sum'
+                yield scan.path, node.lineno, (
+                    f"'{shown}(...)' over axis 2: k-means distances go "
+                    f"through repro.apps.kmeans.sq_dist, the one kernel")
 
 
 #: the tracer's explicit pair: only a message in flight (engine callbacks,
@@ -895,32 +849,55 @@ _EXPLICIT_SPAN_CALLS = frozenset({"open_span", "close_span"})
 #: dict keys that would smuggle trace context outside the Message fields
 _TRACE_ID_KEYS = frozenset({"trace_id", "parent_span", "span_id"})
 
+#: the retired tracing seam: a span opens with ``engine.span`` and code
+#: branches on the one handle, ``engine.tracer``
+_RETIRED_SEAM = re.compile("maybe_span|NULL_SPAN")
+#: packages that reach the tracer through the engine: of these only
+#: core/cluster.py, which builds the Tracer, imports repro.obs.tracing
+_SEAM_ONLY = ("sim", "core", "net", "chaos")
+
 
 @rule("span-discipline")
-def _check_span_discipline(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_span_discipline(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
         # the tracing machinery itself builds spans and serializes ids
-        if ctx.repo_mode and "obs" in scan.path.parts:
-            continue
-        carries_flights = (scan.path.name == "fabric.py"
-                           and "net" in scan.path.parts[:-1])
+        machinery = ctx.repo_mode and "obs" in scan.module.parts
+        imports_seam = _under(scan.module, *_SEAM_ONLY) and \
+            scan.module.parts[-2:] != ("core", "cluster.py")
+        carries_flights = scan.module.parts[-2:] == ("net", "fabric.py")
         # calls that appear as a with-statement item are the sanctioned
         # form, and so is the seam's one pass-through (``Engine.span``
         # returning the tracer's span)
-        with_calls: Set[int] = {
-            id(item.context_expr) for node in ast.walk(scan.tree)
+        with_calls: Set[int] = set() if machinery else {
+            id(item.context_expr) for node in scan.nodes
             if isinstance(node, (ast.With, ast.AsyncWith))
             for item in node.items
         } | {
-            id(ret.value) for cls in ast.walk(scan.tree)
+            id(ret.value) for cls in scan.nodes
             if isinstance(cls, ast.ClassDef) and cls.name == "Engine"
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and fn.name == "span"
             for ret in ast.walk(fn) if isinstance(ret, ast.Return)
         }
-        for node in ast.walk(scan.tree):
-            if isinstance(node, ast.Call):
+        for node in scan.nodes:
+            named = _spelled(node)
+            if named and _RETIRED_SEAM.search(named) or (
+                    named == "obs" and isinstance(node, ast.Attribute)
+                    and _spelled(node.value) == "proc"):
+                yield scan.path, node.lineno, (
+                    f"'{'.'.join(dotted_name(node)) or named}' is the retired "
+                    f"tracing seam: open a span with 'with engine.span(...)', "
+                    f"branch on engine.tracer")
+            elif imports_seam and isinstance(node, (ast.Import, ast.ImportFrom)):
+                for name in _imported(node):
+                    if name.startswith("repro.obs.tracing"):
+                        yield scan.path, node.lineno, (
+                            f"import of '{name}': only core/cluster.py, "
+                            f"which builds the Tracer, imports it; the rest "
+                            f"reach it as engine.tracer")
+            elif machinery:
+                continue
+            elif isinstance(node, ast.Call):
                 func = node.func
                 attr = func.attr if isinstance(func, ast.Attribute) else None
                 if attr == "span" and id(node) not in with_calls:
@@ -933,19 +910,14 @@ def _check_span_discipline(ctx: VetContext) -> List[Violation]:
                 else:
                     continue
                 shown = '.'.join(dotted_name(func)) or '<expr>.' + attr
-                violations.append(Violation(
-                    "span-discipline", str(scan.path), node.lineno,
-                    f"'{shown}(...)' {why}"))
+                yield scan.path, node.lineno, f"'{shown}(...)' {why}"
             elif isinstance(node, ast.Dict):
                 for key in node.keys:
-                    if isinstance(key, ast.Constant) and \
-                            key.value in _TRACE_ID_KEYS:
-                        violations.append(Violation(
-                            "span-discipline", str(scan.path), key.lineno,
+                    if isinstance(key, ast.Constant) and key.value in _TRACE_ID_KEYS:
+                        yield scan.path, key.lineno, (
                             f"dict key {key.value!r}: trace ids cross "
                             f"processes only via the Message "
-                            f"trace_id/parent_span fields"))
-    return violations
+                            f"trace_id/parent_span fields")
 
 
 #: base-class names that exempt a class from the slots rule
@@ -955,18 +927,15 @@ _SLOTS_EXEMPT_BASES = frozenset({
 })
 
 
-def _slots_scope(path: Path) -> bool:
-    """Is *path* on an engine-core path the slots rule covers?"""
-    parents = path.parts[:-1]
-    return "sim" in parents or (path.name == "messages.py" and "net" in parents)
+def _slots_scope(parts: Tuple[str, ...]) -> bool:
+    """Are *parts* an engine-core path the slots rule covers?"""
+    return "sim" in parts[:-1] or parts[-2:] == ("net", "messages.py")
 
 
 def _declares_slots(node: ast.ClassDef) -> bool:
     for stmt in node.body:
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
-            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
-        if any(isinstance(t, ast.Name) and t.id == "__slots__"
-               for t in targets):
+        targets = _targets(stmt) if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else []
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
             return True
     return any(
         isinstance(deco, ast.Call)
@@ -986,75 +955,63 @@ def _slots_exempt_class(node: ast.ClassDef) -> bool:
 
 
 @rule("slots-discipline")
-def _check_slots_discipline(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_slots_discipline(ctx: VetContext) -> Iterable[Finding]:
     for scan in ctx.scans:
-        if not _slots_scope(scan.path):
+        if not _slots_scope(scan.module.parts):
             continue
-        for node in ast.walk(scan.tree):
+        for node in scan.nodes:
             if isinstance(node, ast.ClassDef) and \
                     not _slots_exempt_class(node) and not _declares_slots(node):
-                violations.append(Violation(
-                    "slots-discipline", str(scan.path), node.lineno,
+                yield scan.path, node.lineno, (
                     f"class {node.name} on an engine-core path declares no "
                     f"__slots__ (use a class-body literal or "
                     f"@dataclass(slots=True)); hot-loop objects must not "
-                    f"carry an instance __dict__",
-                ))
-    return violations
+                    f"carry an instance __dict__")
 
 
 # -- retry-discipline ----------------------------------------------------------
 
 
-def _hand_rolled_backoff_loops(fn: ast.AST) -> List[ast.While]:
-    """The while-loops of *fn* that send *and* scale their own delay
-    (``*=`` or ``**``): hand-rolled exponential retransmit loops — unless
-    the function delegates the arithmetic to the shared ``backoff_delay``
-    helper.  Constant-delay loops are fine."""
-    if any(isinstance(node, ast.Call) and call_name(node) == "backoff_delay"
-           for node in ast.walk(fn)):
-        return []
-    return [
-        loop for loop in ast.walk(fn)
-        if isinstance(loop, ast.While)
-        and any(isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in SEND_ATTRS for node in ast.walk(loop))
+def _scales_and_sends(loop: ast.While) -> bool:
+    """Does *loop* send *and* scale its own delay (``*=`` or ``**``)?"""
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in SEND_ATTRS for node in ast.walk(loop)) \
         and any((isinstance(node, ast.AugAssign)
                  and isinstance(node.op, (ast.Mult, ast.Pow)))
                 or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
                 for node in ast.walk(loop))
-    ]
 
 
 @rule("retry-discipline")
-def _check_retry_discipline(ctx: VetContext) -> List[Violation]:
-    violations: List[Violation] = []
+def _check_retry_discipline(ctx: VetContext) -> Iterable[Finding]:
     # (a) every requested type declares a timeout class.  Skipped when no
     #     scanned module defines the table (partial scans of modules that
     #     merely *use* the transport would otherwise all fail).
     if "TIMEOUT_CLASSES" in ctx.graph.tables:
         for name, node in ctx.graph.nodes.items():
-            if node.has_timeout_class:
-                continue
-            for site in node.send_sites:
+            for site in () if node.has_timeout_class else node.send_sites:
                 if site.via == "request":
-                    violations.append(Violation(
-                        "retry-discipline", str(site.module.path), site.line,
+                    yield site.module.path, site.line, (
                         f"MsgType.{name} is awaited via .request() but "
                         f"declares no entry in TIMEOUT_CLASSES — the "
-                        f"retransmission loop has no reply deadline for it",
-                    ))
-    # (b) no hand-rolled exponential backoff
+                        f"retransmission loop has no reply deadline for it")
+    # (b) no hand-rolled exponential backoff: a while-loop that scales
+    #     its own delay, in a function that does not delegate the
+    #     arithmetic to the shared backoff_delay helper
     for scan in ctx.scans:
-        for fn in ast.walk(scan.tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for loop in _hand_rolled_backoff_loops(fn):
-                    violations.append(Violation(
-                        "retry-discipline", str(scan.path), loop.lineno,
+        loops = {id(node) for node in scan.nodes
+                 if isinstance(node, ast.While) and _scales_and_sends(node)}
+        for fn in scan.nodes if loops else ():
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = list(ast.walk(fn))
+            if any(isinstance(node, ast.Call) and call_name(node) == "backoff_delay"
+                   for node in body):
+                continue
+            for loop in body:
+                if id(loop) in loops:
+                    yield scan.path, loop.lineno, (
                         "retransmit loop scales its own delay: use "
                         "net.retry.backoff_delay (capped exponential, "
-                        "bounded attempts) instead of hand-rolled backoff",
-                    ))
-    return violations
+                        "bounded attempts) instead of hand-rolled backoff")

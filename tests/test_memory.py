@@ -70,7 +70,7 @@ def test_frames_zero_fill_on_first_touch():
     frame = store.frame(5)
     assert frame == bytearray(64)
     assert 5 in store
-    assert store.pages_allocated == 1
+    assert len(store) == 1
 
 
 def test_install_requires_full_page():
@@ -86,13 +86,26 @@ def test_read_untouched_pages_as_zeros():
     assert store.read(10, 8) == b"\x00" * 8
 
 
-def test_write_read_roundtrip_cross_page():
+def test_write_read_roundtrip_within_a_page():
     store = FrameStore(page_size=64)
-    payload = bytes(range(200)) * 2  # 400 bytes, crosses several 64B pages
+    payload = bytes(range(34))  # bytes 30..63 of page 0
     store.write(30, payload)
     assert store.read(30, len(payload)) == payload
     # neighbours untouched
     assert store.read(0, 30) == b"\x00" * 30
+    assert 1 not in store
+
+
+@pytest.mark.parametrize("addr, length", [(30, 35), (63, 2), (0, 65)])
+def test_page_crossing_access_raises(addr, length):
+    # a word access lies in one page; bulk copies go page by page through
+    # the fault handler, so a crossing one here is a caller's bug
+    store = FrameStore(page_size=64)
+    with pytest.raises(ValueError, match="crosses a page boundary"):
+        store.read(addr, length)
+    with pytest.raises(ValueError, match="crosses a page boundary"):
+        store.write(addr, bytes(length))
+    assert len(store) == 0
 
 
 def test_drop_range_frees_frames():
@@ -114,10 +127,12 @@ def test_drop_range_frees_frames():
     )
 )
 def test_frame_store_matches_flat_buffer(writes):
-    """Property: the paged store behaves like one flat byte buffer."""
+    """Property: the paged store behaves like one flat byte buffer, each
+    access clipped to the page it starts in."""
     store = FrameStore(page_size=64)
     flat = bytearray(2048)
     for addr, data in writes:
+        data = data[: 64 - addr % 64]
         store.write(addr, data)
         flat[addr : addr + len(data)] = data
-    assert store.read(0, 2048) == bytes(flat)
+    assert b"".join(store.read(a, 64) for a in range(0, 2048, 64)) == bytes(flat)

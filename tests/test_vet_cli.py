@@ -61,7 +61,7 @@ def test_list_rules(capsys):
     assert "serve-discipline" in names
     assert "gc-discipline" in names
     assert "third-party-layering" in names
-    assert len(names) == 17
+    assert len(names) == 18
 
 
 def test_rule_subset(capsys):

@@ -4,6 +4,7 @@ free."""
 
 import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ def _graph(tmp_path, source, name="mod.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
     tree = ast.parse(path.read_text())
-    module = ModuleInfo(path, tree, name)
+    module = ModuleInfo(path, tree, Path(name))
     graph = CallGraph([module])
     return graph, infer_effects(graph)
 

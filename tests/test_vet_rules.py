@@ -5,6 +5,7 @@ reported at its line by its rule (the fragment pins the message), each
 clean fixture reports nothing, and together the fixtures trip every
 registered rule.  The repo itself is vet-clean."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,14 @@ CORPUS = {
         (6, "gc-discipline", "'gc.freeze'"),
         (10, "gc-discipline", "'gc.collect'"),
         (11, "gc-discipline", "'gc.set_threshold'"),
+    ],
+    # the guard split over two lines, and a held observer, too
+    "fixture_observer_guard.py": [
+        (8, "lens-sink-discipline", "guard on observer 'sanitizer'"),
+        (10, "lens-sink-discipline", "guard on observer 'deadlocks'"),
+        (12, "lens-sink-discipline", "guard on observer 'detector'"),
+        (14, "lens-sink-discipline", "guard on observer 'scope'"),
+        (21, "lens-sink-discipline", "guard on observer '_scope'"),
     ],
     "fixture_nondeterminism.py": [
         (4, "sim-nondeterminism", "import of the unseeded 'random' module"),
@@ -63,6 +72,44 @@ CORPUS = {
     "sim/fixture_missing_slots.py": [
         (8, "slots-discipline", "class BadEvent"),
         (26, "slots-discipline", "class BadRecord"),
+    ],
+    # by def and by binding
+    "sim/fixture_awaiter.py": [
+        (15, "yield-discipline", "'__next__' in an engine-core package"),
+        (22, "yield-discipline", "'__next__' in an engine-core package"),
+    ],
+    # every spelling of the axis; axis 1, axis 0 and the builtin's start
+    # stay quiet
+    "apps/fixture_distance_kernel.py": [
+        (10, "distance-kernel", "'d.sum(...)' over axis 2"),
+        (11, "distance-kernel", "'np.sum(...)' over axis 2"),
+        (12, "distance-kernel", "'d.sum(...)' over axis 2"),
+        (13, "distance-kernel", "'np.sum(...)' over axis 2"),
+    ],
+    # the counter and the pool a cluster holds stay quiet
+    "core/fixture_global_state.py": [
+        (10, "sim-nondeterminism", "module-level '_POOL = []'"),
+        (11, "sim-nondeterminism", "module-level '_BY_ID: dict = {}'"),
+        (12, "sim-nondeterminism", "module-level '_SEEN = set()'"),
+        (13, "sim-nondeterminism", "'itertools.count(...)' not held"),
+        (14, "sim-nondeterminism", "'count(...)' not held"),
+        (24, "sim-nondeterminism", "'itertools.count(...)' not held"),
+    ],
+    # under core/ a sleep has one spelling, even outside src/
+    "core/fixture_timeout_calls.py": [
+        (8, "yield-discipline", "a private sleep spelled the old way"),
+        (9, "yield-discipline", "'engine.timeout(...)' outside any_of/all_of"),
+        (10, "yield-discipline", "'engine.timeout(...)' outside any_of/all_of"),
+        (16, "yield-discipline", "'engine.timeout(...)' outside any_of/all_of"),
+    ],
+    # the function-level import, too
+    "core/fixture_tracing_seam.py": [
+        (7, "span-discipline", "import of 'repro.obs.tracing'"),
+        (8, "span-discipline", "import of 'repro.obs.tracing'"),
+        (12, "span-discipline", "'maybe_span' is the retired tracing seam"),
+        (14, "span-discipline", "'proc.obs' is the retired tracing seam"),
+        (15, "span-discipline", "'NULL_SPAN' is the retired tracing seam"),
+        (20, "span-discipline", "import of 'repro.obs.tracing'"),
     ],
     # alone, _send_impl and _Flight resolve to nothing: no finding, no guess
     "vet/fixture_chaos_bypass.py": [],
@@ -163,7 +210,7 @@ def test_every_rule_is_tripped_by_a_fixture():
 
 def test_registry_contains_all_rules():
     assert ALL_RULES == tuple(REGISTRY)
-    assert len(ALL_RULES) == 17
+    assert len(ALL_RULES) == 18
 
 
 def test_clean_fixtures_zero_false_positives():
@@ -173,13 +220,90 @@ def test_clean_fixtures_zero_false_positives():
 
 
 def test_yield_discipline_fixture():
-    # vetted as part of src/, the one-argument inline timeout is a sleep
-    # spelled the old way; the value-carrying one still needs its Event
+    # vetted as part of src/, a Timeout no any_of races and no all_of
+    # joins is a finding: the one-argument inline one is a sleep spelled
+    # the old way, and the value-carrying one is a sleep as well
     fixture = FIXTURES / "fixture_bad_yield.py"
     in_src = vet(fixture, repo_mode=True)
-    (old_way,) = [v for v in in_src if v not in vet(fixture)]
-    assert old_way.line == 16 and len(in_src) == 5
+    old_way, carried = [v for v in in_src if v not in vet(fixture)]
+    assert (old_way.line, carried.line) == (16, 17) and len(in_src) == 6
     assert "yield engine.timeout(...): a private sleep" in old_way.message
+    assert "outside any_of/all_of" in carried.message
+
+
+def test_yield_discipline_lets_a_raced_or_joined_timeout_through(tmp_path):
+    # the two shapes src/ keeps: a deadline any_of races (bound to a name
+    # first), and a compute slice all_of joins with the DRAM transfer
+    deadlines = ("def request(engine, reply):\n"
+                 "    deadline = engine.timeout(30.0)\n"
+                 "    try:\n"
+                 "        yield engine.any_of((reply, deadline))\n"
+                 "    finally:\n"
+                 "        deadline.cancel()\n"
+                 "\n"
+                 "def compute(engine, dram, cpu_us):\n"
+                 "    yield engine.all_of([dram.consume(8), engine.timeout(cpu_us)])\n"
+                 "\n"
+                 "def elsewhere(engine):\n"
+                 "    deadline = engine.timeout(1.0)\n"
+                 "    yield deadline\n")
+    flagged = vet(_write(tmp_path / "core" / "deadlines.py", deadlines))
+    # the name is raced in request(), not in elsewhere(): scopes are apart
+    assert [(v.line, v.rule) for v in flagged] == [(12, "yield-discipline")]
+
+
+def test_observer_guards_and_the_tracer_import_have_their_sanctioned_homes(tmp_path):
+    guard = "def close(self):\n    if self.scope is not None:\n        self.scope = None\n"
+    for home in ("core/cluster.py", "serve/manager.py", "obs/manifest.py",
+                 "check/sanitizer.py"):
+        assert vet(_write(tmp_path / home, guard)) == []
+    assert [v.rule for v in vet(_write(tmp_path / "core" / "process.py", guard))] \
+        == ["lens-sink-discipline"]
+    builds = "from repro.obs.tracing import Tracer\n"
+    assert vet(_write(tmp_path / "a" / "core" / "cluster.py", builds)) == []
+    assert [v.rule for v in vet(_write(tmp_path / "a" / "chaos" / "x.py", builds))] \
+        == ["span-discipline"]
+    # outside sim/, core/, net/ and chaos/ the import is not this rule's
+    assert vet(_write(tmp_path / "a" / "serve" / "report.py", builds)) == []
+
+
+#: the CI grep gates these rules replaced, kept as their oracle:
+#: fixture -> (rule, [(regex, the grep's own exclusion or None)])
+GREP_GATES = {
+    "core/fixture_timeout_calls.py": ("yield-discipline", [(r"\.timeout\(", None)]),
+    "core/fixture_global_state.py": ("sim-nondeterminism", [
+        (r"itertools\.count\(",
+         r"^\s*self\.[A-Za-z_][A-Za-z0-9_]* = itertools\.count\("),
+        (r"^[A-Za-z_][A-Za-z0-9_]*(:[^=]*)? = (\[\]|\{\})", None),
+    ]),
+    "apps/fixture_distance_kernel.py": ("distance-kernel", [(r"sum\(axis=2\)", None)]),
+    "sim/fixture_awaiter.py": ("yield-discipline", [(r"def __next__", None)]),
+    "fixture_observer_guard.py": ("lens-sink-discipline", [
+        (r"(sanitizer|deadlocks|detector) is (not )?None|scope is (not )?None",
+         None),
+    ]),
+    "core/fixture_tracing_seam.py": ("span-discipline", [
+        (r"maybe_span|NULL_SPAN|\bproc\.obs\b", None),
+        (r"^(from|import) repro\.obs\.tracing", None),
+    ]),
+}
+
+
+@pytest.mark.parametrize("fixture", list(GREP_GATES), ids=lambda f: Path(f).stem)
+def test_no_rule_is_looser_than_the_grep_gate_it_replaced(fixture):
+    rule, patterns = GREP_GATES[fixture]
+    path = FIXTURES / fixture
+    grepped = {
+        number for number, line in enumerate(path.read_text().splitlines(), 1)
+        for pattern, unless in patterns
+        if re.search(pattern, line.partition("#")[0])
+        and not (unless and re.search(unless, line))
+    }
+    flagged = {v.line for v in vet(path) if v.rule == rule}
+    assert grepped and grepped <= flagged
+    # and each fixture seeds a spelling its regex could not see — but the
+    # timeout grep saw every call (it only counted them, up to 6)
+    assert flagged - grepped or rule == "yield-discipline" and "timeout" in fixture
 
 
 def _write(path, text):
@@ -211,6 +335,16 @@ def test_slots_discipline_scope_is_engine_core_paths(tmp_path):
     assert vet(_write(tmp_path / "plain_module.py", slot_less)) == []
     flagged = vet(_write(tmp_path / "net" / "messages.py", slot_less))
     assert [v.rule for v in flagged] == ["slots-discipline"]
+
+
+def test_a_scanned_directory_scopes_rules_from_its_root(tmp_path):
+    # a checkout under a directory named sim/ is not engine core: scoped
+    # rules read the path below the scan root, a lone file the path given
+    slot_less = "class SlotLess:\n    def __init__(self):\n        self.x = 1\n"
+    package = tmp_path / "sim" / "checkout" / "repro"
+    module = _write(package / "params.py", slot_less)
+    assert vet(package) == [] and vet(package, repo_mode=True) == []
+    assert [v.rule for v in vet(module)] == ["slots-discipline"]
 
 
 def test_repo_mode_exempts_offline_tooling(tmp_path):
