@@ -128,6 +128,12 @@ class ChaosController:
             when = max(rule.at_us or 0.0, self.engine.now)
             self.engine._schedule_at(when, self._fire_scheduled_crash, rule)
 
+    def detach(self) -> None:
+        """Cut the edges back to the cluster and its processes
+        (``DexCluster.close``); the counters and the report stay readable."""
+        self.cluster = self.net = None
+        self._leases.clear()
+
     def _fire_scheduled_crash(self, rule: ChaosRule) -> None:
         if rule.fired:
             return

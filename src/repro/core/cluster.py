@@ -39,6 +39,13 @@ from repro.params import SimParams, resolve_switch
 from repro.sim import Engine, FairShareResource, Resource
 
 
+def _stray(msg: Message) -> Generator:
+    """The handler of a message for a pid that is not registered: it fails
+    its process, where the message's own handler would have run."""
+    raise DexError(f"message for unknown process: {msg!r}")
+    yield 0.0  # never reached: it only makes this a generator
+
+
 class DexNode:
     """One machine of the rack: CPU cores + a DRAM bandwidth domain."""
 
@@ -182,8 +189,11 @@ class DexCluster:
             self.scope.detach()
         for router in self.net.routers:
             router._handlers.clear()
+            router.chaos = router.net = None
         for conn in self.net.connections.values():
             conn._delivery_tail = None
+        if self.chaos is not None:
+            self.chaos.detach()
 
     def simulate(
         self,
@@ -256,10 +266,12 @@ class DexCluster:
 
         def make_dispatcher(getter):
             def dispatcher(msg: Message) -> Generator:
+                # the handler's own generator runs as the process: no frame
+                # of ours sits between it and the engine
                 proc = self.processes.get(msg.payload.get("pid"))
                 if proc is None:
-                    raise DexError(f"message for unknown process: {msg!r}")
-                yield from getter(proc)(msg)
+                    return _stray(msg)
+                return getter(proc)(msg)
 
             return dispatcher
 

@@ -120,14 +120,19 @@ class FaultHandler:
     def _fault(
         self, node: int, tid: int, vpn: int, write: bool, site: str
     ) -> Generator:
-        tracer = self.proc.cluster.engine.tracer
-        if tracer is None:
-            yield from self._fault_impl(node, tid, vpn, write, site, None)
-        else:
-            with tracer.span(
-                "fault", node=node, tid=tid, vpn=vpn, write=write, site=site
-            ) as span:
-                yield from self._fault_impl(node, tid, vpn, write, site, span)
+        """The fault, as a generator for the caller to ``yield from``: the
+        untraced one is :meth:`_fault_impl` itself, with no frame between."""
+        if self.proc.cluster.engine.tracer is None:
+            return self._fault_impl(node, tid, vpn, write, site, None)
+        return self._fault_traced(node, tid, vpn, write, site)
+
+    def _fault_traced(
+        self, node: int, tid: int, vpn: int, write: bool, site: str
+    ) -> Generator:
+        with self.proc.cluster.engine.tracer.span(
+            "fault", node=node, tid=tid, vpn=vpn, write=write, site=site
+        ) as span:
+            return (yield from self._fault_impl(node, tid, vpn, write, site, span))
 
     def _fault_impl(
         self, node: int, tid: int, vpn: int, write: bool, site: str, span

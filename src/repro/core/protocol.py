@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.core.directory import PageEntry, make_directory
 from repro.core.errors import NodeFailedError, ProtocolError
-from repro.memory.page_table import STATE_OF_VALUE, PageState
+from repro.memory.page_table import EXCLUSIVE, STATE_OF_VALUE, PageState
 from repro.net.messages import (
     PAYLOAD_ACK_OK,
     PAYLOAD_REDIRECT,
@@ -157,6 +157,10 @@ class ConsistencyProtocol:
             pte = page_table.ensure(vpn)
             pte.state = STATE_OF_VALUE[state_name]
             pte.data_version = version
+            if pte.state is EXCLUSIVE:
+                # an exclusive page is private: the one copy-on-write of a
+                # shared snapshot happens here, off the write paths
+                proc.node_state(node).frames.own(vpn)
             return retries
 
     def _resolve_home(self, node: int, vpn: int) -> Generator:
@@ -213,7 +217,8 @@ class ConsistencyProtocol:
         )
 
     def handle_page_request_msg(self, msg: Message) -> Generator:
-        """Home-node message handler for :data:`MsgType.PAGE_REQUEST`."""
+        """Home-node message handler for :data:`MsgType.PAGE_REQUEST`: returns
+        the generator that serves it (no frame of its own)."""
         payload = msg.payload
         vpn = payload["vpn"]
         if not self.directory.hosts(msg.dst, vpn):
@@ -221,11 +226,10 @@ class ConsistencyProtocol:
             # this node does not host the page's entry, so it cannot
             # serialize the operation — bounce the requester back to the
             # resolution path instead of guessing
-            yield from self.proc.cluster.net.send(
+            return self.proc.cluster.net.send(
                 msg.make_reply(MsgType.PAGE_REDIRECT, PAYLOAD_REDIRECT)
             )
-            return
-        yield from self.handle_request(
+        return self.handle_request(
             msg.src,
             vpn,
             payload["write"],
@@ -415,7 +419,8 @@ class ConsistencyProtocol:
 
     def _home_page_bytes(self, home: int, vpn: int, version: int) -> bytes:
         """The current page contents, which the revocation step always
-        leaves at the page's home."""
+        leaves at the page's home: the home's snapshot, shipped by
+        reference (every grant of one version ships the same object)."""
         proc = self.proc
         home_pte = proc.node_state(home).page_table.lookup(vpn)
         if home_pte is None or home_pte.data_version != version:
@@ -423,7 +428,7 @@ class ConsistencyProtocol:
                 f"home copy of page {vpn:#x} is stale "
                 f"(have {home_pte and home_pte.data_version}, need {version})"
             )
-        return bytes(proc.node_state(home).frames.frame(vpn))
+        return proc.node_state(home).frames.snapshot(vpn)
 
     def _revoke(
         self,
@@ -433,11 +438,19 @@ class ConsistencyProtocol:
         requester: int = -1,
     ) -> Generator:
         """Revoke (or downgrade) ownership from *losers*, collecting acks.
-        An exclusive loser flushes its dirty page, which is installed in
-        the home's frame; the home then always holds current data.
+        An exclusive loser flushes its dirty page, whose snapshot the home
+        keeps by reference; the home then always holds current data.
         *requester* is the node whose request triggered the revocation —
         shipped in the invalidation payload so owner-side traces can name
-        both parties of the conflict."""
+        both parties of the conflict.  Untraced, the returned generator is
+        :meth:`_revoke_impl` itself."""
+        if self.proc.cluster.engine.tracer is None:
+            return self._revoke_impl(entry, losers, downgrade, requester)
+        return self._revoke_traced(entry, losers, downgrade, requester)
+
+    def _revoke_traced(
+        self, entry: PageEntry, losers: List[int], downgrade: bool, requester: int
+    ) -> Generator:
         with self.proc.cluster.engine.span(
             "protocol.revoke", node=self.directory.home(entry.vpn), vpn=entry.vpn,
             downgrade=downgrade, losers=len(losers),
@@ -612,8 +625,8 @@ class ConsistencyProtocol:
             pte = state.page_table.lookup(vpn)
             dirty: Optional[bytes] = None
             if pte is not None and pte.state is PageState.EXCLUSIVE:
-                frame = state.frames.peek(vpn)
-                dirty = bytes(frame) if frame is not None else bytes(params.page_size)
+                # the flush is this node's snapshot; the home keeps it
+                dirty = state.frames.snapshot(vpn)
             if pte is not None:
                 pte.state = PageState.SHARED if downgrade else PageState.INVALID
         for invalidated in proc.hooks["invalidate"]:
@@ -657,6 +670,11 @@ class ConsistencyProtocol:
                     assert pte_state is PageState.EXCLUSIVE, (
                         f"page {vpn:#x}: node {node} is the writer but its "
                         f"PTE is {pte_state}"
+                    )
+                    frame = state.frames.peek(vpn)
+                    assert frame is None or frame.__class__ is bytearray, (
+                        f"page {vpn:#x}: node {node} is the writer but its "
+                        f"frame is a shared {type(frame).__name__} snapshot"
                     )
                 else:
                     assert pte_state is PageState.SHARED, (

@@ -123,6 +123,8 @@ def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
                 self._state = state
             pte = state.page_table._entries.get(vpn)
             if pte is not None and pte.state is EXCLUSIVE:
+                # an EXCLUSIVE page's slot is a private bytearray or empty
+                # (FrameStore.own at the grant): never a shared snapshot
                 frame = state.frames._frames.get(vpn)
                 if frame is None:
                     frame = state.frames.frame(vpn)

@@ -65,13 +65,24 @@ DATA_PATHS: Dict[str, DataPath] = {
 
 
 def sender_data_cost(conn: "Connection", nbytes: int) -> Generator:
-    """Sender-side preparation for *nbytes* of page data (before the wire)."""
+    """Sender-side preparation for *nbytes* of page data (before the wire),
+    as a generator for the sender to ``yield from``."""
+    if conn.engine.tracer is None:
+        return _prepare(conn)
+    return _prepare_traced(conn, nbytes)
+
+
+def _prepare(conn: "Connection") -> Generator:
+    params = conn.params
+    path = DATA_PATHS[params.page_transfer_mode]
+    if path.uses_sink:
+        yield from conn.rdma_sink.acquire()
+    yield path.post(params)
+
+
+def _prepare_traced(conn: "Connection", nbytes: int) -> Generator:
     with conn.engine.span(
         "net.rdma_write", node=conn.src,
         bytes=nbytes, mode=conn.params.page_transfer_mode,
     ):
-        params = conn.params
-        path = DATA_PATHS[params.page_transfer_mode]
-        if path.uses_sink:
-            yield from conn.rdma_sink.acquire()
-        yield path.post(params)
+        yield from _prepare(conn)

@@ -298,27 +298,25 @@ class Tenant:
     # -- request execution ----------------------------------------------
 
     def execute(self, ctx, request: Request) -> Any:
-        """Run one request through the matching adapter (a generator the
-        worker thread drives)."""
+        """Run one request through the matching adapter: returns the
+        adapter's generator, which the worker thread drives."""
         kind = self.spec.workload
         lo, hi = request.item_lo, request.item_hi
         if kind == "kmn":
-            result = yield from workloads.kmn_query(
+            return workloads.kmn_query(
                 ctx, self._arrays["points"], self._arrays["centroids"],
                 KMN_K, lo, hi)
-        elif kind == "grp":
-            result = yield from workloads.grp_lookup(
+        if kind == "grp":
+            return workloads.grp_lookup(
                 ctx, self._arrays["text"], self.spec.total_items,
                 workloads.DEFAULT_KEYS, lo, hi)
-        elif kind == "scan":
-            result = yield from workloads.scan_query(
+        if kind == "scan":
+            return workloads.scan_query(
                 ctx, self._arrays["text"], self.spec.total_items,
                 workloads.DEFAULT_KEYS, self._arrays["hits"], lo, hi)
-        else:
-            result = yield from workloads.blk_price_query(
-                ctx, {name: self._arrays[name] for name in FIELDS},
-                self._arrays["flags"], lo, hi)
-        return result
+        return workloads.blk_price_query(
+            ctx, {name: self._arrays[name] for name in FIELDS},
+            self._arrays["flags"], lo, hi)
 
     def _verify(self, request: Request, result: Any) -> bool:
         slot = request.item_lo // self.spec.per_request

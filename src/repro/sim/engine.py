@@ -164,6 +164,10 @@ class Timeout(Event):
             entry[2] = None
             entry[3] = None
             self._entry = None
+            # let go of the waiters (an AnyOf's bound _on_child holds the
+            # race, and through it the whole run); a fresh list, so a later
+            # add_callback still works
+            self._callbacks = []
             engine = self.engine
             engine._cancelled_entries += 1
             if (
@@ -218,6 +222,17 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return not self._done
+
+    def fail(self, exc: BaseException) -> "Process":
+        """Fail the process.  Failed from outside (fail-stop recovery
+        failing a thread that died with its node), it is abandoned where it
+        waits: its pre-bound callbacks are dropped and its generator is
+        closed, so neither keeps the run alive."""
+        Event.fail(self, exc)
+        self._resume_cb = self._wake_cb = None
+        if not self.generator.gi_running:
+            self.generator.close()
+        return self
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its yield point."""
@@ -279,7 +294,6 @@ class Process(Event):
             except BaseException as err:  # noqa: BLE001 - propagate to waiters
                 if isinstance(err, (KeyboardInterrupt, SystemExit)):
                     raise
-                self._resume_cb = self._wake_cb = None
                 self.fail(err)
                 return
             finally:
@@ -361,11 +375,14 @@ class AllOf(Event):
         if self._done:
             return
         if child._exc is not None:
+            self._children = ()  # settled: the children are let go
             self.fail(child._exc)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([c._value for c in self._children])
+            values = [c._value for c in self._children]
+            self._children = ()
+            self.succeed(values)
 
 
 class AnyOf(Event):
@@ -387,6 +404,7 @@ class AnyOf(Event):
     def _on_child(self, child: Event) -> None:
         if self._done:
             return
+        self._children = ()  # settled: the losers are let go
         if child._exc is not None:
             self.fail(child._exc)
         else:

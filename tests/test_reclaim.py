@@ -7,9 +7,9 @@ observers — so a run leaves no reference cycle behind, and everything it
 allocated (frames, PTEs, handler generators, span trees, sanitizer clocks)
 goes back by reference counting the moment its owner drops it, not at some
 later cyclic collection.  Each case runs with every ``DEX_*`` switch off
-(or one observer or checker knob on) and the cyclic collector disabled,
-then asks a full collection (``DEBUG_SAVEALL``) what it found unreachable:
-the answer must be nothing.
+(or one observer, checker or fault-injection knob on) and the cyclic
+collector disabled, then asks a full collection (``DEBUG_SAVEALL``) what it
+found unreachable: the answer must be nothing.
 """
 
 import collections
@@ -28,13 +28,14 @@ from repro.params import SWITCHES
 from repro.serve import ServeManager
 from repro.sim import engine as engine_module
 from test_apps import TINY
+from test_page_plane import seven_readers
 from test_serve import kmn_spec, scan_burst_spec
 
 
 @pytest.fixture(autouse=True)
 def switches_off(monkeypatch):
-    """Chaos timers are still cyclic with that knob on: every run starts
-    with all of them off."""
+    """Every run starts with all knobs off; a case turns on the one it is
+    about."""
     for switch in SWITCHES.values():
         monkeypatch.delenv(switch.env, raising=False)
 
@@ -68,13 +69,16 @@ RUNS = {
     "serve-origin": lambda: serve("origin"),
     "serve-sharded": lambda: serve("sharded"),
     "pagefault": lambda: pagefault_micro(duration_us=2_000.0),
+    # seven replicas and the home hold one shared snapshot of the page
+    "shared-snapshots": lambda: seven_readers("sharded"),
 }
 
 
-#: every run knobs off, and three of them again with one observer knob on
+#: every run knobs off, and three of them again with one observer,
+#: checker or fault-injection knob on
 CASES = [pytest.param(name, None, id=name) for name in RUNS] + [
     pytest.param(name, knob, id=f"{name}-{knob}")
-    for knob in ("trace", "lens", "scope", "sanitize")
+    for knob in ("trace", "lens", "scope", "sanitize", "chaos")
     for name in ("KMN-initial", "serve-sharded", "pagefault")]
 
 
