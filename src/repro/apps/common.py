@@ -19,7 +19,8 @@ from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequ
 from repro.core import DIRECTORY_BACKENDS, DexCluster, DexProcess
 from repro.core.stats import DexStats
 from repro.params import SimParams
-from repro.runtime import MemoryAllocator, node_for_worker
+from repro.runtime import MemoryAllocator
+from repro.runtime.openmp import spawn_team
 
 VARIANTS = ("unmodified", "initial", "optimized")
 
@@ -386,23 +387,14 @@ def finish(job: Launch, body: Callable[..., Generator],
 
 def run_workers(job: Launch, body: Callable[..., Generator],
                 migrate: bool) -> float:
-    """The common harness: spawn the job's workers, each performing the
-    paper's conversion (migrate out, run, migrate back) when *migrate*;
-    block-assign workers to nodes.  Returns the elapsed simulated time of
-    the parallel section."""
-    cluster, proc, num_threads = job.cluster, job.proc, job.num_threads
+    """The common harness: spawn the job's workers (a
+    :func:`~repro.runtime.openmp.spawn_team` started from outside the
+    simulation), each performing the paper's conversion when *migrate*.
+    Returns the elapsed simulated time of the parallel section."""
+    cluster, proc = job.cluster, job.proc
     start = cluster.engine.now
-
-    def worker(ctx, wid: int) -> Generator:
-        if migrate:
-            yield from ctx.migrate(node_for_worker(wid, num_threads, job.nodes))
-        yield from body(ctx, wid)
-        if migrate:
-            yield from ctx.migrate_back()
-
-    threads = [
-        proc.spawn_thread(worker, i, name=f"w{i}") for i in range(num_threads)
-    ]
+    threads = spawn_team(proc, body, job.num_threads, job.nodes, migrate,
+                         prefix="w")
 
     def waiter(ctx) -> Generator:
         yield from proc.join_all(threads)

@@ -138,13 +138,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(err))
 
     if spec.micro:
-        result = run_pagefault_micro(
-            scenario,
-            directory=ns.directory,
-            sanitize=not ns.no_sanitize,
-            seed=ns.seed,
-            iters=ns.iters,
-        )
+        result = run_pagefault_micro(spec, scenario,
+                                     sanitize=not ns.no_sanitize,
+                                     iters=ns.iters)
         ok = result["ok"]
         print(f"pagefault micro: value={result['value']} "
               f"expected={result['expected']} "
@@ -155,11 +151,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     app = spec.app
     try:
-        outcome = run_under_chaos(
-            app, spec.variant, spec.nodes, spec.scale, scenario=scenario,
-            directory=spec.directory, sanitize=not ns.no_sanitize,
-            seed=spec.seed, max_restarts=ns.max_restarts,
-        )
+        outcome = run_under_chaos(spec, scenario,
+                                  sanitize=not ns.no_sanitize,
+                                  max_restarts=ns.max_restarts)
     except NodeFailedError as err:
         print(f"{app}: did not survive the scenario: {err}", file=sys.stderr)
         _print_report(err.chaos_report)

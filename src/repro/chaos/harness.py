@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.apps.common import RunSpec
+from repro.chaos import resolve_scenario
 from repro.chaos.scenario import ChaosScenario
 from repro.core import DexCluster
 from repro.core.errors import NodeFailedError
@@ -46,27 +47,30 @@ def _under(spec: RunSpec, scenario: Optional[ChaosScenario],
 
 
 def run_pagefault_micro(
+    spec: RunSpec,
     scenario: Optional[ChaosScenario] = None,
     *,
-    directory: Optional[str] = None,
     sanitize: bool = True,
-    seed: Optional[int] = None,
     iters: int = 40,
-    params: Optional[SimParams] = None,
     cluster: Optional[DexCluster] = None,
 ) -> Dict[str, Any]:
     """Two threads hammer one shared counter — one at the origin, one
     migrated to node 1 — then rendezvous on a futex barrier; the remote
     thread also maps/touches/unmaps a scratch region so delegation and the
-    eager VMA-shrink broadcast run too.  Returns a result dict with
+    eager VMA-shrink broadcast run too.  *spec* names the ``micro`` run
+    (its directory, seed and base params).  Returns a result dict with
     ``ok`` (exact-count correctness), the chaos ``report`` (None when the
     subsystem is off), and the final sim time.  A caller that inspects the
-    run afterwards (its tracer, say) passes its own 2-node *cluster*, whose
-    params then stand in for every other argument but *iters*."""
+    run afterwards (its tracer, say) passes the *cluster* it built from
+    the same spec, scenario and sanitizer (``ValueError`` otherwise)."""
+    if spec.app != "micro":
+        raise ValueError(f"the pagefault micro runs 'micro', not {spec.app!r}")
+    spec = _under(spec, scenario, sanitize)
     if cluster is None:
-        cluster = _under(
-            RunSpec("micro", directory=directory, seed=seed, base=params),
-            scenario, sanitize).cluster()
+        cluster = spec.cluster()
+    elif cluster.params != spec.params():
+        raise ValueError("the cluster was not built from this spec, "
+                         "scenario and sanitizer")
     proc = cluster.create_process()
     alloc = MemoryAllocator(proc)
     var = alloc.alloc_global(8, tag="chaos_micro")
@@ -142,33 +146,25 @@ class ChaosRunReport:
 
 
 def run_under_chaos(
-    app: str,
-    variant: str = "initial",
-    num_nodes: int = 4,
-    scale: str = "small",
-    *,
+    spec: RunSpec,
     scenario: Optional[ChaosScenario] = None,
-    directory: Optional[str] = None,
+    *,
     sanitize: bool = True,
-    seed: Optional[int] = None,
     max_restarts: int = 1,
-    params: Optional[SimParams] = None,
-    **overrides: Any,
 ) -> ChaosRunReport:
-    """Run one Figure-2 app under *scenario*; on fail-stop, restart on a
-    fresh cluster up to *max_restarts* times (consumed crash rules do not
-    re-fire).  The final attempt's exception propagates when the budget is
-    exhausted, so an un-survivable scenario is loud, not silently wrong."""
+    """Run one Figure-2 app *spec* under *scenario* (default: the spec's
+    own, else an empty one); on fail-stop, restart on a fresh cluster up
+    to *max_restarts* times (consumed crash rules do not re-fire).  The
+    final attempt's exception propagates when the budget is exhausted, so
+    an un-survivable scenario is loud, not silently wrong."""
+    if spec.micro:
+        raise ValueError(f"{spec.app!r} is not a Figure-2 app")
     if scenario is None:
-        scenario = ChaosScenario()
-    spec = _under(
-        RunSpec(app, variant, num_nodes, scale,
-                threads_per_node=overrides.pop("threads_per_node", 8),
-                directory=directory, seed=seed, overrides=overrides,
-                base=params),
-        scenario, sanitize)
-    outcome = ChaosRunReport(app=spec.app, variant=variant,
-                             num_nodes=num_nodes)
+        # resolved once: every attempt shares the rules' consumed state
+        scenario = resolve_scenario(spec.params()) or ChaosScenario()
+    spec = _under(spec, scenario, sanitize)
+    outcome = ChaosRunReport(app=spec.app, variant=spec.variant,
+                             num_nodes=spec.nodes)
     for attempt in range(max_restarts + 1):
         cluster = spec.cluster()
         try:

@@ -64,33 +64,8 @@ class DexCluster:
     """A rack of nodes connected by the simulated InfiniBand fabric, with
     the DeX kernel extension 'loaded' on every node."""
 
-    def __init__(
-        self,
-        num_nodes: int = 8,
-        params: Optional[SimParams] = None,
-        directory: Optional[str] = None,
-        trace: Optional[Any] = None,
-        chaos: Optional[Any] = None,
-    ):
+    def __init__(self, num_nodes: int = 8, params: Optional[SimParams] = None):
         self.params = params if params is not None else SimParams()
-        if directory is not None:
-            # convenience knob: select the coherence-directory backend
-            # ("origin" | "sharded") without hand-building SimParams
-            self.params = self.params.copy(directory=directory)
-        if trace is not None:
-            # convenience knob: DexCluster(trace=True) / trace="spans"
-            self.params = self.params.copy(
-                trace=trace if isinstance(trace, str) else ("1" if trace else "")
-            )
-        if chaos is not None:
-            # convenience knob: DexCluster(chaos=ChaosScenario(...)) or
-            # chaos="scenario.json" / chaos=True
-            if isinstance(chaos, str):
-                self.params = self.params.copy(chaos=chaos)
-            elif chaos is True:
-                self.params = self.params.copy(chaos="on")
-            else:
-                self.params = self.params.copy(chaos_scenario=chaos)
         scenario = resolve_scenario(self.params)
         seed = self.params.seed
         if seed is None and scenario is not None and scenario.seed is not None:

@@ -271,27 +271,31 @@ class Network:
     def send(self, msg: Message) -> Generator:
         """Generator: sender-side cost of posting *msg*; delivery continues
         asynchronously.  Yields until the send is posted.  A message is
-        stamped with its ``msg_id`` here the first time it is sent; a
-        retransmission keeps the id it has."""
+        stamped with its ``msg_id`` at the generator's first step the first
+        time it is sent; a retransmission keeps the id it has.  Untraced,
+        the returned generator is :meth:`_send_impl` itself."""
+        if self.engine.tracer is None:
+            return self._send_impl(msg)
+        return self._send_traced(msg)
+
+    def _send_traced(self, msg: Message) -> Generator:
         if not msg.msg_id:
             msg.msg_id = next(self._msg_ids)
-        tracer = self.engine.tracer
-        if tracer is None:
+        with self.engine.tracer.span(
+            "net.send", node=msg.src,
+            msg_type=msg.msg_type.value, dst=msg.dst,
+        ):
+            # stamp the trace context onto the wire header (no-op if the
+            # caller already did); the receiver's router parents its
+            # handler span on it
+            self.engine.tracer.inject(msg)
+            for posted in self.engine.hooks["message"]:
+                posted(self.engine.now, msg)
             yield from self._send_impl(msg)
-        else:
-            with tracer.span(
-                "net.send", node=msg.src,
-                msg_type=msg.msg_type.value, dst=msg.dst,
-            ):
-                # stamp the trace context onto the wire header (no-op if the
-                # caller already did); the receiver's router parents its
-                # handler span on it
-                tracer.inject(msg)
-                for posted in self.engine.hooks["message"]:
-                    posted(self.engine.now, msg)
-                yield from self._send_impl(msg)
 
     def _send_impl(self, msg: Message) -> Generator:
+        if not msg.msg_id:
+            msg.msg_id = next(self._msg_ids)
         chaos = self.chaos
         if chaos is not None:
             if chaos.on_send(msg):

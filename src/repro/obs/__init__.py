@@ -16,8 +16,8 @@ Its parts:
   :mod:`repro.obs.ring` is its crash flight recorder.
 * :mod:`repro.obs.scope` — DexScope: sim-time utilization series.
 
-Enable tracing with ``DexCluster(trace=True)`` / ``SimParams(trace="1")`` or
-the ``DEX_TRACE`` environment variable; when off, no tracer object exists
+Enable tracing with ``SimParams(trace="1")`` or the ``DEX_TRACE``
+environment variable; when off, no tracer object exists
 and ``engine.span(...)`` hands out a shared no-op.  The lens has
 the same shape behind ``SimParams(lens="1")`` / ``DEX_LENS`` (lens on
 implies a tracer).  Buffer sizes are the observers' own constructor

@@ -3,8 +3,9 @@
 The paper converts OpenMP applications by triggering thread migration at
 the beginning and end of each parallel region: worker *i* of an ``8*n``
 thread team runs on node ``i * n // num_threads``.  ``parallel_region``
-packages that pattern: fork a team, migrate each worker to its node, run
-the body, migrate everyone back, join.
+packages that pattern: fork a team (:func:`spawn_team`, which the apps'
+worker harness uses too), migrate each worker to its node, run the body,
+migrate everyone back, join.
 
 This is also where the paper's stack-argument optimization (§IV-B) is
 modelled: with ``shared_on_stack=True`` the region behaves like unmodified
@@ -33,24 +34,19 @@ def node_for_worker(worker: int, num_workers: int, nodes: Sequence[int]) -> int:
     return nodes[worker * len(nodes) // num_workers]
 
 
-def parallel_region(
-    parent_ctx: "ThreadContext",
+def spawn_team(
+    proc: "DexProcess",
     body: Callable[..., Generator],
     num_threads: int,
-    nodes: Optional[Sequence[int]] = None,
-    args: tuple = (),
+    nodes: Sequence[int],
     migrate: bool = True,
-) -> Generator:
-    """Run ``body(ctx, worker_id, *args)`` on a team of *num_threads*
-    threads distributed over *nodes* (default: all nodes), then join.
-    Returns the list of body results in worker order.
-
-    Each worker performs the paper's two added lines itself: a forward
-    migration as its first action and a backward migration as its last.
-    """
-    proc = parent_ctx.proc
-    if nodes is None:
-        nodes = list(range(proc.cluster.num_nodes))
+    args: tuple = (),
+    prefix: str = "omp",
+) -> List["DexThread"]:
+    """Spawn the §V-A converted team: worker *i* (thread ``prefix + i``)
+    runs ``body(ctx, i, *args)``, performing the paper's two added lines
+    itself when *migrate* — a forward migration to its node as its first
+    action and a backward migration as its last."""
 
     def worker(ctx: "ThreadContext", worker_id: int) -> Generator:
         if migrate:
@@ -61,8 +57,23 @@ def parallel_region(
             yield from ctx.migrate_back()
         return result
 
-    team: List["DexThread"] = [
-        proc.spawn_thread(worker, i, name=f"omp{i}") for i in range(num_threads)
-    ]
-    results = yield from proc.join_all(team)
-    return results
+    return [proc.spawn_thread(worker, i, name=f"{prefix}{i}")
+            for i in range(num_threads)]
+
+
+def parallel_region(
+    parent_ctx: "ThreadContext",
+    body: Callable[..., Generator],
+    num_threads: int,
+    nodes: Optional[Sequence[int]] = None,
+    args: tuple = (),
+    migrate: bool = True,
+) -> Generator:
+    """Run ``body(ctx, worker_id, *args)`` on a :func:`spawn_team` of
+    *num_threads* threads distributed over *nodes* (default: all nodes),
+    then join.  Returns the list of body results in worker order."""
+    proc = parent_ctx.proc
+    if nodes is None:
+        nodes = list(range(proc.cluster.num_nodes))
+    team = spawn_team(proc, body, num_threads, nodes, migrate, args)
+    return (yield from proc.join_all(team))

@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.apps.common import add_run_arguments
+from repro.params import SimParams
 from repro.serve.arrivals import parse_curve
 from repro.serve.manager import ServeManager
 from repro.serve.policy import POLICY_NAMES
@@ -85,21 +86,21 @@ def parse_tenants(spec: str, ns: argparse.Namespace) -> List[TenantSpec]:
 
 
 def _resolve_chaos(ns: argparse.Namespace, num_nodes: int):
-    """Returns (chaos, fail_stop) for the manager.  ``fail-stop`` crashes
-    a node ``--crash-at-us`` after *serving starts* (warm-up time varies
-    with the tenant mix, so absolute times would be untenable)."""
+    """Returns (SimParams fields, fail_stop) for the manager.  ``fail-stop``
+    crashes a node ``--crash-at-us`` after *serving starts* (warm-up time
+    varies with the tenant mix, so absolute times would be untenable)."""
     if not ns.chaos:
-        return None, None
+        return {}, None
     if ns.chaos != "fail-stop":
-        # a scenario JSON path: hand it to the cluster untouched
-        return ns.chaos, None
+        # a scenario JSON path: the cluster loads it
+        return {"chaos": ns.chaos}, None
     from repro.chaos import ChaosScenario
 
     node = ns.crash_node if ns.crash_node is not None else num_nodes - 1
     chaos = ChaosScenario(
         rules=[], seed=ns.seed, on_exclusive_loss=ns.loss_policy,
     )
-    return chaos, (node, ns.crash_at_us)
+    return {"chaos_scenario": chaos}, (node, ns.crash_at_us)
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
@@ -108,14 +109,15 @@ def cmd_run(ns: argparse.Namespace) -> int:
     except ValueError as err:
         ns.run_parser.error(str(err))
     want_export = bool(ns.trace_out)
-    chaos, fail_stop = _resolve_chaos(ns, ns.nodes)
+    knobs, fail_stop = _resolve_chaos(ns, ns.nodes)
+    if ns.scope or want_export:
+        knobs["scope"] = "1"
     manager = ServeManager(
         specs,
         num_nodes=ns.nodes,
         seed=ns.seed,
         directory=ns.directory,
-        chaos=chaos,
-        scope=ns.scope or want_export,
+        params=SimParams(**knobs),
         fail_stop=fail_stop,
     )
     report = manager.run()

@@ -30,8 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.params import SimParams
 
 from .arrivals import arrival_times
-from .policy import ADMIT, REJECT
-from .queueing import DONE, FAILED, QUEUED, RUNNING, Request
+from .queueing import DONE, QUEUED, RUNNING, Request
 from .report import build_report
 from .tenant import Tenant, TenantSpec
 
@@ -51,31 +50,16 @@ class ServeManager:
         num_nodes: int = 8,
         seed: int = 0,
         directory: Optional[str] = None,
-        chaos: Any = None,
-        scope: bool = False,
-        trace: Any = None,
         params: Optional[SimParams] = None,
         fail_stop: Optional[Tuple[int, float]] = None,
     ):
+        """*seed* and *directory* are laid on *params* (default: the
+        defaults), which configures everything else about the rack."""
         if not specs:
             raise ValueError("ServeManager needs at least one tenant")
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        self.seed = seed
-        # (node, offset_us): fail-stop `node` that long after serving
-        # starts.  Serve-relative because warm-up time varies with the
-        # tenant mix — an absolute crash time would land before serving
-        # under one config and after it under another.
-        self.fail_stop = fail_stop
-        base = params if params is not None else SimParams()
-        base = base.copy(seed=seed)
-        if scope:
-            base = base.copy(scope="1")
-        self.cluster = DexCluster(
-            num_nodes=num_nodes, params=base, directory=directory,
-            trace=trace, chaos=chaos,
-        )
         for spec in specs:
             bad = [n for n in spec.nodes if not 0 <= n < num_nodes]
             if bad:
@@ -83,6 +67,17 @@ class ServeManager:
                     f"tenant {spec.name!r}: nodes {bad} outside the "
                     f"{num_nodes}-node cluster"
                 )
+        self.seed = seed
+        # (node, offset_us): fail-stop `node` that long after serving
+        # starts.  Serve-relative because warm-up time varies with the
+        # tenant mix — an absolute crash time would land before serving
+        # under one config and after it under another.
+        self.fail_stop = fail_stop
+        laid = {"seed": seed}
+        if directory is not None:
+            laid["directory"] = directory
+        base = params if params is not None else SimParams()
+        self.cluster = DexCluster(num_nodes, base.copy(**laid))
         self.registry = MetricsRegistry()
         self.tenants = [
             Tenant(spec, self.cluster, self.registry) for spec in specs
@@ -203,9 +198,7 @@ class ServeManager:
                 # the request fails, the worker survives unless its whole
                 # process was failed
                 if request.status == RUNNING:
-                    request.status = FAILED
-                    request.finish_us = engine.now
-                    tenant.count("failed")
+                    tenant.fail(request, engine.now)
                 tenant.running.pop(wkey, None)
                 if tenant.proc.failed is not None:
                     break
@@ -238,24 +231,12 @@ class ServeManager:
         lo, hi = tenant.request_span(rid)
         live = tenant.live_nodes(self.cluster.chaos)
         if tenant.proc.failed is not None or not live:
-            request = Request(rid, tenant.spec.name, -1, now, lo, hi,
-                              status=FAILED, finish_us=now)
-            tenant.count("failed")
+            tenant.fail(Request(rid, tenant.spec.name, -1, now, lo, hi), now)
             return
         node = live[rid % len(live)]
         request = Request(rid, tenant.spec.name, node, now, lo, hi)
-        decision = tenant.policy.decide(tenant.queues[node], request, now)
-        self._count_decision(tenant, decision)
-
-    def _count_decision(self, tenant: Tenant, decision: Any) -> None:
-        if decision.action == ADMIT:
-            tenant.count("admitted")
-        elif decision.action == REJECT:
-            tenant.count("rejected")
-        else:
-            tenant.count("throttled")
-        for victim in decision.shed:
-            tenant.count("shed")
+        tenant.count_decision(
+            tenant.policy.decide(tenant.queues[node], request, now))
 
     # -- failure sweep ----------------------------------------------------
 
@@ -271,14 +252,10 @@ class ServeManager:
                 tenant.dead = True
                 for queue in tenant.queues.values():
                     for request in queue.drain():
-                        request.status = FAILED
-                        request.finish_us = now
-                        tenant.count("failed")
+                        tenant.fail(request, now)
                 for wkey, request in list(tenant.running.items()):
                     if request.status == RUNNING:
-                        request.status = FAILED
-                        request.finish_us = now
-                        tenant.count("failed")
+                        tenant.fail(request, now)
                     tenant.running.pop(wkey, None)
                 tenant.release_all_waiters()
                 continue
@@ -294,25 +271,16 @@ class ServeManager:
                         target = live[request.rid % len(live)]
                         request.node = target
                         request.status = QUEUED
-                        decision = tenant.policy.decide(
-                            tenant.queues[target], request, now)
                         tenant.count("rerouted")
-                        if decision.action == REJECT:
-                            tenant.count("rejected")
-                        elif decision.action != ADMIT:
-                            tenant.count("throttled")
-                        for victim in decision.shed:
-                            tenant.count("shed")
+                        tenant.count_decision(tenant.policy.decide(
+                            tenant.queues[target], request, now),
+                            rerouted=True)
                     else:
-                        request.status = FAILED
-                        request.finish_us = now
-                        tenant.count("failed")
+                        tenant.fail(request, now)
                 queue.release_waiters()
                 for wkey, request in list(tenant.running.items()):
                     if wkey[0] == node and request.status == RUNNING:
-                        request.status = FAILED
-                        request.finish_us = now
-                        tenant.count("failed")
+                        tenant.fail(request, now)
                         tenant.running.pop(wkey, None)
 
     # -- DexScope feed -----------------------------------------------------

@@ -29,8 +29,8 @@ from repro.runtime import MemoryAllocator
 from repro.runtime.array import alloc_array
 
 from .arrivals import ArrivalCurve
-from .policy import POLICY_NAMES, make_policy
-from .queueing import Request, ServeQueue
+from .policy import ADMIT, POLICY_NAMES, REJECT, make_policy
+from .queueing import FAILED, Request, ServeQueue
 
 WORKLOAD_KINDS = ("kmn", "grp", "blk", "scan")
 
@@ -158,6 +158,25 @@ class Tenant:
 
     def counts(self) -> Dict[str, int]:
         return {what: c.value for what, c in self._events.items()}
+
+    def count_decision(self, decision: Any, rerouted: bool = False) -> None:
+        """Count the policy's verdict on a request; a rerouted request's
+        admission is not counted again (it was when the request arrived)."""
+        if decision.action == ADMIT:
+            if not rerouted:
+                self.count("admitted")
+        elif decision.action == REJECT:
+            self.count("rejected")
+        else:
+            self.count("throttled")
+        for _ in decision.shed:
+            self.count("shed")
+
+    def fail(self, request: Request, now: float) -> None:
+        """*request* ends FAILED at *now*."""
+        request.status = FAILED
+        request.finish_us = now
+        self.count("failed")
 
     def accounted(self) -> int:
         """Arrivals that reached a terminal state."""

@@ -353,7 +353,8 @@ def _check_inject_coverage(ctx: VetContext) -> Iterable[Finding]:
                         "bypasses Tracer.inject and the chaos delivery "
                         "hooks — go through send/post/request")
         # (b) a fabric frontend (class with both send and _send_impl) must
-        #     stamp trace context before handing off
+        #     stamp trace context before handing off — in send itself or
+        #     in its traced twin _send_traced
         for cls in scan.nodes:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -361,9 +362,11 @@ def _check_inject_coverage(ctx: VetContext) -> Iterable[Finding]:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
             if "send" not in defs or "_send_impl" not in defs:
                 continue
+            frontends = [defs[name] for name in ("send", "_send_traced")
+                         if name in defs]
             if not any(isinstance(node, ast.Call) and isinstance(
                     node.func, ast.Attribute) and node.func.attr == "inject"
-                    for node in ast.walk(defs["send"])):
+                    for fn in frontends for node in ast.walk(fn)):
                 yield scan.path, defs["send"].lineno, (
                     f"{cls.name}.send has no Tracer.inject call — "
                     f"cross-node messages leave without trace context "

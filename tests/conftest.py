@@ -10,6 +10,7 @@ backend ran.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import io
 import os
@@ -77,6 +78,7 @@ def open_clusters(monkeypatch):
         for process in cluster.processes.values():
             process.protocol.check_invariants()
 
+    @functools.wraps(original_init)  # keeps the signature inspectable
     def recording_init(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         clusters.append(self)

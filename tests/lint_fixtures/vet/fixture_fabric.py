@@ -21,3 +21,20 @@ class MiniFabric:
     def _send_impl(self, msg):
         self.outbox.append(msg)
         _Flight(self, msg)
+
+
+class TwinFabric:
+    """The untraced send hands back ``_send_impl`` itself; the traced twin
+    stamps the trace context."""
+
+    def send(self, msg):
+        if self.tracer is None:
+            return self._send_impl(msg)
+        return self._send_traced(msg)
+
+    def _send_traced(self, msg):
+        self.tracer.inject(msg)
+        return self._send_impl(msg)
+
+    def _send_impl(self, msg):
+        self.outbox.append(msg)

@@ -1,10 +1,12 @@
 """What a recording observer sees of one small run, as JSON on stdout.
 
-``python tests/probe_log.py pingpong|pagefault|kmn4`` — run by
+``python tests/probe_log.py pingpong|pagefault|kmn4|chaos`` — run by
 ``tests/test_hooks.py`` in subprocesses (another ``PYTHONHASHSEED``, another
 interpreter) and imported by it for the in-process runs.  ``pingpong``
 needs the standard library alone: it first imports every package that
 claims to, then hammers one word from two nodes with the sanitizer on.
+``chaos`` is the chaos harness's control-message micro with one page
+request dropped and one invalidation duplicated, sanitizer on.
 """
 
 import hashlib
@@ -102,6 +104,25 @@ def kmn4():
     spec = RunSpec("KMN", "initial", 4)
     cluster = spec.cluster()
     return cluster, None, lambda: spec.run(cluster=cluster).correct
+
+
+def chaos():
+    from repro.apps.common import RunSpec
+    from repro.chaos import ChaosRule, ChaosScenario, run_pagefault_micro
+    from repro.params import SimParams
+
+    scenario = ChaosScenario(rules=[
+        ChaosRule(kind="drop", msg_type="page_request", nth=1),
+        ChaosRule(kind="duplicate", msg_type="page_invalidate", nth=1),
+    ], seed=3).validate()
+    spec = RunSpec("micro", base=SimParams(chaos_scenario=scenario,
+                                           sanitize="1"))
+    cluster = spec.cluster()
+
+    def run():
+        return run_pagefault_micro(spec, cluster=cluster)["value"]
+
+    return cluster, None, run
 
 
 def log(workload):

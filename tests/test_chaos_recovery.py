@@ -4,6 +4,7 @@ hang"), and the harness restart policy on a real application."""
 
 import pytest
 
+from repro.apps.common import RunSpec
 from repro.chaos import run_pagefault_micro, run_under_chaos
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core import DexCluster
@@ -24,10 +25,11 @@ def test_crash_mid_run_fails_loud_within_lease_timeout():
     one lease timeout plus a check period."""
     scenario = _crash_scenario(node=1, msg_type="delegate", nth=2)
     # the caller that wants the controller afterwards owns the cluster
-    cluster = DexCluster(num_nodes=2, params=SimParams(
+    spec = RunSpec("micro", base=SimParams(
         chaos_scenario=scenario, sanitize="1"))
+    cluster = spec.cluster()
     with pytest.raises(NodeFailedError) as exc_info:
-        run_pagefault_micro(cluster=cluster)
+        run_pagefault_micro(spec, cluster=cluster)
     assert "node 1" in str(exc_info.value)
     controller = cluster.chaos
     report = controller.report()
@@ -162,9 +164,9 @@ def test_kmeans_survives_mid_run_fail_stop_via_restart():
         seed=4, on_exclusive_loss="rollback",
     ).validate()
     outcome = run_under_chaos(
-        "KMN", "initial", num_nodes=4, scale="small",
-        scenario=scenario, max_restarts=1,
-        n_points=20_000, max_iters=2,
+        RunSpec("KMN", "initial", 4, "small",
+                overrides=dict(n_points=20_000, max_iters=2)),
+        scenario, max_restarts=1,
     )
     assert outcome.completed and outcome.correct
     assert len(outcome.attempts) == 2

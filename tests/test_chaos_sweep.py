@@ -5,6 +5,7 @@ to drop, the transport must have retransmitted."""
 
 import pytest
 
+from repro.apps.common import RunSpec
 from repro.chaos import run_pagefault_micro
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core.directory import DIRECTORY_BACKENDS
@@ -25,7 +26,8 @@ SHARDED_ONLY = {"page_home_lookup"}
 def test_drop_each_request_type_once(msg_type, directory):
     rule = ChaosRule(kind="drop", msg_type=msg_type, nth=1)
     scenario = ChaosScenario(rules=[rule], seed=1).validate()
-    out = run_pagefault_micro(scenario, directory=directory)
+    out = run_pagefault_micro(RunSpec("micro", directory=directory),
+                              scenario)
     assert out["ok"], (msg_type, directory, out)
     report = out["report"]
     if msg_type in SHARDED_ONLY and directory != "sharded":
@@ -45,7 +47,8 @@ def test_drop_every_type_in_one_run(directory):
         for t in SWEEP_TYPES
     ]
     scenario = ChaosScenario(rules=rules, seed=2).validate()
-    out = run_pagefault_micro(scenario, directory=directory)
+    out = run_pagefault_micro(RunSpec("micro", directory=directory),
+                              scenario)
     assert out["ok"], (directory, out)
     fired = sum(r.fired for r in rules)
     expected = len(SWEEP_TYPES) - (0 if directory == "sharded"

@@ -4,8 +4,12 @@ retry/dedup counters showing the machinery actually engaged."""
 
 import pytest
 
+from repro.apps.common import RunSpec
 from repro.chaos import run_pagefault_micro
 from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
+
+
+MICRO = RunSpec("micro")
 
 
 def _scenario(*rules, seed=3, **kw):
@@ -13,7 +17,7 @@ def _scenario(*rules, seed=3, **kw):
 
 
 def test_empty_scenario_completes_clean():
-    out = run_pagefault_micro(_scenario())
+    out = run_pagefault_micro(MICRO, _scenario())
     assert out["ok"], out
     report = out["report"]
     assert report["injections"] == {}
@@ -23,6 +27,7 @@ def test_empty_scenario_completes_clean():
 
 def test_dropped_request_is_retransmitted():
     out = run_pagefault_micro(
+        MICRO,
         _scenario(ChaosRule(kind="drop", msg_type="page_request", nth=1))
     )
     assert out["ok"], out
@@ -36,6 +41,7 @@ def test_dropped_reply_resends_cached_reply():
     duplicate filter answers the retransmitted request from its reply
     cache, and the count stays exact."""
     out = run_pagefault_micro(
+        MICRO,
         _scenario(ChaosRule(kind="drop", msg_type="page_grant", nth=1))
     )
     assert out["ok"], out
@@ -48,6 +54,7 @@ def test_dropped_reply_resends_cached_reply():
 def test_duplicated_request_is_suppressed():
     """A duplicated delivery must not double-apply the operation."""
     out = run_pagefault_micro(
+        MICRO,
         _scenario(ChaosRule(kind="duplicate", msg_type="page_request", nth=1))
     )
     assert out["ok"], out
@@ -55,7 +62,7 @@ def test_duplicated_request_is_suppressed():
 
 
 def test_delay_and_reorder_preserve_correctness():
-    out = run_pagefault_micro(_scenario(
+    out = run_pagefault_micro(MICRO, _scenario(
         ChaosRule(kind="delay", msg_type="page_invalidate", nth=1,
                   delay_us=900.0),
         ChaosRule(kind="reorder", msg_type="page_request", nth=2),
@@ -66,8 +73,8 @@ def test_delay_and_reorder_preserve_correctness():
 
 
 def test_degraded_link_slows_but_completes():
-    baseline = run_pagefault_micro(_scenario())
-    out = run_pagefault_micro(_scenario(
+    baseline = run_pagefault_micro(MICRO, _scenario())
+    out = run_pagefault_micro(MICRO, _scenario(
         ChaosRule(kind="degrade", factor=50.0, times=None)
     ))
     assert out["ok"], out
@@ -78,7 +85,7 @@ def test_degraded_link_slows_but_completes():
 def test_probabilistic_drops_are_survivable():
     """A lossy link (every message class, 20% drop) still yields the exact
     count — the transport's job in one line."""
-    out = run_pagefault_micro(_scenario(
+    out = run_pagefault_micro(MICRO, _scenario(
         ChaosRule(kind="drop", probability=0.2, times=None), seed=7,
     ))
     assert out["ok"], out
@@ -94,7 +101,7 @@ def test_same_seed_same_schedule():
     """The whole run — injection choices included — is a function of the
     seed: two fresh runs of one scenario agree on sim time and counters."""
     def once():
-        return run_pagefault_micro(_scenario(
+        return run_pagefault_micro(MICRO, _scenario(
             ChaosRule(kind="drop", probability=0.15, times=None), seed=21,
         ))
 

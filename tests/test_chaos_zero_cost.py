@@ -4,6 +4,7 @@ bit-identical run to run; cancellable timeouts never advance the clock."""
 
 import pytest
 
+from repro.apps.common import RunSpec
 from repro.chaos import run_pagefault_micro
 from repro.core import DexCluster
 from repro.sim import Engine
@@ -21,8 +22,8 @@ def test_cluster_has_no_controller_by_default():
 
 
 def test_chaos_off_sim_time_is_bit_identical():
-    a = run_pagefault_micro(None)
-    b = run_pagefault_micro(None)
+    a = run_pagefault_micro(RunSpec("micro"))
+    b = run_pagefault_micro(RunSpec("micro"))
     assert a["ok"] and b["ok"]
     assert a["report"] is None and b["report"] is None
     assert a["elapsed_us"] == b["elapsed_us"]
@@ -32,8 +33,8 @@ def test_chaos_off_matches_with_pinned_seed():
     """The engine seed changes workload RNG draws, never event timing of a
     deterministic run: two different seeds agree on the micro's sim time
     (nothing in the micro draws randomness)."""
-    a = run_pagefault_micro(None, seed=1)
-    b = run_pagefault_micro(None, seed=2)
+    a = run_pagefault_micro(RunSpec("micro", seed=1))
+    b = run_pagefault_micro(RunSpec("micro", seed=2))
     assert a["elapsed_us"] == b["elapsed_us"]
 
 

@@ -9,6 +9,7 @@ failure surface the shared declaration fixes (usage errors, not
 tracebacks)."""
 
 import argparse
+import inspect
 import re
 
 import numpy as np
@@ -26,11 +27,13 @@ from repro.apps.common import (
 )
 from repro.bench.__main__ import main as bench_main
 from repro.bench.runner import run_point
-from repro.chaos import run_under_chaos
+from repro.chaos import run_pagefault_micro, run_under_chaos
 from repro.chaos.__main__ import _build_parser as chaos_parser, main as chaos_main
 from repro.chaos.scenario import ChaosRule, ChaosScenario
+from repro.core import DexCluster
 from repro.core.errors import NodeFailedError
 from repro.obs.__main__ import _spec as obs_spec, main as obs_main
+from repro.serve import ServeManager
 from repro.serve.__main__ import build_parser as serve_parser, main as serve_main
 
 TINY_KMN = ["--app-arg", "n_points=4000", "--app-arg", "max_iters=1"]
@@ -256,7 +259,7 @@ def test_an_app_run_builds_whatever_the_plane_names(built):
     run_point("EP", "initial", 2, n_pairs=60_000)
     ep.run(num_nodes=1, n_pairs=60_000)
     RunSpec("EP", overrides={"n_pairs": 60_000}).run()
-    run_under_chaos("EP", "initial", 2, n_pairs=60_000)
+    run_under_chaos(RunSpec("EP", nodes=2, overrides={"n_pairs": 60_000}))
     assert len(built) == 4
     assert all(type(c).__name__ == "RecordingCluster" for c in built)
     assert [c.num_nodes for c in built] == [TESTBED_NODES] * 4
@@ -277,9 +280,8 @@ def _crash(node=2):
 
 def test_chaos_report_is_the_last_attempts_cluster(built):
     scenario = _crash()
-    outcome = run_under_chaos("kmeans", "initial", num_nodes=4,
-                              scenario=scenario, max_restarts=1,
-                              n_points=20_000, max_iters=2)
+    outcome = run_under_chaos(RunSpec("kmeans", nodes=4, overrides=dict(
+        n_points=20_000, max_iters=2)), scenario, max_restarts=1)
     first, last = built
     assert outcome.app == "KMN" and outcome.correct
     assert len(outcome.attempts) == 2
@@ -291,11 +293,37 @@ def test_chaos_report_is_the_last_attempts_cluster(built):
 
 def test_an_unsurvived_scenario_carries_its_report(built):
     with pytest.raises(NodeFailedError) as exc_info:
-        run_under_chaos("KMN", "initial", num_nodes=4, scenario=_crash(),
-                        max_restarts=0, n_points=20_000, max_iters=2)
+        run_under_chaos(RunSpec("KMN", nodes=4, overrides=dict(
+            n_points=20_000, max_iters=2)), _crash(), max_restarts=0)
     (only,) = built
     assert exc_info.value.chaos_report == only.chaos.report()
     assert exc_info.value.chaos_report["crashed"] == [2]
+
+
+def test_the_entry_points_take_the_description_not_its_fields():
+    """The rack is configured by ``SimParams`` alone and a run by
+    ``RunSpec`` alone: no entry point re-spells their fields as keywords
+    (``ServeManager``'s *seed* and *directory* mirror the serve CLI)."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(DexCluster) == ["num_nodes", "params"]
+    assert names(ServeManager) == ["specs", "num_nodes", "seed", "directory",
+                                   "params", "fail_stop"]
+    assert names(run_under_chaos) == ["spec", "scenario", "sanitize",
+                                      "max_restarts"]
+    assert names(run_pagefault_micro) == ["spec", "scenario", "sanitize",
+                                          "iters", "cluster"]
+
+
+def test_the_harness_ignores_no_argument():
+    micro = RunSpec("micro")
+    with pytest.raises(ValueError, match="not built from this spec"):
+        run_pagefault_micro(micro, cluster=micro.cluster())  # sanitizer off
+    with pytest.raises(ValueError, match="runs 'micro', not 'KMN'"):
+        run_pagefault_micro(RunSpec("KMN"))
+    with pytest.raises(ValueError, match="not a Figure-2 app"):
+        run_under_chaos(micro)
 
 
 def test_chaos_cli_prints_the_report_of_a_lost_run(capsys):

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro import DexCluster, SimParams
+from repro.apps.common import RunSpec
 from repro.check import DeadlockError
 from repro.core.errors import NodeFailedError
 from repro.obs.export import PathPhase, check_trace_tree, path_phase_of
@@ -439,9 +440,9 @@ def test_failstop_crash_dumps_snapshot_under_kmeans(tmp_path):
     params = SimParams(lens="1", lens_dump_path=str(dump), seed=5)
     with pytest.raises(NodeFailedError):
         run_under_chaos(
-            "KMN", "initial", 4, "small",
-            scenario=scenario, max_restarts=0, params=params,
-            n_points=20_000, max_iters=1,
+            RunSpec("KMN", "initial", 4, "small", base=params,
+                    overrides=dict(n_points=20_000, max_iters=1)),
+            scenario, max_restarts=0,
         )
     assert dump.exists()
     spans, meta = load_snapshot(str(dump))
@@ -514,11 +515,10 @@ def test_resent_reply_keeps_original_trace(tmp_path):
         rules=[ChaosRule(kind="drop", msg_type="page_grant", nth=1)],
         seed=3,
     ).validate()
-    cluster = DexCluster(
-        num_nodes=2,
-        params=SimParams(trace="1", sanitize="", chaos_scenario=scenario),
-    )
-    out = run_pagefault_micro(cluster=cluster)
+    spec = RunSpec("micro", base=SimParams(
+        trace="1", sanitize="", chaos_scenario=scenario))
+    cluster = spec.cluster()
+    out = run_pagefault_micro(spec, cluster=cluster, sanitize=False)
     assert out["ok"], out
     assert out["report"]["replies_resent"] >= 1
 

@@ -92,6 +92,18 @@ def test_a_finished_run_leaves_no_cyclic_garbage(name, knob, monkeypatch,
     assert open_clusters == [], "a run left the cluster it built open"
 
 
+def test_a_refused_manager_builds_nothing(open_clusters):
+    """ServeManager checks its tenants before it builds the rack: one it
+    refuses leaves no cluster behind, open or as garbage."""
+    def refused():
+        with pytest.raises(ValueError, match="outside the 2-node cluster"):
+            ServeManager([kmn_spec(nodes=(0, 3))], num_nodes=2)
+
+    found, kinds = unreachable_after(refused)
+    assert found == 0, f"{found} unreachable, {kinds.most_common(12)}"
+    assert open_clusters == []
+
+
 def test_close_keeps_observer_results_readable():
     cluster = DexCluster(num_nodes=4, params=SimParams(
         trace="1", lens="1", scope="1", lens_dump_path=""))

@@ -7,6 +7,7 @@ byte."""
 import json
 
 from repro import DexCluster
+from repro.apps.common import RunSpec
 from repro.chaos import run_pagefault_micro
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.net import Message, MsgType, Network
@@ -19,8 +20,10 @@ def traced_drop_run(path):
     returns the saved span log and the chaos report as bytes."""
     scenario = ChaosScenario(rules=[  # rules count their matches: fresh ones
         ChaosRule(kind="drop", msg_type="page_request", nth=1)], seed=3)
-    cluster = DexCluster(num_nodes=2, trace=True, chaos=scenario.validate())
-    out = run_pagefault_micro(cluster=cluster)
+    spec = RunSpec("micro", base=SimParams(
+        trace="1", chaos_scenario=scenario.validate()))
+    cluster = spec.cluster()
+    out = run_pagefault_micro(spec, cluster=cluster, sanitize=False)
     assert out["ok"], out
     assert out["report"]["injections"] == {"drop": 1}
     cluster.tracer.save_json(str(path))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.params import SimParams
 from repro.serve import ArrivalCurve, ServeManager, TenantSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -123,7 +124,7 @@ def test_failstop_chaos_converges_and_attributes():
         chaos = ChaosScenario(rules=[], seed=9, on_exclusive_loss="rollback")
         return run_report(
             [kmn_spec(requests=160), scan_burst_spec(requests=240)],
-            chaos=chaos, fail_stop=(3, 2_000.0),
+            params=SimParams(chaos_scenario=chaos), fail_stop=(3, 2_000.0),
         )
 
     report = run_once()
@@ -158,7 +159,7 @@ def test_failstop_chaos_converges_and_attributes():
 def test_scope_sampling_does_not_change_results():
     specs = [kmn_spec(), scan_burst_spec()]
     plain = run_report(specs)
-    scoped = run_report(specs, scope=True)
+    scoped = run_report(specs, params=SimParams(scope="1"))
     assert json.dumps(plain, sort_keys=True) == json.dumps(
         scoped, sort_keys=True)
 

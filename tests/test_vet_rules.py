@@ -126,8 +126,9 @@ CORPUS = {
     "vet/fixture_clean.py": [],
     "vet/fixture_fabric.py": [],
     "vet/fixture_dispatch_bypass.py": [
-        (18, "inject-coverage", "direct '.dispatch(...)'"),
-        (22, "inject-coverage", "no Tracer.inject call"),
+        (19, "inject-coverage", "direct '.dispatch(...)'"),
+        (23, "inject-coverage", "no Tracer.inject call"),
+        (31, "inject-coverage", "no Tracer.inject call"),
     ],
     "vet/fixture_dropped_wait.py": [
         (28, "dropped-wait", "built and dropped"),
