@@ -26,6 +26,11 @@ BLK      :mod:`repro.apps.blackscholes`         PARSEC financial kernel
 BFS      :mod:`repro.apps.polymer.bfs`          NUMA-aware graph analytics
 BP       :mod:`repro.apps.polymer.bp`           NUMA-aware graph analytics
 =======  =====================================  ==========================
+
+Two 2-node microbenchmarks run through the same :class:`RunSpec` (they
+are not in ``APP_NAMES``, the Figure 2 set): ``pagefault``
+(:mod:`repro.apps.pagefault`, §V-D's atomic-add ping-pong) and ``micro``
+(:mod:`repro.apps.chaos_micro`, every request-class control message).
 """
 
 from repro.apps.common import (

@@ -14,7 +14,7 @@ import importlib
 import inspect
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
 
 from repro.core import DIRECTORY_BACKENDS, DexCluster, DexProcess
 from repro.core.stats import DexStats
@@ -36,6 +36,10 @@ _MODULES: Dict[str, str] = {
     "BP": "repro.apps.polymer.bp",
 }
 APP_NAMES = list(_MODULES)
+#: the 2-node microbenchmarks, run like any app: §V-D's atomic-add
+#: ping-pong and the chaos suite's every-control-message micro
+_MODULES.update(pagefault="repro.apps.pagefault",
+                micro="repro.apps.chaos_micro")
 
 #: long-form spellings of the short names (any case of a short name works too)
 _ALIASES: Dict[str, str] = {
@@ -44,10 +48,6 @@ _ALIASES: Dict[str, str] = {
     "blackscholes": "BLK",
     "pagerank": "BP",
 }
-
-#: the 2-node pseudo-apps, each run by its own CLI: ``repro.obs``' §V-D
-#: atomic-add ping-pong and ``repro.chaos``' every-control-message micro
-MICROS = ("pagefault", "micro")
 
 #: the paper's rack (§V); app clusters are never smaller
 TESTBED_NODES = 8
@@ -111,16 +111,13 @@ class AppResult:
         return 1.0 / self.elapsed_us if self.elapsed_us > 0 else float("inf")
 
 
-def resolve_app(name: str, micros: Sequence[str] = ()) -> str:
+def resolve_app(name: str) -> str:
     """The canonical name for any accepted spelling of an app: a Figure 2
-    short name in any case, a long alias, or one of the pseudo-apps the
-    caller runs (*micros*)."""
+    short name or a micro's name in any case, or a long alias."""
     key = name.lower()
-    if key in micros:
-        return key
-    short = _ALIASES.get(key, name.upper())
+    short = _ALIASES.get(key, key if key in _MODULES else name.upper())
     if short not in _MODULES:
-        choices = ", ".join([*APP_NAMES, *sorted(_ALIASES), *micros])
+        choices = ", ".join([*_MODULES, *sorted(_ALIASES)])
         raise ValueError(f"unknown app {name!r}; choose from {choices}")
     return short
 
@@ -152,7 +149,7 @@ class RunSpec:
     base: Optional[SimParams] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "app", resolve_app(self.app, MICROS))
+        object.__setattr__(self, "app", resolve_app(self.app))
         for name, allowed in (("variant", VARIANTS),
                               ("scale", tuple(SCALE_PRESETS))):
             if getattr(self, name) not in allowed:
@@ -163,17 +160,13 @@ class RunSpec:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
         if self.overrides:
-            known = set() if self.micro else set(inspect.signature(
+            known = set(inspect.signature(
                 get_app(self.app).run).parameters) - _SPEC_KEYWORDS
             unknown = sorted(set(self.overrides) - known)
             if unknown:
                 raise ValueError(
                     f"{self.app} takes no workload argument "
                     f"{', '.join(unknown)}")
-
-    @property
-    def micro(self) -> bool:
-        return self.app in MICROS
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace, **fixed: Any) -> "RunSpec":
@@ -202,24 +195,25 @@ class RunSpec:
         cluster is constructed (``DexCluster`` is looked up in this module
         at call time: DexBench's traced run swaps it).  *nodes* only
         controls placement.  A tool that reads the run's tracer, lens,
-        scope or chaos controller afterwards passes it to :meth:`run`."""
+        scope or chaos controller afterwards passes it to :meth:`run`.  A
+        micro names its own rack (``RACK_NODES``)."""
+        rack = getattr(get_app(self.app), "RACK_NODES", None)
         return DexCluster(
-            num_nodes=2 if self.micro else max(self.nodes, TESTBED_NODES),
+            num_nodes=rack or max(self.nodes, TESTBED_NODES),
             params=self.params(),
         )
 
     def run(self, cluster: Optional[DexCluster] = None,
             tracer=None) -> AppResult:
         """Run the app on *cluster* when the caller built it (and keeps it
-        open), else on one :func:`launch` builds and :func:`finish` closes."""
-        if self.micro:
-            raise ValueError(f"{self.app!r} is run by its own CLI")
+        open), else on one :func:`launch` builds and :func:`conclude` closes."""
         return get_app(self.app).run(
             num_nodes=self.nodes, variant=self.variant,
             threads_per_node=self.threads_per_node,
             params=self.params() if cluster is None else cluster.params,
             tracer=tracer, cluster=cluster,
-            **{**SCALE_PRESETS[self.scale][self.app], **self.overrides},
+            **{**SCALE_PRESETS[self.scale].get(self.app, {}),
+               **self.overrides},
         )
 
 
@@ -252,8 +246,8 @@ def _app_arg(text: str):
 
 #: dest -> argparse keywords, shared by every CLI that exposes the flag
 _RUN_ARGUMENTS: Dict[str, Dict[str, Any]] = {
-    "app": dict(help="Figure 2 short name (%s) or long alias (%s)" % (
-        ", ".join(APP_NAMES), ", ".join(sorted(_ALIASES)))),
+    "app": dict(help="Figure 2 app or 2-node micro (%s), or long alias (%s)"
+                % (", ".join(_MODULES), ", ".join(sorted(_ALIASES)))),
     "variant": dict(choices=VARIANTS, default="initial"),
     "nodes": dict(type=count_arg, default=1, help="nodes the run is placed on"),
     "scale": dict(choices=tuple(SCALE_PRESETS), default="small",
@@ -272,17 +266,14 @@ _RUN_ARGUMENTS["apps"] = _RUN_ARGUMENTS["app"]
 
 
 def add_run_arguments(parser: argparse.ArgumentParser, *flags: str,
-                      micro: Optional[str] = None, **defaults: Any) -> None:
+                      **defaults: Any) -> None:
     """Declare the run-spec *flags* a CLI exposes, spelled as argparse
     spells them (``"--nodes"``; no dashes = positional), with the CLI's own
     *defaults* by dest name — a list default makes the flag take one or
-    more values (each its own run).  *micro* names the pseudo-app this CLI
-    also runs.  Pair with :meth:`RunSpec.from_args`."""
-    micros = () if micro is None else (micro,)
-
+    more values (each its own run).  Pair with :meth:`RunSpec.from_args`."""
     def app_name(text: str) -> str:
         try:
-            return resolve_app(text, micros)
+            return resolve_app(text)
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -291,8 +282,6 @@ def add_run_arguments(parser: argparse.ArgumentParser, *flags: str,
         keywords = dict(_RUN_ARGUMENTS[dest])
         if dest in ("app", "apps"):
             keywords["type"] = app_name
-            if micro is not None:
-                keywords["help"] += f", or {micro!r} (a 2-node microbenchmark)"
         if dest in defaults:
             keywords["default"] = defaults[dest]
             if isinstance(defaults[dest], list):
@@ -365,23 +354,31 @@ def finish(job: Launch, body: Callable[..., Generator],
            migrate_around: bool = True) -> AppResult:
     """The epilogue of every app's ``run()``: *setup* (untimed), the timed
     parallel section of ``body(ctx, wid)`` workers, then *collect*, which
-    returns ``(output, correct)``; a cluster :func:`launch` built is closed
-    on the way out.  ``migrate_around=False`` is for bodies that migrate
-    per region themselves."""
-    cluster, proc = job.cluster, job.proc
-    try:
+    returns ``(output, correct)``.  ``migrate_around=False`` is for bodies
+    that migrate per region themselves."""
+    def steps():
         if setup is not None:
-            cluster.simulate(setup, proc)
+            job.cluster.simulate(setup, job.proc)
         elapsed = run_workers(job, body, job.migrate and migrate_around)
-        output, correct = cluster.simulate(collect, proc)
+        return (elapsed, *job.cluster.simulate(collect, job.proc))
+
+    return conclude(job, steps)
+
+
+def conclude(job: Launch, steps: Callable[[], tuple]) -> AppResult:
+    """Run *steps()*, which returns ``(elapsed_us, output, correct)``, as
+    the job's :class:`AppResult`; a cluster :func:`launch` built is closed
+    on the way out, however *steps* ends."""
+    try:
+        elapsed, output, correct = steps()
     finally:
         if job.owns_cluster:
-            cluster.close()
+            job.cluster.close()
     spec = job.spec
     return AppResult(
         app=spec.app, variant=spec.variant, num_nodes=spec.nodes,
         num_threads=job.num_threads, elapsed_us=elapsed, output=output,
-        stats=proc.stats, correct=correct,
+        stats=job.proc.stats, correct=correct,
     )
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import DexCluster, SimParams
-from repro.apps import APP_NAMES, get_app
+from repro.apps import APP_NAMES, RunSpec, get_app
 from repro.bench.runner import ScalingPoint, _mean_fault_us, run_point, run_scaling
-from repro.runtime import MemoryAllocator
 
 INF = math.inf
 VARIANTS = ("initial", "optimized")
@@ -272,65 +271,12 @@ def figure3(args) -> Iterator[Row]:
             "us")
 
 
-@dataclass
-class FaultReport:
-    total_faults: int
-    fast_count: int
-    fast_mean_us: float
-    contended_count: int
-    contended_mean_us: float
-    page_retrieval_us: float  # messaging-layer 4KB fetch (paper: 13.6us)
-    lost_updates: int         # must be zero
-
-    @property
-    def bimodal_ratio(self) -> float:
-        if self.fast_mean_us <= 0:
-            return 0.0
-        return self.contended_mean_us / self.fast_mean_us
-
-
-def pagefault_micro(
-    duration_us: float = 100_000.0,
-    params: Optional[SimParams] = None,
-    cluster: Optional[DexCluster] = None,
-) -> FaultReport:
-    """Two threads on two nodes ping-ponging one global variable (§V-D).
-    A tool that inspects the hammer run afterwards passes its own 2-node
-    *cluster* (built from the same *params*) and keeps it open."""
-    owned = cluster is None
-    if owned:
-        cluster = DexCluster(num_nodes=2, params=params)
+def page_retrieval_us() -> float:
+    """The messaging layer's request + 4KB RDMA delivery, what the paper's
+    13.6us measures: one cold remote page fetch, less the fault-handling
+    side costs."""
+    cluster = DexCluster(num_nodes=2)
     proc = cluster.create_process()
-    alloc = MemoryAllocator(proc)
-    var = alloc.alloc_global(8, tag="shared_var")
-
-    def hammer(ctx, dest):
-        count = 0
-        if dest is not None:
-            yield from ctx.migrate(dest)
-        while ctx.now < duration_us:
-            yield from ctx.atomic_add_i64(var, 1, site="hammer")
-            yield from ctx.compute(cpu_us=0.1)
-            count += 1
-        return count
-
-    t1 = proc.spawn_thread(hammer, None)
-    t2 = proc.spawn_thread(hammer, 1)
-
-    def main(ctx):
-        counts = yield from proc.join_all([t1, t2])
-        value = yield from ctx.read_i64(var)
-        return counts, value
-
-    counts, value = cluster.simulate(main, proc)
-    if owned:
-        cluster.close()
-    recs = [r for r in proc.stats.fault_latencies if not r.coalesced]
-    fast = [r.latency_us for r in recs if r.retries == 0]
-    slow = [r.latency_us for r in recs if r.retries > 0]
-    # messaging-layer page retrieval: one cold remote 4KB fetch
-    cluster2 = DexCluster(num_nodes=2, params=params)
-    proc2 = cluster2.create_process()
 
     def fetch(ctx):
         yield from ctx.migrate(1)
@@ -340,37 +286,34 @@ def pagefault_micro(
         yield from ctx.read(0x1000_0000, 8)
         return ctx.now - start
 
-    fetch_latency = cluster2.simulate(fetch, proc2)
-    cluster2.close()
-    # strip the fault-handling side costs, leaving the messaging layer's
-    # request + 4KB RDMA delivery (what the paper's 13.6us measures)
-    trap_side = (
-        cluster2.params.fault_trap_cost
-        + cluster2.params.fault_coalesce_lookup_cost
-        + cluster2.params.page_alloc_cost
-        + cluster2.params.pte_update_cost
-        + cluster2.params.protocol_handler_cost
-    )
-    return FaultReport(
-        total_faults=len(recs),
-        fast_count=len(fast),
-        fast_mean_us=statistics.mean(fast) if fast else 0.0,
-        contended_count=len(slow),
-        contended_mean_us=statistics.mean(slow) if slow else 0.0,
-        page_retrieval_us=fetch_latency - trap_side,
-        lost_updates=sum(counts) - value,
-    )
+    fetch_latency = cluster.simulate(fetch, proc)
+    cluster.close()
+    p = cluster.params
+    return fetch_latency - (
+        p.fault_trap_cost + p.fault_coalesce_lookup_cost + p.page_alloc_cost
+        + p.pte_update_cost + p.protocol_handler_cost)
 
 
 def pagefault(args) -> Iterator[Row]:
     """§V-D: page-fault handling, two threads ping-ponging one variable"""
-    report = pagefault_micro()
-    for field, value in vars(report).items():
-        yield Row(f"pagefault.{field}", value,
-                  "us" if field.endswith("_us") else "count")
-    yield Row("pagefault.fast_share_pct",
-              100 * report.fast_count / max(report.total_faults, 1), "%")
-    yield Row("pagefault.bimodal_ratio", report.bimodal_ratio, "x")
+    result = RunSpec("pagefault", overrides={"duration_us": 100_000.0}).run()
+    counts, value = result.output
+    recs = [r for r in result.stats.fault_latencies if not r.coalesced]
+    fast = [r.latency_us for r in recs if r.retries == 0]
+    slow = [r.latency_us for r in recs if r.retries > 0]
+    fast_mean = statistics.mean(fast) if fast else 0.0
+    slow_mean = statistics.mean(slow) if slow else 0.0
+    yield Row("pagefault.total_faults", len(recs), "count")
+    yield Row("pagefault.fast_count", len(fast), "count")
+    yield Row("pagefault.fast_mean_us", fast_mean, "us")
+    yield Row("pagefault.contended_count", len(slow), "count")
+    yield Row("pagefault.contended_mean_us", slow_mean, "us")
+    yield Row("pagefault.page_retrieval_us", page_retrieval_us(), "us")
+    yield Row("pagefault.lost_updates", sum(counts) - value, "count")
+    yield Row("pagefault.fast_share_pct", 100 * len(fast) / max(len(recs), 1),
+              "%")
+    yield Row("pagefault.bimodal_ratio",
+              slow_mean / fast_mean if fast_mean > 0 else 0.0, "x")
 
 
 def figure2(apps: Sequence[str] = APP_NAMES,

@@ -9,8 +9,10 @@ The subsystem has three pieces:
 * :mod:`repro.chaos.controller` — the runtime: injects the faults into the
   fabric, runs the lease/keepalive failure detector at the origin, and on
   fail-stop drives :mod:`repro.chaos.recovery`.
-* ``python -m repro.chaos`` — the harness: runs any Figure-2 application
-  under a scenario (sanitizer on) and checks end-to-end correctness.
+* :mod:`repro.chaos.harness` / ``python -m repro.chaos`` — runs any
+  :class:`~repro.apps.common.RunSpec` (a Figure-2 application or a 2-node
+  micro) under a scenario, sanitizer on, restarting after a fail-stop, and
+  checks end-to-end correctness.
 
 **Zero cost when off.**  Chaos is enabled only when ``SimParams.chaos`` /
 ``DEX_CHAOS`` or an explicit scenario says so; otherwise the cluster keeps
@@ -38,14 +40,13 @@ __all__ = [
     "ChaosScenario",
     "ThreadHalt",
     "resolve_scenario",
-    "run_pagefault_micro",
     "run_under_chaos",
 ]
 
 #: harness entry points, resolved lazily: the harness builds clusters, and
 #: core.cluster imports this package at module load (chaos resolution), so
 #: a top-level import would be circular
-_HARNESS_EXPORTS = ("ChaosRunReport", "run_pagefault_micro", "run_under_chaos")
+_HARNESS_EXPORTS = ("ChaosRunReport", "run_under_chaos")
 
 
 def __getattr__(name: str):

@@ -2,8 +2,12 @@
 
 Examples::
 
-    # the two-node pagefault micro, dropping the first PAGE_REQUEST
+    # the two-node control-message micro, dropping the first PAGE_REQUEST
     python -m repro.chaos --drop page_request
+
+    # the §V-D fault ping-pong, 5 ms of it, its first PAGE_REQUEST dropped
+    python -m repro.chaos --app pagefault --app-arg duration_us=5000 \\
+        --drop page_request
 
     # kmeans on 4 nodes, node 2 fail-stops mid-run; one restart allowed
     python -m repro.chaos --app kmeans --nodes 4 --crash-node 2 \\
@@ -23,8 +27,8 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.apps.common import RunSpec, add_run_arguments, count_arg
-from repro.chaos.harness import run_pagefault_micro, run_under_chaos
+from repro.apps.common import RunSpec, add_run_arguments
+from repro.chaos.harness import run_under_chaos
 from repro.chaos.scenario import (
     EXCLUSIVE_LOSS_POLICIES,
     ChaosError,
@@ -53,14 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # --seed unset: the scenario's seed, else 0
     add_run_arguments(parser, "--app", "--variant", "--nodes", "--scale",
-                      "--directory", "--seed", micro="micro", app="micro",
+                      "--directory", "--seed", "--app-arg", app="micro",
                       nodes=4)
-    parser.add_argument("--iters", type=count_arg, default=40,
-                        help="micro only: per-thread iteration count")
     parser.add_argument("--no-sanitize", action="store_true",
                         help="run without the DexCheck coherence sanitizer")
     parser.add_argument("--max-restarts", type=int, default=1,
-                        help="app runs: restarts allowed after a fail-stop")
+                        help="restarts allowed after a fail-stop")
     # scenario sources
     parser.add_argument("--scenario", default=None, metavar="FILE",
                         help="scenario JSON file (inline rule flags append)")
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_scenario(ns: argparse.Namespace) -> Optional[ChaosScenario]:
+def _build_scenario(ns: argparse.Namespace) -> ChaosScenario:
     scenario = (ChaosScenario.from_file(ns.scenario)
                 if ns.scenario else ChaosScenario())
     for msg_type in ns.drop:
@@ -119,9 +121,7 @@ def _build_scenario(ns: argparse.Namespace) -> Optional[ChaosScenario]:
     return scenario.validate()
 
 
-def _print_report(report: Optional[dict]) -> None:
-    if report is None:
-        return
+def _print_report(report: dict) -> None:
     counters = {k: v for k, v in report.items() if k != "events"}
     print("chaos report:", json.dumps(counters, sort_keys=True))
     for line in report["events"]:
@@ -137,31 +137,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ChaosError as err:
         parser.error(str(err))
 
-    if spec.micro:
-        result = run_pagefault_micro(spec, scenario,
-                                     sanitize=not ns.no_sanitize,
-                                     iters=ns.iters)
-        ok = result["ok"]
-        print(f"pagefault micro: value={result['value']} "
-              f"expected={result['expected']} "
-              f"elapsed={result['elapsed_us']:.1f}us "
-              f"{'OK' if ok else 'WRONG'}")
-        _print_report(result["report"])
-        return 0 if ok else 1
-
-    app = spec.app
     try:
         outcome = run_under_chaos(spec, scenario,
                                   sanitize=not ns.no_sanitize,
                                   max_restarts=ns.max_restarts)
     except NodeFailedError as err:
-        print(f"{app}: did not survive the scenario: {err}", file=sys.stderr)
+        print(f"{spec.app}: did not survive the scenario: {err}",
+              file=sys.stderr)
         _print_report(err.chaos_report)
         return 1
     for line in outcome.attempts:
-        print(f"{app}: {line}")
+        print(f"{spec.app}: {line}")
     result = outcome.result
-    print(f"{app} {ns.variant} nodes={ns.nodes}: "
+    print(f"{result.app} {result.variant} nodes={result.num_nodes}: "
           f"elapsed={result.elapsed_us:.1f}us "
           f"correct={result.correct} "
           f"({len(outcome.attempts)} attempt(s))")

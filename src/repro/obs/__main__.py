@@ -26,8 +26,10 @@ quantiles, critical-path phase totals, downsampled utilization series);
 critical-path phase, hottest directory shard — and with ``--check``
 exits nonzero on a thresholded headline regression, a headline metric
 absent from either side, or a candidate not ``correct`` (the CI trend
-guard).  ``--app pagefault`` is a built-in 2-node atomic-add ping-pong
-microbenchmark (§V-D) that needs no application workload.
+guard).  Every subcommand that runs takes any app ``RunSpec`` names,
+the two 2-node micros included: ``--app pagefault`` is §V-D's atomic-add
+ping-pong (``--app-arg duration_us=US``, default 20000), ``--app micro``
+the chaos suite's every-control-message workload.
 """
 
 from __future__ import annotations
@@ -62,29 +64,10 @@ def _spec(ns: argparse.Namespace) -> RunSpec:
     ))
 
 
-def _run_on(cluster, spec: RunSpec, ns: argparse.Namespace):
-    """Run *spec* on *cluster* (built by ``spec.cluster()``, so the caller
-    can read ``.tracer``/``.lens``/``.scope`` off it afterwards); returns
-    (AppResult or None for the micro, DexStats, label)."""
-    if spec.micro:
-        from repro.bench.experiments import pagefault_micro
-
-        pagefault_micro(ns.duration_us, cluster.params, cluster=cluster)
-        (proc,) = cluster.processes.values()
-        return None, proc.stats, f"pagefault micro ({ns.duration_us:.0f}us)"
-    result = spec.run(cluster=cluster)
-    label = (
-        f"{spec.app} {spec.variant} nodes={spec.nodes} scale={spec.scale}"
-        f" elapsed={result.elapsed_us:.0f}us correct={result.correct}"
-    )
-    return result, result.stats, label
-
-
-def _run(ns: argparse.Namespace):
-    """(cluster, AppResult-or-None, stats, label) of a fresh run."""
-    spec = _spec(ns)
-    cluster = spec.cluster()
-    return (cluster, *_run_on(cluster, spec, ns))
+def _label(spec: RunSpec, result) -> str:
+    return (f"{result.app} {result.variant} nodes={result.num_nodes} "
+            f"scale={spec.scale} elapsed={result.elapsed_us:.0f}us "
+            f"correct={result.correct}")
 
 
 def _loaded(load, path: str):
@@ -102,9 +85,12 @@ def _load_or_run(ns: argparse.Namespace):
     if ns.input:
         spans, meta = _loaded(load_spans, ns.input)
         return spans, int(meta.get("dropped", 0)), None, ns.input, None
-    cluster, _, stats, label = _run(ns)
+    spec = _spec(ns)
+    cluster = spec.cluster()
+    result = spec.run(cluster=cluster)
     tracer = cluster.tracer
-    return tracer.spans, tracer.dropped, stats, label, cluster
+    return (tracer.spans, tracer.dropped, result.stats, _label(spec, result),
+            cluster)
 
 
 # -- acceptance-style checks printed by report/export --------------------------
@@ -159,11 +145,13 @@ def _summary(spans: Sequence[Span], dropped: int, label: str) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    cluster, _, _, label = _run(ns)
+    spec = _spec(ns)
+    cluster = spec.cluster()
+    result = spec.run(cluster=cluster)
     tracer = cluster.tracer
     out = ns.out or "dex-spans.json"
     tracer.save_json(out)
-    print(_summary(tracer.spans, tracer.dropped, label))
+    print(_summary(tracer.spans, tracer.dropped, _label(spec, result)))
     print(f"wrote span log to {out}")
     return 0
 
@@ -209,7 +197,9 @@ def cmd_manifest(ns: argparse.Namespace) -> int:
     versioned ``dex-run-v1`` manifest that ``diff`` compares."""
     from repro.obs.manifest import build_manifest, write_manifest
 
-    cluster, result, _, _ = _run(ns)
+    spec = _spec(ns)
+    cluster = spec.cluster()
+    result = spec.run(cluster=cluster)
     doc = build_manifest(
         result, cluster, scope=cluster.scope, lens=cluster.lens,
         label=ns.label,
@@ -255,25 +245,15 @@ def cmd_top(ns: argparse.Namespace) -> int:
         stream=sys.stdout,
     )
     cluster.engine.add_hook(view)
-    _, _, label = _run_on(cluster, spec, ns)
+    result = spec.run(cluster=cluster)
     print()
-    print(_summary(tracer.spans, tracer.dropped, label))
+    print(_summary(tracer.spans, tracer.dropped, _label(spec, result)))
     view.render()  # final frame at end-of-run state
     evicted = {k: v for k, v in lens.feed.evicted.items() if v}
     if evicted:
         print(f"note: memory cap evicted keys: {evicted} "
               "(raise LensFeed max_keys)")
     return 0
-
-
-def _add_workload_args(p: argparse.ArgumentParser,
-                       micro: Optional[str] = "pagefault") -> None:
-    add_run_arguments(
-        p, "--app", "--variant", "--nodes", "--scale", "--directory",
-        "--app-arg", micro=micro, app="kmeans", nodes=4, directory="origin",
-    )
-    p.add_argument("--duration-us", type=positive_arg, default=20_000.0,
-                   help="pagefault micro duration (ignored for apps)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -284,19 +264,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run traced, save the raw span log")
-    _add_workload_args(p_run)
     p_run.add_argument("--out", help="span-log path (default dex-spans.json)")
     p_run.set_defaults(fn=cmd_run)
 
     p_report = sub.add_parser("report", help="terminal timeline/attribution")
-    _add_workload_args(p_report)
     p_report.add_argument("--input", help="saved span log instead of a run")
     p_report.add_argument("--limit", type=int, default=40,
                           help="timeline rows (default 40)")
     p_report.set_defaults(fn=cmd_report)
 
     p_export = sub.add_parser("export", help="Chrome trace JSON for Perfetto")
-    _add_workload_args(p_export)
     p_export.add_argument("--input", help="saved span log instead of a run")
     p_export.add_argument("--out", help="output path (default dextrace.json)")
     p_export.add_argument("--scope", action="store_true",
@@ -307,8 +284,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_manifest = sub.add_parser(
         "manifest", help="run with DexScope+DexLens, write dex-run.json"
     )
-    # a manifest captures an application run: no micro here
-    _add_workload_args(p_manifest, micro=None)
     p_manifest.add_argument("--out", help="manifest path (default dex-run.json)")
     p_manifest.add_argument("--label", default="",
                             help="label recorded in the manifest")
@@ -332,7 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_top = sub.add_parser("top", help="live DexLens view (hot pages, "
                            "ping-pong pairs, critical-path p50/p99)")
-    _add_workload_args(p_top)
     p_top.add_argument("--interval-us", type=positive_arg, default=10_000.0,
                        help="sim-time between live frames (default 10000)")
     p_top.add_argument("--limit", type=int, default=8,
@@ -340,6 +314,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_top.add_argument("--window-us", type=positive_arg, default=5_000.0,
                        help="heat-stat sliding window (default 5000)")
     p_top.set_defaults(fn=cmd_top, lens=True)
+
+    for p in (p_run, p_report, p_export, p_manifest, p_top):
+        add_run_arguments(
+            p, "--app", "--variant", "--nodes", "--scale", "--directory",
+            "--app-arg", app="kmeans", nodes=4, directory="origin",
+        )
 
     ns = parser.parse_args(argv)
     return ns.fn(ns)

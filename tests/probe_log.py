@@ -88,14 +88,10 @@ def pingpong():
 
 def pagefault():
     from repro.apps.common import RunSpec
-    from repro.bench.experiments import pagefault_micro
 
-    cluster = RunSpec("pagefault").cluster()
-
-    def run():
-        pagefault_micro(2_000.0, cluster.params, cluster=cluster)
-
-    return cluster, None, run
+    spec = RunSpec("pagefault", overrides={"duration_us": 2_000.0})
+    cluster = spec.cluster()
+    return cluster, None, lambda: spec.run(cluster=cluster).correct
 
 
 def kmn4():
@@ -108,7 +104,7 @@ def kmn4():
 
 def chaos():
     from repro.apps.common import RunSpec
-    from repro.chaos import ChaosRule, ChaosScenario, run_pagefault_micro
+    from repro.chaos import ChaosRule, ChaosScenario
     from repro.params import SimParams
 
     scenario = ChaosScenario(rules=[
@@ -119,10 +115,7 @@ def chaos():
                                            sanitize="1"))
     cluster = spec.cluster()
 
-    def run():
-        return run_pagefault_micro(spec, cluster=cluster)["value"]
-
-    return cluster, None, run
+    return cluster, None, lambda: spec.run(cluster=cluster).output
 
 
 def log(workload):

@@ -13,7 +13,6 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.common import RunSpec
-from repro.bench.experiments import pagefault_micro
 from repro.obs.export import PathPhase, attribution, path_phase_of, phase_of
 from repro.obs.lens import tree_phases
 from repro.obs.tracing import Span
@@ -52,9 +51,11 @@ def test_kmn_initial_at_4():
 
 
 def test_pagefault_micro():
-    cluster = RunSpec("pagefault", base=SimParams(trace="1"),
-                      directory=TEST_DIRECTORY).cluster()
-    pagefault_micro(5_000.0, cluster.params, cluster=cluster)
+    spec = RunSpec("pagefault", base=SimParams(trace="1"),
+                   directory=TEST_DIRECTORY,
+                   overrides={"duration_us": 5_000.0})
+    cluster = spec.cluster()
+    assert spec.run(cluster=cluster).correct
     per_tid = _assert_same(cluster.tracer.spans)
     assert sum(row["fault_wait"] for row in per_tid.values()) > 0
 

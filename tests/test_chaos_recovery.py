@@ -5,7 +5,7 @@ hang"), and the harness restart policy on a real application."""
 import pytest
 
 from repro.apps.common import RunSpec
-from repro.chaos import run_pagefault_micro, run_under_chaos
+from repro.chaos import run_under_chaos
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core import DexCluster
 from repro.core.errors import NodeFailedError
@@ -29,7 +29,7 @@ def test_crash_mid_run_fails_loud_within_lease_timeout():
         chaos_scenario=scenario, sanitize="1"))
     cluster = spec.cluster()
     with pytest.raises(NodeFailedError) as exc_info:
-        run_pagefault_micro(spec, cluster=cluster)
+        spec.run(cluster=cluster)
     assert "node 1" in str(exc_info.value)
     controller = cluster.chaos
     report = controller.report()

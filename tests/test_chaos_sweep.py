@@ -6,7 +6,7 @@ to drop, the transport must have retransmitted."""
 import pytest
 
 from repro.apps.common import RunSpec
-from repro.chaos import run_pagefault_micro
+from repro.chaos import run_under_chaos
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core.directory import DIRECTORY_BACKENDS
 from repro.net.messages import TIMEOUT_CLASSES
@@ -26,10 +26,9 @@ SHARDED_ONLY = {"page_home_lookup"}
 def test_drop_each_request_type_once(msg_type, directory):
     rule = ChaosRule(kind="drop", msg_type=msg_type, nth=1)
     scenario = ChaosScenario(rules=[rule], seed=1).validate()
-    out = run_pagefault_micro(RunSpec("micro", directory=directory),
-                              scenario)
-    assert out["ok"], (msg_type, directory, out)
-    report = out["report"]
+    out = run_under_chaos(RunSpec("micro", directory=directory), scenario)
+    assert out.correct, (msg_type, directory, out)
+    report = out.report
     if msg_type in SHARDED_ONLY and directory != "sharded":
         assert rule.fired == 0, "origin backend has no home lookups"
         return
@@ -47,9 +46,8 @@ def test_drop_every_type_in_one_run(directory):
         for t in SWEEP_TYPES
     ]
     scenario = ChaosScenario(rules=rules, seed=2).validate()
-    out = run_pagefault_micro(RunSpec("micro", directory=directory),
-                              scenario)
-    assert out["ok"], (directory, out)
+    out = run_under_chaos(RunSpec("micro", directory=directory), scenario)
+    assert out.correct, (directory, out)
     fired = sum(r.fired for r in rules)
     expected = len(SWEEP_TYPES) - (0 if directory == "sharded"
                                    else len(SHARDED_ONLY))

@@ -5,7 +5,7 @@ retry/dedup counters showing the machinery actually engaged."""
 import pytest
 
 from repro.apps.common import RunSpec
-from repro.chaos import run_pagefault_micro
+from repro.chaos import run_under_chaos
 from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
 
 
@@ -17,21 +17,21 @@ def _scenario(*rules, seed=3, **kw):
 
 
 def test_empty_scenario_completes_clean():
-    out = run_pagefault_micro(MICRO, _scenario())
-    assert out["ok"], out
-    report = out["report"]
+    out = run_under_chaos(MICRO, _scenario())
+    assert out.correct, out
+    report = out.report
     assert report["injections"] == {}
     assert report["retransmissions"] == 0
     assert report["crashed"] == [] and report["failed"] == []
 
 
 def test_dropped_request_is_retransmitted():
-    out = run_pagefault_micro(
+    out = run_under_chaos(
         MICRO,
         _scenario(ChaosRule(kind="drop", msg_type="page_request", nth=1))
     )
-    assert out["ok"], out
-    report = out["report"]
+    assert out.correct, out
+    report = out.report
     assert report["injections"] == {"drop": 1}
     assert report["retransmissions"] >= 1
 
@@ -40,12 +40,12 @@ def test_dropped_reply_resends_cached_reply():
     """Losing the *grant* must not re-execute the handler: the responder's
     duplicate filter answers the retransmitted request from its reply
     cache, and the count stays exact."""
-    out = run_pagefault_micro(
+    out = run_under_chaos(
         MICRO,
         _scenario(ChaosRule(kind="drop", msg_type="page_grant", nth=1))
     )
-    assert out["ok"], out
-    report = out["report"]
+    assert out.correct, out
+    report = out.report
     assert report["injections"] == {"drop": 1}
     assert report["retransmissions"] >= 1
     assert report["replies_resent"] >= 1
@@ -53,43 +53,43 @@ def test_dropped_reply_resends_cached_reply():
 
 def test_duplicated_request_is_suppressed():
     """A duplicated delivery must not double-apply the operation."""
-    out = run_pagefault_micro(
+    out = run_under_chaos(
         MICRO,
         _scenario(ChaosRule(kind="duplicate", msg_type="page_request", nth=1))
     )
-    assert out["ok"], out
-    assert out["report"]["injections"] == {"duplicate": 1}
+    assert out.correct, out
+    assert out.report["injections"] == {"duplicate": 1}
 
 
 def test_delay_and_reorder_preserve_correctness():
-    out = run_pagefault_micro(MICRO, _scenario(
+    out = run_under_chaos(MICRO, _scenario(
         ChaosRule(kind="delay", msg_type="page_invalidate", nth=1,
                   delay_us=900.0),
         ChaosRule(kind="reorder", msg_type="page_request", nth=2),
     ))
-    assert out["ok"], out
-    injected = out["report"]["injections"]
+    assert out.correct, out
+    injected = out.report["injections"]
     assert injected == {"delay": 1, "reorder": 1}
 
 
 def test_degraded_link_slows_but_completes():
-    baseline = run_pagefault_micro(MICRO, _scenario())
-    out = run_pagefault_micro(MICRO, _scenario(
+    baseline = run_under_chaos(MICRO, _scenario())
+    out = run_under_chaos(MICRO, _scenario(
         ChaosRule(kind="degrade", factor=50.0, times=None)
     ))
-    assert out["ok"], out
-    assert out["report"]["injections"]["degrade"] > 0
-    assert out["elapsed_us"] > baseline["elapsed_us"]
+    assert out.correct, out
+    assert out.report["injections"]["degrade"] > 0
+    assert out.result.elapsed_us > baseline.result.elapsed_us
 
 
 def test_probabilistic_drops_are_survivable():
     """A lossy link (every message class, 20% drop) still yields the exact
     count — the transport's job in one line."""
-    out = run_pagefault_micro(MICRO, _scenario(
+    out = run_under_chaos(MICRO, _scenario(
         ChaosRule(kind="drop", probability=0.2, times=None), seed=7,
     ))
-    assert out["ok"], out
-    report = out["report"]
+    assert out.correct, out
+    report = out.report
     assert report["injections"]["drop"] > 0
     # not every drop forces a retransmission (lost replies can be answered
     # from the dedup cache, lost keepalives are just skipped beats), but
@@ -101,15 +101,15 @@ def test_same_seed_same_schedule():
     """The whole run — injection choices included — is a function of the
     seed: two fresh runs of one scenario agree on sim time and counters."""
     def once():
-        return run_pagefault_micro(MICRO, _scenario(
+        return run_under_chaos(MICRO, _scenario(
             ChaosRule(kind="drop", probability=0.15, times=None), seed=21,
         ))
 
     a, b = once(), once()
-    assert a["ok"] and b["ok"]
-    assert a["elapsed_us"] == b["elapsed_us"]
-    assert a["report"]["injections"] == b["report"]["injections"]
-    assert a["report"]["retransmissions"] == b["report"]["retransmissions"]
+    assert a.correct and b.correct
+    assert a.result.elapsed_us == b.result.elapsed_us
+    assert a.report["injections"] == b.report["injections"]
+    assert a.report["retransmissions"] == b.report["retransmissions"]
 
 
 def test_scenario_validation_rejects_bad_rules():

@@ -2,12 +2,17 @@
 No controller is built, the single-shot request path runs, and sim time is
 bit-identical run to run; cancellable timeouts never advance the clock."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.common import RunSpec
-from repro.chaos import run_pagefault_micro
 from repro.core import DexCluster
+from repro.params import SimParams
 from repro.sim import Engine
+
+#: the chaos suite's micro, sanitizer on, chaos left to the environment
+MICRO = RunSpec("micro", base=SimParams(sanitize="1"))
 
 
 @pytest.fixture(autouse=True)
@@ -22,20 +27,20 @@ def test_cluster_has_no_controller_by_default():
 
 
 def test_chaos_off_sim_time_is_bit_identical():
-    a = run_pagefault_micro(RunSpec("micro"))
-    b = run_pagefault_micro(RunSpec("micro"))
-    assert a["ok"] and b["ok"]
-    assert a["report"] is None and b["report"] is None
-    assert a["elapsed_us"] == b["elapsed_us"]
+    clusters = [MICRO.cluster() for _ in range(2)]
+    a, b = [MICRO.run(cluster=cluster) for cluster in clusters]
+    assert a.correct and b.correct
+    assert [cluster.chaos for cluster in clusters] == [None, None]
+    assert a.elapsed_us == b.elapsed_us
 
 
 def test_chaos_off_matches_with_pinned_seed():
     """The engine seed changes workload RNG draws, never event timing of a
     deterministic run: two different seeds agree on the micro's sim time
     (nothing in the micro draws randomness)."""
-    a = run_pagefault_micro(RunSpec("micro", seed=1))
-    b = run_pagefault_micro(RunSpec("micro", seed=2))
-    assert a["elapsed_us"] == b["elapsed_us"]
+    a = replace(MICRO, seed=1).run()
+    b = replace(MICRO, seed=2).run()
+    assert a.elapsed_us == b.elapsed_us
 
 
 def test_cancelled_timeout_does_not_advance_clock():

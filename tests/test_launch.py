@@ -19,7 +19,6 @@ from repro import SimParams
 from repro.apps.__main__ import main as apps_main
 from repro.apps.common import (
     APP_NAMES,
-    MICROS,
     TESTBED_NODES,
     RunSpec,
     add_run_arguments,
@@ -27,7 +26,7 @@ from repro.apps.common import (
 )
 from repro.bench.__main__ import main as bench_main
 from repro.bench.runner import run_point
-from repro.chaos import run_pagefault_micro, run_under_chaos
+from repro.chaos import run_under_chaos
 from repro.chaos.__main__ import _build_parser as chaos_parser, main as chaos_main
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core import DexCluster
@@ -54,16 +53,30 @@ def test_one_alias_table(spelling, short):
     assert RunSpec(spelling).app == short
 
 
-def test_pseudo_apps_resolve_only_where_they_run():
-    assert resolve_app("pagefault", micros=("pagefault",)) == "pagefault"
-    assert resolve_app("MICRO", micros=MICROS) == "micro"
-    for name in MICROS:
-        with pytest.raises(ValueError, match="unknown app"):
-            resolve_app(name)
+MICRO_NAMES = ("pagefault", "micro")
+
+
+def test_the_micros_run_like_apps(tmp_path, capsys):
+    """Each micro is an app on its own 2-node rack, whatever node count
+    the spec names: every run-taking CLI resolves it (checked at the
+    parser, as the long aliases are), and the CLIs that used to refuse
+    one run it."""
+    for name in MICRO_NAMES:
+        assert resolve_app(name.upper()) == name
+        for main, argv, dest in (param.values for param in RUN_TAKING):
+            last = _usage_error(main, [*argv, *_naming(main, dest, name),
+                                       "--scale", "huge"], capsys)
+            assert "argument --scale: invalid choice: 'huge'" in last
         spec = RunSpec(name, nodes=6)
-        assert spec.micro and spec.cluster().num_nodes == 2
-        with pytest.raises(ValueError, match="its own CLI"):
-            spec.run()
+        assert spec.cluster().num_nodes == 2
+        result = spec.run()
+        assert result.correct is True and result.num_nodes == 2
+        assert result.elapsed_us > 0 and result.stats.total_faults > 0
+    assert chaos_main(["--app", "pagefault", "--drop", "page_request"]) == 0
+    assert "pagefault initial nodes=2:" in capsys.readouterr().out
+    out = tmp_path / "micro.json"
+    assert obs_main(["manifest", "--app", "micro", "--out", str(out)]) == 0
+    assert "micro-initial@2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -164,7 +177,7 @@ def test_obs_cli_spec(obs_namespace):
 
     micro = obs_spec(obs_namespace(["export", "--app", "pagefault",
                                     "--scope"]))
-    assert micro.micro and micro.params().scope == "1"
+    assert micro.app == "pagefault" and micro.params().scope == "1"
     assert micro.cluster().num_nodes == 2
 
 
@@ -177,7 +190,7 @@ def test_chaos_cli_spec():
     assert params.seed == 9 and params.directory == "sharded"
     assert spec.cluster().num_nodes == TESTBED_NODES
     default = RunSpec.from_args(chaos_parser().parse_args([]))
-    assert default.micro and default.app == "micro"
+    assert default.app == "micro"
     assert default.params() == SimParams()
     assert default.cluster().num_nodes == 2
 
@@ -252,8 +265,8 @@ def test_run_point_routes_its_keywords():
 def test_an_app_run_builds_whatever_the_plane_names(built):
     """DexBench's traced run swaps ``repro.apps.common.DexCluster`` for a
     recording subclass (conftest's ``built``); every way of starting an app
-    must build that.  A run closes the cluster it built; the chaos harness
-    passes its own and keeps it open for the report."""
+    must build that, and every way closes the cluster it built: the chaos
+    harness too, once it has read the controller's report."""
     from repro.apps.npb import ep
 
     run_point("EP", "initial", 2, n_pairs=60_000)
@@ -263,7 +276,7 @@ def test_an_app_run_builds_whatever_the_plane_names(built):
     assert len(built) == 4
     assert all(type(c).__name__ == "RecordingCluster" for c in built)
     assert [c.num_nodes for c in built] == [TESTBED_NODES] * 4
-    assert [len(c.processes) for c in built] == [0, 0, 0, 1]
+    assert [len(c.processes) for c in built] == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +325,23 @@ def test_the_entry_points_take_the_description_not_its_fields():
                                    "params", "fail_stop"]
     assert names(run_under_chaos) == ["spec", "scenario", "sanitize",
                                       "max_restarts"]
-    assert names(run_pagefault_micro) == ["spec", "scenario", "sanitize",
-                                          "iters", "cluster"]
 
 
-def test_the_harness_ignores_no_argument():
-    micro = RunSpec("micro")
-    with pytest.raises(ValueError, match="not built from this spec"):
-        run_pagefault_micro(micro, cluster=micro.cluster())  # sanitizer off
-    with pytest.raises(ValueError, match="runs 'micro', not 'KMN'"):
-        run_pagefault_micro(RunSpec("KMN"))
-    with pytest.raises(ValueError, match="not a Figure-2 app"):
-        run_under_chaos(micro)
+def test_the_harness_ignores_no_argument(built):
+    """The micro's workload argument and the restart budget both count,
+    and every attempt's cluster is closed."""
+    outcome = run_under_chaos(RunSpec("micro", overrides={"iters": 5}))
+    assert outcome.correct and outcome.result.output == 10
+
+    def crash():  # rules count their firings: a fresh one per run
+        return ChaosScenario(rules=[
+            ChaosRule(kind="crash", node=1, at_us=500.0)]).validate()
+
+    with pytest.raises(NodeFailedError):
+        run_under_chaos(RunSpec("micro"), crash(), max_restarts=0)
+    outcome = run_under_chaos(RunSpec("micro"), crash(), max_restarts=1)
+    assert outcome.correct and len(outcome.attempts) == 2
+    assert [len(c.processes) for c in built] == [0, 0, 0, 0]
 
 
 def test_chaos_cli_prints_the_report_of_a_lost_run(capsys):
@@ -335,16 +353,32 @@ def test_chaos_cli_prints_the_report_of_a_lost_run(capsys):
     assert '"crashed": [2]' in captured.out
 
 
+def test_the_micro_survives_or_fails_like_an_app(capsys):
+    """One survive/restart path: the default micro under a fail-stop
+    exits 1 with the diagnostic and the report when no restart is left,
+    and completes on its second attempt when one is."""
+    crash = ["--crash-node", "1", "--crash-at", "500"]
+    assert chaos_main([*crash, "--max-restarts", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "micro: did not survive the scenario" in captured.err
+    assert "Traceback" not in captured.err
+    assert '"crashed": [1]' in captured.out
+    assert chaos_main([*crash, "--max-restarts", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "micro: attempt 2: completed" in out
+    assert "micro initial nodes=2: elapsed=" in out
+
+
 # ---------------------------------------------------------------------------
 # no CLI gained or lost a flag
 
 RUN_FLAGS = {"--app", "--variant", "--nodes", "--scale", "--directory"}
-OBS_FLAGS = RUN_FLAGS | {"--app-arg", "--duration-us"}
+OBS_FLAGS = RUN_FLAGS | {"--app-arg"}
 FLAG_SETS = {
     (apps_main, ()): {"--nodes", "--variant", "--threads-per-node", "--scale"},
     (bench_main, ()): {"--apps", "--nodes", "--scale", "--directory"},
     (chaos_main, ()): RUN_FLAGS | {
-        "--seed", "--iters", "--no-sanitize", "--max-restarts", "--scenario",
+        "--seed", "--app-arg", "--no-sanitize", "--max-restarts", "--scenario",
         "--policy", "--drop", "--drop-nth", "--delay", "--duplicate",
         "--degrade", "--crash-node", "--crash-at"},
     (obs_main, ("run",)): OBS_FLAGS | {"--out"},
@@ -438,14 +472,16 @@ SMALL_SERVE = ["--nodes", "2", "--requests", "4", "--quiet"]
      "argument --interval-us: must be > 0, got 0"),
     (obs_main, ["top", "--app", "pagefault", "--window-us", "0"],
      "argument --window-us: must be > 0, got 0"),
-    (obs_main, ["report", "--app", "pagefault", "--duration-us", "-5"],
-     "argument --duration-us: must be > 0, got -5"),
+    # a workload argument is the app's to take, spelled one way
+    (obs_main, ["report", "--app", "pagefault", "--app-arg", "iters=5"],
+     "pagefault takes no workload argument iters"),
     # chaos: a rule names a real message type; counts and delays parse
     (chaos_main, ["--drop", "no_such_type"],
      "unknown msg_type 'no_such_type' (one of "),
     (chaos_main, ["--delay", "page_request:abc"],
      "argument --delay: expects MSG_TYPE:US, got 'page_request:abc'"),
-    (chaos_main, ["--iters", "-1"], "argument --iters: must be >= 1, got -1"),
+    (chaos_main, ["--app", "EP", "--app-arg", "duration_us=5"],
+     "EP takes no workload argument duration_us"),
     # serve: a tenant spec fails at construction, before any run
     (serve_main, [*SMALL_SERVE, "--tenants", "bogus:constant"],
      "unknown workload 'bogus'"),

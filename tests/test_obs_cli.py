@@ -17,7 +17,7 @@ from repro.obs.tracing import load_spans
 
 KMN = ["--app", "KMN", "--nodes", "2",
        "--app-arg", "n_points=4000", "--app-arg", "max_iters=1"]
-PAGEFAULT = ["--app", "pagefault", "--duration-us", "1500"]
+PAGEFAULT = ["--app", "pagefault", "--app-arg", "duration_us=1500"]
 POINTS = pytest.mark.parametrize(
     "point", [KMN, PAGEFAULT], ids=["kmn2", "pagefault"])
 
@@ -90,13 +90,16 @@ def test_manifest_twice_in_one_process_is_byte_identical(
     assert doc["phases"]  # the lens section came from second.lens
 
 
-def test_manifest_rejects_the_micro(capsys):
-    """A manifest captures an application run: its ``--app`` does not take
-    the pseudo-app, and says so as a usage error."""
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["manifest", *PAGEFAULT])
-    assert exit_info.value.code == 2
-    assert "argument --app: unknown app 'pagefault'" in capsys.readouterr().err
+def test_manifest_captures_the_micro(built, tmp_path):
+    """The micro is an app like any other: its manifest names it, its
+    2-node rack, its final sim time and its own verdict."""
+    out = tmp_path / "pf.json"
+    assert cli.main(["manifest", *PAGEFAULT, "--out", str(out)]) == 0
+    (cluster,) = built
+    doc = json.loads(out.read_text())
+    assert (doc["app"], doc["nodes"], doc["threads"]) == ("pagefault", 2, 2)
+    assert doc["result"]["sim_time_us"] == cluster.engine.now
+    assert doc["result"]["correct"] is True
 
 
 def test_dropped_instrumented_clusters_are_collectable(monkeypatch):

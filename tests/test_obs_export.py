@@ -198,7 +198,7 @@ def _cli(*args, cwd):
 
 def test_cli_export_pagefault(tmp_path):
     result = _cli(
-        "export", "--app", "pagefault", "--duration-us", "1200",
+        "export", "--app", "pagefault", "--app-arg", "duration_us=1200",
         "--out", "pf.json", cwd=tmp_path,
     )
     assert result.returncode == 0, result.stdout + result.stderr

@@ -508,7 +508,6 @@ def test_resent_reply_keeps_original_trace(tmp_path):
     """Dropping a grant forces the responder to re-send its cached reply;
     the clone must carry the original trace context so the fault tree
     stays connected instead of rooting a fresh net.* trace."""
-    from repro.chaos import run_pagefault_micro
     from repro.chaos.scenario import ChaosRule, ChaosScenario
 
     scenario = ChaosScenario(
@@ -518,9 +517,8 @@ def test_resent_reply_keeps_original_trace(tmp_path):
     spec = RunSpec("micro", base=SimParams(
         trace="1", sanitize="", chaos_scenario=scenario))
     cluster = spec.cluster()
-    out = run_pagefault_micro(spec, cluster=cluster, sanitize=False)
-    assert out["ok"], out
-    assert out["report"]["replies_resent"] >= 1
+    assert spec.run(cluster=cluster).correct
+    assert cluster.chaos.report()["replies_resent"] >= 1
 
     spans = cluster.tracer.spans
     by_id = {s.span_id: s for s in spans}

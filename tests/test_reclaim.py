@@ -21,9 +21,9 @@ import pytest
 
 from conftest import collector_off
 from repro import DexCluster, SimParams
-from repro.apps.common import APP_NAMES
-from repro.bench.experiments import pagefault_micro
+from repro.apps.common import APP_NAMES, RunSpec
 from repro.bench.runner import run_point
+from repro.chaos import ChaosScenario, run_under_chaos
 from repro.params import SWITCHES
 from repro.serve import ServeManager
 from repro.sim import engine as engine_module
@@ -68,7 +68,13 @@ RUNS = {
        for app in APP_NAMES for variant in ("initial", "optimized")},
     "serve-origin": lambda: serve("origin"),
     "serve-sharded": lambda: serve("sharded"),
-    "pagefault": lambda: pagefault_micro(duration_us=2_000.0),
+    "pagefault": lambda: RunSpec(
+        "pagefault", overrides={"duration_us": 2_000.0}).run(),
+    # the chaos harness closes every cluster it builds
+    "harness-micro": lambda: run_under_chaos(RunSpec("micro"),
+                                             ChaosScenario(seed=1)),
+    "harness-EP": lambda: run_under_chaos(
+        RunSpec("EP", nodes=2, overrides={"n_pairs": 60_000})),
     # seven replicas and the home hold one shared snapshot of the page
     "shared-snapshots": lambda: seven_readers("sharded"),
 }

@@ -8,7 +8,6 @@ import json
 
 from repro import DexCluster
 from repro.apps.common import RunSpec
-from repro.chaos import run_pagefault_micro
 from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.net import Message, MsgType, Network
 from repro.params import SimParams
@@ -23,11 +22,11 @@ def traced_drop_run(path):
     spec = RunSpec("micro", base=SimParams(
         trace="1", chaos_scenario=scenario.validate()))
     cluster = spec.cluster()
-    out = run_pagefault_micro(spec, cluster=cluster, sanitize=False)
-    assert out["ok"], out
-    assert out["report"]["injections"] == {"drop": 1}
+    assert spec.run(cluster=cluster).correct
+    report = cluster.chaos.report()
+    assert report["injections"] == {"drop": 1}
     cluster.tracer.save_json(str(path))
-    return path.read_bytes(), json.dumps(out["report"], sort_keys=True)
+    return path.read_bytes(), json.dumps(report, sort_keys=True)
 
 
 def test_a_traced_chaos_run_repeats_byte_for_byte(tmp_path):
