@@ -8,7 +8,10 @@
 
 All generators are deterministic for a fixed seed, so each is built once
 per process per spec (:func:`memoised`) and handed out read-only; the apps
-memoise the expected answer derived from an input the same way.
+memoise the expected answer derived from an input the same way.  DexServe
+builds its tenants' inputs from the same generators; its request-sized
+bodies live with its kinds table (``serve/kinds.py``), which imports the
+app kernels, so nothing here imports an app.
 """
 
 from __future__ import annotations
@@ -217,95 +220,6 @@ def rmat_graph(
     np.cumsum(np.bincount(keys >> levels, minlength=n_vertices),
               out=indptr[1:])
     return indptr, keys & low
-
-
-# ---------------------------------------------------------------------------
-# Request-sized query adapters (DexServe).
-#
-# Each adapter is a *bounded* unit of work factored out of the batch apps:
-# the same kernels, costs, and DSM access patterns as one chunk of the
-# corresponding worker body, wrapped as a generator a serving thread can
-# ``yield from`` per request.  The batch ``run()`` paths above and in the
-# sibling app modules are untouched — the adapters import their kernels
-# lazily (the app modules import this one, so top-level imports would
-# cycle) and the differential tests pin adapter results to the batch
-# references.
-# ---------------------------------------------------------------------------
-
-
-def kmn_query(ctx, points_arr, centroids, k: int, lo: int, hi: int,
-              dim: int = 3):
-    """Classify points ``[lo, hi)`` against the current centroids (one
-    KMN model query).  Returns the assignment labels."""
-    from repro.apps import kmeans
-
-    centers = (yield from centroids.read(ctx, site="serve:kmn:centers"))
-    centers = centers.reshape(k, dim)
-    raw = yield from points_arr.read(ctx, lo * dim, hi * dim,
-                                     site="serve:kmn:points")
-    pts = raw.reshape(hi - lo, dim)
-    yield from ctx.compute(cpu_us=(hi - lo) * kmeans.CPU_US_PER_POINT,
-                           mem_bytes=(hi - lo) * dim * 8)
-    return kmeans.sq_dist(pts, centers).argmin(axis=1)
-
-
-def grp_lookup(ctx, text_arr, text_len: int, keys: Sequence[bytes],
-               lo: int, hi: int):
-    """Count key occurrences starting in ``[lo, hi)`` of the text (one
-    GRP lookup).  Read-only: counts are staged locally and returned, as
-    in the optimized batch variant."""
-    from repro.apps.string_match import CPU_US_PER_BYTE, _count_starting_before
-
-    max_key = max(len(k) for k in keys)
-    take = hi - lo
-    window = min(take + max_key - 1, text_len - lo)
-    raw = yield from ctx.read(text_arr.addr + lo, window, site="serve:grp:scan")
-    yield from ctx.compute(cpu_us=take * CPU_US_PER_BYTE, mem_bytes=take)
-    return [_count_starting_before(raw, key, take) for key in keys]
-
-
-def blk_price_query(ctx, inputs, flags, lo: int, hi: int):
-    """Price options ``[lo, hi)`` (one BLK pricing call).  Reads the five
-    input fields through the DSM and returns the prices without writing
-    them back — serving returns results to the client, not to shared
-    memory."""
-    from repro.apps.blackscholes import CPU_US_PER_OPTION, _price_arrays
-
-    take = hi - lo
-    values = {}
-    for name in ("spot", "strike", "rate", "volatility", "maturity"):
-        values[name] = yield from inputs[name].read(ctx, lo, hi,
-                                                    site="serve:blk:inputs")
-    raw_flags = yield from ctx.read(flags.addr + lo, take,
-                                    site="serve:blk:inputs")
-    is_call = np.frombuffer(raw_flags, dtype=np.uint8).astype(bool)
-    yield from ctx.compute(cpu_us=take * CPU_US_PER_OPTION,
-                           mem_bytes=take * 48)
-    return _price_arrays(
-        values["spot"], values["strike"], values["rate"],
-        values["volatility"], values["maturity"], is_call,
-    )
-
-
-def scan_query(ctx, text_arr, text_len: int, keys: Sequence[bytes],
-               hits, lo: int, hi: int):
-    """Scan text ``[lo, hi)`` and fold occurrence counts into the shared
-    ``hits`` counters (one string-match scan).  Unlike :func:`grp_lookup`
-    this *writes* shared state per request — the contended tenant shape,
-    mirroring the initial batch variant's global-counter updates."""
-    from repro.apps.string_match import CPU_US_PER_BYTE, _count_starting_before
-
-    max_key = max(len(k) for k in keys)
-    take = hi - lo
-    window = min(take + max_key - 1, text_len - lo)
-    raw = yield from ctx.read(text_arr.addr + lo, window,
-                              site="serve:scan:scan")
-    yield from ctx.compute(cpu_us=take * CPU_US_PER_BYTE, mem_bytes=take)
-    found = [_count_starting_before(raw, key, take) for key in keys]
-    for k, count in enumerate(found):
-        if count:
-            yield from hits.add(ctx, k, count, site="serve:scan:count")
-    return found
 
 
 def bfs_reference(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:

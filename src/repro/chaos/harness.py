@@ -26,11 +26,9 @@ from repro.core.errors import NodeFailedError
 
 @dataclass
 class ChaosRunReport:
-    """Outcome of :func:`run_under_chaos`."""
+    """Outcome of :func:`run_under_chaos`; what ran is the result's own
+    ``app`` / ``variant`` / ``num_nodes``."""
 
-    app: str
-    variant: str
-    num_nodes: int
     #: per-attempt outcome lines ("completed" or the failure diagnostic)
     attempts: List[str] = field(default_factory=list)
     #: the successful AppResult, or None if every attempt failed
@@ -68,8 +66,7 @@ def run_under_chaos(
     if sanitize:
         laid["sanitize"] = "1"
     spec = replace(spec, base=spec.params().copy(**laid))
-    outcome = ChaosRunReport(app=spec.app, variant=spec.variant,
-                             num_nodes=spec.nodes)
+    outcome = ChaosRunReport()
     for attempt in range(1, max_restarts + 2):
         cluster = spec.cluster()
         try:

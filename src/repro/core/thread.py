@@ -77,7 +77,7 @@ class DexThread:
 def _done(value: Any) -> Generator:
     """A fast path's result that is known at call time: ``yield from``
     finishes at once with *value*.  A plain generator, not a reused
-    iterator object: it costs less to build and run (EXPERIMENTS.md,
+    iterator object: it costs less to build and run (PERFLOG.md,
     "Awaiter plane"), and two results that exist at once stay apart."""
     return value
     yield 0.0  # never reached: it only makes this a generator

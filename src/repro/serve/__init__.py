@@ -5,6 +5,9 @@ scans) share one :class:`~repro.core.cluster.DexCluster` under
 deterministic open-loop load, with per-node admission control,
 queue-based load leveling, bulkheaded worker pools, and per-tenant SLO
 reporting through the DexTrace/DexScope stack.
+Each decision has one home: a workload kind is an entry of
+:data:`KINDS`, and an admission verdict is the request's own status, left
+by :meth:`AdmissionPolicy.decide` (QUEUED, REJECTED, THROTTLED or SHED).
 
 Nothing in the core simulator imports this package: serving is strictly
 a layer on top, and a run without it pays nothing for its existence
@@ -27,33 +30,16 @@ or programmatically::
 
 from repro.serve.arrivals import ArrivalCurve, arrival_times, parse_curve
 from repro.serve.manager import ServeManager
+from repro.serve.kinds import KINDS
 from repro.serve.policy import (
-    AdmissionDecision,
-    AdmissionPolicy,
-    RejectPolicy,
-    ShedOldestPolicy,
-    TokenBucketPolicy,
-    make_policy,
-)
+    POLICIES, AdmissionPolicy, RejectPolicy, ShedOldestPolicy,
+    TokenBucketPolicy)
 from repro.serve.queueing import Request, ServeQueue
 from repro.serve.report import build_report, render_report
 from repro.serve.tenant import Tenant, TenantSpec
 
-__all__ = [
-    "AdmissionDecision",
-    "AdmissionPolicy",
-    "ArrivalCurve",
-    "RejectPolicy",
-    "Request",
-    "ServeManager",
-    "ServeQueue",
-    "ShedOldestPolicy",
-    "Tenant",
-    "TenantSpec",
-    "TokenBucketPolicy",
-    "arrival_times",
-    "build_report",
-    "make_policy",
-    "parse_curve",
-    "render_report",
-]
+__all__ = ["AdmissionPolicy", "ArrivalCurve", "KINDS", "POLICIES",
+           "RejectPolicy", "Request", "ServeManager", "ServeQueue",
+           "ShedOldestPolicy", "Tenant", "TenantSpec", "TokenBucketPolicy",
+           "arrival_times", "build_report", "parse_curve",
+           "render_report"]

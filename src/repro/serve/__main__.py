@@ -28,9 +28,9 @@ from repro.apps.common import add_run_arguments
 from repro.params import SimParams
 from repro.serve.arrivals import parse_curve
 from repro.serve.manager import ServeManager
-from repro.serve.policy import POLICY_NAMES
+from repro.serve.policy import POLICIES
 from repro.serve.report import load_report, render_report
-from repro.serve.tenant import WORKLOAD_KINDS, TenantSpec
+from repro.serve.tenant import TenantSpec
 
 DEFAULT_TENANTS = "kmn:constant,grp:constant,blk:constant,scan:burst"
 
@@ -65,10 +65,6 @@ def parse_tenants(spec: str, ns: argparse.Namespace) -> List[TenantSpec]:
             raise ValueError(
                 f"tenant spec {entry!r} is not kind:curve[:name]")
         kind, curve_kind = parts[0], parts[1]
-        if kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"tenant spec {entry!r}: unknown workload {kind!r} "
-                f"(one of {WORKLOAD_KINDS})")
         name = parts[2] if len(parts) == 3 else f"{kind}-{i}"
         curve = parse_curve(
             curve_kind, ns.rate, ns.requests,
@@ -182,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working-set items per tenant (0 = kind default)")
     parser.add_argument("--request-items", type=int, default=0,
                         help="items per request (0 = kind default)")
-    parser.add_argument("--policy", choices=POLICY_NAMES, default="reject")
+    parser.add_argument("--policy", choices=tuple(POLICIES), default="reject")
     parser.add_argument("--slo-p99-us", type=float, default=2000.0)
     parser.add_argument("--burst-at-us", type=float, default=50_000.0)
     parser.add_argument("--burst-for-us", type=float, default=20_000.0)

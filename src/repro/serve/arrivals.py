@@ -28,11 +28,9 @@ the injector adds the phase's absolute start time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-
-CURVE_KINDS = ("constant", "poisson", "burst", "ramp")
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,14 @@ class ArrivalCurve:
     ramp_to: float = 0.0
 
     def validate(self) -> "ArrivalCurve":
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(
-                f"unknown arrival curve {self.kind!r} (one of {CURVE_KINDS})"
-            )
+        if self.kind not in SHAPES:
+            raise ValueError(f"unknown arrival curve {self.kind!r} "
+                             f"(one of {tuple(SHAPES)})")
         if self.rate <= 0.0:
             raise ValueError(f"arrival rate must be positive, got {self.rate}")
         if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.kind == "burst":
+        if self.shape.bursty:
             if self.burst_x <= 1.0:
                 raise ValueError("burst_x must exceed 1.0")
             if self.burst_for_us <= 0.0:
@@ -68,12 +65,16 @@ class ArrivalCurve:
         return self
 
     @property
+    def shape(self) -> "Shape":
+        return SHAPES[self.kind]
+
+    @property
     def ramp_final(self) -> float:
         return self.ramp_to if self.ramp_to > 0.0 else 4.0 * self.rate
 
     def span_us(self) -> float:
         """Nominal duration of the whole curve in microseconds."""
-        if self.kind == "ramp":
+        if self.shape.ramps:
             # area under the linear rate curve equals the request count
             mean_rate = (self.rate + self.ramp_final) / 2.0
             return self.requests * 1e6 / mean_rate
@@ -83,18 +84,18 @@ class ArrivalCurve:
         return replace(self, requests=requests)
 
 
-def _constant_times(n: int, rate: float) -> np.ndarray:
-    spacing = 1e6 / rate
-    return np.arange(n, dtype=np.float64) * spacing
+def _constant_times(curve: ArrivalCurve, seed: int) -> np.ndarray:
+    spacing = 1e6 / curve.rate
+    return np.arange(curve.requests, dtype=np.float64) * spacing
 
 
-def _poisson_times(n: int, rate: float, seed: int) -> np.ndarray:
+def _poisson_times(curve: ArrivalCurve, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1e6 / rate, size=n)
+    gaps = rng.exponential(1e6 / curve.rate, size=curve.requests)
     return np.cumsum(gaps)
 
 
-def _burst_times(curve: ArrivalCurve) -> np.ndarray:
+def _burst_times(curve: ArrivalCurve, seed: int) -> np.ndarray:
     base_gap = 1e6 / curve.rate
     burst_gap = base_gap / curve.burst_x
     times = np.empty(curve.requests, dtype=np.float64)
@@ -115,12 +116,11 @@ def _burst_times(curve: ArrivalCurve) -> np.ndarray:
             count = min(int((edge - t) // gap) + 1, curve.requests - i)
         times[i : i + count] = t + np.arange(count, dtype=np.float64) * gap
         t = times[i + count - 1] + gap
-        t = max(t, edge) if not np.isinf(edge) and t >= edge else t
         i += count
     return times
 
 
-def _ramp_times(curve: ArrivalCurve) -> np.ndarray:
+def _ramp_times(curve: ArrivalCurve, seed: int) -> np.ndarray:
     # invert the cumulative arrival function of a linear rate curve:
     # with r(t) = a + b t (per-us rates), arrival k solves
     # a t + b t^2 / 2 = k
@@ -137,14 +137,22 @@ def arrival_times(curve: ArrivalCurve, seed: int = 0) -> np.ndarray:
     """The curve's arrival offsets in microseconds, nondecreasing, length
     ``curve.requests``.  Only ``poisson`` draws randomness; every kind is
     bit-identical for a fixed ``(curve, seed)``."""
-    curve.validate()
-    if curve.kind == "constant":
-        return _constant_times(curve.requests, curve.rate)
-    if curve.kind == "poisson":
-        return _poisson_times(curve.requests, curve.rate, seed)
-    if curve.kind == "burst":
-        return _burst_times(curve)
-    return _ramp_times(curve)
+    return curve.validate().shape.times(curve, seed)
+
+
+class Shape(NamedTuple):
+    """What a curve kind decides: its arrival offsets for ``(curve,
+    seed)``, whether it has a burst window, and whether it ramps."""
+
+    times: Callable[[ArrivalCurve, int], np.ndarray]
+    bursty: bool = False
+    ramps: bool = False
+
+
+#: curve kind -> its shape
+SHAPES = {"constant": Shape(_constant_times), "poisson": Shape(_poisson_times),
+          "burst": Shape(_burst_times, bursty=True),
+          "ramp": Shape(_ramp_times, ramps=True)}
 
 
 def parse_curve(
@@ -164,6 +172,6 @@ def parse_curve(
 def curve_window(curve: ArrivalCurve) -> Tuple[float, float]:
     """The burst window as (start_us, end_us); the whole span for
     non-burst curves (used by report windowing)."""
-    if curve.kind == "burst":
+    if curve.shape.bursty:
         return curve.burst_at_us, curve.burst_at_us + curve.burst_for_us
     return 0.0, curve.span_us()

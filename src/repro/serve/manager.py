@@ -9,7 +9,7 @@ and drives the whole serving run inside a single ``simulate`` phase:
    the tenant's arrival process — requests are admitted (or rejected /
    shed / throttled) by the tenant's policy at their arrival node,
    regardless of how far behind the workers are;
-3. workers drain their node's queue through the request adapters; a
+3. workers drain their node's queue through their kind's request body; a
    bounded pool per node is the bulkhead that keeps one tenant's
    overload from stealing another's cores;
 4. the manager's main thread ticks alongside, sweeping failure state
@@ -30,7 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.params import SimParams
 
 from .arrivals import arrival_times
-from .queueing import DONE, QUEUED, RUNNING, Request
+from .queueing import DONE, RUNNING, Request
 from .report import build_report
 from .tenant import Tenant, TenantSpec
 
@@ -235,8 +235,8 @@ class ServeManager:
             return
         node = live[rid % len(live)]
         request = Request(rid, tenant.spec.name, node, now, lo, hi)
-        tenant.count_decision(
-            tenant.policy.decide(tenant.queues[node], request, now))
+        tenant.count_decision(request, tenant.policy.decide(
+            tenant.queues[node], request, now))
 
     # -- failure sweep ----------------------------------------------------
 
@@ -270,9 +270,8 @@ class ServeManager:
                     if live:
                         target = live[request.rid % len(live)]
                         request.node = target
-                        request.status = QUEUED
                         tenant.count("rerouted")
-                        tenant.count_decision(tenant.policy.decide(
+                        tenant.count_decision(request, tenant.policy.decide(
                             tenant.queues[target], request, now),
                             rerouted=True)
                     else:

@@ -1,11 +1,13 @@
 """Admission-control policies for DexServe.
 
 Every request passes through exactly one :meth:`AdmissionPolicy.decide`
-call at its arrival node; the decision object says what happened and
-the policy itself performs any queue mutation through the sanctioned
-``commit_admit`` / ``evict_oldest`` surface.  Nothing else in the
-serving layer may drop or enqueue work — the DexVet ``serve-discipline``
-rule pins admission decisions to this module statically.
+call at its arrival node (and one more if a failure reroutes it).  The
+verdict is the request's own status — QUEUED (admitted), REJECTED or
+THROTTLED, with any evicted request SHED — and the policy itself
+performs any queue mutation through the sanctioned ``commit_admit`` /
+``evict_oldest`` surface.  Nothing else in the serving layer may drop or
+enqueue work or refuse a request — the DexVet ``serve-discipline`` rule
+pins both to this module and :mod:`repro.serve.queueing` statically.
 
 Three policies, matching the load-leveling patterns the ROADMAP names:
 
@@ -22,49 +24,47 @@ Three policies, matching the load-leveling patterns the ROADMAP names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .queueing import REJECTED, THROTTLED, Request, ServeQueue
+from .queueing import QUEUED, REJECTED, THROTTLED, Request, ServeQueue
 
-POLICY_NAMES = ("reject", "shed-oldest", "token-bucket")
-
-ADMIT = "admit"
-REJECT = "reject"
-THROTTLE = "throttle"
+Shed = Tuple[Request, ...]
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """Outcome of one admission check: the action taken on *request*,
-    plus any queued request shed to make room for it."""
+def _refuse(request: Request, status: str, now_us: float) -> Shed:
+    """*request* ends *status* at *now_us*; nothing was shed for it."""
+    request.status = status
+    request.finish_us = now_us
+    return ()
 
-    action: str
-    request: Request
-    shed: Tuple[Request, ...] = ()
+
+def _admit(queue: ServeQueue, request: Request) -> None:
+    """*request* waits in *queue*."""
+    request.status = QUEUED
+    queue.commit_admit(request)
 
 
 class AdmissionPolicy:
-    """Base: admit when the queue has room, reject otherwise."""
+    """Bounded queue with reject-with-503 overflow: admit when the queue
+    has room, reject otherwise.  The base policy is the ``reject`` one."""
 
     name = "reject"
 
-    def decide(
-        self, queue: ServeQueue, request: Request, now_us: float
-    ) -> AdmissionDecision:
+    def __init__(self, rate_per_s: float = 0.0):
+        """A policy for a tenant offered *rate_per_s* per node (only
+        token-bucket reads it)."""
+
+    def decide(self, queue: ServeQueue, request: Request,
+               now_us: float) -> Shed:
+        """Leave *request* QUEUED (admitted), REJECTED or THROTTLED and
+        return the queued requests SHED to make room for it."""
         if queue.full:
-            request.status = REJECTED
-            request.finish_us = now_us
-            return AdmissionDecision(REJECT, request)
-        queue.commit_admit(request)
-        return AdmissionDecision(ADMIT, request)
+            return _refuse(request, REJECTED, now_us)
+        _admit(queue, request)
+        return ()
 
 
-class RejectPolicy(AdmissionPolicy):
-    """Bounded queue with reject-with-503 overflow (the base behaviour,
-    named for CLI selection)."""
-
-    name = "reject"
+RejectPolicy = AdmissionPolicy
 
 
 class ShedOldestPolicy(AdmissionPolicy):
@@ -73,17 +73,16 @@ class ShedOldestPolicy(AdmissionPolicy):
 
     name = "shed-oldest"
 
-    def decide(
-        self, queue: ServeQueue, request: Request, now_us: float
-    ) -> AdmissionDecision:
-        shed = ()
+    def decide(self, queue: ServeQueue, request: Request,
+               now_us: float) -> Shed:
+        shed: Shed = ()
         if queue.full:
             victim = queue.evict_oldest()
             if victim is not None:
                 victim.finish_us = now_us
                 shed = (victim,)
-        queue.commit_admit(request)
-        return AdmissionDecision(ADMIT, request, shed)
+        _admit(queue, request)
+        return shed
 
 
 class TokenBucketPolicy(AdmissionPolicy):
@@ -109,35 +108,19 @@ class TokenBucketPolicy(AdmissionPolicy):
         self._refilled_us[node] = now_us
         return tokens
 
-    def decide(
-        self, queue: ServeQueue, request: Request, now_us: float
-    ) -> AdmissionDecision:
+    def decide(self, queue: ServeQueue, request: Request,
+               now_us: float) -> Shed:
         node = queue.node
-        tokens = self._refill(node, now_us)
+        tokens = self._tokens[node] = self._refill(node, now_us)
         if tokens < 1.0:
-            self._tokens[node] = tokens
-            request.status = THROTTLED
-            request.finish_us = now_us
-            return AdmissionDecision(THROTTLE, request)
+            return _refuse(request, THROTTLED, now_us)
         if queue.full:
-            self._tokens[node] = tokens
-            request.status = REJECTED
-            request.finish_us = now_us
-            return AdmissionDecision(REJECT, request)
+            return _refuse(request, REJECTED, now_us)
         self._tokens[node] = tokens - 1.0
-        queue.commit_admit(request)
-        return AdmissionDecision(ADMIT, request)
+        _admit(queue, request)
+        return ()
 
 
-def make_policy(
-    name: str, rate_per_s: float = 0.0, burst: float = 16.0
-) -> AdmissionPolicy:
-    """Build a policy by CLI name; ``rate_per_s`` feeds token-bucket
-    (falls back to the tenant's base arrival rate)."""
-    if name == "reject":
-        return RejectPolicy()
-    if name == "shed-oldest":
-        return ShedOldestPolicy()
-    if name == "token-bucket":
-        return TokenBucketPolicy(rate_per_s or 1.0, burst)
-    raise ValueError(f"unknown admission policy {name!r} (one of {POLICY_NAMES})")
+#: CLI name -> policy class, called with the tenant's per-node rate
+POLICIES = {cls.name: cls
+            for cls in (RejectPolicy, ShedOldestPolicy, TokenBucketPolicy)}

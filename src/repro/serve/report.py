@@ -55,9 +55,7 @@ def build_report(manager: Any) -> Dict[str, Any]:
         counts = tenant.counts()
         qs = tenant._latency.quantiles(50, 99, 99.9)
         wait_qs = tenant._queue_wait.quantiles(50, 99)
-        completed = counts["completed"]
-        within_slo = sum(
-            1 for (_, lat) in tenant.samples if lat <= spec.slo_p99_us)
+        completed, within_slo = counts["completed"], tenant.within_slo
         doc: Dict[str, Any] = {
             "workload": spec.workload,
             "nodes": list(spec.nodes),
@@ -87,7 +85,7 @@ def build_report(manager: Any) -> Dict[str, Any]:
                 if completed else 0.0,
             },
         }
-        if spec.curve.kind == "burst":
+        if spec.curve.shape.bursty:
             # p99 before / during / after the burst window, from the
             # per-request samples (windows in absolute sim time)
             b_lo, b_hi = curve_window(spec.curve)

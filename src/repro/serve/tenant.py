@@ -8,10 +8,11 @@ policy, and a resident working set allocated in its own
 tables, and stats namespace on the shared cluster.
 
 Requests are *bounded* units of work: each covers one slot of the
-working set and executes through the request adapters factored out of
-the batch apps (:mod:`repro.apps.workloads`).  Every completed request
-is verified against a host-side precomputed answer, so the SLO numbers
-can never hide wrong results.
+working set and executes through its kind's request body
+(:mod:`repro.serve.kinds`, which owns everything that differs between
+kinds; nothing here branches on one).  Every completed request is
+verified against a host-side precomputed answer, so the SLO numbers can
+never hide wrong results.
 """
 
 from __future__ import annotations
@@ -20,31 +21,20 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-import numpy as np
-
-from repro.apps import workloads
-from repro.apps.blackscholes import FIELDS, _price_arrays
-from repro.apps.string_match import _count_starting_before
 from repro.runtime import MemoryAllocator
 from repro.runtime.array import alloc_array
 
 from .arrivals import ArrivalCurve
-from .policy import ADMIT, POLICY_NAMES, REJECT, make_policy
-from .queueing import FAILED, Request, ServeQueue
+from .kinds import KINDS, Kind
+from .policy import POLICIES
+from .queueing import FAILED, QUEUED, Request, ServeQueue
 
-WORKLOAD_KINDS = ("kmn", "grp", "blk", "scan")
-
-#: default resident working-set size per kind (points / bytes / options)
-DEFAULT_ITEMS = {"kmn": 32_768, "grp": 262_144, "blk": 65_536,
-                 "scan": 262_144}
-#: default request size per kind (items per query)
-DEFAULT_REQUEST_ITEMS = {"kmn": 256, "grp": 4096, "blk": 512, "scan": 4096}
-
-KMN_K = 8
 WARM_CHUNK_BYTES = 64 * 1024
 #: per-tenant latency-sample cap (each sample is one small tuple; the
 #: registry histograms are unbounded-count / bounded-state regardless)
 MAX_SAMPLES = 250_000
+#: the counters of a request's end states
+TERMINAL = ("completed", "rejected", "throttled", "shed", "failed")
 
 
 @dataclass(frozen=True)
@@ -71,8 +61,8 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         """One ``ValueError`` naming the field, here and not mid-run."""
-        for field, value, known in (("workload", self.workload, WORKLOAD_KINDS),
-                                    ("policy", self.policy, POLICY_NAMES)):
+        for field, value, known in (("workload", self.workload, tuple(KINDS)),
+                                    ("policy", self.policy, tuple(POLICIES))):
             if value not in known:
                 raise ValueError(f"tenant {self.name!r}: unknown {field} "
                                  f"{value!r} (one of {known})")
@@ -94,12 +84,16 @@ class TenantSpec:
         self.curve.validate()
 
     @property
+    def kind(self) -> Kind:
+        return KINDS[self.workload]
+
+    @property
     def total_items(self) -> int:
-        return self.items or DEFAULT_ITEMS[self.workload]
+        return self.items or self.kind.items
 
     @property
     def per_request(self) -> int:
-        return self.request_items or DEFAULT_REQUEST_ITEMS[self.workload]
+        return self.request_items or self.kind.request_items
 
     @property
     def bucket_rate(self) -> float:
@@ -115,11 +109,8 @@ class Tenant:
     def __init__(self, spec: TenantSpec, cluster: Any, registry: Any):
         self.spec = spec
         self.cluster = cluster
-        self.registry = registry
         self.proc = None
-        self.policy = make_policy(
-            spec.policy, rate_per_s=spec.bucket_rate
-        )
+        self.policy = POLICIES[spec.policy](spec.bucket_rate)
         self.queues: Dict[int, ServeQueue] = {
             node: ServeQueue(cluster.engine, spec.name, node,
                              spec.queue_capacity)
@@ -130,11 +121,14 @@ class Tenant:
         #: (finish_us, latency_us) per completed request, for windowed
         #: before/during/after analysis in the report
         self.samples: List[Tuple[float, float]] = []
+        #: completions within the SLO (all: ``samples`` stops at MAX_SAMPLES)
+        self.within_slo = 0
         self.injection_done = False
         self.stop = False
         self.dead = False
         self._expected: List[Any] = []
         self._arrays: Dict[str, Any] = {}
+        self._warm: List[Any] = []
         # registry families shared across tenants; children per tenant
         self._latency = registry.histogram(
             "serve_latency_us", "request latency, arrival to completion",
@@ -159,18 +153,18 @@ class Tenant:
     def counts(self) -> Dict[str, int]:
         return {what: c.value for what, c in self._events.items()}
 
-    def count_decision(self, decision: Any, rerouted: bool = False) -> None:
-        """Count the policy's verdict on a request; a rerouted request's
+    def count_decision(self, request: Request, shed: Tuple[Request, ...],
+                       rerouted: bool = False) -> None:
+        """Count the policy's verdict on *request* from the statuses it
+        left: QUEUED is an admission, REJECTED / THROTTLED and each SHED
+        victim count under their own names.  A rerouted request's
         admission is not counted again (it was when the request arrived)."""
-        if decision.action == ADMIT:
-            if not rerouted:
-                self.count("admitted")
-        elif decision.action == REJECT:
-            self.count("rejected")
-        else:
-            self.count("throttled")
-        for _ in decision.shed:
-            self.count("shed")
+        if request.status != QUEUED:
+            self.count(request.status)
+        elif not rerouted:
+            self.count("admitted")
+        for victim in shed:
+            self.count(victim.status)
 
     def fail(self, request: Request, now: float) -> None:
         """*request* ends FAILED at *now*."""
@@ -180,17 +174,18 @@ class Tenant:
 
     def accounted(self) -> int:
         """Arrivals that reached a terminal state."""
-        c = self.counts()
-        return (c["completed"] + c["rejected"] + c["throttled"] + c["shed"]
-                + c["failed"])
+        return sum(self._events[what].value for what in TERMINAL)
 
     def on_complete(self, request: Request, result: Any) -> None:
         self._latency.observe(request.latency_us)
         self._queue_wait.observe(request.queue_wait_us)
         self.count("completed")
+        if request.latency_us <= self.spec.slo_p99_us:
+            self.within_slo += 1
         if len(self.samples) < MAX_SAMPLES:
             self.samples.append((request.finish_us, request.latency_us))
-        if not self._verify(request, result):
+        slot = request.item_lo // self.spec.per_request
+        if not self.spec.kind.check(result, self._expected[slot]):
             self.count("mismatched")
 
     def live_nodes(self, chaos: Any) -> List[int]:
@@ -215,136 +210,40 @@ class Tenant:
     def install(self) -> None:
         """Create the tenant's process, allocate the working set, and
         write the input data (one setup simulate phase, before serving)."""
-        spec = self.spec
+        spec, kind = self.spec, self.spec.kind
         self.proc = self.cluster.create_process(name=f"tenant-{spec.name}")
         alloc = MemoryAllocator(self.proc)
-        kind = spec.workload
-        n = spec.total_items
-        if kind == "kmn":
-            from repro.apps import kmeans
-            points = workloads.clustered_points(n, KMN_K, seed=spec.seed + 11)
-            centers = points[:KMN_K].copy()
-            self._arrays["points"] = alloc_array(
-                alloc, np.float64, n * 3, name=f"{spec.name}.points",
-                page_aligned=True)
-            self._arrays["centroids"] = alloc_array(
-                alloc, np.float64, KMN_K * 3, name=f"{spec.name}.centroids",
-                segment="globals", page_aligned=True)
-            for slot in range(self.n_slots):
-                lo, hi = slot * spec.per_request, min(
-                    (slot + 1) * spec.per_request, n)
-                self._expected.append(
-                    kmeans.sq_dist(points[lo:hi], centers).argmin(axis=1))
+        inputs = kind.inputs(spec.total_items, spec.seed)
+        residents = kind.residents(inputs)
+        for r in residents:
+            self._arrays[r.name] = alloc_array(
+                alloc, r.dtype, r.length, name=f"{spec.name}.{r.name}",
+                segment=r.segment, page_aligned=True)
+        self._warm = [self._arrays[r.name] for r in residents if r.warm]
+        self._expected = [kind.reference(inputs, *self.request_span(slot))
+                          for slot in range(self.n_slots)]
 
-            def setup(ctx):
-                yield from self._arrays["points"].write(ctx, 0, points.ravel())
-                yield from self._arrays["centroids"].write(
-                    ctx, 0, centers.ravel())
-
-        elif kind in ("grp", "scan"):
-            text = workloads.text_corpus(n, seed=spec.seed + 7,
-                                         plant_every=200)
-            keys = workloads.DEFAULT_KEYS
-            max_key = max(len(k) for k in keys)
-            self._arrays["text"] = alloc_array(
-                alloc, np.uint8, n, name=f"{spec.name}.text",
-                page_aligned=True)
-            if kind == "scan":
-                self._arrays["hits"] = alloc_array(
-                    alloc, np.int64, len(keys), name=f"{spec.name}.hits",
-                    segment="globals", page_aligned=True)
-            for slot in range(self.n_slots):
-                lo, hi = slot * spec.per_request, min(
-                    (slot + 1) * spec.per_request, n)
-                take = hi - lo
-                window = text[lo:lo + min(take + max_key - 1, n - lo)]
-                self._expected.append(
-                    [_count_starting_before(window, key, take)
-                     for key in keys])
-
-            def setup(ctx):
-                yield from self._arrays["text"].write(
-                    ctx, 0, np.frombuffer(text, dtype=np.uint8))
-
-        else:  # blk
-            batch = workloads.option_batch(n, seed=spec.seed + 13)
-            for name in FIELDS:
-                self._arrays[name] = alloc_array(
-                    alloc, np.float64, n, name=f"{spec.name}.{name}",
-                    page_aligned=True)
-            self._arrays["flags"] = alloc_array(
-                alloc, np.uint8, n, name=f"{spec.name}.flags",
-                page_aligned=True)
-            for slot in range(self.n_slots):
-                lo, hi = slot * spec.per_request, min(
-                    (slot + 1) * spec.per_request, n)
-                self._expected.append(_price_arrays(
-                    batch.spot[lo:hi], batch.strike[lo:hi],
-                    batch.rate[lo:hi], batch.volatility[lo:hi],
-                    batch.maturity[lo:hi], batch.is_call[lo:hi]))
-
-            def setup(ctx):
-                for name in FIELDS:
-                    yield from self._arrays[name].write(
-                        ctx, 0, getattr(batch, name))
-                yield from ctx.write(
-                    self._arrays["flags"].addr,
-                    batch.is_call.view(np.uint8))
+        def setup(ctx):
+            for r in residents:
+                if r.values is not None:
+                    yield from self._arrays[r.name].write(ctx, 0, r.values)
 
         self.cluster.simulate(setup, self.proc)
 
     def warm(self, ctx) -> Any:
-        """Fault the whole working set in at the calling worker's node so
+        """Fault the warm arrays in at the calling worker's node so
         serving-time latencies measure steady state, not cold faults."""
-        kind = self.spec.workload
-        if kind == "kmn":
-            spans = [(self._arrays["points"],
-                      self.spec.total_items * 3 * 8),
-                     (self._arrays["centroids"], KMN_K * 3 * 8)]
-        elif kind in ("grp", "scan"):
-            spans = [(self._arrays["text"], self.spec.total_items)]
-        else:
-            spans = [(self._arrays[name], self.spec.total_items * 8)
-                     for name in FIELDS]
-            spans.append((self._arrays["flags"], self.spec.total_items))
-        for arr, nbytes in spans:
-            pos = 0
-            while pos < nbytes:
-                take = min(WARM_CHUNK_BYTES, nbytes - pos)
+        for arr in self._warm:
+            for pos in range(0, arr.nbytes, WARM_CHUNK_BYTES):
+                take = min(WARM_CHUNK_BYTES, arr.nbytes - pos)
                 yield from ctx.read(arr.addr + pos, take, site="serve:warm")
-                pos += take
 
     # -- request execution ----------------------------------------------
 
     def execute(self, ctx, request: Request) -> Any:
-        """Run one request through the matching adapter: returns the
-        adapter's generator, which the worker thread drives."""
-        kind = self.spec.workload
-        lo, hi = request.item_lo, request.item_hi
-        if kind == "kmn":
-            return workloads.kmn_query(
-                ctx, self._arrays["points"], self._arrays["centroids"],
-                KMN_K, lo, hi)
-        if kind == "grp":
-            return workloads.grp_lookup(
-                ctx, self._arrays["text"], self.spec.total_items,
-                workloads.DEFAULT_KEYS, lo, hi)
-        if kind == "scan":
-            return workloads.scan_query(
-                ctx, self._arrays["text"], self.spec.total_items,
-                workloads.DEFAULT_KEYS, self._arrays["hits"], lo, hi)
-        return workloads.blk_price_query(
-            ctx, {name: self._arrays[name] for name in FIELDS},
-            self._arrays["flags"], lo, hi)
-
-    def _verify(self, request: Request, result: Any) -> bool:
-        slot = request.item_lo // self.spec.per_request
-        expected = self._expected[slot]
-        if self.spec.workload == "kmn":
-            return bool(np.array_equal(result, expected))
-        if self.spec.workload == "blk":
-            return bool(np.allclose(result, expected))
-        return list(result) == list(expected)
+        """The request's body: a generator the worker thread drives."""
+        return self.spec.kind.query(ctx, self._arrays, request.item_lo,
+                                    request.item_hi)
 
     # -- queue helpers ----------------------------------------------------
 

@@ -581,6 +581,9 @@ _BACKLOG_MUTATORS = frozenset({
 _SERVE_DECISION_COUNTS = frozenset({
     "injected", "admitted", "rejected", "throttled", "shed",
 })
+#: the request statuses that refuse work, by name and by value
+_SERVE_REFUSALS = {"REJECTED": "rejected", "THROTTLED": "throttled",
+                   "SHED": "shed"}
 
 
 @rule("serve-discipline")
@@ -592,28 +595,31 @@ def _check_serve_discipline(ctx: VetContext) -> Iterable[Finding]:
     ``serve/queueing.py`` bypasses the depth high-water mark and the
     one-waiter-per-admit wakeup; (b) ``commit_admit``/``evict_oldest``
     are the policy layer's entry points — a manager or worker calling
-    them has made an admission decision outside any policy; (c) an
-    :class:`AdmissionDecision` minted outside ``serve/policy.py`` is an
-    unaccountable decision (import-aware, so unrelated classes of the
-    same name stay clean); (d) tallying decisions on ad-hoc ``self``
+    them has made an admission decision outside any policy; (c) the
+    verdict is the request's status, so a REJECTED, THROTTLED or SHED
+    status assigned outside ``serve/policy.py`` / ``serve/queueing.py``
+    is an unaccountable decision (by an imported name, import-aware so
+    unrelated constants of the same name stay clean, or by its string
+    value in a serving module); (d) tallying decisions on ad-hoc ``self``
     attributes instead of registry counters hides them from the SLO
     report and the scope time-series."""
     for scan in ctx.scans:
-        rel = scan.module.rel
-        owns_queue = rel.endswith("serve/queueing.py")
-        mints_decisions = rel.endswith("serve/policy.py")
-        is_policy = owns_queue or mints_decisions
+        home = scan.module.parts[-2:]
+        owns_queue = home == ("serve", "queueing.py")
+        is_policy = owns_queue or home == ("serve", "policy.py")
         serveish = "serve" in scan.module.parts
-        decision_aliases: Set[str] = set()
+        refusal_aliases: Set[str] = set()
         for node in scan.nodes:
             mod = (node.module or "") if isinstance(node, ast.ImportFrom) else None
             if mod is not None and (
-                    mod in ("repro.serve", "repro.serve.policy", "policy")
-                    or mod.endswith((".serve", "serve.policy"))):
+                    mod in ("repro.serve", "repro.serve.policy", "policy",
+                            "queueing")
+                    or mod.endswith((".serve", "serve.policy",
+                                     "serve.queueing"))):
                 serveish = True
-                decision_aliases.update(alias.asname or alias.name
-                                        for alias in node.names
-                                        if alias.name == "AdmissionDecision")
+                refusal_aliases.update(alias.asname or alias.name
+                                       for alias in node.names
+                                       if alias.name in _SERVE_REFUSALS)
         for node in scan.nodes:
             if isinstance(node, ast.Call):
                 func = node.func
@@ -629,14 +635,21 @@ def _check_serve_discipline(ctx: VetContext) -> Iterable[Finding]:
                         f"'.{attr}(...)' called outside the admission policy "
                         f"layer — route the request through "
                         f"AdmissionPolicy.decide(...) instead")
-                elif not mints_decisions and isinstance(func, ast.Name) \
-                        and func.id in decision_aliases:
-                    yield scan.path, node.lineno, (
-                        "AdmissionDecision minted outside serve/policy.py — "
-                        "only policies may decide; return one from an "
-                        "AdmissionPolicy.decide(...) override")
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 for target in _targets(node):
+                    value = node.value
+                    if not is_policy and isinstance(node, ast.Assign) \
+                            and isinstance(target, ast.Attribute) \
+                            and target.attr == "status" and (
+                                isinstance(value, ast.Name)
+                                and value.id in refusal_aliases
+                                or serveish and isinstance(value, ast.Constant)
+                                and value.value in _SERVE_REFUSALS.values()):
+                        yield scan.path, node.lineno, (
+                            "refusal status assigned outside serve/policy.py "
+                            "/ serve/queueing.py — only policies may decide; "
+                            "leave it from an AdmissionPolicy.decide(...) "
+                            "override")
                     if not owns_queue and isinstance(target, ast.Attribute) \
                             and target.attr == "_backlog":
                         yield scan.path, node.lineno, (

@@ -2,7 +2,7 @@
 policy layer, queue internals touched directly, and decisions tallied
 on ad-hoc attributes instead of registry counters."""
 
-from repro.serve.policy import AdmissionDecision
+from repro.serve.queueing import REJECTED
 
 
 class PushyManager:
@@ -25,8 +25,8 @@ class PushyManager:
         return self.queue.evict_oldest()
 
     def hand_rolled_decision(self, request):
-        # BUG: decisions are minted by AdmissionPolicy.decide overrides
-        return AdmissionDecision("admit", request)
+        # BUG: a refusal is a status only AdmissionPolicy.decide leaves
+        request.status = REJECTED
 
     def replace_backlog(self, items):
         # BUG: swapping the deque wholesale is still a mutation

@@ -1,12 +1,15 @@
 """What a recording observer sees of one small run, as JSON on stdout.
 
-``python tests/probe_log.py pingpong|pagefault|kmn4|chaos`` — run by
+``python tests/probe_log.py pingpong|pagefault|kmn4|chaos|serve`` — run by
 ``tests/test_hooks.py`` in subprocesses (another ``PYTHONHASHSEED``, another
 interpreter) and imported by it for the in-process runs.  ``pingpong``
 needs the standard library alone: it first imports every package that
 claims to, then hammers one word from two nodes with the sanitizer on.
 ``chaos`` is the chaos harness's control-message micro with one page
-request dropped and one invalidation duplicated, sanitizer on.
+request dropped and one invalidation duplicated, sanitizer on.  ``serve``
+is a two-tenant DexServe run (``scan`` and ``kmn``, constant arrivals, so
+no draw from an RNG) on 4 nodes with the sharded directory and the
+sanitizer on; its result is the SHA-256 of the report's bytes.
 """
 
 import hashlib
@@ -116,6 +119,27 @@ def chaos():
     cluster = spec.cluster()
 
     return cluster, None, lambda: spec.run(cluster=cluster).output
+
+
+def serve():
+    from repro.params import SimParams
+    from repro.serve import ArrivalCurve, ServeManager, TenantSpec
+
+    def tenant(kind, nodes, seed):
+        return TenantSpec(kind, kind, ArrivalCurve("constant", rate=8_000,
+                                                   requests=40),
+                          nodes=nodes, items=8_192, request_items=512,
+                          seed=seed)
+
+    manager = ServeManager([tenant("scan", (0, 1), 1), tenant("kmn", (2, 3), 2)],
+                           num_nodes=4, seed=42, directory="sharded",
+                           params=SimParams(sanitize="1"))
+
+    def run():
+        report = json.dumps(manager.run(), sort_keys=True, indent=2)
+        return hashlib.sha256(report.encode()).hexdigest()
+
+    return manager.cluster, None, run
 
 
 def log(workload):

@@ -202,7 +202,7 @@ def parted(a, b):
 
 #: (process, engine) probes each workload must at least fire
 MIN_PROBES = {"pagefault": (1000, 200), "kmn4": (1000, 200),
-              "chaos": (100, 100)}
+              "chaos": (100, 100), "serve": (1000, 1000)}
 
 
 @pytest.mark.parametrize("workload", list(MIN_PROBES))

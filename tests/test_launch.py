@@ -296,7 +296,7 @@ def test_chaos_report_is_the_last_attempts_cluster(built):
     outcome = run_under_chaos(RunSpec("kmeans", nodes=4, overrides=dict(
         n_points=20_000, max_iters=2)), scenario, max_restarts=1)
     first, last = built
-    assert outcome.app == "KMN" and outcome.correct
+    assert outcome.result.app == "KMN" and outcome.correct
     assert len(outcome.attempts) == 2
     assert first.chaos.report()["crashed"] == [2]
     assert outcome.report == last.chaos.report()
@@ -342,6 +342,14 @@ def test_the_harness_ignores_no_argument(built):
     outcome = run_under_chaos(RunSpec("micro"), crash(), max_restarts=1)
     assert outcome.correct and len(outcome.attempts) == 2
     assert [len(c.processes) for c in built] == [0, 0, 0, 0]
+
+
+def test_the_harness_reports_what_ran_not_what_was_asked():
+    # a micro always runs on 2 nodes, whatever the spec says; the outcome
+    # carries no copy of the spec that could claim otherwise
+    outcome = run_under_chaos(RunSpec("micro", nodes=4))
+    assert outcome.result.num_nodes == 2
+    assert not any(hasattr(outcome, f) for f in ("app", "variant", "num_nodes"))
 
 
 def test_chaos_cli_prints_the_report_of_a_lost_run(capsys):

@@ -5,13 +5,17 @@ and the zero-cost-when-off guards."""
 import json
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.params import SimParams
-from repro.serve import ArrivalCurve, ServeManager, TenantSpec
+from repro.serve import ArrivalCurve, ServeManager, Tenant, TenantSpec
+from repro.serve import tenant as tenant_module
+from repro.serve.queueing import (
+    DONE, FAILED, QUEUED, REJECTED, SHED, THROTTLED)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,6 +158,57 @@ def test_failstop_chaos_converges_and_attributes():
     again = run_once()
     assert json.dumps(report, sort_keys=True) == json.dumps(
         again, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", ["shed-oldest", "token-bucket"])
+def test_failstop_reroutes_under_every_policy(policy, monkeypatch):
+    """Crash a scan node inside the burst, with work queued there: every
+    request ends in exactly one terminal state, and a rerouted request's
+    second verdict never counts it as admitted again."""
+    from repro.chaos import ChaosScenario
+
+    decided = []  # (request, its status after the verdict, rerouted)
+    count_decision = Tenant.count_decision
+
+    def spy(self, request, shed, rerouted=False):
+        decided.append((request, request.status, rerouted))
+        return count_decision(self, request, shed, rerouted)
+
+    monkeypatch.setattr(Tenant, "count_decision", spy)
+    chaos = ChaosScenario(rules=[], seed=9, on_exclusive_loss="rollback")
+    report = run_report(
+        [kmn_spec(requests=160, policy=policy),
+         scan_burst_spec(requests=240, policy=policy)],
+        params=SimParams(chaos_scenario=chaos), fail_stop=(3, 3_500.0))
+    for name, doc in report["tenants"].items():
+        c = doc["counts"]
+        mine = [d for d in decided if d[0].tenant == name]
+        arrivals = [request for request, _, rerouted in mine if not rerouted]
+        # one arrival verdict per injected request, and one final status
+        assert len(arrivals) == len({id(r) for r in arrivals}) == c["injected"]
+        final = Counter(request.status for request in arrivals)
+        assert final == {status: n for status, n in (
+            (DONE, c["completed"]), (REJECTED, c["rejected"]),
+            (THROTTLED, c["throttled"]), (SHED, c["shed"]),
+            (FAILED, c["failed"])) if n}
+        assert c["admitted"] == sum(status == QUEUED
+                                    for _, status, rerouted in mine
+                                    if not rerouted)
+        assert c["rerouted"] == sum(rerouted for *_, rerouted in mine)
+        assert c["mismatched"] == 0
+    assert report["tenants"]["scan-a"]["counts"]["rerouted"] > 0
+
+
+def test_slo_attainment_counts_completions_past_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(tenant_module, "MAX_SAMPLES", 5)
+    spec = TenantSpec("lookup", "grp",
+                      ArrivalCurve("constant", rate=4_000, requests=40),
+                      nodes=(0,), items=65_536, seed=3)
+    doc = run_report([spec], num_nodes=2)["tenants"]["lookup"]
+    assert doc["counts"]["completed"] == 40
+    assert doc["latency_us"]["max"] <= spec.slo_p99_us
+    assert doc["slo"]["attainment"] == 1.0
+    assert doc["goodput_rps"] == doc["throughput_rps"]
 
 
 def test_scope_sampling_does_not_change_results():

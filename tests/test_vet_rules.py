@@ -163,7 +163,7 @@ CORPUS = {
         (17, "serve-discipline", "'self.admitted'"),
         (21, "serve-discipline", "'._backlog.clear(...)'"),
         (25, "serve-discipline", "'.evict_oldest(...)'"),
-        (29, "serve-discipline", "AdmissionDecision minted"),
+        (29, "serve-discipline", "refusal status assigned"),
         (33, "serve-discipline", "queue-private"),
     ],
     # the function-level numpy.random import stays quiet
@@ -311,6 +311,28 @@ def _write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def test_a_refusal_is_left_only_by_the_policy_layer(tmp_path):
+    refuses = ("from .queueing import SHED, THROTTLED as DRY\n"
+               "def decide(request, victim):\n"
+               "    request.status = DRY\n"
+               "    victim.status = SHED\n"
+               "    request.status = 'rejected'\n")
+    for home in ("serve/policy.py", "serve/queueing.py"):
+        assert vet(_write(tmp_path / home, refuses)) == []
+    flagged = vet(_write(tmp_path / "serve" / "manager.py", refuses))
+    assert [(v.line, v.rule) for v in flagged] == \
+        [(3, "serve-discipline"), (4, "serve-discipline"),
+         (5, "serve-discipline")]
+    # admitting, failing and an unrelated REJECTED are not refusals
+    others = ("from http import REJECTED\n"
+              "from .queueing import FAILED, QUEUED\n"
+              "def sweep(request):\n"
+              "    request.status = QUEUED\n"
+              "    request.status = FAILED\n"
+              "    request.status = REJECTED\n")
+    assert vet(_write(tmp_path / "serve" / "tenant.py", others)) == []
 
 
 def test_span_discipline_lets_the_fabric_open_and_close_by_hand(tmp_path):
