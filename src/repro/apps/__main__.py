@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.common import add_run_arguments
+from repro.apps.common import add_run_arguments, refuse_ignored_flags
 from repro.bench.runner import run_point
 
 
@@ -24,6 +24,7 @@ def main(argv=None) -> int:
     add_run_arguments(parser, "app", "--nodes", "--variant",
                       "--threads-per-node", "--scale", nodes=[1])
     args = parser.parse_args(argv)
+    refuse_ignored_flags(args, [args.app])
 
     baseline = None
     for n in args.nodes:

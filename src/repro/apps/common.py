@@ -174,6 +174,7 @@ class RunSpec:
         names; *fixed* supplies what the CLI does not expose (``base=``) or
         overrides it (one of several ``--nodes``).  A bad combination is a
         usage error (exit 2), like a bad single flag."""
+        refuse_ignored_flags(ns, [ns.app])
         given = {f.name: getattr(ns, f.name) for f in fields(cls)
                  if hasattr(ns, f.name)}
         if hasattr(ns, "app_arg"):
@@ -244,15 +245,44 @@ def _app_arg(text: str):
         return key, value
 
 
+class _Spelled(argparse.Action):
+    """Store the value and note that the command line spelled the flag
+    (``ns.spelled``: dest -> flag), so a default is never mistaken for a
+    request."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.spelled = {**namespace.spelled, self.dest: option_string}
+
+
+def refuse_ignored_flags(ns: argparse.Namespace, apps: List[str]) -> None:
+    """A micro runs on its own rack (``RACK_NODES``) in its one shape: a
+    spelled ``--nodes`` other than that rack, ``--variant`` or ``--scale``
+    would be ignored, so it is a usage error (exit 2) naming the flag."""
+    for app in apps:
+        rack = getattr(get_app(app), "RACK_NODES", None)
+        if rack is None:
+            continue
+        for dest, flag in ns.spelled.items():
+            value = getattr(ns, dest)
+            if dest == "nodes" and set(
+                    value if isinstance(value, list) else [value]) == {rack}:
+                continue
+            ns.run_parser.error(
+                f"argument {flag}: not taken by {app}, which runs on its "
+                f"own {rack}-node rack with no variant or scale")
+
+
 #: dest -> argparse keywords, shared by every CLI that exposes the flag
 _RUN_ARGUMENTS: Dict[str, Dict[str, Any]] = {
     "app": dict(help="Figure 2 app or 2-node micro (%s), or long alias (%s)"
                 % (", ".join(_MODULES), ", ".join(sorted(_ALIASES)))),
-    "variant": dict(choices=VARIANTS, default="initial"),
-    "nodes": dict(type=count_arg, default=1, help="nodes the run is placed on"),
+    "variant": dict(choices=VARIANTS, default="initial", action=_Spelled),
+    "nodes": dict(type=count_arg, default=1, action=_Spelled,
+                  help="nodes the run is placed on"),
     "scale": dict(choices=tuple(SCALE_PRESETS), default="small",
-                  help="'small' runs in seconds, 'paper' uses the full "
-                  "scaled-down defaults"),
+                  action=_Spelled, help="'small' runs in seconds, 'paper' "
+                  "uses the full scaled-down defaults"),
     "threads_per_node": dict(type=count_arg, default=8),
     "directory": dict(choices=DIRECTORY_BACKENDS, default=None,
                       help="coherence-directory backend (unset: the "
@@ -292,7 +322,7 @@ def add_run_arguments(parser: argparse.ArgumentParser, *flags: str,
             keywords["help"] = (keywords.get("help", "")
                                 + " (default: %(default)s)").strip()
         parser.add_argument(flag, **keywords)
-    parser.set_defaults(run_parser=parser)
+    parser.set_defaults(run_parser=parser, spelled={})
 
 
 @dataclass

@@ -25,6 +25,8 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.memory.frames import freeze
+
 DEFAULT_KEYS = (b"popcorn", b"kernel", b"migrate", b"infiniband")
 
 #: most (function, spec) results kept per process, least recently used
@@ -39,10 +41,11 @@ _memo: "OrderedDict[tuple, Any]" = OrderedDict()
 
 
 def _frozen(value: Any) -> Any:
-    """*value* with every array read-only and every list a tuple, so one
-    caller cannot change what the next one is handed."""
+    """*value* with every array frozen for good and every list a tuple, so
+    one caller cannot change what the next one is handed, and a simulated
+    memory may keep an input's pages by reference (``memory/frames.py``)."""
     if isinstance(value, np.ndarray):
-        value.setflags(write=False)
+        freeze(value)
     elif isinstance(value, (list, tuple)):
         return tuple(map(_frozen, value))
     elif dataclasses.is_dataclass(value):

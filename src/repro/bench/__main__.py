@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.common import APP_NAMES, add_run_arguments
+from repro.apps.common import APP_NAMES, add_run_arguments, refuse_ignored_flags
 from repro.bench import experiments
 
 
@@ -20,6 +20,7 @@ def main(argv=None) -> int:
     add_run_arguments(parser, "--apps", "--nodes", "--scale", "--directory",
                       apps=list(APP_NAMES), nodes=[1, 2, 4, 8])
     args = parser.parse_args(argv)
+    refuse_ignored_flags(args, args.apps)
     failed = []
     for name, measure in experiments.EXPERIMENTS.items():
         if args.experiment in (name, "all"):

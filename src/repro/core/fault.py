@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.core.errors import SegmentationFault
 from repro.core.stats import FaultRecord
+from repro.memory.frames import immutable
 from repro.memory.page_table import EXCLUSIVE, INVALID
 from repro.sim import Event
 
@@ -249,10 +250,13 @@ class FaultHandler:
         """Copy each byte once, between *buf* and its frame, in the
         direction *write* says.  Each page is copied right after it is
         secured, so per-page accesses are sequentially consistent; pages
-        never touched read as zeros."""
+        never touched read as zeros.  A whole page written from a buffer
+        nobody can write again is not copied: a read-only view of it
+        becomes the slot (``memory/frames.py``)."""
         proc = self.proc
         page = self._page_size
-        buf = memoryview(buf).cast("B")
+        source, buf = buf, memoryview(buf).cast("B")
+        adopt = write and len(buf) >= page and immutable(source)
         state = proc.node_state(node)
         ptes, frames = state.page_table._entries, state.frames
         pos = 0
@@ -271,7 +275,10 @@ class FaultHandler:
                 for accessed in self._on_access:
                     accessed(node, tid, vpn, write, site)
             if write:
-                frames.frame(vpn)[off : off + take] = buf[pos : pos + take]
+                if adopt and take == page:
+                    frames.install(vpn, buf[pos : pos + page])
+                else:
+                    frames.frame(vpn)[off : off + take] = buf[pos : pos + take]
             else:
                 frame = frames.peek(vpn)
                 buf[pos : pos + take] = bytes(take) if frame is None else \

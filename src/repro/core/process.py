@@ -161,12 +161,11 @@ class DexProcess:
     def node_state(self, node: int) -> NodeProcessState:
         state = self._node_states.get(node)
         if state is None:
-            state = NodeProcessState()
-            state.page_table = PageTable()
-            state.frames = FrameStore(self.cluster.params.page_size)
-            state.vma_map = AddressSpaceMap(self.cluster.params.page_size)
-            state.owner_hints = OwnerHintCache(
-                self.cluster.params.owner_hint_capacity
+            params = self.cluster.params
+            state = NodeProcessState(
+                frames=FrameStore(params.page_size),
+                vma_map=AddressSpaceMap(params.page_size),
+                owner_hints=OwnerHintCache(params.owner_hint_capacity),
             )
             self._node_states[node] = state
         return state

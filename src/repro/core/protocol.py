@@ -158,8 +158,8 @@ class ConsistencyProtocol:
             pte.state = STATE_OF_VALUE[state_name]
             pte.data_version = version
             if pte.state is EXCLUSIVE:
-                # an exclusive page is private: the one copy-on-write of a
-                # shared snapshot happens here, off the write paths
+                # other nodes may still hold this version's object: the
+                # copy-on-write the next write would make happens here
                 proc.node_state(node).frames.own(vpn)
             return retries
 
@@ -279,11 +279,12 @@ class ConsistencyProtocol:
         self.directory.shard(home).requests_served += 1
         entry, created = self.directory.get_or_create(vpn)
         if created:
-            # materialize the origin's implicit exclusive ownership
+            # materialize the origin's implicit exclusive ownership; its
+            # slot stays what it is (an input page is not copied)
             proc.node_state(origin).page_table.set_state(
                 vpn, PageState.EXCLUSIVE, data_version=0
             )
-            proc.node_state(origin).frames.frame(vpn)
+            proc.node_state(origin).frames.materialize(vpn)
         if entry.busy:
             # early-out: trylock on the per-page protocol state failed —
             # the requester lost the race and must back off and retry
@@ -672,9 +673,13 @@ class ConsistencyProtocol:
                         f"PTE is {pte_state}"
                     )
                     frame = state.frames.peek(vpn)
-                    assert frame is None or frame.__class__ is bytearray, (
+                    assert frame is None or not any(
+                        other.frames.peek(vpn) is frame
+                        for n, other in self.proc.iter_node_states()
+                        if n != node
+                    ), (
                         f"page {vpn:#x}: node {node} is the writer but its "
-                        f"frame is a shared {type(frame).__name__} snapshot"
+                        f"frame is another node's slot too"
                     )
                 else:
                     assert pte_state is PageState.SHARED, (

@@ -123,10 +123,10 @@ def _make_atomic_add(fmt: str, general: Callable[..., Generator]):
                 self._state = state
             pte = state.page_table._entries.get(vpn)
             if pte is not None and pte.state is EXCLUSIVE:
-                # an EXCLUSIVE page's slot is a private bytearray or empty
-                # (FrameStore.own at the grant): never a shared snapshot
+                # an EXCLUSIVE page's slot may be the origin's input page
+                # or zero page: copy-on-write as FrameStore.frame does
                 frame = state.frames._frames.get(vpn)
-                if frame is None:
+                if frame.__class__ is not bytearray:
                     frame = state.frames.frame(vpn)
                 old = unpack_from(frame, offset)[0]
                 pack_into(frame, offset, old + delta)

@@ -14,7 +14,8 @@ and drives the whole serving run inside a single ``simulate`` phase:
    overload from stealing another's cores;
 4. the manager's main thread ticks alongside, sweeping failure state
    when chaos is active (draining dead nodes' queues, rerouting or
-   failing stranded work) until every arrival reached a terminal state.
+   failing stranded work) until every arrival reached a terminal state;
+   an injector that raised fails the run with its exception.
 
 Everything is deterministic for a fixed seed: same seed, same arrival
 times, same event interleaving, bit-identical SLO report.
@@ -136,13 +137,17 @@ class ServeManager:
             node, offset = self.fail_stop
             engine._schedule_at(
                 engine.now + offset, self._fail_stop_now, node)
-        for tenant in self.tenants:
-            engine.process(self._inject(tenant, engine.now),
-                           name=f"inject.{tenant.spec.name}")
+        injectors = [engine.process(self._inject(tenant, engine.now),
+                                    name=f"inject.{tenant.spec.name}")
+                     for tenant in self.tenants]
 
         while not self._done():
             yield TICK_US
             self._sweep_failures()
+            for injector in injectors:
+                if injector.triggered and not injector.ok:
+                    # its arrivals will never come: fail the run, not hang
+                    raise injector._exc
 
         for tenant in self.tenants:
             tenant.stop = True

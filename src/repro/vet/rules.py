@@ -47,6 +47,9 @@ The rest read the call graph, the effect table or one file at a time:
   not held by ``self.``): determinism per seed is load-bearing.
 * ``gc-discipline`` — the program never runs or switches Python's cyclic
   collector: a finished run frees itself by reference counting.
+* ``frozen-input`` — no ``setflags(write=...)`` other than ``False`` and no
+  assignment to an array's write flag: frame slots keep frozen inputs'
+  pages by reference.
 * ``third-party-layering`` — no scipy import; numpy at module level only in
   ``apps/``, ``serve/`` and ``runtime/array.py``, elsewhere ``numpy.random``.
 * ``distance-kernel`` — no ``sum`` over axis 2: k-means distances have one
@@ -813,6 +816,50 @@ def _check_gc_discipline(ctx: VetContext) -> Iterable[Finding]:
                     yield scan.path, node.lineno, (
                         f"'gc.{name}' in the program: free a run by cutting "
                         f"its cycles, and leave the collector to the host")
+
+
+#: what ``flags[...]`` calls the write flag
+_WRITE_FLAG_KEYS = frozenset({"WRITEABLE", "W"})
+
+
+def _thawed_flag(target: ast.expr) -> Optional[str]:
+    """How *target* spells an array's write flag, else None."""
+    if isinstance(target, ast.Attribute) and target.attr == "writeable" \
+            and _spelled(target.value) == "flags":
+        return "flags.writeable"
+    if isinstance(target, ast.Subscript) and _spelled(target.value) == "flags" \
+            and isinstance(target.slice, ast.Constant) \
+            and target.slice.value in _WRITE_FLAG_KEYS:
+        return f"flags[{target.slice.value!r}]"
+    return None
+
+
+def _false(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+@rule("frozen-input")
+def _check_frozen_input(ctx: VetContext) -> Iterable[Finding]:
+    """Nothing makes an array writable again: a frame slot keeps a frozen
+    input's pages by reference (``memory/frames.py``), so a thawed input
+    would be a write into simulated memory that no protocol step saw."""
+    for scan in ctx.scans:
+        for node in scan.nodes:
+            if isinstance(node, ast.Call) and call_name(node) == "setflags":
+                write = [kw.value for kw in node.keywords
+                         if kw.arg == "write"] + node.args[:1]
+                if write and not _false(write[0]):
+                    yield scan.path, node.lineno, (
+                        "'setflags(write=...)' may thaw a frozen array: "
+                        "copy it to get a writable one")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                    and not _false(node.value):
+                for target in _targets(node):
+                    spelled = _thawed_flag(target)
+                    if spelled is not None:
+                        yield scan.path, node.lineno, (
+                            f"assigning '{spelled}' may thaw a frozen "
+                            f"array: copy it to get a writable one")
 
 
 @rule("third-party-layering")

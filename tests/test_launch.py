@@ -454,6 +454,36 @@ def test_zero_nodes_is_a_usage_error(main, argv, dest, capsys):
 
 
 @pytest.mark.parametrize("main, argv, dest", RUN_TAKING)
+def test_a_micro_refuses_the_flags_it_would_ignore(main, argv, dest, capsys):
+    """A micro runs on its own 2-node rack in its one shape: asking for
+    another rack, a variant or a scale is an error naming the flag, not a
+    run that quietly ignores it."""
+    refused = [("--nodes", "8"), ("--scale", "paper")]
+    if main is not bench_main:  # figure2 sweeps every variant
+        refused.append(("--variant", "optimized"))
+    if main in (apps_main, bench_main):  # one run per node count
+        refused.append(("--nodes", "2", "4"))
+    for name in MICRO_NAMES:
+        for flag in refused:
+            last = _usage_error(
+                main, [*argv, *_naming(main, dest, name), *flag], capsys)
+            assert last.endswith(
+                f"argument {flag[0]}: not taken by {name}, which runs on its "
+                f"own 2-node rack with no variant or scale")
+
+
+def test_a_micro_takes_its_own_rack_and_the_defaults():
+    for argv in ([], ["--nodes", "2"], ["--app", "pagefault", "--nodes", "2"]):
+        spec = RunSpec.from_args(chaos_parser().parse_args(argv))
+        assert spec.app in MICRO_NAMES and spec.cluster().num_nodes == 2
+    # a Figure 2 app takes all three
+    spec = RunSpec.from_args(chaos_parser().parse_args(
+        ["--app", "EP", "--nodes", "8", "--variant", "optimized",
+         "--scale", "paper"]))
+    assert (spec.nodes, spec.variant, spec.scale) == (8, "optimized", "paper")
+
+
+@pytest.mark.parametrize("main, argv, dest", RUN_TAKING)
 def test_unknown_app_is_a_usage_error(main, argv, dest, capsys):
     last = _usage_error(main, [*argv, *_naming(main, dest, "nosuch")], capsys)
     assert "unknown app 'nosuch'; choose from GRP, KMN" in last

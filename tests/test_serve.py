@@ -211,6 +211,18 @@ def test_slo_attainment_counts_completions_past_the_sample_cap(monkeypatch):
     assert doc["goodput_rps"] == doc["throughput_rps"]
 
 
+def test_a_failing_injector_fails_the_run_instead_of_hanging(monkeypatch):
+    """An error while admitting an arrival leaves the injector dead; the
+    manager re-raises it instead of ticking forever for arrivals that
+    never come."""
+    def broken(self, request, victims, rerouted=False):
+        raise RuntimeError("admission bookkeeping broke")
+
+    monkeypatch.setattr(Tenant, "count_decision", broken)
+    with pytest.raises(RuntimeError, match="admission bookkeeping broke"):
+        run_report([kmn_spec(requests=20)])
+
+
 def test_scope_sampling_does_not_change_results():
     specs = [kmn_spec(), scan_burst_spec()]
     plain = run_report(specs)

@@ -61,7 +61,8 @@ def test_list_rules(capsys):
     assert "serve-discipline" in names
     assert "gc-discipline" in names
     assert "third-party-layering" in names
-    assert len(names) == 18
+    assert "frozen-input" in names
+    assert len(names) == 19
 
 
 def test_rule_subset(capsys):

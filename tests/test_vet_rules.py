@@ -166,6 +166,15 @@ CORPUS = {
         (29, "serve-discipline", "refusal status assigned"),
         (33, "serve-discipline", "queue-private"),
     ],
+    # freezing, another flag and a copy stay quiet
+    "vet/fixture_frozen_input.py": [
+        (7, "frozen-input", "'setflags(write=...)' may thaw"),
+        (8, "frozen-input", "'setflags(write=...)' may thaw"),
+        (9, "frozen-input", "'setflags(write=...)' may thaw"),
+        (10, "frozen-input", "assigning 'flags.writeable'"),
+        (11, "frozen-input", "assigning 'flags['WRITEABLE']'"),
+        (12, "frozen-input", "assigning 'flags['W']'"),
+    ],
     # the function-level numpy.random import stays quiet
     "vet/fixture_third_party.py": [
         (5, "third-party-layering", "import of 'numpy'"),
@@ -211,7 +220,7 @@ def test_every_rule_is_tripped_by_a_fixture():
 
 def test_registry_contains_all_rules():
     assert ALL_RULES == tuple(REGISTRY)
-    assert len(ALL_RULES) == 18
+    assert len(ALL_RULES) == 19
 
 
 def test_clean_fixtures_zero_false_positives():
