@@ -8,23 +8,22 @@ Every run's centroids are verified against a single-threaded reference.
 Run:  python examples/scale_out_kmeans.py
 """
 
-from repro.apps import kmeans
+from repro.apps import RunSpec
 
 N_POINTS = 120_000
 MAX_ITERS = 2
 
 
 def main():
-    baseline = kmeans.run(num_nodes=1, variant="unmodified",
-                          n_points=N_POINTS, max_iters=MAX_ITERS)
+    workload = {"n_points": N_POINTS, "max_iters": MAX_ITERS}
+    baseline = RunSpec("KMN", "unmodified", overrides=workload).run()
     assert baseline.correct
     print(f"single machine (8 threads): {baseline.elapsed_us / 1000:.1f} ms\n")
     print(f"{'nodes':>5s} {'initial port':>14s} {'optimized port':>15s}")
     for nodes in (1, 2, 4, 8):
         row = [f"{nodes:5d}"]
         for variant in ("initial", "optimized"):
-            result = kmeans.run(num_nodes=nodes, variant=variant,
-                                n_points=N_POINTS, max_iters=MAX_ITERS)
+            result = RunSpec("KMN", variant, nodes, overrides=workload).run()
             assert result.correct, "distributed run computed wrong centroids!"
             speedup = baseline.elapsed_us / result.elapsed_us
             row.append(f"{speedup:13.2f}x")

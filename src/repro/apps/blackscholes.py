@@ -11,13 +11,12 @@ a marginal win.
 from __future__ import annotations
 
 from math import sqrt
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
-from repro.params import SimParams
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.runtime.array import DistArray, alloc_array
 
 #: pricing one option (log, sqrt, two erf evaluations)
@@ -119,19 +118,15 @@ def reference(n_options: int, seed: int = 13) -> np.ndarray:
     return prices
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 13
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     n_options: int = 400_000,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run BLK; output is the option price vector."""
-    job = launch("BLK", num_nodes, variant, threads_per_node, default_seed=13,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
     batch = workloads.option_batch(n_options, job.seed)

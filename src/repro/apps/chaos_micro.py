@@ -7,33 +7,19 @@ exact: the shared counter must equal the iteration count.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.apps.common import AppResult, conclude, launch
-from repro.params import SimParams
+from repro.apps.common import AppResult, Launch, conclude
 from repro.runtime import Barrier
 
 #: the rack this micro runs on, whatever node count its spec names
 RACK_NODES = 2
 
 
-def run(
-    num_nodes: int = RACK_NODES,
-    variant: str = "initial",
-    threads_per_node: int = 1,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    cluster=None,
-    iters: int = 40,
-) -> AppResult:
+def run(job: Launch, iters: int = 40) -> AppResult:
     """Two threads hammer one shared counter — one at the origin, one
     migrated to node 1 — then rendezvous on a futex barrier; the remote
     thread also maps/touches/unmaps a scratch region so delegation and the
-    eager VMA-shrink broadcast run too.  *num_nodes* and
-    *threads_per_node* are ignored.  Output is the counter's final value;
-    ``elapsed_us`` is the run's final sim time."""
-    job = launch("micro", RACK_NODES, variant, 1, default_seed=0,
-                 params=params, tracer=tracer, cluster=cluster)
+    eager VMA-shrink broadcast run too.  Output is the counter's final
+    value; ``elapsed_us`` is the run's final sim time."""
     proc = job.proc
     var = job.alloc.alloc_global(8, tag="chaos_micro")
     barrier = Barrier(job.alloc, 2, name="micro")
@@ -69,8 +55,5 @@ def run(
         value = yield from ctx.read_i64(var)
         return value
 
-    def steps():
-        value = job.cluster.simulate(main, proc)
-        return job.cluster.now, value, value == expected
-
-    return conclude(job, steps)
+    value = job.cluster.simulate(main, proc)
+    return conclude(job, job.cluster.now, value, value == expected)

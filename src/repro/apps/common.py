@@ -2,8 +2,10 @@
 plane: the one place a run — "app X, variant V, on n nodes" (§V) — is
 named, validated, sized, built and started.  :class:`RunSpec` is the run
 description every CLI, harness and test shares (command-line spelling:
-:func:`add_run_arguments` / :meth:`RunSpec.from_args`); :func:`launch` /
-:func:`finish` are the prologue and epilogue of every app's ``run()``.
+:func:`add_run_arguments` / :meth:`RunSpec.from_args`).  :meth:`RunSpec.run`
+is the one prologue: it hands an app module's ``run(job, **workload)`` the
+started :class:`Launch`, and closes the cluster it built however the app
+ends; :func:`finish` is the epilogue of every Figure 2 app.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ _ALIASES: Dict[str, str] = {
 
 #: the paper's rack (§V); app clusters are never smaller
 TESTBED_NODES = 8
-
-#: the ``run()`` keywords a :class:`RunSpec`'s own fields supply
-_SPEC_KEYWORDS = frozenset({"num_nodes", "variant", "threads_per_node",
-                            "params", "tracer", "cluster"})
 
 #: per-app workload overrides for each scale
 SCALE_PRESETS: Dict[str, Dict[str, Dict]] = {
@@ -130,7 +128,8 @@ def get_app(name: str):
 @dataclass(frozen=True)
 class RunSpec:
     """One run: which app, which port, how many nodes, what size, on which
-    simulated rack.  Construction validates every field (``ValueError``)."""
+    simulated rack.  Construction validates every field (``ValueError``);
+    a micro's spec names its own rack (``RACK_NODES``, one thread a node)."""
 
     app: str
     variant: str = "initial"
@@ -141,9 +140,10 @@ class RunSpec:
     directory: Optional[str] = None
     #: ``SimParams.seed`` (engine RNG, chaos schedule *and* input data),
     #: laid over *base* when given; ``overrides["seed"]`` re-seeds the
-    #: input alone, as the app's ``run(seed=)`` does
+    #: input alone
     seed: Optional[int] = None
-    #: keywords for the app's ``run()``, on top of the scale preset
+    #: workload keywords for the app's ``run(job, ...)``, on top of the
+    #: scale preset (and ``seed``, for an app with an input)
     overrides: Mapping[str, Any] = field(default_factory=dict)
     #: the SimParams a tool brings (its switches, a chaos scenario)
     base: Optional[SimParams] = None
@@ -159,10 +159,16 @@ class RunSpec:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        module = get_app(self.app)
+        rack = getattr(module, "RACK_NODES", None)
+        if rack is not None:
+            object.__setattr__(self, "nodes", rack)
+            object.__setattr__(self, "threads_per_node", 1)
         if self.overrides:
-            known = set(inspect.signature(
-                get_app(self.app).run).parameters) - _SPEC_KEYWORDS
-            unknown = sorted(set(self.overrides) - known)
+            known = list(inspect.signature(module.run).parameters)[1:]
+            if hasattr(module, "INPUT_SEED"):
+                known.append("seed")
+            unknown = sorted(set(self.overrides) - set(known))
             if unknown:
                 raise ValueError(
                     f"{self.app} takes no workload argument "
@@ -207,15 +213,41 @@ class RunSpec:
     def run(self, cluster: Optional[DexCluster] = None,
             tracer=None) -> AppResult:
         """Run the app on *cluster* when the caller built it (and keeps it
-        open), else on one :func:`launch` builds and :func:`conclude` closes."""
-        return get_app(self.app).run(
-            num_nodes=self.nodes, variant=self.variant,
-            threads_per_node=self.threads_per_node,
-            params=self.params() if cluster is None else cluster.params,
-            tracer=tracer, cluster=cluster,
-            **{**SCALE_PRESETS[self.scale].get(self.app, {}),
-               **self.overrides},
-        )
+        open), else on one built here and closed however the run ends.
+        *tracer* is hooked on the run's process.  The input seed is
+        ``overrides["seed"]`` when given, else ``SimParams.seed`` when the
+        rack pins one (a single knob then reproduces engine event order,
+        chaos schedule *and* input data), else the app's calibrated
+        ``INPUT_SEED`` (timings stay bit-identical when no seed is asked
+        for)."""
+        module = get_app(self.app)
+        workload = {**SCALE_PRESETS[self.scale].get(self.app, {}),
+                    **self.overrides}
+        seed = workload.pop("seed", None)
+        owned = cluster is None
+        if owned:
+            cluster = self.cluster()
+        elif self.nodes > cluster.num_nodes:
+            raise ValueError(f"num_nodes must be in [1, {cluster.num_nodes}], "
+                             f"got {self.nodes}")
+        try:
+            if seed is None:
+                seed = cluster.params.seed
+            if seed is None:
+                seed = getattr(module, "INPUT_SEED", None)
+            proc = cluster.create_process()
+            if tracer is not None:
+                proc.add_hook(tracer)
+            return module.run(Launch(
+                self, cluster, proc, MemoryAllocator(proc),
+                nodes=list(range(self.nodes)),
+                num_threads=self.threads_per_node * self.nodes,
+                migrate=self.variant != "unmodified",
+                optimized=self.variant == "optimized", seed=seed,
+            ), **workload)
+        finally:
+            if owned:
+                cluster.close()
 
 
 def count_arg(text: str) -> int:
@@ -327,7 +359,7 @@ def add_run_arguments(parser: argparse.ArgumentParser, *flags: str,
 
 @dataclass
 class Launch:
-    """A started run: what an app's ``run()`` body works with."""
+    """A started run: what an app's ``run(job, ...)`` body works with."""
 
     spec: RunSpec
     cluster: DexCluster
@@ -340,70 +372,29 @@ class Launch:
     migrate: bool
     #: the §IV layout/staging fixes are applied
     optimized: bool
-    #: workload-generation seed
-    seed: int
-    #: :func:`launch` built the cluster, so :func:`finish` closes it
-    owns_cluster: bool = False
-
-
-def launch(app: str, num_nodes: int, variant: str, threads_per_node: int, *,
-           default_seed: int, params: Optional[SimParams] = None, tracer=None,
-           seed: Optional[int] = None,
-           cluster: Optional[DexCluster] = None) -> Launch:
-    """The prologue of every app's ``run()``: validate the request, build
-    the cluster (unless the caller owns it), start a process on it.  The
-    input seed, unless given, is ``SimParams.seed`` when the caller pinned
-    one (a single knob then reproduces engine event order, chaos schedule
-    *and* input data), else the app's calibrated historical *default_seed*
-    (timings stay bit-identical when no seed is requested)."""
-    spec = RunSpec(app, variant, num_nodes, threads_per_node=threads_per_node,
-                   base=params)
-    owns_cluster = cluster is None
-    if owns_cluster:
-        cluster = spec.cluster()
-    elif num_nodes > cluster.num_nodes:
-        raise ValueError(
-            f"num_nodes must be in [1, {cluster.num_nodes}], got {num_nodes}")
-    if seed is None:
-        pinned = params is not None and params.seed is not None
-        seed = params.seed if pinned else default_seed
-    proc = cluster.create_process()
-    if tracer is not None:
-        proc.add_hook(tracer)
-    return Launch(
-        spec, cluster, proc, MemoryAllocator(proc),
-        nodes=list(range(num_nodes)), num_threads=threads_per_node * num_nodes,
-        migrate=variant != "unmodified", optimized=variant == "optimized",
-        seed=seed, owns_cluster=owns_cluster,
-    )
+    #: workload-generation seed (a micro has no input and ignores it)
+    seed: Optional[int]
 
 
 def finish(job: Launch, body: Callable[..., Generator],
            collect: Callable[..., Generator],
            setup: Optional[Callable[..., Generator]] = None,
            migrate_around: bool = True) -> AppResult:
-    """The epilogue of every app's ``run()``: *setup* (untimed), the timed
-    parallel section of ``body(ctx, wid)`` workers, then *collect*, which
-    returns ``(output, correct)``.  ``migrate_around=False`` is for bodies
-    that migrate per region themselves."""
-    def steps():
-        if setup is not None:
-            job.cluster.simulate(setup, job.proc)
-        elapsed = run_workers(job, body, job.migrate and migrate_around)
-        return (elapsed, *job.cluster.simulate(collect, job.proc))
-
-    return conclude(job, steps)
+    """The epilogue of every Figure 2 app's ``run()``: *setup* (untimed),
+    the timed parallel section of ``body(ctx, wid)`` workers, then
+    *collect*, which returns ``(output, correct)``.
+    ``migrate_around=False`` is for bodies that migrate per region
+    themselves."""
+    if setup is not None:
+        job.cluster.simulate(setup, job.proc)
+    elapsed = run_workers(job, body, job.migrate and migrate_around)
+    return conclude(job, elapsed, *job.cluster.simulate(collect, job.proc))
 
 
-def conclude(job: Launch, steps: Callable[[], tuple]) -> AppResult:
-    """Run *steps()*, which returns ``(elapsed_us, output, correct)``, as
-    the job's :class:`AppResult`; a cluster :func:`launch` built is closed
-    on the way out, however *steps* ends."""
-    try:
-        elapsed, output, correct = steps()
-    finally:
-        if job.owns_cluster:
-            job.cluster.close()
+def conclude(job: Launch, elapsed: float, output: Any,
+             correct: Optional[bool]) -> AppResult:
+    """The job's :class:`AppResult`: *elapsed_us* of its timed section,
+    its *output* and whether that output checked *correct*."""
     spec = job.spec
     return AppResult(
         app=spec.app, variant=spec.variant, num_nodes=spec.nodes,

@@ -16,13 +16,12 @@ centers, until assignments settle or the iteration budget runs out.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
-from repro.params import SimParams
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.runtime import Barrier
 from repro.runtime.array import alloc_array
 
@@ -102,23 +101,19 @@ def problem(
     return points, reference(points, k, max_iters)[0]
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 11
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     n_points: int = 500_000,
     k: int = 16,
     max_iters: int = 3,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run KMN; output is the final centroids, checked against the
     reference run with ``np.allclose`` (parallel reduction reorders float
     additions)."""
-    job = launch("KMN", num_nodes, variant, threads_per_node, default_seed=11,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
     points, expected = problem(n_points, k, max_iters, job.seed)

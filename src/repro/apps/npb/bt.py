@@ -19,14 +19,13 @@ DeX pathologies, both fixed in the optimized variant (§V-C):
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.apps.npb.common import region_body
-from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
 #: one stencil update (BT does heavy 5x5 block work per cell)
@@ -62,21 +61,17 @@ def problem(
     return grid0, reference(grid0, n_passes)
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 23
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     grid_cells: int = 262_144,
     iters: int = 3,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run BT; output is the final grid (checked against the reference
     Jacobi sweep) and the accumulated residual."""
-    job = launch("BT", num_nodes, variant, threads_per_node, default_seed=23,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
     n_regions = REGIONS_PER_ITER * iters
 

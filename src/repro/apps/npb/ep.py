@@ -13,13 +13,12 @@ matters because the shared page is touched once per thread.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
-from repro.params import SimParams
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.runtime.array import alloc_array
 
 #: generating + transforming one pair
@@ -64,19 +63,15 @@ def reference(n_pairs: int, seed: int) -> np.ndarray:
     return total
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 19
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     n_pairs: int = 1_200_000,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run EP; output is the 10-bin annulus histogram."""
-    job = launch("EP", num_nodes, variant, threads_per_node, default_seed=19,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized, seed = (
         job.alloc, job.num_threads, job.optimized, job.seed)
 

@@ -13,14 +13,13 @@ schedule per iteration is [row, row, T, row, row, T, row].
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.apps.npb.common import region_body
-from repro.params import SimParams
 from repro.runtime.array import alloc_array
 
 #: one butterfly-ish update per element
@@ -64,22 +63,18 @@ def problem(
     return matrix0, reference(matrix0, iters)
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 29
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     rows: int = 512,
     cols: int = 512,
     iters: int = 2,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run FT; output is the final matrix checksum, with the full matrix
     checked against the reference."""
-    job = launch("FT", num_nodes, variant, threads_per_node, default_seed=29,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
     n_regions = REGIONS_PER_ITER * iters
     schedule = [SCHEDULE[r % REGIONS_PER_ITER] for r in range(n_regions)]

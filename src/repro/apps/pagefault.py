@@ -7,30 +7,17 @@ traces it.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.apps.common import AppResult, conclude, launch
-from repro.params import SimParams
+from repro.apps.common import AppResult, Launch, conclude
 
 #: the rack this micro runs on, whatever node count its spec names
 RACK_NODES = 2
 
 
-def run(
-    num_nodes: int = RACK_NODES,
-    variant: str = "initial",
-    threads_per_node: int = 1,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    cluster=None,
-    duration_us: float = 20_000.0,
-) -> AppResult:
-    """One hammer at the origin, one migrated to node 1; *num_nodes* and
-    *threads_per_node* are ignored.  Output is ``(counts, value)``: each
-    thread's adds and the variable's final value, correct when no update
-    was lost.  ``elapsed_us`` is the run's final sim time."""
-    job = launch("pagefault", RACK_NODES, variant, 1, default_seed=0,
-                 params=params, tracer=tracer, cluster=cluster)
+def run(job: Launch, duration_us: float = 20_000.0) -> AppResult:
+    """One hammer at the origin, one migrated to node 1.  Output is
+    ``(counts, value)``: each thread's adds and the variable's final value,
+    correct when no update was lost.  ``elapsed_us`` is the run's final
+    sim time."""
     proc = job.proc
     var = job.alloc.alloc_global(8, tag="shared_var")
 
@@ -52,8 +39,6 @@ def run(
         value = yield from ctx.read_i64(var)
         return counts, value
 
-    def steps():
-        counts, value = job.cluster.simulate(main, proc)
-        return job.cluster.now, (counts, value), sum(counts) == value
-
-    return conclude(job, steps)
+    counts, value = job.cluster.simulate(main, proc)
+    return conclude(job, job.cluster.now, (counts, value),
+                    sum(counts) == value)

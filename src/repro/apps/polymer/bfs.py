@@ -18,15 +18,14 @@ Either way the computed distances must equal the reference BFS exactly.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.apps.polymer.engine import make_frontier_state
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
-from repro.params import SimParams
 from repro.runtime import Barrier, MemoryAllocator
 from repro.runtime.array import alloc_array
 
@@ -54,23 +53,20 @@ def problem(
     return indptr, indices, workloads.bfs_reference(indptr, indices, source)
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 17
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     n_vertices: int = 65_536,
     n_edges: int = 260_000,
     source: int = 0,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run BFS; output is the distance vector, checked against the
     single-threaded reference."""
-    job = launch("BFS", num_nodes, variant, threads_per_node, default_seed=17,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
+    num_nodes, threads_per_node = job.spec.nodes, job.spec.threads_per_node
 
     indptr, indices, expected = problem(n_vertices, n_edges, source,
                                         job.seed)

@@ -20,14 +20,13 @@ which is what produces that super-linearity here too.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
-from repro.params import SimParams
 from repro.runtime import Barrier
 from repro.runtime.array import alloc_array
 
@@ -79,22 +78,18 @@ def problem(
                                                 iters)
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 31
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     n_vertices: int = 65_536,
     n_edges: int = 1_000_000,
     iters: int = 5,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
 ) -> AppResult:
     """Run BP; output is the final belief vector, checked against the
     reference (float64 math on both sides, so allclose is tight)."""
-    job = launch("BP", num_nodes, variant, threads_per_node, default_seed=31,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
     indptr, indices, beliefs0, expected = problem(n_vertices, n_edges, iters,
@@ -140,7 +135,7 @@ def run(
                 yield from ctx.compute(
                     cpu_us=n_my_edges * CPU_US_PER_EDGE,
                     mem_bytes=n_my_edges * BYTES_PER_EDGE,
-                    working_set=hot_bytes / max(num_nodes, 1),
+                    working_set=hot_bytes / job.spec.nodes,
                 )
                 counts = (iptr[1:] - iptr[:-1]).astype(np.int64)
                 deg = np.maximum(counts, 1)

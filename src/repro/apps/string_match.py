@@ -17,13 +17,12 @@ partitioned and scanned by worker threads in parallel.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple
+from typing import Generator, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps import workloads
-from repro.apps.common import AdaptationInfo, AppResult, finish, launch
-from repro.params import SimParams
+from repro.apps.common import AdaptationInfo, AppResult, Launch, finish
 from repro.runtime.array import alloc_array
 
 #: scan cost: ~0.02 us/byte ≈ 50 MB/s per worker thread (multi-key
@@ -52,22 +51,18 @@ def _count_starting_before(window: bytes, key: bytes, limit: int) -> int:
     return count
 
 
+#: the calibrated input seed, unless the spec or SimParams names one
+INPUT_SEED = 7
+
+
 def run(
-    num_nodes: int = 1,
-    variant: str = "initial",
-    threads_per_node: int = 8,
+    job: Launch,
     text_size: int = 16 * 1024 * 1024,
     keys: Sequence[bytes] = workloads.DEFAULT_KEYS,
-    params: Optional[SimParams] = None,
-    tracer=None,
-    seed: Optional[int] = None,
-    cluster=None,
     plant_every: int = 400,
 ) -> AppResult:
     """Run GRP; returns an :class:`AppResult` whose output is the list of
     per-key occurrence counts (verified against the reference scan)."""
-    job = launch("GRP", num_nodes, variant, threads_per_node, default_seed=7,
-                 params=params, tracer=tracer, seed=seed, cluster=cluster)
     alloc, num_threads, optimized = job.alloc, job.num_threads, job.optimized
 
     text = workloads.text_corpus(text_size, keys, seed=job.seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -202,9 +203,6 @@ def migration_microbench(
 ) -> MigrationReport:
     """The §V-D migration microbenchmark: migrate one thread back and
     forth; report per-side latencies and the remote-side breakdown."""
-    cluster = DexCluster(num_nodes=2, params=params)
-    proc = cluster.create_process()
-
     def main(ctx):
         for _ in range(rounds):
             yield from ctx.migrate(1)
@@ -212,8 +210,9 @@ def migration_microbench(
             yield from ctx.migrate_back()
             yield from ctx.sleep(1_000_000.0)
 
-    cluster.simulate(main, proc)
-    cluster.close()
+    with closing(DexCluster(num_nodes=2, params=params)) as cluster:
+        proc = cluster.create_process()
+        cluster.simulate(main, proc)
     records = proc.stats.migrations
     firsts = [m for m in records if m.kind == "forward" and m.first_on_node]
     seconds = [m for m in records if m.kind == "forward" and not m.first_on_node]
@@ -275,9 +274,6 @@ def page_retrieval_us() -> float:
     """The messaging layer's request + 4KB RDMA delivery, what the paper's
     13.6us measures: one cold remote page fetch, less the fault-handling
     side costs."""
-    cluster = DexCluster(num_nodes=2)
-    proc = cluster.create_process()
-
     def fetch(ctx):
         yield from ctx.migrate(1)
         # warm the VMA replica so the measured fault is pure page fetch
@@ -286,8 +282,8 @@ def page_retrieval_us() -> float:
         yield from ctx.read(0x1000_0000, 8)
         return ctx.now - start
 
-    fetch_latency = cluster.simulate(fetch, proc)
-    cluster.close()
+    with closing(DexCluster(num_nodes=2)) as cluster:
+        fetch_latency = cluster.simulate(fetch, cluster.create_process())
     p = cluster.params
     return fetch_latency - (
         p.fault_trap_cost + p.fault_coalesce_lookup_cost + p.page_alloc_cost

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import Optional, Sequence
 
 from repro.apps.common import RunSpec, add_run_arguments, positive_arg
@@ -86,8 +87,8 @@ def _load_or_run(ns: argparse.Namespace):
         spans, meta = _loaded(load_spans, ns.input)
         return spans, int(meta.get("dropped", 0)), None, ns.input, None
     spec = _spec(ns)
-    cluster = spec.cluster()
-    result = spec.run(cluster=cluster)
+    with closing(spec.cluster()) as cluster:
+        result = spec.run(cluster=cluster)
     tracer = cluster.tracer
     return (tracer.spans, tracer.dropped, result.stats, _label(spec, result),
             cluster)
@@ -146,8 +147,8 @@ def _summary(spans: Sequence[Span], dropped: int, label: str) -> str:
 
 def cmd_run(ns: argparse.Namespace) -> int:
     spec = _spec(ns)
-    cluster = spec.cluster()
-    result = spec.run(cluster=cluster)
+    with closing(spec.cluster()) as cluster:
+        result = spec.run(cluster=cluster)
     tracer = cluster.tracer
     out = ns.out or "dex-spans.json"
     tracer.save_json(out)
@@ -198,12 +199,11 @@ def cmd_manifest(ns: argparse.Namespace) -> int:
     from repro.obs.manifest import build_manifest, write_manifest
 
     spec = _spec(ns)
-    cluster = spec.cluster()
-    result = spec.run(cluster=cluster)
-    doc = build_manifest(
-        result, cluster, scope=cluster.scope, lens=cluster.lens,
-        label=ns.label,
-    )
+    with closing(spec.cluster()) as cluster:  # the manifest reads its processes
+        doc = build_manifest(
+            spec.run(cluster=cluster), cluster, scope=cluster.scope,
+            lens=cluster.lens, label=ns.label,
+        )
     out = ns.out or "dex-run.json"
     write_manifest(out, doc)
     print(
@@ -238,14 +238,14 @@ def cmd_top(ns: argparse.Namespace) -> int:
     from repro.obs.lens import TopView
 
     spec = _spec(ns)
-    cluster = spec.cluster()
-    lens, tracer = cluster.lens, cluster.tracer
-    view = TopView(
-        lens.feed, interval_us=ns.interval_us, limit=ns.limit,
-        stream=sys.stdout,
-    )
-    cluster.engine.add_hook(view)
-    result = spec.run(cluster=cluster)
+    with closing(spec.cluster()) as cluster:
+        lens, tracer = cluster.lens, cluster.tracer
+        view = TopView(
+            lens.feed, interval_us=ns.interval_us, limit=ns.limit,
+            stream=sys.stdout,
+        )
+        cluster.engine.add_hook(view)
+        result = spec.run(cluster=cluster)
     print()
     print(_summary(tracer.spans, tracer.dropped, _label(spec, result)))
     view.render()  # final frame at end-of-run state

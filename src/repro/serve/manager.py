@@ -90,21 +90,23 @@ class ServeManager:
     # -- the run ---------------------------------------------------------
 
     def run(self) -> Dict[str, Any]:
-        """Execute the scenario; returns the SLO report dict."""
-        for tenant in self.tenants:
-            tenant.install()
-        mgr_proc = self.cluster.create_process(name="serve-mgr")
-        self.cluster.simulate(self._main, mgr_proc)
-        report = build_report(self)
-        # tenants are short-lived relative to the cluster: retire them so
-        # a long-lived manager (or an embedding test) never accumulates
-        # per-process state for finished runs.  force sweeps the parked
-        # threads a fail-stopped node leaves behind.
-        chaotic = self.cluster.chaos is not None
-        for tenant in self.tenants:
-            self.cluster.retire_process(tenant.proc, force=chaotic)
-        self.cluster.retire_process(mgr_proc, force=chaotic)
-        self.cluster.close()  # tracer and scope stay readable: --trace-out
+        """Execute the scenario; returns the SLO report dict.  The rack is
+        closed however the run ends (tracer and scope stay readable:
+        ``--trace-out``); a failed run's error propagates."""
+        try:
+            for tenant in self.tenants:
+                tenant.install()
+            mgr_proc = self.cluster.create_process(name="serve-mgr")
+            self.cluster.simulate(self._main, mgr_proc)
+            report = build_report(self)
+            # a finished run has no live thread left, save the parked ones
+            # a fail-stopped node leaves behind
+            chaotic = self.cluster.chaos is not None
+            for tenant in self.tenants:
+                self.cluster.retire_process(tenant.proc, force=chaotic)
+            self.cluster.retire_process(mgr_proc, force=chaotic)
+        finally:
+            self.cluster.close()  # force-retires whatever a failure left
         return report
 
     def _main(self, ctx) -> Generator:

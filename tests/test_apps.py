@@ -10,7 +10,7 @@ are asserted by the benchmark suite instead.
 import numpy as np
 import pytest
 
-from repro.apps import APP_NAMES, get_app
+from repro.apps import APP_NAMES, RunSpec, get_app
 from repro.apps import workloads
 from repro.apps.common import VARIANTS, AdaptationInfo
 
@@ -31,7 +31,7 @@ TINY = {
 @pytest.mark.parametrize("variant", ["initial", "optimized"])
 def test_app_correct_distributed(app, variant):
     """Each app, each variant, on two nodes: output must be correct."""
-    result = get_app(app).run(num_nodes=2, variant=variant, **TINY[app])
+    result = RunSpec(app, variant, 2, overrides=TINY[app]).run()
     assert result.correct, f"{app}/{variant} computed a wrong answer"
     assert result.app == app
     assert result.num_threads == 16
@@ -40,7 +40,7 @@ def test_app_correct_distributed(app, variant):
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_app_correct_single_node_unmodified(app):
-    result = get_app(app).run(num_nodes=1, variant="unmodified", **TINY[app])
+    result = RunSpec(app, "unmodified", overrides=TINY[app]).run()
     assert result.correct
     # unmodified = no migration at all
     assert len(result.stats.migrations) == 0
@@ -48,7 +48,7 @@ def test_app_correct_single_node_unmodified(app):
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_app_migrates_when_distributed(app):
-    result = get_app(app).run(num_nodes=2, variant="initial", **TINY[app])
+    result = RunSpec(app, "initial", 2, overrides=TINY[app]).run()
     forwards = [m for m in result.stats.migrations if m.kind == "forward"]
     assert forwards, f"{app} never migrated a thread"
     assert any(m.dst == 1 for m in forwards)
@@ -71,13 +71,12 @@ def test_get_app_rejects_unknown():
 
 def test_variant_validation():
     with pytest.raises(ValueError):
-        get_app("GRP").run(num_nodes=1, variant="bogus", **TINY["GRP"])
+        RunSpec("GRP", "bogus", overrides=TINY["GRP"])
 
 
 def test_app_four_nodes_spot_check():
     """One heavier spot check: KMN across 4 nodes stays correct."""
-    result = get_app("KMN").run(num_nodes=4, variant="optimized",
-                                **TINY["KMN"])
+    result = RunSpec("KMN", "optimized", 4, overrides=TINY["KMN"]).run()
     assert result.correct
     assert result.num_nodes == 4
 
@@ -87,9 +86,8 @@ def test_kmn_with_more_workers_than_blocks(variant):
     """600 workers over 1,000 points: blocks of 2, so the last 100 workers
     have none (they were handed a negative-sized one) but still meet every
     barrier, and the centroids still match the reference."""
-    result = get_app("KMN").run(num_nodes=2, variant=variant,
-                                threads_per_node=300, n_points=1_000,
-                                k=4, max_iters=2)
+    result = RunSpec("KMN", variant, 2, threads_per_node=300, overrides=dict(
+        n_points=1_000, k=4, max_iters=2)).run()
     assert result.correct and result.num_threads == 600
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.apps import (APP_NAMES, blackscholes, get_app, kmeans, string_match,
+from repro.apps import (APP_NAMES, RunSpec, blackscholes, kmeans, string_match,
                         workloads)
 from repro.obs import __main__ as obs_cli
 from test_apps import TINY
@@ -231,9 +231,10 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_a_blk_run_and_a_blk_serve_run_load_no_scipy():
     script = "\n".join((
         "import sys",
-        "from repro.apps import blackscholes",
+        "from repro.apps import RunSpec",
         "from repro.serve import ArrivalCurve, ServeManager, TenantSpec",
-        f"assert blackscholes.run(num_nodes=2, **{TINY['BLK']!r}).correct",
+        f"assert RunSpec('BLK', nodes=2, overrides={TINY['BLK']!r}).run()"
+        ".correct",
         "ServeManager([TenantSpec('blk', 'blk',",
         "    ArrivalCurve('constant', rate=4_000, requests=40), nodes=(0, 1),",
         "    items=4_096, request_items=256, seed=3)], num_nodes=2).run()",
@@ -258,12 +259,11 @@ def same_output(a, b):
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_cold_and_warm_runs_are_the_same_run(app):
-    run = get_app(app).run
-    cold = run(num_nodes=2, variant="optimized", **TINY[app])
+    spec = RunSpec(app, "optimized", 2, overrides=TINY[app])
+    cold = spec.run()
     held = list(workloads._memo.values())
     assert held, f"{app} built its input outside the plane"
-    for result in (run(num_nodes=2, variant="optimized", **TINY[app]),
-                   run(num_nodes=2, variant="optimized", **TINY[app])):
+    for result in (spec.run(), spec.run()):
         assert result.correct is True and cold.correct is True
         assert result.elapsed_us == cold.elapsed_us
         assert result.stats.total_faults == cold.stats.total_faults
@@ -286,7 +286,7 @@ def arrays_of(value):
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_what_the_plane_hands_out_refuses_writes(app):
-    get_app(app).run(num_nodes=1, variant="unmodified", **TINY[app])
+    RunSpec(app, "unmodified", overrides=TINY[app]).run()
     for value in workloads._memo.values():
         assert not isinstance(value, (list, bytearray))
         for array in arrays_of(value):
@@ -302,12 +302,12 @@ def test_a_warm_run_still_checks_its_own_output(monkeypatch):
     # only the expected value is reused; run() compares its output with it
     size = TINY["KMN"]
     points, expected = kmeans.problem(size["n_points"], size["k"],
-                                      size["max_iters"], 11)
-    run = dict(num_nodes=1, variant="unmodified", **size)
-    assert kmeans.run(**run).correct is True
+                                      size["max_iters"], kmeans.INPUT_SEED)
+    spec = RunSpec("KMN", "unmodified", overrides=size)
+    assert spec.run().correct is True
     monkeypatch.setattr(kmeans, "problem",
                         lambda *spec: (points, expected + 1e-3))
-    assert kmeans.run(**run).correct is False
+    assert spec.run().correct is False
 
 
 def test_keys_given_as_a_list_are_keyed_as_the_tuple_they_spell():
@@ -315,11 +315,11 @@ def test_keys_given_as_a_list_are_keyed_as_the_tuple_they_spell():
     as_list = workloads.text_corpus(4096, keys, seed=3)
     assert workloads.text_corpus(4096, tuple(keys), seed=3) is as_list
     assert workloads.text_corpus(4096, seed=3) is as_list  # the default
-    result = string_match.run(num_nodes=1, variant="unmodified", keys=keys,
-                              **TINY["GRP"])
+    result = RunSpec("GRP", "unmodified",
+                     overrides=dict(keys=keys, **TINY["GRP"])).run()
     assert result.correct is True
     assert result.output == list(string_match.reference(
-        keys=keys, seed=7, **TINY["GRP"]))
+        keys=keys, seed=string_match.INPUT_SEED, **TINY["GRP"]))
 
 
 def test_the_memo_holds_at_most_its_bound_and_drops_the_oldest():

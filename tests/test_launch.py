@@ -11,17 +11,21 @@ tracebacks)."""
 import argparse
 import inspect
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro import SimParams
+from repro.apps import common
 from repro.apps.__main__ import main as apps_main
 from repro.apps.common import (
+    _MODULES,
     APP_NAMES,
     TESTBED_NODES,
     RunSpec,
     add_run_arguments,
+    get_app,
     resolve_app,
 )
 from repro.bench.__main__ import main as bench_main
@@ -89,6 +93,7 @@ def test_the_micros_run_like_apps(tmp_path, capsys):
                                                 "argument n_points"),
     (dict(app="EP", overrides={"num_nodes": 3}), "argument num_nodes"),
     (dict(app="pagefault", overrides={"n_pairs": 5}), "argument n_pairs"),
+    (dict(app="micro", overrides={"seed": 5}), "argument seed"),
 ])
 def test_a_spec_validates_at_construction(bad, match):
     with pytest.raises(ValueError, match=match):
@@ -239,11 +244,6 @@ def test_run_point_is_runspec_run():
     assert called.correct is True
     assert _observables(called) == _observables(spelled)
     assert np.array_equal(called.output, spelled.output)
-    # ... and the module's own entry point, which the spec calls
-    from repro.apps.npb import ep
-
-    direct = ep.run(num_nodes=2, variant="initial", n_pairs=60_000)
-    assert _observables(direct) == _observables(called)
 
 
 def test_run_point_routes_its_keywords():
@@ -267,16 +267,60 @@ def test_an_app_run_builds_whatever_the_plane_names(built):
     recording subclass (conftest's ``built``); every way of starting an app
     must build that, and every way closes the cluster it built: the chaos
     harness too, once it has read the controller's report."""
-    from repro.apps.npb import ep
-
     run_point("EP", "initial", 2, n_pairs=60_000)
-    ep.run(num_nodes=1, n_pairs=60_000)
     RunSpec("EP", overrides={"n_pairs": 60_000}).run()
     run_under_chaos(RunSpec("EP", nodes=2, overrides={"n_pairs": 60_000}))
-    assert len(built) == 4
+    assert len(built) == 3
     assert all(type(c).__name__ == "RecordingCluster" for c in built)
-    assert [c.num_nodes for c in built] == [TESTBED_NODES] * 4
-    assert [len(c.processes) for c in built] == [0, 0, 0, 0]
+    assert [c.num_nodes for c in built] == [TESTBED_NODES] * 3
+    assert [len(c.processes) for c in built] == [0, 0, 0]
+
+
+def test_the_input_seed_rule(monkeypatch):
+    """The input is seeded by ``overrides["seed"]``, else by
+    ``SimParams.seed``, else by the app's calibrated ``INPUT_SEED``."""
+    from repro.apps import kmeans
+
+    seeds, problem = [], kmeans.problem
+
+    def recording(*args):
+        seeds.append(args[-1])
+        return problem(*args)
+
+    monkeypatch.setattr(kmeans, "problem", recording)
+    tiny = {"n_points": 4000, "max_iters": 1}
+    for spec in (RunSpec("KMN", overrides=tiny),
+                 RunSpec("KMN", seed=5, overrides=tiny),
+                 RunSpec("KMN", seed=5, overrides={**tiny, "seed": 9})):
+        assert spec.run().correct
+    assert seeds == [kmeans.INPUT_SEED, 5, 9]
+
+
+def test_a_failed_run_closes_the_rack_it_built(built, monkeypatch):
+    """The prologue closes the cluster it built however the app ends;
+    one the caller brings stays open for the caller to read and close."""
+    from repro.apps import kmeans
+
+    def broken(*spec):
+        raise RuntimeError("input generation broke")
+
+    monkeypatch.setattr(kmeans, "problem", broken)
+    spec = RunSpec("KMN", overrides={"n_points": 4000, "max_iters": 1})
+    with pytest.raises(RuntimeError, match="input generation broke"):
+        spec.run()
+    own = spec.cluster()
+    with pytest.raises(RuntimeError, match="input generation broke"):
+        spec.run(cluster=own)
+    assert [len(c.processes) for c in built] == [0, 1]
+    own.close()
+
+
+@pytest.mark.parametrize("command", OBS_RUN_COMMANDS)
+def test_every_obs_run_closes_its_rack(command, built, tmp_path, monkeypatch,
+                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    assert obs_main([command, "--app", "KMN", *TINY_KMN]) == 0
+    assert built and [len(c.processes) for c in built] == [0] * len(built)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +360,19 @@ def test_an_unsurvived_scenario_carries_its_report(built):
 def test_the_entry_points_take_the_description_not_its_fields():
     """The rack is configured by ``SimParams`` alone and a run by
     ``RunSpec`` alone: no entry point re-spells their fields as keywords
-    (``ServeManager``'s *seed* and *directory* mirror the serve CLI)."""
+    (``ServeManager``'s *seed* and *directory* mirror the serve CLI), and
+    an app module's ``run`` takes the started :class:`Launch` and its own
+    workload keywords only."""
     def names(fn):
         return list(inspect.signature(fn).parameters)
+
+    spec_keywords = {"num_nodes", "variant", "threads_per_node", "params",
+                     "tracer", "cluster", "seed"}
+    for app in _MODULES:
+        first, *workload = names(get_app(app).run)
+        assert first == "job" and not spec_keywords & set(workload), app
+    assert not hasattr(common, "launch")
+    assert "owns_cluster" not in {f.name for f in fields(common.Launch)}
 
     assert names(DexCluster) == ["num_nodes", "params"]
     assert names(ServeManager) == ["specs", "num_nodes", "seed", "directory",

@@ -14,6 +14,7 @@ from repro import DexCluster, SimParams
 from repro.obs import __main__ as cli
 from repro.obs.lens import TopView
 from repro.obs.tracing import load_spans
+from repro.sim.engine import Engine
 
 KMN = ["--app", "KMN", "--nodes", "2",
        "--app-arg", "n_points=4000", "--app-arg", "max_iters=1"]
@@ -62,11 +63,22 @@ def test_export_scope_merges_its_own_clusters_series(
 
 
 @POINTS
-def test_top_adds_its_view_to_its_own_cluster(point, built, capsys):
+def test_top_adds_its_view_to_its_own_cluster(point, built, capsys,
+                                              monkeypatch):
+    added, add_hook = [], Engine.add_hook
+
+    def recording(engine, observer):
+        added.append((engine, observer))
+        add_hook(engine, observer)
+
+    monkeypatch.setattr(Engine, "add_hook", recording)
     assert cli.main(["top", *point, "--interval-us", "500"]) == 0
     (cluster,) = built
-    (view,) = [o for o in cluster.engine.hooks.observers if isinstance(o, TopView)]
+    (view,) = [o for e, o in added
+               if e is cluster.engine and isinstance(o, TopView)]
     assert view.feed is cluster.lens.feed
+    # the cluster is closed once read: the view is let go with the rest
+    assert view not in cluster.engine.hooks.observers
     text = capsys.readouterr().out
     assert view.frames >= 2 and text.count("dex top @") == view.frames
     assert _spans_line(cluster) in text

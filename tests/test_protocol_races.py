@@ -72,16 +72,13 @@ def test_kmeans_correct_without_coalescing():
     many concurrent leaders per page) with leader-follower coalescing
     disabled.  This run once deadlocked via a grant/invalidate ordering
     race and a stale-retry flushless downgrade."""
-    from repro.apps import kmeans
+    from repro.apps import RunSpec
 
-    result = kmeans.run(
-        num_nodes=4,
-        variant="initial",
-        n_points=20_000,
-        k=4,
-        max_iters=2,
-        params=SimParams(enable_fault_coalescing=False),
-    )
+    result = RunSpec(
+        "KMN", "initial", 4,
+        overrides=dict(n_points=20_000, k=4, max_iters=2),
+        base=SimParams(enable_fault_coalescing=False),
+    ).run()
     assert result.correct
 
 

@@ -223,6 +223,19 @@ def test_a_failing_injector_fails_the_run_instead_of_hanging(monkeypatch):
         run_report([kmn_spec(requests=20)])
 
 
+def test_a_failed_run_still_closes_its_rack(monkeypatch):
+    """The error propagates and the rack is torn down all the same: no
+    tenant or manager process is left registered on it."""
+    def broken(self, request, victims, rerouted=False):
+        raise RuntimeError("admission bookkeeping broke")
+
+    monkeypatch.setattr(Tenant, "count_decision", broken)
+    manager = ServeManager([kmn_spec(requests=20)], num_nodes=2, seed=42)
+    with pytest.raises(RuntimeError, match="admission bookkeeping broke"):
+        manager.run()
+    assert len(manager.cluster.processes) == 0
+
+
 def test_scope_sampling_does_not_change_results():
     specs = [kmn_spec(), scan_burst_spec()]
     plain = run_report(specs)
