@@ -228,7 +228,7 @@ class RunSpec:
         if owned:
             cluster = self.cluster()
         elif self.nodes > cluster.num_nodes:
-            raise ValueError(f"num_nodes must be in [1, {cluster.num_nodes}], "
+            raise ValueError(f"nodes must be in [1, {cluster.num_nodes}], "
                              f"got {self.nodes}")
         try:
             if seed is None:

@@ -27,8 +27,8 @@ class ScalingPoint:
     retries: int
     #: mean latency over every recorded fault (leaders and followers)
     mean_fault_us: float = 0.0
-    #: owner-hint cache hit rate (None when no resolution ran: single
-    #: node, or the origin directory backend)
+    #: share of remote homes resolved from a shard-map copy (None when
+    #: no resolution ran: single node, or the origin directory backend)
     hint_hit_rate: Optional[float] = None
 
 

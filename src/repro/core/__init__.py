@@ -18,7 +18,6 @@ from repro.core.directory import (
     CoherenceDirectory,
     DirectoryShard,
     OriginDirectory,
-    OwnerHintCache,
     PageEntry,
     ShardedDirectory,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "MigrationService",
     "NodeProcessState",
     "OriginDirectory",
-    "OwnerHintCache",
     "PageEntry",
     "ShardedDirectory",
     "ProtocolError",

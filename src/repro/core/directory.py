@@ -33,16 +33,18 @@ Shard-map visibility model (sharded backend): the home-assignment map is
 *owned by the origin* (it is part of the per-process metadata the origin
 creates, and a future rebalancer may remap shards).  A node always knows
 which shards it hosts itself, and the origin knows the whole map; any
-other node must resolve ``vpn -> home`` through the origin once and then
-caches the answer in its per-node :class:`OwnerHintCache` (an LRU of
-last-known metadata owners, validated on use: a mis-routed request is
-redirected by the receiver).  Repeat faults therefore skip the resolution
-hop — the cache's hit rate is reported by the bench harness.
+other node learns the map from the origin with its first home lookup —
+the ``PAGE_HOME_INFO`` reply carries all ``nshards`` entries — and keeps
+a copy in its :class:`~repro.core.process.NodeProcessState`.  Every later
+remote fault of that node resolves its home from the copy, so a node
+pays one lookup per process, not one per page.  The copy is validated on
+use: a request sent to a node that does not host the page is answered
+with a redirect, the requester drops its whole copy, and its next fault
+learns the map again.  The bench harness reports the copy's hit rate.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -89,44 +91,6 @@ class DirectoryShard:
         return len(self.tree)
 
 
-class OwnerHintCache:
-    """Per-node LRU of last-known metadata owners (``vpn -> home node``).
-
-    A remote node that faulted on a page before remembers which node
-    answered for it; on the next fault it routes the ownership request
-    straight there instead of resolving the home through the origin
-    first.  Hints are *validated on use*: the receiver checks that it
-    really is the page's home and redirects otherwise, so a stale hint
-    costs one extra hop but never correctness.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ValueError(f"hint-cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lru: "OrderedDict[int, int]" = OrderedDict()
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def get(self, vpn: int) -> Optional[int]:
-        node = self._lru.get(vpn)
-        if node is not None:
-            self._lru.move_to_end(vpn)
-        return node
-
-    def insert(self, vpn: int, node: int) -> None:
-        self._lru[vpn] = node
-        self._lru.move_to_end(vpn)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-            self.evictions += 1
-
-    def invalidate(self, vpn: int) -> None:
-        self._lru.pop(vpn, None)
-
-
 class CoherenceDirectory:
     """Abstract interface between the consistency protocol and the
     placement/storage of page-ownership metadata.
@@ -161,6 +125,28 @@ class CoherenceDirectory:
     def shard_nodes(self) -> List[int]:
         """Nodes that may host directory entries under this policy."""
         raise NotImplementedError
+
+    def home_map(self) -> Tuple[int, ...]:
+        """The whole placement as a shard map — shard index -> hosting
+        node, so ``home(vpn) == home_map()[vpn % len(home_map())]`` — as
+        the origin ships it in a home lookup's reply."""
+        raise NotImplementedError
+
+    # -- a node's copy of the shard map -------------------------------------
+
+    def known_home(self, node: int, vpn: int) -> Optional[int]:
+        """*vpn*'s home by *node*'s copy of the shard map, or None while
+        *node* has no copy (it must learn the map from the origin)."""
+        copy = self.proc.node_state(node).shard_map_copy
+        return None if copy is None else copy[vpn % len(copy)]
+
+    def learn_map(self, node: int, shard_map: Tuple[int, ...]) -> None:
+        """Keep *shard_map*, a home lookup's answer, as *node*'s copy."""
+        self.proc.node_state(node).shard_map_copy = shard_map
+
+    def forget_map(self, node: int) -> None:
+        """Drop *node*'s copy after a redirect proved it stale."""
+        self.proc.node_state(node).shard_map_copy = None
 
     # -- storage ------------------------------------------------------------
 
@@ -288,6 +274,9 @@ class OriginDirectory(CoherenceDirectory):
     def shard_nodes(self) -> List[int]:
         return [self.origin]
 
+    def home_map(self) -> Tuple[int, ...]:
+        return (self.origin,)
+
 
 def _next_prime(n: int) -> int:
     """The smallest prime strictly greater than *n*."""
@@ -323,7 +312,7 @@ class ShardedDirectory(CoherenceDirectory):
         num_nodes = proc.cluster.num_nodes
         self.nshards = nshards = params.directory_shards or _next_prime(num_nodes)
         #: shard index -> hosting node; owned by the origin (a rebalancer
-        #: may remap it), learned lazily by remote nodes via home lookups
+        #: may remap it), copied whole by a remote node's first home lookup
         self.shard_map: List[int] = [i % num_nodes for i in range(nshards)]
 
     def home(self, vpn: int) -> int:
@@ -331,6 +320,10 @@ class ShardedDirectory(CoherenceDirectory):
 
     def shard_nodes(self) -> List[int]:
         return sorted(set(self.shard_map))
+
+    def home_map(self) -> Tuple[int, ...]:
+        # a snapshot: a node's copy must not follow a remap it never saw
+        return tuple(self.shard_map)
 
 
 def make_directory(proc: "DexProcess") -> CoherenceDirectory:

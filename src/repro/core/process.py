@@ -31,7 +31,7 @@ from typing import (
 from repro.check import make_sanitizers
 from repro.core.balancer import MigrationHints
 from repro.core.delegation import DelegationService
-from repro.core.directory import DirectoryShard, OwnerHintCache
+from repro.core.directory import DirectoryShard
 from repro.core.errors import DexError
 from repro.core.fault import FaultHandler, InFlightFault
 from repro.core.files import FileService
@@ -71,8 +71,10 @@ class NodeProcessState:
     #: this node's slice of the coherence directory (only the page homes
     #: selected by the configured backend ever hold entries here)
     directory_shard: DirectoryShard = field(default_factory=DirectoryShard)
-    #: LRU of last-known page homes (sharded backend's hop-skipping cache)
-    owner_hints: OwnerHintCache = field(default_factory=OwnerHintCache)
+    #: this node's copy of the sharded directory's shard map, learned whole
+    #: from the origin by its first home lookup; None until then, and again
+    #: after a redirect proves it stale
+    shard_map_copy: Optional[Tuple[int, ...]] = None
 
 
 #: what an observer of one process (:meth:`DexProcess.add_hook`) may define
@@ -165,7 +167,6 @@ class DexProcess:
             state = NodeProcessState(
                 frames=FrameStore(params.page_size),
                 vma_map=AddressSpaceMap(params.page_size),
-                owner_hints=OwnerHintCache(params.owner_hint_capacity),
             )
             self._node_states[node] = state
         return state

@@ -24,9 +24,10 @@ paper's :class:`~repro.core.directory.OriginDirectory` the home of every
 page is the origin and the protocol behaves exactly as §III-B describes;
 under :class:`~repro.core.directory.ShardedDirectory` each page's
 metadata (and its flush target / grant source) lives at a per-page home
-node, requests are home-routed — resolved through the per-node owner-hint
-cache, with a redirect when a hint is stale — and the origin stops being
-a serialization point for the whole address space.
+node, requests are home-routed — resolved from the node's copy of the
+shard map, learned whole by its first home lookup, with a redirect when
+the copy is stale — and the origin stops being a serialization point for
+the whole address space.
 
 Timing-race note: a grant reply and a subsequent invalidation for the same
 page travel the same in-order RC connection (both originate at the page's
@@ -115,14 +116,13 @@ class ConsistencyProtocol:
                     )
                 )
                 if reply.payload["outcome"] == _REDIRECT:
-                    # stale owner hint: the node we asked no longer hosts
-                    # this page's shard — drop the hint and re-resolve
+                    # stale shard map: the node we asked no longer hosts
+                    # this page's shard — drop the copy and learn it again
                     proc.stats.hint_stale += 1
-                    proc.node_state(node).owner_hints.invalidate(vpn)
+                    self.directory.forget_map(node)
                     for redirected in proc.hooks["redirect"]:
                         redirected(vpn, node, target)
                     continue
-                self._note_home(node, vpn, target)
                 outcome = (
                     reply.payload["outcome"],
                     reply.payload.get("state"),
@@ -168,16 +168,17 @@ class ConsistencyProtocol:
 
         Origin backend: every node knows the directory lives at the
         origin.  Sharded backend: the origin owns the shard map; any other
-        node consults its owner-hint LRU and, on a miss, resolves the home
-        through the origin (the hop that repeat faults skip)."""
+        node resolves the home from its copy of the map and, while it has
+        none, learns the whole map from the origin (the one hop its later
+        faults skip)."""
         proc = self.proc
-        if self.directory.backend != "sharded" or node == proc.origin:
-            return self.directory.home(vpn)
-        hints = proc.node_state(node).owner_hints
-        hinted = hints.get(vpn)
-        if hinted is not None and hinted != node:
+        directory = self.directory
+        if directory.backend != "sharded" or node == proc.origin:
+            return directory.home(vpn)
+        known = directory.known_home(node, vpn)
+        if known is not None:
             proc.stats.hint_hits += 1
-            return hinted
+            return known
         proc.stats.hint_misses += 1
         proc.stats.home_lookups += 1
         with proc.cluster.engine.span("protocol.resolve_home", node=node, vpn=vpn):
@@ -186,19 +187,14 @@ class ConsistencyProtocol:
                     MsgType.PAGE_HOME_LOOKUP,
                     src=node,
                     dst=proc.origin,
-                    payload={"pid": proc.pid, "vpn": vpn},
+                    payload={"pid": proc.pid},
                 )
             )
-        home = reply.payload["home"]
-        hints.insert(vpn, home)
+        directory.learn_map(node, reply.payload["shard_map"])
+        home = directory.known_home(node, vpn)
         for resolved in proc.hooks["home_lookup"]:
             resolved(vpn, node, home)
         return home
-
-    def _note_home(self, node: int, vpn: int, home: int) -> None:
-        """Refresh *node*'s owner hint after *home* answered for *vpn*."""
-        if self.directory.backend == "sharded" and node != self.proc.origin:
-            self.proc.node_state(node).owner_hints.insert(vpn, home)
 
     # ------------------------------------------------------------------
     # home directory side
@@ -206,13 +202,14 @@ class ConsistencyProtocol:
 
     def handle_home_lookup_msg(self, msg: Message) -> Generator:
         """Origin message handler for :data:`MsgType.PAGE_HOME_LOOKUP`:
-        resolve a page to its home shard node from the origin-owned map."""
+        answer with the whole origin-owned shard map, so the asking node
+        resolves this page's home and every later one's without asking."""
         proc = self.proc
         yield proc.cluster.params.home_lookup_cost
         yield from proc.cluster.net.send(
             msg.make_reply(
                 MsgType.PAGE_HOME_INFO,
-                {"home": self.directory.home(msg.payload["vpn"])},
+                {"shard_map": self.directory.home_map()},
             )
         )
 
@@ -222,7 +219,7 @@ class ConsistencyProtocol:
         payload = msg.payload
         vpn = payload["vpn"]
         if not self.directory.hosts(msg.dst, vpn):
-            # mis-routed request (stale owner hint after a shard remap):
+            # mis-routed request (stale shard-map copy after a remap):
             # this node does not host the page's entry, so it cannot
             # serialize the operation — bounce the requester back to the
             # resolution path instead of guessing

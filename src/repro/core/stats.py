@@ -4,7 +4,7 @@ Everything the evaluation section reports is derived from these:
 per-fault latencies (the bimodal distribution of §V-D), migration breakdowns
 (Table II / Figure 3), protocol message counts, transfer-skip hits, and the
 coherence-directory layer's routing counters (home-lookup traffic and the
-owner-hint cache hit rate under the sharded backend).
+hit rate of the nodes' shard-map copies under the sharded backend).
 
 :class:`DexStats` is a typed facade over a
 :class:`repro.obs.metrics.MetricsRegistry`: the scalar counters read/write
@@ -71,10 +71,10 @@ _COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("delegations", "operations delegated to the origin (§III-A)"),
     ("futex_waits", "futex_wait operations at the origin"),
     ("futex_wakes", "futex_wake operations at the origin"),
-    ("hint_hits", "owner-hint cache hits (sharded directory)"),
-    ("hint_misses", "owner-hint cache misses"),
-    ("hint_stale", "stale owner hints caught by a redirect"),
-    ("home_lookups", "home resolutions through the origin"),
+    ("hint_hits", "remote homes resolved from the node's shard-map copy"),
+    ("hint_misses", "remote homes resolved with no shard-map copy"),
+    ("hint_stale", "stale shard-map copies caught by a redirect"),
+    ("home_lookups", "shard-map lookups through the origin"),
 )
 
 #: §V-D latency modes, keyed by how the fault resolved
@@ -127,8 +127,9 @@ class DexStats:
 
     @property
     def hint_hit_rate(self) -> Optional[float]:
-        """Owner-hint cache hit rate, or None when no resolution ever ran
-        (single node, or the origin backend)."""
+        """Share of remote home resolutions the node's shard-map copy
+        answered, or None when none ever ran (single node, or the origin
+        backend)."""
         total = self.hint_hits + self.hint_misses
         if total == 0:
             return None

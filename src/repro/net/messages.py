@@ -44,8 +44,8 @@ class MsgType(enum.Enum):
 
     # home-routed directory layer (sharded backend)
     PAGE_HOME_LOOKUP = "page_home_lookup"  # remote -> origin: resolve vpn's home
-    PAGE_HOME_INFO = "page_home_info"      # origin -> remote: the home node
-    PAGE_REDIRECT = "page_redirect"        # non-home -> remote: stale hint, re-resolve
+    PAGE_HOME_INFO = "page_home_info"      # origin -> remote: the shard map
+    PAGE_REDIRECT = "page_redirect"        # non-home -> remote: stale map, re-learn
 
     # on-demand VMA synchronization (§III-D)
     VMA_QUERY = "vma_query"
@@ -80,7 +80,9 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     MsgType.PAGE_INVALIDATE: 32,
     MsgType.PAGE_INVALIDATE_ACK: 24,
     MsgType.PAGE_HOME_LOOKUP: 24,
-    MsgType.PAGE_HOME_INFO: 24,
+    # 24 B of header plus the shard map at one byte per shard: 40 B holds
+    # up to 16 shards, the default 11 (smallest prime above 8 nodes) too
+    MsgType.PAGE_HOME_INFO: 40,
     MsgType.PAGE_REDIRECT: 24,
     MsgType.VMA_QUERY: 32,
     MsgType.VMA_REPLY: 64,

@@ -136,8 +136,6 @@ class SimParams:
     #: above the node count (a power-of-two count resonates with the
     #: power-of-two-aligned segment bases and pins hot pages to node 0)
     directory_shards: Optional[int] = None
-    #: capacity of each node's owner-hint LRU (vpn -> last-known home)
-    owner_hint_capacity: int = 1024
     #: origin-side shard-map lookup answering a PAGE_HOME_LOOKUP
     home_lookup_cost: float = 1.2
 

@@ -671,7 +671,8 @@ def _check_serve_discipline(ctx: VetContext) -> Iterable[Finding]:
 # -- directory-encapsulation, sim-nondeterminism, span- and slots-discipline --
 
 #: attribute names that are directory storage internals
-_DIRECTORY_INTERNALS = frozenset({"directory_shard", "shard_map", "_lru"})
+_DIRECTORY_INTERNALS = frozenset({"directory_shard", "shard_map",
+                                  "shard_map_copy"})
 
 
 @rule("directory-encapsulation")

@@ -6,5 +6,5 @@ def peek(state):
     return state.directory_shard.entries
 
 
-def stale_hint(state, vpn):
-    return state.owner_hints._lru.get(vpn)
+def stale_home(state, vpn):
+    return state.shard_map_copy[vpn % 11]

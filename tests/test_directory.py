@@ -1,7 +1,8 @@
 """Tests for the pluggable coherence-directory layer.
 
-Unit coverage for home assignment, shard placement, the owner-hint LRU
-(including stale-hint redirects), and the busy-retry attribution stats —
+Unit coverage for home assignment, shard placement, the shard-map copy a
+remote node learns (including stale-copy redirects), and the busy-retry
+attribution stats —
 plus differential tests running the same workloads under the ``origin``
 and ``sharded`` backends and comparing results.
 """
@@ -12,7 +13,6 @@ import pytest
 from repro.core.directory import (
     DIRECTORY_BACKENDS,
     OriginDirectory,
-    OwnerHintCache,
     ShardedDirectory,
     _next_prime,
 )
@@ -89,24 +89,53 @@ def test_entries_live_at_their_home():
 
 
 # ---------------------------------------------------------------------------
-# owner-hint cache
+# the shard-map copy a remote node learns from its first home lookup
 # ---------------------------------------------------------------------------
 
 
-def test_hint_cache_lru_eviction():
-    cache = OwnerHintCache(capacity=2)
-    cache.insert(1, 10)
-    cache.insert(2, 20)
-    assert cache.get(1) == 10  # makes vpn 1 most-recent
-    cache.insert(3, 30)        # evicts vpn 2, the least-recent
-    assert cache.get(2) is None
-    assert cache.get(1) == 10
-    assert cache.get(3) == 30
-    assert cache.evictions == 1
-    cache.invalidate(1)
-    assert cache.get(1) is None
-    with pytest.raises(ValueError):
-        OwnerHintCache(capacity=0)
+class LookupLog:
+    """Records which node each ``PAGE_HOME_LOOKUP`` came from."""
+
+    def __init__(self):
+        self.nodes = []
+
+    def on_home_lookup(self, vpn, node, home):
+        self.nodes.append(node)
+
+
+@pytest.mark.parametrize("shards", [None, 1, 3], ids=["default", "1", "3"])
+def test_one_home_lookup_per_process_and_node(shards):
+    """A remote node that faults on more distinct pages than there are
+    shards asks the origin once per process, and resolves every later
+    home from the map that one answer carried."""
+    cluster = make_cluster(directory="sharded", directory_shards=shards)
+    page = cluster.params.page_size
+    remotes = range(1, cluster.num_nodes)
+
+    def main(ctx, npages):
+        for node in remotes:
+            yield from ctx.migrate(node)
+            for i in range(npages):
+                yield from ctx.read_i64(GLOBALS + i * page)
+        yield from ctx.migrate_back()
+
+    for _ in range(2):
+        proc = cluster.create_process()
+        log = LookupLog()
+        proc.add_hook(log)
+        directory = proc.protocol.directory
+        npages = 2 * directory.nshards + 1
+        cluster.simulate(main, proc, npages)
+        assert sorted(log.nodes) == list(remotes)
+        assert proc.stats.home_lookups == proc.stats.hint_misses == len(log.nodes)
+        remote_homed = sum(
+            directory.home(GLOBALS // page + i) != node
+            for node in remotes for i in range(npages)
+        )
+        assert proc.stats.hint_hits == remote_homed - len(log.nodes)
+        assert proc.stats.hint_stale == 0
+        for node in remotes:
+            assert proc.node_state(node).shard_map_copy == directory.home_map()
 
 
 def test_hints_learned_and_hit_on_repeat_faults():
@@ -115,17 +144,18 @@ def test_hints_learned_and_hit_on_repeat_faults():
 
     def main(ctx):
         yield from ctx.migrate(2)
-        yield from ctx.read_i64(GLOBALS)         # cold: resolves via origin
+        yield from ctx.read_i64(GLOBALS)         # cold: learns the map
         yield from ctx.write_i64(GLOBALS, 1)     # upgrade: hint hit
-        yield from ctx.read_i64(GLOBALS + page)  # different page: cold again
+        yield from ctx.read_i64(GLOBALS + page)  # another page: hit too
 
     _, proc = run(cluster, main)
-    assert proc.stats.home_lookups >= 1
+    directory = proc.protocol.directory
+    assert proc.stats.home_lookups == 1
     assert proc.stats.hint_hits >= 1
     rate = proc.stats.hint_hit_rate
     assert rate is not None and 0.0 < rate < 1.0
-    hints = proc.node_state(2).owner_hints
-    assert hints.get(GLOBALS // page) == proc.protocol.directory.home(
+    assert proc.node_state(2).shard_map_copy == directory.home_map()
+    assert directory.known_home(2, GLOBALS // page) == directory.home(
         GLOBALS // page
     )
 
@@ -133,16 +163,18 @@ def test_hints_learned_and_hit_on_repeat_faults():
 def test_stale_hint_is_redirected_and_repaired():
     cluster = make_cluster(directory="sharded")
     proc = cluster.create_process()
+    directory = proc.protocol.directory
     vpn = GLOBALS // cluster.params.page_size
-    home = proc.protocol.directory.home(vpn)
+    home = directory.home(vpn)
     requester = next(
         n for n in range(1, cluster.num_nodes) if n != home
     )
     wrong = next(
         n for n in range(cluster.num_nodes) if n not in (home, requester, 0)
     )
-    # poison the requester's hint with a node that does not host the page
-    proc.node_state(requester).owner_hints.insert(vpn, wrong)
+    # poison the requester's copy: every shard homed at a node that does
+    # not host the page
+    directory.learn_map(requester, (wrong,) * directory.nshards)
 
     def main(ctx):
         yield from ctx.write_i64(GLOBALS, 77)
@@ -151,10 +183,12 @@ def test_stale_hint_is_redirected_and_repaired():
         return value
 
     value = cluster.simulate(main, proc)
-    assert value == 77  # a stale hint costs a hop, never correctness
+    assert value == 77  # a stale copy costs a hop, never correctness
     assert proc.stats.hint_stale == 1
-    # the redirect dropped the bad hint; the re-resolution repaired it
-    assert proc.node_state(requester).owner_hints.get(vpn) == home
+    assert proc.stats.home_lookups == 1
+    # the redirect dropped the bad copy; the re-lookup repaired it
+    assert proc.node_state(requester).shard_map_copy == directory.home_map()
+    assert directory.known_home(requester, vpn) == home
 
 
 # ---------------------------------------------------------------------------

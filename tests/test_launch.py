@@ -258,7 +258,7 @@ def test_run_point_routes_its_keywords():
     assert sharded.correct
     with pytest.raises(ValueError, match="nodes must be >= 1"):
         run_point("EP", "initial", 0)
-    with pytest.raises(ValueError, match=r"num_nodes must be in \[1, 8\]"):
+    with pytest.raises(ValueError, match=r"^nodes must be in \[1, 8\], got 9$"):
         run_point("EP", "initial", 9, cluster=own)
 
 

@@ -25,7 +25,7 @@ CORPUS = {
     ],
     "fixture_directory_touch.py": [
         (6, "directory-encapsulation", "'.directory_shard'"),
-        (10, "directory-encapsulation", "'._lru'"),
+        (10, "directory-encapsulation", "'.shard_map_copy'"),
     ],
     # the reads (isenabled, get_count, get_stats) stay quiet
     "fixture_gc_discipline.py": [
