@@ -1,5 +1,10 @@
 """CLI: ``python -m repro.apps <APP>`` — run one evaluation application.
 
+Prints one line per ``--nodes`` value: elapsed sim time, whether the
+output is correct, faults, retries, pages transferred and migrations; exits
+1 on a wrong output.  Speed-ups over the unmodified one-node run are
+``python -m repro.bench figure2 --apps <APP> --nodes ...``'s job.
+
 Examples::
 
     python -m repro.apps GRP --nodes 4 --variant optimized
@@ -11,8 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.common import add_run_arguments, refuse_ignored_flags
-from repro.bench.runner import run_point
+from repro.apps.common import RunSpec, add_run_arguments
 
 
 def main(argv=None) -> int:
@@ -24,30 +28,12 @@ def main(argv=None) -> int:
     add_run_arguments(parser, "app", "--nodes", "--variant",
                       "--threads-per-node", "--scale", nodes=[1])
     args = parser.parse_args(argv)
-    refuse_ignored_flags(args, [args.app])
-
-    baseline = None
     for n in args.nodes:
-        result = run_point(
-            args.app, args.variant, n, scale=args.scale,
-            threads_per_node=args.threads_per_node,
-        )
-        if baseline is None:
-            base = run_point(args.app, "unmodified", 1, scale=args.scale,
-                             threads_per_node=args.threads_per_node)
-            if base.correct is not True:
-                print("ERROR: wrong baseline (unmodified, 1 node) output",
-                      file=sys.stderr)
-                return 1
-            baseline = base.elapsed_us
-            print(f"{args.app} baseline (unmodified, 1 node, "
-                  f"{args.threads_per_node} threads): "
-                  f"{baseline / 1000:.2f} ms\n")
+        result = RunSpec.from_args(args, nodes=n).run()
         stats = result.stats
         print(
             f"{args.app} {args.variant} n={n}: "
             f"{result.elapsed_us / 1000:8.2f} ms  "
-            f"({baseline / result.elapsed_us:5.2f}x)  "
             f"correct={result.correct}  "
             f"faults={stats.total_faults} retries={stats.fault_retries} "
             f"pages={stats.pages_transferred} "

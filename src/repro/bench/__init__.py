@@ -2,6 +2,6 @@
 against the paper (``repro.bench.experiments``); ``python -m repro.bench
 <experiment>|all`` renders them."""
 
-from repro.bench.runner import SCALE_PRESETS, ScalingPoint, run_point, run_scaling
+from repro.bench.runner import SCALE_PRESETS, run_point
 
-__all__ = ["SCALE_PRESETS", "ScalingPoint", "run_point", "run_scaling"]
+__all__ = ["SCALE_PRESETS", "run_point"]

@@ -9,6 +9,7 @@ the rows named with ``a`` and with ``b`` (``fig2.GRP.optimized/initial.n8``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from contextlib import closing
@@ -17,7 +18,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import DexCluster, SimParams
 from repro.apps import APP_NAMES, RunSpec, get_app
-from repro.bench.runner import ScalingPoint, _mean_fault_us, run_point, run_scaling
 
 INF = math.inf
 VARIANTS = ("initial", "optimized")
@@ -312,33 +312,42 @@ def pagefault(args) -> Iterator[Row]:
               slow_mean / fast_mean if fast_mean > 0 else 0.0, "x")
 
 
-def figure2(apps: Sequence[str] = APP_NAMES,
-            node_counts: Sequence[int] = (1, 2, 4, 8),
-            variants: Sequence[str] = VARIANTS, scale: str = "small",
-            directory: Optional[str] = None) -> List[ScalingPoint]:
-    """The scalability sweep: every app's Figure 2 series, optionally under
-    a non-default coherence-directory backend."""
-    return [point for app in apps for point in run_scaling(
-        app, node_counts, variants, scale, directory=directory)]
-
-
-def figure2_rows(args) -> Iterator[Row]:
+def figure2(args) -> Iterator[Row]:
     """Figure 2: speed-up over the unmodified one-node run (> 1 beats it)"""
-    points = figure2(apps=args.apps, node_counts=args.nodes, scale=args.scale,
-                     directory=args.directory)
-    top = max((p.num_nodes for p in points), default=0)
-    for p in points:
-        if p.variant != "unmodified":
-            name = f"fig2.{p.app}.{p.variant}.n{p.num_nodes}"
-            yield Row(name, p.normalized, "x")
-            if p.hint_hit_rate is not None:
-                yield Row(f"{name}.hint_hit", p.hint_hit_rate, "ratio")
-    yield Row("fig2.wrong_outputs", sum(not p.correct for p in points), "runs")
+    # (app, variant, nodes, speed-up) per run; a run's result is dropped
+    # once read, so the sweep holds no outputs or fault records
+    wrong, points = 0, []
+    for app in args.apps:
+        baseline = RunSpec(app, "unmodified", 1, args.scale,
+                           directory=args.directory).run()
+        wrong += baseline.correct is not True
+        points.append((app, "unmodified", baseline.num_nodes, 1.0))
+        for variant, nodes in itertools.product(VARIANTS, args.nodes):
+            result = RunSpec(app, variant, nodes, args.scale,
+                             directory=args.directory).run()
+            wrong += result.correct is not True
+            speedup = baseline.elapsed_us / result.elapsed_us
+            points.append((app, variant, result.num_nodes, speedup))
+            name = f"fig2.{result.app.upper()}.{variant}.n{result.num_nodes}"
+            yield Row(name, speedup, "x")
+            if result.stats.hint_hit_rate is not None:
+                yield Row(f"{name}.hint_hit", result.stats.hint_hit_rate,
+                          "ratio")
+    top = max((n for _, _, n, _ in points), default=0)
+    yield Row("fig2.wrong_outputs", wrong, "runs")
     yield Row("fig2.beyond_one_machine", len({
-        p.app for p in points if p.variant == "optimized"
-        and p.num_nodes == top and p.normalized > 1.0}), "apps")
-    yield Row("fig2.peak", max((p.normalized for p in points), default=0.0),
-              "x")
+        app for app, variant, n, speedup in points
+        if variant == "optimized" and n == top and speedup > 1.0}), "apps")
+    yield Row("fig2.peak", max((speedup for *_, speedup in points),
+                               default=0.0), "x")
+
+
+def _mean_fault_us(result) -> float:
+    """Mean latency over every recorded fault, leaders and followers."""
+    records = result.stats.fault_latencies
+    if not records:
+        return 0.0
+    return sum(r.latency_us for r in records) / len(records)
 
 
 #: the metrics of an ablation run that are not a DexStats counter
@@ -359,8 +368,8 @@ def ablation(args) -> Iterator[Row]:
     for prefix, (field, values, app, variant, nodes, metrics) in (
             ABLATIONS.items()):
         for value in values:
-            result = run_point(app, variant, nodes, "small",
-                               params=SimParams(**{field: value}))
+            result = RunSpec(app, variant, nodes,
+                             base=SimParams(**{field: value})).run()
             name = f"ablation.{prefix}.{ON_OFF.get(value, value)}"
             for metric in ("correct", "elapsed_us", *metrics):
                 ours = (DERIVED[metric](result) if metric in DERIVED
@@ -374,5 +383,5 @@ def ablation(args) -> Iterator[Row]:
 #: ``python -m repro.bench all`` runs them in this order
 EXPERIMENTS = {
     "table1": table1, "table2": table2, "figure3": figure3,
-    "pagefault": pagefault, "figure2": figure2_rows, "ablation": ablation,
+    "pagefault": pagefault, "figure2": figure2, "ablation": ablation,
 }

@@ -80,8 +80,9 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     MsgType.PAGE_INVALIDATE: 32,
     MsgType.PAGE_INVALIDATE_ACK: 24,
     MsgType.PAGE_HOME_LOOKUP: 24,
-    # 24 B of header plus the shard map at one byte per shard: 40 B holds
-    # up to 16 shards, the default 11 (smallest prime above 8 nodes) too
+    # 24 B of header plus the shard map at one byte per shard, in at least
+    # 16 B: 40 B up to 16 shards (the default 11, smallest prime above 8
+    # nodes), more beyond — each reply is sized by Message.control_bytes
     MsgType.PAGE_HOME_INFO: 40,
     MsgType.PAGE_REDIRECT: 24,
     MsgType.VMA_QUERY: 32,
@@ -93,8 +94,10 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     MsgType.PING: 16,
     MsgType.PONG: 16,
 }
-#: keyed by ``_value_``: a str's hash is cached, ``Enum.__hash__`` is Python
+#: keyed by ``_value_``: a str's hash is cached, ``Enum.__hash__`` is Python;
+#: 0 marks the one size read off the payload (the shard map's length)
 _CONTROL_SIZE_OF = {kind._value_: size for kind, size in CONTROL_SIZES.items()}
+_CONTROL_SIZE_OF[MsgType.PAGE_HOME_INFO._value_] = 0
 
 
 #: retry-timeout class of every request-class message (one that a sender
@@ -145,7 +148,8 @@ class Message:
 
     @property
     def control_bytes(self) -> int:
-        return _CONTROL_SIZE_OF.get(self.msg_type._value_, 48)
+        return (_CONTROL_SIZE_OF.get(self.msg_type._value_, 48)
+                or 24 + max(16, len(self.payload["shard_map"])))
 
     @property
     def data_bytes(self) -> int:

@@ -14,9 +14,9 @@ byte-identical manifests (CI diffs them against a checked-in baseline).
 
 Build one after a run::
 
-    params = SimParams(scope="1")
-    cluster = DexCluster(params=params)
-    result = run_point("KMN", "optimized", 4, params=params, cluster=cluster)
+    spec = RunSpec("KMN", "optimized", 4, base=SimParams(scope="1"))
+    cluster = spec.cluster()
+    result = spec.run(cluster=cluster)
     doc = build_manifest(result, cluster, scope=cluster.scope)
     write_manifest("dex-run.json", doc)
 

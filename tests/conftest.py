@@ -114,6 +114,28 @@ def built(monkeypatch):
     return clusters
 
 
+@pytest.fixture
+def canned_runs(monkeypatch):
+    """``RunSpec.run`` answered without a rack: returns the specs run, in
+    order, and a dict the test fills with ``(app, variant, nodes) ->
+    elapsed_us`` (100.0 when unnamed); every canned result is correct."""
+    from repro.apps.common import AppResult, RunSpec
+    from repro.core.stats import DexStats
+
+    specs, elapsed = [], {}
+
+    def canned(spec, cluster=None, tracer=None):
+        specs.append(spec)
+        return AppResult(
+            spec.app, spec.variant, spec.nodes,
+            spec.nodes * spec.threads_per_node,
+            elapsed.get((spec.app, spec.variant, spec.nodes), 100.0),
+            None, DexStats(), correct=True)
+
+    monkeypatch.setattr(RunSpec, "run", canned)
+    return specs, elapsed
+
+
 @pytest.fixture(scope="session")
 def repo_vet_check():
     """``(exit code, stdout)`` of one in-process ``repro.vet check`` over

@@ -1,13 +1,15 @@
 """Tests for the experiment harness itself: runner, experiment table, CLIs."""
 
 import argparse
+import dataclasses
 
 import pytest
 
 import repro.bench.experiments as experiments
+from repro.apps.common import RunSpec
 from repro.bench.__main__ import main as bench_main
 from repro.bench.experiments import PAPER_TABLE1, SHAPE, Row, render, run
-from repro.bench.runner import SCALE_PRESETS, ScalingPoint, run_point, run_scaling
+from repro.bench.runner import SCALE_PRESETS, run_point
 
 TINY = {"text_size": 256 * 1024, "plant_every": 2000}
 
@@ -18,15 +20,32 @@ def test_run_point_applies_overrides():
     assert result.num_nodes == 1
 
 
-def test_run_scaling_normalizes_to_baseline():
-    points = run_scaling("GRP", node_counts=(1,), variants=("initial",),
-                         **TINY)
-    assert points[0].variant == "unmodified"
-    assert points[0].normalized == 1.0
-    initial = [p for p in points if p.variant == "initial"]
-    assert len(initial) == 1
+def _sweep(apps, nodes):
+    return argparse.Namespace(apps=apps, nodes=nodes, scale="small",
+                              directory=None)
+
+
+def _real_runs(monkeypatch, overrides, tamper=lambda result: None):
+    """Every ``RunSpec.run`` a real run on the workload *overrides*, its
+    result passed through *tamper* before the sweep sees it."""
+    real = RunSpec.run
+
+    def run(spec, **how):
+        result = real(dataclasses.replace(spec, overrides=overrides), **how)
+        tamper(result)
+        return result
+
+    monkeypatch.setattr(RunSpec, "run", run)
+
+
+def test_run_scaling_normalizes_to_baseline(monkeypatch):
+    _real_runs(monkeypatch, TINY)
+    rows = {r.name: r.ours for r in run("figure2", _sweep(["GRP"], [1]))}
     # initial on one node == baseline plus only migration overhead
-    assert 0.5 < initial[0].normalized <= 1.05
+    assert 0.5 < rows["fig2.GRP.initial.n1"] <= 1.05
+    assert "fig2.GRP.unmodified.n1" not in rows
+    assert rows["fig2.wrong_outputs"] == 0
+    assert rows["fig2.peak"] >= 1.0  # the baseline's own ratio
 
 
 def test_scale_presets_cover_all_apps():
@@ -42,33 +61,26 @@ def test_table1_rows_complete():
     assert "table1.GRP.initial" in text and "table1.total.initial" in text
 
 
-def _figure2(monkeypatch, points):
-    """The figure2 experiment's rows over a made-up sweep."""
-    monkeypatch.setattr(experiments, "figure2", lambda **kwargs: points)
-    sweep = argparse.Namespace(apps=None, nodes=None, scale=None,
-                               directory=None)
-    return run("figure2", sweep)
-
-
-def test_figure2_summary_counts_scalers(monkeypatch):
-    rows = {r.name: r for r in _figure2(monkeypatch, [
-        ScalingPoint("A", "unmodified", 1, 100.0, 1.0, True, 0, 0),
-        ScalingPoint("A", "optimized", 8, 25.0, 4.0, True, 0, 0),
-        ScalingPoint("B", "optimized", 8, 200.0, 0.5, True, 0, 0),
-    ])}
-    assert rows["fig2.A.optimized.n8"].ours == 4.0
+def test_figure2_summary_counts_scalers(canned_runs):
+    specs, elapsed = canned_runs
+    elapsed.update({("EP", "optimized", 8): 25.0, ("EP", "initial", 8): 50.0,
+                    ("BT", "optimized", 8): 200.0, ("BT", "initial", 8): 400.0})
+    rows = {r.name: r for r in run("figure2", _sweep(["EP", "BT"], [8]))}
+    assert [(s.app, s.variant, s.nodes) for s in specs] == [
+        (app, variant, nodes) for app in ("EP", "BT") for variant, nodes in
+        (("unmodified", 1), ("initial", 8), ("optimized", 8))]
+    assert rows["fig2.EP.optimized.n8"].ours == 4.0
+    assert rows["fig2.BT.optimized.n8"].ours == 0.5
     assert rows["fig2.beyond_one_machine"].ours == 1
     assert rows["fig2.peak"].ours == 4.0
     assert rows["fig2.wrong_outputs"].ours == 0 and rows["fig2.wrong_outputs"].ok
 
 
-def test_render_figure2_layout(monkeypatch):
-    text = render(_figure2(monkeypatch, [
-        ScalingPoint("A", "unmodified", 1, 100.0, 1.0, True, 0, 0),
-        ScalingPoint("A", "initial", 2, 50.0, 2.0, True, 5, 1),
-        ScalingPoint("A", "optimized", 2, 40.0, 2.5, True, 4, 0),
-    ]))
-    assert "fig2.A.initial.n2" in text and "2.00" in text and "2.50" in text
+def test_render_figure2_layout(canned_runs):
+    _, elapsed = canned_runs
+    elapsed.update({("EP", "initial", 2): 50.0, ("EP", "optimized", 2): 40.0})
+    text = render(run("figure2", _sweep(["EP"], [2])))
+    assert "fig2.EP.initial.n2" in text and "2.00" in text and "2.50" in text
 
 
 def test_render_ablation_mixed_values():
@@ -145,25 +157,42 @@ def test_apps_cli_rejects_a_zero_count_as_a_usage_error(flag, capsys):
 
 @pytest.mark.parametrize("unverified", [False, None])
 def test_an_unverified_baseline_is_a_failure(unverified, monkeypatch, capsys):
-    import repro.apps.__main__ as apps_cli
-    import repro.bench.runner as runner
+    """A wrong baseline is one more ``fig2.wrong_outputs`` run: the CLI
+    renders every row and exits 1 naming that row, not a traceback."""
+    def unverified_baseline(result):
+        if result.variant == "unmodified":
+            result.correct = unverified
 
-    def with_unverified_baseline(run_point):
-        def run(app, variant, *args, **kwargs):
-            result = run_point(app, variant, *args, **kwargs)
-            if variant == "unmodified":
-                result.correct = unverified
-            return result
-        return run
+    _real_runs(monkeypatch, {}, unverified_baseline)
+    assert bench_main(["figure2", "--apps", "EP", "--nodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "fig2.EP.initial.n1" in captured.out
+    assert "fig2.wrong_outputs" in captured.err
 
-    monkeypatch.setattr(apps_cli, "run_point",
-                        with_unverified_baseline(run_point))
-    assert apps_cli.main(["EP", "--nodes", "1"]) == 1
-    assert "baseline" in capsys.readouterr().err
-    monkeypatch.setattr(runner, "run_point",
-                        with_unverified_baseline(run_point))
-    with pytest.raises(AssertionError, match="baseline"):
-        run_scaling("GRP", node_counts=(1,), variants=("initial",), **TINY)
+
+def test_apps_cli_runs_one_spec_per_node_count(canned_runs, monkeypatch,
+                                               capsys):
+    """No baseline, no speed-up: ``python -m repro.bench figure2`` has
+    those; a wrong output exits 1."""
+    from repro.apps.__main__ import main as apps_main
+
+    specs, _ = canned_runs
+    assert apps_main(["EP", "--nodes", "1", "2"]) == 0
+    assert [(s.app, s.variant, s.nodes) for s in specs] == [
+        ("EP", "initial", 1), ("EP", "initial", 2)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all("x)" not in line for line in lines)
+    canned = RunSpec.run
+
+    def wrong(spec, **how):
+        result = canned(spec, **how)
+        result.correct = False
+        return result
+
+    monkeypatch.setattr(RunSpec, "run", wrong)
+    assert apps_main(["EP", "--nodes", "1", "2"]) == 1
+    assert len(specs) == 3  # stopped at the first wrong output
+    assert "wrong application output" in capsys.readouterr().err
 
 
 def test_run_scaling_rejects_bad_nodes():

@@ -104,41 +104,34 @@ def test_a_spec_validates_at_construction(bad, match):
 # command line -> RunSpec -> params() / cluster(), per CLI
 
 
-def test_apps_cli_spec(monkeypatch, capsys):
-    import repro.apps.__main__ as apps_cli
-
-    seen = []
-
-    def recording(*args, **kwargs):
-        seen.append((args, kwargs))
-        return run_point(*args, **kwargs)
-
-    monkeypatch.setattr(apps_cli, "run_point", recording)
-    assert apps_cli.main(["ep", "--nodes", "1", "2", "--variant", "optimized",
-                          "--threads-per-node", "2"]) == 0
-    points = [(a[:3], kw) for a, kw in seen if a[1] != "unmodified"]
-    assert points == [
-        (("EP", "optimized", n), dict(scale="small", threads_per_node=2))
-        for n in (1, 2)]
+def test_apps_cli_spec(canned_runs, capsys):
+    specs, _ = canned_runs
+    assert apps_main(["ep", "--nodes", "1", "2", "--variant", "optimized",
+                      "--threads-per-node", "2"]) == 0
+    assert specs == [RunSpec("EP", "optimized", n, "small",
+                             threads_per_node=2) for n in (1, 2)]
     assert "EP optimized n=2" in capsys.readouterr().out
 
 
-def test_bench_cli_declares_the_sweep(monkeypatch, capsys):
+def test_bench_cli_declares_the_sweep(canned_runs, monkeypatch):
     import repro.bench.experiments as experiments
 
-    seen = {}
-    monkeypatch.setattr(experiments, "figure2",
-                        lambda **kwargs: seen.update(kwargs) or [])
-    monkeypatch.setattr("repro.bench.experiments.render",
-                        lambda points: "rendered")
+    specs, _ = canned_runs
+    monkeypatch.setattr(experiments, "SHAPE", {})  # no band to fail
+    monkeypatch.setattr(experiments, "render", lambda rows: "rendered")
     assert bench_main(["figure2", "--apps", "kmeans", "bt", "--nodes", "1",
                        "2", "--directory", "sharded"]) == 0
-    assert seen == dict(apps=["KMN", "BT"], node_counts=[1, 2],
-                        scale="small", directory="sharded")
-    seen.clear()
+    assert specs == [
+        RunSpec(app, variant, n, "small", directory="sharded")
+        for app in ("KMN", "BT") for variant, n in [
+            ("unmodified", 1), *((v, n) for v in ("initial", "optimized")
+                                 for n in (1, 2))]]
+    specs.clear()
     assert bench_main(["figure2"]) == 0
-    assert seen == dict(apps=APP_NAMES, node_counts=[1, 2, 4, 8],
-                        scale="small", directory=None)
+    assert specs == [
+        RunSpec(app, variant, n) for app in APP_NAMES for variant, n in [
+            ("unmodified", 1), *((v, n) for v in ("initial", "optimized")
+                                 for n in (1, 2, 4, 8))]]
 
 
 @pytest.fixture

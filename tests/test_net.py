@@ -250,6 +250,14 @@ def test_message_repr_and_sizes():
     assert "page_grant" in repr(msg)
 
 
+@pytest.mark.parametrize("shards, size", [(11, 40), (31, 55)])
+def test_a_home_info_reply_is_charged_for_its_shard_map(shards, size):
+    """24 B of header plus one byte a shard, in at least 16 B."""
+    reply = Message(MsgType.PAGE_HOME_INFO, 0, 1,
+                    {"shard_map": tuple(range(shards))})
+    assert reply.control_bytes == size
+
+
 def test_reply_correlation_ids():
     request = Message(MsgType.PING, 0, 1)
     reply = request.make_reply(MsgType.PONG)
