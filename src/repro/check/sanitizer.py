@@ -14,7 +14,10 @@ directory bookkeeping:
 * every page has a *home clock*: a revocation ack joins the revoked
   copy's clock into it (the loser's accesses are complete), and a grant
   joins it into the requester's copy clock (the grant carries the page's
-  causal history to the new owner).
+  causal history to the new owner).  A handoff whose page the old writer
+  forwards straight to the requester keeps both edges: the writer
+  forwards before it acks, and the requester installs the page only
+  after the grant, so ack and grant still order the two.
 
 With those edges, any access pair ordered by the protocol is ordered in
 the clocks — so an **unordered** conflicting pair is a protocol bug (a
@@ -26,7 +29,8 @@ The sanitizer also re-validates the directory/PTE agreement on **every
 ownership transition** (`on_transition`, called when a fault commits),
 via :meth:`repro.core.directory.CoherenceDirectory.check_entry` and
 :meth:`repro.core.protocol.ConsistencyProtocol.check_page` — the
-per-transition version of the teardown-only ``check_invariants``.
+per-transition version of the teardown-only ``check_invariants``, which
+also holds the home to current data whenever the page has no writer.
 
 Scope: the sanitizer orders all same-node accesses through the copy
 clock, so it targets *cross-node protocol* bugs, not application-level

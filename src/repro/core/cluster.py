@@ -231,6 +231,7 @@ class DexCluster:
             MsgType.PAGE_REQUEST: lambda p: p.protocol.handle_page_request_msg,
             MsgType.PAGE_HOME_LOOKUP: lambda p: p.protocol.handle_home_lookup_msg,
             MsgType.PAGE_INVALIDATE: lambda p: p.protocol.handle_invalidate_msg,
+            MsgType.PAGE_FORWARD: lambda p: p.protocol.handle_forward_msg,
             MsgType.MIGRATE: lambda p: p.migration.handle_migrate_msg,
             MsgType.MIGRATE_BACK: lambda p: p.migration.handle_migrate_back_msg,
             MsgType.DELEGATE: lambda p: p.delegation.handle_delegate,

@@ -132,6 +132,13 @@ class CoherenceDirectory:
         the origin ships it in a home lookup's reply."""
         raise NotImplementedError
 
+    def handoff_target(self, home: int, requester: int) -> int:
+        """Where the dirty page goes when a write request from *requester*
+        revokes a remote exclusive writer of a page homed at *home*: to the
+        home, which then grants from its frame, or straight to the
+        requester, with the home granting without data."""
+        raise NotImplementedError
+
     # -- a node's copy of the shard map -------------------------------------
 
     def known_home(self, node: int, vpn: int) -> Optional[int]:
@@ -277,6 +284,10 @@ class OriginDirectory(CoherenceDirectory):
     def home_map(self) -> Tuple[int, ...]:
         return (self.origin,)
 
+    def handoff_target(self, home: int, requester: int) -> int:
+        # §III-B: the origin is the flush target and the grant source
+        return home
+
 
 def _next_prime(n: int) -> int:
     """The smallest prime strictly greater than *n*."""
@@ -293,9 +304,14 @@ class ShardedDirectory(CoherenceDirectory):
     ``home(vpn) = shard_map[vpn % nshards]`` — the DeX kernel extension is
     loaded on every node of the rack (§II), so any node can host directory
     shards for any process, whether or not the process ever runs threads
-    there.  The page's *data* plane follows the metadata: revocation
-    flushes land at the home, and grants are served from the home's frame,
-    so the origin's NIC no longer carries every page of protocol traffic.
+    there.  The origin's NIC no longer carries every page of protocol
+    traffic, and the home carries only the pages that need it: a
+    downgrade flushes the writer's page to the home, which serves reads
+    from its frame, but an exclusive handoff between two other nodes is
+    forwarded by the old writer straight to the new one, so the page
+    crosses the wire once, as on the origin backend, where the origin is
+    usually the writer.  The home therefore holds current data whenever
+    the page has no writer (``check_page`` asserts it).
 
     The default shard count is the smallest prime greater than the node
     count: segment base addresses are power-of-two aligned, so a
@@ -324,6 +340,9 @@ class ShardedDirectory(CoherenceDirectory):
     def home_map(self) -> Tuple[int, ...]:
         # a snapshot: a node's copy must not follow a remap it never saw
         return tuple(self.shard_map)
+
+    def handoff_target(self, home: int, requester: int) -> int:
+        return requester
 
 
 def make_directory(proc: "DexProcess") -> CoherenceDirectory:

@@ -10,7 +10,11 @@ protocol providing sequential consistency:
   page's *home* first.
 * A **write** fault gets exclusive ownership: the home revokes ownership
   from every other owner (including itself) and collects acknowledgements;
-  a revoked exclusive owner flushes its dirty page back with the ack.
+  a revoked exclusive owner flushes its dirty page back with the ack —
+  or, where the directory's :meth:`~repro.core.directory.
+  CoherenceDirectory.handoff_target` says so (the sharded backend), sends
+  it straight to the requester in a ``PAGE_FORWARD`` and acks without
+  data, and the home grants without data (a 3-hop grant).
 * Page data accompanies a grant only when the requester's cached copy is
   stale ("the origin simply grants ownership without transferring the page
   data when the remote already has the up-to-date one").
@@ -23,8 +27,8 @@ Every directory interaction goes through the pluggable
 paper's :class:`~repro.core.directory.OriginDirectory` the home of every
 page is the origin and the protocol behaves exactly as §III-B describes;
 under :class:`~repro.core.directory.ShardedDirectory` each page's
-metadata (and its flush target / grant source) lives at a per-page home
-node, requests are home-routed — resolved from the node's copy of the
+metadata (and its downgrade flush target / read grant source) lives at a
+per-page home node, requests are home-routed — resolved from the node's copy of the
 shard map, learned whole by its first home lookup, with a redirect when
 the copy is stale — and the origin stops being a serialization point for
 the whole address space.
@@ -35,7 +39,13 @@ home), so the grant is always *dispatched* first; the requester marks its
 in-flight fault ``installing`` synchronously upon receiving the grant, and
 the invalidation handler waits for installing faults to finish before
 revoking.  This mirrors the careful PTE-update ordering §III-C describes
-for the real kernel implementation.
+for the real kernel implementation.  A forwarded page travels another
+connection (old writer -> requester), so it may land before or after the
+grant: the requester registers the rendezvous before it sends its request
+(:meth:`~repro.net.verbs.Router.expect_forward`), and on a data-less
+grant it marks the fault ``installing`` first and then waits for the page
+— an invalidation queued behind the grant waits for that install, page
+wait included.
 """
 
 from __future__ import annotations
@@ -47,15 +57,18 @@ from repro.core.errors import NodeFailedError, ProtocolError
 from repro.memory.page_table import EXCLUSIVE, STATE_OF_VALUE, PageState
 from repro.net.messages import (
     PAYLOAD_ACK_OK,
+    PAYLOAD_FORWARDED,
     PAYLOAD_REDIRECT,
     PAYLOAD_RETRY,
     Message,
     MsgType,
+    forward_key,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.fault import InFlightFault
     from repro.core.process import DexProcess
+    from repro.sim import Event
 
 #: grant outcomes, shipped in reply payloads
 _RETRY = "retry"
@@ -63,6 +76,8 @@ _GRANT = "grant"
 _REDIRECT = "redirect"
 #: the process was failed by fail-stop recovery (chaos runs only)
 _FAILED = "failed"
+#: a grant's data slot when the old writer sent the page to the requester
+_FORWARDED = "forwarded"
 
 
 class ConsistencyProtocol:
@@ -87,6 +102,7 @@ class ConsistencyProtocol:
         proc.check_failed()
         params = proc.cluster.params
         page_table = proc.node_state(node).page_table
+        net = proc.cluster.net
         retries = 0
         while True:
             pte = page_table.ensure(vpn)
@@ -96,25 +112,37 @@ class ConsistencyProtocol:
                 # again could downgrade our own node's ownership
                 return retries
             local = self.directory.hosts(node, vpn)
+            forward = None
             if local:
                 outcome = yield from self.handle_request(
                     node, vpn, write, pte.data_version
                 )
             else:
                 target = yield from self._resolve_home(node, vpn)
-                reply = yield from proc.cluster.net.request(
-                    Message(
-                        MsgType.PAGE_REQUEST,
-                        src=node,
-                        dst=target,
-                        payload={
-                            "pid": proc.pid,
-                            "vpn": vpn,
-                            "write": write,
-                            "known_version": pte.data_version,
-                        },
-                    )
+                request = Message(
+                    MsgType.PAGE_REQUEST,
+                    src=node,
+                    dst=target,
+                    payload={
+                        "pid": proc.pid,
+                        "vpn": vpn,
+                        "write": write,
+                        "known_version": pte.data_version,
+                    },
                 )
+                if write and self.directory.handoff_target(target, node) == node:
+                    # the old writer may send the page here, even ahead of
+                    # the grant: expect it before asking
+                    forward = net.routers[node].expect_forward(net.stamp(request))
+                reply = None
+                try:
+                    reply = yield from net.request(request)
+                finally:
+                    if forward is not None and (
+                        reply is None or not reply.payload.get("forwarded")
+                    ):
+                        net.routers[node].cancel_forward(request.msg_id)
+                        forward = None
                 if reply.payload["outcome"] == _REDIRECT:
                     # stale shard map: the node we asked no longer hosts
                     # this page's shard — drop the copy and learn it again
@@ -146,6 +174,10 @@ class ConsistencyProtocol:
             # following invalidation (FIFO-ordered behind the grant) waits
             fault.installing = True
             if not local:
+                if forward is not None:
+                    data = yield from self._await_forward(
+                        node, vpn, request.msg_id, forward
+                    )
                 frames = proc.node_state(node).frames
                 if data is not None:
                     if vpn not in frames:
@@ -162,6 +194,22 @@ class ConsistencyProtocol:
                 # copy-on-write the next write would make happens here
                 proc.node_state(node).frames.own(vpn)
             return retries
+
+    def _await_forward(
+        self, node: int, vpn: int, request_id: int, forward: "Event"
+    ) -> Generator:
+        """The page the old writer forwarded for *node*'s granted request
+        *request_id*: it may have landed already, or still be on its way."""
+        if forward.triggered:
+            return forward.value.page_data
+        try:
+            with self.proc.cluster.engine.span(
+                "protocol.await_forward", node=node, vpn=vpn
+            ):
+                msg = yield forward
+        finally:
+            self.proc.cluster.net.routers[node].cancel_forward(request_id)
+        return msg.page_data
 
     def _resolve_home(self, node: int, vpn: int) -> Generator:
         """Which node should *node* send its ownership request to?
@@ -246,7 +294,8 @@ class ConsistencyProtocol:
 
         Returns ``(status, state_name, version, data)`` where *data* is the
         page bytes to install (None when the transfer is skipped or the
-        requester is the home itself).
+        requester is the home itself; ``"forwarded"`` when the old writer
+        sent the page to the requester directly).
 
         When *reply_to* is given (a remote request), the reply is posted
         **before** the per-page busy flag clears: a later operation for the
@@ -303,7 +352,8 @@ class ConsistencyProtocol:
                 try:
                     if write:
                         result = yield from self._grant_exclusive(
-                            entry, requester, known_version
+                            entry, requester, known_version,
+                            0 if reply_to is None else reply_to.msg_id,
                         )
                     else:
                         result = yield from self._grant_shared(
@@ -330,15 +380,17 @@ class ConsistencyProtocol:
                     granted(vpn, requester, write, entry)
                 if reply_to is not None:
                     _status, state_name, version, data = result
+                    payload = {
+                        "outcome": _GRANT,
+                        "state": state_name,
+                        "version": version,
+                    }
+                    if data is _FORWARDED:
+                        payload["forwarded"] = True
+                        data = None
                     yield from proc.cluster.net.send(
                         reply_to.make_reply(
-                            MsgType.PAGE_GRANT,
-                            {
-                                "outcome": _GRANT,
-                                "state": state_name,
-                                "version": version,
-                            },
-                            page_data=data,
+                            MsgType.PAGE_GRANT, payload, page_data=data
                         )
                     )
         finally:
@@ -346,18 +398,35 @@ class ConsistencyProtocol:
         return result
 
     def _grant_exclusive(
-        self, entry: PageEntry, requester: int, known_version: int
+        self, entry: PageEntry, requester: int, known_version: int,
+        request_id: int = 0,
     ) -> Generator:
+        """*request_id* is a remote requester's request, which a page
+        forwarded to it is keyed by (0: the home itself asks)."""
         home = self.directory.home(entry.vpn)
-        if entry.writer == requester:
+        writer = entry.writer
+        if writer == requester:
             # the current writer re-requesting (a request that was already
             # in flight when its earlier grant landed): reaffirm — it holds
             # the only current copy, so there is nothing to move or bump
             return (_GRANT, PageState.EXCLUSIVE.value, entry.data_version, None)
         losers = sorted(entry.owners - {requester})
-        yield from self._revoke(entry, losers, downgrade=False, requester=requester)
+        forward = (
+            request_id
+            and writer is not None
+            and writer != home
+            and self.directory.handoff_target(home, requester) == requester
+            and not self._up_to_date(known_version, entry.data_version)
+        )
+        forwarded = yield from self._revoke(
+            entry, losers, downgrade=False, requester=requester,
+            forward_id=request_id if forward else 0,
+        )
         current = entry.data_version
-        data = self._data_for_grant(entry, requester, known_version)
+        if forwarded:
+            data = _FORWARDED
+        else:
+            data = self._data_for_grant(entry, requester, known_version)
         new_version = current + 1
         entry.data_version = new_version
         entry.owners = {requester}
@@ -402,7 +471,7 @@ class ConsistencyProtocol:
             # requester is up to date; even with the skip optimization
             # disabled, a transfer is only possible if the home copy is
             # current (it may not be when the requester is the sole holder)
-            if proc.cluster.params.enable_transfer_skip or not self._home_current(
+            if self._up_to_date(known_version, current) or not self._home_current(
                 home, entry.vpn, current
             ):
                 proc.stats.transfers_skipped += 1
@@ -411,13 +480,19 @@ class ConsistencyProtocol:
         proc.stats.pages_transferred += 1
         return data
 
+    def _up_to_date(self, known_version: int, current: int) -> bool:
+        """Whether a requester holding *known_version* needs no page."""
+        return known_version == current and \
+            self.proc.cluster.params.enable_transfer_skip
+
     def _home_current(self, home: int, vpn: int, version: int) -> bool:
         pte = self.proc.node_state(home).page_table.lookup(vpn)
         return pte is not None and pte.data_version == version
 
     def _home_page_bytes(self, home: int, vpn: int, version: int) -> bytes:
-        """The current page contents, which the revocation step always
-        leaves at the page's home: the home's snapshot, shipped by
+        """The current page contents, which the home holds whenever the
+        page has no writer — so after every revocation that did not
+        forward the page to the requester: the home's snapshot, shipped by
         reference (every grant of one version ships the same object)."""
         proc = self.proc
         home_pte = proc.node_state(home).page_table.lookup(vpn)
@@ -434,26 +509,33 @@ class ConsistencyProtocol:
         losers: List[int],
         downgrade: bool,
         requester: int = -1,
+        forward_id: int = 0,
     ) -> Generator:
         """Revoke (or downgrade) ownership from *losers*, collecting acks.
         An exclusive loser flushes its dirty page, whose snapshot the home
-        keeps by reference; the home then always holds current data.
-        *requester* is the node whose request triggered the revocation —
-        shipped in the invalidation payload so owner-side traces can name
-        both parties of the conflict.  Untraced, the returned generator is
-        :meth:`_revoke_impl` itself."""
+        keeps by reference — unless *forward_id* names the requester's
+        request, in which case the loser sends its page straight to the
+        requester.  The generator returns whether it did; when it did not,
+        the home holds current data.  *requester* is the node whose
+        request triggered the revocation — shipped in the invalidation
+        payload so owner-side traces can name both parties of the
+        conflict.  Untraced, the returned generator is :meth:`_revoke_impl`
+        itself."""
         if self.proc.cluster.engine.tracer is None:
-            return self._revoke_impl(entry, losers, downgrade, requester)
-        return self._revoke_traced(entry, losers, downgrade, requester)
+            return self._revoke_impl(entry, losers, downgrade, requester, forward_id)
+        return self._revoke_traced(entry, losers, downgrade, requester, forward_id)
 
     def _revoke_traced(
-        self, entry: PageEntry, losers: List[int], downgrade: bool, requester: int
+        self, entry: PageEntry, losers: List[int], downgrade: bool,
+        requester: int, forward_id: int,
     ) -> Generator:
         with self.proc.cluster.engine.span(
             "protocol.revoke", node=self.directory.home(entry.vpn), vpn=entry.vpn,
             downgrade=downgrade, losers=len(losers),
         ):
-            yield from self._revoke_impl(entry, losers, downgrade, requester)
+            return (yield from self._revoke_impl(
+                entry, losers, downgrade, requester, forward_id
+            ))
 
     def _revoke_impl(
         self,
@@ -461,6 +543,7 @@ class ConsistencyProtocol:
         losers: List[int],
         downgrade: bool,
         requester: int = -1,
+        forward_id: int = 0,
     ) -> Generator:
         proc = self.proc
         engine = proc.cluster.engine
@@ -468,7 +551,9 @@ class ConsistencyProtocol:
         vpn = entry.vpn
         home = self.directory.home(vpn)
         remote_losers = [n for n in losers if n != home]
+        forwarded = False
         if home in losers:
+            proc.stats.home_revocations += 1
             yield params.invalidation_handler_cost
             home_pte = proc.node_state(home).page_table.ensure(vpn)
             # the home never discards its frame: it is the flush target
@@ -479,16 +564,17 @@ class ConsistencyProtocol:
             proc.stats.invalidations_sent += len(remote_losers)
             pending = []
             for node in remote_losers:
+                payload = {
+                    "pid": proc.pid,
+                    "vpn": vpn,
+                    "downgrade": downgrade,
+                    "requester": requester,
+                }
+                if forward_id and node == entry.writer:
+                    # send the dirty page to the requester, not back here
+                    payload["request_id"] = forward_id
                 msg = Message(
-                    MsgType.PAGE_INVALIDATE,
-                    src=home,
-                    dst=node,
-                    payload={
-                        "pid": proc.pid,
-                        "vpn": vpn,
-                        "downgrade": downgrade,
-                        "requester": requester,
-                    },
+                    MsgType.PAGE_INVALIDATE, src=home, dst=node, payload=payload
                 )
                 inval_proc = engine.process(
                     proc.cluster.net.request(msg), name=f"inval:{vpn:#x}->{node}"
@@ -529,10 +615,11 @@ class ConsistencyProtocol:
             for revoked in proc.hooks["revoke"]:
                 for node in acked:
                     revoked(vpn, node, downgrade, requester)
+            forwarded = any(ack.payload.get("forwarded") for ack in acks)
             flushes = [ack for ack in acks if ack.page_data is not None]
-            if len(flushes) > 1:
+            if len(flushes) + forwarded > 1:
                 raise ProtocolError(
-                    f"page {vpn:#x}: {len(flushes)} dirty flushes; "
+                    f"page {vpn:#x}: {len(flushes) + forwarded} dirty copies; "
                     "single-writer invariant broken"
                 )
             for ack in flushes:
@@ -550,9 +637,10 @@ class ConsistencyProtocol:
                         granted(vpn, home, False)
         if downgrade:
             # downgraded losers stay owners (readers); nothing to remove
-            return
+            return forwarded
         for node in losers:
             entry.owners.discard(node)
+        return forwarded
 
     def revoke_range(self, vpn_start: int, vpn_end: int) -> Generator:
         """Pull every page in ``[vpn_start, vpn_end)`` back to exclusive
@@ -632,11 +720,64 @@ class ConsistencyProtocol:
             # false-sharing reports can name both parties
             invalidated(engine.now, node, vpn * params.page_size,
                         msg.payload.get("requester", msg.src))
+        ack = PAYLOAD_ACK_OK
+        request_id = msg.payload.get("request_id")
+        if dirty is not None and request_id is not None:
+            if (yield from self._forward_page(
+                node, msg.payload["requester"], vpn, dirty, request_id
+            )):
+                dirty, ack = None, PAYLOAD_FORWARDED
         yield from proc.cluster.net.send(
-            msg.make_reply(
-                MsgType.PAGE_INVALIDATE_ACK, PAYLOAD_ACK_OK, page_data=dirty
-            )
+            msg.make_reply(MsgType.PAGE_INVALIDATE_ACK, ack, page_data=dirty)
         )
+
+    def _forward_page(
+        self, node: int, requester: int, vpn: int, page, request_id: int
+    ) -> Generator:
+        """Send a revoked writer's dirty *page* from *node* straight to
+        *requester*, keyed by its request *request_id*.  Returns whether
+        it went: a fenced requester gets nothing, and the page is flushed
+        to the home with the ack as before.  Under fault injection the
+        forward is a reliable request the requester answers, so the ack
+        that follows it proves the page arrived; otherwise it is one-way."""
+        proc = self.proc
+        net = proc.cluster.net
+        chaos = proc.cluster.chaos
+        if chaos is not None and chaos.is_fenced(requester):
+            return False
+        proc.stats.pages_transferred += 1
+        proc.stats.pages_forwarded += 1
+        forward = Message(
+            MsgType.PAGE_FORWARD,
+            src=node,
+            dst=requester,
+            payload={"pid": proc.pid, "vpn": vpn, "request_id": request_id},
+            page_data=page,
+        )
+        if chaos is None:
+            forward.reply_to = forward_key(request_id)
+            yield from net.send(forward)
+            return True
+        try:
+            yield from net.request(forward)
+        except NodeFailedError:
+            if not chaos.is_fenced(requester):
+                raise
+            return False
+        return True
+
+    def handle_forward_msg(self, msg: Message) -> Generator:
+        """Handler for :data:`MsgType.PAGE_FORWARD` at the requester, when
+        it came as a request (fault injection on; otherwise the router
+        matches it to the waiting fault like a reply): hand the page to
+        the fault whose grant it belongs to (which may not have arrived
+        yet), and answer the old writer."""
+        proc = self.proc
+        proc.cluster.net.routers[msg.dst].deliver_forward(msg)
+        if proc.cluster.chaos is not None:
+            yield from proc.cluster.net.send(
+                msg.make_reply(MsgType.PAGE_INVALIDATE_ACK, PAYLOAD_ACK_OK)
+            )
 
     # ------------------------------------------------------------------
     # invariant checking (used by tests)
@@ -651,7 +792,21 @@ class ConsistencyProtocol:
         the page are excused — their PTE legitimately lags the directory
         while a grant is traveling.  That is the per-transition mode the
         coherence sanitizer uses; the quiescent teardown check passes
-        False and holds every node to account."""
+        False and holds every node to account.
+
+        A page with no writer has current data at its home, whether or not
+        the home is an owner: reads are served from there.  With a writer,
+        the writer alone is current (a handoff may have forwarded the page
+        past the home)."""
+        if entry.writer is None:
+            home = self.directory.home(vpn)
+            home_pte = self.proc.node_state(home).page_table.lookup(vpn)
+            assert home_pte is not None and \
+                home_pte.data_version == entry.data_version, (
+                    f"page {vpn:#x} has no writer but its home, node {home}, "
+                    f"holds version {home_pte and home_pte.data_version}, "
+                    f"not {entry.data_version}"
+                )
         for node, state in self.proc.iter_node_states():
             if skip_inflight:
                 flist = state.inflight.get(vpn)

@@ -64,8 +64,10 @@ _COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("faults_coalesced", "faults resolved as a follower (§III-C)"),
     ("fault_retries", "busy-retry round trips across all faults"),
     ("pages_transferred", "page payloads that crossed the wire"),
+    ("pages_forwarded", "of those, pages an old writer sent its successor"),
     ("transfers_skipped", "grants that skipped the data transfer"),
     ("invalidations_sent", "ownership revocations sent to remote owners"),
+    ("home_revocations", "ownership revocations of the home's own copy"),
     ("vma_queries", "on-demand VMA sync queries (§III-D)"),
     ("vma_shrink_broadcasts", "eager VMA shrink broadcasts"),
     ("delegations", "operations delegated to the origin (§III-A)"),

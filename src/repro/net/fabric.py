@@ -331,6 +331,14 @@ class Network:
             self, conn, msg, wire_bytes, conn._delivery_tail
         )
 
+    def stamp(self, msg: Message) -> int:
+        """Give *msg* its ``msg_id`` now, as its first send would; a
+        requester that keys a second reply by its request's id (a
+        forwarded page) learns the id before the request goes out."""
+        if not msg.msg_id:
+            msg.msg_id = next(self._msg_ids)
+        return msg.msg_id
+
     def post(self, msg: Message):
         """Fire-and-forget send, run as its own process."""
         return self.engine.process(self.send(msg), name="send")

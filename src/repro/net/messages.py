@@ -41,6 +41,7 @@ class MsgType(enum.Enum):
     PAGE_RETRY = "page_retry"              # home -> remote: lost the race
     PAGE_INVALIDATE = "page_invalidate"    # home -> owner: revoke ownership
     PAGE_INVALIDATE_ACK = "page_invalidate_ack"
+    PAGE_FORWARD = "page_forward"          # old writer -> requester: the page
 
     # home-routed directory layer (sharded backend)
     PAGE_HOME_LOOKUP = "page_home_lookup"  # remote -> origin: resolve vpn's home
@@ -79,6 +80,7 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     MsgType.PAGE_RETRY: 24,
     MsgType.PAGE_INVALIDATE: 32,
     MsgType.PAGE_INVALIDATE_ACK: 24,
+    MsgType.PAGE_FORWARD: 32,
     MsgType.PAGE_HOME_LOOKUP: 24,
     # 24 B of header plus the shard map at one byte per shard, in at least
     # 16 B: 40 B up to 16 shards (the default 11, smallest prime above 8
@@ -114,6 +116,8 @@ TIMEOUT_CLASSES: Dict[MsgType, str] = {
     MsgType.DELEGATE: "heavy",
     MsgType.PAGE_REQUEST: "data",
     MsgType.PAGE_INVALIDATE: "data",
+    # a request only under fault injection, where the requester answers it
+    MsgType.PAGE_FORWARD: "data",
     MsgType.PAGE_HOME_LOOKUP: "ctl",
     MsgType.VMA_QUERY: "ctl",
     MsgType.VMA_SHRINK: "ctl",
@@ -178,9 +182,20 @@ class Message:
         )
 
 
+def forward_key(request_id: int) -> int:
+    """Where a page forwarded for request *request_id* is expected at the
+    requester: a second answer to that request, kept apart from its own
+    reply (msg_ids are positive).  Without fault injection it is the
+    forward's ``reply_to``, so the requester's router hands it over like a
+    reply, with no handler process."""
+    return -request_id
+
+
 #: shared payloads for fixed single-field replies; receivers treat
 #: payloads as read-only (there is no payload mutation in the tree), so
 #: one dict per outcome saves an allocation on every retry/redirect/ack
 PAYLOAD_RETRY: Dict[str, Any] = {"outcome": "retry"}
 PAYLOAD_REDIRECT: Dict[str, Any] = {"outcome": "redirect"}
 PAYLOAD_ACK_OK: Dict[str, Any] = {"ok": True}
+#: an invalidation ack whose dirty page went to the requester, not the home
+PAYLOAD_FORWARDED: Dict[str, Any] = {"ok": True, "forwarded": True}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Generator, Optional
 
-from repro.net.messages import TIMEOUT_CLASSES, Message, MsgType
+from repro.net.messages import TIMEOUT_CLASSES, Message, MsgType, forward_key
 from repro.sim import Engine, Event
 
 Handler = Callable[[Message], Generator]
@@ -73,6 +73,24 @@ class Router:
 
     def cancel_reply(self, msg_id: int) -> None:
         self._pending.pop(msg_id, None)
+
+    # a page forwarded to this node for one of its requests, expected
+    # under messages.forward_key(request_id)
+
+    def expect_forward(self, request_id: int) -> Event:
+        """The event a page forwarded for request *request_id* completes."""
+        return self.expect_reply(forward_key(request_id))
+
+    def cancel_forward(self, request_id: int) -> None:
+        self._pending.pop(forward_key(request_id), None)
+
+    def deliver_forward(self, msg: Message) -> None:
+        """Hand a ``PAGE_FORWARD`` that came as a request (fault injection
+        on) to the request awaiting it; one whose requester gave up is
+        dropped."""
+        waiter = self._pending.pop(forward_key(msg.payload["request_id"]), None)
+        if waiter is not None:
+            waiter.succeed(msg)
 
     def dispatch(self, msg: Message) -> None:
         if msg.reply_to is not None:

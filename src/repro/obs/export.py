@@ -122,6 +122,7 @@ SPAN_PHASES: Tuple[Tuple[str, Optional[str], int, PathPhase], ...] = (
     ("rx.", None, 0, PathPhase.HANDLER),
     ("protocol.revoke", None, 0, PathPhase.BLOCKED),
     ("protocol.invalidate", None, 0, PathPhase.BLOCKED),
+    ("protocol.await_forward", None, 0, PathPhase.BLOCKED),
     ("chaos.", "chaos", 6, PathPhase.HANDLER),
     ("futex.", "futex", 5, PathPhase.BLOCKED),
     ("fault.follow", "fault_wait", 4, PathPhase.BLOCKED),

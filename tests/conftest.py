@@ -65,6 +65,9 @@ def open_clusters(monkeypatch):
     closed, or at teardown if it never was — but only when the cluster is
     quiescent (no pending events), since mid-operation state is
     legitimately inconsistent in tests that stop the engine early.  A
+    quiescent fabric without fault injection also awaits nothing: every
+    router's table of expected replies and forwarded pages must be empty
+    (a fail-stopped node may leave requests unanswered).  A
     closed cluster is checked and let go, so the list this yields holds
     the clusters still open (``tests/test_reclaim.py`` requires that a run
     leaves none behind)."""
@@ -77,6 +80,9 @@ def open_clusters(monkeypatch):
             return
         for process in cluster.processes.values():
             process.protocol.check_invariants()
+        for router in cluster.net.routers if cluster.chaos is None else ():
+            assert not router._pending, (
+                f"node {router.node_id} still expects {sorted(router._pending)}")
 
     @functools.wraps(original_init)  # keeps the signature inspectable
     def recording_init(self, *args, **kwargs):

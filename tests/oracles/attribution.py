@@ -30,6 +30,7 @@ _PATH_PHASES: Tuple[Tuple[str, PathPhase], ...] = (
     ("rx.", PathPhase.HANDLER),
     ("protocol.revoke", PathPhase.BLOCKED),
     ("protocol.invalidate", PathPhase.BLOCKED),
+    ("protocol.await_forward", PathPhase.BLOCKED),
     ("fault.follow", PathPhase.BLOCKED),
     ("futex.", PathPhase.BLOCKED),
     ("fault.acquire", PathPhase.QUEUE),

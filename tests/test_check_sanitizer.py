@@ -209,9 +209,10 @@ def test_reordered_grant_trips_race_detector(backend):
     vpn = pick_vpn(proc)
     addr = vpn * cluster.params.page_size
 
-    def buggy_grant_exclusive(entry, requester, known_version):
+    def buggy_grant_exclusive(entry, requester, known_version, request_id=0):
         # hand out exclusive ownership without revoking the previous
-        # owner — as if this grant overtook the invalidation round
+        # owner — as if this grant overtook the invalidation round (the
+        # request id a forwarded page would be keyed by goes unused)
         entry.owners = {requester}
         entry.writer = requester
         entry.data_version += 1

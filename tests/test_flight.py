@@ -45,6 +45,9 @@ FORMER_FIELDS = {
     "page_transfer_mode": {"dram_contention": None},
     "directory_shards": {"owner_hint_capacity": 1024},
 }
+#: counters (and their scope series) added since that commit, left out
+#: again when its file is rebuilt
+LATER_COUNTERS = ("pages_forwarded", "home_revocations")
 
 #: the twin comparisons' columns: the bare fabric, and the fabric with a
 #: tracer attached (every span either carrier opens is compared)
@@ -456,7 +459,7 @@ def test_every_knob_rides_the_flight(knobs, monkeypatch):
     ("origin",
      "dbd82414999a87bbd6e7ba27a858f21679671b58f5c03306cd1e92a911666bcc"),
     ("sharded",
-     "08879ea727140351630d1ccefd73d2dd5804a4ed7aaaf77bd3242e299e93f7db"),
+     "430c128b0aff95e4416b92b0f81d4d18d3c08b25f5e63e9197e33c8244bb37af"),
 ], ids=["origin", "sharded"])
 def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
         backend, parent_sha256, tmp_path, monkeypatch):
@@ -469,7 +472,11 @@ def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
     per-microsecond series derived from that count.  The sharded pin was
     re-taken when a remote node began to learn the whole shard map from
     its first home lookup: the run makes 3 lookups where the per-page hint
-    cache made 302, so its messages and timings changed."""
+    cache made 302, so its messages and timings changed.  It was re-taken
+    again when an exclusive handoff between two nodes other than the home
+    began to forward the page from the old writer to the new one: the
+    page no longer detours through the home, so the run moves fewer pages
+    and sends a data-less ack and grant in their place."""
     wire_oracle.install(monkeypatch)
     out = tmp_path / "dex-run.json"
     assert obs_cli.main(["manifest", "--app", "KMN", "--variant", "initial",
@@ -480,7 +487,12 @@ def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
     for key, value in old["params"].items():
         params[key] = value
         params.update(FORMER_FIELDS.get(key, {}))
-    old_text = json.dumps({**old, "params": params}, indent=1) + "\n"
+    counters = {key: value for key, value in old["counters"].items()
+                if key not in LATER_COUNTERS}
+    series = {key: value for key, value in old["series"].items()
+              if key.partition(".")[2] not in LATER_COUNTERS}
+    old_text = json.dumps({**old, "params": params, "counters": counters,
+                           "series": series}, indent=1) + "\n"
     assert hashlib.sha256(old_text.encode()).hexdigest() == parent_sha256
     if backend == "origin":
         new = json.loads(BASELINE.read_text())
