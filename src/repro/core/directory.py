@@ -75,6 +75,11 @@ class PageEntry:
     #: busy-collisions this page has caused (how often a requester was
     #: told to retry because an operation was already in flight here)
     busy_retries: int = 0
+    #: a write request was told to retry while the page's current
+    #: operation is in flight ...
+    write_refused: bool = False
+    #: ... or while its last one was: another writer is queued for it
+    contended: bool = False
 
 
 class DirectoryShard:
@@ -104,6 +109,11 @@ class CoherenceDirectory:
 
     #: backend name, as selected by ``SimParams.directory``
     backend: str = "abstract"
+    #: where the dirty page goes when a write request from a node other
+    #: than the home revokes a remote exclusive writer: to the home, which
+    #: grants from its frame (False), or straight to the requester, with
+    #: the home granting without data (True)
+    forwards_handoffs: bool = False
 
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
@@ -130,13 +140,6 @@ class CoherenceDirectory:
         """The whole placement as a shard map — shard index -> hosting
         node, so ``home(vpn) == home_map()[vpn % len(home_map())]`` — as
         the origin ships it in a home lookup's reply."""
-        raise NotImplementedError
-
-    def handoff_target(self, home: int, requester: int) -> int:
-        """Where the dirty page goes when a write request from *requester*
-        revokes a remote exclusive writer of a page homed at *home*: to the
-        home, which then grants from its frame, or straight to the
-        requester, with the home granting without data."""
         raise NotImplementedError
 
     # -- a node's copy of the shard map -------------------------------------
@@ -284,10 +287,6 @@ class OriginDirectory(CoherenceDirectory):
     def home_map(self) -> Tuple[int, ...]:
         return (self.origin,)
 
-    def handoff_target(self, home: int, requester: int) -> int:
-        # §III-B: the origin is the flush target and the grant source
-        return home
-
 
 def _next_prime(n: int) -> int:
     """The smallest prime strictly greater than *n*."""
@@ -308,10 +307,11 @@ class ShardedDirectory(CoherenceDirectory):
     traffic, and the home carries only the pages that need it: a
     downgrade flushes the writer's page to the home, which serves reads
     from its frame, but an exclusive handoff between two other nodes is
-    forwarded by the old writer straight to the new one, so the page
-    crosses the wire once, as on the origin backend, where the origin is
-    usually the writer.  The home therefore holds current data whenever
-    the page has no writer (``check_page`` asserts it).
+    forwarded by the old writer straight to the new one (unless the page
+    is contended, or faults are injected), so the page crosses the wire
+    once, as on the origin backend, where the origin is usually the
+    writer.  The home therefore holds current data whenever the page has
+    no writer (``check_page`` asserts it).
 
     The default shard count is the smallest prime greater than the node
     count: segment base addresses are power-of-two aligned, so a
@@ -321,6 +321,7 @@ class ShardedDirectory(CoherenceDirectory):
     """
 
     backend = "sharded"
+    forwards_handoffs = True
 
     def __init__(self, proc: "DexProcess"):
         super().__init__(proc)
@@ -340,9 +341,6 @@ class ShardedDirectory(CoherenceDirectory):
     def home_map(self) -> Tuple[int, ...]:
         # a snapshot: a node's copy must not follow a remap it never saw
         return tuple(self.shard_map)
-
-    def handoff_target(self, home: int, requester: int) -> int:
-        return requester
 
 
 def make_directory(proc: "DexProcess") -> CoherenceDirectory:

@@ -11,10 +11,12 @@ protocol providing sequential consistency:
 * A **write** fault gets exclusive ownership: the home revokes ownership
   from every other owner (including itself) and collects acknowledgements;
   a revoked exclusive owner flushes its dirty page back with the ack —
-  or, where the directory's :meth:`~repro.core.directory.
-  CoherenceDirectory.handoff_target` says so (the sharded backend), sends
-  it straight to the requester in a ``PAGE_FORWARD`` and acks without
-  data, and the home grants without data (a 3-hop grant).
+  or, where the directory's :attr:`~repro.core.directory.
+  CoherenceDirectory.forwards_handoffs` says so (the sharded backend),
+  the requester is not the home and no write request was turned away
+  while the page's last operation was in flight, sends it straight to the
+  requester in a ``PAGE_FORWARD`` and acks without data, and the home
+  grants without data (a 3-hop grant).
 * Page data accompanies a grant only when the requester's cached copy is
   stale ("the origin simply grants ownership without transferring the page
   data when the remote already has the up-to-date one").
@@ -62,7 +64,6 @@ from repro.net.messages import (
     PAYLOAD_RETRY,
     Message,
     MsgType,
-    forward_key,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,6 +88,13 @@ class ConsistencyProtocol:
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
         self.directory = make_directory(proc)
+        #: whether an exclusive handoff between two nodes other than the
+        #: home goes writer-to-writer.  Never under fault injection:
+        #: fail-stop recovery restores a dead writer's page from the
+        #: home's last flush, so there every handoff leaves one there
+        self.forwards = (
+            self.directory.forwards_handoffs and proc.cluster.chaos is None
+        )
 
     # ------------------------------------------------------------------
     # requester side (runs at the faulting node, called by the leader)
@@ -130,7 +138,7 @@ class ConsistencyProtocol:
                         "known_version": pte.data_version,
                     },
                 )
-                if write and self.directory.handoff_target(target, node) == node:
+                if write and self.forwards:
                     # the old writer may send the page here, even ahead of
                     # the grant: expect it before asking
                     forward = net.routers[node].expect_forward(net.stamp(request))
@@ -335,6 +343,8 @@ class ConsistencyProtocol:
             # early-out: trylock on the per-page protocol state failed —
             # the requester lost the race and must back off and retry
             entry.busy_retries += 1
+            if write:
+                entry.write_refused = True
             result = (_RETRY, None, 0, None)
             for refused in proc.hooks["retry"]:
                 refused(vpn, requester)
@@ -395,6 +405,7 @@ class ConsistencyProtocol:
                     )
         finally:
             entry.busy = False
+            entry.contended, entry.write_refused = entry.write_refused, False
         return result
 
     def _grant_exclusive(
@@ -411,12 +422,14 @@ class ConsistencyProtocol:
             # the only current copy, so there is nothing to move or bump
             return (_GRANT, PageState.EXCLUSIVE.value, entry.data_version, None)
         losers = sorted(entry.owners - {requester})
+        # a remote writer forwards its page to a remote requester unless
+        # the page is contended: another writer is queued already, so a
+        # faster handoff only cuts each owner's run of writes short and
+        # the page changes hands more often (GRP-initial@8 sharded: 2.3x
+        # the handoffs and +11 % sim time when every handoff forwarded)
         forward = (
-            request_id
-            and writer is not None
-            and writer != home
-            and self.directory.handoff_target(home, requester) == requester
-            and not self._up_to_date(known_version, entry.data_version)
+            request_id and self.forwards and writer is not None
+            and writer != home and not entry.contended
         )
         forwarded = yield from self._revoke(
             entry, losers, downgrade=False, requester=requester,
@@ -471,7 +484,7 @@ class ConsistencyProtocol:
             # requester is up to date; even with the skip optimization
             # disabled, a transfer is only possible if the home copy is
             # current (it may not be when the requester is the sole holder)
-            if self._up_to_date(known_version, current) or not self._home_current(
+            if proc.cluster.params.enable_transfer_skip or not self._home_current(
                 home, entry.vpn, current
             ):
                 proc.stats.transfers_skipped += 1
@@ -479,11 +492,6 @@ class ConsistencyProtocol:
         data = self._home_page_bytes(home, entry.vpn, current)
         proc.stats.pages_transferred += 1
         return data
-
-    def _up_to_date(self, known_version: int, current: int) -> bool:
-        """Whether a requester holding *known_version* needs no page."""
-        return known_version == current and \
-            self.proc.cluster.params.enable_transfer_skip
 
     def _home_current(self, home: int, vpn: int, version: int) -> bool:
         pte = self.proc.node_state(home).page_table.lookup(vpn)
@@ -723,61 +731,28 @@ class ConsistencyProtocol:
         ack = PAYLOAD_ACK_OK
         request_id = msg.payload.get("request_id")
         if dirty is not None and request_id is not None:
-            if (yield from self._forward_page(
-                node, msg.payload["requester"], vpn, dirty, request_id
-            )):
-                dirty, ack = None, PAYLOAD_FORWARDED
+            # the requester, not the home, gets the page (sent ahead of
+            # the ack, so the requester may hold it before its grant)
+            proc.stats.pages_transferred += 1
+            proc.stats.pages_forwarded += 1
+            yield from proc.cluster.net.send(Message(
+                MsgType.PAGE_FORWARD,
+                src=node,
+                dst=msg.payload["requester"],
+                payload={"pid": proc.pid, "vpn": vpn, "request_id": request_id},
+                page_data=dirty,
+            ))
+            dirty, ack = None, PAYLOAD_FORWARDED
         yield from proc.cluster.net.send(
             msg.make_reply(MsgType.PAGE_INVALIDATE_ACK, ack, page_data=dirty)
         )
 
-    def _forward_page(
-        self, node: int, requester: int, vpn: int, page, request_id: int
-    ) -> Generator:
-        """Send a revoked writer's dirty *page* from *node* straight to
-        *requester*, keyed by its request *request_id*.  Returns whether
-        it went: a fenced requester gets nothing, and the page is flushed
-        to the home with the ack as before.  Under fault injection the
-        forward is a reliable request the requester answers, so the ack
-        that follows it proves the page arrived; otherwise it is one-way."""
-        proc = self.proc
-        net = proc.cluster.net
-        chaos = proc.cluster.chaos
-        if chaos is not None and chaos.is_fenced(requester):
-            return False
-        proc.stats.pages_transferred += 1
-        proc.stats.pages_forwarded += 1
-        forward = Message(
-            MsgType.PAGE_FORWARD,
-            src=node,
-            dst=requester,
-            payload={"pid": proc.pid, "vpn": vpn, "request_id": request_id},
-            page_data=page,
-        )
-        if chaos is None:
-            forward.reply_to = forward_key(request_id)
-            yield from net.send(forward)
-            return True
-        try:
-            yield from net.request(forward)
-        except NodeFailedError:
-            if not chaos.is_fenced(requester):
-                raise
-            return False
-        return True
-
     def handle_forward_msg(self, msg: Message) -> Generator:
-        """Handler for :data:`MsgType.PAGE_FORWARD` at the requester, when
-        it came as a request (fault injection on; otherwise the router
-        matches it to the waiting fault like a reply): hand the page to
-        the fault whose grant it belongs to (which may not have arrived
-        yet), and answer the old writer."""
-        proc = self.proc
-        proc.cluster.net.routers[msg.dst].deliver_forward(msg)
-        if proc.cluster.chaos is not None:
-            yield from proc.cluster.net.send(
-                msg.make_reply(MsgType.PAGE_INVALIDATE_ACK, PAYLOAD_ACK_OK)
-            )
+        """Handler for :data:`MsgType.PAGE_FORWARD` at the requester: hand
+        the page to the fault whose grant it belongs to (which may not
+        have arrived yet)."""
+        self.proc.cluster.net.routers[msg.dst].deliver_forward(msg)
+        yield from ()
 
     # ------------------------------------------------------------------
     # invariant checking (used by tests)

@@ -116,8 +116,6 @@ TIMEOUT_CLASSES: Dict[MsgType, str] = {
     MsgType.DELEGATE: "heavy",
     MsgType.PAGE_REQUEST: "data",
     MsgType.PAGE_INVALIDATE: "data",
-    # a request only under fault injection, where the requester answers it
-    MsgType.PAGE_FORWARD: "data",
     MsgType.PAGE_HOME_LOOKUP: "ctl",
     MsgType.VMA_QUERY: "ctl",
     MsgType.VMA_SHRINK: "ctl",
@@ -185,9 +183,7 @@ class Message:
 def forward_key(request_id: int) -> int:
     """Where a page forwarded for request *request_id* is expected at the
     requester: a second answer to that request, kept apart from its own
-    reply (msg_ids are positive).  Without fault injection it is the
-    forward's ``reply_to``, so the requester's router hands it over like a
-    reply, with no handler process."""
+    reply (msg_ids are positive)."""
     return -request_id
 
 

@@ -85,9 +85,7 @@ class Router:
         self._pending.pop(forward_key(request_id), None)
 
     def deliver_forward(self, msg: Message) -> None:
-        """Hand a ``PAGE_FORWARD`` that came as a request (fault injection
-        on) to the request awaiting it; one whose requester gave up is
-        dropped."""
+        """Hand a ``PAGE_FORWARD`` to the request awaiting it."""
         waiter = self._pending.pop(forward_key(msg.payload["request_id"]), None)
         if waiter is not None:
             waiter.succeed(msg)

@@ -11,15 +11,10 @@ from repro.chaos.scenario import ChaosRule, ChaosScenario
 from repro.core.directory import DIRECTORY_BACKENDS
 from repro.net.messages import TIMEOUT_CLASSES
 
-#: request-class messages the two-node micro never sends: PING is
-#: benchmark-only traffic, and a PAGE_FORWARD needs a home apart from both
-#: the old and the new writer (tests/test_forward.py drops, duplicates and
-#: reorders it on four nodes)
-NOT_IN_MICRO = {"ping", "page_forward"}
-
-#: every request-class message the micro can put on the wire
+#: every request-class message the micro can put on the wire (PING is
+#: benchmark-only traffic and never sent here)
 SWEEP_TYPES = sorted(
-    m.value for m in TIMEOUT_CLASSES if m.value not in NOT_IN_MICRO
+    m.value for m in TIMEOUT_CLASSES if m.value != "ping"
 )
 
 #: types that only exist on the sharded backend's wire

@@ -459,7 +459,7 @@ def test_every_knob_rides_the_flight(knobs, monkeypatch):
     ("origin",
      "dbd82414999a87bbd6e7ba27a858f21679671b58f5c03306cd1e92a911666bcc"),
     ("sharded",
-     "430c128b0aff95e4416b92b0f81d4d18d3c08b25f5e63e9197e33c8244bb37af"),
+     "8e8e36e547e00a01a9bf1af671bbf72f157583c6d0c4352c1082f75b1d6c9faa"),
 ], ids=["origin", "sharded"])
 def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
         backend, parent_sha256, tmp_path, monkeypatch):
@@ -473,10 +473,11 @@ def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
     re-taken when a remote node began to learn the whole shard map from
     its first home lookup: the run makes 3 lookups where the per-page hint
     cache made 302, so its messages and timings changed.  It was re-taken
-    again when an exclusive handoff between two nodes other than the home
-    began to forward the page from the old writer to the new one: the
-    page no longer detours through the home, so the run moves fewer pages
-    and sends a data-less ack and grant in their place."""
+    again when an uncontended exclusive handoff between two nodes other
+    than the home began to forward the page from the old writer to the
+    new one: the page no longer detours through the home, so the run
+    moves fewer pages and sends a data-less ack and grant in their
+    place."""
     wire_oracle.install(monkeypatch)
     out = tmp_path / "dex-run.json"
     assert obs_cli.main(["manifest", "--app", "KMN", "--variant", "initial",

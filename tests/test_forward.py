@@ -7,10 +7,14 @@ without data, and R installs the page once both have arrived.  These
 tests drive each order of that rendezvous deterministically (by holding
 a message back at R's router), the outcomes that must leave no
 expectation behind, and a hypothesis sweep of extra delays on every
-message of the handshake.
+message of the handshake.  A page a write request was turned away from
+while its last operation was in flight is handed off through the home
+instead, and so is every page under fault injection, where fail-stop
+recovery restores a dead writer's page from the home's last flush.
 
 Every scenario runs 4 nodes on the sharded backend with the page homed
-on node 3 and its accessors on nodes 0-2, so every handoff is a forward.
+on node 3 and its accessors on nodes 0-2, so every uncontended handoff
+is a forward.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.scenario import ChaosRule, ChaosScenario
+from repro.chaos.scenario import ChaosScenario
 from repro.core.errors import NodeFailedError
 from repro.core.process import GLOBALS_BASE
 from repro.net.messages import MsgType
@@ -320,48 +324,86 @@ def test_delayed_handshake_loses_no_update(delays):
     cluster.close()
 
 
-# ----------------------------------------------------------------------
-# fault injection: the forward is a reliable request the requester answers
-# ----------------------------------------------------------------------
+@pytest.mark.parametrize("write", [True, False], ids=["write", "read"])
+def test_refused_write_marks_page_contended(write):
+    """A request that finds node 1 -> node 2's handoff in flight is told
+    to retry; once the handoff is done the page counts as contended if
+    that request was a write."""
+    cluster, proc, addr = _cluster()
+    vpn = addr // cluster.params.page_size
+    engine = cluster.engine
+
+    def hold(msg, deliver):
+        if msg.msg_type is MsgType.PAGE_INVALIDATE:
+            engine.process(proc.protocol.handle_request(0, vpn, write, 0))
+        return False
+
+    _intercept(cluster, 1, hold)
+    directory = proc.protocol.directory
+
+    def writer(ctx, node):
+        yield from ctx.migrate(node)
+        yield from ctx.write_i64(addr, node)
+
+    def main(ctx):
+        for node in (1, 2):
+            yield from ctx.join(ctx.spawn(writer, node, name=f"w{node}"))
+        entry = directory.lookup(vpn)
+        return entry.contended, entry.write_refused, entry.busy_retries
+
+    assert cluster.simulate(main, proc) == (write, False, 1)
 
 
-@pytest.mark.parametrize("kind", ["drop", "duplicate", "reorder"])
-def test_forward_survives_chaos(kind):
-    rule = ChaosRule(kind=kind, msg_type="page_forward", nth=1)
-    scenario = ChaosScenario(rules=[rule], seed=3).validate()
-    cluster, proc, addr = _cluster(chaos_scenario=scenario, sanitize="1")
-    values = cluster.simulate(_handoff_main(addr), proc)
-    assert values == [101, 102]
-    assert rule.fired == 1
-    report = cluster.chaos.report()
-    assert report["injections"] == {kind: 1}
-    if kind == "drop":
-        assert report["retransmissions"] >= 1
+def test_contended_page_is_handed_off_through_the_home():
+    """A write request turned away while the page's last operation was
+    in flight marks the page contended: its next handoff goes through
+    the home (the writer flushes, the home grants with data), so the
+    writers queued for the page do not take it from each owner sooner."""
+    cluster, proc, addr = _cluster()
+    directory = proc.protocol.directory
+    vpn = addr // cluster.params.page_size
+
+    def writer(ctx, node, value):
+        yield from ctx.migrate(node)
+        yield from ctx.write_i64(addr + 8 * node, value)
+
+    def main(ctx):
+        t = ctx.spawn(writer, 1, 101, name="w1")
+        yield from ctx.join(t)
+        directory.lookup(vpn).contended = True
+        t = ctx.spawn(writer, 2, 102, name="w2")
+        yield from ctx.join(t)
+        return directory.lookup(vpn).contended
+
+    assert cluster.simulate(main, proc) is False
+    # origin -> node 1 forwarded; node 1 -> node 2 through the home
+    assert proc.stats.pages_forwarded == 1
     _assert_no_expectations(cluster)
     proc.protocol.check_invariants()
 
 
-def test_forward_to_fenced_requester_is_dropped_and_writer_still_acks():
-    """Node 2 dies as node 1 is told to forward it the page: node 1 sends
-    nothing to it and acks the home with the page instead, so when
-    recovery rolls the dead writer back, node 1's write survives."""
+# ----------------------------------------------------------------------
+# fault injection: every handoff leaves the page at the home
+# ----------------------------------------------------------------------
+
+
+def test_no_forward_under_fault_injection():
+    scenario = ChaosScenario(rules=[], seed=3).validate()
+    cluster, proc, addr = _cluster(chaos_scenario=scenario)
+    assert cluster.simulate(_handoff_main(addr), proc) == [101, 102]
+    assert proc.stats.pages_forwarded == 0
+    proc.protocol.check_invariants()
+
+
+def test_rollback_after_new_writer_dies_keeps_old_writers_write():
+    """Node 1 writes, then node 2 takes the page for writing and dies.
+    Fail-stop recovery rolls node 2's page back to the home's last flush,
+    which holds node 1's write: the handoff from node 1 went through the
+    home, as every handoff does under fault injection."""
     scenario = ChaosScenario(rules=[], seed=5,
                              on_exclusive_loss="rollback").validate()
     cluster, proc, addr = _cluster(chaos_scenario=scenario)
-    acks = []
-
-    def crash_requester(msg, deliver):
-        if msg.msg_type is MsgType.PAGE_INVALIDATE and "request_id" in msg.payload:
-            cluster.chaos.crash(2, "dies mid-handoff")
-        return False
-
-    def note_ack(msg, deliver):
-        if msg.msg_type is MsgType.PAGE_INVALIDATE_ACK and msg.src == 1:
-            acks.append(msg)
-        return False
-
-    _intercept(cluster, 1, crash_requester)
-    _intercept(cluster, HOME, note_ack)
+    wrote = cluster.engine.event(name="wrote")
 
     def writer(ctx, node, value):
         yield from ctx.migrate(node)
@@ -371,20 +413,21 @@ def test_forward_to_fenced_requester_is_dropped_and_writer_still_acks():
     def doomed(ctx):
         yield from ctx.migrate(2)
         yield from ctx.write_i64(addr + 8, 999)
+        wrote.succeed()
+        yield from ctx.compute(cpu_us=50_000)
 
     def main(ctx):
         t = ctx.spawn(writer, 1, 101, name="w1")
         yield from ctx.join(t)
         ctx.spawn(doomed, name="w2")
-        yield from ctx.compute(cpu_us=5000)  # crash + detection land here
+        yield wrote
+        cluster.chaos.crash(2, "dies holding the page")
+        yield from ctx.compute(cpu_us=5000)  # detection and recovery
         return (yield from ctx.read_i64(addr + 8))
 
     assert cluster.simulate(main, proc) == 101
     assert cluster.chaos.report()["failed"] == [2]
-    # the origin's page went to node 1; node 1's went home, not to node 2
-    assert proc.stats.pages_forwarded == 1
-    assert len(acks) == 1 and acks[0].page_data is not None
-    assert not acks[0].payload.get("forwarded")
+    assert proc.stats.pages_forwarded == 0
 
 
 def test_sharded_kmn8_moves_no_more_pages_than_origin():

@@ -43,11 +43,10 @@ EXPECTED_WIRING = {
                       ".handle_migrate_back_msg"],
                      ["MIGRATE_DONE"]),
     "MIGRATE_DONE": ("reply", [], []),
-    # one-way, or under fault injection a request the requester answers
-    "PAGE_FORWARD": ("request",
+    "PAGE_FORWARD": ("one-way",
                      ["core/protocol.py::ConsistencyProtocol"
                       ".handle_forward_msg"],
-                     ["PAGE_INVALIDATE_ACK"]),
+                     []),
     "PAGE_GRANT": ("reply", [], []),
     "PAGE_HOME_INFO": ("reply", [], []),
     "PAGE_HOME_LOOKUP": ("request",
@@ -144,18 +143,6 @@ def test_snapshot_is_line_number_free(graph):
 
     text = json.dumps(graph.to_dict())
     assert ":1" not in text.replace("py::", "py@@")  # no :<line> artifacts
-
-
-def test_page_forward_is_sent_both_ways(graph):
-    # one-way without fault injection, a reliable request with it: the
-    # graph keeps both sites, so handler-totality and retry-discipline
-    # each see the one they check
-    sites = graph.to_dict()["PAGE_FORWARD"]["send_sites"]
-    assert sites == [
-        "request core/protocol.py::ConsistencyProtocol._forward_page",
-        "send core/protocol.py::ConsistencyProtocol._forward_page",
-    ]
-    assert len(graph.nodes) == 22
 
 
 def test_send_sites_deduplicated(graph):

@@ -155,13 +155,6 @@ CORPUS = {
     "vet/fixture_missing_handler.py": [
         (13, "handler-totality", "MsgType.EVICT_NOTICE is sent"),
     ],
-    # one type, one-way on one branch and a request on the other: each
-    # send site answers to its own rule
-    "vet/fixture_forward_both_ways.py": [
-        (20, "handler-totality", "MsgType.PAGE_PUSH is sent via .send()"),
-        (22, "reply-pairing", "MsgType.PAGE_PUSH is awaited via .request()"),
-        (22, "retry-discipline", "MsgType.PAGE_PUSH is awaited via .request()"),
-    ],
     "vet/fixture_orphan_msgtype.py": [
         (11, "orphan-message-type", "MsgType.GHOST_SYNC is never sent"),
     ],
