@@ -5,7 +5,7 @@ rules live in :mod:`repro.vet`):
 
 * :mod:`repro.check.sanitizer` — a dynamic happens-before **coherence
   sanitizer** built on vector clocks.  Protocol messages (grants,
-  invalidations, home lookups/redirects) establish ordering edges; every
+  invalidations, home lookups) establish ordering edges; every
   shared-page access is checked against the last conflicting access, and
   the directory/PTE invariants are re-validated on every ownership
   transition instead of only at test teardown.

@@ -224,9 +224,6 @@ class CoherenceSanitizer:
     def on_home_lookup(self, vpn: int, node: int, home: int) -> None:
         self._chain(vpn, f"home lookup by node {node} -> home {home}")
 
-    def on_redirect(self, vpn: int, node: int, stale_home: int) -> None:
-        self._chain(vpn, f"redirect: node {node} bounced off node {stale_home}")
-
     # -- synchronization edges ----------------------------------------------
 
     def on_futex_wake(self, waker_tid: int, woken_tid: int) -> None:

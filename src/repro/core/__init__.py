@@ -17,9 +17,7 @@ from repro.core.directory import (
     DIRECTORY_BACKENDS,
     CoherenceDirectory,
     DirectoryShard,
-    OriginDirectory,
     PageEntry,
-    ShardedDirectory,
 )
 from repro.core.errors import DexError, MigrationError, ProtocolError, SegmentationFault
 from repro.core.fault import FaultHandler, InFlightFault
@@ -66,9 +64,7 @@ __all__ = [
     "MigrationRecord",
     "MigrationService",
     "NodeProcessState",
-    "OriginDirectory",
     "PageEntry",
-    "ShardedDirectory",
     "ProtocolError",
     "STACK_BASE",
     "STACK_SIZE",

@@ -1,27 +1,23 @@
-"""The pluggable coherence-directory layer.
+"""The coherence directory: where page-ownership metadata lives.
 
 DeX (§III-B) tracks page ownership "at the origin": every ownership
 request, grant, and revocation serializes at the process's origin node,
 which makes the origin a hotspot exactly when fault traffic grows with the
-node count.  This module turns that hard-wired choice into a policy:
+node count.  :class:`CoherenceDirectory` makes the placement a shard map,
+built once when the process is created from ``SimParams.directory``:
 
-* :class:`CoherenceDirectory` — the abstract interface the consistency
-  protocol programs against.  It answers two questions: *where* does page
-  metadata live (``home(vpn)``), and *what* is the metadata
-  (:class:`PageEntry` lookup / creation / teardown).
-* :class:`OriginDirectory` — the paper's design: one shard, resident at
-  the origin; ``home(vpn) == origin`` for every page.
-* :class:`ShardedDirectory` — a home-node directory in the spirit of
-  Mitosis' replicated page tables and the decentralized coherence
-  metadata argued for by "Elasticizing Linux via Joint Disaggregation":
-  each VPN hashes to a *home node* (``home(vpn) = shard_map[vpn %
-  nshards]``) and ownership requests resolve at the page's home instead
-  of always at the origin.
+* ``origin`` — the paper's design: one shard, resident at the origin;
+  ``home(vpn) == origin`` for every page.
+* ``sharded`` — a home-node directory in the spirit of Mitosis' replicated
+  page tables and the decentralized coherence metadata argued for by
+  "Elasticizing Linux via Joint Disaggregation": each VPN hashes to a
+  *home node* (``home(vpn) = shard_map[vpn % nshards]``) and ownership
+  requests resolve at the page's home instead of always at the origin.
 
 Storage is uniform across backends: every node hosts a
 :class:`DirectoryShard` inside its :class:`~repro.core.process.
-NodeProcessState`; the backends differ only in the home-assignment policy
-and therefore in which shards ever hold entries.
+NodeProcessState`; the backends differ only in the shard map and
+therefore in which shards ever hold entries.
 
 Pages with no directory entry anywhere are implicitly owned exclusively
 by the origin ("initially, the origin exclusively owns all pages of the
@@ -29,18 +25,16 @@ process"), so a process that never migrates pays nothing under either
 backend: entries materialize only when a page first participates in the
 protocol.
 
-Shard-map visibility model (sharded backend): the home-assignment map is
-*owned by the origin* (it is part of the per-process metadata the origin
-creates, and a future rebalancer may remap shards).  A node always knows
-which shards it hosts itself, and the origin knows the whole map; any
-other node learns the map from the origin with its first home lookup —
-the ``PAGE_HOME_INFO`` reply carries all ``nshards`` entries — and keeps
-a copy in its :class:`~repro.core.process.NodeProcessState`.  Every later
-remote fault of that node resolves its home from the copy, so a node
-pays one lookup per process, not one per page.  The copy is validated on
-use: a request sent to a node that does not host the page is answered
-with a redirect, the requester drops its whole copy, and its next fault
-learns the map again.  The bench harness reports the copy's hit rate.
+Shard-map visibility model (sharded backend): the map is *owned by the
+origin* (it is part of the per-process metadata the origin creates).  A
+node always knows which shards it hosts itself, and the origin knows the
+whole map; any other node learns the map from the origin with its first
+home lookup — the ``PAGE_HOME_INFO`` reply carries all ``nshards``
+entries — and keeps a copy in its :class:`~repro.core.process.
+NodeProcessState`.  Every later remote fault of that node resolves its
+home from the copy, so a node pays one lookup per process, not one per
+page.  The map never changes after the process is created, so a copy is
+never stale.  The bench harness reports the copy's hit rate.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.memory.radix_tree import RadixTree
-from repro.params import DIRECTORY_BACKENDS
+from repro.params import DIRECTORY_BACKENDS  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.process import DexProcess
@@ -97,33 +91,59 @@ class DirectoryShard:
 
 
 class CoherenceDirectory:
-    """Abstract interface between the consistency protocol and the
-    placement/storage of page-ownership metadata.
+    """Where page-ownership metadata lives, and the metadata itself.
 
     The protocol only ever asks: where is *vpn*'s metadata
     (:meth:`home`), is it here (:meth:`hosts`), and give me / drop the
     entries (:meth:`lookup`, :meth:`get_or_create`, :meth:`drop_range`).
     Whole-directory iteration (:meth:`entries`) is a control-plane and
     test convenience — the data plane never iterates globally.
-    """
 
-    #: backend name, as selected by ``SimParams.directory``
-    backend: str = "abstract"
-    #: where the dirty page goes when a write request from a node other
-    #: than the home revokes a remote exclusive writer: to the home, which
-    #: grants from its frame (False), or straight to the requester, with
-    #: the home granting without data (True)
-    forwards_handoffs: bool = False
+    The placement is a shard map fixed when the process is created:
+    ``home(vpn) == shard_map[vpn % nshards]``.  The ``origin`` backend
+    (the paper's §III-B design) has one shard, at the origin, so every
+    ownership request funnels into the origin's NIC and handler.  The
+    ``sharded`` backend hashes VPNs across per-node shards — the DeX
+    kernel extension is loaded on every node of the rack (§II), so any
+    node can host directory shards for any process, whether or not the
+    process ever runs threads there.  Its default shard count is the
+    smallest prime greater than the node count: segment base addresses
+    are power-of-two aligned, so a power-of-two shard count resonates with
+    them and pins every segment's first (usually hottest) page to the
+    origin — the one node sharding is supposed to relieve.
+    """
 
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
         self.origin = proc.origin
+        params = proc.cluster.params
+        #: ``SimParams.directory``, which validates it
+        self.backend = params.directory
+        if self.backend == "sharded":
+            num_nodes = proc.cluster.num_nodes
+            nshards = params.directory_shards or _next_prime(num_nodes)
+            #: shard index -> hosting node; owned by the origin, copied
+            #: whole by a remote node's first home lookup
+            self.shard_map: List[int] = [i % num_nodes for i in range(nshards)]
+        else:
+            self.shard_map = [proc.origin]
+        self.nshards = len(self.shard_map)
+        #: where the dirty page goes when a write request from a node other
+        #: than the home revokes a remote exclusive writer: to the home,
+        #: which grants from its frame (False), or straight to the
+        #: requester, with the home granting without data (True: the
+        #: sharded backend).  Never under fault injection: fail-stop
+        #: recovery restores a dead writer's page from the home's last
+        #: flush, so there every handoff leaves one there
+        self.forwards_handoffs = (
+            self.backend == "sharded" and proc.cluster.chaos is None
+        )
 
-    # -- placement policy ---------------------------------------------------
+    # -- placement ----------------------------------------------------------
 
     def home(self, vpn: int) -> int:
         """The node hosting *vpn*'s directory entry."""
-        raise NotImplementedError
+        return self.shard_map[vpn % self.nshards]
 
     def hosts(self, node: int, vpn: int) -> bool:
         """Whether *node* hosts *vpn*'s entry — this is *local* knowledge
@@ -133,14 +153,13 @@ class CoherenceDirectory:
         return self.home(vpn) == node
 
     def shard_nodes(self) -> List[int]:
-        """Nodes that may host directory entries under this policy."""
-        raise NotImplementedError
+        """Nodes that may host directory entries."""
+        return sorted(set(self.shard_map))
 
     def home_map(self) -> Tuple[int, ...]:
         """The whole placement as a shard map — shard index -> hosting
-        node, so ``home(vpn) == home_map()[vpn % len(home_map())]`` — as
-        the origin ships it in a home lookup's reply."""
-        raise NotImplementedError
+        node — as the origin ships it in a home lookup's reply."""
+        return tuple(self.shard_map)
 
     # -- a node's copy of the shard map -------------------------------------
 
@@ -153,10 +172,6 @@ class CoherenceDirectory:
     def learn_map(self, node: int, shard_map: Tuple[int, ...]) -> None:
         """Keep *shard_map*, a home lookup's answer, as *node*'s copy."""
         self.proc.node_state(node).shard_map_copy = shard_map
-
-    def forget_map(self, node: int) -> None:
-        """Drop *node*'s copy after a redirect proved it stale."""
-        self.proc.node_state(node).shard_map_copy = None
 
     # -- storage ------------------------------------------------------------
 
@@ -268,26 +283,6 @@ class CoherenceDirectory:
                 self.check_entry(vpn, entry, hosted_at=node)
 
 
-class OriginDirectory(CoherenceDirectory):
-    """The paper's §III-B design: one shard, resident at the origin.
-
-    Every page's home is the origin, so ownership requests from any node
-    funnel into the origin's NIC and handler — the serialization point the
-    sharded backend exists to relieve.
-    """
-
-    backend = "origin"
-
-    def home(self, vpn: int) -> int:
-        return self.origin
-
-    def shard_nodes(self) -> List[int]:
-        return [self.origin]
-
-    def home_map(self) -> Tuple[int, ...]:
-        return (self.origin,)
-
-
 def _next_prime(n: int) -> int:
     """The smallest prime strictly greater than *n*."""
     candidate = max(n + 1, 2)
@@ -295,62 +290,3 @@ def _next_prime(n: int) -> int:
         if all(candidate % p for p in range(2, int(candidate**0.5) + 1)):
             return candidate
         candidate += 1
-
-
-class ShardedDirectory(CoherenceDirectory):
-    """Home-node directory: VPNs hash across per-node shards.
-
-    ``home(vpn) = shard_map[vpn % nshards]`` — the DeX kernel extension is
-    loaded on every node of the rack (§II), so any node can host directory
-    shards for any process, whether or not the process ever runs threads
-    there.  The origin's NIC no longer carries every page of protocol
-    traffic, and the home carries only the pages that need it: a
-    downgrade flushes the writer's page to the home, which serves reads
-    from its frame, but an exclusive handoff between two other nodes is
-    forwarded by the old writer straight to the new one (unless the page
-    is contended, or faults are injected), so the page crosses the wire
-    once, as on the origin backend, where the origin is usually the
-    writer.  The home therefore holds current data whenever the page has
-    no writer (``check_page`` asserts it).
-
-    The default shard count is the smallest prime greater than the node
-    count: segment base addresses are power-of-two aligned, so a
-    power-of-two shard count resonates with them and pins every segment's
-    first (usually hottest) page to the origin — the one node sharding is
-    supposed to relieve.
-    """
-
-    backend = "sharded"
-    forwards_handoffs = True
-
-    def __init__(self, proc: "DexProcess"):
-        super().__init__(proc)
-        params = proc.cluster.params
-        num_nodes = proc.cluster.num_nodes
-        self.nshards = nshards = params.directory_shards or _next_prime(num_nodes)
-        #: shard index -> hosting node; owned by the origin (a rebalancer
-        #: may remap it), copied whole by a remote node's first home lookup
-        self.shard_map: List[int] = [i % num_nodes for i in range(nshards)]
-
-    def home(self, vpn: int) -> int:
-        return self.shard_map[vpn % self.nshards]
-
-    def shard_nodes(self) -> List[int]:
-        return sorted(set(self.shard_map))
-
-    def home_map(self) -> Tuple[int, ...]:
-        # a snapshot: a node's copy must not follow a remap it never saw
-        return tuple(self.shard_map)
-
-
-def make_directory(proc: "DexProcess") -> CoherenceDirectory:
-    """Instantiate the backend selected by ``SimParams.directory``."""
-    backend = proc.cluster.params.directory
-    if backend == "origin":
-        return OriginDirectory(proc)
-    if backend == "sharded":
-        return ShardedDirectory(proc)
-    raise ValueError(
-        f"unknown directory backend {backend!r}; expected one of "
-        f"{DIRECTORY_BACKENDS}"
-    )

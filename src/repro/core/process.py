@@ -72,8 +72,7 @@ class NodeProcessState:
     #: selected by the configured backend ever hold entries here)
     directory_shard: DirectoryShard = field(default_factory=DirectoryShard)
     #: this node's copy of the sharded directory's shard map, learned whole
-    #: from the origin by its first home lookup; None until then, and again
-    #: after a redirect proves it stale
+    #: from the origin by its first home lookup; None until then
     shard_map_copy: Optional[Tuple[int, ...]] = None
 
 
@@ -82,8 +81,8 @@ class NodeProcessState:
 #: fires, with what, and who listens by default
 PROCESS_PROBES = (
     "access", "fault_begin", "follower_wait", "follower_resume", "transition",
-    "grant", "revoke", "retry", "invalidate", "home_lookup", "redirect",
-    "spawn", "unmap", "node_dead", "thread_dead",
+    "grant", "revoke", "retry", "invalidate", "home_lookup", "spawn",
+    "unmap", "node_dead", "thread_dead",
     "futex_wait", "futex_resume", "futex_wake",
     "delegation_call", "delegation_return", "lock_acquired", "lock_released",
 )

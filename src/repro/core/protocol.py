@@ -24,16 +24,15 @@ protocol providing sequential consistency:
   that catches the page mid-operation is told to **retry** and backs off —
   the slow mode of §V-D's bimodal fault-latency distribution.
 
-Every directory interaction goes through the pluggable
-:class:`~repro.core.directory.CoherenceDirectory` layer.  Under the
-paper's :class:`~repro.core.directory.OriginDirectory` the home of every
-page is the origin and the protocol behaves exactly as §III-B describes;
-under :class:`~repro.core.directory.ShardedDirectory` each page's
-metadata (and its downgrade flush target / read grant source) lives at a
-per-page home node, requests are home-routed — resolved from the node's copy of the
-shard map, learned whole by its first home lookup, with a redirect when
-the copy is stale — and the origin stops being a serialization point for
-the whole address space.
+Every directory interaction goes through
+:class:`~repro.core.directory.CoherenceDirectory`.  On the paper's
+``origin`` backend the home of every page is the origin and the protocol
+behaves exactly as §III-B describes; on the ``sharded`` backend each
+page's metadata (and its downgrade flush target / read grant source)
+lives at a per-page home node, requests are home-routed — resolved from
+the node's copy of the shard map, learned whole by its first home lookup
+— and the origin stops being a serialization point for the whole address
+space.
 
 Timing-race note: a grant reply and a subsequent invalidation for the same
 page travel the same in-order RC connection (both originate at the page's
@@ -54,13 +53,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
-from repro.core.directory import PageEntry, make_directory
+from repro.core.directory import CoherenceDirectory, PageEntry
 from repro.core.errors import NodeFailedError, ProtocolError
 from repro.memory.page_table import EXCLUSIVE, STATE_OF_VALUE, PageState
 from repro.net.messages import (
     PAYLOAD_ACK_OK,
     PAYLOAD_FORWARDED,
-    PAYLOAD_REDIRECT,
     PAYLOAD_RETRY,
     Message,
     MsgType,
@@ -74,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: grant outcomes, shipped in reply payloads
 _RETRY = "retry"
 _GRANT = "grant"
-_REDIRECT = "redirect"
 #: the process was failed by fail-stop recovery (chaos runs only)
 _FAILED = "failed"
 #: a grant's data slot when the old writer sent the page to the requester
@@ -87,14 +84,7 @@ class ConsistencyProtocol:
 
     def __init__(self, proc: "DexProcess"):
         self.proc = proc
-        self.directory = make_directory(proc)
-        #: whether an exclusive handoff between two nodes other than the
-        #: home goes writer-to-writer.  Never under fault injection:
-        #: fail-stop recovery restores a dead writer's page from the
-        #: home's last flush, so there every handoff leaves one there
-        self.forwards = (
-            self.directory.forwards_handoffs and proc.cluster.chaos is None
-        )
+        self.directory = CoherenceDirectory(proc)
 
     # ------------------------------------------------------------------
     # requester side (runs at the faulting node, called by the leader)
@@ -138,7 +128,7 @@ class ConsistencyProtocol:
                         "known_version": pte.data_version,
                     },
                 )
-                if write and self.forwards:
+                if write and self.directory.forwards_handoffs:
                     # the old writer may send the page here, even ahead of
                     # the grant: expect it before asking
                     forward = net.routers[node].expect_forward(net.stamp(request))
@@ -151,14 +141,6 @@ class ConsistencyProtocol:
                     ):
                         net.routers[node].cancel_forward(request.msg_id)
                         forward = None
-                if reply.payload["outcome"] == _REDIRECT:
-                    # stale shard map: the node we asked no longer hosts
-                    # this page's shard — drop the copy and learn it again
-                    proc.stats.hint_stale += 1
-                    self.directory.forget_map(node)
-                    for redirected in proc.hooks["redirect"]:
-                        redirected(vpn, node, target)
-                    continue
                 outcome = (
                     reply.payload["outcome"],
                     reply.payload.get("state"),
@@ -273,18 +255,9 @@ class ConsistencyProtocol:
         """Home-node message handler for :data:`MsgType.PAGE_REQUEST`: returns
         the generator that serves it (no frame of its own)."""
         payload = msg.payload
-        vpn = payload["vpn"]
-        if not self.directory.hosts(msg.dst, vpn):
-            # mis-routed request (stale shard-map copy after a remap):
-            # this node does not host the page's entry, so it cannot
-            # serialize the operation — bounce the requester back to the
-            # resolution path instead of guessing
-            return self.proc.cluster.net.send(
-                msg.make_reply(MsgType.PAGE_REDIRECT, PAYLOAD_REDIRECT)
-            )
         return self.handle_request(
             msg.src,
-            vpn,
+            payload["vpn"],
             payload["write"],
             payload["known_version"],
             reply_to=msg,
@@ -314,20 +287,8 @@ class ConsistencyProtocol:
         params = proc.cluster.params
         origin = proc.origin
         if proc.failed is not None:
-            # fail-stop recovery failed this process: no more grants — a
-            # local requester gets the verdict, a remote one an error reply
-            # (its faulting thread re-raises it)
-            if reply_to is None:
-                raise proc.failed
-            result = (_FAILED, None, 0, None)
-            yield from proc.cluster.net.send(
-                reply_to.make_reply(MsgType.PAGE_GRANT, {
-                    "outcome": _FAILED,
-                    "error": str(proc.failed),
-                    "failed_node": getattr(proc.failed, "node", -1),
-                })
-            )
-            return result
+            # fail-stop recovery failed this process: no more grants
+            return (yield from self._refuse(proc.failed, reply_to))
         home = self.directory.home(vpn)
         proc.stats.record_directory_request(home)
         self.directory.shard(home).requests_served += 1
@@ -373,17 +334,7 @@ class ConsistencyProtocol:
                     # a node died mid-grant holding unrecoverable state
                     # (chaos runs only): surface the verdict to the
                     # requester instead of crashing the handler process
-                    if reply_to is None:
-                        raise
-                    result = (_FAILED, None, 0, None)
-                    yield from proc.cluster.net.send(
-                        reply_to.make_reply(MsgType.PAGE_GRANT, {
-                            "outcome": _FAILED,
-                            "error": str(err),
-                            "failed_node": err.node,
-                        })
-                    )
-                    return result
+                    return (yield from self._refuse(err, reply_to))
                 # the grant is decided (it travels in-order ahead of any
                 # invalidation): a checker may hold the entry to MRSW now
                 for granted in proc.hooks["grant"]:
@@ -408,6 +359,23 @@ class ConsistencyProtocol:
             entry.contended, entry.write_refused = entry.write_refused, False
         return result
 
+    def _refuse(
+        self, err: NodeFailedError, reply_to: Optional[Message]
+    ) -> Generator:
+        """A request the failed process cannot grant: a local requester
+        gets *err* raised, a remote one an error reply (its faulting
+        thread re-raises it)."""
+        if reply_to is None:
+            raise err
+        yield from self.proc.cluster.net.send(
+            reply_to.make_reply(MsgType.PAGE_GRANT, {
+                "outcome": _FAILED,
+                "error": str(err),
+                "failed_node": err.node,
+            })
+        )
+        return (_FAILED, None, 0, None)
+
     def _grant_exclusive(
         self, entry: PageEntry, requester: int, known_version: int,
         request_id: int = 0,
@@ -428,8 +396,8 @@ class ConsistencyProtocol:
         # the page changes hands more often (GRP-initial@8 sharded: 2.3x
         # the handoffs and +11 % sim time when every handoff forwarded)
         forward = (
-            request_id and self.forwards and writer is not None
-            and writer != home and not entry.contended
+            request_id and self.directory.forwards_handoffs
+            and writer is not None and writer != home and not entry.contended
         )
         forwarded = yield from self._revoke(
             entry, losers, downgrade=False, requester=requester,
@@ -444,10 +412,6 @@ class ConsistencyProtocol:
         entry.data_version = new_version
         entry.owners = {requester}
         entry.writer = requester
-        if requester == home:
-            # local "install": the PTE update is done by acquire_page; the
-            # frame is already current at the home after the revocations
-            pass
         return (_GRANT, PageState.EXCLUSIVE.value, new_version, data)
 
     def _grant_shared(

@@ -75,7 +75,6 @@ _COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("futex_wakes", "futex_wake operations at the origin"),
     ("hint_hits", "remote homes resolved from the node's shard-map copy"),
     ("hint_misses", "remote homes resolved with no shard-map copy"),
-    ("hint_stale", "stale shard-map copies caught by a redirect"),
     ("home_lookups", "shard-map lookups through the origin"),
 )
 

@@ -46,7 +46,6 @@ class MsgType(enum.Enum):
     # home-routed directory layer (sharded backend)
     PAGE_HOME_LOOKUP = "page_home_lookup"  # remote -> origin: resolve vpn's home
     PAGE_HOME_INFO = "page_home_info"      # origin -> remote: the shard map
-    PAGE_REDIRECT = "page_redirect"        # non-home -> remote: stale map, re-learn
 
     # on-demand VMA synchronization (§III-D)
     VMA_QUERY = "vma_query"
@@ -86,7 +85,6 @@ CONTROL_SIZES: Dict[MsgType, int] = {
     # 16 B: 40 B up to 16 shards (the default 11, smallest prime above 8
     # nodes), more beyond — each reply is sized by Message.control_bytes
     MsgType.PAGE_HOME_INFO: 40,
-    MsgType.PAGE_REDIRECT: 24,
     MsgType.VMA_QUERY: 32,
     MsgType.VMA_REPLY: 64,
     MsgType.VMA_SHRINK: 48,
@@ -189,9 +187,8 @@ def forward_key(request_id: int) -> int:
 
 #: shared payloads for fixed single-field replies; receivers treat
 #: payloads as read-only (there is no payload mutation in the tree), so
-#: one dict per outcome saves an allocation on every retry/redirect/ack
+#: one dict per outcome saves an allocation on every retry/ack
 PAYLOAD_RETRY: Dict[str, Any] = {"outcome": "retry"}
-PAYLOAD_REDIRECT: Dict[str, Any] = {"outcome": "redirect"}
 PAYLOAD_ACK_OK: Dict[str, Any] = {"ok": True}
 #: an invalidation ack whose dirty page went to the requester, not the home
 PAYLOAD_FORWARDED: Dict[str, Any] = {"ok": True, "forwarded": True}

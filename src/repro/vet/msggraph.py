@@ -13,7 +13,7 @@ For every ``MsgType`` member the scan recovers:
 * **reply production** — which functions build a reply of that type with
   ``make_reply``; combined with call-graph reachability from each
   handler this yields the request ↔ reply pairing (``PAGE_REQUEST`` is
-  answered by ``PAGE_GRANT`` / ``PAGE_RETRY`` / ``PAGE_REDIRECT``, ...);
+  answered by ``PAGE_GRANT`` / ``PAGE_RETRY``, ...);
 * membership in the ``TIMEOUT_CLASSES`` retry table and the
   ``CONTROL_SIZES`` wire-size table, and which of the two are in scope.
 

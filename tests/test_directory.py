@@ -1,8 +1,7 @@
 """Tests for the pluggable coherence-directory layer.
 
 Unit coverage for home assignment, shard placement, the shard-map copy a
-remote node learns (including stale-copy redirects), and the busy-retry
-attribution stats —
+remote node learns, and the busy-retry attribution stats —
 plus differential tests running the same workloads under the ``origin``
 and ``sharded`` backends and comparing results.
 """
@@ -10,12 +9,7 @@ and ``sharded`` backends and comparing results.
 import numpy as np
 import pytest
 
-from repro.core.directory import (
-    DIRECTORY_BACKENDS,
-    OriginDirectory,
-    ShardedDirectory,
-    _next_prime,
-)
+from repro.core.directory import DIRECTORY_BACKENDS, _next_prime
 from repro.core.stats import DexStats
 from repro.params import SimParams
 from repro.bench.runner import run_point
@@ -40,7 +34,7 @@ def test_origin_directory_homes_everything_at_origin():
     cluster = make_cluster(directory="origin")
     proc = cluster.create_process()
     directory = proc.protocol.directory
-    assert isinstance(directory, OriginDirectory)
+    assert directory.backend == "origin"
     for vpn in (0, 1, 65536, 123_456_789):
         assert directory.home(vpn) == proc.origin
     assert directory.shard_nodes() == [proc.origin]
@@ -50,7 +44,7 @@ def test_sharded_directory_spreads_homes():
     cluster = make_cluster(directory="sharded")
     proc = cluster.create_process()
     directory = proc.protocol.directory
-    assert isinstance(directory, ShardedDirectory)
+    assert directory.backend == "sharded"
     # default shard count: smallest prime above the node count
     assert directory.nshards == _next_prime(cluster.num_nodes)
     homes = {directory.home(vpn) for vpn in range(directory.nshards)}
@@ -133,7 +127,6 @@ def test_one_home_lookup_per_process_and_node(shards):
             for node in remotes for i in range(npages)
         )
         assert proc.stats.hint_hits == remote_homed - len(log.nodes)
-        assert proc.stats.hint_stale == 0
         for node in remotes:
             assert proc.node_state(node).shard_map_copy == directory.home_map()
 
@@ -158,37 +151,6 @@ def test_hints_learned_and_hit_on_repeat_faults():
     assert directory.known_home(2, GLOBALS // page) == directory.home(
         GLOBALS // page
     )
-
-
-def test_stale_hint_is_redirected_and_repaired():
-    cluster = make_cluster(directory="sharded")
-    proc = cluster.create_process()
-    directory = proc.protocol.directory
-    vpn = GLOBALS // cluster.params.page_size
-    home = directory.home(vpn)
-    requester = next(
-        n for n in range(1, cluster.num_nodes) if n != home
-    )
-    wrong = next(
-        n for n in range(cluster.num_nodes) if n not in (home, requester, 0)
-    )
-    # poison the requester's copy: every shard homed at a node that does
-    # not host the page
-    directory.learn_map(requester, (wrong,) * directory.nshards)
-
-    def main(ctx):
-        yield from ctx.write_i64(GLOBALS, 77)
-        yield from ctx.migrate(requester)
-        value = yield from ctx.read_i64(GLOBALS)
-        return value
-
-    value = cluster.simulate(main, proc)
-    assert value == 77  # a stale copy costs a hop, never correctness
-    assert proc.stats.hint_stale == 1
-    assert proc.stats.home_lookups == 1
-    # the redirect dropped the bad copy; the re-lookup repaired it
-    assert proc.node_state(requester).shard_map_copy == directory.home_map()
-    assert directory.known_home(requester, vpn) == home
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ FORMER_FIELDS = {
 #: counters (and their scope series) added since that commit, left out
 #: again when its file is rebuilt
 LATER_COUNTERS = ("pages_forwarded", "home_revocations")
+#: a counter removed since then (stale shard-map copies, which a shard map
+#: fixed when the process is created cannot have), written back after the
+#: counter it followed
+FORMER_COUNTERS = {"hint_misses": {"hint_stale": 0}}
 
 #: the twin comparisons' columns: the bare fabric, and the fabric with a
 #: tracer attached (every span either carrier opens is compared)
@@ -488,8 +492,11 @@ def test_the_generator_reproduces_the_manifest_of_the_last_commit_that_had_it(
     for key, value in old["params"].items():
         params[key] = value
         params.update(FORMER_FIELDS.get(key, {}))
-    counters = {key: value for key, value in old["counters"].items()
-                if key not in LATER_COUNTERS}
+    counters = {}
+    for key, value in old["counters"].items():
+        if key not in LATER_COUNTERS:
+            counters[key] = value
+        counters.update(FORMER_COUNTERS.get(key, {}))
     series = {key: value for key, value in old["series"].items()
               if key.partition(".")[2] not in LATER_COUNTERS}
     old_text = json.dumps({**old, "params": params, "counters": counters,

@@ -223,18 +223,6 @@ def test_retry_leaves_no_expectation():
     _assert_no_expectations(cluster)
 
 
-def test_redirect_leaves_no_expectation():
-    cluster, proc, addr = _cluster()
-    directory = proc.protocol.directory
-    opened = _track_expectations(cluster, 2)
-    # poison node 2's shard-map copy: its first request goes to node 1
-    directory.learn_map(2, (1,) * directory.nshards)
-    values = cluster.simulate(_handoff_main(addr), proc)
-    assert values == [101, 102]
-    assert proc.stats.hint_stale == 1 and len(opened) == 2
-    _assert_no_expectations(cluster)
-
-
 def test_failed_outcome_leaves_no_expectation():
     cluster, proc, addr = _cluster()
     opened = _track_expectations(cluster, 2)

@@ -58,7 +58,7 @@ def test_the_registry_binds_what_an_observer_defines_and_nothing_else():
     with pytest.raises(KeyError):  # a site cannot misspell its probe
         hooks["granted"]
     assert set(Engine().hooks) == set(ENGINE_PROBES)
-    assert len(set(PROCESS_PROBES)) == len(PROCESS_PROBES) == 22
+    assert len(set(PROCESS_PROBES)) == len(PROCESS_PROBES) == 21
 
 
 def test_an_observer_added_after_the_services_were_built_is_seen():

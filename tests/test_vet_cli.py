@@ -90,7 +90,7 @@ def test_graph_text(capsys):
     code, out, _ = run_main(["graph"], capsys)
     assert code == 0
     assert "MsgType.PAGE_REQUEST" in out
-    assert "replies PAGE_GRANT, PAGE_REDIRECT, PAGE_RETRY" in out
+    assert "replies PAGE_GRANT, PAGE_RETRY" in out
 
 
 def test_graph_dot_to_file(tmp_path, capsys):

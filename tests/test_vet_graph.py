@@ -58,11 +58,10 @@ EXPECTED_WIRING = {
                          ".handle_invalidate_msg"],
                         ["PAGE_INVALIDATE_ACK"]),
     "PAGE_INVALIDATE_ACK": ("reply", [], []),
-    "PAGE_REDIRECT": ("reply", [], []),
     "PAGE_REQUEST": ("request",
                      ["core/protocol.py::ConsistencyProtocol"
                       ".handle_page_request_msg"],
-                     ["PAGE_GRANT", "PAGE_REDIRECT", "PAGE_RETRY"]),
+                     ["PAGE_GRANT", "PAGE_RETRY"]),
     "PAGE_RETRY": ("reply", [], []),
     "PING": ("request",
              ["core/cluster.py::DexCluster._register_handlers.ping_handler"],
@@ -145,9 +144,25 @@ def test_snapshot_is_line_number_free(graph):
     assert ":1" not in text.replace("py::", "py@@")  # no :<line> artifacts
 
 
-def test_send_sites_deduplicated(graph):
+def test_send_sites_deduplicated(graph, tmp_path):
     sites = graph.to_dict()["PAGE_GRANT"]["send_sites"]
-    assert len(sites) == len(set(sites))
     assert sites == [
-        "send core/protocol.py::ConsistencyProtocol.handle_request (reply)"
+        "send core/protocol.py::ConsistencyProtocol._refuse (reply)",
+        "send core/protocol.py::ConsistencyProtocol.handle_request (reply)",
+    ]
+    # one function sending a type twice is one site
+    twice = tmp_path / "twice.py"
+    twice.write_text(
+        "class MsgType:\n"
+        "    PING = 1\n"
+        "\n"
+        "\n"
+        "def ping_twice(net, msg):\n"
+        "    net.send(msg.make_reply(MsgType.PING, {}))\n"
+        "    net.send(msg.make_reply(MsgType.PING, {}))\n"
+    )
+    small = build_context([twice]).graph
+    assert len(small.nodes["PING"].send_sites) == 2
+    assert small.to_dict()["PING"]["send_sites"] == [
+        "send twice.py::ping_twice (reply)"
     ]
