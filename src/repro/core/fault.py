@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from struct import Struct
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import SegmentationFault
 from repro.core.stats import FaultRecord
@@ -42,6 +42,21 @@ class InFlightFault:
     #: set synchronously when the grant arrives; from that point until
     #: ``done``, an invalidation for this page must wait
     installing: bool = False
+    #: the last revocation this node applied while the grant was still
+    #: outstanding, as ``(data version, downgrade)``: a grant it
+    #: supersedes was decided before it (see ``ConsistencyProtocol.
+    #: acquire_page``)
+    revoked: Optional[Tuple[int, bool]] = None
+
+    def superseded(self, version: int, exclusive: bool) -> bool:
+        """Whether a grant of *version* (exclusive or shared) predates the
+        revocation this fault saw (:attr:`revoked` is set): one that took
+        the page leaves nothing at its version or below, a downgrade a
+        shared copy of its own version."""
+        revoked, downgrade = self.revoked
+        return version < revoked or (
+            version == revoked and (exclusive or not downgrade)
+        )
 
 
 def _make_atomic_add(fmt: str):

@@ -76,6 +76,7 @@ _GRANT = "grant"
 _FAILED = "failed"
 #: a grant's data slot when the old writer sent the page to the requester
 _FORWARDED = "forwarded"
+_EXCLUSIVE = PageState.EXCLUSIVE.value
 
 
 class ConsistencyProtocol:
@@ -159,6 +160,15 @@ class ConsistencyProtocol:
                 retries += 1
                 proc.stats.record_busy_retry(vpn)
                 yield params.fault_retry_backoff
+                continue
+            if fault.revoked is not None and fault.superseded(
+                version, state_name == _EXCLUSIVE
+            ):
+                # a grant decided before a revocation this node has applied
+                # since: the first copy was lost on the wire and the home's
+                # reply cache answered the retransmission (fault injection
+                # only; otherwise the grant travels ahead of the
+                # revocation) — ask again with a fresh request
                 continue
             # mark installing *synchronously* with the grant arrival so a
             # following invalidation (FIFO-ordered behind the grant) waits
@@ -539,6 +549,7 @@ class ConsistencyProtocol:
                 payload = {
                     "pid": proc.pid,
                     "vpn": vpn,
+                    "version": entry.data_version,
                     "downgrade": downgrade,
                     "requester": requester,
                 }
@@ -593,6 +604,15 @@ class ConsistencyProtocol:
                 raise ProtocolError(
                     f"page {vpn:#x}: {len(flushes) + forwarded} dirty copies; "
                     "single-writer invariant broken"
+                )
+            if not flushes and not forwarded and entry.writer in acked:
+                # the writer acked without its page: its grant was lost on
+                # the wire (fault injection only), so it wrote nothing and
+                # holds nothing, and the home's copy of the version before
+                # is the current one
+                entry.owners.discard(entry.writer)
+                proc.node_state(home).page_table.ensure(vpn).data_version = (
+                    entry.data_version
                 )
             for ack in flushes:
                 proc.stats.pages_transferred += 1  # dirty flush on the wire
@@ -686,7 +706,16 @@ class ConsistencyProtocol:
                 # the flush is this node's snapshot; the home keeps it
                 dirty = state.frames.snapshot(vpn)
             if pte is not None:
-                pte.state = PageState.SHARED if downgrade else PageState.INVALID
+                # a writer whose grant was lost keeps no copy, not even on
+                # a downgrade
+                pte.state = (
+                    PageState.SHARED if downgrade and dirty is not None
+                    else PageState.INVALID
+                )
+            # a fault still waiting for its grant must not install one
+            # this revocation supersedes
+            for waiting in state.inflight.get(vpn, ()):
+                waiting.revoked = (msg.payload["version"], downgrade)
         for invalidated in proc.hooks["invalidate"]:
             # with the node whose access triggered this revocation, so
             # false-sharing reports can name both parties

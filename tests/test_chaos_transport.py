@@ -7,6 +7,7 @@ import pytest
 from repro.apps.common import RunSpec
 from repro.chaos import run_under_chaos
 from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
+from repro.params import SimParams
 
 
 MICRO = RunSpec("micro")
@@ -49,6 +50,24 @@ def test_dropped_reply_resends_cached_reply():
     assert report["injections"] == {"drop": 1}
     assert report["retransmissions"] >= 1
     assert report["replies_resent"] >= 1
+
+
+@pytest.mark.parametrize("backend", ["origin", "sharded"])
+def test_dropped_grant_is_not_installed_after_its_revocation(backend):
+    """KMN-initial@4 loses its first grant.  By the time the requester
+    retransmits, the home has revoked the ownership that grant gave it, so
+    the copy the home's reply cache re-sends is stale: the requester must
+    ask again instead of installing it (on the sharded backend the revoked
+    writer acks without its page, and the home's own copy is current).
+    The sanitizer checks every transition of the run."""
+    spec = RunSpec("KMN", "initial", 4, base=SimParams(directory=backend))
+    out = run_under_chaos(
+        spec, _scenario(ChaosRule(kind="drop", msg_type="page_grant", nth=1))
+    )
+    assert out.correct, out
+    report = out.report
+    assert report["injections"] == {"drop": 1}
+    assert report["replies_resent"] == 1
 
 
 def test_duplicated_request_is_suppressed():

@@ -154,6 +154,58 @@ def test_hints_learned_and_hit_on_repeat_faults():
 
 
 # ---------------------------------------------------------------------------
+# a process whose origin is not node 0
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["origin", "sharded"])
+def test_process_with_origin_on_node_2(backend):
+    """The shard map is built from the process's own origin: with origin 2
+    on a 4-node rack the origin map is ``(2,)`` and remote nodes never
+    look it up, while the sharded map spans every node and each remote
+    node learns it once.  A read-modify-write of several pages from nodes
+    0, 1 and 3 stays coherent."""
+    cluster = make_cluster(directory=backend)
+    proc = cluster.create_process(origin=2)
+    log = LookupLog()
+    proc.add_hook(log)
+    directory = proc.protocol.directory
+    page = cluster.params.page_size
+    if backend == "origin":
+        expected_map = (2,)
+    else:
+        expected_map = (0, 1, 2, 3, 0)  # 5 shards: smallest prime above 4
+    assert directory.home_map() == expected_map
+    assert directory.shard_nodes() == sorted(set(expected_map))
+    for vpn in (0, 1, 4, 65536, 99_991):
+        assert directory.home(vpn) == expected_map[vpn % len(expected_map)]
+    npages = 2 * len(expected_map) + 1
+    remotes = (0, 1, 3)
+
+    def main(ctx):
+        for node in remotes:
+            yield from ctx.migrate(node)
+            for i in range(npages):
+                value = yield from ctx.read_i64(GLOBALS + i * page)
+                yield from ctx.write_i64(GLOBALS + i * page, value + node + 1)
+        yield from ctx.migrate_back()
+        values = []
+        for i in range(npages):
+            values.append((yield from ctx.read_i64(GLOBALS + i * page)))
+        return values
+
+    assert cluster.simulate(main, proc) == [1 + 2 + 4] * npages
+    if backend == "origin":
+        assert log.nodes == [] and proc.stats.home_lookups == 0
+    else:
+        assert sorted(log.nodes) == list(remotes)
+        assert proc.stats.home_lookups == len(remotes)
+        for node in remotes:
+            assert proc.node_state(node).shard_map_copy == expected_map
+    proc.protocol.check_invariants()
+
+
+# ---------------------------------------------------------------------------
 # busy-retry attribution (§V-D contended mode)
 # ---------------------------------------------------------------------------
 
