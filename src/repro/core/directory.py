@@ -13,6 +13,9 @@ built once when the process is created from ``SimParams.directory``:
   "Elasticizing Linux via Joint Disaggregation": each VPN hashes to a
   *home node* (``home(vpn) = shard_map[vpn % nshards]``) and ownership
   requests resolve at the page's home instead of always at the origin.
+  The DeX kernel extension is loaded on every node of the rack (§II), so
+  any node can host shards for any process, whether or not the process
+  ever runs threads there.
 
 Storage is uniform across backends: every node hosts a
 :class:`DirectoryShard` inside its :class:`~repro.core.process.
@@ -80,8 +83,7 @@ class DirectoryShard:
     """The slice of the coherence directory one node hosts: a
     radix-tree-indexed map of :class:`PageEntry`, plus serving counters."""
 
-    def __init__(self, node: int = -1):
-        self.node = node
+    def __init__(self):
         self.tree = RadixTree()
         self.requests_served = 0
         self.entries_created = 0
@@ -94,23 +96,11 @@ class CoherenceDirectory:
     """Where page-ownership metadata lives, and the metadata itself.
 
     The protocol only ever asks: where is *vpn*'s metadata
-    (:meth:`home`), is it here (:meth:`hosts`), and give me / drop the
-    entries (:meth:`lookup`, :meth:`get_or_create`, :meth:`drop_range`).
-    Whole-directory iteration (:meth:`entries`) is a control-plane and
-    test convenience — the data plane never iterates globally.
-
-    The placement is a shard map fixed when the process is created:
-    ``home(vpn) == shard_map[vpn % nshards]``.  The ``origin`` backend
-    (the paper's §III-B design) has one shard, at the origin, so every
-    ownership request funnels into the origin's NIC and handler.  The
-    ``sharded`` backend hashes VPNs across per-node shards — the DeX
-    kernel extension is loaded on every node of the rack (§II), so any
-    node can host directory shards for any process, whether or not the
-    process ever runs threads there.  Its default shard count is the
-    smallest prime greater than the node count: segment base addresses
-    are power-of-two aligned, so a power-of-two shard count resonates with
-    them and pins every segment's first (usually hottest) page to the
-    origin — the one node sharding is supposed to relieve.
+    (:meth:`home`, by the shard map fixed when the process is created),
+    and give me / drop the entries (:meth:`lookup`, :meth:`get_or_create`,
+    :meth:`drop_range`).  Whole-directory iteration (:meth:`entries`) is a
+    control-plane and test convenience — the data plane never iterates
+    globally.
     """
 
     def __init__(self, proc: "DexProcess"):
@@ -119,14 +109,16 @@ class CoherenceDirectory:
         params = proc.cluster.params
         #: ``SimParams.directory``, which validates it
         self.backend = params.directory
+        #: shard index -> hosting node; owned by the origin, copied whole
+        #: by a remote node's first home lookup
+        self.shard_map: Tuple[int, ...] = (proc.origin,)
         if self.backend == "sharded":
             num_nodes = proc.cluster.num_nodes
+            # a prime count: segment bases are power-of-two aligned, and a
+            # power-of-two count would home every segment's first (usually
+            # hottest) page on the origin, the node sharding relieves
             nshards = params.directory_shards or _next_prime(num_nodes)
-            #: shard index -> hosting node; owned by the origin, copied
-            #: whole by a remote node's first home lookup
-            self.shard_map: List[int] = [i % num_nodes for i in range(nshards)]
-        else:
-            self.shard_map = [proc.origin]
+            self.shard_map = tuple(i % num_nodes for i in range(nshards))
         self.nshards = len(self.shard_map)
         #: where the dirty page goes when a write request from a node other
         #: than the home revokes a remote exclusive writer: to the home,
@@ -145,13 +137,6 @@ class CoherenceDirectory:
         """The node hosting *vpn*'s directory entry."""
         return self.shard_map[vpn % self.nshards]
 
-    def hosts(self, node: int, vpn: int) -> bool:
-        """Whether *node* hosts *vpn*'s entry — this is *local* knowledge
-        (a node always knows its own shard assignment), unlike
-        :meth:`home` for arbitrary pages, which remote nodes must resolve
-        through the origin under the sharded backend."""
-        return self.home(vpn) == node
-
     def shard_nodes(self) -> List[int]:
         """Nodes that may host directory entries."""
         return sorted(set(self.shard_map))
@@ -159,7 +144,7 @@ class CoherenceDirectory:
     def home_map(self) -> Tuple[int, ...]:
         """The whole placement as a shard map — shard index -> hosting
         node — as the origin ships it in a home lookup's reply."""
-        return tuple(self.shard_map)
+        return self.shard_map
 
     # -- a node's copy of the shard map -------------------------------------
 
@@ -177,10 +162,7 @@ class CoherenceDirectory:
 
     def shard(self, node: int) -> DirectoryShard:
         """The shard hosted at *node* (created on first touch)."""
-        state = self.proc.node_state(node)
-        if state.directory_shard.node < 0:
-            state.directory_shard.node = node
-        return state.directory_shard
+        return self.proc.node_state(node).directory_shard
 
     def requests_by_home(self) -> Dict[int, int]:
         """``{hosting node: requests_served}`` over shards that exist.

@@ -110,7 +110,8 @@ class ConsistencyProtocol:
                 # node won an exclusive grant that covers us); requesting
                 # again could downgrade our own node's ownership
                 return retries
-            local = self.directory.hosts(node, vpn)
+            # a node knows which shards it hosts, whatever the backend
+            local = self.directory.home(vpn) == node
             forward = None
             if local:
                 outcome = yield from self.handle_request(
