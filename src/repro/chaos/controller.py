@@ -90,7 +90,9 @@ class ChaosController:
         self._wire_rules = [r for r in scenario.rules if not r.scheduled]
         self._scheduled_rules = [r for r in scenario.rules if r.scheduled]
         self._leases: Dict[Tuple[int, int], _Lease] = {}
-        self._services_active = False
+        #: a ``simulate`` phase is running: keepalives, the lease monitor
+        #: and the transport's probes of ACKed requests re-arm only then
+        self.services_active = False
         self._monitor_ticking = False
         #: in-flight requests by destination, failed fast on detection
         self._pending_to: Dict[int, Dict[int, Any]] = {}
@@ -256,7 +258,7 @@ class ChaosController:
             self._leases[key] = lease
         else:
             lease.last_renew = self.engine.now
-        if not self._services_active:
+        if not self.services_active:
             # between simulate phases (or after the main thread finished):
             # record the lease but do not tick — a self-rescheduling tick
             # with nobody left to suspend it would keep the queue alive
@@ -279,7 +281,7 @@ class ChaosController:
         )
 
     def _keepalive_tick(self, lease: _Lease) -> None:
-        if not self._services_active:
+        if not self.services_active:
             lease.ticking = False
             return
         proc, node = lease.proc, lease.node
@@ -308,7 +310,7 @@ class ChaosController:
             lease.last_renew = self.engine.now
 
     def _monitor_tick(self) -> None:
-        if not self._services_active or not self._leases:
+        if not self.services_active or not self._leases:
             self._monitor_ticking = False
             return
         now = self.engine.now
@@ -325,11 +327,11 @@ class ChaosController:
 
     def suspend_services(self) -> None:
         """Stop re-arming keepalive/monitor ticks (cluster going idle)."""
-        self._services_active = False
+        self.services_active = False
 
     def resume_services(self) -> None:
         """Mark a ``simulate`` phase active and re-arm any leases."""
-        self._services_active = True
+        self.services_active = True
         if not self._leases:
             return
         now = self.engine.now

@@ -10,7 +10,6 @@ Public surface:
   tests, tools, and ablation studies.
 """
 
-from repro.core.balancer import AffinityBalancer, LoadBalancer, MigrationHints
 from repro.core.cluster import DexCluster, DexNode
 from repro.core.delegation import DelegationService
 from repro.core.directory import (
@@ -38,13 +37,10 @@ from repro.core.stats import DexStats, FaultRecord, MigrationRecord
 from repro.core.thread import DexThread, ThreadContext
 
 __all__ = [
-    "AffinityBalancer",
     "CoherenceDirectory",
     "ConsistencyProtocol",
     "DIRECTORY_BACKENDS",
     "DirectoryShard",
-    "LoadBalancer",
-    "MigrationHints",
     "DelegationService",
     "DexCluster",
     "DexError",

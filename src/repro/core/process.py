@@ -29,7 +29,6 @@ from typing import (
 )
 
 from repro.check import make_sanitizers
-from repro.core.balancer import MigrationHints
 from repro.core.delegation import DelegationService
 from repro.core.directory import DirectoryShard
 from repro.core.errors import DexError
@@ -115,10 +114,6 @@ class DexProcess:
         #: survive a node failure; every blocking service entry point calls
         #: :meth:`check_failed` so live threads observe the verdict
         self.failed: Optional[BaseException] = None
-
-        #: pending scheduler-initiated migration targets (see
-        #: :mod:`repro.core.balancer`); honoured at ``ctx.checkpoint()``
-        self.migration_hints = MigrationHints()
 
         self.protocol = ConsistencyProtocol(self)
         self.faults = FaultHandler(self)

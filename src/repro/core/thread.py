@@ -181,18 +181,6 @@ class ThreadContext:
         """Return to the origin node."""
         yield from self.proc.migration.migrate(self.thread, self.proc.origin)
 
-    def checkpoint(self) -> Generator:
-        """A safe migration point: if a scheduler policy (see
-        :mod:`repro.core.balancer`) posted a migration hint for this
-        thread, honour it now.  Returns the node migrated to, or None.
-        Applications sprinkle this at loop heads to opt in to automatic
-        migration — the §III-A extension of scheduler-initiated moves."""
-        target = self.proc.migration_hints.take(self.tid)
-        if target is not None and target != self.thread.current_node:
-            yield from self.proc.migration.migrate(self.thread, target)
-            return target
-        return None
-
     # -- computation ---------------------------------------------------------
 
     def compute(

@@ -24,7 +24,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.errors import NodeFailedError
 from repro.net import rdma
 from repro.net.buffers import BufferPool, RdmaSink
-from repro.net.messages import Message, MsgType
+from repro.net.messages import Message
 from repro.net.retry import backoff_delay, timeout_base_us
 from repro.net.verbs import Router
 from repro.params import SimParams
@@ -377,13 +377,15 @@ class Network:
 
         Retransmissions reuse the message object, so the sequence number
         (``msg_id``) is stable and the responder's duplicate filter can
-        suppress re-execution.  A ``REQUEST_ACK`` from the responder means
-        the handler is legitimately still running (a delegated futex wait
-        may block indefinitely): it resets the attempt budget and re-arms
-        the reply without retransmitting, so only true silence counts
-        against ``retry_max_attempts``.  Exhaustion reports the destination
-        unreachable to the failure detector and raises
-        :class:`NodeFailedError`."""
+        suppress re-execution.  The reply slot stays registered for the
+        whole request.  A ``REQUEST_ACK`` (the handler still runs: a
+        delegated futex wait may block indefinitely) wakes nobody; the next
+        timeout finds it noted, restarts the silent count and probes again,
+        so a reply lost after the ACK comes from the reply cache.  Once the
+        controller suspends its services, an ACKed request stops probing
+        and just waits.  ``retry_max_attempts`` silent timeouts in a row
+        report the destination unreachable to the failure detector and
+        raise :class:`NodeFailedError`."""
         chaos = self.chaos
         engine = self.engine
         params = self.params
@@ -397,10 +399,10 @@ class Network:
             chaos.track_request(msg, reply_event)
             try:
                 yield from self.send(msg)
-                attempts = 0
+                timeouts = silent = 0
                 while True:
                     deadline = engine.timeout(
-                        backoff_delay(base_us, attempts, params.retry_backoff_cap_us)
+                        backoff_delay(base_us, timeouts, params.retry_backoff_cap_us)
                     )
                     try:
                         yield engine.any_of(
@@ -412,28 +414,22 @@ class Network:
                         # must not advance the clock at queue-drain time
                         deadline.cancel()
                     if reply_event.triggered:
-                        reply = reply_event.value  # re-raises detector aborts
-                        while reply.msg_type is MsgType.REQUEST_ACK:
-                            # responder alive, handler still running (e.g. a
-                            # delegated futex wait that blocks until another
-                            # thread wakes it).  Wait passively: probing on a
-                            # timer would generate events forever if the
-                            # handler never finishes, and post-ACK responder
-                            # death is the failure detector's job — lease
-                            # expiry fails the tracked reply event.
-                            reply_event = router.expect_reply(msg.msg_id)
-                            chaos.track_request(msg, reply_event)
-                            reply = yield reply_event
-                        return reply
-                    attempts += 1
-                    if attempts >= params.retry_max_attempts:
-                        chaos.note_unreachable(msg.dst, msg)
-                        raise NodeFailedError(
-                            msg.dst,
-                            f"no reply to {msg.msg_type.value}#{msg.msg_id} "
-                            f"after {attempts} attempts",
-                        )
-                    chaos.note_retransmit(msg, attempts)
+                        return reply_event.value  # re-raises detector aborts
+                    timeouts += 1
+                    if router.take_ack(msg.msg_id):
+                        silent = 0
+                        if not chaos.services_active:
+                            return (yield reply_event)
+                    else:
+                        silent += 1
+                        if silent >= params.retry_max_attempts:
+                            chaos.note_unreachable(msg.dst, msg)
+                            raise NodeFailedError(
+                                msg.dst,
+                                f"no reply to {msg.msg_type.value}#{msg.msg_id} "
+                                f"after {silent} attempts",
+                            )
+                    chaos.note_retransmit(msg, timeouts)
                     yield from self.send(msg)
             finally:
                 router.cancel_reply(msg.msg_id)

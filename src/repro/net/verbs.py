@@ -11,16 +11,17 @@ the paper's messaging layer.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional, Set
 
 from repro.net.messages import TIMEOUT_CLASSES, Message, MsgType, forward_key
 from repro.sim import Engine, Event
 
 Handler = Callable[[Message], Generator]
 
-#: bound on the responder-side duplicate filter (msg_id -> cached reply);
-#: old entries age out FIFO, which is safe because a requester only
-#: retransmits while its bounded retry loop is still running
+#: bound on the responder-side duplicate filter's settled entries (msg_id
+#: -> cached reply), which age out FIFO; a request whose handler has not
+#: replied is never evicted, or a probe would re-execute it (a second
+#: delegated futex_wait), so those are bounded by live handler processes
 _SEEN_CAP = 4096
 
 
@@ -44,9 +45,14 @@ class Router:
         # is enabled — see attach_chaos()
         self.chaos = None
         self.net = None
-        #: request msg_id -> cached reply (None while the handler runs);
-        #: the responder half of idempotent retransmission
+        #: the responder half of idempotent retransmission: settled
+        #: msg_id -> its cached reply (None for a one-way message), and
+        #: the request-class msg_ids whose handler has not replied yet
         self._seen: "OrderedDict[int, Optional[Message]]" = OrderedDict()
+        self._running: Set[int] = set()
+        #: the requester half: pending request ids a REQUEST_ACK has
+        #: named since the requester last looked (take_ack)
+        self._acked: Set[int] = set()
         self.duplicates_dropped = 0
         #: per-type handler process names, built once — the dispatch hot
         #: path must not re-render an f-string per message
@@ -73,6 +79,15 @@ class Router:
 
     def cancel_reply(self, msg_id: int) -> None:
         self._pending.pop(msg_id, None)
+        self._acked.discard(msg_id)
+
+    def take_ack(self, msg_id: int) -> bool:
+        """Did a ``REQUEST_ACK`` for pending request *msg_id* arrive since
+        the last call?  (The reliable transport's liveness signal.)"""
+        if msg_id in self._acked:
+            self._acked.remove(msg_id)
+            return True
+        return False
 
     # a page forwarded to this node for one of its requests, expected
     # under messages.forward_key(request_id)
@@ -100,14 +115,22 @@ class Router:
             # a reply whose requester gave up; fall through to a typed
             # handler if one exists, otherwise drop it silently
         elif self.chaos is not None:
+            msg_id = msg.msg_id
+            if msg.msg_type is MsgType.REQUEST_ACK:
+                # never a reply: noted for the requester's next timeout
+                ack_for = msg.payload["ack_for"]
+                if ack_for in self._pending:
+                    self._acked.add(ack_for)
+                return
             # responder-side duplicate suppression: a retransmitted request
             # (same msg_id) must not re-execute its handler
-            if msg.msg_id in self._seen:
+            if msg_id in self._running or msg_id in self._seen:
                 self._on_duplicate(msg)
                 return
-            self._seen[msg.msg_id] = None
-            while len(self._seen) > _SEEN_CAP:
-                self._seen.popitem(last=False)
+            if msg.msg_type in TIMEOUT_CLASSES:
+                self._running.add(msg_id)
+            else:
+                self._settle(msg_id, None)
         kind = msg.msg_type._value_
         handler = self._handlers.get(kind)
         if handler is None:
@@ -165,12 +188,14 @@ class Router:
                 trace_id=cached.trace_id,
                 parent_span=cached.parent_span,
             )
-        elif msg.msg_type in TIMEOUT_CLASSES:
+        elif msg.msg_id in self._running:
             # request-class message whose handler is still running (it may
             # legitimately block, e.g. a delegated futex wait): tell the
-            # requester to keep waiting instead of declaring us dead
+            # requester to keep waiting instead of declaring us dead.  It
+            # is no reply: a reply slot it popped would orphan the real one
             self.chaos.request_acks.inc()
             resend = msg.make_reply(MsgType.REQUEST_ACK, {"ack_for": msg.msg_id})
+            resend.reply_to = None
             # same trace-continuity rule as resent replies: the ack answers
             # a request that already carries a trace context
             resend.trace_id = msg.trace_id
@@ -192,10 +217,14 @@ class Router:
     def note_reply_sent(self, reply: Message) -> None:
         """Cache an outbound reply against its request id (called by the
         fabric's send path when fault injection is on)."""
-        if reply.msg_type is MsgType.REQUEST_ACK:
-            return  # not the real reply; the handler is still running
-        if reply.reply_to in self._seen:
-            self._seen[reply.reply_to] = reply
+        if reply.reply_to in self._running:
+            self._running.remove(reply.reply_to)
+            self._settle(reply.reply_to, reply)
+
+    def _settle(self, msg_id: int, reply: Optional[Message]) -> None:
+        self._seen[msg_id] = reply
+        while len(self._seen) > _SEEN_CAP:
+            self._seen.popitem(last=False)
 
     def _check_handler(self, proc) -> None:
         """Handler processes have no waiters; surface their failures

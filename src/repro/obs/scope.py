@@ -3,8 +3,8 @@
 The scope is the time-series telemetry layer: where DexTrace answers
 "what happened on this request" and DexLens "what is hot right now",
 the scope answers "how loaded was each part of the rack *over time*" —
-the signal the adaptation recipe of §IV (and the planned online
-balancer / DexServe SLO reporting) needs.
+the signal the adaptation recipe of §IV and DexServe's SLO reporting
+need.
 
 A :class:`DexScope` registers one sampler on the engine's sampling grid
 (:meth:`repro.sim.engine.Engine.add_sampler`): every ``INTERVAL_US``

@@ -8,6 +8,7 @@ from repro.apps.common import RunSpec
 from repro.chaos import run_under_chaos
 from repro.chaos.scenario import ChaosError, ChaosRule, ChaosScenario
 from repro.params import SimParams
+from repro.sim import Engine
 
 
 MICRO = RunSpec("micro")
@@ -78,6 +79,38 @@ def test_duplicated_request_is_suppressed():
     )
     assert out.correct, out
     assert out.report["injections"] == {"duplicate": 1}
+
+
+#: a request class and its reply, each a request the micro sends
+REQUEST_REPLY = [("page_request", "page_grant"),
+                 ("page_invalidate", "page_invalidate_ack"),
+                 ("delegate", "delegate_reply"),
+                 ("vma_query", "vma_reply")]
+
+
+@pytest.mark.parametrize("backend", ["origin", "sharded"])
+@pytest.mark.parametrize("request_type, reply_type", REQUEST_REPLY)
+def test_a_reply_lost_after_a_request_ack_is_recovered(
+        request_type, reply_type, backend, monkeypatch):
+    """The request is duplicated, so its second copy finds the handler
+    running and draws a REQUEST_ACK; then the real reply is dropped.  The
+    requester must keep probing after the ACK until the responder's reply
+    cache answers.  A requester that waits passively hangs, so the run is
+    held to an event budget ~35x its own size, not the 50M-event guard."""
+    run = Engine.run
+    monkeypatch.setattr(
+        Engine, "run",
+        lambda self, until=None, max_events=20_000: run(self, until, max_events))
+    out = run_under_chaos(
+        RunSpec("micro", base=SimParams(directory=backend)),
+        _scenario(ChaosRule(kind="duplicate", msg_type=request_type, nth=1),
+                  ChaosRule(kind="drop", msg_type=reply_type, nth=1)),
+    )
+    assert out.correct, out
+    report = out.report
+    assert report["injections"] == {"duplicate": 1, "drop": 1}
+    assert report["request_acks"] == 1
+    assert report["replies_resent"] == 1
 
 
 def test_delay_and_reorder_preserve_correctness():

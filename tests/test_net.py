@@ -269,3 +269,93 @@ def test_pool_pressure_summary():
     eng, net, _ = make_net()
     stats = net.pool_pressure()
     assert stats == {"send": 0, "recv": 0, "sink": 0}
+
+
+# -- the reliable transport's Router halves (fault injection on) ------------
+
+
+def make_reliable_net(monkeypatch):
+    """Two nodes with fault injection on (an empty scenario), every
+    fire-and-forget post captured instead of sent, and a ``PING`` handler
+    on node 1 that never replies."""
+    from repro.chaos import ChaosController, ChaosScenario
+
+    params = SimParams()
+    eng = Engine()
+    net = Network(eng, 2, params,
+                  chaos=ChaosController(eng, params, ChaosScenario()))
+    posted = []
+    monkeypatch.setattr(net, "post", posted.append)
+
+    def still_running(msg):
+        yield eng.event()  # never triggered: it has not replied yet
+
+    net.router(1).register(MsgType.PING, still_running)
+    return net, posted
+
+
+def test_a_reply_right_after_a_request_ack_reaches_its_waiter(monkeypatch):
+    """A duplicate of a request whose handler still runs draws a
+    REQUEST_ACK.  The ACK and the real reply reach the requester in the
+    same instant: the reply must still find its waiter, because an ACK
+    answers no waiter."""
+    net, posted = make_reliable_net(monkeypatch)
+    request = Message(MsgType.PING, 0, 1)
+    net.stamp(request)
+    waiter = net.router(0).expect_reply(request.msg_id)
+    net.router(1).dispatch(request)
+    net.router(1).dispatch(request)  # handler still running: an ACK
+    (ack,) = posted
+    assert ack.msg_type is MsgType.REQUEST_ACK
+    reply = request.make_reply(MsgType.PONG)
+    net.router(0).dispatch(ack)
+    net.router(0).dispatch(reply)
+    assert waiter.triggered and waiter.value is reply
+    assert net.router(1).dispatched == 1
+    assert net.router(0).take_ack(request.msg_id)
+    assert not net.router(0).take_ack(request.msg_id)
+
+
+def test_the_duplicate_filter_never_evicts_a_running_handler(monkeypatch):
+    """Past the filter's cap, settled entries age out FIFO, but a request
+    whose handler has not replied stays: a probe of it draws an ACK and
+    never re-executes the handler (a second delegated futex_wait)."""
+    from repro.net import verbs
+
+    monkeypatch.setattr(verbs, "_SEEN_CAP", 2)
+    net, posted = make_reliable_net(monkeypatch)
+    responder = net.router(1)
+    blocked = Message(MsgType.PING, 0, 1)
+    net.stamp(blocked)
+    responder.dispatch(blocked)
+    settled = []
+    for _ in range(4):
+        request = Message(MsgType.PING, 0, 1)
+        net.stamp(request)
+        responder.dispatch(request)
+        reply = request.make_reply(MsgType.PONG)
+        responder.note_reply_sent(reply)
+        settled.append((request, reply))
+    assert responder.dispatched == 5
+    responder.dispatch(blocked)  # the probe of the running handler
+    newest, newest_reply = settled[-1]
+    responder.dispatch(newest)  # cached: its reply is re-sent
+    assert responder.dispatched == 5
+    ack, resent = posted
+    assert ack.msg_type is MsgType.REQUEST_ACK
+    assert ack.payload["ack_for"] == blocked.msg_id
+    assert resent.reply_to == newest.msg_id
+    assert resent.msg_type is MsgType.PONG
+    oldest, _ = settled[0]
+    responder.dispatch(oldest)  # aged out: the filter no longer knows it
+    assert responder.dispatched == 6
+
+
+def test_backoff_delay_is_capped_at_any_attempt():
+    """The probe loop's attempt count is unbounded; 2.0 ** 1024 would
+    overflow a float."""
+    from repro.net.retry import backoff_delay
+
+    assert backoff_delay(400.0, 0, 5000.0) == 400.0
+    assert backoff_delay(400.0, 3, 5000.0) == 3200.0
+    assert backoff_delay(2500, 5000, 5000) == 5000
